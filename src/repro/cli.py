@@ -9,7 +9,6 @@ Subcommands::
     repro query INDEX [S T ...] [--batch FILE] [--backend {flat,list}]
                                [--mmap] [--kernel {auto,on,off}]
     repro query --shards DIR [S T ...] [--batch FILE] [--workers N]
-                               [--executor {process,thread}]
     repro convert INDEX -o OUTPUT [--format {v1,v2,v3}] [--stats]
                                [--force]
     repro shard INDEX -o DIR [--shards N] [--format {v2,v3}] [--force]
@@ -33,18 +32,19 @@ arrays — ``repro convert`` translates between them and ``--stats``
 reports the size breakdown).  ``repro shard`` splits an index into a
 directory of per-vertex-range v2 (or, with ``--format v3``, quantized)
 files plus a manifest, which ``repro query --shards`` serves through a
-worker pool.  ``repro update`` inserts edges into a built index (or a
-shard directory) by incremental Hop-Doubling label repair — no
-rebuild; a shard directory has only its changed shards rewritten and
-their manifest checksums refreshed.  Queries are served through the
+:class:`~repro.oracle.ParallelOracle`.  ``repro update`` inserts edges
+into a built index (or a shard directory) by incremental Hop-Doubling
+label repair — no rebuild; a shard directory has only its changed
+shards rewritten and their manifest checksums refreshed.  Queries are served through the
 :class:`~repro.oracle.DistanceOracle` facade; ``--batch FILE``
 evaluates one ``s t`` pair per line with the vectorized numpy kernel
 when available (``--kernel`` pins the choice) and grouped merge joins
 otherwise.  ``repro serve`` runs the asyncio distance server of
 :mod:`repro.serve` over an index file or shard directory: concurrent
 clients' requests coalesce into kernel batches under an admission
-window, and multi-worker serving fans batches out over forked workers
-sharing the label arrays (see ``docs/ARCHITECTURE.md``).
+window, and the same :class:`~repro.oracle.ParallelOracle` decides per
+batch between the inline kernel and forked workers sharing the label
+arrays (see ``docs/ARCHITECTURE.md``).
 """
 
 from __future__ import annotations
@@ -168,7 +168,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     if args.shards and (args.mmap or args.backend != "flat"):
         print(
             "warning: --mmap and --backend are ignored with --shards "
-            "(shard workers always mmap the flat shard files)",
+            "(shard files are always memory-mapped flat stores)",
             file=sys.stderr,
         )
     elif args.mmap and args.backend == "list":
@@ -189,7 +189,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
             oracle = ParallelOracle(
                 args.shards,
                 workers=args.workers,
-                executor=args.executor,
                 kernel=args.kernel,
             )
         else:
@@ -469,53 +468,23 @@ def _cmd_update(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
-    import os
 
-    from repro.core.flatstore import load_store
-    from repro.oracle import DistanceOracle, ShardedLabelStore
-    from repro.oracle import kernel as kernel_mod
-    from repro.serve import DistanceServer, SharedMemoryFanout, fanout_available
+    from repro.oracle import ParallelOracle
+    from repro.serve import DistanceServer
 
     try:
-        if os.path.isdir(args.index):
-            store = ShardedLabelStore.load(args.index, use_mmap=True)
-        else:
-            store = load_store(args.index, prefer_flat=True, use_mmap=True)
+        oracle = ParallelOracle(
+            args.index, workers=args.workers, cache_size=0,
+            kernel=args.kernel,
+        )
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
-    if workers < 1:
-        print(f"error: --workers must be >= 1, got {workers}", file=sys.stderr)
-        store.close()
-        return 2
-    fanout = None
-    if workers > 1:
-        if (
-            args.kernel != "off"
-            and fanout_available()
-            and kernel_mod.supports(store)
-        ):
-            fanout = SharedMemoryFanout(
-                store,
-                workers=workers,
-                capacity=max(args.max_batch, 1 << 14),
-            )
-            # Fork the workers before the event loop (and its thread
-            # pool) exists — the quiescent-parent moment.
-            fanout.warmup()
-        else:
-            print(
-                "warning: shared-memory fan-out unavailable (needs numpy, "
-                "the 'fork' start method, and --kernel != off); serving "
-                "on the inline kernel instead",
-                file=sys.stderr,
-            )
-    backend = fanout if fanout is not None else DistanceOracle(
-        store, cache_size=0, kernel=args.kernel
-    )
+    # Fork the workers (if any batch could use them) before the event
+    # loop and its thread pool exist — the quiescent-parent moment.
+    pooled = oracle.warmup()
     server = DistanceServer(
-        backend,
+        oracle,
         host=args.host,
         port=args.port,
         max_batch_pairs=args.max_batch,
@@ -526,7 +495,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     async def run() -> None:
         host, port = await server.start()
         mode = (
-            f"{workers} shm workers" if fanout is not None
+            f"{oracle.workers} shm workers" if pooled
             else "inline evaluation"
         )
         print(
@@ -545,11 +514,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         print("shutting down", file=sys.stderr)
     finally:
-        if fanout is not None:
-            fanout.close()
-        else:
-            backend.close()
-        store.close()
+        oracle.close()
     return 0
 
 
@@ -735,13 +700,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="worker pool size for --shards (default: min(shards, cores))",
-    )
-    p.add_argument(
-        "--executor",
-        choices=["process", "thread"],
-        default="process",
-        help="worker pool kind for --shards (default: process)",
+        help="workers for --shards (default: all cores; large batches on "
+        "an index past the cache-resident size fan out, the rest is "
+        "answered inline)",
     )
     p.set_defaults(func=_cmd_query)
 
@@ -822,8 +783,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="shared-memory fan-out workers (default: all cores; 1 "
-        "serves inline with no fork)",
+        help="shared-memory fan-out workers (default: all cores; 1, or "
+        "a cache-resident index, serves inline with no fork)",
     )
     p.add_argument(
         "--max-batch",

@@ -7,12 +7,15 @@ CSR), serves single-pair and batched point-to-point distances through
 an LRU result cache, and exposes reachability, path reconstruction,
 one-to-all, and k-NN on top.
 
-For indexes too big (or traffic too heavy) for one process, the store
-can be range-partitioned into a shard directory and served by a worker
-pool instead (:mod:`repro.oracle.sharding` /
-:mod:`repro.oracle.parallel`); fanned-out batches default to the
-shared-memory transport of :mod:`repro.serve.shm`, and the asyncio
-request frontend lives one layer up in :mod:`repro.serve`.
+For indexes too big (or traffic too heavy) for one core,
+:class:`ParallelOracle` (:mod:`repro.oracle.parallel`) serves a shard
+directory (:mod:`repro.oracle.sharding`) or an index file with N
+workers.  It is the only inline-vs-pool router: a batch is answered
+inline when it is small, when ``workers == 1``, while updates are
+staged, when the index is cache-resident, or when numpy/``fork``/the
+kernel is unavailable, and otherwise goes to the one pool — the forked
+shared-memory fan-out of :mod:`repro.serve.shm`.  The asyncio request
+frontend lives one layer up in :mod:`repro.serve`.
 
 Quick start::
 
@@ -24,23 +27,16 @@ Quick start::
     oracle.nearest(3, k=10)                        # k-NN
 
     served = ParallelOracle("g.shards", workers=4)  # `repro shard` output
-    served.query_batch(pairs)                       # fanned over the pool
+    served.query_batch(pairs)                       # inline or fanned out
 """
 
 from repro.oracle.batch import KERNEL_MODES, evaluate_batch, read_pair_file
 from repro.oracle.cache import CacheInfo, LRUCache
 from repro.oracle.oracle import DEFAULT_CACHE_SIZE, DistanceOracle
-from repro.oracle.parallel import (
-    DEFAULT_INLINE_ENTRIES,
-    DEFAULT_MIN_PARALLEL_BATCH,
-    ROUTE_MODES,
-    TRANSPORT_MODES,
-    ParallelOracle,
-)
+from repro.oracle.parallel import ParallelOracle
 from repro.oracle.sharding import (
     ShardedLabelStore,
     ShardError,
-    load_balanced_ranges,
     load_manifest,
     split_ranges,
 )
@@ -51,15 +47,10 @@ __all__ = [
     "ShardedLabelStore",
     "ShardError",
     "DEFAULT_CACHE_SIZE",
-    "DEFAULT_INLINE_ENTRIES",
-    "DEFAULT_MIN_PARALLEL_BATCH",
     "KERNEL_MODES",
-    "ROUTE_MODES",
-    "TRANSPORT_MODES",
     "LRUCache",
     "CacheInfo",
     "evaluate_batch",
-    "load_balanced_ranges",
     "load_manifest",
     "read_pair_file",
     "split_ranges",

@@ -1,142 +1,88 @@
-"""The :class:`ParallelOracle` frontend: fan ``query_batch`` out over shards.
+"""The :class:`ParallelOracle` frontend: serve one index with N workers.
 
 One :class:`~repro.oracle.DistanceOracle` is one process serving one
-store; this frontend serves a **shard directory** (see
-:mod:`repro.oracle.sharding`) with a pool of workers instead:
+store.  This frontend is the single owner of "serve this index with N
+workers" — ``repro query --shards`` and ``repro serve`` both go
+through it — and it makes exactly one decision per batch: answer
+**inline** on the parent's own kernel, or hand the batch to the
+**fork pool** of :mod:`repro.serve.shm`.
 
-* the parent opens the :class:`ShardedLabelStore` itself (mmap by
-  default), so every single-pair facility — ``query``, k-NN, path
-  reconstruction, the verifier — works exactly as on a plain oracle;
-* ``query_batch`` splits the batch into chunks grouped by the shard
-  owning each pair's *source* vertex (so a worker's probes stay inside
-  one shard's pages), evaluates the chunks on the pool, and merges the
-  results back into input order;
-* the pool is configurable: ``executor="process"`` (the default)
-  gives real multi-core evaluation — each worker process re-opens the
-  shard directory mmap-backed in its initializer, so the page cache is
-  shared and per-worker memory stays flat; ``executor="thread"``
-  shares the parent's store with zero startup cost (useful for tests,
-  small batches, and future free-threaded CPythons).
+* the parent opens the index itself — a shard directory (see
+  :mod:`repro.oracle.sharding`) or a single v2/v3 index file,
+  memory-mapped — so every single-pair facility
+  (``query``, k-NN, path reconstruction, the verifier) works exactly
+  as on a plain oracle;
+* the pool is a :class:`~repro.serve.shm.SharedMemoryFanout`: workers
+  are *forked* after the parent builds the kernel's packed key views,
+  so they share one physical copy of the label arrays, and pair/result
+  buffers live in shared mmaps — nothing is pickled per batch.  Label
+  lookup is memory-bound (Akiba et al.; Farhan et al. — PAPERS.md), so
+  a pool whose workers each hold their own copy cannot pay; there is
+  no other pool.
 
-Each chunk is evaluated with the same
-:func:`repro.oracle.batch.evaluate_batch` grouped merge joins the
-single-store path uses, so answers are bit-identical to
-``DistanceOracle.query_batch`` — ``benchmarks/test_shard_throughput.py``
-enforces both the equality and the >= 1.5x batch-throughput floor.
+A batch is answered **inline** when any of these holds, and fanned out
+otherwise:
 
-Small batches are not worth a round trip through the pool; below
-``min_parallel_batch`` pairs the parent evaluates inline (through the
-LRU cache, like any oracle).  The parallel path bypasses the parent's
-result cache: shipping cache state between processes would cost more
-than the merge joins it saves.
+1. it has fewer than :data:`MIN_PARALLEL_BATCH` pairs (waking the
+   workers costs more than the joins);
+2. ``workers == 1``;
+3. updates are staged but not reconciled (the forked workers still
+   hold the pre-update labels; only the parent's overlay is right);
+4. the index has at most :data:`INLINE_ENTRIES` label entries (one
+   kernel pass over a cache-resident index beats the hand-off);
+5. numpy, the ``fork`` start method or the batch kernel is unavailable
+   (including ``kernel="off"``).
 
-Fanned-out batches ride one of two **transports**.  The default
-(``transport="auto"``) is the shared-memory fan-out of
-:mod:`repro.serve.shm`: workers are *forked* after the parent builds
-the kernel's packed key views, so they share the label arrays
-copy-on-write, and pair/result buffers live in shared mmaps — nothing
-is pickled per batch.  Where that cannot run (no numpy, no ``fork``
-start method) or with ``transport="pickle"``, the original
-chunk-pickling pool takes over; answers are bit-identical either way.
-The shm transport also records per-shard hit counts
-(:attr:`ParallelOracle.shard_hits`) feeding the load-adaptive
-rebalance hook.
+``route="inline"`` / ``route="fanout"`` pin condition 4 either way —
+the benchmark times both sides of the crossover with them to
+re-measure :data:`INLINE_ENTRIES`; ``"auto"`` is right everywhere
+else.  Inline batches go through the LRU cache like any oracle; fanned
+batches bypass it (shipping cache state between processes would cost
+more than the merge joins it saves).  Answers are bit-identical to
+``store.query`` per pair on either side: both run the same kernel.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from pathlib import Path
 from typing import Iterable
 
+from repro.core.flatstore import load_store
 from repro.graphs.digraph import Graph
-from repro.oracle.batch import KERNEL_MODES, evaluate_batch
+from repro.oracle.batch import KERNEL_MODES
 from repro.oracle.oracle import DEFAULT_CACHE_SIZE, DistanceOracle
 from repro.oracle.sharding import ShardedLabelStore
 
-#: Batches smaller than this are evaluated inline by the parent —
-#: pool dispatch overhead (pickling, wakeups) dominates below it.
-DEFAULT_MIN_PARALLEL_BATCH = 1024
+#: Batches smaller than this are evaluated inline by the parent — pool
+#: dispatch (span planning, worker wake-ups) dominates below it.
+MIN_PARALLEL_BATCH = 1024
+
+#: ``route="auto"`` serves batches inline while the store's total label
+#: entries stay at or below this.  ~2M entries is ~24 MB of key/dist
+#: views, comfortably inside a shared L3; re-measured from the
+#: benchmark's ``oracle.sharding.inline_pairs_per_s`` against
+#: ``oracle.parallel.fanout_pairs_per_s``.
+INLINE_ENTRIES = 2_000_000
 
 #: Accepted values of the ``route`` knob.
 ROUTE_MODES = ("auto", "inline", "fanout")
 
-#: Accepted values of the ``transport`` knob: ``auto`` prefers the
-#: shared-memory fan-out and falls back to chunk pickling; ``shm`` and
-#: ``pickle`` pin one transport (``shm`` raises where unavailable).
-TRANSPORT_MODES = ("auto", "shm", "pickle")
-
-#: ``route="auto"`` serves batches inline (single kernel process, no
-#: pool) while the store's total label entries stay at or below this.
-#: A cache-resident index is joined faster by one vectorized kernel
-#: pass than by shipping chunks to workers — ~2M entries is ~24 MB of
-#: key/dist views, comfortably inside a shared L3.
-DEFAULT_INLINE_ENTRIES = 2_000_000
-
-# Per-process serving state for process-pool workers, bound once by
-# _init_worker so repeated chunks pay zero reopen cost.
-_WORKER_STORE: ShardedLabelStore | None = None
-_WORKER_KERNEL: str = "auto"
-
-
-def _init_worker(shard_dir: str, use_mmap: bool, kernel: str) -> None:
-    """Process-pool initializer: map the shard directory read-only.
-
-    Checksums were already verified by the parent when it opened the
-    same directory, so workers skip them and start serving in
-    milliseconds even for multi-GB shard sets.
-    """
-    global _WORKER_STORE, _WORKER_KERNEL
-    _WORKER_STORE = ShardedLabelStore.load(
-        shard_dir, use_mmap=use_mmap, verify_checksums=False
-    )
-    _WORKER_KERNEL = kernel
-
-
-def _eval_chunk(pairs: list[tuple[int, int]]) -> list[float]:
-    """Evaluate one chunk in a worker process (kernel or merge joins)."""
-    assert _WORKER_STORE is not None, "worker initializer did not run"
-    return evaluate_batch(_WORKER_STORE, pairs, kernel=_WORKER_KERNEL)
-
-
-def _eval_chunk_arrays(S, T):
-    """Evaluate one array-form chunk in a worker (kernel path).
-
-    The pair columns arrive as int64 numpy arrays and the distances
-    return as one float64 array: numpy buffers cross the process
-    boundary in a single memcpy-style pickle, so dispatch cost stays
-    flat as batches grow instead of paying per-tuple.
-    """
-    from repro.oracle import kernel as _kernel
-
-    assert _WORKER_STORE is not None, "worker initializer did not run"
-    return _kernel.batch_eval_arrays(_WORKER_STORE, S, T)
-
 
 class ParallelOracle(DistanceOracle):
-    """Batched distance serving over a shard directory with a worker pool."""
+    """Batched distance serving over one index with a forked worker pool."""
 
     def __init__(
         self,
-        shard_dir: str | Path,
+        path: str | Path,
         workers: int | None = None,
-        executor: str = "process",
-        use_mmap: bool = True,
         graph: Graph | None = None,
         cache_size: int = DEFAULT_CACHE_SIZE,
-        min_parallel_batch: int = DEFAULT_MIN_PARALLEL_BATCH,
         kernel: str = "auto",
         route: str = "auto",
-        inline_entries: int = DEFAULT_INLINE_ENTRIES,
-        transport: str = "auto",
     ) -> None:
         # Validate configuration before the store load so a bad call
-        # never leaks N open shard mappings.
-        if executor not in ("process", "thread"):
-            raise ValueError(
-                f"executor must be 'process' or 'thread', got {executor!r}"
-            )
+        # never leaks open file mappings.
         if kernel not in KERNEL_MODES:
             raise ValueError(
                 f"kernel must be one of {KERNEL_MODES}, got {kernel!r}"
@@ -145,185 +91,73 @@ class ParallelOracle(DistanceOracle):
             raise ValueError(
                 f"route must be one of {ROUTE_MODES}, got {route!r}"
             )
-        if transport not in TRANSPORT_MODES:
-            raise ValueError(
-                f"transport must be one of {TRANSPORT_MODES}, "
-                f"got {transport!r}"
-            )
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        store = ShardedLabelStore.load(shard_dir, use_mmap=use_mmap)
+        path = Path(path)
+        # Memory-mapped either way: the forked workers then share the
+        # parent's pages instead of copying them on first touch.
+        if path.is_file():
+            store = load_store(path, prefer_flat=True, use_mmap=True)
+        else:
+            store = ShardedLabelStore.load(path, use_mmap=True)
         super().__init__(store, graph=graph, cache_size=cache_size,
                          kernel=kernel)
-        self.shard_dir = Path(shard_dir)
-        self.executor_kind = executor
-        self.use_mmap = use_mmap
-        self.min_parallel_batch = min_parallel_batch
+        self.path = path
         self.route = route
-        self.inline_entries = inline_entries
-        self.transport = transport
+        # Every forked worker shares the whole label set, so any of
+        # them can serve any span: cores, not shards, bound the pool.
+        self.workers = workers if workers is not None else os.cpu_count() or 1
         self._shm = None
-        self._total_entries: int | None = None
-        if workers is None:
-            # More workers than shards just contend for the same pages;
-            # more workers than cores contend for the same cycles.
-            workers = min(store.num_shards, os.cpu_count() or 1)
-        self.workers = workers
-        self._pool: Executor | None = None
 
-    # -- pool management -----------------------------------------------------
-    def _ensure_pool(self) -> Executor:
-        if self._pool is None:
-            if self.executor_kind == "process":
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.workers,
-                    initializer=_init_worker,
-                    initargs=(str(self.shard_dir), self.use_mmap,
-                              self.kernel),
-                )
-            else:
-                self._pool = ThreadPoolExecutor(max_workers=self.workers)
-        return self._pool
+    # -- routing -------------------------------------------------------------
+    def _can_fan_out(self) -> bool:
+        """Whether a large enough batch would reach the pool right now.
 
-    def warmup(self) -> None:
-        """Start the pool and pay most of the worker startup cost now.
-
-        Process workers fork and map their stores on first use;
-        submitting one probe per worker makes the pool spawn all of
-        them and runs their initializers concurrently.  Best-effort:
-        the probes share one task queue, so a fast worker may answer
-        several and warmup() can return while a slower sibling is
-        still initializing — the first real batch then absorbs the
-        remainder (benchmarks discard it by taking best-of-N rounds).
-        A single-worker oracle always evaluates inline, so there is
-        nothing to warm.
+        Inline conditions 2-5 of the module docstring; the batch-size
+        floor is applied per batch by :meth:`query_batch`.
         """
-        if self.workers <= 1:
-            return
-        if self._use_shm():
-            self._ensure_shm().warmup()
-            return
-        pool = self._ensure_pool()
-        if self.executor_kind == "process":
-            mid = self.n // 2
-            futures = [
-                pool.submit(_eval_chunk, [(mid, mid)])
-                for _ in range(self.workers)
-            ]
-            for future in futures:
-                future.result()
-
-    # -- batched serving -----------------------------------------------------
-    def _serve_inline(self, num_pairs: int) -> bool:
-        """Whether this batch should bypass the pool.
-
-        Inline always wins for small batches and single-worker
-        oracles; it is *forced* while updates are staged but not yet
-        reconciled (the workers' memory-mapped shard files are stale —
-        only the parent's overlay answers correctly).  Otherwise the
-        ``route`` knob decides: ``"inline"`` / ``"fanout"`` pin the
-        path, and ``"auto"`` keeps cache-resident indexes (total
-        entries <= ``inline_entries``) on the parent's kernel, where
-        one vectorized pass beats pool dispatch (the measured
-        crossover behind the knob; see
-        ``benchmarks/test_shard_throughput.py``).
-        """
-        if num_pairs < self.min_parallel_batch or self.workers <= 1:
-            return True
-        if self.store.has_pending_updates:
-            return True
-        if self.route == "inline":
-            return True
-        if self.route == "fanout":
+        if self.workers <= 1 or self.route == "inline":
             return False
-        if not self._kernel_active():
+        if self.store.has_pending_updates or self.kernel == "off":
             return False
-        if self._total_entries is None:
-            self._total_entries = self.store.total_entries(
-                include_trivial=True
-            )
-        return self._total_entries <= self.inline_entries
-
-    def query_batch(self, pairs: Iterable[tuple[int, int]]) -> list[float]:
-        """Distances for every pair, in input order, evaluated on the pool.
-
-        Bit-identical to :meth:`DistanceOracle.query_batch`; batches
-        below ``min_parallel_batch``, single-worker oracles, and (with
-        ``route="auto"``) cache-resident indexes are evaluated inline.
-        """
-        pairs = list(pairs)
-        if self._serve_inline(len(pairs)):
-            return super().query_batch(pairs)
-
-        if self._use_shm():
-            return self._ensure_shm().query_batch(pairs)
-        chunks = self._chunk_by_shard(pairs)
-        pool = self._ensure_pool()
-        if self._kernel_active():
-            return self._fan_out_arrays(pairs, chunks, pool)
-        if self.executor_kind == "process":
-            futures = [
-                (positions, pool.submit(
-                    _eval_chunk, [pairs[pos] for pos in positions]
-                ))
-                for positions in chunks
-            ]
-        else:
-            store = self.store
-            kernel = self.kernel
-            futures = [
-                (positions, pool.submit(
-                    evaluate_batch, store,
-                    [pairs[pos] for pos in positions],
-                    None, kernel,
-                ))
-                for positions in chunks
-            ]
-        results: list[float] = [0.0] * len(pairs)
-        for positions, future in futures:
-            for pos, d in zip(positions, future.result()):
-                results[pos] = d
-        return results
-
-    def _kernel_active(self) -> bool:
-        """Whether batches fan out in array form through the kernel."""
-        if self.kernel == "off":
+        if (
+            self.route == "auto"
+            and self.store.total_entries(include_trivial=True)
+            <= INLINE_ENTRIES
+        ):
             return False
         from repro.oracle import kernel as _kernel
+        from repro.serve import shm
 
-        return _kernel.supports(self.store)
+        return shm.available() and _kernel.supports(self.store)
 
-    # -- shared-memory transport ---------------------------------------------
-    def _use_shm(self) -> bool:
-        """Whether fanned-out batches ride the shared-memory transport.
+    def warmup(self) -> bool:
+        """Fork the pool now if some batch could use it; say whether.
 
-        Process pools only (a thread pool already shares everything),
-        kernel-form batches only, and never with ``transport="pickle"``.
-        ``transport="shm"`` raises where fork/numpy are missing instead
-        of silently serving slower.
+        Asks the same predicate as :meth:`query_batch`, so an oracle
+        that can only ever answer inline (one worker, a cache-resident
+        index, no ``fork``) forks nothing.  Forking from a quiescent
+        parent — before an event loop or thread pool starts — is also
+        the safest moment on POSIX, so serving frontends call this
+        during startup.
         """
-        if self.transport == "pickle" or self.executor_kind != "process":
+        if not self._can_fan_out():
             return False
-        if not self._kernel_active():
-            if self.transport == "shm":
-                raise ValueError(
-                    "transport='shm' needs the batch kernel "
-                    "(numpy installed and kernel != 'off')"
-                )
-            return False
-        from repro.serve.shm import available
-
-        if not available():
-            if self.transport == "shm":
-                from repro.serve.shm import FanoutUnavailableError
-
-                raise FanoutUnavailableError(
-                    "transport='shm' needs numpy and the 'fork' "
-                    "start method"
-                )
-            return False
+        self._ensure_shm().warmup()
         return True
 
+    def query_batch(self, pairs: Iterable[tuple[int, int]]) -> list[float]:
+        """Distances for every pair, in input order.
+
+        Bit-identical to :meth:`DistanceOracle.query_batch` whichever
+        side of the router answers.
+        """
+        pairs = list(pairs)
+        if len(pairs) < MIN_PARALLEL_BATCH or not self._can_fan_out():
+            return super().query_batch(pairs)
+        return self._ensure_shm().query_batch(pairs)
+
+    # -- the pool ------------------------------------------------------------
     def _ensure_shm(self):
         if self._shm is None:
             from repro.serve.shm import SharedMemoryFanout
@@ -338,111 +172,44 @@ class ParallelOracle(DistanceOracle):
 
     @property
     def shard_hits(self) -> list[int] | None:
-        """Per-shard hit counts the shm transport recorded (else None).
+        """Per-shard pair counts the pool has routed (None: no pool yet).
 
-        The raw signal behind
-        :meth:`repro.serve.shm.SharedMemoryFanout.rebalance`.
+        One counter per shard of a shard directory, a single counter
+        for an index file.
         """
         return (
             self._shm.shard_hits.tolist() if self._shm is not None else None
         )
 
-    def _fan_out_arrays(self, pairs, chunks, pool) -> list[float]:
-        """Fan the batch out as numpy array chunks (the kernel path).
+    def stats(self) -> dict:
+        """Pool counters — the server's ``backend`` stats block.
 
-        Each worker's chunk becomes exactly one kernel call, and both
-        the pairs and the resulting distances cross the process
-        boundary as numpy buffers — the per-tuple pickling that
-        dominated the scalar fan-out is gone.
+        ``shard_hits`` and the batch/pair counters appear once a pool
+        is live; before that only the configured worker count.
         """
-        import numpy as np
-
-        from repro.oracle import kernel as _kernel
-
-        sq = np.asarray(pairs, dtype=np.int64)
-        futures = []
-        if self.executor_kind == "process":
-            for positions in chunks:
-                pos = np.asarray(positions, dtype=np.int64)
-                futures.append(
-                    (pos, pool.submit(
-                        _eval_chunk_arrays, sq[pos, 0], sq[pos, 1]
-                    ))
-                )
-        else:
-            store = self.store
-            for positions in chunks:
-                pos = np.asarray(positions, dtype=np.int64)
-                futures.append(
-                    (pos, pool.submit(
-                        _kernel.batch_eval_arrays, store,
-                        sq[pos, 0], sq[pos, 1],
-                    ))
-                )
-        results = np.empty(len(pairs), dtype=np.float64)
-        for pos, future in futures:
-            results[pos] = future.result()
-        return results.tolist()
-
-    def _chunk_by_shard(
-        self, pairs: list[tuple[int, int]]
-    ) -> list[list[int]]:
-        """Split a batch into per-worker chunks, grouped by source shard.
-
-        Returns position lists whose concatenation is a permutation of
-        the input; grouping by the source vertex's shard keeps each
-        worker's probes inside one shard, and large groups are split
-        so no chunk exceeds ``ceil(len / workers)``.
-        """
-        shard_of = self.store.shard_of
-        by_shard: dict[int, list[int]] = {}
-        for pos, (s, _) in enumerate(pairs):
-            by_shard.setdefault(shard_of(s), []).append(pos)
-        limit = -(-len(pairs) // self.workers)
-        chunks = []
-        for positions in by_shard.values():
-            for i in range(0, len(positions), limit):
-                chunks.append(positions[i : i + limit])
-        return chunks
+        if self._shm is None:
+            return {"workers": self.workers}
+        return self._shm.stats()
 
     # -- incremental updates -------------------------------------------------
-    def apply_updates(self, delta) -> list[int]:
-        """Stage updates on the parent's sharded store.
-
-        The staged overlay answers immediately and correctly through
-        the parent; batches are served **inline** (never fanned out)
-        until :meth:`reconcile` rewrites the changed shard files,
-        because the worker processes map the on-disk files and would
-        serve pre-update labels.
-        """
-        result = super().apply_updates(delta)
-        self._total_entries = None
-        return result
-
     def reconcile(self) -> list[int]:
         """Flush staged updates to the shard directory, refresh workers.
 
-        Rewrites only the dirty shard files (and their manifest
-        checksums) via :meth:`ShardedLabelStore.reconcile`, then shuts
-        the worker pool down so the next fanned-out batch starts fresh
-        workers over the rewritten files.  Returns the rewritten shard
-        ids.
+        Shard directories only.  Rewrites the dirty shard files (and
+        their manifest checksums) via
+        :meth:`ShardedLabelStore.reconcile`, then drops the pool: its
+        workers inherited the pre-update shards at fork time, so the
+        next fanned batch forks over the merged arrays.  Until this
+        runs, staged updates are answered inline through the parent's
+        overlay.  Returns the rewritten shard ids.
         """
-        rewritten = self.store.reconcile(self.shard_dir)
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        # The shm workers inherited the pre-update shards at fork time;
-        # drop them so the next batch forks over the merged arrays.
+        rewritten = self.store.reconcile(self.path)
         self._close_shm()
         return rewritten
 
     # -- lifecycle -----------------------------------------------------------
     def close(self) -> None:
-        """Shut the pool down and release the shard mappings."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        """Shut the pool down and release the file mappings."""
         self._close_shm()
         super().close()
 
@@ -453,7 +220,4 @@ class ParallelOracle(DistanceOracle):
         self.close()
 
     def __repr__(self) -> str:
-        return (
-            f"ParallelOracle({self.store!r}, workers={self.workers}, "
-            f"executor={self.executor_kind!r})"
-        )
+        return f"ParallelOracle({self.store!r}, workers={self.workers})"

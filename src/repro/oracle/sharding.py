@@ -23,10 +23,11 @@ This module partitions a flat store by **contiguous vertex range** into
   files present, checksums match) before any shard is opened, and can
   memory-map every shard for zero-copy serving.
 
-Because each shard is an ordinary index file, one shard's worth of state
-is exactly what a :class:`~repro.oracle.parallel.ParallelOracle`
-worker process maps — sharding here is the storage half of the
-parallel serving frontend.
+Sharding is a *storage* layout: each shard is an ordinary index file
+that updates rewrite on its own (:meth:`ShardedLabelStore.reconcile`).
+Serving a directory with several workers is
+:class:`~repro.oracle.parallel.ParallelOracle`'s job; its forked
+workers share the whole shard set and group work by source shard.
 """
 
 from __future__ import annotations
@@ -111,60 +112,6 @@ def split_ranges(n: int, num_shards: int) -> list[tuple[int, int]]:
     return ranges
 
 
-def load_balanced_ranges(
-    ranges: Sequence[tuple[int, int]],
-    loads: Sequence[float],
-    num_shards: int,
-) -> list[tuple[int, int]]:
-    """Shard boundaries that split observed query load evenly.
-
-    ``loads[i]`` is the query mass observed against ``ranges[i]`` —
-    e.g. the per-shard hit counts a
-    :class:`repro.serve.shm.SharedMemoryFanout` records while serving.
-    Load inside a range is modelled as uniform over its vertices
-    (finer attribution would need per-vertex counters); the cumulative
-    load curve is then piecewise linear, and the returned ranges cut
-    it into ``num_shards`` equal-mass slices.  A hot range therefore
-    shrinks (its vertices spread over more shards) and cold ranges
-    coalesce.  Every returned range is non-empty, the cover is exact,
-    and an all-zero load vector degrades to :func:`split_ranges`.
-    """
-    ranges = [(int(lo), int(hi)) for lo, hi in ranges]
-    _validate_ranges(ranges)
-    n = ranges[-1][1]
-    if not 1 <= num_shards <= n:
-        raise ShardError(
-            f"cannot split {n} vertices into {num_shards} non-empty shards"
-        )
-    if len(loads) != len(ranges):
-        raise ShardError(
-            f"got {len(loads)} load counters for {len(ranges)} ranges"
-        )
-    if any(load < 0 for load in loads):
-        raise ShardError("load counters must be non-negative")
-    total = float(sum(loads))
-    if total <= 0:
-        return split_ranges(n, num_shards)
-    cum = [0.0]
-    for load in loads:
-        cum.append(cum[-1] + float(load))
-    bounds = [0]
-    for k in range(1, num_shards):
-        target = total * k / num_shards
-        i = min(bisect_right(cum, target) - 1, len(ranges) - 1)
-        lo, hi = ranges[i]
-        seg = cum[i + 1] - cum[i]
-        frac = (target - cum[i]) / seg if seg > 0 else 0.0
-        cut = round(lo + frac * (hi - lo))
-        # Clamp so every shard (this one and the ones still to come)
-        # keeps at least one vertex.
-        cut = max(cut, bounds[-1] + 1)
-        cut = min(cut, n - (num_shards - k))
-        bounds.append(cut)
-    bounds.append(n)
-    return list(zip(bounds, bounds[1:]))
-
-
 def _sha256_file(path: Path) -> str:
     """Streamed SHA-256 of a file.
 
@@ -227,24 +174,18 @@ class ShardedLabelStore:
     def split(
         cls,
         store: LabelStore,
-        num_shards: int | None = None,
-        ranges: Sequence[tuple[int, int]] | None = None,
+        num_shards: int,
     ) -> "ShardedLabelStore":
         """Partition any label store into contiguous range shards.
 
-        ``num_shards`` splits the vertex range into near-equal pieces;
-        ``ranges`` instead pins explicit ``[lo, hi)`` boundaries (a
-        gap/overlap-free cover of ``[0, n)``) — the load-adaptive
-        rebalance path computes them with :func:`load_balanced_ranges`
-        and re-splits here.  Exactly one of the two must drive the
-        boundaries (passing both is accepted when they agree on the
-        shard count).
+        ``num_shards`` splits the vertex range into near-equal pieces
+        (:func:`split_ranges`).
 
         Tuple-list indexes are packed through
         :meth:`FlatLabelStore.from_index` first, quantized v3 stores
         are expanded to the v2 layout (the sliced shards can be
         re-quantized at save time), and any other backend (including
-        an already-sharded store being re-split to new boundaries)
+        an already-sharded store being re-split to a new count)
         goes through its ``out_label``/``in_label`` accessors; the CSR
         arrays are then sliced per range (offsets re-based to each
         shard's start), which preserves entry order and therefore
@@ -260,23 +201,7 @@ class ShardedLabelStore:
             store = FlatLabelStore.from_index(store)
         else:
             store = _pack_any(store)
-        if ranges is None:
-            if num_shards is None:
-                raise ShardError("split() needs num_shards or ranges")
-            ranges = split_ranges(store.n, num_shards)
-        else:
-            ranges = [(int(lo), int(hi)) for lo, hi in ranges]
-            _validate_ranges(ranges)
-            if ranges[-1][1] != store.n:
-                raise ShardError(
-                    f"ranges cover [0, {ranges[-1][1]}) but the store "
-                    f"has {store.n} vertices"
-                )
-            if num_shards is not None and num_shards != len(ranges):
-                raise ShardError(
-                    f"num_shards={num_shards} disagrees with "
-                    f"{len(ranges)} explicit ranges"
-                )
+        ranges = split_ranges(store.n, num_shards)
         shards = [_slice_store(store, lo, hi) for lo, hi in ranges]
         return cls(shards, ranges)
 

@@ -11,11 +11,13 @@ kernel into one:
 * :mod:`repro.serve.server` — :class:`DistanceServer` and
   :class:`DistanceClient` speak a newline-delimited JSON protocol
   over asyncio TCP (``repro serve`` on the CLI);
-* :mod:`repro.serve.shm` — :class:`SharedMemoryFanout` evaluates
-  batches on forked workers that share the label arrays and the
-  kernel's packed key views copy-on-write, with queries and results
-  in shared mmap buffers: nothing is pickled per batch, so fan-out
-  scales with cores instead of losing to the inline kernel.
+* :mod:`repro.serve.shm` — :class:`SharedMemoryFanout`, the one
+  worker pool: forked workers share the label arrays and the kernel's
+  packed key views copy-on-write, with queries and results in shared
+  mmap buffers, so nothing is pickled per batch.  Whether a batch goes
+  there or is answered inline is decided in one place,
+  :class:`repro.oracle.ParallelOracle`, which is also the backend
+  ``repro serve`` hands to the server.
 
 Every path through this package returns answers bit-identical to
 ``store.query`` per pair — the serving tier adds scheduling, never

@@ -1,9 +1,9 @@
 """The asyncio distance server: newline-delimited JSON over TCP.
 
 One :class:`DistanceServer` wraps any batch-capable backend — a
-:class:`~repro.oracle.DistanceOracle`, a
-:class:`~repro.oracle.parallel.ParallelOracle`, or a
-:class:`~repro.serve.shm.SharedMemoryFanout` — behind an
+:class:`~repro.oracle.DistanceOracle` or the
+:class:`~repro.oracle.parallel.ParallelOracle` that ``repro serve``
+opens — behind an
 :class:`~repro.serve.batcher.AdmissionBatcher`, so concurrent clients
 are answered from coalesced kernel batches instead of one evaluator
 call per request.

@@ -1,20 +1,15 @@
-"""Shared-memory fan-out: multi-core batch evaluation, zero marshalling.
+"""Shared-memory fan-out: the one worker pool, zero marshalling.
 
-The original :class:`~repro.oracle.parallel.ParallelOracle` transport
-pickles every chunk's pair arrays into the worker processes and the
-distances back out — cheap per element, but it rides the pool's pipe
-for every batch and each worker rebuilds its own copy of the kernel's
-packed key views, so fan-out *lost* to the inline kernel on
-cache-resident indexes (``BENCH_shard_throughput.json``).  Label
-lookup is a memory-bandwidth problem (Akiba et al.; Farhan et al. —
-see PAPERS.md); the fix is sharing the label arrays, not copying them
-per process.  This module removes both copies:
+Label lookup is a memory-bandwidth problem (Akiba et al.; Farhan et
+al. — see PAPERS.md), so a pool only pays when its workers share one
+physical copy of the labels instead of each holding (or being sent)
+their own.  This module is that pool, and the only one in the tree:
 
 * **labels**: the parent builds the kernel's packed key views once
   (:func:`repro.oracle.kernel.ensure_sides`) and only then forks the
   pool, so every worker inherits the store — its mmapped label files
   *and* the derived key views — copy-on-write.  Workers never touch a
-  byte of label state through a pipe; they share one physical copy.
+  byte of label state through a pipe.
 * **queries and results**: the pair columns and the distance results
   live in anonymous shared mappings (``mmap.mmap(-1, ...)`` maps
   ``MAP_SHARED``) created before the fork.  A task message is just a
@@ -23,18 +18,18 @@ per process.  This module removes both copies:
 
 Batches against a sharded store are grouped by the shard owning each
 pair's source vertex, so a worker's probes stay inside one shard's
-pages; the per-shard routing counts accumulate as **hit counts**, and
-:meth:`SharedMemoryFanout.rebalance` turns them into a load-weighted
-re-split of the vertex ranges
-(:func:`repro.oracle.sharding.load_balanced_ranges`).  Replication is
-implicit in this design: every forked worker shares the whole label
-set, so any worker can serve any shard's span and a hot range is
-served by as many workers as its query mass demands.
+pages; the per-shard routing counts accumulate as **hit counts**
+(:attr:`SharedMemoryFanout.shard_hits`).  Every forked worker shares
+the whole label set, so any worker can serve any shard's span and a
+hot range is served by as many workers as its query mass demands.
+
+A worker that dies (OOM kill, ``SIGKILL``) breaks the executor for
+good; the batch in flight is then answered by the same kernel
+in-process, the pool is dropped, and the next batch forks a fresh one.
 
 Requires numpy and the ``fork`` start method (POSIX);
-:func:`available` reports both, and the
-:class:`~repro.oracle.parallel.ParallelOracle` falls back to the
-pickle transport where this module cannot run.
+:func:`available` reports both.  Whether a batch should come here at
+all is :class:`~repro.oracle.parallel.ParallelOracle`'s decision.
 """
 
 from __future__ import annotations
@@ -43,6 +38,7 @@ import mmap
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Iterable
 
 try:  # numpy is an optional dependency of the serving stack
@@ -147,6 +143,7 @@ class SharedMemoryFanout:
         )
         self.pairs_served = 0
         self.batches_served = 0
+        self.pool_failures = 0
         # Build the packed key views BEFORE any fork, so children
         # inherit them copy-on-write instead of rebuilding per worker.
         _kernel.ensure_sides(store)
@@ -201,6 +198,27 @@ class SharedMemoryFanout:
             self._pool.shutdown(wait=True)
             self._pool = None
 
+    def _run_spans(self, spans) -> bool:
+        """Evaluate ``spans`` of the shared buffers on the pool.
+
+        The one place tasks enter the pool.  Returns False when a
+        worker died: a broken executor rejects every later submit, so
+        it is dropped here (the next call forks a fresh pool) and the
+        caller answers in-process.
+        """
+        pool = self._ensure_pool()
+        try:
+            futures = [pool.submit(_eval_span, lo, hi) for lo, hi in spans]
+            for future in futures:
+                future.result()
+        except BrokenProcessPool:
+            # shutdown() reaps the surviving workers, so none of them
+            # is still writing into the result buffer afterwards.
+            self._shutdown_pool()
+            self.pool_failures += 1
+            return False
+        return True
+
     def warmup(self) -> None:
         """Fork every worker now instead of inside the first batch.
 
@@ -208,12 +226,7 @@ class SharedMemoryFanout:
         thread pool starts) is also the safest moment on POSIX, so
         serving frontends call this during startup.
         """
-        pool = self._ensure_pool()
-        futures = [
-            pool.submit(_eval_span, 0, 0) for _ in range(self.workers)
-        ]
-        for future in futures:
-            future.result()
+        self._run_spans([(0, 0)] * self.workers)
 
     # -- batched serving -----------------------------------------------------
     def query_batch(self, pairs: Iterable[tuple[int, int]]) -> list[float]:
@@ -257,10 +270,10 @@ class SharedMemoryFanout:
         else:
             self._S[:npairs] = S[order]
             self._T[:npairs] = T[order]
-        pool = self._ensure_pool()
-        futures = [pool.submit(_eval_span, lo, hi) for lo, hi in spans]
-        for future in futures:
-            future.result()
+        if not self._run_spans(spans):
+            self._R[:npairs] = _kernel.batch_eval_arrays(
+                self.store, self._S[:npairs], self._T[:npairs]
+            )
         self.pairs_served += npairs
         self.batches_served += 1
         if order is None:
@@ -303,57 +316,18 @@ class SharedMemoryFanout:
                 lo = hi
         return order, spans
 
-    # -- load accounting and rebalancing -------------------------------------
+    # -- load accounting -----------------------------------------------------
     def stats(self) -> dict:
-        """Serving counters: batches, pairs, and per-shard hit counts."""
+        """Serving counters: batches, pairs, pools lost to a dead
+        worker, and per-shard hit counts."""
         return {
             "workers": self.workers,
             "capacity": self._capacity,
             "pairs_served": self.pairs_served,
             "batches_served": self.batches_served,
+            "pool_failures": self.pool_failures,
             "shard_hits": self.shard_hits.tolist(),
         }
-
-    def rebalance_ranges(
-        self, num_shards: int | None = None
-    ) -> list[tuple[int, int]]:
-        """Load-weighted shard ranges from the observed hit counts.
-
-        The planning half of :meth:`rebalance` — inspect these to see
-        how hot ranges would shrink before committing to a re-split.
-        """
-        if not self._sharded:
-            raise FanoutUnavailableError(
-                "rebalancing needs a ShardedLabelStore"
-            )
-        from repro.oracle.sharding import load_balanced_ranges
-
-        return load_balanced_ranges(
-            self.store.ranges,
-            self.shard_hits.tolist(),
-            num_shards if num_shards is not None else self.store.num_shards,
-        )
-
-    def rebalance(self, num_shards: int | None = None):
-        """Re-split hot vertex ranges so shards carry equal query mass.
-
-        Builds a new :class:`ShardedLabelStore` over
-        :meth:`rebalance_ranges`, swaps it in as the serving store
-        (the worker pool restarts over the new shards on the next
-        batch), and resets the hit counters.  Returns the new store;
-        the previous store object is left untouched — the caller that
-        opened it still owns (and closes) it.
-        """
-        from repro.oracle.sharding import ShardedLabelStore
-
-        ranges = self.rebalance_ranges(num_shards)
-        new_store = ShardedLabelStore.split(self.store, ranges=ranges)
-        self._shutdown_pool()
-        _kernel.ensure_sides(new_store)
-        self.store = new_store
-        self._los = np.asarray(new_store._los, dtype=np.int64)
-        self.shard_hits = np.zeros(new_store.num_shards, dtype=np.int64)
-        return new_store
 
     # -- lifecycle -----------------------------------------------------------
     def close(self) -> None:

@@ -153,45 +153,36 @@ class TestParallelRouting:
         with pytest.raises(ValueError, match="route"):
             ParallelOracle(root, route="sideways")
 
-    def test_routes_agree_bit_identically(self, setting, tmp_path):
+    def test_routes_agree_bit_identically(
+        self, setting, tmp_path, fan_out_everything
+    ):
         graph, store, _, _ = setting
         root = make_dir(setting, tmp_path)
         pairs = self._pairs(graph.num_vertices)
         want = [store.query(s, t) for s, t in pairs]
         for route in ("auto", "inline", "fanout"):
             with ParallelOracle(
-                root, workers=2, executor="thread", route=route,
-                min_parallel_batch=8, cache_size=0,
+                root, workers=2, route=route, cache_size=0
             ) as oracle:
                 assert oracle.query_batch(pairs) == want, route
 
-    def test_auto_inlines_cache_resident_store(self, setting, tmp_path):
-        root = make_dir(setting, tmp_path)
-        with ParallelOracle(
-            root, workers=2, executor="thread", min_parallel_batch=8
-        ) as oracle:
-            entries = oracle.store.total_entries(include_trivial=True)
-            if oracle._kernel_active():
-                assert oracle._serve_inline(10_000)
-            oracle.inline_entries = entries - 1
-            oracle._total_entries = None
-            if oracle._kernel_active():
-                assert not oracle._serve_inline(10_000)
-
-    def test_updates_force_inline_until_reconcile(self, setting, tmp_path):
+    def test_updates_force_inline_until_reconcile(
+        self, setting, tmp_path, fan_out_everything
+    ):
         graph, _, dyn, delta = setting
         root = make_dir(setting, tmp_path)
         pairs = self._pairs(graph.num_vertices)
         with ParallelOracle(
-            root, workers=2, executor="thread", route="fanout",
-            min_parallel_batch=8, cache_size=0,
+            root, workers=2, route="fanout", cache_size=0
         ) as oracle:
-            assert not oracle._serve_inline(len(pairs))
+            assert oracle._can_fan_out()
             oracle.apply_updates(delta)
-            assert oracle._serve_inline(len(pairs))
+            assert not oracle._can_fan_out()
             want = [dyn.query(s, t) for s, t in pairs]
             assert oracle.query_batch(pairs) == want
+            assert oracle.shard_hits is None
             rewritten = oracle.reconcile()
             assert rewritten and not oracle.store.has_pending_updates
-            assert not oracle._serve_inline(len(pairs))
+            assert oracle._can_fan_out()
             assert oracle.query_batch(pairs) == want
+            assert sum(oracle.shard_hits) == len(pairs)

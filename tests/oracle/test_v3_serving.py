@@ -114,22 +114,20 @@ class TestShardedServing:
         finally:
             sharded.close()
 
-    def test_parallel_oracle_on_v3_shards(self, setup, tmp_path):
+    def test_parallel_oracle_on_v3_shards(
+        self, setup, tmp_path, fan_out_everything
+    ):
         g, flat, _, p3 = setup
         shard_dir = tmp_path / "shards"
         q = QuantizedLabelStore.load(p3)
         ShardedLabelStore.split(q, 3).save(shard_dir, format="v3")
         p = pairs(37, 600)
         expected = [flat.query(s, t) for s, t in p]
-        with ParallelOracle(
-            shard_dir, workers=2, executor="thread",
-            min_parallel_batch=1, cache_size=0,
-        ) as oracle:
+        with ParallelOracle(shard_dir, workers=2, cache_size=0) as oracle:
             assert oracle.query_batch(p) == expected
-        # And with the kernel pinned off, through the scalar chunks.
+        # And with the kernel pinned off, through the scalar path.
         with ParallelOracle(
-            shard_dir, workers=2, executor="thread",
-            min_parallel_batch=1, cache_size=0, kernel="off",
+            shard_dir, workers=2, cache_size=0, kernel="off"
         ) as oracle:
             assert oracle.query_batch(p) == expected
 

@@ -42,16 +42,17 @@ def test_serve_missing_index(tmp_path, capsys):
 def test_serve_rejects_bad_workers(index_file, capsys):
     rc = main(["serve", str(index_file), "--workers", "0"])
     assert rc == 2
-    assert "--workers" in capsys.readouterr().err
+    assert "workers must be >= 1" in capsys.readouterr().err
 
 
-def test_serve_round_trip(index_file):
+def _serve_and_ask(index_file, workers, requests):
+    """Start ``repro serve``; returns its banner and one reply per request."""
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
     env["PYTHONPATH"] = os.path.abspath(src)
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", str(index_file),
-         "--workers", "1", "--max-wait-ms", "1"],
+         "--workers", str(workers), "--max-wait-ms", "1"],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
@@ -62,22 +63,41 @@ def test_serve_round_trip(index_file):
         assert "serving" in ready, ready
         port = int(ready.split(" on ", 1)[1].split(" ", 1)[0].split(":")[1])
 
-        async def round_trip():
+        async def round_trips():
             reader, writer = await asyncio.open_connection("127.0.0.1", port)
-            writer.write(
-                json.dumps({"pairs": [[3, 3], [0, 1]], "id": 9}).encode()
-                + b"\n"
-            )
-            await writer.drain()
-            reply = json.loads(await reader.readline())
+            replies = []
+            for request in requests:
+                writer.write(json.dumps(request).encode() + b"\n")
+                await writer.drain()
+                replies.append(json.loads(await reader.readline()))
             writer.close()
             await writer.wait_closed()
-            return reply
+            return replies
 
-        reply = asyncio.run(asyncio.wait_for(round_trip(), timeout=10))
-        assert reply["ok"] is True
-        assert reply["id"] == 9
-        assert reply["distances"][0] == 0.0
+        return ready, asyncio.run(
+            asyncio.wait_for(round_trips(), timeout=10)
+        )
     finally:
         proc.terminate()
         proc.wait(timeout=10)
+
+
+def test_serve_round_trip(index_file):
+    _, (reply,) = _serve_and_ask(
+        index_file, 1, [{"pairs": [[3, 3], [0, 1]], "id": 9}]
+    )
+    assert reply["ok"] is True
+    assert reply["id"] == 9
+    assert reply["distances"][0] == 0.0
+
+
+def test_serve_two_workers_answer_a_small_index_without_the_pool(index_file):
+    # The router, not --workers, decides: this index is cache-resident
+    # and the request 16 pairs, so nothing is forked and nothing fans out.
+    pairs = [[i, i + 1] for i in range(16)]
+    ready, (reply, stats) = _serve_and_ask(
+        index_file, 2, [{"pairs": pairs}, {"op": "stats"}]
+    )
+    assert "(inline evaluation, batch <= 8192 pairs" in ready
+    assert reply["ok"] is True and len(reply["distances"]) == 16
+    assert stats["stats"]["backend"] == {"workers": 2}

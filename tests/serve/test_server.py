@@ -21,11 +21,14 @@ def flat():
     return FlatLabelStore.from_index(index)
 
 
-def _serve(flat, coro, **server_kwargs):
+def _serve(flat, coro, open_backend=None, **server_kwargs):
     """Run ``coro(server, host, port)`` against a live server."""
 
     async def main():
-        oracle = DistanceOracle(flat, cache_size=0)
+        oracle = (
+            open_backend() if open_backend
+            else DistanceOracle(flat, cache_size=0)
+        )
         server = DistanceServer(oracle, **server_kwargs)
         host, port = await server.start()
         try:
@@ -176,6 +179,31 @@ def test_stats_op_reports_batcher_counters(flat):
     assert stats["n"] == flat.n
     assert stats["batcher"]["pairs_served"] == 2
     assert stats["batcher"]["batches_dispatched"] >= 1
+
+
+def test_stats_op_reports_shard_hits_of_a_live_pool(
+    flat, tmp_path, fan_out_everything
+):
+    from repro.oracle import ParallelOracle, ShardedLabelStore
+
+    ShardedLabelStore.split(flat, 2).save(tmp_path / "shards")
+    pairs = random_pairs(flat.n, 40, seed=43)
+
+    def open_backend():
+        oracle = ParallelOracle(tmp_path / "shards", workers=2, cache_size=0)
+        oracle.warmup()
+        return oracle
+
+    async def scenario(server, host, port):
+        client = await DistanceClient.connect(host, port)
+        try:
+            return await client.query(pairs), await client.stats()
+        finally:
+            await client.aclose()
+
+    distances, stats = _serve(flat, scenario, open_backend)
+    assert distances == [flat.query(s, t) for s, t in pairs]
+    assert sum(stats["backend"]["shard_hits"]) == len(pairs)
 
 
 def test_server_requires_start_before_serve(flat):

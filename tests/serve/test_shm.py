@@ -1,4 +1,7 @@
-"""Shared-memory fan-out: bit-identity, routing, and the rebalance hook."""
+"""Shared-memory fan-out: bit-identity, hit counts, dead-worker recovery."""
+
+import os
+import signal
 
 import pytest
 
@@ -10,7 +13,6 @@ from repro.core.flatstore import FlatLabelStore  # noqa: E402
 from repro.core.quantized import QuantizedLabelStore  # noqa: E402
 from repro.graphs.generators import ba_graph  # noqa: E402
 from repro.oracle import ShardedLabelStore  # noqa: E402
-from repro.oracle.sharding import load_balanced_ranges  # noqa: E402
 from repro.serve import shm  # noqa: E402
 from repro.serve.shm import (  # noqa: E402
     FanoutUnavailableError,
@@ -85,26 +87,23 @@ def test_hit_counts_accumulate_per_source_shard(flat):
         assert stats["batches_served"] == 2
 
 
-def test_rebalance_shrinks_hot_range(flat, expected):
+def test_killed_worker_costs_one_inline_batch_not_the_pool(flat, expected):
     pairs, want = expected
     store = ShardedLabelStore.split(flat, 3)
     with SharedMemoryFanout(store, workers=2) as fanout:
-        # Hammer shard 0 so its range carries most of the load.
-        fanout.query_batch([(1, 400)] * 900)
-        fanout.query_batch(pairs)
-        old_width = store.ranges[0][1] - store.ranges[0][0]
-        new_store = fanout.rebalance()
-        assert new_store.ranges[0][1] - new_store.ranges[0][0] < old_width
-        assert fanout.shard_hits.tolist() == [0, 0, 0]
-        # Answers are unchanged across the re-split.
         assert fanout.query_batch(pairs) == want
-        new_store.close()
-
-
-def test_rebalance_requires_sharded_store(flat):
-    with SharedMemoryFanout(flat, workers=1) as fanout:
-        with pytest.raises(FanoutUnavailableError, match="Sharded"):
-            fanout.rebalance_ranges()
+        workers = set(fanout._pool._processes)
+        os.kill(next(iter(workers)), signal.SIGKILL)
+        # The broken executor rejects this batch: answered in-process
+        # by the same kernel, pool dropped.
+        assert fanout.query_batch(pairs) == want
+        assert fanout.stats()["pool_failures"] == 1
+        assert fanout._pool is None
+        # The next batch forks a fresh pool and is served by it.
+        assert fanout.query_batch(pairs) == want
+        assert fanout.stats()["pool_failures"] == 1
+        assert not workers & set(fanout._pool._processes)
+        assert fanout.stats()["batches_served"] == 3
 
 
 def test_out_of_range_raises_before_dispatch(flat):
@@ -149,18 +148,3 @@ def test_warmup_then_serve(flat, expected):
     with SharedMemoryFanout(flat, workers=2) as fanout:
         fanout.warmup()
         assert fanout.query_batch(pairs) == want
-
-
-def test_load_balanced_ranges_properties():
-    ranges = [(0, 100), (100, 200), (200, 300)]
-    # All load on the first range: it shrinks, cold ranges coalesce.
-    out = load_balanced_ranges(ranges, [300, 0, 0], 3)
-    assert out[0] == (0, 34) or out[0][1] < 100
-    assert out[-1][1] == 300
-    assert all(hi > lo for lo, hi in out)
-    # Zero load degrades to the equal split.
-    assert load_balanced_ranges(ranges, [0, 0, 0], 3) == ranges
-    # Uniform load keeps the equal split.
-    assert load_balanced_ranges(ranges, [10, 10, 10], 3) == ranges
-    # Shard-count changes are allowed.
-    assert len(load_balanced_ranges(ranges, [5, 1, 1], 2)) == 2

@@ -401,21 +401,27 @@ class TestShardAndParallelQuery:
                                                capsys):
         main(["query", str(v2_index), "0", "10", "3", "3"])
         single = capsys.readouterr().out
-        rc = main(["query", "--shards", str(shard_dir), "--executor",
-                   "thread", "0", "10", "3", "3"])
+        rc = main(["query", "--shards", str(shard_dir), "0", "10", "3", "3"])
         assert rc == 0
         assert capsys.readouterr().out == single
 
     def test_query_shards_batch_file(self, v2_index, shard_dir, tmp_path,
-                                     capsys):
+                                     capsys, fan_out_everything):
         batch = tmp_path / "pairs.txt"
         batch.write_text("0 10\n3 3\n10 0\n")
         main(["query", str(v2_index), "--batch", str(batch)])
         single = capsys.readouterr().out
         rc = main(["query", "--shards", str(shard_dir), "--workers", "2",
-                   "--executor", "thread", "--batch", str(batch)])
+                   "--batch", str(batch)])
         assert rc == 0
         assert capsys.readouterr().out == single
+
+    def test_query_executor_flag_is_gone(self, shard_dir, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["query", "--shards", str(shard_dir), "--executor",
+                  "thread", "0", "10"])
+        assert exc.value.code == 2
+        assert "--executor" in capsys.readouterr().err
 
     def test_query_index_and_shards_rejected(self, v2_index, shard_dir,
                                              capsys):
@@ -435,8 +441,7 @@ class TestShardAndParallelQuery:
         assert "not a shard directory" in capsys.readouterr().err
 
     def test_query_shards_out_of_range(self, shard_dir, capsys):
-        rc = main(["query", "--shards", str(shard_dir), "--executor",
-                   "thread", "0", "999999"])
+        rc = main(["query", "--shards", str(shard_dir), "0", "999999"])
         assert rc == 2
         assert "out of range" in capsys.readouterr().err
 
