@@ -277,7 +277,7 @@ def test_shm_fanout_floor(measurements):
 def test_async_batching_floor(measurements):
     """The acceptance criterion: batched serving >= 5x per-request.
 
-    Both sides pay the same JSON-lines protocol and the same kernel;
+    Both sides pay the same framed protocol and the same kernel;
     the batched side wins exactly as much as query sets, admission
     coalescing, and pipelined IO amortise — so this floor holds on
     one core.

@@ -761,7 +761,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "serve",
-        help="serve distance queries over asyncio TCP (JSON lines)",
+        help="serve distance queries over asyncio TCP (binary frames "
+        "and JSON lines on one port)",
+        description="Serve distance queries over asyncio TCP.  One port "
+        "speaks two codecs, told apart by a request's first byte: binary "
+        "frames (what repro.serve.DistanceClient.query sends: int64 "
+        "columns in, float64 distances out) and JSON lines, usable from "
+        'nc: {"pairs": [[s, t], ...]}, {"op": "ping"}, {"op": "stats"}.  '
+        "docs/FORMATS.md has the bytes.",
     )
     p.add_argument(
         "index",

@@ -30,7 +30,12 @@ Quick start::
     served.query_batch(pairs)                       # inline or fanned out
 """
 
-from repro.oracle.batch import KERNEL_MODES, evaluate_batch, read_pair_file
+from repro.oracle.batch import (
+    KERNEL_MODES,
+    PairColumns,
+    evaluate_batch,
+    read_pair_file,
+)
 from repro.oracle.cache import CacheInfo, LRUCache
 from repro.oracle.oracle import DEFAULT_CACHE_SIZE, DistanceOracle
 from repro.oracle.parallel import ParallelOracle
@@ -49,6 +54,7 @@ __all__ = [
     "DEFAULT_CACHE_SIZE",
     "KERNEL_MODES",
     "LRUCache",
+    "PairColumns",
     "CacheInfo",
     "evaluate_batch",
     "load_manifest",

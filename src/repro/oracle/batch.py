@@ -20,11 +20,21 @@ whichever path runs: every path computes the same minimum over the
 same float64 sums, and the cache only ever stores values produced by
 one of them.  The ``kernel`` knob ("auto"/"on"/"off") exists so
 benchmarks can pin a path; "auto" is right everywhere else.
+
+A batch that already *is* two int64 columns — a :class:`PairColumns`,
+which is what the serve tier decodes every request into — skips steps
+1 and 2 when there is no cache and goes to the kernel as it stands.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from itertools import chain
+from typing import Iterable, Iterator
+
+try:  # numpy is an optional dependency of the serving stack
+    import numpy as np
+except ImportError:  # pragma: no cover - exercised on numpy-free installs
+    np = None
 
 from repro.core.labels import LabelStore
 from repro.oracle.cache import LRUCache
@@ -72,13 +82,107 @@ def pair_key(store: LabelStore, s: int, t: int) -> tuple[int, int]:
     return s, t
 
 
+class PairColumns:
+    """A batch of ``(source, target)`` pairs held as two columns.
+
+    ``sources[k]`` and ``targets[k]`` are pair ``k``.  With numpy the
+    columns are contiguous int64 arrays — the form the kernel consumes
+    and the wire carries, so a request decoded once is never rebuilt —
+    and without it whatever integer sequences were passed in.  The
+    block reads like the list of tuples it replaces (``len``, integer
+    indexing, iteration), which keeps every scalar path working.
+    """
+
+    __slots__ = ("sources", "targets")
+
+    def __init__(self, sources, targets) -> None:
+        if np is not None:
+            sources = np.asarray(sources, dtype=np.int64)
+            targets = np.asarray(targets, dtype=np.int64)
+        if len(sources) != len(targets):
+            raise ValueError(
+                f"{len(sources)} sources against {len(targets)} targets"
+            )
+        self.sources = sources
+        self.targets = targets
+
+    @classmethod
+    def from_pairs(cls, pairs) -> "PairColumns":
+        """Columns of an iterable of ``(source, target)`` integer pairs.
+
+        Raises ``ValueError`` for anything else: wrong arity, values
+        that are not integers or do not fit int64.
+        """
+        if isinstance(pairs, cls):
+            return pairs
+        try:
+            columns = tuple(zip(*pairs, strict=True)) or ((), ())
+            if len(columns) != 2:
+                raise ValueError(f"{len(columns)} values per pair")
+            return cls(*columns)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(
+                f"pairs must be (source, target) int64 pairs: {exc}"
+            ) from None
+
+    @classmethod
+    def concat(cls, blocks) -> "PairColumns":
+        """One block holding every pair of ``blocks``, in order."""
+        blocks = [cls.from_pairs(block) for block in blocks]
+        sources = [block.sources for block in blocks]
+        targets = [block.targets for block in blocks]
+        if np is None:
+            flat = chain.from_iterable
+            return cls(list(flat(sources)), list(flat(targets)))
+        return cls(np.concatenate(sources), np.concatenate(targets))
+
+    def first_outside(self, n: int) -> tuple[int, int] | None:
+        """The first pair with a vertex outside ``[0, n)``, if any."""
+        if np is None:
+            return next(
+                (p for p in self if not (0 <= p[0] < n and 0 <= p[1] < n)),
+                None,
+            )
+        S, T = self.sources, self.targets
+        bad = (S < 0) | (S >= n) | (T < 0) | (T >= n)
+        return self[int(bad.argmax())] if bad.any() else None
+
+    def __len__(self) -> int:
+        return len(self.sources)
+
+    def __getitem__(self, k: int) -> tuple[int, int]:
+        return int(self.sources[k]), int(self.targets[k])
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        if np is None:
+            return zip(self.sources, self.targets)
+        return zip(self.sources.tolist(), self.targets.tolist())
+
+    def __repr__(self) -> str:
+        return f"PairColumns({len(self)} pairs)"
+
+
 def evaluate_batch(
     store: LabelStore,
     pairs: Iterable[tuple[int, int]],
     cache: LRUCache | None = None,
     kernel: str = "auto",
 ) -> list[float]:
-    """Distances for every pair, in input order."""
+    """Distances for every pair, in input order.
+
+    A list — except for :class:`PairColumns` answered straight by the
+    kernel (numpy present, no cache), which come back as the kernel's
+    float64 array: the serve tier writes it to the socket as it is.
+    """
+    if (
+        isinstance(pairs, PairColumns)
+        and np is not None
+        and cache is None
+        and _use_kernel(store, kernel, len(pairs))
+    ):
+        from repro.oracle import kernel as _kernel
+
+        return _kernel.batch_eval_arrays(store, pairs.sources, pairs.targets)
     pairs = list(pairs)
     if cache is None and _use_kernel(store, kernel, len(pairs)):
         # No cache to probe or fill: hand the raw batch straight to

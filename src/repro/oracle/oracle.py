@@ -120,7 +120,10 @@ class DistanceOracle:
         Dedupes repeated pairs, serves cache hits, and evaluates the
         rest with the vectorized kernel or grouped merge joins (see
         :mod:`repro.oracle.batch`).  Bit-identical to calling
-        :meth:`query` per pair.
+        :meth:`query` per pair.  A
+        :class:`~repro.oracle.batch.PairColumns` block served with the
+        cache off goes to the kernel as it stands and comes back as
+        its float64 array instead of a list.
         """
         cache = self.cache if self.cache.capacity > 0 else None
         return evaluate_batch(

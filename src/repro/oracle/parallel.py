@@ -50,7 +50,7 @@ from typing import Iterable
 
 from repro.core.flatstore import load_store
 from repro.graphs.digraph import Graph
-from repro.oracle.batch import KERNEL_MODES
+from repro.oracle.batch import KERNEL_MODES, PairColumns
 from repro.oracle.oracle import DEFAULT_CACHE_SIZE, DistanceOracle
 from repro.oracle.sharding import ShardedLabelStore
 
@@ -150,9 +150,12 @@ class ParallelOracle(DistanceOracle):
         """Distances for every pair, in input order.
 
         Bit-identical to :meth:`DistanceOracle.query_batch` whichever
-        side of the router answers.
+        side of the router answers; like it, hands
+        :class:`~repro.oracle.batch.PairColumns` to the kernel (here or
+        in the pool) as they stand and returns the float64 array.
         """
-        pairs = list(pairs)
+        if not isinstance(pairs, PairColumns):
+            pairs = list(pairs)
         if len(pairs) < MIN_PARALLEL_BATCH or not self._can_fan_out():
             return super().query_batch(pairs)
         return self._ensure_shm().query_batch(pairs)

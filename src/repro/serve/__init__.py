@@ -9,8 +9,11 @@ kernel into one:
   batches under an admission window (max batch size + max wait) and
   applies backpressure past a pending-pairs high-water mark;
 * :mod:`repro.serve.server` — :class:`DistanceServer` and
-  :class:`DistanceClient` speak a newline-delimited JSON protocol
-  over asyncio TCP (``repro serve`` on the CLI);
+  :class:`DistanceClient` over asyncio TCP (``repro serve`` on the
+  CLI): binary frames of int64 pair columns and float64 distances for
+  clients, newline-delimited JSON beside them on the same port for
+  people and for ``ping``/``stats``; both decode into the column
+  block the batcher concatenates and the kernel consumes;
 * :mod:`repro.serve.shm` — :class:`SharedMemoryFanout`, the one
   worker pool: forked workers share the label arrays and the kernel's
   packed key views copy-on-write, with queries and results in shared

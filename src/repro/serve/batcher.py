@@ -16,7 +16,12 @@ the evaluator and turns concurrency into batch size:
   submitter was runnable, so a lone request dispatches immediately
   instead of waiting out the admission window;
 * one evaluator call answers the whole batch, and every request's
-  future resolves with its slice of the results;
+  future resolves with its slice of the results — neither is
+  rebuilt on the way: column blocks
+  (:class:`~repro.oracle.batch.PairColumns`) are concatenated as
+  columns, a lone request reaches the evaluator as the very object
+  that was submitted, and a float64 result array is handed back as
+  views, not as lists;
 * **backpressure**: once ``max_pending_pairs`` admitted-but-unanswered
   pairs are in flight, :meth:`~AdmissionBatcher.submit` fails fast
   with :class:`ServeOverloadedError` — the server maps it to a
@@ -36,6 +41,8 @@ from __future__ import annotations
 import asyncio
 from collections import deque
 from typing import Callable, Sequence
+
+from repro.oracle.batch import PairColumns
 
 #: Dispatch threshold: a batch is sent to the evaluator once it holds
 #: at least this many pairs.
@@ -76,8 +83,10 @@ class _Request:
 class AdmissionBatcher:
     """Coalesce concurrent ``submit()`` calls into evaluator batches.
 
-    ``evaluate`` maps a list of ``(source, target)`` pairs to a
-    sequence of distances, in order — e.g. ``oracle.query_batch`` or
+    ``evaluate`` maps a batch of ``(source, target)`` pairs — a list,
+    or a :class:`~repro.oracle.batch.PairColumns` block when that is
+    what was submitted — to a sliceable sequence of distances, in
+    order — e.g. ``oracle.query_batch`` or
     :meth:`repro.serve.shm.SharedMemoryFanout.query_batch`.  A plain
     callable runs on a worker thread past ``inline_below`` pairs; an
     ``async def`` evaluator is awaited as-is.
@@ -126,13 +135,15 @@ class AdmissionBatcher:
     # -- request side --------------------------------------------------------
     async def submit(
         self, pairs: Sequence[tuple[int, int]]
-    ) -> list[float]:
+    ) -> Sequence[float]:
         """Admit one request's pairs and await their distances.
 
-        Raises :class:`ServeOverloadedError` past the backpressure
-        mark, :class:`ServeClosedError` if the batcher closes before
-        the request is answered, and re-raises whatever the evaluator
-        raised for the batch the request rode in.
+        The answer is this request's slice of whatever sequence the
+        evaluator returned for the batch (a list for a list, a view
+        for a numpy array).  Raises :class:`ServeOverloadedError` past
+        the backpressure mark, :class:`ServeClosedError` if the batcher
+        closes before the request is answered, and re-raises whatever
+        the evaluator raised for the batch the request rode in.
         """
         if self._closed:
             raise ServeClosedError("batcher is closed")
@@ -189,9 +200,12 @@ class AdmissionBatcher:
 
     async def _dispatch(self, batch: list[_Request]) -> None:
         """Evaluate one batch and resolve its requests' futures."""
-        pairs: list[tuple[int, int]] = []
-        for request in batch:
-            pairs.extend(request.pairs)
+        pairs = batch[0].pairs
+        if len(batch) > 1:
+            if isinstance(pairs, PairColumns):
+                pairs = PairColumns.concat([r.pairs for r in batch])
+            else:
+                pairs = [pair for r in batch for pair in r.pairs]
         try:
             if self._is_async:
                 distances = await self._evaluate(pairs)
@@ -216,7 +230,7 @@ class AdmissionBatcher:
             for request in batch:
                 end = offset + len(request.pairs)
                 if not request.future.done():
-                    request.future.set_result(list(distances[offset:end]))
+                    request.future.set_result(distances[offset:end])
                 offset = end
         finally:
             for request in batch:

@@ -47,6 +47,7 @@ except ImportError:  # pragma: no cover - exercised on numpy-free installs
     np = None
 
 from repro.oracle import kernel as _kernel
+from repro.oracle.batch import PairColumns
 
 #: Initial capacity (in pairs) of the shared query/result buffers.
 #: Buffers grow geometrically when a larger batch arrives; growth
@@ -230,7 +231,13 @@ class SharedMemoryFanout:
 
     # -- batched serving -----------------------------------------------------
     def query_batch(self, pairs: Iterable[tuple[int, int]]) -> list[float]:
-        """Distances for every pair, in input order (list convenience)."""
+        """Distances for every pair, in input order.
+
+        A list for a list of pairs; column blocks go to
+        :meth:`query_batch_arrays` as they stand.
+        """
+        if isinstance(pairs, PairColumns):
+            return self.query_batch_arrays(pairs.sources, pairs.targets)
         pairs = list(pairs)
         if not pairs:
             return []

@@ -2,6 +2,7 @@
 
 import os
 import signal
+import time
 
 import pytest
 
@@ -94,6 +95,13 @@ def test_killed_worker_costs_one_inline_batch_not_the_pool(flat, expected):
         assert fanout.query_batch(pairs) == want
         workers = set(fanout._pool._processes)
         os.kill(next(iter(workers)), signal.SIGKILL)
+        # Until the executor's manager thread has seen the death, the
+        # surviving worker can still drain a whole batch and nothing
+        # fails; wait for it so what follows is the broken-pool case.
+        deadline = time.monotonic() + 10
+        while not fanout._pool._broken and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert fanout._pool._broken
         # The broken executor rejects this batch: answered in-process
         # by the same kernel, pool dropped.
         assert fanout.query_batch(pairs) == want
