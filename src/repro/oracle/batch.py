@@ -23,7 +23,10 @@ benchmarks can pin a path; "auto" is right everywhere else.
 
 A batch that already *is* two int64 columns — a :class:`PairColumns`,
 which is what the serve tier decodes every request into — skips steps
-1 and 2 when there is no cache and goes to the kernel as it stands.
+1 and 2 when there is no cache and goes to the kernel as it stands;
+so does a list of tuples when there is no cache.  The kernel does its
+own step 1 on the columns (one sort, one compare pass), so neither
+shortcut evaluates a repeated pair twice.
 """
 
 from __future__ import annotations
@@ -45,9 +48,9 @@ _MISS = object()
 KERNEL_MODES = ("auto", "on", "off")
 
 #: Below this many unique pairs "auto" stays on the scalar path — the
-#: kernel's fixed per-call cost (array setup, np.unique) is larger
-#: than a handful of dict probes.  Purely a perf cutoff: both paths
-#: return bit-identical distances.
+#: kernel's fixed per-call cost (array setup, a sort, a dozen numpy
+#: calls whatever the size) is larger than a handful of dict probes.
+#: Purely a perf cutoff: both paths return bit-identical distances.
 MIN_KERNEL_PAIRS = 8
 
 
@@ -187,8 +190,8 @@ def evaluate_batch(
     if cache is None and _use_kernel(store, kernel, len(pairs)):
         # No cache to probe or fill: hand the raw batch straight to
         # the kernel, skipping the per-pair Python dedupe loop.  The
-        # kernel groups by source itself, and duplicate pairs just
-        # recompute the same float64 minimum — answers are identical.
+        # kernel sorts by (source, target) itself and evaluates each
+        # distinct pair once, so repeats cost a compare, not a join.
         from repro.oracle import kernel as _kernel
 
         return _kernel.batch_eval(store, pairs)

@@ -63,6 +63,7 @@ try:  # numpy is an optional dependency of the serving stack
 except ImportError:  # pragma: no cover - exercised on numpy-free installs
     np = None
 
+from repro.oracle import kernel as _kernel
 from repro.oracle.batch import PairColumns
 from repro.serve.batcher import (
     DEFAULT_MAX_BATCH_PAIRS,
@@ -390,11 +391,16 @@ class DistanceServer:
         return _json_line({"ok": True, "distances": distances}, rid), True
 
     def stats(self) -> dict:
-        """Wire, batcher and (when it has any) backend counters."""
+        """Wire, batcher, kernel and (when it has any) backend counters.
+
+        ``kernel`` is :func:`repro.oracle.kernel.stats` of this process:
+        batches a fork pool evaluated are counted in its workers.
+        """
         stats = {
             "n": self.n,
             "wire": dict(self.wire),
             "batcher": self.batcher.stats(),
+            "kernel": _kernel.stats(),
         }
         backend_stats = getattr(self.backend, "stats", None)
         if callable(backend_stats):

@@ -181,6 +181,27 @@ def test_stats_op_reports_batcher_counters(flat):
     assert stats["batcher"]["batches_dispatched"] >= 1
 
 
+def test_stats_op_reports_kernel_counters(flat):
+    pytest.importorskip("numpy")
+    # Ten copies of one pair: one distinct evaluation.
+    pairs = [(0, 5)] * 10
+
+    async def scenario(server, host, port):
+        client = await DistanceClient.connect(host, port)
+        try:
+            before = (await client.stats())["kernel"]
+            await client.query(pairs)
+            return before, (await client.stats())["kernel"]
+        finally:
+            await client.aclose()
+
+    before, after = _serve(flat, scenario)
+    assert after["pairs"] - before["pairs"] == 10
+    assert after["distinct_pairs"] - before["distinct_pairs"] == 1
+    assert after["gathered_entries"] > before["gathered_entries"]
+    assert sum(after["joins"].values()) - sum(before["joins"].values()) == 1
+
+
 def test_stats_op_reports_shard_hits_of_a_live_pool(
     flat, tmp_path, fan_out_everything
 ):
