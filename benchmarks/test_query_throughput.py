@@ -12,7 +12,7 @@ graph and enforces:
 * **bit-identical answers** between the scalar path, the kernel over
   the v2 store, and the kernel over the mmap-loaded v3 store;
 * the **>= 3x kernel throughput floor** over the scalar batch path
-  (measured ~3.5-4.5x on CPython 3.10-3.12);
+  (measured ~10x on CPython 3.11);
 * the **<= 50% v3 file-size ceiling** relative to the v2 file
   (measured ~25% on this index: 2-byte delta pivots + 1-byte
   quantized distances vs 4-byte pivots + 8-byte floats).
@@ -22,12 +22,19 @@ the traffic a scale-free graph gets — so about half its pairs repeat
 another: the kernel must answer it identically while evaluating the
 distinct pairs only (checked on its own counters, not on a timing).
 
+The kernel fills its row cache the first time a batch names a vertex,
+so the first pass over a freshly opened store is timed next to the
+steady passes (``first_touch_pairs_per_s``): the cost moved from open
+to first use stays on record.
+
 Every run records its measurements in ``BENCH_query_throughput.json``
 (uploaded as a CI artifact), so the throughput trajectory is visible
 per commit.
 """
 
 from __future__ import annotations
+
+import time
 
 import pytest
 
@@ -47,7 +54,7 @@ np = pytest.importorskip(
 NUM_VERTICES = 10_000
 NUM_PAIRS = 20_000
 #: Acceptance floor for the kernel vs the scalar batch path.  The
-#: dense-join kernel measures ~3.5-4.5x; 3.0 is the criterion with
+#: hub-table kernel measures ~8-10x; 3.0 is the criterion with
 #: headroom for machine noise.
 MIN_KERNEL_SPEEDUP = 3.0
 #: Acceptance ceiling for the v3 file size relative to v2.
@@ -85,15 +92,11 @@ def zipf_pairs():
     return list(zip(ends[:NUM_PAIRS].tolist(), ends[NUM_PAIRS:].tolist()))
 
 
-def distinct_evaluations(store, pairs) -> int:
-    """Pairs the kernel evaluates on an undirected store: ``s != t``
-    ones, each with its longer label first (which is how a mirrored
-    pair comes to share its twin's evaluation)."""
-    size = np.diff(np.asarray(store.out_offsets))
-    return len({
-        (t, s) if size[t] > size[s] else (s, t)
-        for s, t in pairs if s != t
-    })
+def distinct_evaluations(pairs) -> int:
+    """Pairs the kernel evaluates on an undirected store: the ``s != t``
+    ones, a pair and its mirror counting once (orientation puts both
+    the same way round)."""
+    return len({(min(s, t), max(s, t)) for s, t in pairs if s != t})
 
 
 def test_kernel_answers_bit_identical(assets, pairs):
@@ -119,8 +122,20 @@ def test_zipf_batch_evaluates_distinct_pairs_only(assets, zipf_pairs):
         flat, cache_size=0, kernel="off"
     ).query_batch(zipf_pairs)
     distinct = after["distinct_pairs"] - before["distinct_pairs"]
-    assert distinct == distinct_evaluations(quantized, zipf_pairs)
+    assert distinct == distinct_evaluations(zipf_pairs)
     assert distinct < 0.75 * NUM_PAIRS
+    # Rows are filled once per vertex named, not once per pair, and
+    # the join gathers tails only: the hub table holds the rest of
+    # every label, so well under half of what the labels would cost.
+    named = {v for pair in zipf_pairs for v in pair if pair[0] != pair[1]}
+    assert after["rows_filled"] - before["rows_filled"] <= len(named)
+    size = np.diff(np.asarray(quantized.out_offsets, dtype=np.int64))
+    whole_labels = sum(
+        int(min(size[s], size[t]))
+        for s, t in {(min(p), max(p)) for p in zipf_pairs if p[0] != p[1]}
+    )
+    gathered = after["gathered_entries"] - before["gathered_entries"]
+    assert 0 < gathered < 0.5 * whole_labels
 
 
 def test_scalar_batch_throughput(benchmark, assets, pairs):
@@ -162,7 +177,8 @@ def test_kernel_throughput_floor_and_export(assets, pairs, zipf_pairs):
 
     Measures all three serving configurations interleaved, asserts the
     floor on the v2 kernel, and exports every rate (plus the v3
-    kernel's rate on the Zipf batch, the share of that batch that is
+    kernel's rate on the Zipf batch and on the first pass over a
+    freshly opened store, the share of the Zipf batch that is
     distinct work, and the on-disk size comparison) to
     ``BENCH_query_throughput.json``.
     """
@@ -178,6 +194,18 @@ def test_kernel_throughput_floor_and_export(assets, pairs, zipf_pairs):
     (zipf_rate,) = interleaved_rates(
         [kernel_v3.query_batch], zipf_pairs, repeats=7
     )
+    # The same batch against a store nothing has touched yet: hub
+    # columns chosen and every named row filled inside the timed call.
+    fresh = QuantizedLabelStore.load(v3_path, use_mmap=True)
+    try:
+        start = time.perf_counter()
+        first = DistanceOracle(fresh, cache_size=0, kernel="on").query_batch(
+            pairs
+        )
+        first_touch_rate = NUM_PAIRS / (time.perf_counter() - start)
+        assert first == kernel_v3.query_batch(pairs)
+    finally:
+        fresh.close()
     speedup = v2_rate / scalar_rate
     v2_size = v2_path.stat().st_size
     v3_size = v3_path.stat().st_size
@@ -193,8 +221,9 @@ def test_kernel_throughput_floor_and_export(assets, pairs, zipf_pairs):
             "kernel_speedup": round(speedup, 3),
             "kernel_v3_speedup": round(v3_rate / scalar_rate, 3),
             "zipf_pairs_per_s": round(zipf_rate),
+            "first_touch_pairs_per_s": round(first_touch_rate),
             "distinct_share": round(
-                distinct_evaluations(quantized, zipf_pairs) / NUM_PAIRS, 4
+                distinct_evaluations(zipf_pairs) / NUM_PAIRS, 4
             ),
             "floor": MIN_KERNEL_SPEEDUP,
             "v2_file_bytes": v2_size,

@@ -142,7 +142,7 @@ class FlatLabelStore:
         "in_pivots",
         "in_dists",
         "_mmap",
-        "_np",
+        "_view",
         "_delta_out",
         "_delta_in",
     )
@@ -169,9 +169,9 @@ class FlatLabelStore:
         self.in_dists = in_dists
         self.rank = rank
         self._mmap = None
-        # Cached numpy views of the arrays, built on demand by the
-        # batch kernel (repro.oracle.kernel); dropped on close().
-        self._np = None
+        # The batch kernel's row cache (repro.oracle.kernel), created
+        # by the first batch; dropped on close().
+        self._view = None
         # Staged per-vertex label updates (apply_updates): vertex ->
         # (pivots, dists) side arrays overlaying the base CSR arrays.
         # For undirected stores the in-side overlay aliases the
@@ -195,11 +195,11 @@ class FlatLabelStore:
         """
         if self._mmap is None:
             return
-        # Drop the exported buffer views (including the kernel's numpy
-        # views, which hold references to them) before closing the
+        # Drop the exported buffer views (including the kernel's row
+        # cache, which holds numpy views of them) before closing the
         # mapping (mmap.close() raises BufferError while views are
         # alive).
-        self._np = None
+        self._view = None
         self.out_offsets = self.out_pivots = self.out_dists = None
         self.in_offsets = self.in_pivots = self.in_dists = None
         self._mmap.close()
@@ -252,9 +252,9 @@ class FlatLabelStore:
         next to the base CSR arrays; every query path consults the
         overlay before the base slice, so updated answers are served
         immediately with **zero rewrite** of the (possibly
-        memory-mapped) base arrays.  The batch kernel's packed key
-        views are dropped and rebuilt from the merged arrays on the
-        next batch.  Call :meth:`save` (or
+        memory-mapped) base arrays.  The batch kernel's row cache
+        forgets the carried vertices' rows only; the next batch that
+        names one refills it from the overlay.  Call :meth:`save` (or
         ``ShardedLabelStore.reconcile``) to fold the overlay to disk.
         Returns the number of label slices staged.
         """
@@ -279,7 +279,8 @@ class FlatLabelStore:
                     array("d", (d for _, d in label)),
                 )
                 staged += 1
-        self._np = None
+        if self._view is not None:
+            self._view.invalidate(delta)
         return staged
 
     def merged(self) -> "FlatLabelStore":

@@ -1,70 +1,76 @@
-"""The vectorized batch query kernel: one numpy pass per batch.
+"""The vectorized batch query kernel: dense hub rows plus compact tails.
 
 The scalar batch path answers each pair with a Python loop over two
 label slices — fast per query, but interpreter overhead caps a whole
 batch at ~10^5 pairs/sec.  This module evaluates an entire batch with
-a handful of numpy array operations instead:
+a handful of numpy array operations, and it leans on the structure the
+paper's bounds rest on: on a scale-free graph a few hundred top-ranked
+hubs hold most label entries (154 pivots hold 79% of them on a
+70k-vertex GLP graph), so the hub part of a query is a dense, regular
+computation and only the remainder needs a search.
 
-1. **side views** (built once per store, reused by every batch) — a
-   label side's CSR arrays are already globally sorted by
-   (owner, pivot), so while ``owners * base`` fits int32 each side
-   gets one flat key array ``owner * base + pivot``; a larger side
-   keeps int32 absolute pivot ids instead (the v2 array as it is
-   mapped) and is keyed per batch in step 4.  The build is a single
-   vectorized pass; v3 stores rebuild their delta-encoded pivot ids
-   with one cumulative sum here, which is the only time the compact
-   arrays are ever expanded (their distance and offset arrays keep
-   serving as-is, memory-mapped);
-2. **orient, sort, dedupe** — on undirected stores each pair is
-   flipped so the *smaller* label is the one expanded (``dist(s, t)
-   == dist(t, s)`` — the same smaller-side trick the scalar dict
-   probe uses — which also lands ``(t, s)`` on ``(s, t)`` unless the
-   two labels are equally long).  One sort by the packed
-   ``(source, target)`` key
-   then groups the pairs by source and puts repeats side by side:
-   only the distinct pairs go on, and every position reads its
-   distinct pair's answer at the end;
-3. **gather** — every distinct pair's target-side label slice is
-   pulled into one contiguous array with a vectorized ranges trick
-   and re-keyed as ``row * base + pivot``, ``row`` being the pair's
-   source, turning the per-pair merge join into exact key equality
-   against the source side;
-4. **join** — against a side that has global keys, either **dense**:
-   walk the source vertices in blocks, scatter each block's label
-   entries into a cache-resident epoch-stamped table and answer every
-   target entry with O(1) gathers (the vectorized twin of the scalar
-   path's dict probe), or **sorted**: one ``np.searchsorted`` of the
-   gathered keys into the side's key array (when the vertex count
-   makes a useful table too large, or the batch too small to amortise
-   the scatter).  Against a side past the int32 key range,
-   **local**: the label slices of the batch's *distinct sources* are
-   gathered once and keyed by their row number in the batch — a few
-   hundred KB that stay in cache however large the index — and the
-   target keys are matched against them through a 4 MB
+1. **hub columns** (chosen once per store, at view creation) — an
+   evenly spaced sample of a few hundred labels is gathered and every
+   pivot found in more than 1 in :data:`_HUB_SHARE` of them gets a
+   column of a dense ``n x k`` uint8 table; that share is where one
+   more byte per row costs less than the join entries it removes.
+   Nothing else is computed when a store is opened;
+2. **rows, filled on first touch** — the kernel keeps a cache of
+   join-ready rows on the store.  The first batch to name a vertex
+   gathers its label once (v2 pivots as mapped, v3 deltas decoded with
+   one cumulative sum over the gathered entries, a vertex with a
+   staged update read from the overlay arrays) and splits it: entries
+   of a column pivot go into the vertex's table row (``127`` = no
+   entry, so the uint8 sum of two cells is below 127 exactly when both
+   are entries), every other entry is appended to a compact **tail**
+   arena (int32 pivot, float64 distance, per-vertex start and length).
+   Table and arenas are allocated untouched, so memory follows the
+   rows actually used.  A column holds integer distances in
+   ``[0, 63]``; the first fractional or larger entry met for a column
+   pivot retires that column, so on a weighted graph labels simply
+   stay in the tails;
+3. **orient, sort, dedupe** — on undirected stores each pair is
+   flipped so the *shorter tail* is the one expanded (``dist(s, t) ==
+   dist(t, s)``; ties go by vertex id, so ``(t, s)`` always lands on
+   ``(s, t)``).  One sort by the packed ``(source, target)`` key then
+   groups the pairs by source and puts repeats side by side: only the
+   distinct pairs go on, and every position reads its distinct pair's
+   answer at the end;
+4. **hub part** — ``min_j H_out[s, j] + H_in[t, j]`` over the
+   distinct pairs, a few thousand pairs at a time through reused
+   buffers: no keys, no sort, no probe;
+5. **tail part** — one batch-local join: the tails of the batch's
+   *distinct sources* are gathered once and packed as int32 keys
+   ``row * n + pivot`` (``row`` numbering the sources), the target
+   tails are keyed the same way and matched through a 4 MB
    direct-address table of entry positions, or by ``np.searchsorted``
    when the batch is too small or too spread out to pay for walking
-   the table;
-5. **segment min** — ``np.minimum.reduceat`` reduces the matched
-   ``d1 + d2`` sums back to one distance per distinct pair.
+   the table.  The answer is the smaller of the two parts.
+
+A :class:`~repro.oracle.sharding.ShardedLabelStore` has one view over
+its global vertex ids whose fill routes each missing vertex to the
+shard that owns it, so every store takes the same path.  Staged
+updates (``apply_updates``) mark the touched rows unfilled and the
+next batch refills only those; their old tails stay in the arena as
+garbage, and when the arena is full the cache is emptied and refilled
+on demand.  One lock per view is held for a whole evaluation and by
+invalidation — the serve tier evaluates one batch at a time per
+process and scales out by forked workers, which inherit the rows
+filled before the fork copy-on-write and fill their own after.  Every
+kernel lock is re-created in a forked child.
 
 :func:`stats` counts what each call did — pairs in, distinct pairs
-evaluated, label entries gathered, source rows keyed by a local join,
-and which join ran — so the sharing a workload contains can be read
-off a running server (``{"op": "stats"}``) rather than guessed.
+evaluated, rows filled, tail entries gathered, source rows keyed and
+which join ran — and :func:`view_info` describes one store's cache, so
+the sharing a workload contains can be read off a running server
+(``{"op": "stats"}``) rather than guessed.
 
 Answers are **bit-identical** to the scalar helpers in
-:mod:`repro.core.flatstore`: the same float64 sums are formed, and the
-minimum of a set of floats does not depend on evaluation order
+:mod:`repro.core.flatstore`: a table cell is an exact small integer,
+the tail sums are the same float64 sums, and the minimum of a set of
+floats does not depend on evaluation order
 (``benchmarks/test_query_throughput.py`` enforces both the equality
 and a >= 3x throughput floor).
-
-The kernel consumes v2 :class:`~repro.core.flatstore.FlatLabelStore`
-and v3 :class:`~repro.core.quantized.QuantizedLabelStore` arrays alike
-(quantized distances upcast to float64 exactly during the hit
-gathers), and a :class:`~repro.oracle.sharding.ShardedLabelStore`
-batch is bucketed by (source shard, target shard) and evaluated per
-bucket with the same machinery — pivot ids are global, so only the
-key base changes.
 
 numpy is optional everywhere else in the query stack; this module
 degrades to ``available() == False`` without it and
@@ -74,7 +80,11 @@ path.
 
 from __future__ import annotations
 
+import os
 import threading
+import weakref
+from array import array
+from itertools import chain
 from typing import Sequence
 
 try:  # numpy is an optional dependency of the serving stack
@@ -90,16 +100,25 @@ _DTYPES = {
     "q": "int64", "Q": "uint64", "f": "float32", "d": "float64",
 }
 
-#: Elements in the dense join's scatter table (~6 MB of f64+i32) —
-#: sized to stay cache-resident; a DRAM-sized table loses to the
-#: binary search.  Rows per block is this divided by the key base;
-#: below _MIN_DENSE_BLOCK rows per block (or when the batch is too
-#: small to amortise scattering the source side) the searchsorted
-#: join takes over.
-_DENSE_TABLE_ELEMS = 1 << 19
-_MIN_DENSE_BLOCK = 8
+#: Labels sampled to choose the hub columns, and the share of them a
+#: pivot must appear in (more than 1 in _HUB_SHARE) to get one: a
+#: column costs ~1 ns per pair, a joined tail entry ~40 ns.
+_SAMPLE_LABELS = 256
+_HUB_SHARE = 32
+_MAX_HUB_COLUMNS = 1024
 
-#: Largest packed key a side may hold as int32.
+#: Table cells are uint8: ``_NO_ENTRY`` where the row has no entry for
+#: the column, else a distance of at most ``_MAX_CELL`` — so the sum
+#: of two cells stays below ``_NO_ENTRY`` exactly when both are
+#: entries, and never wraps.
+_NO_ENTRY = 127
+_MAX_CELL = 63
+
+#: Pairs per pass of the hub part: two ``pairs x k`` uint8 buffers of
+#: this many rows stay inside the L2 cache.
+_HUB_PASS_PAIRS = 2048
+
+#: Largest packed key a join may hold as int32.
 _INT32_MAX = 0x7FFFFFFF
 
 #: Cells in the batch-local join's probe table (4 MB of int32), and
@@ -114,17 +133,24 @@ _STATS_LOCK = threading.Lock()
 _STATS = {
     "pairs": 0,
     "distinct_pairs": 0,
+    "rows_filled": 0,
     "source_rows": 0,
     "gathered_entries": 0,
-    "joins": {"dense": 0, "sorted": 0, "local_table": 0, "local_sorted": 0},
+    "joins": {"local_table": 0, "local_sorted": 0},
 }
 
+#: Every live view, so a forked child can re-create their locks; the
+#: lock also serialises view creation.
+_VIEWS: "weakref.WeakSet[_View]" = weakref.WeakSet()
+_VIEWS_LOCK = threading.Lock()
 
-def _tally(pairs, distinct, rows, gathered, join) -> None:
+
+def _tally(pairs=0, distinct=0, filled=0, rows=0, gathered=0, join=None):
     """Add one evaluation's work to the process-wide counters."""
     with _STATS_LOCK:
         _STATS["pairs"] += pairs
         _STATS["distinct_pairs"] += distinct
+        _STATS["rows_filled"] += filled
         _STATS["source_rows"] += rows
         _STATS["gathered_entries"] += gathered
         if join is not None:
@@ -134,15 +160,16 @@ def _tally(pairs, distinct, rows, gathered, join) -> None:
 def stats() -> dict:
     """Snapshot of what the kernel has done in this process so far.
 
-    ``pairs`` counts the ``s != t`` pairs handed to the join stages
-    (per shard bucket on a sharded store), ``distinct_pairs`` how many
-    of them were evaluated after orientation and dedupe,
-    ``gathered_entries`` the target-side label entries pulled for
-    them, ``source_rows`` the distinct sources whose labels a local
-    join gathered and keyed (joins against global keys gather none),
-    and ``joins`` how many evaluations each join kind served.
-    Counters only ever grow; difference two snapshots to meter a
-    stretch of work.
+    ``pairs`` counts the ``s != t`` pairs handed to the evaluation,
+    ``distinct_pairs`` how many of them were evaluated after
+    orientation and dedupe, ``rows_filled`` the label rows gathered
+    and split into the cache (a row counts again when an update or an
+    arena reset makes it be refilled), ``gathered_entries`` the
+    target-side *tail* entries the join pulled (a pair the hub table
+    answers alone gathers none), ``source_rows`` the distinct sources
+    whose tails a join gathered and keyed, and ``joins`` how many
+    evaluations each join kind served.  Counters only ever grow;
+    difference two snapshots to meter a stretch of work.
     """
     with _STATS_LOCK:
         return {**_STATS, "joins": dict(_STATS["joins"])}
@@ -173,134 +200,22 @@ def supports(store) -> bool:
     return False
 
 
-class _Side:
-    """Numpy view of one label side, ready for the merge join.
-
-    While the packed range ``n_local * base`` fits int32 the side
-    carries ``keys[j] = owner(j) * base + pivot(j)`` for the j-th
-    entry of its arrays — globally sorted, so the whole side is one
-    join index.  Past that range it carries ``pivots`` (int32 absolute
-    ids, a zero-copy view of a v2 store's array) instead and the join
-    packs keys per batch (:func:`_join_local`); exactly one of the two
-    is set.  ``dists`` stays a zero-copy view of the store's (possibly
-    quantized, possibly memory-mapped) distance array.
-    """
-
-    __slots__ = ("offsets", "dists", "keys", "pivots", "base")
-
-    def __init__(self, offsets, dists, keys, pivots, base: int) -> None:
-        self.offsets = offsets
-        self.dists = dists
-        self.keys = keys
-        self.pivots = pivots
-        self.base = base
-
-
 def _as_np(buf):
     """Zero-copy numpy view of an ``array.array`` or typed memoryview."""
     code = getattr(buf, "typecode", None) or buf.format
     return np.frombuffer(buf, dtype=np.dtype(_DTYPES[code]))
 
 
-def _build_side(offsets_buf, pivots_buf, dists_buf, delta: bool, base: int):
-    """Wrap one side's CSR buffers into a :class:`_Side` view.
+def _expand(starts, lens):
+    """Positions of the slices ``starts[k] : starts[k] + lens[k]``.
 
-    ``delta=True`` decodes v3 per-label pivot deltas to absolute ids
-    vectorized (one cumsum + one repeat), so quantized stores feed the
-    same join paths without a scalar decode pass.
+    Returns ``(idx, seg0)``: every slice's positions laid end to end,
+    and each slice's start in that order.
     """
-    offsets = _as_np(offsets_buf).astype(np.int64, copy=False)
-    lens = np.diff(offsets)
-    piv = _as_np(pivots_buf)
-    if delta:
-        # v3 stores per-label pivot deltas; absolute[j] is the running
-        # sum within j's label: global cumsum minus each label's base.
-        run = np.cumsum(piv.astype(np.int64, copy=False))
-        seg0 = offsets[:-1]
-        label_base = np.where(seg0 > 0, run[seg0 - 1], 0)
-        piv = run - np.repeat(label_base, lens)
-    piv = piv.astype(np.int32, copy=False)
-    dists = _as_np(dists_buf)
-    n_local = lens.size
-    if n_local * base > _INT32_MAX:
-        return _Side(offsets, dists, None, piv, base)
-    keys = np.repeat(np.arange(n_local, dtype=np.int32) * base, lens)
-    keys += piv
-    return _Side(offsets, dists, keys, None, base)
-
-
-def _sides(store: FlatLabelStore, base: int) -> tuple[_Side, _Side]:
-    """The (out, in) views of a flat store, cached on the store.
-
-    ``base`` must exceed every pivot id — the store's own vertex count
-    for a standalone store, the *global* vertex count when the store
-    serves as one shard (pivot ids are global inside shards).
-    """
-    cached = store._np
-    if cached is not None and cached[0] == base:
-        return cached[1], cached[2]
-    from repro.core.quantized import QuantizedLabelStore
-
-    src = store
-    if store.has_pending_updates:
-        # Fold staged updates into fresh arrays once; apply_updates
-        # drops this cache, so the fold cost is paid per update batch,
-        # not per query batch.  The merged arrays stay alive through
-        # the cache tuple's _Side views.
-        src = store.merged()
-    delta = isinstance(src, QuantizedLabelStore)
-    out = _build_side(
-        src.out_offsets, src.out_pivots, src.out_dists, delta, base
-    )
-    if src.directed:
-        inn = _build_side(
-            src.in_offsets, src.in_pivots, src.in_dists, delta, base
-        )
-    else:
-        inn = out
-    store._np = (base, out, inn)
-    return out, inn
-
-
-def ensure_sides(store) -> None:
-    """Build (and cache) the join views for ``store`` now.
-
-    Serving frontends call this before forking worker processes: the
-    views land on the store (``store._np``) in pages the children then
-    inherit copy-on-write, so every worker joins against one physical
-    copy of the label arrays instead of rebuilding its own (see
-    :mod:`repro.serve.shm`).  A sharded store warms every shard with
-    the global key base.  No-op when :func:`supports` is false.
-    """
-    if not supports(store):
-        return
-    from repro.oracle.sharding import ShardedLabelStore
-
-    if isinstance(store, ShardedLabelStore):
-        for shard in store.shards:
-            _sides(shard, store.n)
-    else:
-        _sides(store, store.n)
-
-
-def _expand(side: _Side, V):
-    """Gather the label slices of vertices ``V`` from ``side``.
-
-    Returns ``(idx, lens, seg0)``: each gathered entry's position in
-    the side's arrays, per-vertex slice lengths, and each slice's
-    start in the gathered order.
-    """
-    starts = side.offsets[V]
-    lens = side.offsets[V + 1] - starts
     total = int(lens.sum())
     seg0 = np.cumsum(lens) - lens
-    # int32 indices halve the memory traffic whenever the side's
-    # arrays are small enough to address with them.
-    idt = np.int32 if int(side.offsets[-1]) <= _INT32_MAX else np.int64
-    idx = np.arange(total, dtype=idt) + np.repeat(
-        (starts - seg0).astype(idt, copy=False), lens
-    )
-    return idx, lens, seg0
+    idx = np.arange(total, dtype=np.int64) + np.repeat(starts - seg0, lens)
+    return idx, seg0
 
 
 def _run_starts(changes):
@@ -308,137 +223,351 @@ def _run_starts(changes):
     return np.concatenate((np.ones(1, dtype=bool), changes))
 
 
-def _eval(out_side: _Side, in_side: _Side, S, T, orient: bool):
-    """Distances for pairs ``(S[k], T[k])`` (local ids, no s==t pairs).
+class _Rows:
+    """The row cache of one label side (see the module docstring).
 
-    ``orient=True`` (undirected single stores) flips pairs so the
-    smaller label is the expanded one — valid because the two sides
-    alias and ``dist`` is symmetric; the scalar dict probe plays the
-    same trick, and both orientations form the identical set of
-    ``d1 + d2`` sums.  It also lands a mirrored ``(t, s)`` on
-    ``(s, t)`` (unless their labels are equally long), so the dedupe
-    below evaluates the two once.
+    ``filled[v]`` says whether ``table[v]`` and the tail
+    ``tail_piv/tail_dist[tail_start[v] : tail_start[v] + tail_len[v]]``
+    hold vertex ``v``'s label; ``staged[v]`` whether that label lives
+    in the store's overlay instead of its base arrays.  ``used`` is
+    the arena's fill mark.
     """
-    base = out_side.base
-    if orient:
-        off = out_side.offsets
-        flip = (off[T + 1] - off[T]) > (off[S + 1] - off[S])
-        S, T = np.where(flip, T, S), np.where(flip, S, T)
-    # One sort by the packed pair groups the batch by source *and*
-    # puts equal pairs side by side.
-    pair = S * base + T
-    order = np.argsort(pair)
-    pair = pair[order]
-    changes = pair[1:] != pair[:-1]
-    kept, slot = order, None
-    if not changes.all():
-        first = _run_starts(changes)
-        kept = order[first]
-        slot = np.cumsum(first) - 1  # sorted position -> distinct pair
-    S = S[kept]
-    T = T[kept]
 
-    idx, lens, seg0 = _expand(in_side, T)
-    res = np.full(len(T), np.inf)
-    kind = None
-    rows = 0
-    if idx.size and int(out_side.offsets[-1]):
-        if out_side.keys is None:
-            sums, kind, rows = _join_local(
-                out_side, in_side, S, T, idx, lens, seg0
-            )
-        else:
-            t_keys = _shifted_keys(in_side, idx, lens, S, T)
-            block = _DENSE_TABLE_ELEMS // max(base, 1)
-            # The dense join scatters every source-side entry once;
-            # worth it only when the gathered target side is of
-            # comparable size.
-            if (
-                block >= _MIN_DENSE_BLOCK
-                and t_keys.size * 2 >= out_side.keys.size
-            ):
-                kind = "dense"
-                sums = _join_dense(
-                    out_side, in_side, S, t_keys, idx, seg0, block
+    __slots__ = (
+        "filled", "staged", "table", "tail_start", "tail_len",
+        "tail_piv", "tail_dist", "used",
+    )
+
+    def __init__(self, n: int, capacity: int) -> None:
+        self.filled = np.zeros(n, dtype=bool)
+        self.staged = np.zeros(n, dtype=bool)
+        self.table = None  # allocated once the hub columns are chosen
+        self.tail_start = np.empty(n, dtype=np.int64)
+        self.tail_len = np.empty(n, dtype=np.int64)
+        self.used = 0
+        self.reserve(capacity)
+
+    def reserve(self, capacity: int) -> None:
+        """Replace the arena by an untouched one of ``capacity`` entries."""
+        self.tail_piv = np.empty(capacity, dtype=np.int32)
+        self.tail_dist = np.empty(capacity, dtype=np.float64)
+
+
+class _View:
+    """The kernel's lazily filled row cache over one store.
+
+    ``parts`` lists, for the store itself or for each shard of a
+    sharded one (``los`` holding their first global vertices), the
+    flat store, whether its pivots are v3 deltas, and numpy views of
+    its ``(offsets, pivots, dists)`` per side.  ``out`` / ``inn`` are
+    the two sides' :class:`_Rows` (one object on an undirected store,
+    whose sides alias); ``hubs`` are the column pivots in column order
+    and ``col_of[p]`` is pivot ``p``'s column, or -1.
+    """
+
+    def __init__(self, store) -> None:
+        self.lock = threading.Lock()
+        self._build(store)
+
+    def _build(self, store) -> None:
+        from repro.core.quantized import QuantizedLabelStore
+
+        shards = getattr(store, "shards", [store])
+        self.store = store
+        self.n = store.n
+        self.directed = store.directed
+        self.los = np.asarray(getattr(store, "_los", [0]), dtype=np.int64)
+        self.parts = []
+        for shard in shards:
+            sides = [(shard.out_offsets, shard.out_pivots, shard.out_dists)]
+            if self.directed:
+                sides.append(
+                    (shard.in_offsets, shard.in_pivots, shard.in_dists)
                 )
-            else:
-                kind = "sorted"
-                sums = _join_sorted(out_side, in_side, t_keys, idx)
-        nonempty = lens > 0
-        res[nonempty] = np.minimum.reduceat(sums, seg0[nonempty])
-    _tally(len(order), len(T), rows, idx.size, kind)
-    out = np.empty(len(order))
-    out[order] = res if slot is None else res[slot]
-    return out
+            self.parts.append((
+                shard,
+                isinstance(shard, QuantizedLabelStore),
+                [tuple(map(_as_np, side)) for side in sides],
+            ))
+        self.arena_resets = 0
+        self.out = self._new_rows(0)
+        self.inn = self._new_rows(1) if self.directed else self.out
+        self._choose_hubs()
 
+    def _new_rows(self, side: int) -> _Rows:
+        """An empty cache for one side, its arena as large as the side."""
+        entries = sum(sides[side][1].size for _, _, sides in self.parts)
+        rows = _Rows(self.n, max(entries, 1))
+        for lo, (shard, _, _) in zip(self.los.tolist(), self.parts):
+            overlay = shard._delta_in if side else shard._delta_out
+            if overlay:
+                local = np.fromiter(overlay, np.int64, len(overlay))
+                rows.staged[local + lo] = True
+        return rows
 
-def _shifted_keys(in_side: _Side, idx, lens, R, T):
-    """The gathered target entries as int32 keys ``R[k] * base + pivot``.
+    # -- hub columns ---------------------------------------------------------
+    def _choose_hubs(self) -> None:
+        """Give a column to every pivot common in a sample of labels."""
+        n = self.n
+        stride = max(1, -(-n // _SAMPLE_LABELS))
+        sample = np.arange(0, n, stride, dtype=np.int64)
+        sampled = [self._gather(0, sample)[1]]
+        if self.directed:
+            sampled.append(self._gather(1, sample)[1])
+        pivots, counts = np.unique(np.concatenate(sampled), return_counts=True)
+        common = counts * _HUB_SHARE > sample.size * len(sampled)
+        pivots, counts = pivots[common], counts[common]
+        if pivots.size > _MAX_HUB_COLUMNS:
+            pivots = np.sort(pivots[np.argsort(-counts)[:_MAX_HUB_COLUMNS]])
+        self._set_hubs(pivots)
 
-    ``R`` is each pair's row in the key space being joined against
-    (its source vertex for a global join, a batch-local row number for
-    :func:`_join_local`); the caller guarantees ``R * base`` fits int32.
-    """
-    base = in_side.base
-    if in_side.keys is None:
-        shift = R * base
-        entries = in_side.pivots[idx]
-    else:
-        shift = (R - T) * base
-        entries = in_side.keys[idx]
-    return entries + np.repeat(shift.astype(np.int32), lens)
+    def _set_hubs(self, pivots) -> None:
+        """Install ``pivots`` as the table's columns; empties the cache."""
+        self._reset(self.out)
+        self._reset(self.inn)
+        self.hubs = pivots
+        self.col_of = np.full(self.n, -1, dtype=np.int32)
+        self.col_of[pivots] = np.arange(pivots.size, dtype=np.int32)
+        self.out.table = np.empty((self.n, pivots.size), dtype=np.uint8)
+        if self.directed:
+            self.inn.table = np.empty((self.n, pivots.size), dtype=np.uint8)
 
+    @staticmethod
+    def _reset(rows: _Rows) -> None:
+        """Forget every filled row of one side and empty its arena."""
+        rows.filled[:] = False
+        rows.used = 0
 
-def _join_dense(out_side: _Side, in_side: _Side, S, t_keys, idx, seg0, block):
-    """O(1)-probe join: scatter source entries, gather target entries.
+    # -- filling rows --------------------------------------------------------
+    def _gather(self, side: int, V):
+        """The labels of the distinct, ascending global vertices ``V``.
 
-    Walks the source vertex range ``block`` vertices at a time: each
-    block's label entries (a contiguous run of the side's arrays) are
-    scattered into a flat ``block * base`` table holding the entry
-    distances, with a parallel epoch array marking which block wrote a
-    cell — stale cells read as "no common pivot" without ever clearing
-    the table.  Every gathered target entry then costs two gathers
-    instead of a binary search.  Blocks none of the batch's sources
-    fall in are skipped entirely.
-    """
-    base = out_side.base
-    off = out_side.offsets
-    n_local = off.size - 1
-    total = t_keys.size
-    src_dists = out_side.dists
-    tgt_dists = in_side.dists
-    table_d = np.empty(block * base, dtype=np.float64)
-    table_e = np.zeros(block * base, dtype=np.int32)
-    sums = np.empty(total, dtype=np.float64)
-    vedges = np.arange(0, n_local + block, block, dtype=np.int64)
-    # Element range of each vertex block in the gathered target order:
-    # pairs are sorted by source, so each block's pairs — and with
-    # them their gathered entries — form one contiguous run.
-    pair_cuts = np.searchsorted(S, vedges)
-    elem_starts = np.append(seg0, total)
-    for k in range(vedges.size - 1):
-        e0 = int(elem_starts[pair_cuts[k]])
-        e1 = int(elem_starts[pair_cuts[k + 1]])
-        if e0 == e1:
-            continue
-        b = int(vedges[k])
-        shift = np.int32(b * base)
-        so, se = int(off[b]), int(off[min(b + block, n_local)])
-        epoch = k + 1
-        addr = out_side.keys[so:se] - shift
-        table_d[addr] = src_dists[so:se]
-        table_e[addr] = epoch
-        taddr = t_keys[e0:e1] - shift
-        hit = np.flatnonzero(table_e[taddr] == epoch)
-        sub = sums[e0:e1]
-        sub.fill(np.inf)
-        # Distances come straight from the stores' arrays for matched
-        # entries only (quantized values upcast to float64 exactly).
-        sub[hit] = np.add(
-            table_d[taddr[hit]],
-            tgt_dists[idx[e0:e1][hit]].astype(np.float64, copy=False),
+        Returns ``(verts, pivots, dists, lens)``: the vertices in the
+        order their labels were gathered, every entry's absolute pivot
+        id (int64) and distance (float64) laid end to end, and the
+        label lengths.  Base arrays are gathered vectorized per shard;
+        labels with a staged update come from the overlay.
+        """
+        rows = self.inn if side else self.out
+        verts, pivots, dists, lens = [], [], [], []
+        cuts = np.searchsorted(V, self.los).tolist() + [V.size]
+        for k, (shard, delta, sides) in enumerate(self.parts):
+            local = V[cuts[k] : cuts[k + 1]]
+            if not local.size:
+                continue
+            lo = int(self.los[k])
+            staged = rows.staged[local]
+            if staged.any():
+                overlay = shard._delta_in if side else shard._delta_out
+                piv, dst = array("i"), array("d")
+                size = []
+                for v in (local[staged] - lo).tolist():
+                    p, d = overlay[v]
+                    piv.extend(p)
+                    dst.extend(d)
+                    size.append(len(p))
+                verts.append(local[staged])
+                pivots.append(
+                    np.frombuffer(piv, dtype=np.int32).astype(np.int64)
+                )
+                dists.append(np.frombuffer(dst, dtype=np.float64))
+                lens.append(np.asarray(size, dtype=np.int64))
+                local = local[~staged]
+                if not local.size:
+                    continue
+            offsets, base_piv, base_dist = sides[side]
+            starts = offsets[local - lo].astype(np.int64)
+            size = offsets[local - lo + 1].astype(np.int64) - starts
+            idx, seg0 = _expand(starts, size)
+            piv = base_piv[idx].astype(np.int64)
+            if delta and idx.size:
+                # v3 stores per-label pivot deltas: the absolute id is
+                # the running sum within the label — one cumsum over
+                # the gathered entries, minus each label's base.
+                run = np.cumsum(piv)
+                full = size > 0
+                first = seg0[full]
+                piv = run - np.repeat(run[first] - piv[first], size[full])
+            verts.append(local)
+            pivots.append(piv)
+            dists.append(base_dist[idx].astype(np.float64, copy=False))
+            lens.append(size)
+        if len(verts) == 1:
+            return verts[0], pivots[0], dists[0], lens[0]
+        if not verts:  # nothing asked for (a store without vertices)
+            none = np.empty(0, dtype=np.int64)
+            return none, none, np.empty(0), none
+        return tuple(map(np.concatenate, (verts, pivots, dists, lens)))
+
+    def _fill(self, side: int, missing) -> bool:
+        """Fill the rows of the distinct vertices ``missing``.
+
+        Returns False — with the cache emptied, for the caller to
+        start over — when a column had to be retired or the arena was
+        full.
+        """
+        rows = self.inn if side else self.out
+        verts, piv, dist, lens = self._gather(side, missing)
+        col = self.col_of[piv]
+        # Integer positions: a boolean mask costs a pass per use.
+        hub, tail = np.flatnonzero(col >= 0), np.flatnonzero(col < 0)
+        cell = dist[hub]
+        misfit = ~(
+            (cell >= 0) & (cell <= _MAX_CELL) & (cell == np.floor(cell))
         )
-    return sums
+        if misfit.any():
+            # A column pivot's entry must be in the table on both ends
+            # of a pair or on neither: retire the columns that cannot
+            # hold what this label needs of them.
+            keep = np.ones(self.hubs.size, dtype=bool)
+            keep[col[hub[misfit]]] = False
+            self._set_hubs(self.hubs[keep])
+            return False
+        owner = np.repeat(np.arange(verts.size), lens)
+        tail_len = np.bincount(owner[tail], minlength=verts.size)
+        need = tail.size
+        if rows.used + need > rows.tail_piv.size:
+            self._reset(rows)
+            self.arena_resets += 1
+            if need > rows.tail_piv.size:
+                rows.reserve(2 * need)
+            return False
+        rows.table[verts] = _NO_ENTRY
+        cells = rows.table.reshape(-1)
+        cells[verts[owner[hub]] * self.hubs.size + col[hub]] = cell
+        end = rows.used + need
+        rows.tail_piv[rows.used : end] = piv[tail]
+        rows.tail_dist[rows.used : end] = dist[tail]
+        rows.tail_start[verts] = rows.used + np.cumsum(tail_len) - tail_len
+        rows.tail_len[verts] = tail_len
+        rows.used = end
+        rows.filled[verts] = True
+        _tally(filled=verts.size)
+        return True
+
+    def ensure_rows(self, S, T) -> None:
+        """Fill whatever rows the pairs ``(S[k], T[k])`` still miss."""
+        # Both ends of an undirected pair read one side: ask for them
+        # together, or a full arena would bounce between the two.
+        wanted = (
+            ((0, S), (1, T)) if self.directed
+            else ((0, np.concatenate((S, T))),)
+        )
+        # A fill that had to empty the cache starts the round over.
+        while not all(self._resident(side, V) for side, V in wanted):
+            pass
+
+    def _resident(self, side: int, V) -> bool:
+        """Make the rows of ``V`` resident; False if the cache was emptied."""
+        rows = self.inn if side else self.out
+        missing = V[~rows.filled[V]]
+        return not missing.size or self._fill(side, np.unique(missing))
+
+    def invalidate(self, delta) -> None:
+        """Forget the rows a just-staged ``LabelDelta`` replaces.
+
+        The delta's vertex ids are the view's own: global ones on a
+        sharded store.
+        """
+        sides = [(self.out, delta.out)]
+        if self.directed:
+            sides.append((self.inn, delta.inn))
+        with self.lock:
+            for rows, labels in sides:
+                if labels:
+                    vertices = np.fromiter(labels, np.int64, len(labels))
+                    rows.filled[vertices] = False
+                    rows.staged[vertices] = True
+
+    def info(self) -> dict:
+        """The cache's size figures, read without the lock: a monitor
+        never waits for a batch, and may catch one half counted."""
+        sides = (self.out, self.inn) if self.directed else (self.out,)
+        return {
+            "hub_columns": int(self.hubs.size),
+            "rows_resident": sum(
+                int(np.count_nonzero(rows.filled)) for rows in sides
+            ),
+            "tail_entries": sum(rows.used for rows in sides),
+            "arena_resets": self.arena_resets,
+        }
+
+
+def _relock_after_fork() -> None:
+    """Give a forked child locks of its own.
+
+    The child has one thread; a lock some other thread of the parent
+    held at the fork would never be released in it.  A view forked in
+    the middle of an evaluation may be half-written, so it starts over.
+    """
+    global _STATS_LOCK, _VIEWS_LOCK
+    _STATS_LOCK = threading.Lock()
+    _VIEWS_LOCK = threading.Lock()
+    for view in list(_VIEWS):
+        torn = view.lock.locked()
+        view.lock = threading.Lock()
+        if torn:
+            view._build(view.store)
+
+
+if np is not None and hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_relock_after_fork)
+
+
+def _view(store) -> _View:
+    """The row cache of ``store``, created on first use."""
+    view = store._view
+    if view is None:
+        with _VIEWS_LOCK:
+            view = store._view
+            if view is None:
+                view = store._view = _View(store)
+                _VIEWS.add(view)
+    return view
+
+
+def ensure_sides(store) -> None:
+    """Create the row cache of ``store`` now: choose its hub columns.
+
+    Serving frontends call this before forking worker processes, so
+    the choice (and every row filled before the fork) is inherited
+    copy-on-write instead of being repeated per worker.  No label is
+    read beyond the sample.  No-op when :func:`supports` is false.
+    """
+    if supports(store):
+        _view(store)
+
+
+def view_info(store) -> dict | None:
+    """What ``store``'s row cache holds (None before the first batch).
+
+    ``hub_columns`` is the dense table's width, ``rows_resident`` the
+    rows filled right now (both sides of a directed store),
+    ``tail_entries`` the arena entries in use including garbage left
+    by updates, and ``arena_resets`` how often a full arena emptied
+    the cache.
+    """
+    view = getattr(store, "_view", None)
+    return None if view is None else view.info()
+
+
+def _hub_min(out_table, in_table, S, T):
+    """``min_j out_table[S[k], j] + in_table[T[k], j]`` as uint8.
+
+    Below ``_NO_ENTRY`` exactly where the pair shares a column pivot.
+    """
+    best = np.empty(len(S), dtype=np.uint8)
+    shape = (min(len(S), _HUB_PASS_PAIRS), out_table.shape[1])
+    a = np.empty(shape, dtype=np.uint8)
+    b = np.empty(shape, dtype=np.uint8)
+    for lo in range(0, len(S), _HUB_PASS_PAIRS):
+        hi = min(lo + _HUB_PASS_PAIRS, len(S))
+        m = hi - lo
+        np.take(out_table, S[lo:hi], axis=0, out=a[:m], mode="clip")
+        np.take(in_table, T[lo:hi], axis=0, out=b[:m], mode="clip")
+        np.add(a[:m], b[:m], out=a[:m])
+        np.min(a[:m], axis=1, out=best[lo:hi])
+    return best
 
 
 def _match_sorted(s_keys, t_keys):
@@ -447,19 +576,6 @@ def _match_sorted(s_keys, t_keys):
     np.minimum(pos, s_keys.size - 1, out=pos)
     hit = np.flatnonzero(s_keys[pos] == t_keys)
     return hit, pos[hit]
-
-
-def _join_sorted(out_side: _Side, in_side: _Side, t_keys, idx):
-    """Merge join via one global searchsorted into the side's keys."""
-    hit, pos = _match_sorted(out_side.keys, t_keys)
-    sums = np.full(t_keys.size, np.inf)
-    # Distances are fetched for matched entries only, straight from
-    # the stores' arrays (quantized values upcast to float64 exactly).
-    sums[hit] = np.add(
-        out_side.dists[pos].astype(np.float64, copy=False),
-        in_side.dists[idx[hit]].astype(np.float64, copy=False),
-    )
-    return sums
 
 
 def _match_table(s_keys, t_keys, s_cuts, t_cuts, cells):
@@ -476,9 +592,9 @@ def _match_table(s_keys, t_keys, s_cuts, t_cuts, cells):
     hits, found = [], []
     for k in range(len(s_cuts) - 1):
         e0, e1 = t_cuts[k], t_cuts[k + 1]
-        if e0 == e1:
-            continue
         s0, s1 = s_cuts[k], s_cuts[k + 1]
+        if e0 == e1 or s0 == s1:
+            continue
         shift = np.int32(k * cells)
         table[s_keys[s0:s1] - shift] = np.arange(s0, s1, dtype=np.int32)
         want = t_keys[e0:e1]
@@ -486,33 +602,39 @@ def _match_table(s_keys, t_keys, s_cuts, t_cuts, cells):
         hit = (s_keys[at] == want).nonzero()[0]
         hits.append(hit + e0)
         found.append(at[hit])
+    if not hits:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32)
     return np.concatenate(hits), np.concatenate(found)
 
 
-def _join_local(out_side: _Side, in_side: _Side, S, T, idx, lens, seg0):
-    """Join against the batch's own sources when the side has no keys.
+def _join_tails(out: _Rows, inn: _Rows, base: int, S, T, res):
+    """Lower ``res[k]`` to the best tail sum of pair ``(S[k], T[k])``.
 
-    The label slices of the batch's distinct sources are gathered once
-    and packed as int32 keys ``row * base + pivot`` (``row`` numbers
-    the distinct sources in order), which is all the join needs and a
-    few hundred KB where the whole side's keys would be tens of MB.
-    Rows are taken in chunks whose packed range fits int32.  Returns
-    the per-entry sums, the join kind used and the number of rows.
+    The pairs are sorted by source.  The tails of the distinct sources
+    are gathered once and packed as int32 keys ``row * base + pivot``
+    (``row`` numbers the distinct sources in order) — a few hundred KB
+    that stay in cache however large the index — and the target tails,
+    keyed by their pair's row, are matched against them.  Rows are
+    taken in chunks whose packed range fits int32.  Returns the join
+    kind used, the number of rows and the target entries gathered.
     """
-    base = out_side.base
     new_source = _run_starts(S[1:] != S[:-1])
     rows = S[new_source]
     row_of = np.cumsum(new_source) - 1
-    sidx, slens, sseg0 = _expand(out_side, rows)
+    slens = out.tail_len[rows]
+    lens = inn.tail_len[T]
+    sidx, sseg0 = _expand(out.tail_start[rows], slens)
+    idx, seg0 = _expand(inn.tail_start[T], lens)
+    if not (sidx.size and idx.size):
+        return None, rows.size, idx.size
     s_starts = np.append(sseg0, sidx.size)
     t_starts = np.append(seg0, idx.size)
     pair_cuts = np.append(np.flatnonzero(new_source), len(S))
-    sums = np.full(idx.size, np.inf)
     block = _LOCAL_TABLE_ELEMS // base
     use_table = block > 0 and idx.size >= _TABLE_BLOCK_ENTRIES * (
         -(-rows.size // block) + _TABLE_SETUP_BLOCKS
     )
-    step = _INT32_MAX // base
+    step = max(_INT32_MAX // base, 1)
     for r0 in range(0, rows.size, step):
         r1 = min(r0 + step, rows.size)
         p0, p1 = pair_cuts[r0], pair_cuts[r1]
@@ -522,12 +644,12 @@ def _join_local(out_side: _Side, in_side: _Side, S, T, idx, lens, seg0):
             continue
         s_at = sidx[s0:s1]
         t_at = idx[e0:e1]
-        s_keys = out_side.pivots[s_at] + np.repeat(
+        s_keys = out.tail_piv[s_at] + np.repeat(
             np.arange(r1 - r0, dtype=np.int32) * np.int32(base),
             slens[r0:r1],
         )
-        t_keys = _shifted_keys(
-            in_side, t_at, lens[p0:p1], row_of[p0:p1] - r0, T[p0:p1]
+        t_keys = inn.tail_piv[t_at] + np.repeat(
+            ((row_of[p0:p1] - r0) * base).astype(np.int32), lens[p0:p1]
         )
         if use_table:
             cut = np.arange(r0, r1 + block, block)
@@ -540,42 +662,58 @@ def _join_local(out_side: _Side, in_side: _Side, S, T, idx, lens, seg0):
             )
         else:
             hit, pos = _match_sorted(s_keys, t_keys)
-        # Distances are fetched for matched entries only, straight from
-        # the stores' arrays (quantized values upcast to float64 exactly).
-        sums[e0:e1][hit] = np.add(
-            out_side.dists[s_at[pos]].astype(np.float64, copy=False),
-            in_side.dists[t_at[hit]].astype(np.float64, copy=False),
-        )
-    return sums, "local_table" if use_table else "local_sorted", rows.size
+        # Matches are few next to the entries gathered: reduce them
+        # alone, each into the pair that owns its target entry.
+        sums = out.tail_dist[s_at[pos]] + inn.tail_dist[t_at[hit]]
+        pair = np.searchsorted(t_starts, hit + e0, side="right") - 1
+        np.minimum.at(res, pair, sums)
+    return (
+        "local_table" if use_table else "local_sorted", rows.size, idx.size
+    )
 
 
-def _eval_sharded(store, S, T):
-    """Bucket global pairs by (source shard, target shard) and evaluate."""
-    los = np.asarray(store._los, dtype=np.int64)
-    sa = np.searchsorted(los, S, side="right") - 1
-    sb = np.searchsorted(los, T, side="right") - 1
-    res = np.empty(len(S), dtype=np.float64)
-    num = store.num_shards
-    for key in np.unique(sa * num + sb):
-        a, b = int(key) // num, int(key) % num
-        mask = (sa == a) & (sb == b)
-        out_side, _ = _sides(store.shards[a], store.n)
-        _, in_side = _sides(store.shards[b], store.n)
-        res[mask] = _eval(
-            out_side, in_side, S[mask] - los[a], T[mask] - los[b],
-            orient=False,
-        )
-    return res
+def _eval(view: _View, S, T):
+    """Distances for the global pairs ``(S[k], T[k])``, none with s == t.
 
+    On an undirected store pairs are flipped so the shorter tail is
+    the expanded one — valid because the two sides alias and ``dist``
+    is symmetric; the scalar dict probe plays the same trick, and both
+    orientations form the identical set of ``d1 + d2`` sums.  Ties go
+    by vertex id, so a mirrored ``(t, s)`` lands on ``(s, t)`` and the
+    dedupe below evaluates the two once.
+    """
+    n = view.n
+    with view.lock:
+        view.ensure_rows(S, T)
+        out, inn = view.out, view.inn
+        if not view.directed:
+            a, b = out.tail_len[S], out.tail_len[T]
+            flip = (b > a) | ((b == a) & (T > S))
+            S, T = np.where(flip, T, S), np.where(flip, S, T)
+        # One sort by the packed pair groups the batch by source *and*
+        # puts equal pairs side by side.
+        pair = S * n + T
+        order = np.argsort(pair)
+        pair = pair[order]
+        changes = pair[1:] != pair[:-1]
+        kept, slot = order, None
+        if not changes.all():
+            first = _run_starts(changes)
+            kept = order[first]
+            slot = np.cumsum(first) - 1  # sorted position -> distinct pair
+        S = S[kept]
+        T = T[kept]
 
-def _eval_store(store, S, T):
-    """Distances for global pairs with ``s != t`` on any supported store."""
-    from repro.oracle.sharding import ShardedLabelStore
-
-    if isinstance(store, ShardedLabelStore):
-        return _eval_sharded(store, S, T)
-    out_side, in_side = _sides(store, store.n)
-    return _eval(out_side, in_side, S, T, orient=not store.directed)
+        res = np.full(len(S), np.inf)
+        if view.hubs.size:
+            best = _hub_min(out.table, inn.table, S, T)
+            shared = best < _NO_ENTRY
+            res[shared] = best[shared]
+        kind, rows, gathered = _join_tails(out, inn, n, S, T, res)
+    _tally(len(order), len(S), 0, rows, gathered, kind)
+    answer = np.empty(len(order))
+    answer[order] = res if slot is None else res[slot]
+    return answer
 
 
 def batch_eval_arrays(store, S, T):
@@ -607,10 +745,10 @@ def batch_eval_arrays(store, S, T):
     if len(S) and ne.all():
         # No s == t pair to answer 0.0 (the usual batch): nothing to
         # mask out and scatter back around.
-        return _eval_store(store, S, T)
+        return _eval(_view(store), S, T)
     res = np.zeros(len(S), dtype=np.float64)
     if ne.any():
-        res[ne] = _eval_store(store, S[ne], T[ne])
+        res[ne] = _eval(_view(store), S[ne], T[ne])
     return res
 
 
@@ -626,5 +764,23 @@ def batch_eval(
     """
     if not pairs:
         return []
-    sq = np.asarray(pairs, dtype=np.int64)
-    return batch_eval_arrays(store, sq[:, 0], sq[:, 1]).tolist()
+    S, T = pair_columns(pairs)
+    return batch_eval_arrays(store, S, T).tolist()
+
+
+def pair_columns(pairs: Sequence[tuple[int, int]]):
+    """The int64 ``(sources, targets)`` columns of a list of pairs."""
+    try:
+        paired = set(map(len, pairs)) == {2}
+    except TypeError:
+        paired = False
+    if paired:
+        # Twice as fast as building the 2-D array, for the one shape
+        # it cannot misread; anything else fails (or is read) below
+        # exactly as it always was.
+        sq = np.fromiter(
+            chain.from_iterable(pairs), np.int64, 2 * len(pairs)
+        ).reshape(-1, 2)
+    else:
+        sq = np.asarray(pairs, dtype=np.int64)
+    return sq[:, 0], sq[:, 1]

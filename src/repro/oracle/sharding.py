@@ -134,7 +134,9 @@ class ShardedLabelStore:
     labels stay **global**, so cross-shard joins need no translation.
     """
 
-    __slots__ = ("n", "directed", "shards", "ranges", "rank", "_los", "_dirty")
+    __slots__ = (
+        "n", "directed", "shards", "ranges", "rank", "_los", "_dirty", "_view",
+    )
 
     def __init__(
         self,
@@ -160,6 +162,9 @@ class ShardedLabelStore:
                 raise ShardError("shards disagree on directedness")
         self._los = [lo for lo, _ in self.ranges]
         self._dirty: set[int] = set()
+        # The batch kernel's row cache over all shards
+        # (repro.oracle.kernel), created by the first batch.
+        self._view = None
         # Reassemble the global ranking when every shard carries its slice.
         if all(s.rank is not None for s in self.shards):
             rank: list[int] | None = []
@@ -256,6 +261,8 @@ class ShardedLabelStore:
         for i, d in per_shard.items():
             self.shards[i].apply_updates(d)
         self._dirty.update(per_shard)
+        if self._view is not None:
+            self._view.invalidate(delta)
         return sorted(per_shard)
 
     def reconcile(self, path) -> list[int]:
@@ -295,6 +302,9 @@ class ShardedLabelStore:
                     f"does not match store range [{lo}, {hi})"
                 )
         rewritten = sorted(self._dirty)
+        # The kernel's row cache views the shard arrays about to be
+        # swapped (and unmapped): the next batch starts a fresh one.
+        self._view = None
         for i in rewritten:
             entry = manifest["shards"][i]
             merged = self.shards[i].merged()
@@ -572,6 +582,7 @@ class ShardedLabelStore:
 
     def close(self) -> None:
         """Release every shard's file mapping (if any)."""
+        self._view = None  # holds numpy views of the mappings
         for shard in self.shards:
             shard.close()
 

@@ -16,7 +16,7 @@ kernel into one:
   block the batcher concatenates and the kernel consumes;
 * :mod:`repro.serve.shm` — :class:`SharedMemoryFanout`, the one
   worker pool: forked workers share the label arrays and the kernel's
-  packed key views copy-on-write, with queries and results in shared
+  row cache copy-on-write, with queries and results in shared
   mmap buffers, so nothing is pickled per batch.  Whether a batch goes
   there or is answered inline is decided in one place,
   :class:`repro.oracle.ParallelOracle`, which is also the backend

@@ -393,14 +393,21 @@ class DistanceServer:
     def stats(self) -> dict:
         """Wire, batcher, kernel and (when it has any) backend counters.
 
-        ``kernel`` is :func:`repro.oracle.kernel.stats` of this process:
-        batches a fork pool evaluated are counted in its workers.
+        ``kernel`` is :func:`repro.oracle.kernel.stats` of this process
+        (batches a fork pool evaluated are counted in its workers) and,
+        under ``view``, :func:`repro.oracle.kernel.view_info` of the
+        served store's row cache.
         """
         stats = {
             "n": self.n,
             "wire": dict(self.wire),
             "batcher": self.batcher.stats(),
-            "kernel": _kernel.stats(),
+            "kernel": {
+                **_kernel.stats(),
+                "view": _kernel.view_info(
+                    getattr(self.backend, "store", None)
+                ),
+            },
         }
         backend_stats = getattr(self.backend, "stats", None)
         if callable(backend_stats):

@@ -5,11 +5,12 @@ al. — see PAPERS.md), so a pool only pays when its workers share one
 physical copy of the labels instead of each holding (or being sent)
 their own.  This module is that pool, and the only one in the tree:
 
-* **labels**: the parent builds the kernel's packed key views once
-  (:func:`repro.oracle.kernel.ensure_sides`) and only then forks the
-  pool, so every worker inherits the store — its mmapped label files
-  *and* the derived key views — copy-on-write.  Workers never touch a
-  byte of label state through a pipe.
+* **labels**: the parent creates the kernel's row cache
+  (:func:`repro.oracle.kernel.ensure_sides` — the hub columns are
+  chosen once) and only then forks the pool, so every worker inherits
+  the store — its mmapped label files *and* every row the parent had
+  filled — copy-on-write, and fills the rows its own spans touch
+  after.  Workers never touch a byte of label state through a pipe.
 * **queries and results**: the pair columns and the distance results
   live in anonymous shared mappings (``mmap.mmap(-1, ...)`` maps
   ``MAP_SHARED``) created before the fork.  A task message is just a
@@ -145,8 +146,8 @@ class SharedMemoryFanout:
         self.pairs_served = 0
         self.batches_served = 0
         self.pool_failures = 0
-        # Build the packed key views BEFORE any fork, so children
-        # inherit them copy-on-write instead of rebuilding per worker.
+        # Create the row cache BEFORE any fork, so children inherit
+        # its hub columns (and rows filled so far) copy-on-write.
         _kernel.ensure_sides(store)
         self._pool: ProcessPoolExecutor | None = None
         self._capacity = 0
@@ -241,8 +242,7 @@ class SharedMemoryFanout:
         pairs = list(pairs)
         if not pairs:
             return []
-        sq = np.asarray(pairs, dtype=np.int64)
-        return self.query_batch_arrays(sq[:, 0], sq[:, 1]).tolist()
+        return self.query_batch_arrays(*_kernel.pair_columns(pairs)).tolist()
 
     def query_batch_arrays(self, S, T):
         """Distances for pair columns ``(S[k], T[k])`` as one f64 array.

@@ -1,12 +1,15 @@
 """Tests for the vectorized batch query kernel.
 
 The contract under test is simple and strict: for any store the kernel
-supports, any batch, and either join strategy, the answers are
-bit-identical to the scalar reference path (the shared probe helpers
-in :mod:`repro.core.flatstore`).
+supports, any batch, whatever its row cache holds and either join
+strategy, the answers are bit-identical to the scalar reference path
+(the shared probe helpers in :mod:`repro.core.flatstore`).
 """
 
+import multiprocessing
 import random
+import sys
+import threading
 from array import array
 from contextlib import contextmanager
 
@@ -14,9 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.dynamic import DynamicHopDoublingIndex
 from repro.core.flatstore import FlatLabelStore
 from repro.core.hybrid import HybridBuilder
+from repro.core.labels import LabelDelta
 from repro.core.quantized import QuantizedLabelStore
+from repro.graphs.digraph import Graph
 from repro.graphs.generators import glp_graph
 from repro.oracle import (
     DistanceOracle,
@@ -68,8 +74,8 @@ def work(call):
 def synth_store(lo, hi, special):
     """Vertices ``lo..hi`` with one-entry labels, ``special`` ones given.
 
-    Cheap to make large: what puts a side past the int32 key range is
-    its vertex count times the key base, not its label sizes.
+    Cheap to make large: what fills the int32 key range of a join is
+    the number of source rows times the vertex count, not label sizes.
     """
     offsets = array("q", [0])
     pivots = array("i")
@@ -126,12 +132,13 @@ class TestBitIdentity:
             flat.query(s, t) for s, t in pairs
         ]
 
-    def test_both_global_joins_match(self, flat):
-        # A batch gathering less than half the side's entries is
-        # binary-searched, a larger one scattered through the table.
+    def test_both_join_kinds_match(self, flat, monkeypatch):
+        # A batch whose tails would not pay for walking the probe
+        # table is binary-searched, a larger one goes through it.
         few = batch(flat.n, 4, seed=15, include_special=False)
         many = batch(flat.n, 1500, seed=15)
-        for pairs, join in ((few, "sorted"), (many, "dense")):
+        monkeypatch.setattr(kernel, "_TABLE_BLOCK_ENTRIES", 8)
+        for pairs, join in ((few, "local_sorted"), (many, "local_table")):
             got, did = work(lambda: kernel.batch_eval(flat, pairs))
             assert got == [flat.query(s, t) for s, t in pairs]
             assert did["joins"] == {join: 1}
@@ -149,11 +156,11 @@ class TestBitIdentity:
         assert kernel.batch_eval(flat, pairs) == expected
         assert kernel.batch_eval(q, pairs) == expected
 
-    def test_keyed_and_keyless_shards_join(self):
-        # Shards straddling the int32 key range: the small one has
-        # global keys, the big one is joined batch-locally, and a
-        # cross-shard pair puts one on each end of the same join.
-        n = 92_682  # 92_682^2 > 2^31, 1_000 * 92_682 < 2^31
+    def test_shards_of_a_large_index_join_once(self):
+        # Past n * n = 2^31 a shard directory still takes one join per
+        # batch: cross-shard pairs, their mirrors and same-shard pairs
+        # are rows of the same view.
+        n = 92_682
         split = 1_000
         s, t = 5, 50_000
         special = {
@@ -169,14 +176,11 @@ class TestBitIdentity:
         got, did = work(lambda: kernel.batch_eval(sharded, pairs))
         assert got == [sharded.query(a, b) for a, b in pairs]
         assert got[:2] == [2.0, 2.0]
-        # Four shard buckets: (0,1) and (0,0) join against the keyed
-        # shard, (1,0) and (1,1) against the key-less one.
-        assert did["joins"] == {"sorted": 2, "local_sorted": 2}
-        assert (did["pairs"], did["distinct_pairs"]) == (5, 4)
+        assert did["joins"] == {"local_sorted": 1}
+        assert (did["pairs"], did["distinct_pairs"]) == (5, 3)
+        assert did["rows_filled"] == 4
 
     def test_unreachable_pairs_inf(self):
-        from repro.graphs.digraph import Graph
-
         g = Graph.from_edges(4, [(0, 1), (2, 3)], directed=False)
         flat = FlatLabelStore.from_index(HybridBuilder(g).build().index)
         assert kernel.batch_eval(flat, [(0, 2), (1, 3), (0, 1)]) == [
@@ -218,6 +222,34 @@ class TestInputColumns:
             )
             assert got.tolist() == want
 
+    @pytest.mark.parametrize(
+        "pairs, error",
+        [
+            ([(1, 2), (3,)], ValueError),            # ragged
+            ([(1, 2), (3, 4, 5)], ValueError),
+            ([(1, 2, 3), (4,)], ValueError),         # sums to 2 per pair
+            ([(1,), (2,)], IndexError),              # one column
+            ([1, 2], IndexError),                    # not pairs at all
+            ([("a", 1)], ValueError),
+            ([(None, 1)], TypeError),
+            ([(2**70, 1)], OverflowError),
+        ],
+    )
+    def test_pair_lists_that_are_not_pairs_fail(self, flat, pairs, error):
+        with pytest.raises(error):
+            kernel.batch_eval(flat, pairs)
+
+    def test_pair_lists_read_as_before(self, flat):
+        # What the 2-D array conversion accepted stays accepted, read
+        # the same way: lists for tuples, numpy integers, whole floats,
+        # and the first two of three columns.
+        want = kernel.batch_eval(flat, [(1, 2), (3, 4)])
+        assert kernel.batch_eval(flat, [[1, 2], [3, 4]]) == want
+        assert kernel.batch_eval(
+            flat, [(np.int64(1), np.int32(2)), (3.0, 4)]
+        ) == want
+        assert kernel.batch_eval(flat, [(1, 2, 9), (3, 4, 9)]) == want
+
     def test_mismatched_columns_rejected(self, flat):
         with pytest.raises(ValueError, match="1-D and equal length"):
             kernel.batch_eval_arrays(flat, np.arange(3), np.arange(4))
@@ -241,20 +273,35 @@ def served():
     return made
 
 
+def tail_sizes(store):
+    """Per-vertex tail length (``[out, in]``): entries without a column."""
+    kernel.ensure_sides(store)
+    hubs = set(store._view.hubs.tolist())
+    return [
+        [sum(p not in hubs for p, _ in label(v)) for v in range(store.n)]
+        for label in (store.out_label, store.in_label)
+    ]
+
+
 def oriented(store, pairs):
-    """The distinct pairs an undirected flat store evaluates: each
-    ``s != t`` pair with its longer label first, as the kernel puts it."""
-    size = np.diff(np.asarray(store.out_offsets))
+    """The distinct pairs a store evaluates.
+
+    Each ``s != t`` pair as it stands on a directed store; on an
+    undirected one with its longer tail first (the larger vertex when
+    they tie), as the kernel puts it — so a pair and its mirror are one.
+    """
+    live = {(s, t) for s, t in pairs if s != t}
+    if store.directed:
+        return live
+    size = tail_sizes(store)[0]
     return {
-        (t, s) if size[t] > size[s] else (s, t)
-        for s, t in pairs if s != t
+        (t, s) if (size[t], t) > (size[s], s) else (s, t) for s, t in live
     }
 
 
-def forget_views(store):
-    """Drop the cached kernel views so patched constants take effect."""
-    for part in getattr(store, "shards", [store]):
-        part._np = None
+def forget_view(store):
+    """Drop the store's row cache: the next batch starts from nothing."""
+    store._view = None
 
 
 @st.composite
@@ -284,27 +331,14 @@ class TestDistinctWork:
         store = served[directed][kind]
         got, did = work(lambda: kernel.batch_eval(store, pairs))
         assert got == [store.query(s, t) for s, t in pairs]
-        live = [(s, t) for s, t in pairs if s != t]
-        assert did["pairs"] == len(live)
-        if kind == "sharded":
-            # Buckets are by (source shard, target shard): repeats
-            # share one, a mirror usually sits in another.
-            assert did["distinct_pairs"] >= len(
-                {(min(p), max(p)) for p in live}
-            )
-            assert did["distinct_pairs"] <= len(set(live))
-        elif directed:
-            assert did["distinct_pairs"] == len(set(live))
-        else:
-            assert did["distinct_pairs"] == len(oriented(store, pairs))
+        assert did["pairs"] == len([p for p in pairs if p[0] != p[1]])
+        assert did["distinct_pairs"] == len(oriented(store, pairs))
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("directed", [False, True], ids=["undir", "dir"])
     def test_one_pair_repeated_and_mirrored(self, served, directed, kind):
         store = served[directed][kind]
-        # Orientation tells a pair from its mirror by label length.
-        size = np.diff(np.asarray(served[directed]["v2"].out_offsets))
-        s, t = 3, next(v for v in range(71, 90) if size[v] != size[3])
+        s, t = 3, 71
         same = [(s, t)] * 40
         got, did = work(lambda: kernel.batch_eval(store, same))
         assert got == [store.query(s, t)] * 40
@@ -313,13 +347,15 @@ class TestDistinctWork:
         mirrored = [(s, t), (t, s)] * 20
         got, did = work(lambda: kernel.batch_eval(store, mirrored))
         assert got == [store.query(s, t), store.query(t, s)] * 20
-        merged = kind != "sharded" and not directed
-        assert did["distinct_pairs"] == (1 if merged else 2)
+        assert did["distinct_pairs"] == (2 if directed else 1)
 
-    def test_zipf_like_batch_reports_its_sharing(self, served):
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("directed", [False, True], ids=["undir", "dir"])
+    def test_zipf_like_batch_reports_its_sharing(self, served, directed, kind):
         # Half the batch repeats eleven popular pairs: the counters
-        # show the kernel gathered for the distinct ones only.
-        store = served[False]["v2"]
+        # show the kernel gathered for the distinct ones only, and
+        # only what the hub table does not hold.
+        store = served[directed][kind]
         hot = [(k, 80 - k) for k in range(11)]
         pairs = batch(store.n, 300, seed=31, include_special=False)
         pairs += [hot[k % 11] for k in range(300)]
@@ -327,87 +363,74 @@ class TestDistinctWork:
         got, did = work(lambda: kernel.batch_eval(store, pairs))
         assert got == [store.query(s, t) for s, t in pairs]
         assert did["distinct_pairs"] <= did["pairs"] - 289
-        lens = np.diff(np.asarray(store.out_offsets))
         distinct = oriented(store, pairs)
         assert did["distinct_pairs"] == len(distinct)
-        assert did["gathered_entries"] == sum(
-            min(lens[s], lens[t]) for s, t in distinct
+        assert store._view.hubs.size > 0
+        in_tail = tail_sizes(store)[1]
+        assert did["gathered_entries"] == sum(in_tail[t] for _, t in distinct)
+        assert did["gathered_entries"] < sum(
+            len(store.in_label(t)) for _, t in distinct
         )
-        # Joined against the store's global keys: no source row is
-        # gathered, whatever the batch shares.
-        assert did["source_rows"] == 0
+        # One gathered row per distinct source, however many pairs and
+        # repeats leave from it.
+        assert did["source_rows"] == len({s for s, _ in distinct})
 
 
-class TestKeylessSides:
-    """The batch-local join, forced onto small graphs.
+class TestRowChunks:
+    """The join's int32 row chunks and both matchers, on small graphs.
 
-    Lowering the int32 threshold makes every side key-less, exactly as
-    a 70k-vertex index is with the real one; the same constant bounds
-    the packed range of a row chunk.
+    Lowering the int32 limit makes a chunk hold a few rows, exactly as
+    23,170 rows fill one on a 92,682-vertex index with the real limit.
     """
 
     @staticmethod
     @contextmanager
-    def keyless(served, rows_per_chunk, table):
-        """Patch the kernel so every side here is key-less; yields the
-        join kind that must then serve every batch."""
-        stores = [s for by_kind in served.values() for s in by_kind.values()]
+    def chunked(rows_per_chunk, table):
+        """Patch the kernel so a chunk holds ``rows_per_chunk`` rows of
+        90-wide keys; yields the join kind that must then serve."""
         with pytest.MonkeyPatch.context() as patch:
-            # n_local * base passes the limit for every store (shards
-            # of 30 vertices included), and a chunk holds
-            # rows_per_chunk rows of base-wide keys.
-            assert rows_per_chunk < 30
             patch.setattr(kernel, "_INT32_MAX", 90 * rows_per_chunk)
             if table:
                 # Two rows per table block, and no batch too small.
                 patch.setattr(kernel, "_LOCAL_TABLE_ELEMS", 2 * 90)
                 patch.setattr(kernel, "_TABLE_BLOCK_ENTRIES", 0)
-            for store in stores:
-                forget_views(store)
-            try:
-                yield "local_table" if table else "local_sorted"
-            finally:
-                for store in stores:
-                    forget_views(store)
+            yield "local_table" if table else "local_sorted"
 
     @pytest.mark.parametrize("table", [False, True], ids=["sorted", "table"])
     @pytest.mark.parametrize("rows_per_chunk", [29, 5, 1])
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("directed", [False, True], ids=["undir", "dir"])
-    def test_local_join_matches_scalar(
+    def test_chunked_join_matches_scalar(
         self, served, directed, kind, rows_per_chunk, table
     ):
         store = served[directed][kind]
         pairs = batch(90, 700, seed=41)
-        with self.keyless(served, rows_per_chunk, table) as join:
+        with self.chunked(rows_per_chunk, table) as join:
             got, did = work(lambda: kernel.batch_eval(store, pairs))
         assert got == [store.query(s, t) for s, t in pairs]
         assert set(did["joins"]) == {join}
         assert did["distinct_pairs"] < did["pairs"]
-        if kind != "sharded":
-            # One gathered row per distinct source, however many pairs
-            # and repeats leave from it.
-            sources = {s for s, t in pairs if s != t}
-            if not directed:
-                sources = {s for s, t in oriented(store, pairs)}
-            assert did["source_rows"] == len(sources)
+        assert did["source_rows"] == len(
+            {s for s, _ in oriented(store, pairs)}
+        )
 
     @settings(max_examples=40, deadline=None)
     @given(pairs=duplicate_heavy_batches(), table=st.booleans(),
            rows_per_chunk=st.sampled_from([29, 3]),
            kind=st.sampled_from(KINDS))
-    def test_differential_keyless(
+    def test_differential_chunked(
         self, served, pairs, table, rows_per_chunk, kind
     ):
         store = served[False][kind]
-        with self.keyless(served, rows_per_chunk, table):
+        with self.chunked(rows_per_chunk, table):
             got = kernel.batch_eval(store, pairs)
         assert got == [store.query(s, t) for s, t in pairs]
 
     def test_rows_chunked_at_the_real_int32_range(self):
         # 92,682-wide keys: 23,170 rows fill int32, so 60,000 distinct
         # sources take three chunks.  Every vertex from 30,000 up
-        # shares one hub, which the cross-chunk pairs must find.
+        # shares one hub — a column, so the table finds it whatever
+        # chunk the pair's tails are joined in.
         n = 92_682
         assert kernel._INT32_MAX // n < 30_000
         hub = 11
@@ -420,6 +443,7 @@ class TestKeylessSides:
         T = S + 1
         T[::7] = 100  # no common pivot: unreachable
         got, did = work(lambda: kernel.batch_eval_arrays(store, S, T))
+        assert store._view.hubs.tolist() == [hub]
         assert did["source_rows"] > 2 * (kernel._INT32_MAX // n)
         assert set(did["joins"]) == {"local_sorted"}
         probe = range(0, len(S), 97)
@@ -428,6 +452,252 @@ class TestKeylessSides:
         ]
         reachable = np.isfinite(got)
         assert reachable.sum() > 40_000 and (~reachable).sum() > 8_000
+
+
+def star_with_a_far_leaf(far):
+    """Hub 0 one step from 100 leaves and ``far`` from the last one."""
+    edges = [(0, v, 1.0) for v in range(1, 100)] + [(0, 100, far)]
+    g = Graph.from_edges(101, edges, directed=False, weighted=True)
+    return FlatLabelStore.from_index(HybridBuilder(g).build().index)
+
+
+def all_pairs(n):
+    return [(s, t) for s in range(n) for t in range(n)]
+
+
+def table_cells(store):
+    """Every cell of the filled rows of the store's hub table."""
+    rows = store._view.out
+    return rows.table[rows.filled]
+
+
+class TestRowCache:
+    """What the cache holds, when it is refilled, and what never enters."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("directed", [False, True], ids=["undir", "dir"])
+    def test_updates_refill_only_the_staged_rows(self, directed, kind):
+        g = glp_graph(90, seed=5, directed=directed)
+        flat = FlatLabelStore.from_index(HybridBuilder(g).build().index)
+        store = {
+            "v2": lambda: flat,
+            "v3": lambda: QuantizedLabelStore.from_flat(flat),
+            "sharded": lambda: ShardedLabelStore.split(flat, 3),
+        }[kind]()
+        dyn = DynamicHopDoublingIndex.from_store(flat, graph=g)
+        pairs = all_pairs(90)
+        sides = 2 if directed else 1
+        got, did = work(lambda: kernel.batch_eval(store, pairs))
+        assert got == [dyn.query(s, t) for s, t in pairs]
+        assert did["rows_filled"] == 90 * sides
+        rng = random.Random(7)
+        for _ in range(3):
+            dyn.insert_edges(
+                [(rng.randrange(90), rng.randrange(90)) for _ in range(4)]
+            )
+            delta = dyn.pop_label_delta()
+            store.apply_updates(delta)
+            got, did = work(lambda: kernel.batch_eval(store, pairs))
+            assert got == [dyn.query(s, t) for s, t in pairs]
+            assert 0 < did["rows_filled"] == len(delta) < 90 * sides
+            assert kernel.view_info(store)["rows_resident"] == 90 * sides
+        # A second view built over the overlay reads the same labels.
+        forget_view(store)
+        assert kernel.batch_eval(store, pairs) == got
+
+    def test_fractional_distances_stay_in_the_tails(self):
+        edges = [(0, v, 0.5) for v in range(1, 60)]
+        edges += [(v, v + 1, 1.25) for v in range(1, 59)]
+        g = Graph.from_edges(60, edges, directed=False, weighted=True)
+        flat = FlatLabelStore.from_index(HybridBuilder(g).build().index)
+        for store in (flat, QuantizedLabelStore.from_flat(flat)):
+            kernel.ensure_sides(store)
+            assert 0 in store._view.hubs  # common, until a label is read
+            pairs = all_pairs(60)
+            assert kernel.batch_eval(store, pairs) == [
+                flat.query(s, t) for s, t in pairs
+            ]
+            assert 0 not in store._view.hubs
+            assert (table_cells(store) == kernel._NO_ENTRY).all()
+
+    def test_a_distance_too_large_for_a_cell_retires_its_column(self):
+        for far in (63.0, 64.0, 300.0):
+            store = star_with_a_far_leaf(far)
+            near = all_pairs(50)
+            got, did = work(lambda: kernel.batch_eval(store, near))
+            assert got == [store.query(s, t) for s, t in near]
+            assert did["rows_filled"] == 50
+            assert 0 in store._view.hubs
+            pairs = all_pairs(101)
+            got, did = work(lambda: kernel.batch_eval(store, pairs))
+            assert got == [store.query(s, t) for s, t in pairs]
+            assert got[pairs.index((1, 100))] == far + 1
+            fits = far <= kernel._MAX_CELL
+            assert (0 in store._view.hubs) == fits
+            # Retiring the column empties the cache: the rows filled
+            # with it are filled again without it.
+            assert did["rows_filled"] == (51 if fits else 101)
+            cells = table_cells(store)
+            assert cells[cells != kernel._NO_ENTRY].max(initial=0) == (
+                far if fits else 0
+            )
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_columns_retired_between_batches(self, seed):
+        # Integer weights up to 40 put some distances on either side of
+        # a cell's range, and the batches arrive in pieces: a column is
+        # retired with part of the cache already filled through it.
+        rng = random.Random(seed)
+        n = 120
+        edges = [(rng.randrange(n), rng.randrange(n),
+                  float(rng.choice([1, 2, 40]))) for _ in range(3 * n)]
+        directed = seed % 2 == 1
+        g = Graph.from_edges(n, edges, directed=directed, weighted=True)
+        flat = FlatLabelStore.from_index(HybridBuilder(g).build().index)
+        pairs = batch(n, 1200, seed=seed)
+        retired = 0
+        for store in (flat, QuantizedLabelStore.from_flat(flat),
+                      ShardedLabelStore.split(flat, 3)):
+            for lo in range(0, len(pairs), 20):
+                piece = pairs[lo : lo + 20]
+                if lo:
+                    columns = store._view.hubs.size
+                assert kernel.batch_eval(store, piece) == [
+                    flat.query(s, t) for s, t in piece
+                ]
+                retired += lo > 0 and store._view.hubs.size < columns
+        assert retired
+
+    def test_no_pivot_common_enough_for_a_column(self):
+        store = synth_store(0, 100, {7: [(3, 2.0), (7, 0.0)],
+                                     9: [(3, 1.0), (9, 0.0)]})
+        pairs = [(7, 9), (9, 7), (7, 3), (1, 2), (4, 4)] * 3
+        assert kernel.batch_eval(store, pairs) == [
+            store.query(s, t) for s, t in pairs
+        ]
+        assert kernel.view_info(store)["hub_columns"] == 0
+        assert kernel.batch_eval(store, pairs)[:5] == [
+            3.0, 3.0, 2.0, float("inf"), 0.0,
+        ]
+
+    def test_full_arena_empties_the_cache(self, flat):
+        store = FlatLabelStore.from_index(flat.to_index())
+        pairs = all_pairs(store.n)
+        want = kernel.batch_eval(store, pairs)
+        restated = LabelDelta(
+            store.n, store.directed,
+            {v: store.out_label(v) for v in range(0, store.n, 2)},
+            {v: store.in_label(v) for v in range(0, store.n, 2)},
+        )
+        if not store.directed:
+            restated.inn = restated.out
+        resets = 0
+        for _ in range(12):
+            # Every round leaves half the tails behind as garbage.
+            store.apply_updates(restated)
+            got, did = work(lambda: kernel.batch_eval(store, pairs))
+            assert got == want
+            info = kernel.view_info(store)
+            if info["arena_resets"] > resets:
+                resets = info["arena_resets"]
+                assert did["rows_filled"] == info["rows_resident"]
+            else:
+                assert did["rows_filled"] == len(restated)
+        assert resets >= 1
+
+    def test_v3_rows_are_decoded_on_first_touch_only(self, flat):
+        q = QuantizedLabelStore.from_flat(flat)
+        first = batch(q.n, 40, seed=51, include_special=False)
+        second = batch(q.n, 40, seed=52, include_special=False)
+        sides = 2 if q.directed else 1
+        _, did = work(lambda: kernel.batch_eval(q, first))
+        touched = {v for pair in first for v in pair}
+        assert 0 < did["rows_filled"] <= sides * len(touched)
+        assert kernel.view_info(q)["rows_resident"] == did["rows_filled"]
+        _, did = work(lambda: kernel.batch_eval(q, first))
+        assert did["rows_filled"] == 0
+        _, did = work(lambda: kernel.batch_eval(q, second))
+        new = {v for pair in second for v in pair} - touched
+        assert did["rows_filled"] <= sides * len(new)
+
+    def test_view_info_before_the_first_batch(self, flat):
+        store = FlatLabelStore.from_index(flat.to_index())
+        assert kernel.view_info(store) is None
+        kernel.ensure_sides(store)
+        info = kernel.view_info(store)
+        assert info["hub_columns"] > 0
+        assert (info["rows_resident"], info["tail_entries"]) == (0, 0)
+
+
+class TestConcurrency:
+    def test_two_threads_share_one_store(self, flat):
+        store = FlatLabelStore.from_index(flat.to_index())
+        batches = [batch(store.n, 400, seed=60 + k) for k in range(6)]
+        want = [[store.query(s, t) for s, t in b] for b in batches]
+        got = {}
+
+        def worker(name):
+            got[name] = [kernel.batch_eval(store, b) for b in batches]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(k,)) for k in range(3)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == {k: want for k in range(3)}
+        assert kernel.view_info(store)["rows_resident"] <= (
+            store.n * (2 if store.directed else 1)
+        )
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs the fork start method",
+    )
+    def test_fork_while_another_thread_holds_the_locks(self, flat):
+        # Regression: a child forked while some thread of the parent is
+        # inside an evaluation inherits the kernel's locks locked, with
+        # nobody to release them; its first batch hung.
+        pairs = batch(flat.n, 300, seed=70)
+        want = kernel.batch_eval(flat, pairs)
+        view = flat._view
+        held, release = threading.Event(), threading.Event()
+
+        def hold():
+            with view.lock, kernel._STATS_LOCK, kernel._VIEWS_LOCK:
+                held.set()
+                release.wait(60)
+
+        def child():
+            fresh = FlatLabelStore.from_index(flat.to_index())
+            same = kernel.batch_eval(flat, pairs) == want
+            sys.exit(0 if same and kernel.batch_eval(fresh, pairs) == want
+                     else 1)
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        try:
+            assert held.wait(10)
+            proc = multiprocessing.get_context("fork").Process(target=child)
+            proc.start()
+            proc.join(30)
+            hung = proc.is_alive()
+            if hung:
+                proc.kill()
+                proc.join(10)
+        finally:
+            release.set()
+            holder.join(10)
+        assert not hung
+        assert proc.exitcode == 0
+        assert kernel.batch_eval(flat, pairs) == want
 
 
 class TestEvaluateBatchIntegration:

@@ -195,11 +195,18 @@ def test_stats_op_reports_kernel_counters(flat):
         finally:
             await client.aclose()
 
-    before, after = _serve(flat, scenario)
+    # A store no batch has touched: its row cache starts empty.
+    fresh = type(flat).from_index(flat.to_index())
+    before, after = _serve(fresh, scenario)
     assert after["pairs"] - before["pairs"] == 10
     assert after["distinct_pairs"] - before["distinct_pairs"] == 1
-    assert after["gathered_entries"] > before["gathered_entries"]
-    assert sum(after["joins"].values()) - sum(before["joins"].values()) == 1
+    # Both endpoints' rows were filled for it, one source row keyed.
+    assert after["rows_filled"] - before["rows_filled"] == 2
+    assert after["source_rows"] - before["source_rows"] == 1
+    assert sum(after["joins"].values()) - sum(before["joins"].values()) <= 1
+    assert before["view"] is None
+    assert after["view"]["rows_resident"] == 2
+    assert after["view"]["hub_columns"] > 0
 
 
 def test_stats_op_reports_shard_hits_of_a_live_pool(
