@@ -12,7 +12,10 @@ enforces:
 * the **>= 2x wall-clock floor** for the vectorized array engine over
   the reference dict engine.  The speedup is single-process
   vectorization (measured ~4-5x on CPython 3.11), so the floor holds
-  on single-core runners too.
+  on single-core runners too;
+* **build -> file**: ``HopDoublingIndex.build(engine="array")`` plus
+  ``save(format="v3")`` timed end to end (what a user waits for), the
+  file byte-identical to the one the dict engine's index packs into.
 
 Every run records its measurements in ``BENCH_build_throughput.json``
 (uploaded as a CI artifact), so the construction-speed trajectory is
@@ -28,6 +31,7 @@ import pytest
 
 from repro.bench.export import write_bench_json
 from repro.core.hybrid import make_builder
+from repro.core.index import HopDoublingIndex
 from repro.graphs.generators import ba_graph
 
 np = pytest.importorskip("numpy", reason="the array build engine requires numpy")
@@ -60,6 +64,18 @@ def builds(graph):
     dict_result, dict_seconds = _timed_build(graph, engine="dict")
     array_result, array_seconds = _timed_build(graph, engine="array")
     return dict_result, dict_seconds, array_result, array_seconds
+
+
+@pytest.fixture(scope="module")
+def to_file(graph, tmp_path_factory):
+    """Array build straight into a v3 file: path, total and pack seconds."""
+    path = tmp_path_factory.mktemp("build") / "array.v3"
+    t0 = time.perf_counter()
+    index = HopDoublingIndex.build(graph, engine="array")
+    t1 = time.perf_counter()
+    index.save(path, format="v3")
+    t2 = time.perf_counter()
+    return path, t2 - t0, t2 - t1
 
 
 def _counters(result):
@@ -97,9 +113,18 @@ def test_parallel_build_bit_identical(graph, builds):
     assert _counters(parallel_result) == _counters(array_result)
 
 
-def test_build_speedup_floor_and_export(graph, builds):
+def test_build_to_file_matches_dict_engine(builds, to_file, tmp_path):
+    """The arrays the build hands the packer are the dict engine's file."""
+    dict_result, _, _, _ = builds
+    reference = tmp_path / "dict.v3"
+    HopDoublingIndex(dict_result.index).save(reference, format="v3")
+    assert to_file[0].read_bytes() == reference.read_bytes()
+
+
+def test_build_speedup_floor_and_export(graph, builds, to_file):
     """The acceptance criterion: array engine >= 2x dict wall-clock."""
     dict_result, dict_seconds, array_result, array_seconds = builds
+    _, build_to_file_seconds, pack_seconds = to_file
     speedup = dict_seconds / array_seconds
     write_bench_json(
         "build_throughput",
@@ -111,6 +136,8 @@ def test_build_speedup_floor_and_export(graph, builds):
             "total_entries": array_result.index.total_entries(),
             "dict_build_seconds": round(dict_seconds, 3),
             "array_build_seconds": round(array_seconds, 3),
+            "build_to_file_seconds": round(build_to_file_seconds, 3),
+            "pack_seconds": round(pack_seconds, 4),
             "speedup": round(speedup, 3),
             "floor": MIN_SPEEDUP,
             "cores": _CORES,

@@ -63,38 +63,48 @@ from repro.utils.timer import format_duration
 def _resolve_engine(engine: str, jobs: int) -> tuple[str, int] | None:
     """Turn the CLI engine choice into builder kwargs (None = error).
 
-    ``auto`` prefers the vectorized array engine and falls back to the
-    reference dict engine when numpy is unavailable (forcing ``jobs``
-    back to 1, since the dict engine is single-process).  The probe
-    runs here, before the graph load, so a misconfigured invocation
-    fails fast.  Both engines build bit-identical indexes.
+    The rule is :func:`repro.core.engine.resolve_engine`'s (``auto`` =
+    array when numpy imports, else dict); this wrapper only words the
+    outcome for a command line.  An ``auto`` that falls back to the
+    single-process dict engine forces ``jobs`` back to 1.  It runs
+    before the graph load, so a misconfigured invocation fails fast.
     """
-    if engine in ("auto", "array"):
-        try:
-            import numpy  # noqa: F401
-        except ImportError:
-            if engine == "array":
-                print(
-                    "error: --engine array requires numpy; install it or "
-                    "use --engine dict",
-                    file=sys.stderr,
-                )
-                return None
-            if jobs > 1:
-                print(
-                    "warning: numpy unavailable; falling back to the dict "
-                    "engine (single-process, --jobs ignored)",
-                    file=sys.stderr,
-                )
-            return "dict", 1
-        return "array", jobs
-    if jobs > 1:
+    from repro.core.engine import resolve_engine
+
+    try:
+        resolved = resolve_engine(engine)
+    except ValueError:
         print(
-            "error: --jobs > 1 requires --engine array",
+            "error: --engine array requires numpy; install it or "
+            "use --engine dict",
             file=sys.stderr,
         )
         return None
-    return engine, jobs
+    if resolved == "dict" and jobs > 1:
+        if engine == "dict":
+            print(
+                "error: --jobs > 1 requires --engine array",
+                file=sys.stderr,
+            )
+            return None
+        print(
+            "warning: numpy unavailable; falling back to the dict "
+            "engine (single-process, --jobs ignored)",
+            file=sys.stderr,
+        )
+        jobs = 1
+    return resolved, jobs
+
+
+def _print_round(it) -> None:
+    """One stderr line per finished build round (``IterationStats``)."""
+    print(
+        f"round {it.iteration} ({it.mode}): "
+        f"{it.distinct_generated} candidates, {it.admitted} admitted, "
+        f"{it.survived} survived, {it.total_entries} entries, "
+        f"{format_duration(it.elapsed)}",
+        file=sys.stderr,
+    )
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
@@ -122,6 +132,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
             ranking=args.ranking,
             engine=engine,
             jobs=jobs,
+            on_round=_print_round,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

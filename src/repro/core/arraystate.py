@@ -17,6 +17,22 @@ struct-of-arrays instead:
   ``two_hop_bound``'s ``exclude_pivot`` suppresses — so leaving them
   out makes the vectorized bound equal the dict engine's excluded
   bound by construction (they are re-added when freezing);
+* **the state is columnar from the graph to the file**.  The adjacency
+  is read once into arc columns (:func:`arc_columns`) that seed the
+  state and, later, the stepping partners; a round's staged overlay is
+  built straight from the deduplicated candidate columns; and
+  :meth:`ArrayLabelState.freeze` merges the self entries into each
+  sorted side with one ``searchsorted`` + ``insert`` per array, giving
+  the v2-layout CSR arrays the frozen
+  :class:`~repro.core.labels.LabelIndex` holds and the v2/v3 packers
+  take as they are.  No per-entry Python object exists anywhere on
+  that path;
+* **the pruning test gathers only possible witnesses**.  Both legs of
+  a witness route are strictly shorter than the candidate, so a side
+  whose shortest entry is not is *inert* and is neither expanded nor
+  probed (:meth:`ArrayLabelState.prunable` has the argument) — in a
+  Hop-Stepping round on an unweighted graph that is the whole staged
+  overlay;
 * each iteration publishes a read-only :class:`LabelSnapshot` /
   :class:`EdgeSnapshot` — per-vertex partner arrays re-sorted by
   pivot *rank* so the minimized rules' "ranked between" filters become
@@ -38,10 +54,12 @@ turns into a friendly "use engine='dict'" error.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Sequence
 
 import numpy as np
 
+from repro.core.flatstore import FlatLabelStore, frozen_views
 from repro.core.labels import (
     DirectedLabelState,
     LabelIndex,
@@ -93,6 +111,32 @@ def expand_segments(
         (starts - seg0).astype(idt, copy=False), counts
     )
     return reps, pos
+
+
+def arc_columns(graph: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every stored arc as ``(source, target, weight)`` columns.
+
+    One bulk read of the adjacency lists, in vertex then list order
+    (both directions of an undirected edge, like the lists).  The
+    iteration-1 seed and the stepping partners are both derived from
+    these columns, so the graph is walked in Python once per build.
+    """
+    n = graph.num_vertices
+    degree = np.fromiter(map(graph.out_degree, range(n)), np.int64, n)
+    arcs = int(degree.sum())
+    src = np.repeat(np.arange(n, dtype=np.int64), degree)
+    tgt = np.fromiter(
+        chain.from_iterable(map(graph.out_neighbors, range(n))), np.int64, arcs
+    )
+    if graph.weighted:
+        wt = np.fromiter(
+            chain.from_iterable(map(graph.out_weights, range(n))),
+            np.float64,
+            arcs,
+        )
+    else:
+        wt = np.ones(arcs)
+    return src, tgt, wt
 
 
 @dataclass
@@ -268,25 +312,21 @@ class EdgeSnapshot:
     out_key: np.ndarray
 
     @classmethod
-    def from_graph(cls, graph: Graph, rank: np.ndarray) -> "EdgeSnapshot":
-        """Pack a graph's adjacency into the rank-keyed CSR views.
+    def from_arcs(
+        cls,
+        n: int,
+        directed: bool,
+        rank: np.ndarray,
+        src: np.ndarray,
+        tgt: np.ndarray,
+        wt: np.ndarray,
+    ) -> "EdgeSnapshot":
+        """Pack :func:`arc_columns` into the rank-keyed CSR views.
 
         Built once per index construction (the edges never change);
         ``rank`` is the vertex importance order the rule filters
         compare against.
         """
-        n = graph.num_vertices
-        src: list[int] = []
-        tgt: list[int] = []
-        wt: list[float] = []
-        for u in range(n):
-            for v, w in graph.out_edges(u):
-                src.append(u)
-                tgt.append(v)
-                wt.append(w)
-        src_a = np.asarray(src, np.int64)
-        tgt_a = np.asarray(tgt, np.int64)
-        wt_a = np.asarray(wt, np.float64)
 
         def csr(owner, nbr, weight):
             order = np.lexsort((rank[nbr], owner))
@@ -295,15 +335,15 @@ class EdgeSnapshot:
             key = owner * n + rank[nbr]
             return off, nbr, weight, key
 
-        out_off, out_tgt, out_wt, out_key = csr(src_a, tgt_a, wt_a)
-        if graph.directed:
-            in_off, in_src, in_wt, in_key = csr(tgt_a, src_a, wt_a)
+        out_off, out_tgt, out_wt, out_key = csr(src, tgt, wt)
+        if directed:
+            in_off, in_src, in_wt, in_key = csr(tgt, src, wt)
         else:
             # Undirected adjacency lists already contain both endpoints.
             in_off, in_src, in_wt, in_key = out_off, out_tgt, out_wt, out_key
         return cls(
             n=n,
-            directed=graph.directed,
+            directed=directed,
             rank=rank,
             in_off=in_off,
             in_src=in_src,
@@ -427,17 +467,27 @@ class ArrayLabelState:
         directed: bool,
         entries: Sequence[tuple[int, int, float, int]],
     ) -> "ArrayLabelState":
-        """Seed from the iteration-1 ``(a, b, dist, hops)`` entries.
+        """Seed from ``(a, b, dist, hops)`` tuples (see :meth:`from_block`)."""
+        return cls.from_block(rank, directed, PrevBlock.from_lists(entries))
+
+    @classmethod
+    def from_block(
+        cls, rank: Sequence[int], directed: bool, block: PrevBlock
+    ) -> "ArrayLabelState":
+        """Seed from the iteration-1 entries.
 
         Entries must already be deduplicated (one value per pair) and,
         for undirected states, normalized to ``(owner, pivot)``.
         """
         state = cls(rank, directed)
-        block = PrevBlock.from_lists(entries)
-        if len(block) == 0:
-            return state
-        for side, mask, owners, pivs in state._side_groups(block.a, block.b):
-            side.insert(owners[mask], pivs[mask], block.dist[mask], block.hops[mask])
+        sides = [
+            SideArrays(
+                state.n, owners[mask], pivs[mask], block.dist[mask], block.hops[mask]
+            )
+            for _, mask, owners, pivs in state._side_groups(block.a, block.b)
+        ]
+        state.out = sides[0]
+        state.inn = sides[-1]
         return state
 
     def _side_groups(self, a: np.ndarray, b: np.ndarray):
@@ -451,10 +501,6 @@ class ArrayLabelState:
         return ((self.out, np.ones(a.size, dtype=bool), a, b),)
 
     # -- snapshots -----------------------------------------------------
-    def edge_snapshot(self, graph: Graph) -> EdgeSnapshot:
-        """The static stepping-partner arrays for ``graph``."""
-        return EdgeSnapshot.from_graph(graph, self.rank)
-
     def label_snapshot(self) -> LabelSnapshot:
         """Read-only doubling partners for the current labels."""
         rank = self.rank
@@ -738,14 +784,10 @@ class ArrayLabelState:
         for the doomed majority.  The admitted mask and the eventual
         state are bit-identical to the immediate :meth:`admit` path.
         """
-        staged_out = SideArrays.empty(self.n)
-        staged_inn = SideArrays.empty(self.n) if self.directed else staged_out
-        staged = (staged_out, staged_inn)
+        staged = []
         admitted = np.zeros(a.size, dtype=bool)
         for i, (side, mask, owners, pivs) in enumerate(self._side_groups(a, b)):
             o = owners[mask]
-            if o.size == 0:
-                continue
             p = pivs[mask]
             d = dist[mask]
             h = hops[mask]
@@ -754,11 +796,11 @@ class ArrayLabelState:
             if found.any():
                 better[found] = d[found] < side.dist[pos[found]]
             keep = ~found | better
-            staged[i].insert(o[keep], p[keep], d[keep], h[keep])
+            staged.append(SideArrays(self.n, o[keep], p[keep], d[keep], h[keep]))
             admitted[mask] = keep
             if self._touched is not None:
                 self._touched[i].update(o[keep].tolist())
-        self._staged = staged
+        self._staged = (staged[0], staged[-1])
         return admitted
 
     def commit_staged(
@@ -806,10 +848,26 @@ class ArrayLabelState:
         runs over non-trivial entries only, which is exactly what the
         exclusion admits (see the module docstring).  Like the dict
         bound, the smaller of the two labels is expanded and the
-        larger probed; partner entries at distance ``>= dist`` are
-        dropped before the probe (edge weights are positive, so they
-        cannot complete a route of length ``<= dist``).  Evaluated in
-        blocks to bound peak memory.
+        larger probed.  Evaluated in blocks to bound peak memory.
+
+        **Only possible witnesses are gathered.**  A witness route
+        needs ``d1 + d2 <= dist`` with both legs positive (edge weights
+        are validated positive and trivial self entries are not
+        stored), hence ``d1 < dist`` and ``d2 < dist``.  Expanded
+        entries at distance ``>= dist`` are dropped before the probe,
+        and a whole side — base or staged overlay, expanded or probed —
+        whose *shortest* entry is not below a block's largest candidate
+        distance is **inert** for that block and is neither expanded
+        nor probed: every row it would contribute fails one of the two
+        inequalities, so the doomed mask cannot change (what the
+        per-entry filter has always assumed holds for the side rule
+        too: no leg is so short that adding it to the other rounds
+        away, i.e. distances stay within 2**53 of each other).  Inert
+        sides do not count towards the label sizes that pick the
+        expansion side either.  In a Hop-Stepping round on an
+        unweighted graph every candidate, and so every staged entry,
+        has distance exactly ``i``: the overlay is inert for the whole
+        round.  Each side's minimum is taken once per call.
 
         Large blocks probe through a cache-resident epoch-stamped
         scatter table (pairs sorted by probe owner, the probed side's
@@ -821,23 +879,31 @@ class ArrayLabelState:
         outcome — and the bit-identity with the dict engine — does not
         depend on the join strategy.
         """
-        out, inn = self.out, self.inn
-        n = self.n
-        if self._staged is not None:
-            staged_out, staged_inn = self._staged
-        else:
-            staged_out = staged_inn = None
         best = np.full(a.size, np.inf)
-        size_a = out.off[a + 1] - out.off[a]
-        size_b = inn.off[b + 1] - inn.off[b]
-        if staged_out is not None:
-            size_a = size_a + (staged_out.off[a + 1] - staged_out.off[a])
-            size_b = size_b + (staged_inn.off[b + 1] - staged_inn.off[b])
-        expand_out = size_a <= size_b
-        block_rows = PRUNE_TABLE_ELEMS // max(n, 1)
+        if a.size == 0:
+            return best <= dist
+        staged_out, staged_inn = self._staged or (None, None)
+
+        def with_floor(sides):
+            return [(s, s.dist.min()) for s in sides if s is not None and len(s)]
+
+        outs = with_floor((self.out, staged_out))
+        inns = with_floor((self.inn, staged_inn)) if self.directed else outs
+
+        top = dist.max()
+
+        def live_size(sides, owner):
+            size = np.zeros(owner.size, dtype=np.int64)
+            for side, floor in sides:
+                if floor < top:
+                    size += side.off[owner + 1] - side.off[owner]
+            return size
+
+        expand_out = live_size(outs, a) <= live_size(inns, b)
+        block_rows = PRUNE_TABLE_ELEMS // self.n
         for sel, exps, exp_owner, probes, probe_owner in (
-            (expand_out, (out, staged_out), a, (inn, staged_inn), b),
-            (~expand_out, (inn, staged_inn), b, (out, staged_out), a),
+            (expand_out, outs, a, inns, b),
+            (~expand_out, inns, b, outs, a),
         ):
             idx = np.flatnonzero(sel)
             if idx.size == 0:
@@ -851,8 +917,12 @@ class ArrayLabelState:
                 eo = exp_owner[blk]
                 db = dist[blk]
                 po = probe_owner[blk]
-                for exp in exps:
-                    if exp is None or len(exp) == 0:
+                ceiling = db.max()
+                live = [side for side, floor in probes if floor < ceiling]
+                if not live:
+                    continue
+                for exp, floor in exps:
+                    if floor >= ceiling:
                         continue
                     reps, pos = expand_segments(exp.off[eo], exp.off[eo + 1])
                     if pos.size == 0:
@@ -866,15 +936,13 @@ class ArrayLabelState:
                     if pos.size >= PRUNE_DENSE_MIN_ROWS and block_rows >= 1:
                         joins = [
                             self._prune_join_dense(
-                                probes[0], probes[1], po, reps, piv, d1,
-                                block_rows,
+                                live, po, reps, piv, d1, block_rows
                             )
                         ]
                     else:
                         joins = [
                             self._prune_join_sorted(pr, po, reps, piv, d1)
-                            for pr in probes
-                            if pr is not None and len(pr)
+                            for pr in live
                         ]
                     for bounds, pair in joins:
                         if pair.size:
@@ -895,18 +963,16 @@ class ArrayLabelState:
         )
         return np.minimum.reduceat(sums, seg), rh[seg]
 
-    def _prune_join_dense(self, probe, probe_staged, po, reps, piv, d1,
-                          block_rows):
+    def _prune_join_dense(self, probes, po, reps, piv, d1, block_rows):
         """Probe via an epoch-stamped scatter table over vertex blocks.
 
         ``po`` must be nondecreasing (pairs sorted by probe owner), so
         each block of probe-owner ids owns one contiguous row run.
-        The staged overlay (if any) is scattered into the same table
-        with a min-merge, so one gather per row probes both.
+        Every side in ``probes`` (base, staged overlay) is scattered
+        into the same table with a min-merge, so one gather per row
+        probes them all.
         """
         n = self.n
-        if probe_staged is not None and len(probe_staged) == 0:
-            probe_staged = None
         table_d = np.empty(block_rows * n, dtype=np.float64)
         table_e = np.zeros(block_rows * n, dtype=np.int32)
         qkey = po[reps] * n + piv
@@ -924,22 +990,19 @@ class ArrayLabelState:
             hi = min(b0 + block_rows, n)
             shift = b0 * n
             epoch = k + 1
-            so, se = int(probe.off[b0]), int(probe.off[hi])
-            if se > so:
+            for probe in probes:
+                so, se = int(probe.off[b0]), int(probe.off[hi])
+                if se == so:
+                    continue
                 addr = probe.key[so:se] - shift
-                table_d[addr] = probe.dist[so:se]
+                fresh = probe.dist[so:se]
+                if probe is not probes[0]:
+                    fresh = np.minimum(
+                        fresh,
+                        np.where(table_e[addr] == epoch, table_d[addr], np.inf),
+                    )
+                table_d[addr] = fresh
                 table_e[addr] = epoch
-            if probe_staged is not None:
-                so, se = int(probe_staged.off[b0]), int(probe_staged.off[hi])
-                if se > so:
-                    addr = probe_staged.key[so:se] - shift
-                    current = np.where(
-                        table_e[addr] == epoch, table_d[addr], np.inf
-                    )
-                    table_d[addr] = np.minimum(
-                        current, probe_staged.dist[so:se]
-                    )
-                    table_e[addr] = epoch
             taddr = qkey[r0:r1] - shift
             hit = np.flatnonzero(table_e[taddr] == epoch)
             if hit.size == 0:
@@ -990,32 +1053,37 @@ class ArrayLabelState:
         return UndirectedLabelState.from_entries(rank, self.iter_entries())
 
     def freeze(self) -> LabelIndex:
-        """Freeze into a queryable :class:`LabelIndex`.
+        """Freeze into a queryable :class:`LabelIndex` over CSR arrays.
 
-        Produces the same index as ``LabelIndex.from_state`` on the
-        equivalent dict state: labels sorted by pivot id with the
-        trivial ``(v, 0)`` self entries re-added.
+        The same index as ``LabelIndex.from_state`` on the equivalent
+        dict state — labels sorted by pivot id with the trivial
+        ``(v, 0)`` self entries re-added — but held as the v2-layout
+        arrays of a :class:`~repro.core.flatstore.FlatLabelStore`, so
+        packing and saving it never builds a per-entry object.  The
+        arrays are copies: the index does not follow later mutations.
         """
-        out_labels = self._side_labels(self.out)
-        if self.directed:
-            in_labels = self._side_labels(self.inn)
-            return LabelIndex(self.n, True, out_labels, in_labels, self.rank.tolist())
-        return LabelIndex(self.n, False, out_labels, out_labels, self.rank.tolist())
+        out = self._csr_side(self.out)
+        inn = self._csr_side(self.inn) if self.directed else out
+        return LabelIndex.over_store(
+            FlatLabelStore(
+                self.n, self.directed, *out, *inn, rank=self.rank.tolist()
+            )
+        )
 
-    def _side_labels(self, side: SideArrays) -> list[list[tuple[int, float]]]:
+    def _csr_side(self, side: SideArrays) -> tuple:
+        """``(offsets, pivots, dists)`` of one side, self entries merged in.
+
+        The side is already sorted by ``(owner, pivot)``, so vertex
+        ``v``'s ``(v, 0.0)`` entry goes where key ``v * n + v`` sorts.
+        """
         n = self.n
-        trivial = np.arange(n, dtype=np.int64)
-        owners = np.concatenate((side.owner, trivial))
-        pivs = np.concatenate((side.piv, trivial))
-        dists = np.concatenate((side.dist, np.zeros(n)))
-        order = np.lexsort((pivs, owners))
-        po = pivs[order].tolist()
-        do = dists[order].tolist()
-        off = np.searchsorted(owners[order], np.arange(n + 1)).tolist()
-        return [
-            list(zip(po[off[v] : off[v + 1]], do[off[v] : off[v + 1]]))
-            for v in range(n)
-        ]
+        verts = np.arange(n, dtype=np.int64)
+        at = np.searchsorted(side.key, verts * (n + 1))
+        return frozen_views(
+            side.off + np.arange(n + 1, dtype=np.int64),
+            np.insert(side.piv, at, verts).astype(np.int32),
+            np.insert(side.dist, at, 0.0),
+        )
 
     def __repr__(self) -> str:
         kind = "directed" if self.directed else "undirected"

@@ -59,7 +59,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from repro.core.engine import seed_dict_state
+from repro.core.engine import resolve_engine, seed_dict_state
 from repro.core.labels import (
     DirectedLabelState,
     LabelDelta,
@@ -72,35 +72,6 @@ from repro.core.ranking import Ranking, make_ranking
 from repro.core.rules import PrevEntry, make_engine
 from repro.graphs.builder import GraphBuilder
 from repro.graphs.digraph import Graph
-
-#: Accepted values of the repair ``engine`` knob.
-REPAIR_ENGINES = ("auto", "array", "dict")
-
-
-def resolve_repair_engine(engine: str) -> str:
-    """Resolve the ``engine`` knob to ``"array"`` or ``"dict"``.
-
-    ``"auto"`` prefers the vectorized array engine and falls back to
-    the reference dict engine when numpy is unavailable; asking for
-    ``"array"`` without numpy raises a pointed ``ValueError``.
-    """
-    if engine not in REPAIR_ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; expected one of {REPAIR_ENGINES}"
-        )
-    if engine == "dict":
-        return engine
-    try:
-        import repro.core.arraystate  # noqa: F401  (probes numpy)
-    except ModuleNotFoundError as exc:
-        if engine == "array":
-            raise ValueError(
-                "engine='array' requires numpy; install it or use "
-                "engine='dict'"
-            ) from exc
-        return "dict"
-    return "array"
-
 
 class _DictRepairEngine:
     """The reference repair path over the dict-based label states.
@@ -198,17 +169,14 @@ class _ArrayRepairEngine:
 
     @classmethod
     def from_graph(cls, graph: Graph, ranking: Ranking) -> "_ArrayRepairEngine":
-        from repro.core.arraystate import ArrayLabelState, PrevBlock
-        from repro.core.engine import seed_entries
+        from repro.core.arraystate import arc_columns
+        from repro.core.engine import seed_array_state
 
-        pairs, prev = seed_entries(graph, ranking.rank_of)
-        state = ArrayLabelState.from_initial_entries(
-            ranking.rank_of,
-            graph.directed,
-            [(a, b, w, 1) for (a, b), w in pairs.items()],
+        state, prev = seed_array_state(
+            graph, ranking.rank_of, arc_columns(graph)
         )
         engine = cls(state)
-        engine.repair(PrevBlock.from_lists(prev))
+        engine.repair(prev)
         return engine
 
     @classmethod
@@ -358,7 +326,7 @@ class DynamicHopDoublingIndex:
             ranking = make_ranking(graph, ranking)
         self.ranking = ranking
         self.rule_set = "full"  # see the engines' Lemma 4 caveat
-        self.engine = resolve_repair_engine(engine)
+        self.engine = resolve_engine(engine)
         self.n = graph.num_vertices
         self.directed = graph.directed
         self.weighted = graph.weighted
@@ -420,7 +388,7 @@ class DynamicHopDoublingIndex:
         self = cls.__new__(cls)
         self.ranking = ranking
         self.rule_set = "full"
-        self.engine = resolve_repair_engine(engine)
+        self.engine = resolve_engine(engine)
         self.n = store.n
         self.directed = store.directed
         self.weighted = graph.weighted if graph is not None else True

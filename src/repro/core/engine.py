@@ -13,12 +13,20 @@ contract:
 * :class:`ArrayBuildEngine` — the vectorized engine over
   :mod:`repro.core.arraystate` (requires numpy), with
   :class:`repro.core.parallel_build.ParallelBuildEngine` layering
-  multiprocess candidate generation on top for ``jobs > 1``.
+  multiprocess candidate generation on top for ``jobs > 1``.  It reads
+  the graph once into arc columns, and what it freezes is the CSR
+  arrays of a :class:`~repro.core.flatstore.FlatLabelStore` inside the
+  :class:`~repro.core.labels.LabelIndex` — the tuple lists the dict
+  engine produces are, for this engine, a view derived on demand.
 
 Every engine produces **bit-identical** label entries, distances, hops
-and per-iteration counters for the same graph and ranking — the
-benchmarks and ``tests/core/test_parallel_build.py`` enforce it — so
-``engine=`` and ``jobs=`` are pure performance knobs.
+and per-iteration counters for the same graph and ranking, and
+byte-identical v2/v3 files — the benchmarks,
+``tests/core/test_parallel_build.py`` and
+``tests/core/test_write_path.py`` enforce it — so ``engine=`` and
+``jobs=`` are pure performance knobs.  ``engine="auto"``, the default
+everywhere, is the array engine when numpy imports and the dict engine
+otherwise (:func:`resolve_engine`).
 """
 
 from __future__ import annotations
@@ -39,7 +47,12 @@ from repro.core.ranking import Ranking
 from repro.core.rules import RULE_SETS, PrevEntry, make_engine
 from repro.graphs.digraph import Graph
 
-BUILD_ENGINES = ("dict", "array")
+BUILD_ENGINES = ("auto", "array", "dict")
+
+
+def _check_engine_name(engine: str) -> None:
+    if engine not in BUILD_ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; expected one of {BUILD_ENGINES}")
 
 
 def check_engine_options(engine: str, jobs: int) -> None:
@@ -50,8 +63,7 @@ def check_engine_options(engine: str, jobs: int) -> None:
     build work) and :func:`make_build_engine` — so the rules and the
     error wording can never drift apart.
     """
-    if engine not in BUILD_ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {BUILD_ENGINES}")
+    _check_engine_name(engine)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if engine == "dict" and jobs != 1:
@@ -59,6 +71,29 @@ def check_engine_options(engine: str, jobs: int) -> None:
             "jobs > 1 requires engine='array' (the dict engine is "
             "single-process)"
         )
+
+
+def resolve_engine(engine: str) -> str:
+    """Resolve the ``engine`` knob to ``"array"`` or ``"dict"``.
+
+    ``"auto"`` (the default everywhere: builders, repair, CLI) prefers
+    the vectorized array engine and falls back to the reference dict
+    engine when numpy is unavailable; asking for ``"array"`` without
+    numpy raises a pointed ``ValueError``.
+    """
+    _check_engine_name(engine)
+    if engine == "dict":
+        return engine
+    try:
+        import repro.core.arraystate  # noqa: F401  (probes numpy)
+    except ModuleNotFoundError as exc:
+        if engine == "array":
+            raise ValueError(
+                "engine='array' requires numpy; install it or use "
+                "engine='dict'"
+            ) from exc
+        return "dict"
+    return "array"
 
 
 def seed_dict_state(
@@ -86,29 +121,31 @@ def seed_dict_state(
     return state, prev
 
 
-def seed_entries(
-    graph: Graph, rank_of: Sequence[int]
-) -> tuple[dict[tuple[int, int], float], list[tuple[int, int, float, int]]]:
-    """Iteration-1 entries as plain pairs (the array engines' seed).
+def seed_array_state(graph: Graph, rank_of: Sequence[int], arcs):
+    """Seed an array state from :func:`~repro.core.arraystate.arc_columns`.
 
-    Returns the final ``(a, b) -> weight`` map and the staged entry
-    list in the same order (and with the same duplicate handling) as
-    :func:`seed_dict_state` builds its ``prev``.
+    The array twin of :func:`seed_dict_state`: returns the state and
+    the iteration-1 ``prev`` block.  Self loops are dropped, an
+    undirected edge is taken once and normalized to ``(owner, pivot)``,
+    and parallel arcs collapse to the lightest.  ``prev`` comes out in
+    pair-key order rather than edge order, which nothing downstream can
+    see: candidate deduplication is canonical in pair-key order.
     """
-    directed = graph.directed
-    pairs: dict[tuple[int, int], float] = {}
-    prev: list[tuple[int, int, float, int]] = []
-    for u, v, w in graph.edges():
-        if u == v:
-            continue
-        if not directed and rank_of[u] < rank_of[v]:
-            u, v = v, u
-        old = pairs.get((u, v))
-        if old is not None and old <= w:
-            continue
-        pairs[(u, v)] = w
-        prev.append((u, v, w, 1))
-    return pairs, prev
+    import numpy as np
+
+    from repro.core.arraystate import ArrayLabelState, PrevBlock
+    from repro.core.rules import CandidateBatch
+
+    src, tgt, wt = arcs
+    once = src != tgt if graph.directed else src < tgt
+    a, b, wt = src[once], tgt[once], wt[once]
+    if not graph.directed:
+        rank = np.asarray(rank_of, dtype=np.int64)
+        swap = rank[a] < rank[b]
+        a, b = np.where(swap, b, a), np.where(swap, a, b)
+    ones = np.ones(a.size, dtype=np.int64)
+    prev = PrevBlock(*CandidateBatch(graph.num_vertices, a, b, wt, ones).dedupe())
+    return ArrayLabelState.from_block(rank_of, graph.directed, prev), prev
 
 
 class BuildEngine(Protocol):
@@ -197,24 +234,30 @@ class ArrayBuildEngine:
         self.ranking = ranking
         self.full = rule_set == "full"
         self.state = None
+        self._arcs = None
         self._edges = None
         self._final_dict_state = None
 
     def initialize(self):
-        from repro.core.arraystate import ArrayLabelState, PrevBlock
+        from repro.core.arraystate import arc_columns
 
-        pairs, prev = seed_entries(self.graph, self.ranking.rank_of)
-        self.state = ArrayLabelState.from_initial_entries(
-            self.ranking.rank_of,
-            self.graph.directed,
-            [(a, b, w, 1) for (a, b), w in pairs.items()],
+        # One bulk read of the adjacency serves the seed now and the
+        # stepping partners later.
+        self._arcs = arc_columns(self.graph)
+        self.state, prev = seed_array_state(
+            self.graph, self.ranking.rank_of, self._arcs
         )
-        return PrevBlock.from_lists(prev)
+        return prev
 
     def edge_snapshot(self):
         """The static stepping partners (built once per engine)."""
         if self._edges is None:
-            self._edges = self.state.edge_snapshot(self.graph)
+            from repro.core.arraystate import EdgeSnapshot
+
+            self._edges = EdgeSnapshot.from_arcs(
+                self.state.n, self.graph.directed, self.state.rank, *self._arcs
+            )
+            self._arcs = None  # ~24 B per arc, not needed past this point
         return self._edges
 
     def generate(self, mode: str, prev):
@@ -259,26 +302,21 @@ def make_build_engine(
     graph: Graph,
     ranking: Ranking,
     rule_set: str = "minimized",
-    engine: str = "dict",
+    engine: str = "auto",
     jobs: int = 1,
 ) -> BuildEngine:
     """Instantiate a construction backend by name.
 
-    ``engine`` is ``"dict"`` (reference) or ``"array"`` (vectorized,
-    requires numpy); ``jobs > 1`` selects the multiprocess
+    ``engine`` is ``"auto"`` (array when numpy imports, else dict),
+    ``"array"`` (vectorized, requires numpy) or ``"dict"``
+    (reference); ``jobs > 1`` selects the multiprocess
     :class:`~repro.core.parallel_build.ParallelBuildEngine` and is
-    only available with the array engine.
+    only available with the array engine (an ``"auto"`` that falls
+    back to dict builds single-process).
     """
     check_engine_options(engine, jobs)
-    if engine == "dict":
+    if resolve_engine(engine) == "dict":
         return DictBuildEngine(graph, ranking, rule_set)
-    try:
-        import repro.core.arraystate  # noqa: F401  (probes numpy)
-    except ModuleNotFoundError as exc:
-        raise ValueError(
-            "engine='array' requires numpy; install it or use "
-            "engine='dict'"
-        ) from exc
     if jobs > 1:
         from repro.core.parallel_build import ParallelBuildEngine
 

@@ -126,9 +126,10 @@ class FlatLabelStore:
     and serialisation round trips.
 
     The arrays may be ``array.array`` instances (owned memory) or
-    typed ``memoryview`` slices over an ``mmap`` (zero-copy load);
-    both support the indexing, slicing, and iteration the query paths
-    use.
+    typed ``memoryview`` objects — slices over an ``mmap`` (zero-copy
+    load) or read-only views of the array build engine's numpy arrays
+    (zero-copy freeze); all support the indexing, slicing, and
+    iteration the query paths use.
     """
 
     __slots__ = (
@@ -208,7 +209,21 @@ class FlatLabelStore:
     # -- conversion ----------------------------------------------------------
     @classmethod
     def from_index(cls, index: LabelIndex) -> "FlatLabelStore":
-        """Pack a tuple-list :class:`LabelIndex` into CSR arrays."""
+        """Pack a :class:`LabelIndex` into CSR arrays.
+
+        An index already held as arrays (``LabelIndex.over_store``, the
+        array build engine's output) is not packed at all: the result
+        is a fresh store — its own update overlay, its own kernel row
+        cache — over the same immutable arrays.
+        """
+        held = index._store
+        if held is not None:
+            return cls(
+                held.n, held.directed,
+                held.out_offsets, held.out_pivots, held.out_dists,
+                held.in_offsets, held.in_pivots, held.in_dists,
+                list(held.rank) if held.rank is not None else None,
+            )
 
         def pack(labels):
             offsets = array("q", [0])
@@ -668,6 +683,18 @@ class _Cursor:
         for view in self.views:
             view.release()
         self.views.clear()
+
+
+def frozen_views(*arrays) -> tuple:
+    """Read-only typed memoryviews over freshly built numpy arrays.
+
+    How array-built stores hold their columns: the same zero-copy
+    ``memoryview`` shape an ``mmap`` load serves, immutable so any
+    number of stores can share them.
+    """
+    for arr in arrays:
+        arr.setflags(write=False)
+    return tuple(map(memoryview, arrays))
 
 
 def _as_le_bytes(blob, typecode: str) -> bytes:

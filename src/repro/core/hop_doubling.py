@@ -21,6 +21,7 @@ Figure 10 of the paper plots exactly these series.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.core.engine import (
     check_engine_options,
@@ -110,14 +111,18 @@ class LabelingBuilder:
         Optional hard stop (generation rounds), a safety valve for
         adversarial weighted inputs.
     engine:
-        Construction backend: ``"dict"`` (the reference per-entry
-        implementation, default) or ``"array"`` (the vectorized
-        struct-of-arrays engine, requires numpy).  Both produce
+        Construction backend: ``"array"`` (the vectorized
+        struct-of-arrays engine, requires numpy), ``"dict"`` (the
+        reference per-entry implementation) or ``"auto"`` (default:
+        array when numpy imports, else dict).  Both produce
         bit-identical indexes and iteration counters; ``"array"`` is
         several times faster on non-trivial graphs.
     jobs:
         Worker processes for candidate generation (array engine only).
         ``jobs=N`` builds are bit-identical to ``jobs=1``.
+    on_round:
+        Optional callback given each round's :class:`IterationStats`
+        as soon as the round finishes (``repro build`` prints them).
     """
 
     #: Human-readable name used by benchmark tables.
@@ -131,8 +136,9 @@ class LabelingBuilder:
         prune: bool = True,
         final_exhaustive_prune: bool = False,
         max_iterations: int | None = None,
-        engine: str = "dict",
+        engine: str = "auto",
         jobs: int = 1,
+        on_round: Callable[[IterationStats], None] | None = None,
     ) -> None:
         self.graph = graph
         if isinstance(ranking, str):
@@ -150,6 +156,7 @@ class LabelingBuilder:
         self.max_iterations = max_iterations
         self.engine = engine
         self.jobs = jobs
+        self.on_round = on_round
 
     # -- subclass hook ---------------------------------------------------
     def mode_for(self, iteration: int) -> str:
@@ -216,6 +223,8 @@ class LabelingBuilder:
                         elapsed=elapsed,
                     )
                 )
+                if self.on_round is not None:
+                    self.on_round(iterations[-1])
                 prev = survivors
 
             if self.final_exhaustive_prune and self.prune:

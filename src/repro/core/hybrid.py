@@ -35,8 +35,9 @@ class HybridBuilder(LabelingBuilder):
         final_exhaustive_prune: bool = False,
         max_iterations: int | None = None,
         switch_iteration: int = DEFAULT_SWITCH_ITERATION,
-        engine: str = "dict",
+        engine: str = "auto",
         jobs: int = 1,
+        on_round=None,
     ) -> None:
         super().__init__(
             graph,
@@ -47,6 +48,7 @@ class HybridBuilder(LabelingBuilder):
             max_iterations=max_iterations,
             engine=engine,
             jobs=jobs,
+            on_round=on_round,
         )
         if switch_iteration < 1:
             raise ValueError(

@@ -67,11 +67,13 @@ class HopDoublingIndex:
         ``use_bitparallel`` adds Section 6's root labels (undirected
         unweighted graphs only).
 
-        Performance knobs pass through ``builder_kwargs``:
-        ``engine="array"`` selects the vectorized construction engine
-        (requires numpy; several times faster, bit-identical output)
-        and ``jobs=N`` fans candidate generation over N worker
-        processes — see :mod:`repro.core.engine`.
+        Performance knobs pass through ``builder_kwargs``: ``engine``
+        (default ``"auto"``: the vectorized array engine when numpy
+        imports, else the reference ``"dict"`` engine — bit-identical
+        output either way), ``jobs=N`` to fan candidate generation over
+        N worker processes, and ``on_round`` to be called with each
+        round's :class:`IterationStats` as it finishes — see
+        :mod:`repro.core.engine`.
         """
         builder = make_builder(
             graph,
@@ -171,12 +173,14 @@ class HopDoublingIndex:
                **kwargs):
         """A :class:`~repro.oracle.DistanceOracle` serving this index.
 
-        ``backend="flat"`` (default) packs the labels into the CSR
-        store for the fast query path; ``"list"`` serves the tuple
-        lists as-is.  Keyword arguments (``cache_size`` …) pass
-        through to the oracle.  For path reconstruction the build
-        graph, when retained, is attached automatically; pass
-        ``graph=`` to attach one to a disk-loaded index.
+        ``backend="flat"`` (default) serves a CSR store — packed from
+        the tuple lists, or for an array-built index a fresh store over
+        the build's own arrays (each call its own overlay and kernel
+        cache); ``"list"`` serves the index object itself.  Keyword
+        arguments (``cache_size`` …) pass through to the oracle.  For
+        path reconstruction the build graph, when retained, is attached
+        automatically; pass ``graph=`` to attach one to a disk-loaded
+        index.
         """
         from repro.oracle import DistanceOracle
 

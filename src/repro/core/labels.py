@@ -432,9 +432,18 @@ class LabelIndex:
     up Lout(s) and Lin(t)").
 
     Self entries ``(v, 0)`` are stored explicitly, as in the paper.
+
+    The labels are held either as per-vertex ``(pivot, dist)`` tuple
+    lists (the dict build engine, v1 files) or as the CSR arrays of a
+    private :class:`~repro.core.flatstore.FlatLabelStore`
+    (:meth:`over_store`: what the array build engine freezes into).
+    An array-held index answers every method from the arrays and packs
+    into the v2/v3 stores without touching an entry;
+    :attr:`out_labels` / :attr:`in_labels` are then a derived view,
+    materialised on first access.
     """
 
-    __slots__ = ("n", "directed", "out_labels", "in_labels", "rank")
+    __slots__ = ("n", "directed", "rank", "_out_labels", "_in_labels", "_store")
 
     def __init__(
         self,
@@ -446,9 +455,39 @@ class LabelIndex:
     ) -> None:
         self.n = num_vertices
         self.directed = directed
-        self.out_labels = out_labels
-        self.in_labels = in_labels
+        self._out_labels = out_labels
+        self._in_labels = in_labels
         self.rank = rank
+        self._store = None
+
+    @classmethod
+    def over_store(cls, store) -> "LabelIndex":
+        """An index held as ``store``'s CSR arrays (v2 layout).
+
+        The store becomes private to the index: it is never handed out
+        or updated, which is what lets ``from_index`` share its arrays.
+        """
+        index = cls(store.n, store.directed, None, None, store.rank)
+        index._store = store
+        return index
+
+    @property
+    def out_labels(self) -> list[list[tuple[int, float]]]:
+        """Per-vertex out-labels as tuple lists (do not mutate)."""
+        if self._out_labels is None:
+            self._materialise()
+        return self._out_labels
+
+    @property
+    def in_labels(self) -> list[list[tuple[int, float]]]:
+        """Per-vertex in-labels; aliases :attr:`out_labels` if undirected."""
+        if self._in_labels is None:
+            self._materialise()
+        return self._in_labels
+
+    def _materialise(self) -> None:
+        lists = self._store.to_index()
+        self._out_labels, self._in_labels = lists.out_labels, lists.in_labels
 
     # -- construction ---------------------------------------------------
     @classmethod
@@ -475,6 +514,8 @@ class LabelIndex:
     # -- querying ---------------------------------------------------------
     def query(self, s: int, t: int) -> float:
         """Exact ``dist(s, t)``; :data:`INF` when unreachable."""
+        if self._store is not None:
+            return self._store.query(s, t)
         if not 0 <= s < self.n or not 0 <= t < self.n:
             raise IndexError(f"query ({s}, {t}) out of range [0, {self.n})")
         if s == t:
@@ -487,6 +528,8 @@ class LabelIndex:
         Useful for path reconstruction: the pivot is the highest-ranked
         vertex on a shortest ``s -> t`` path.
         """
+        if self._store is not None:
+            return self._store.query_via(s, t)
         if not 0 <= s < self.n or not 0 <= t < self.n:
             raise IndexError(f"query ({s}, {t}) out of range [0, {self.n})")
         if s == t:
@@ -514,20 +557,26 @@ class LabelIndex:
 
     def label_of(self, v: int, out: bool = True) -> list[tuple[int, float]]:
         """The (pivot, dist) list of ``v``'s out- or in-label."""
-        return list(self.out_labels[v] if out else self.in_labels[v])
+        return list(self.out_label(v) if out else self.in_label(v))
 
     # -- LabelStore accessors ------------------------------------------------
     def out_label(self, v: int) -> list[tuple[int, float]]:
-        """``Lout(v)`` without copying (do not mutate)."""
-        return self.out_labels[v]
+        """``Lout(v)`` (do not mutate)."""
+        if self._store is not None:
+            return self._store.out_label(v)
+        return self._out_labels[v]
 
     def in_label(self, v: int) -> list[tuple[int, float]]:
-        """``Lin(v)`` without copying (do not mutate)."""
-        return self.in_labels[v]
+        """``Lin(v)`` (do not mutate)."""
+        if self._store is not None:
+            return self._store.in_label(v)
+        return self._in_labels[v]
 
     # -- statistics ---------------------------------------------------------
     def total_entries(self, include_trivial: bool = False) -> int:
         """Total label entries (self entries excluded unless asked)."""
+        if self._store is not None:
+            return self._store.total_entries(include_trivial)
         total = sum(len(lab) for lab in self.out_labels)
         if self.directed:
             total += sum(len(lab) for lab in self.in_labels)
@@ -536,6 +585,8 @@ class LabelIndex:
 
     def stats(self) -> LabelStats:
         """Aggregate size statistics (paper's |label| counts non-trivial)."""
+        if self._store is not None:
+            return self._store.stats()
         per_vertex = []
         for v in range(self.n):
             size = len(self.out_labels[v]) - 1

@@ -31,8 +31,11 @@ degrade gracefully (fractional or huge distances fall back to raw
 mmap load is a handful of zero-copy casts (no decode pass), the
 vectorized batch kernel (:mod:`repro.oracle.kernel`) consumes the
 quantized arrays as-is, and the scalar reference paths decode only the
-one or two label slices a query touches.  Everything is pure stdlib —
-numpy is only involved when the kernel is.
+one or two label slices a query touches.  Serving is pure stdlib;
+*packing* (:meth:`QuantizedLabelStore.from_flat`) chooses the widths
+and computes the deltas with a few numpy array operations when numpy
+imports and entry by entry when it does not — the same bytes either
+way.
 """
 
 from __future__ import annotations
@@ -41,11 +44,17 @@ import mmap as _mmap
 import struct
 from array import array
 
+try:
+    import numpy as np
+except ModuleNotFoundError:  # pyproject declares no hard dependencies
+    np = None
+
 from repro.core.flatstore import (
     _BIG_ENDIAN,
     _Cursor,
     _as_le_bytes,
     FlatLabelStore,
+    frozen_views,
     merge_min_via,
     probe_min_distance,
     probe_slice_min,
@@ -80,6 +89,109 @@ def _decode_slice(pivots, dists, o: int, e: int) -> tuple[list, list]:
         piv.append(acc)
         dst.append(float(d))
     return piv, dst
+
+
+def _choose_widths(max_delta, max_dist, integral: bool) -> tuple[int, int]:
+    """``(pivot_width, dist_width)`` for the observed extremes.
+
+    ``integral`` says every distance is a non-negative whole number.
+    """
+    pivot_width = 1 if max_delta <= 0xFF else 2 if max_delta <= 0xFFFF else 4
+    if integral and max_dist <= 0xFF:
+        dist_width = 1
+    elif integral and max_dist <= 0xFFFF:
+        dist_width = 2
+    else:
+        dist_width = 8
+    return pivot_width, dist_width
+
+
+def _offsets_code(sides) -> str:
+    # One offsets width for both sides — the header records a single
+    # off_width, so the larger side decides.
+    return "I" if max(len(s[1]) for s in sides) <= 0xFFFFFFFF else "Q"
+
+
+def _encode_python(n: int, sides):
+    """Choose the widths and pack v2-layout ``sides``, entry by entry.
+
+    The numpy-free reference of :func:`_encode_numpy`; returns
+    ``(pivot_width, dist_width, [(offsets, pivots, dists), ...])``.
+    """
+    max_delta = 0
+    max_dist = 0.0
+    integral = True
+    for offsets, pivots, dists in sides:
+        for v in range(n):
+            prev = 0
+            for p in pivots[offsets[v] : offsets[v + 1]]:
+                if p - prev > max_delta:
+                    max_delta = p - prev
+                prev = p
+        for d in dists:
+            if d > max_dist:
+                max_dist = d
+            if integral and not (d >= 0 and d == int(d)):
+                integral = False
+    pivot_width, dist_width = _choose_widths(max_delta, max_dist, integral)
+    pivot_code = _PIVOT_CODES[pivot_width]
+    dist_code = _DIST_CODES[dist_width]
+    off_code = _offsets_code(sides)
+
+    def pack(offsets, pivots, dists):
+        q_off = array(off_code, offsets)
+        q_piv = array(pivot_code)
+        ap = q_piv.append
+        for v in range(n):
+            o, e = offsets[v], offsets[v + 1]
+            prev = 0
+            for p in pivots[o:e]:
+                ap(p - prev)
+                prev = p
+        if dist_width == 8:
+            q_dist = array("d", dists)
+        else:
+            q_dist = array(dist_code, (int(d) for d in dists))
+        return q_off, q_piv, q_dist
+
+    return pivot_width, dist_width, [pack(*side) for side in sides]
+
+
+def _encode_numpy(n: int, sides):
+    """:func:`_encode_python` as array operations (byte-identical output).
+
+    The v2 blobs (``array.array`` or typed memoryviews) are read
+    zero-copy; per side it is one ``diff`` for the deltas, one ``max``
+    and one integrality test for the widths, and three ``astype``.
+    """
+    columns = []
+    max_delta = 0
+    max_dist = 0.0
+    integral = True
+    for offsets, pivots, dists in sides:
+        off, piv, dst = np.asarray(offsets), np.asarray(pivots), np.asarray(dists)
+        delta = np.diff(piv, prepend=piv.dtype.type(0))
+        # A label's first pivot is stored whole, not against the
+        # previous label's last.
+        first = off[:-1][off[:-1] < off[1:]]
+        delta[first] = piv[first]
+        if piv.size:
+            max_delta = max(max_delta, int(delta.max()))
+            max_dist = max(max_dist, float(dst.max()))
+            whole = (dst >= 0) & (dst == np.trunc(dst))
+            integral = integral and bool(whole.all())
+        columns.append((off, delta, dst))
+    pivot_width, dist_width = _choose_widths(max_delta, max_dist, integral)
+    dtypes = (
+        np.dtype(_offsets_code(sides)),
+        np.dtype(_PIVOT_CODES[pivot_width]),
+        np.dtype(_DIST_CODES[dist_width]),
+    )
+    packed = [
+        frozen_views(*(col.astype(dt) for col, dt in zip(side, dtypes)))
+        for side in columns
+    ]
+    return pivot_width, dist_width, packed
 
 
 class QuantizedLabelStore(FlatLabelStore):
@@ -148,61 +260,10 @@ class QuantizedLabelStore(FlatLabelStore):
         sides = [(store.out_offsets, store.out_pivots, store.out_dists)]
         if store.directed:
             sides.append((store.in_offsets, store.in_pivots, store.in_dists))
-
-        max_delta = 0
-        max_dist = 0.0
-        integral = True
-        for offsets, pivots, dists in sides:
-            for v in range(store.n):
-                prev = 0
-                for p in pivots[offsets[v] : offsets[v + 1]]:
-                    if p - prev > max_delta:
-                        max_delta = p - prev
-                    prev = p
-            for d in dists:
-                if d > max_dist:
-                    max_dist = d
-                if integral and d != int(d):
-                    integral = False
-
-        pivot_width = 1 if max_delta <= 0xFF else 2 if max_delta <= 0xFFFF else 4
-        if integral and 0.0 <= max_dist <= 0xFF:
-            dist_width = 1
-        elif integral and 0.0 <= max_dist <= 0xFFFF:
-            dist_width = 2
-        else:
-            dist_width = 8
-        pivot_code = _PIVOT_CODES[pivot_width]
-        dist_code = _DIST_CODES[dist_width]
-        # One offsets width for both sides — the header records a
-        # single off_width, so the larger side decides.
-        off_code = (
-            "I"
-            if max(len(s[1]) for s in sides) <= 0xFFFFFFFF
-            else "Q"
-        )
-
-        def pack(offsets, pivots, dists):
-            q_off = array(off_code, offsets)
-            q_piv = array(pivot_code)
-            ap = q_piv.append
-            for v in range(store.n):
-                o, e = offsets[v], offsets[v + 1]
-                prev = 0
-                for p in pivots[o:e]:
-                    ap(p - prev)
-                    prev = p
-            if dist_width == 8:
-                q_dist = array("d", dists)
-            else:
-                q_dist = array(dist_code, (int(d) for d in dists))
-            return q_off, q_piv, q_dist
-
-        oo, op, od = pack(*sides[0])
-        if store.directed:
-            io, ip, id_ = pack(*sides[1])
-        else:
-            io, ip, id_ = oo, op, od
+        encode = _encode_python if np is None else _encode_numpy
+        pivot_width, dist_width, packed = encode(store.n, sides)
+        oo, op, od = packed[0]
+        io, ip, id_ = packed[-1]
         rank = list(store.rank) if store.rank is not None else None
         return cls(
             store.n, store.directed, oo, op, od, io, ip, id_, rank,

@@ -383,12 +383,33 @@ class CandidateBatch:
         import numpy as np
 
         key = self.a * self.n + self.b
+        if key.size and _uniform(self.dist) and _uniform(self.hops):
+            # Every candidate carries the same value — any Hop-Stepping
+            # round on an unweighted graph, where iteration i offers
+            # i-hop paths of length i — so which duplicate stands for a
+            # pair cannot matter: sort the keys alone and read the
+            # pairs back out of them.
+            key.sort()
+            first = np.ones(key.size, dtype=bool)
+            first[1:] = key[1:] != key[:-1]
+            keys = key[first]
+            return (
+                keys // self.n,
+                keys % self.n,
+                np.full(keys.size, self.dist[0]),
+                np.full(keys.size, self.hops[0]),
+            )
         order = np.lexsort((self.hops, self.dist, key))
         ks = key[order]
         keep = np.ones(ks.size, dtype=bool)
         keep[1:] = ks[1:] != ks[:-1]
         sel = order[keep]
         return self.a[sel], self.b[sel], self.dist[sel], self.hops[sel]
+
+
+def _uniform(values) -> bool:
+    """Whether a non-empty array holds one value throughout."""
+    return values.min() == values.max()
 
 
 def _normalize_undirected(rank, a, b, dist, hops):

@@ -201,6 +201,15 @@ class Graph:
         """Vertices ``u`` with an arc ``u -> v`` (all neighbours if undirected)."""
         return self._in[v]
 
+    def out_weights(self, v: int) -> Sequence[float]:
+        """Weights of the arcs leaving ``v``, parallel to :meth:`out_neighbors`.
+
+        Only weighted graphs store them; unweighted arcs all weigh 1.
+        """
+        if self._out_w is None:
+            raise ValueError("unweighted graph stores no arc weights")
+        return self._out_w[v]
+
     def out_degree(self, v: int) -> int:
         """Number of outgoing arcs of ``v``."""
         return len(self._out[v])

@@ -128,10 +128,20 @@ def graph_strategy(
     max_m: int = 60,
     directed: bool | None = None,
     weighted: bool | None = None,
+    min_n: int = 2,
+    fractional: bool = False,
+    self_loops: bool = False,
 ):
     """Draw a small random graph (weights are small integers-as-floats,
-    so distance comparisons are exact)."""
-    n = draw(st.integers(min_value=2, max_value=max_n))
+    so distance comparisons are exact).
+
+    Few edges leave vertices isolated and the graph disconnected.
+    ``fractional`` lets a weighted draw use quarter weights (still
+    exact in binary, but not storable as integers), ``self_loops``
+    lets a draw keep its ``(v, v)`` edges, and ``min_n=1`` admits the
+    single-vertex graph.
+    """
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
     m = draw(st.integers(min_value=0, max_value=max_m))
     if directed is None:
         directed = draw(st.booleans())
@@ -139,10 +149,17 @@ def graph_strategy(
         weighted = draw(st.booleans())
     vertex = st.integers(min_value=0, max_value=n - 1)
     if weighted:
-        edge = st.tuples(
-            vertex, vertex, st.integers(min_value=1, max_value=9).map(float)
-        )
+        weight = st.integers(min_value=1, max_value=9).map(float)
+        if fractional and draw(st.booleans()):
+            weight = st.integers(min_value=1, max_value=36).map(lambda k: k / 4)
+        edge = st.tuples(vertex, vertex, weight)
     else:
         edge = st.tuples(vertex, vertex)
     edges = draw(st.lists(edge, max_size=m))
-    return Graph.from_edges(n, edges, directed=directed, weighted=weighted)
+    return Graph.from_edges(
+        n,
+        edges,
+        directed=directed,
+        weighted=weighted,
+        allow_self_loops=self_loops and draw(st.booleans()),
+    )

@@ -21,11 +21,8 @@ import pytest
 from hypothesis import given, settings
 
 from repro.baselines.apsp import APSPOracle
-from repro.core.dynamic import (
-    REPAIR_ENGINES,
-    DynamicHopDoublingIndex,
-    resolve_repair_engine,
-)
+from repro.core.dynamic import DynamicHopDoublingIndex
+from repro.core.engine import BUILD_ENGINES, resolve_engine
 from repro.core.flatstore import FlatLabelStore
 from repro.core.hybrid import make_builder
 from repro.graphs.digraph import Graph
@@ -164,8 +161,8 @@ class TestFromStoreAdoption:
         graph = Graph.from_edges(2, [(0, 1)], directed=False)
         with pytest.raises(ValueError, match="unknown engine"):
             DynamicHopDoublingIndex(graph, engine="gpu")
-        assert resolve_repair_engine("dict") == "dict"
-        assert resolve_repair_engine("auto") in REPAIR_ENGINES
+        assert resolve_engine("dict") == "dict"
+        assert resolve_engine("auto") in BUILD_ENGINES
 
 
 class TestBatchSemantics:

@@ -100,7 +100,9 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize("rule_set", ["minimized", "full"])
     def test_full_rule_set_bit_identical(self, rule_set):
         g = ba_graph(70, m=2, seed=9, directed=True)
-        ref = _fingerprint(HybridBuilder(g, rule_set=rule_set).build())
+        ref = _fingerprint(
+            HybridBuilder(g, rule_set=rule_set, engine="dict").build()
+        )
         arr = _fingerprint(
             HybridBuilder(g, rule_set=rule_set, engine="array", jobs=2).build()
         )
@@ -108,13 +110,15 @@ class TestEngineEquivalence:
 
     def test_prune_disabled_bit_identical(self):
         g = glp_graph(70, seed=21)
-        ref = _fingerprint(HopStepping(g, prune=False).build())
+        ref = _fingerprint(HopStepping(g, prune=False, engine="dict").build())
         arr = _fingerprint(HopStepping(g, prune=False, engine="array").build())
         assert arr == ref
 
     def test_final_exhaustive_prune_bit_identical(self):
         g = glp_graph(80, seed=12)
-        ref = _fingerprint(HopDoubling(g, final_exhaustive_prune=True).build())
+        ref = _fingerprint(
+            HopDoubling(g, final_exhaustive_prune=True, engine="dict").build()
+        )
         arr = _fingerprint(
             HopDoubling(g, final_exhaustive_prune=True, engine="array").build()
         )

@@ -103,6 +103,24 @@ class TestBuildAndQuery:
         assert outputs["dict"] == outputs["array"] == outputs["jobs"]
         assert "engine" in capsys.readouterr().out
 
+    def test_build_streams_rounds_to_stderr(self, graph_file, tmp_path, capsys):
+        """One stderr line per round as it finishes; stdout as before."""
+        idx = tmp_path / "g.idx"
+        assert main(["build", str(graph_file), "-o", str(idx)]) == 0
+        captured = capsys.readouterr()
+        rounds = captured.err.splitlines()
+        assert rounds[0].startswith("round 2 (step): ")
+        assert all(line.startswith("round ") for line in rounds)
+        for field in ("candidates", "admitted", "survived", "entries"):
+            assert field in rounds[0]
+        # The last round admits nothing; the paper's count drops it and
+        # adds the initialization.
+        assert rounds[-1].split(", ")[2] == "0 survived"
+        loaded, built, written = captured.out.splitlines()
+        assert loaded.startswith("loaded ")
+        assert f"({len(rounds)} iterations" in built
+        assert written.startswith("index written to ")
+
     def test_build_jobs_require_array_engine(
         self, graph_file, tmp_path, capsys
     ):
