@@ -144,7 +144,9 @@ def _cmd_build(args: argparse.Namespace) -> int:
         f"({index.num_iterations} iterations, {engine} engine{workers}): "
         f"{format_count(stats.total_entries)} entries, "
         f"avg |label| {stats.avg_label_size:.1f}, "
-        f"{format_bytes(index.size_in_bytes())}"
+        f"{format_bytes(index.size_in_bytes())}, "
+        f"{format_count(stats.pendants)} pendants answered through "
+        f"{format_count(stats.core_vertices)} core vertices"
     )
     index.save(args.output, format=args.format)
     print(f"index written to {args.output} (format {args.format})")
@@ -297,6 +299,11 @@ def _cmd_convert(args: argparse.Namespace) -> int:
         stats = out_store.stats()
         entries = out_store.total_entries(include_trivial=True)
         print(f"  vertices        {format_count(stats.num_vertices)}")
+        print(
+            f"  pendants        {format_count(stats.pendants)} "
+            f"({stats.pendants / max(stats.num_vertices, 1):.1%}; core "
+            f"{format_count(stats.core_vertices)})"
+        )
         print(f"  entries         {format_count(entries)}")
         print(f"  avg |label|     {stats.avg_label_size:.1f}")
         if isinstance(out_store, QuantizedLabelStore):
@@ -568,7 +575,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     import os
 
-    from repro.core.labels import LabelIndex
+    from repro.core.flatstore import load_store
     from repro.core.verify import verify_index
 
     graph = read_edge_list(
@@ -579,7 +586,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
         store = ShardedLabelStore.load(args.index)
     else:
-        store = LabelIndex.load(args.index)
+        # The arrays as stored (v1: tuple lists), so the checks see the
+        # file's rows and pendant section, not labels derived from them.
+        store = load_store(args.index, prefer_flat=False)
     report = verify_index(graph, store, samples=args.samples)
     print(report)
     for violation in report.violations[:20]:

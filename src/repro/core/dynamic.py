@@ -43,6 +43,21 @@ vertices as complete replacement label slices, which
 ``FlatLabelStore.apply_updates`` / ``ShardedLabelStore.apply_updates``
 stage as a query-time overlay (and reconcile to disk per shard).
 
+**Pendants.**  A serving store built by ``HopDoublingIndex.build``
+does not label pendant vertices (degree 1; see
+:mod:`repro.core.flatstore`): it answers ``v`` through its neighbour
+``u`` until a delta carries a label for ``v``, and from then on from
+that label.  That is sound only if every vertex that stops being a
+pendant is in the delta, and repair alone does not guarantee it: insert
+``(v, x)`` where pendant ``v`` outranks ``x`` — ``x`` isolated, say —
+and only ``x``'s label changes, yet ``dist(v, x)`` is now 1, not ``1 +
+dist(u, x)``.  So :meth:`DynamicHopDoublingIndex.insert_edges` marks
+both endpoints of every accepted undirected edge as touched, and the
+delta carries their complete labels.  A pendant no edge touches still
+has degree 1, so it stays exact whatever happens to ``u``'s label.
+:meth:`~DynamicHopDoublingIndex.from_store` reads derived labels: the
+repair state holds every vertex's full label.
+
 Scope and guarantees:
 
 * queries stay **exact** after any number of insertions (asserted
@@ -72,6 +87,15 @@ from repro.core.ranking import Ranking, make_ranking
 from repro.core.rules import PrevEntry, make_engine
 from repro.graphs.builder import GraphBuilder
 from repro.graphs.digraph import Graph
+
+def _edge_keys(graph: Graph) -> set[tuple[int, int]]:
+    """``DynamicHopDoublingIndex._edge_key`` of every edge of ``graph``,
+    read off the adjacency rows (an undirected edge once, ``u <= v``)."""
+    out, n = graph.out_neighbors, graph.num_vertices
+    if graph.directed:
+        return {(u, v) for u in range(n) for v in out(u)}
+    return {(u, v) for u in range(n) for v in out(u) if u <= v}
+
 
 class _DictRepairEngine:
     """The reference repair path over the dict-based label states.
@@ -192,6 +216,18 @@ class _ArrayRepairEngine:
             rank_of, directed, list(entries)
         )
         return cls(state)
+
+    @classmethod
+    def from_columns(
+        cls, rank_of: Sequence[int], directed: bool, a, b, dist
+    ) -> "_ArrayRepairEngine":
+        """:meth:`from_label_entries` over int64/float64 numpy columns."""
+        import numpy as np
+
+        from repro.core.arraystate import ArrayLabelState, PrevBlock
+
+        block = PrevBlock(a, b, dist, np.ones(a.size, dtype=np.int64))
+        return cls(ArrayLabelState.from_block(rank_of, directed, block))
 
     # -- repair --------------------------------------------------------
     def admit_and_repair(self, entries: list[PrevEntry]) -> int:
@@ -338,9 +374,7 @@ class DynamicHopDoublingIndex:
         # covers insertions only, not the base index.
         self._touched = self._impl.track_touched()
         self._new_edges: list[tuple[int, int, float]] = []
-        self._edge_keys: set[tuple[int, int]] = {
-            self._edge_key(u, v) for u, v, _ in graph.edges()
-        }
+        self._edge_keys = _edge_keys(graph)
         self._graph: Graph | None = graph
         self.insertions = 0
 
@@ -404,18 +438,25 @@ class DynamicHopDoublingIndex:
                             yield (p, v, d, 1)
 
         if self.engine == "array":
-            self._impl = _ArrayRepairEngine.from_label_entries(
-                ranking.rank_of, store.directed, entries()
-            )
+            from repro.oracle import kernel
+
+            if kernel.supports(store):
+                # CSR columns in, CSR columns out: no tuple per entry.
+                self._impl = _ArrayRepairEngine.from_columns(
+                    ranking.rank_of, store.directed,
+                    *kernel.label_entries(store),
+                )
+            else:
+                self._impl = _ArrayRepairEngine.from_label_entries(
+                    ranking.rank_of, store.directed, entries()
+                )
         else:
             self._impl = _DictRepairEngine.from_label_entries(
                 ranking.rank_of, store.directed, entries()
             )
         self._touched = self._impl.track_touched()
         if graph is not None:
-            self._edge_keys = {
-                self._edge_key(u, v) for u, v, _ in graph.edges()
-            }
+            self._edge_keys = _edge_keys(graph)
         else:
             # No graph: pre-existing edges cannot be detected (their
             # re-insertion is a harmless no-better seed), but edges
@@ -532,6 +573,9 @@ class DynamicHopDoublingIndex:
                 a, b = u, v
             else:
                 a, b = self._impl.owner_pivot(u, v)
+                # Both ends are in the next delta whether or not their
+                # labels change (module docstring, "pendants").
+                self._touched[0].update((u, v))
             seeds.append((a, b, weight, 1))
         if not added:
             return 0

@@ -13,7 +13,8 @@ protocol the rest of the query stack is written against.
 Queries exploit the layout: the smaller label is zipped into a dict at
 C speed and the larger one is probed through it, which is 2-3x faster
 than the tuple-list merge join in pure Python while returning the
-bit-identical minimum (see ``benchmarks/test_store_throughput.py``).
+bit-identical minimum (``benchmarks/test_store_throughput.py`` gates
+the equality and exports the rates).
 Grouped evaluation (:meth:`FlatLabelStore.query_group`) builds the
 source-side dict once per source, which is what the oracle's batch
 path amortises.
@@ -30,6 +31,18 @@ instead of per-entry ``struct`` unpacking::
     out_pivots:   out_count * i32
     out_dists:    out_count * f64
     [in_offsets / in_pivots / in_dists]    if directed
+    [parent: n * i32 | hang: n * f64]      if flags bit 1 (pendants)
+
+**Pendant vertices** (degree 1, neighbour of degree >= 2; undirected
+stores only) are not labelled: the row of pendant ``v`` is empty and
+``parent[v]`` / ``hang[v]`` name its neighbour and the edge between
+them (``v`` and ``0`` for every other, *core* vertex), so ``dist(s, t)
+= hang[s] + dist(parent[s], parent[t]) + hang[t]``.  Label reads
+(``out_label``, ``out_slice``, ``to_index``) hand out a pendant's
+*derived* label — the parent's, shifted by ``hang``, with ``(v, 0.0)``
+merged in — so every consumer of labels is unaware of the peel; the
+arrays, the file and the size figures hold what is stored.  A vertex
+with a staged update is core from then on.
 
 Version 1 files remain loadable through :func:`load_store`, which
 sniffs the version byte and upgrades transparently.
@@ -41,6 +54,7 @@ import mmap as _mmap
 import struct
 import sys
 from array import array
+from bisect import bisect_left
 from typing import Sequence
 
 from repro.core.labels import BYTES_PER_ENTRY, INF, LabelIndex, LabelStats
@@ -110,6 +124,22 @@ def merge_min_via(
             j += 1
     return best, best_pivot
 
+
+def derived_slice(v, hang, pivots, dists, o, e):
+    """Pendant ``v``'s label slice from its parent's ``pivots/dists[o:e]``.
+
+    Every entry moves out by the pendant edge ``hang`` and ``(v, 0.0)``
+    goes in at its sorted place; same ``(pivots, dists, lo, hi)`` shape
+    as :meth:`FlatLabelStore.out_slice`.
+    """
+    piv = list(pivots[o:e])
+    dst = [hang + d for d in dists[o:e]]
+    at = bisect_left(piv, v)
+    piv.insert(at, v)
+    dst.insert(at, 0.0)
+    return piv, dst, 0, len(piv)
+
+
 # The on-disk blobs are little-endian; big-endian hosts byteswap on
 # save/load (and fall back to copying instead of zero-copy mmap views).
 _BIG_ENDIAN = sys.byteorder == "big"
@@ -130,6 +160,12 @@ class FlatLabelStore:
     load) or read-only views of the array build engine's numpy arrays
     (zero-copy freeze); all support the indexing, slicing, and
     iteration the query paths use.
+
+    ``parent`` / ``hang`` are ``None`` unless the index was built with
+    pendant vertices peeled (see the module docstring).  ``lo`` is the
+    global id of local vertex 0: non-zero only for a shard inside a
+    :class:`~repro.oracle.sharding.ShardedLabelStore`, whose parent
+    ids are global — the sharded store, not the shard, resolves them.
     """
 
     __slots__ = (
@@ -142,6 +178,9 @@ class FlatLabelStore:
         "in_offsets",
         "in_pivots",
         "in_dists",
+        "parent",
+        "hang",
+        "lo",
         "_mmap",
         "_view",
         "_delta_out",
@@ -169,6 +208,8 @@ class FlatLabelStore:
         self.in_pivots = in_pivots
         self.in_dists = in_dists
         self.rank = rank
+        self.parent = self.hang = None
+        self.lo = 0
         self._mmap = None
         # The batch kernel's row cache (repro.oracle.kernel), created
         # by the first batch; dropped on close().
@@ -203,6 +244,7 @@ class FlatLabelStore:
         self._view = None
         self.out_offsets = self.out_pivots = self.out_dists = None
         self.in_offsets = self.in_pivots = self.in_dists = None
+        self.parent = self.hang = None
         self._mmap.close()
         self._mmap = None
 
@@ -218,21 +260,28 @@ class FlatLabelStore:
         """
         held = index._store
         if held is not None:
-            return cls(
+            store = cls(
                 held.n, held.directed,
                 held.out_offsets, held.out_pivots, held.out_dists,
                 held.in_offsets, held.in_pivots, held.in_dists,
                 list(held.rank) if held.rank is not None else None,
             )
+            store.parent, store.hang = held.parent, held.hang
+            return store
+
+        hang = index.hang
 
         def pack(labels):
+            # A tuple-list index holds a pendant's derived label; the
+            # arrays hold an empty row for it.
             offsets = array("q", [0])
             pivots = array("i")
             dists = array("d")
-            for lab in labels:
-                for p, d in lab:
-                    pivots.append(p)
-                    dists.append(d)
+            for v, lab in enumerate(labels):
+                if hang is None or not hang[v]:
+                    for p, d in lab:
+                        pivots.append(p)
+                        dists.append(d)
                 offsets.append(len(pivots))
             return offsets, pivots, dists
 
@@ -242,7 +291,11 @@ class FlatLabelStore:
         else:
             io, ip, id_ = oo, op, od
         rank = list(index.rank) if index.rank is not None else None
-        return cls(index.n, index.directed, oo, op, od, io, ip, id_, rank)
+        store = cls(index.n, index.directed, oo, op, od, io, ip, id_, rank)
+        if hang is not None:
+            store.parent = array("i", index.parent)
+            store.hang = array("d", hang)
+        return store
 
     def to_index(self) -> LabelIndex:
         """Expand back into a tuple-list :class:`LabelIndex`."""
@@ -252,7 +305,49 @@ class FlatLabelStore:
         else:
             in_labels = out_labels
         rank = list(self.rank) if self.rank is not None else None
-        return LabelIndex(self.n, self.directed, out_labels, in_labels, rank)
+        index = LabelIndex(self.n, self.directed, out_labels, in_labels, rank)
+        parent, hang = self._pendant_columns()
+        if hang is not None:
+            index.parent, index.hang = list(parent), list(hang)
+        return index
+
+    # -- pendant vertices ----------------------------------------------------
+    def _resolve(self, v: int):
+        """``(p, h)``: the core vertex answering for ``v`` and the edge
+        between them — ``(v, 0)`` unless ``v`` is a pendant."""
+        h = self.hang[v] if self.hang is not None else 0
+        if not h or (self._delta_out and v in self._delta_out):
+            return v, 0
+        p = self.parent[v]
+        if not (h > 0 and 0 <= p < self.n and not self.hang[p]):
+            raise ValueError(
+                f"corrupt pendant section: vertex {v} hangs {h!r} from {p}"
+            )
+        return p, h
+
+    def _pendant_columns(self):
+        """``(parent, hang)`` with the overlay folded in, as fresh arrays.
+
+        A vertex with a staged label is core; ``(None, None)`` when no
+        pendant is left.
+        """
+        if self.hang is None:
+            return None, None
+        parent, hang = array("i", self.parent), array("d", self.hang)
+        for v in self._delta_out:
+            parent[v] = v + self.lo
+            hang[v] = 0.0
+        if not any(hang):
+            return None, None
+        return parent, hang
+
+    @property
+    def pendants(self) -> int:
+        """Vertices answered through their neighbour (empty stored row)."""
+        if self.hang is None:
+            return 0
+        staged = self._delta_out
+        return sum(1 for v, h in enumerate(self.hang) if h and v not in staged)
 
     # -- incremental updates -------------------------------------------------
     @property
@@ -307,15 +402,17 @@ class FlatLabelStore:
         """
         if not self.has_pending_updates:
             return self
+        parent, hang = self._pendant_columns()
 
         def side(slice_of):
             offsets = array("q", [0])
             pivots = array("i")
             dists = array("d")
             for v in range(self.n):
-                p, d, o, e = slice_of(v)
-                pivots.extend(p[o:e])
-                dists.extend(d[o:e])
+                if hang is None or not hang[v]:
+                    p, d, o, e = slice_of(v)
+                    pivots.extend(p[o:e])
+                    dists.extend(d[o:e])
                 offsets.append(len(pivots))
             return offsets, pivots, dists
 
@@ -325,28 +422,22 @@ class FlatLabelStore:
         else:
             io, ip, id_ = oo, op, od
         rank = list(self.rank) if self.rank is not None else None
-        return FlatLabelStore(
+        store = FlatLabelStore(
             self.n, self.directed, oo, op, od, io, ip, id_, rank
         )
+        store.parent, store.hang, store.lo = parent, hang, self.lo
+        return store
 
     # -- LabelStore accessors ------------------------------------------------
     def out_label(self, v: int) -> list[tuple[int, float]]:
         """``Lout(v)`` as a fresh (pivot, dist) list, sorted by pivot."""
-        if self._delta_out:
-            staged = self._delta_out.get(v)
-            if staged is not None:
-                return list(zip(staged[0], staged[1]))
-        o, e = self.out_offsets[v], self.out_offsets[v + 1]
-        return list(zip(self.out_pivots[o:e], self.out_dists[o:e]))
+        p, d, o, e = self.out_slice(v)
+        return list(zip(p[o:e], d[o:e]))
 
     def in_label(self, v: int) -> list[tuple[int, float]]:
         """``Lin(v)`` as a fresh (pivot, dist) list, sorted by pivot."""
-        if self._delta_in:
-            staged = self._delta_in.get(v)
-            if staged is not None:
-                return list(zip(staged[0], staged[1]))
-        o, e = self.in_offsets[v], self.in_offsets[v + 1]
-        return list(zip(self.in_pivots[o:e], self.in_dists[o:e]))
+        p, d, o, e = self.in_slice(v)
+        return list(zip(p[o:e], d[o:e]))
 
     def label_of(self, v: int, out: bool = True) -> list[tuple[int, float]]:
         """The (pivot, dist) list of ``v``'s out- or in-label."""
@@ -360,13 +451,17 @@ class FlatLabelStore:
         sharded store joining labels from two different shards) use:
         plain CSR backends return the raw arrays with bounds, the
         quantized v3 backend returns decoded per-slice lists, and
-        vertices with a staged update return their overlay arrays —
-        any shape feeds the shared scalar helpers directly.
+        vertices with a staged update return their overlay arrays and
+        pendants their derived label — any shape feeds the shared
+        scalar helpers directly.
         """
         if self._delta_out:
             staged = self._delta_out.get(v)
             if staged is not None:
                 return staged[0], staged[1], 0, len(staged[0])
+        if self.hang is not None and self.hang[v]:
+            p, h = self._resolve(v)
+            return derived_slice(v, h, *self.out_slice(p))
         return (
             self.out_pivots,
             self.out_dists,
@@ -380,6 +475,9 @@ class FlatLabelStore:
             staged = self._delta_in.get(v)
             if staged is not None:
                 return staged[0], staged[1], 0, len(staged[0])
+        if self.hang is not None and self.hang[v]:
+            p, h = self._resolve(v)
+            return derived_slice(v, h, *self.in_slice(p))
         return (
             self.in_pivots,
             self.in_dists,
@@ -398,36 +496,41 @@ class FlatLabelStore:
         The smaller of the two labels is turned into a ``pivot ->
         dist`` dict at C speed and the larger side is probed through
         it; the minimum over common pivots is the same sum the merge
-        join would return.
+        join would return.  Pendant ends are resolved to their parents
+        first.
         """
         self._check(s, t)
         if s == t:
             return 0.0
-        if self._delta_out or self._delta_in:
-            ap, ad, ao, ae = self.out_slice(s)
-            bp, bd, bo, be = self.in_slice(t)
-            return probe_min_distance(ap, ad, ao, ae, bp, bd, bo, be)
-        return probe_min_distance(
-            self.out_pivots,
-            self.out_dists,
-            self.out_offsets[s],
-            self.out_offsets[s + 1],
-            self.in_pivots,
-            self.in_dists,
-            self.in_offsets[t],
-            self.in_offsets[t + 1],
-        )
+        hang = self.hang
+        if hang is None or not (hang[s] or hang[t]):
+            return self._join(probe_min_distance, s, t)
+        s, hs = self._resolve(s)
+        t, ht = self._resolve(t)
+        if s == t:
+            return float(hs + ht)
+        return hs + self._join(probe_min_distance, s, t) + ht
 
     def query_via(self, s: int, t: int) -> tuple[float, int]:
         """Like :meth:`query` but also return the best pivot (-1 if none)."""
         self._check(s, t)
         if s == t:
             return 0.0, s
+        hang = self.hang
+        if hang is None or not (hang[s] or hang[t]):
+            return self._join(merge_min_via, s, t)
+        s, hs = self._resolve(s)
+        t, ht = self._resolve(t)
+        if s == t:
+            return float(hs + ht), s
+        d, pivot = self._join(merge_min_via, s, t)
+        return hs + d + ht, pivot
+
+    def _join(self, join, s: int, t: int):
+        """``join`` over the stored slices of core vertices ``s != t``."""
         if self._delta_out or self._delta_in:
-            ap, ad, ao, ae = self.out_slice(s)
-            bp, bd, bo, be = self.in_slice(t)
-            return merge_min_via(ap, ad, ao, ae, bp, bd, bo, be)
-        return merge_min_via(
+            return join(*self.out_slice(s), *self.in_slice(t))
+        return join(
             self.out_pivots,
             self.out_dists,
             self.out_offsets[s],
@@ -443,31 +546,15 @@ class FlatLabelStore:
 
         The ``Lout(s)`` dict is built once and probed with every
         target's in-label — the building block of
-        :meth:`repro.oracle.DistanceOracle.query_batch`.
+        :meth:`repro.oracle.DistanceOracle.query_batch`.  Written over
+        the slice accessors, so one loop serves plain, overlaid,
+        quantized and peeled stores.
         """
         if not 0 <= s < self.n:
             raise IndexError(f"source {s} out of range [0, {self.n})")
-        if self._delta_out or self._delta_in:
-            ap, ad, ao, ae = self.out_slice(s)
-            src = dict(zip(ap[ao:ae], ad[ao:ae]))
-            get = src.get
-            out = []
-            append = out.append
-            for t in targets:
-                if not 0 <= t < self.n:
-                    raise IndexError(
-                        f"target {t} out of range [0, {self.n})"
-                    )
-                if t == s:
-                    append(0.0)
-                    continue
-                bp, bd, bo, be = self.in_slice(t)
-                append(probe_slice_min(get, bp, bd, bo, be))
-            return out
-        ao, ae = self.out_offsets[s], self.out_offsets[s + 1]
-        src = dict(zip(self.out_pivots[ao:ae], self.out_dists[ao:ae]))
-        get = src.get
-        pivots, dists, offsets = self.in_pivots, self.in_dists, self.in_offsets
+        ps, hs = self._resolve(s)
+        sp, sd, so, se = self.out_slice(ps)
+        get = dict(zip(sp[so:se], sd[so:se])).get
         out: list[float] = []
         append = out.append
         for t in targets:
@@ -476,9 +563,12 @@ class FlatLabelStore:
             if t == s:
                 append(0.0)
                 continue
-            append(
-                probe_slice_min(get, pivots, dists, offsets[t], offsets[t + 1])
-            )
+            pt, ht = self._resolve(t)
+            if pt == ps:
+                append(float(hs + ht))
+                continue
+            tp, td, to, te = self.in_slice(pt)
+            append(hs + probe_slice_min(get, tp, td, to, te) + ht)
         return out
 
     def _label_len(self, v: int, out: bool) -> int:
@@ -493,7 +583,11 @@ class FlatLabelStore:
 
     # -- statistics ----------------------------------------------------------
     def total_entries(self, include_trivial: bool = False) -> int:
-        """Total label entries (self entries excluded unless asked)."""
+        """Stored label entries (self entries excluded unless asked).
+
+        A pendant's empty row counts nothing: not its derived entries,
+        not a self entry.
+        """
         total = len(self.out_pivots)
         if self.directed:
             total += len(self.in_pivots)
@@ -503,8 +597,9 @@ class FlatLabelStore:
         for overlay, offsets in sides:
             for v, (pivots, _) in overlay.items():
                 total += len(pivots) - (offsets[v + 1] - offsets[v])
-        trivial = self.n * (2 if self.directed else 1)
-        return total if include_trivial else total - trivial
+        if include_trivial:
+            return total
+        return total - self.n * (2 if self.directed else 1) + self.pendants
 
     def size_in_bytes(self) -> int:
         """Index size under the paper's 5-bytes-per-entry convention."""
@@ -515,9 +610,11 @@ class FlatLabelStore:
         sides = [(self.out_offsets, self.out_pivots, self.out_dists)]
         if self.directed:
             sides.append((self.in_offsets, self.in_pivots, self.in_dists))
+        if self.hang is not None:
+            sides.append((self.parent, self.hang))
         total = 0
-        for offsets, pivots, dists in sides:
-            for arr in (offsets, pivots, dists):
+        for side in sides:
+            for arr in side:
                 total += len(arr) * arr.itemsize
         overlays = [self._delta_out]
         if self.directed:
@@ -531,18 +628,12 @@ class FlatLabelStore:
     def stats(self) -> LabelStats:
         """Aggregate size statistics (same semantics as LabelIndex)."""
         per_vertex = []
-        overlaid = self.has_pending_updates
         for v in range(self.n):
-            if overlaid:
-                size = self._label_len(v, out=True) - 1
-                if self.directed:
-                    size += self._label_len(v, out=False) - 1
-                per_vertex.append(size)
-                continue
-            size = self.out_offsets[v + 1] - self.out_offsets[v] - 1
+            size = self._label_len(v, out=True) - 1
             if self.directed:
-                size += self.in_offsets[v + 1] - self.in_offsets[v] - 1
-            per_vertex.append(size)
+                size += self._label_len(v, out=False) - 1
+            # A pendant's row is empty: no self entry to discount.
+            per_vertex.append(max(size, 0))
         total = sum(per_vertex)
         return LabelStats(
             num_vertices=self.n,
@@ -550,6 +641,7 @@ class FlatLabelStore:
             max_label_size=max(per_vertex, default=0),
             avg_label_size=total / self.n if self.n else 0.0,
             index_bytes=self.size_in_bytes(),
+            pendants=self.pendants,
         )
 
     # -- serialization -------------------------------------------------------
@@ -561,7 +653,7 @@ class FlatLabelStore:
         if self.has_pending_updates:
             self.merged().save(path)
             return
-        flags = 1 if self.directed else 0
+        flags = file_flags(self)
         has_rank = 1 if self.rank is not None else 0
         out_count = len(self.out_pivots)
         in_count = len(self.in_pivots) if self.directed else 0
@@ -578,6 +670,8 @@ class FlatLabelStore:
             if self.directed:
                 sides += [("q", self.in_offsets), ("i", self.in_pivots),
                           ("d", self.in_dists)]
+            if self.hang is not None:
+                sides += [("i", self.parent), ("d", self.hang)]
             for typecode, blob in sides:
                 fh.write(_as_le_bytes(blob, typecode))
 
@@ -614,9 +708,9 @@ class FlatLabelStore:
                 # zero-copy views are impossible; fall back to copying.
                 body = memoryview(fh.read())
 
-        directed = bool(flags & 1)
         cursor = _Cursor(path, body)
         try:
+            directed, peeled = read_flags(path, flags)
             rank = None
             if has_rank:
                 rank = list(cursor.take("I", n))
@@ -629,16 +723,17 @@ class FlatLabelStore:
                 id_ = cursor.take("d", in_count)
             else:
                 io, ip, id_ = oo, op, od
+            parent = hang = None
+            if peeled:
+                parent, hang = cursor.take("i", n), cursor.take("d", n)
+            cursor.finish()
         except ValueError:
             # Don't leak the mapping of a truncated file: release every
             # exported view, then close the mmap before re-raising.
-            if cursor.zero_copy:
-                mapping = body.obj
-                cursor.release_views()
-                body.release()
-                mapping.close()
+            cursor.abandon()
             raise
         store = cls(n, directed, oo, op, od, io, ip, id_, rank)
+        store.parent, store.hang = parent, hang
         if cursor.zero_copy:
             store._mmap = body.obj
         return store
@@ -678,11 +773,47 @@ class _Cursor:
             arr.byteswap()
         return arr
 
-    def release_views(self) -> None:
-        """Release every exported view so the mapping can be closed."""
+    def finish(self) -> None:
+        """Require that the sections read so far are the whole file."""
+        if self.pos != len(self.body):
+            raise ValueError(
+                f"{self.path}: {len(self.body) - self.pos} bytes after the "
+                "last section (corrupt index file, or a section its "
+                "header flags do not announce)"
+            )
+
+    def abandon(self) -> None:
+        """Release every exported view and close the mapping under them."""
+        if not self.zero_copy:
+            return
         for view in self.views:
             view.release()
         self.views.clear()
+        mapping = self.body.obj
+        self.body.release()
+        mapping.close()
+
+
+def file_flags(store) -> int:
+    """The v2/v3 header flags byte: bit 0 directed, bit 1 a pendant
+    section follows the label blobs."""
+    return (1 if store.directed else 0) | (2 if store.hang is not None else 0)
+
+
+def read_flags(path, flags: int) -> tuple[bool, bool]:
+    """``(directed, has pendant section)`` from a header flags byte; a
+    bit this reader does not know is an error, never ignored."""
+    directed, peeled = bool(flags & 1), bool(flags & 2)
+    if flags & ~3:
+        raise ValueError(
+            f"{path}: unknown header flag bits {flags:#04x}; written by a "
+            "newer version of this library?"
+        )
+    if directed and peeled:
+        raise ValueError(
+            f"{path}: corrupt header (pendant section on a directed index)"
+        )
+    return directed, peeled
 
 
 def frozen_views(*arrays) -> tuple:
@@ -695,6 +826,33 @@ def frozen_views(*arrays) -> tuple:
     for arr in arrays:
         arr.setflags(write=False)
     return tuple(map(memoryview, arrays))
+
+
+def drop_pendant_rows(store: "FlatLabelStore", parent, hang) -> "FlatLabelStore":
+    """``store`` (array-built, over a core graph) with the pendants' rows
+    emptied and ``parent`` / ``hang`` attached.
+
+    A pendant is isolated in the core graph, so its row is exactly its
+    self entry: one position per pendant is cut out of the columns.
+    """
+    import numpy as np
+
+    offsets, pivots, dists = (
+        np.asarray(col)
+        for col in (store.out_offsets, store.out_pivots, store.out_dists)
+    )
+    hang = np.asarray(hang, dtype=np.float64)
+    pendant = hang != 0
+    cut = offsets[:-1][pendant]
+    before = np.concatenate(([0], np.cumsum(pendant)))
+    side = frozen_views(
+        offsets - before, np.delete(pivots, cut), np.delete(dists, cut)
+    )
+    peeled = FlatLabelStore(store.n, False, *side, *side, store.rank)
+    peeled.parent, peeled.hang = frozen_views(
+        np.asarray(parent, dtype=np.int32), hang
+    )
+    return peeled
 
 
 def _as_le_bytes(blob, typecode: str) -> bytes:

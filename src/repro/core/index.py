@@ -26,8 +26,9 @@ from repro.core.hop_doubling import BuildResult, IterationStats
 from repro.core.hybrid import make_builder
 from repro.core.labels import INF, LabelIndex, LabelStats
 from repro.core.query import reconstruct_path
-from repro.core.ranking import Ranking
+from repro.core.ranking import Ranking, make_ranking
 from repro.graphs.digraph import Graph
+from repro.graphs.transform import peel_pendants
 
 
 class HopDoublingIndex:
@@ -74,9 +75,21 @@ class HopDoublingIndex:
         N worker processes, and ``on_round`` to be called with each
         round's :class:`IterationStats` as it finishes — see
         :mod:`repro.core.engine`.
+
+        Pendant vertices of an undirected graph (degree 1, under a
+        higher-ranked neighbour of degree >= 2) are not labelled: the
+        builder — the paper's algorithm,
+        :func:`~repro.core.hybrid.make_builder` — runs on the graph
+        without them, ranked as the full graph ranks it, and the index
+        answers a pendant through its neighbour
+        (:func:`~repro.graphs.transform.peel_pendants`).  Round
+        counters and ``total_entries`` therefore describe the core.
         """
+        if isinstance(ranking, str):
+            ranking = make_ranking(graph, ranking)
+        core, parent, hang = peel_pendants(graph, ranking.rank_of)
         builder = make_builder(
-            graph,
+            core,
             strategy,
             ranking=ranking,
             rule_set=rule_set,
@@ -84,6 +97,8 @@ class HopDoublingIndex:
             **builder_kwargs,
         )
         result = builder.build()
+        if hang is not None:
+            result.index = result.index.with_pendants(parent, hang)
         bp = None
         if use_bitparallel:
             bp = add_bitparallel(graph, result.index, num_roots=num_roots)

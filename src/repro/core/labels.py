@@ -414,11 +414,19 @@ class LabelStats:
     max_label_size: int
     avg_label_size: float
     index_bytes: int
+    #: Vertices not labelled at all: answered through their neighbour.
+    pendants: int = 0
+
+    @property
+    def core_vertices(self) -> int:
+        """Vertices that hold a stored label."""
+        return self.num_vertices - self.pendants
 
     def __str__(self) -> str:
         return (
             f"entries={self.total_entries} avg|label|={self.avg_label_size:.1f} "
-            f"max={self.max_label_size} bytes={self.index_bytes}"
+            f"max={self.max_label_size} bytes={self.index_bytes} "
+            f"pendants={self.pendants}"
         )
 
 
@@ -441,9 +449,20 @@ class LabelIndex:
     into the v2/v3 stores without touching an entry;
     :attr:`out_labels` / :attr:`in_labels` are then a derived view,
     materialised on first access.
+
+    An index built with pendant vertices peeled
+    (:meth:`with_pendants`) carries ``parent`` / ``hang``.  The tuple
+    lists always hold a pendant's *derived* label — its parent's,
+    shifted by the pendant edge, plus ``(v, 0.0)`` — so reading and
+    querying them needs no care; the arrays (and the v2/v3 files)
+    hold an empty row instead, and the size figures count what the
+    arrays store.
     """
 
-    __slots__ = ("n", "directed", "rank", "_out_labels", "_in_labels", "_store")
+    __slots__ = (
+        "n", "directed", "rank", "parent", "hang",
+        "_out_labels", "_in_labels", "_store",
+    )
 
     def __init__(
         self,
@@ -458,6 +477,7 @@ class LabelIndex:
         self._out_labels = out_labels
         self._in_labels = in_labels
         self.rank = rank
+        self.parent = self.hang = None
         self._store = None
 
     @classmethod
@@ -468,7 +488,33 @@ class LabelIndex:
         or updated, which is what lets ``from_index`` share its arrays.
         """
         index = cls(store.n, store.directed, None, None, store.rank)
+        index.parent, index.hang = store.parent, store.hang
         index._store = store
+        return index
+
+    def with_pendants(self, parent, hang) -> "LabelIndex":
+        """This index of a core graph, extended to the pendants peeled
+        off it (:func:`repro.graphs.transform.peel_pendants`).
+
+        ``self`` labels the graph with every pendant isolated, so a
+        pendant's row is its bare self entry: the arrays drop it, the
+        tuple lists replace it by the derived label.
+        """
+        if self._store is not None:
+            from repro.core.flatstore import drop_pendant_rows
+
+            return LabelIndex.over_store(
+                drop_pendant_rows(self._store, parent, hang)
+            )
+        labels = list(self._out_labels)
+        for v, h in enumerate(hang):
+            if h:
+                label = [(p, h + d) for p, d in labels[parent[v]]]
+                label.append((v, 0.0))
+                label.sort()
+                labels[v] = label
+        index = LabelIndex(self.n, False, labels, labels, self.rank)
+        index.parent, index.hang = parent, hang
         return index
 
     @property
@@ -577,22 +623,35 @@ class LabelIndex:
         """Total label entries (self entries excluded unless asked)."""
         if self._store is not None:
             return self._store.total_entries(include_trivial)
-        total = sum(len(lab) for lab in self.out_labels)
-        if self.directed:
-            total += sum(len(lab) for lab in self.in_labels)
-        trivial = self.n * (2 if self.directed else 1)
-        return total if include_trivial else total - trivial
+        total = sum(self._stored_sizes())
+        if include_trivial:
+            return total
+        return total - self.n * (2 if self.directed else 1) + self._pendants()
+
+    def _stored_sizes(self) -> list[int]:
+        """Per-vertex entry counts of a tuple-list index, self entries
+        included, as the arrays would store them: nothing for a pendant."""
+        hang = self.hang
+        sizes = []
+        for v in range(self.n):
+            if hang is not None and hang[v]:
+                sizes.append(0)
+                continue
+            size = len(self.out_labels[v])
+            if self.directed:
+                size += len(self.in_labels[v])
+            sizes.append(size)
+        return sizes
+
+    def _pendants(self) -> int:
+        return sum(map(bool, self.hang)) if self.hang is not None else 0
 
     def stats(self) -> LabelStats:
         """Aggregate size statistics (paper's |label| counts non-trivial)."""
         if self._store is not None:
             return self._store.stats()
-        per_vertex = []
-        for v in range(self.n):
-            size = len(self.out_labels[v]) - 1
-            if self.directed:
-                size += len(self.in_labels[v]) - 1
-            per_vertex.append(size)
+        trivial = 2 if self.directed else 1
+        per_vertex = [max(size - trivial, 0) for size in self._stored_sizes()]
         total = sum(per_vertex)
         return LabelStats(
             num_vertices=self.n,
@@ -600,6 +659,7 @@ class LabelIndex:
             max_label_size=max(per_vertex, default=0),
             avg_label_size=total / self.n if self.n else 0.0,
             index_bytes=self.size_in_bytes(),
+            pendants=self._pendants(),
         )
 
     def size_in_bytes(self) -> int:

@@ -26,6 +26,11 @@ degrade gracefully (fractional or huge distances fall back to raw
     out_pivots:   out_count * pivot_width   (per-label deltas)
     out_dists:    out_count * dist_width    (uint quantized, or raw f64)
     [in_offsets / in_pivots / in_dists]     if directed
+    [parent: n * i32 | hang: n * dist_width]  if flags bit 1 (pendants)
+
+The pendant section is :mod:`repro.core.flatstore`'s, with ``hang``
+held at the distance width (the largest hang and its integrality take
+part in choosing it).
 
 :class:`QuantizedLabelStore` serves the compact arrays directly: an
 mmap load is a handful of zero-copy casts (no decode pass), the
@@ -54,10 +59,10 @@ from repro.core.flatstore import (
     _Cursor,
     _as_le_bytes,
     FlatLabelStore,
+    derived_slice,
+    file_flags,
     frozen_views,
-    merge_min_via,
-    probe_min_distance,
-    probe_slice_min,
+    read_flags,
 )
 from repro.utils.atomicio import atomic_binary_writer
 
@@ -112,11 +117,12 @@ def _offsets_code(sides) -> str:
     return "I" if max(len(s[1]) for s in sides) <= 0xFFFFFFFF else "Q"
 
 
-def _encode_python(n: int, sides):
+def _encode_python(n: int, sides, hang=None):
     """Choose the widths and pack v2-layout ``sides``, entry by entry.
 
     The numpy-free reference of :func:`_encode_numpy`; returns
-    ``(pivot_width, dist_width, [(offsets, pivots, dists), ...])``.
+    ``(pivot_width, dist_width, [(offsets, pivots, dists), ...], hang)``
+    with ``hang`` (the pendant edges, or None) at the distance width.
     """
     max_delta = 0
     max_dist = 0.0
@@ -128,6 +134,7 @@ def _encode_python(n: int, sides):
                 if p - prev > max_delta:
                     max_delta = p - prev
                 prev = p
+    for dists in [side[2] for side in sides] + [() if hang is None else hang]:
         for d in dists:
             if d > max_dist:
                 max_dist = d
@@ -148,16 +155,20 @@ def _encode_python(n: int, sides):
             for p in pivots[o:e]:
                 ap(p - prev)
                 prev = p
+        return q_off, q_piv, pack_dists(dists)
+
+    def pack_dists(dists):
         if dist_width == 8:
-            q_dist = array("d", dists)
-        else:
-            q_dist = array(dist_code, (int(d) for d in dists))
-        return q_off, q_piv, q_dist
+            return array("d", dists)
+        return array(dist_code, (int(d) for d in dists))
 
-    return pivot_width, dist_width, [pack(*side) for side in sides]
+    return (
+        pivot_width, dist_width, [pack(*side) for side in sides],
+        pack_dists(hang) if hang is not None else None,
+    )
 
 
-def _encode_numpy(n: int, sides):
+def _encode_numpy(n: int, sides, hang=None):
     """:func:`_encode_python` as array operations (byte-identical output).
 
     The v2 blobs (``array.array`` or typed memoryviews) are read
@@ -177,10 +188,13 @@ def _encode_numpy(n: int, sides):
         delta[first] = piv[first]
         if piv.size:
             max_delta = max(max_delta, int(delta.max()))
+        columns.append((off, delta, dst))
+    hang = np.zeros(0) if hang is None else np.asarray(hang)
+    for dst in [side[2] for side in columns] + [hang]:
+        if dst.size:
             max_dist = max(max_dist, float(dst.max()))
             whole = (dst >= 0) & (dst == np.trunc(dst))
             integral = integral and bool(whole.all())
-        columns.append((off, delta, dst))
     pivot_width, dist_width = _choose_widths(max_delta, max_dist, integral)
     dtypes = (
         np.dtype(_offsets_code(sides)),
@@ -191,7 +205,8 @@ def _encode_numpy(n: int, sides):
         frozen_views(*(col.astype(dt) for col, dt in zip(side, dtypes)))
         for side in columns
     ]
-    return pivot_width, dist_width, packed
+    (hang,) = frozen_views(hang.astype(dtypes[2])) if hang.size else (None,)
+    return pivot_width, dist_width, packed, hang
 
 
 class QuantizedLabelStore(FlatLabelStore):
@@ -261,14 +276,20 @@ class QuantizedLabelStore(FlatLabelStore):
         if store.directed:
             sides.append((store.in_offsets, store.in_pivots, store.in_dists))
         encode = _encode_python if np is None else _encode_numpy
-        pivot_width, dist_width, packed = encode(store.n, sides)
+        pivot_width, dist_width, packed, hang = encode(
+            store.n, sides, store.hang
+        )
         oo, op, od = packed[0]
         io, ip, id_ = packed[-1]
         rank = list(store.rank) if store.rank is not None else None
-        return cls(
+        quantized = cls(
             store.n, store.directed, oo, op, od, io, ip, id_, rank,
             pivot_width=pivot_width, dist_width=dist_width,
         )
+        quantized.parent, quantized.hang, quantized.lo = (
+            store.parent, hang, store.lo
+        )
+        return quantized
 
     def merged(self) -> "QuantizedLabelStore":
         """Fold the staged overlay in, re-choosing the encoding widths.
@@ -309,39 +330,18 @@ class QuantizedLabelStore(FlatLabelStore):
         else:
             io, ip, id_ = oo, op, od
         rank = list(self.rank) if self.rank is not None else None
-        return FlatLabelStore(
+        flat = FlatLabelStore(
             self.n, self.directed, oo, op, od, io, ip, id_, rank
         )
+        if self.hang is not None:
+            flat.parent, flat.hang = self.parent, array("d", self.hang)
+        flat.lo = self.lo
+        return flat
 
     @classmethod
     def from_index(cls, index) -> "QuantizedLabelStore":
         """Pack a tuple-list :class:`~repro.core.labels.LabelIndex`."""
         return cls.from_flat(FlatLabelStore.from_index(index))
-
-    # -- LabelStore accessors ------------------------------------------------
-    def out_label(self, v: int) -> list[tuple[int, float]]:
-        """``Lout(v)`` as a fresh (pivot, dist) list, sorted by pivot."""
-        if self._delta_out:
-            staged = self._delta_out.get(v)
-            if staged is not None:
-                return list(zip(staged[0], staged[1]))
-        piv, dst = _decode_slice(
-            self.out_pivots, self.out_dists,
-            self.out_offsets[v], self.out_offsets[v + 1],
-        )
-        return list(zip(piv, dst))
-
-    def in_label(self, v: int) -> list[tuple[int, float]]:
-        """``Lin(v)`` as a fresh (pivot, dist) list, sorted by pivot."""
-        if self._delta_in:
-            staged = self._delta_in.get(v)
-            if staged is not None:
-                return list(zip(staged[0], staged[1]))
-        piv, dst = _decode_slice(
-            self.in_pivots, self.in_dists,
-            self.in_offsets[v], self.in_offsets[v + 1],
-        )
-        return list(zip(piv, dst))
 
     # -- slice views (shared with the sharded store's query paths) -----------
     def out_slice(self, v: int):
@@ -353,6 +353,9 @@ class QuantizedLabelStore(FlatLabelStore):
             staged = self._delta_out.get(v)
             if staged is not None:
                 return staged[0], staged[1], 0, len(staged[0])
+        if self.hang is not None and self.hang[v]:
+            p, h = self._resolve(v)
+            return derived_slice(v, h, *self.out_slice(p))
         piv, dst = _decode_slice(
             self.out_pivots, self.out_dists,
             self.out_offsets[v], self.out_offsets[v + 1],
@@ -365,6 +368,9 @@ class QuantizedLabelStore(FlatLabelStore):
             staged = self._delta_in.get(v)
             if staged is not None:
                 return staged[0], staged[1], 0, len(staged[0])
+        if self.hang is not None and self.hang[v]:
+            p, h = self._resolve(v)
+            return derived_slice(v, h, *self.in_slice(p))
         piv, dst = _decode_slice(
             self.in_pivots, self.in_dists,
             self.in_offsets[v], self.in_offsets[v + 1],
@@ -372,45 +378,10 @@ class QuantizedLabelStore(FlatLabelStore):
         return piv, dst, 0, len(piv)
 
     # -- querying ------------------------------------------------------------
-    def query(self, s: int, t: int) -> float:
-        """Exact ``dist(s, t)``; ``inf`` when unreachable.
-
-        Decodes the two touched slices and runs the same dict-probe
-        helper as the flat store — bit-identical answers.
-        """
-        self._check(s, t)
-        if s == t:
-            return 0.0
-        ap, ad, ao, ae = self.out_slice(s)
-        bp, bd, bo, be = self.in_slice(t)
-        return probe_min_distance(ap, ad, ao, ae, bp, bd, bo, be)
-
-    def query_via(self, s: int, t: int) -> tuple[float, int]:
-        """Like :meth:`query` but also return the best pivot (-1 if none)."""
-        self._check(s, t)
-        if s == t:
-            return 0.0, s
-        ap, ad, ao, ae = self.out_slice(s)
-        bp, bd, bo, be = self.in_slice(t)
-        return merge_min_via(ap, ad, ao, ae, bp, bd, bo, be)
-
-    def query_group(self, s, targets):
-        """Distances from ``s`` to each target, amortising the source side."""
-        if not 0 <= s < self.n:
-            raise IndexError(f"source {s} out of range [0, {self.n})")
-        sp, sd, _, _ = self.out_slice(s)
-        get = dict(zip(sp, sd)).get
-        out: list[float] = []
-        append = out.append
-        for t in targets:
-            if not 0 <= t < self.n:
-                raise IndexError(f"target {t} out of range [0, {self.n})")
-            if t == s:
-                append(0.0)
-                continue
-            tp, td, to, te = self.in_slice(t)
-            append(probe_slice_min(get, tp, td, to, te))
-        return out
+    def _join(self, join, s: int, t: int):
+        """``join`` over the two touched slices, decoded: the flat
+        store's helpers, hence its bit-identical answers."""
+        return join(*self.out_slice(s), *self.in_slice(t))
 
     # -- serialization -------------------------------------------------------
     def save(self, path) -> None:
@@ -421,7 +392,7 @@ class QuantizedLabelStore(FlatLabelStore):
         if self.has_pending_updates:
             self.merged().save(path)
             return
-        flags = 1 if self.directed else 0
+        flags = file_flags(self)
         has_rank = 1 if self.rank is not None else 0
         out_count = len(self.out_pivots)
         in_count = len(self.in_pivots) if self.directed else 0
@@ -450,6 +421,8 @@ class QuantizedLabelStore(FlatLabelStore):
                     (pivot_code, self.in_pivots),
                     (dist_code, self.in_dists),
                 ]
+            if self.hang is not None:
+                sides += [("i", self.parent), (dist_code, self.hang)]
             for typecode, blob in sides:
                 fh.write(_as_le_bytes(blob, typecode))
 
@@ -497,12 +470,12 @@ class QuantizedLabelStore(FlatLabelStore):
             else:
                 body = memoryview(fh.read())
 
-        directed = bool(flags & 1)
         off_code = _OFFSET_CODES[off_width]
         pivot_code = _PIVOT_CODES[pivot_width]
         dist_code = _DIST_CODES[dist_width]
         cursor = _Cursor(path, body)
         try:
+            directed, peeled = read_flags(path, flags)
             rank = None
             if has_rank:
                 rank = list(cursor.take("I", n))
@@ -515,17 +488,18 @@ class QuantizedLabelStore(FlatLabelStore):
                 id_ = cursor.take(dist_code, in_count)
             else:
                 io, ip, id_ = oo, op, od
+            parent = hang = None
+            if peeled:
+                parent, hang = cursor.take("i", n), cursor.take(dist_code, n)
+            cursor.finish()
         except ValueError:
-            if cursor.zero_copy:
-                mapping = body.obj
-                cursor.release_views()
-                body.release()
-                mapping.close()
+            cursor.abandon()
             raise
         store = cls(
             n, directed, oo, op, od, io, ip, id_, rank,
             pivot_width=pivot_width, dist_width=dist_width,
         )
+        store.parent, store.hang = parent, hang
         if cursor.zero_copy:
             store._mmap = body.obj
         return store

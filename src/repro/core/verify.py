@@ -4,6 +4,12 @@ A production deployment of a distance oracle wants a cheap way to
 certify that a (possibly deserialized, possibly hand-edited) index is
 still trustworthy against a graph.  ``verify_index`` checks:
 
+0. **pendants** — for an index that answers pendant vertices through
+   their neighbour: every ``parent`` in range, never itself a pendant
+   and ranked above its pendant, every pendant edge positive, every
+   core vertex its own parent, every pendant's stored row empty.
+   O(n) range checks, done first: nothing else is looked at while one
+   fails, because every label read and query goes through them;
 1. **structure** — label arrays sorted by pivot, self entries present
    with distance 0, pivots outrank owners under the attached ranking;
 2. **soundness** — every label entry's distance is realizable (it is
@@ -50,6 +56,47 @@ class VerificationReport:
         )
 
 
+def _check_pendants(index: LabelStore, report: VerificationReport) -> None:
+    """Check 0 over each array store under ``index`` (global ids)."""
+    index = getattr(index, "_store", None) or index
+    n = index.n
+    rank = getattr(index, "rank", None)
+    shards = getattr(index, "shards", [index])
+    los = getattr(index, "_los", [0])
+    # A vertex with a staged label is core whatever the arrays say.
+    parts = [
+        (lo, shard, getattr(shard, "_delta_out", ()))
+        for lo, shard in zip(los, shards)
+        if getattr(shard, "hang", None) is not None
+    ]
+    pendants = {
+        lo + v
+        for lo, shard, staged in parts
+        for v, h in enumerate(shard.hang)
+        if h and v not in staged
+    }
+    for lo, shard, staged in parts:
+        offsets = getattr(shard, "out_offsets", None)
+        for local, (p, h) in enumerate(zip(shard.parent, shard.hang)):
+            v = lo + local
+            if local in staged:
+                continue
+            if not h:
+                if p != v:
+                    report.add(f"core vertex {v} has parent {p}")
+                continue
+            if not h > 0:
+                report.add(f"pendant {v} hangs by {h!r}, not a positive edge")
+            if not 0 <= p < n or p == v:
+                report.add(f"pendant {v} has parent {p} out of range")
+            elif p in pendants:
+                report.add(f"pendant {v} hangs from pendant {p}")
+            elif rank is not None and rank[p] >= rank[v]:
+                report.add(f"pendant {v} outranks its parent {p}")
+            if offsets is not None and offsets[local] != offsets[local + 1]:
+                report.add(f"pendant {v} has a non-empty stored row")
+
+
 def _check_structure(index: LabelStore, report: VerificationReport) -> None:
     rank = getattr(index, "rank", None)
     sides = [("out", index.out_label)]
@@ -93,6 +140,9 @@ def verify_index(
         )
         return report
 
+    _check_pendants(index, report)
+    if not report.ok:
+        return report
     _check_structure(index, report)
 
     rng = random.Random(seed)

@@ -133,3 +133,63 @@ def induced_subgraph(graph: Graph, vertices: Sequence[int]) -> Graph:
     return Graph.from_edges(
         len(vertices), edges, directed=graph.directed, weighted=graph.weighted
     )
+
+
+def peel_pendants(graph: Graph, rank_of: Sequence[int]):
+    """Split an undirected graph into its core and its pendant vertices.
+
+    ``v`` is a **pendant** iff ``deg(v) = 1``, its neighbour has degree
+    >= 2 (a K2 component keeps both ends; isolated vertices are core)
+    and the neighbour outranks it under ``rank_of`` — always, under the
+    degree ranking.  Every shortest path from a pendant leaves through
+    its one edge, so ``dist(s, t) = hang[s] + dist_core(parent[s],
+    parent[t]) + hang[t]`` for ``s != t`` — an index of the core
+    answers the whole graph (IS-LABEL's idea, one level deep) — and
+    the pendant's label is its neighbour's moved out by that edge.  A
+    degree-1 vertex that outranks its neighbour stays in the core: it
+    is a pivot of other labels, which a derived label cannot be.
+
+    Returns ``(core, parent, hang)``: the graph without pendant edges
+    (same vertex ids, pendants isolated), ``parent[v]`` the pendant's
+    neighbour (``v`` itself for core vertices) and ``hang[v]`` the
+    weight of its edge (``0.0`` for core vertices).  A graph without
+    pendants — and every directed graph — comes back as
+    ``(graph, None, None)``.
+    """
+    if graph.directed:
+        return graph, None, None
+    n = graph.num_vertices
+    adj = list(map(graph.out_neighbors, range(n)))
+    pendants = [
+        v for v, row in enumerate(adj)
+        if len(row) == 1
+        and len(adj[row[0]]) >= 2
+        and rank_of[row[0]] < rank_of[v]
+    ]
+    if not pendants:
+        return graph, None, None
+    weighted = graph.weighted
+    weights = list(map(graph.out_weights, range(n))) if weighted else None
+    parent = list(range(n))
+    hang = [0.0] * n
+    for v in pendants:
+        parent[v] = adj[v][0]
+        hang[v] = weights[v][0] if weighted else 1.0
+        adj[v] = []
+    # Rows no pendant hangs from are shared with the input graph
+    # (graphs are immutable); only the parents' rows are filtered.
+    for u in {parent[v] for v in pendants}:
+        if weighted:
+            kept = [(x, w) for x, w in zip(adj[u], weights[u]) if not hang[x]]
+            adj[u] = [x for x, _ in kept]
+            weights[u] = [w for _, w in kept]
+        else:
+            adj[u] = [x for x in adj[u] if not hang[x]]
+    if weighted:
+        for v in pendants:
+            weights[v] = []
+    core = Graph(
+        n, adj, adj, weights, weights, False, weighted,
+        graph.num_edges - len(pendants),
+    )
+    return core, parent, hang

@@ -9,8 +9,9 @@ hubs hold most label entries (154 pivots hold 79% of them on a
 70k-vertex GLP graph), so the hub part of a query is a dense, regular
 computation and only the remainder needs a search.
 
-1. **hub columns** (chosen once per store, at view creation) — an
-   evenly spaced sample of a few hundred labels is gathered and every
+1. **hub columns** (chosen once per store, at view creation) — a
+   sample of a few hundred labels, evenly spaced over the vertices
+   that own a row, is gathered and every
    pivot found in more than 1 in :data:`_HUB_SHARE` of them gets a
    column of a dense ``n x k`` uint8 table; that share is where one
    more byte per row costs less than the join entries it removes.
@@ -46,6 +47,21 @@ computation and only the remainder needs a search.
    direct-address table of entry positions, or by ``np.searchsorted``
    when the batch is too small or too spread out to pay for walking
    the table.  The answer is the smaller of the two parts.
+
+**Pendants.**  A store built with its pendant vertices peeled
+(:mod:`repro.core.flatstore`) keeps an empty row for each and answers
+it through its neighbour: :func:`batch_eval_arrays` maps both columns
+through the view's ``parent`` / ``hang`` right after the range check,
+masks ``parent[s] == parent[t]`` (siblings, a pendant and its own
+parent) the way it masks ``s == t``, evaluates the core pairs, adds the
+two hangs and restores ``0.0`` where ``s == t`` — one place, so every
+caller inherits it, and the table rows and tails of pendants are never
+touched.  The view owns a mutable copy of the two columns (a sharded
+store's slices concatenated) because updates un-peel: a vertex with a
+staged label is core, and :meth:`_View.invalidate` writes ``parent[v]
+= v, hang[v] = 0`` for every vertex of the delta.  That is only sound
+because ``DynamicHopDoublingIndex.insert_edges`` puts both endpoints of
+every new edge in the delta — see :mod:`repro.core.dynamic`.
 
 A :class:`~repro.oracle.sharding.ShardedLabelStore` has one view over
 its global vertex ids whose fill routes each missing vertex to the
@@ -292,7 +308,37 @@ class _View:
         self.arena_resets = 0
         self.out = self._new_rows(0)
         self.inn = self._new_rows(1) if self.directed else self.out
+        self._map_pendants(shards)
         self._choose_hubs()
+
+    def _map_pendants(self, shards) -> None:
+        """The view's own ``parent`` / ``hang`` columns over global ids
+        (None on a store without pendants): copies, because an update
+        un-peels the vertices it stages (:meth:`invalidate`)."""
+        self.parent = self.hang = None
+        if all(shard.hang is None for shard in shards):
+            return
+        parent, hang = [], []
+        for lo, shard in zip(self.los.tolist(), shards):
+            if shard.hang is None:
+                parent.append(np.arange(lo, lo + shard.n, dtype=np.int64))
+                hang.append(np.zeros(shard.n))
+            else:
+                parent.append(_as_np(shard.parent).astype(np.int64))
+                hang.append(_as_np(shard.hang).astype(np.float64))
+        parent, hang = np.concatenate(parent), np.concatenate(hang)
+        staged = np.flatnonzero(self.out.staged)
+        parent[staged] = staged
+        hang[staged] = 0.0
+        if not (
+            (parent >= 0).all() and (parent < self.n).all()
+            and (hang >= 0).all() and not hang[parent].any()
+        ):
+            raise ValueError(
+                "corrupt pendant section: a parent out of range or itself "
+                "a pendant, or a negative hang"
+            )
+        self.parent, self.hang = parent, hang
 
     def _new_rows(self, side: int) -> _Rows:
         """An empty cache for one side, its arena as large as the side."""
@@ -307,10 +353,16 @@ class _View:
 
     # -- hub columns ---------------------------------------------------------
     def _choose_hubs(self) -> None:
-        """Give a column to every pivot common in a sample of labels."""
-        n = self.n
-        stride = max(1, -(-n // _SAMPLE_LABELS))
-        sample = np.arange(0, n, stride, dtype=np.int64)
+        """Give a column to every pivot common in a sample of labels.
+
+        The sample is evenly spaced over the vertices that hold a
+        label: a pendant's row is empty.
+        """
+        core = (
+            np.arange(self.n, dtype=np.int64) if self.hang is None
+            else np.flatnonzero(self.hang == 0)
+        )
+        sample = core[:: max(1, -(-core.size // _SAMPLE_LABELS))]
         sampled = [self._gather(0, sample)[1]]
         if self.directed:
             sampled.append(self._gather(1, sample)[1])
@@ -467,7 +519,8 @@ class _View:
         """Forget the rows a just-staged ``LabelDelta`` replaces.
 
         The delta's vertex ids are the view's own: global ones on a
-        sharded store.
+        sharded store.  A vertex with a staged label is core from now
+        on, whatever it hung from.
         """
         sides = [(self.out, delta.out)]
         if self.directed:
@@ -478,12 +531,20 @@ class _View:
                     vertices = np.fromiter(labels, np.int64, len(labels))
                     rows.filled[vertices] = False
                     rows.staged[vertices] = True
+                    if self.hang is not None:
+                        self.parent[vertices] = vertices
+                        self.hang[vertices] = 0.0
 
     def info(self) -> dict:
         """The cache's size figures, read without the lock: a monitor
         never waits for a batch, and may catch one half counted."""
         sides = (self.out, self.inn) if self.directed else (self.out,)
+        pendants = (
+            0 if self.hang is None else int(np.count_nonzero(self.hang))
+        )
         return {
+            "pendants": pendants,
+            "core_vertices": self.n - pendants,
             "hub_columns": int(self.hubs.size),
             "rows_resident": sum(
                 int(np.count_nonzero(rows.filled)) for rows in sides
@@ -541,7 +602,9 @@ def ensure_sides(store) -> None:
 def view_info(store) -> dict | None:
     """What ``store``'s row cache holds (None before the first batch).
 
-    ``hub_columns`` is the dense table's width, ``rows_resident`` the
+    ``pendants`` counts the vertices answered through their neighbour
+    and ``core_vertices`` the ones that own a row; ``hub_columns`` is
+    the dense table's width, ``rows_resident`` the
     rows filled right now (both sides of a directed store),
     ``tail_entries`` the arena entries in use including garbage left
     by updates, and ``arena_resets`` how often a full arena emptied
@@ -549,6 +612,43 @@ def view_info(store) -> dict | None:
     """
     view = getattr(store, "_view", None)
     return None if view is None else view.info()
+
+
+def label_entries(store):
+    """Every non-trivial label entry of ``store`` as three columns.
+
+    ``(a, b, dist)``: entry ``k`` says a path ``a[k] -> b[k]`` of that
+    length exists — ``(owner, pivot)`` for an out-label entry,
+    ``(pivot, owner)`` for an in-label one.  Staged updates are read
+    from the overlay and a pendant's entries are its parent's moved
+    out by ``hang`` (one more gather); the trivial ``(v, 0)`` entries
+    are left out.  How an index is adopted for updates without a
+    Python object per entry.  ``store`` must satisfy :func:`supports`.
+    """
+    view = _view(store)
+    everyone = np.arange(view.n, dtype=np.int64)
+    columns = []
+    with view.lock:
+        for side in range(2 if view.directed else 1):
+            verts, piv, dist, lens = view._gather(side, everyone)
+            owner = np.repeat(verts, lens)
+            if view.hang is not None:
+                start = np.empty(view.n, dtype=np.int64)
+                start[verts] = np.cumsum(lens) - lens
+                size = np.empty(view.n, dtype=np.int64)
+                size[verts] = lens
+                pendant = np.flatnonzero(view.hang)
+                under = view.parent[pendant]
+                idx, _ = _expand(start[under], size[under])
+                owner = np.concatenate((owner, np.repeat(pendant, size[under])))
+                piv = np.concatenate((piv, piv[idx]))
+                dist = np.concatenate(
+                    (dist, np.repeat(view.hang[pendant], size[under]) + dist[idx])
+                )
+            real = owner != piv
+            a, b = (piv, owner) if side else (owner, piv)
+            columns.append((a[real], b[real], dist[real]))
+    return tuple(map(np.concatenate, zip(*columns)))
 
 
 def _hub_min(out_table, in_table, S, T):
@@ -741,14 +841,31 @@ def batch_eval_arrays(store, S, T):
         raise IndexError(
             f"query ({int(S[k])}, {int(T[k])}) out of range [0, {n})"
         )
+    view = _view(store)
+    if view.hang is None:
+        return _eval_distinct_ends(view, S, T)
+    # dist(s, t) = hang[s] + dist(parent[s], parent[t]) + hang[t]: two
+    # pendants of one parent, or a pendant and its parent, meet at the
+    # parent the way s == t meets at 0.0.
+    with view.lock:
+        hs, ht = view.hang[S], view.hang[T]
+        PS, PT = view.parent[S], view.parent[T]
+    res = hs + _eval_distinct_ends(view, PS, PT)
+    res += ht
+    res[S == T] = 0.0
+    return res
+
+
+def _eval_distinct_ends(view: _View, S, T):
+    """:func:`_eval` around the pairs with ``s == t``, which read 0.0."""
     ne = S != T
     if len(S) and ne.all():
         # No s == t pair to answer 0.0 (the usual batch): nothing to
         # mask out and scatter back around.
-        return _eval(_view(store), S, T)
+        return _eval(view, S, T)
     res = np.zeros(len(S), dtype=np.float64)
     if ne.any():
-        res[ne] = _eval(_view(store), S[ne], T[ne])
+        res[ne] = _eval(view, S[ne], T[ne])
     return res
 
 

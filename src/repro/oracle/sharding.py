@@ -42,6 +42,7 @@ from typing import Sequence
 
 from repro.core.flatstore import (
     FlatLabelStore,
+    derived_slice,
     load_store,
     merge_min_via,
     probe_min_distance,
@@ -132,6 +133,11 @@ class ShardedLabelStore:
     vertices ``lo .. hi-1``, locally re-based (global vertex ``v``
     lives at local id ``v - lo`` in its shard).  Pivot ids inside the
     labels stay **global**, so cross-shard joins need no translation.
+
+    Each shard carries the ``parent`` / ``hang`` slice of its own
+    range (parent ids global, too): a pendant's parent may live in
+    another shard, so resolving pendants — and deriving their labels —
+    is done here, never by a shard.
     """
 
     __slots__ = (
@@ -160,6 +166,7 @@ class ShardedLabelStore:
                 )
             if shard.directed != self.directed:
                 raise ShardError("shards disagree on directedness")
+            shard.lo = lo
         self._los = [lo for lo, _ in self.ranges]
         self._dirty: set[int] = set()
         # The batch kernel's row cache over all shards
@@ -350,16 +357,51 @@ class ShardedLabelStore:
         i = self.shard_of(v)
         return self.shards[i], v - self._los[i]
 
+    # -- pendant vertices ----------------------------------------------------
+    def _resolve(self, v: int):
+        """``(p, h)``: the core vertex answering for ``v`` and the edge
+        between them — ``(v, 0)`` unless ``v`` is a pendant."""
+        shard, local = self._locate(v)
+        if shard.hang is None:
+            return v, 0
+        h = shard.hang[local]
+        if not h or (shard._delta_out and local in shard._delta_out):
+            return v, 0
+        p = shard.parent[local]
+        if not (h > 0 and 0 <= p < self.n and not self._resolve(p)[1]):
+            raise ShardError(
+                f"corrupt pendant section: vertex {v} hangs {h!r} from {p}"
+            )
+        return p, h
+
+    def _pendant_columns(self):
+        """Global ``(parent, hang)`` arrays, staged updates folded in;
+        ``(None, None)`` on a store without pendants."""
+        parent, hang = array("i"), array("d")
+        for (lo, hi), shard in zip(self.ranges, self.shards):
+            p, h = shard._pendant_columns()
+            parent.extend(range(lo, hi) if p is None else p)
+            hang.extend([0.0] * (hi - lo) if h is None else h)
+        return (parent, hang) if any(hang) else (None, None)
+
+    def _slice(self, v: int, out: bool):
+        """``(pivots, dists, lo, hi)`` of ``v``'s label; a pendant's is
+        derived from its parent's."""
+        p, h = self._resolve(v)
+        shard, local = self._locate(p)
+        stored = shard.out_slice(local) if out else shard.in_slice(local)
+        return derived_slice(v, h, *stored) if h else stored
+
     # -- LabelStore accessors ------------------------------------------------
     def out_label(self, v: int) -> list[tuple[int, float]]:
         """``Lout(v)`` as a fresh (pivot, dist) list, sorted by pivot."""
-        shard, local = self._locate(v)
-        return shard.out_label(local)
+        p, d, o, e = self._slice(v, True)
+        return list(zip(p[o:e], d[o:e]))
 
     def in_label(self, v: int) -> list[tuple[int, float]]:
         """``Lin(v)`` as a fresh (pivot, dist) list, sorted by pivot."""
-        shard, local = self._locate(v)
-        return shard.in_label(local)
+        p, d, o, e = self._slice(v, False)
+        return list(zip(p[o:e], d[o:e]))
 
     def label_of(self, v: int, out: bool = True) -> list[tuple[int, float]]:
         """The (pivot, dist) list of ``v``'s out- or in-label."""
@@ -376,11 +418,14 @@ class ShardedLabelStore:
             if not 0 <= s < self.n:
                 raise IndexError(f"query ({s}, {t}) out of range [0, {self.n})")
             return 0.0
+        s, hs = self._resolve(s)
+        t, ht = self._resolve(t)
+        if s == t:
+            return float(hs + ht)
         a, al = self._locate(s)
         b, bl = self._locate(t)
-        ap, ad, ao, ae = a.out_slice(al)
-        bp, bd, bo, be = b.in_slice(bl)
-        return probe_min_distance(ap, ad, ao, ae, bp, bd, bo, be)
+        d = probe_min_distance(*a.out_slice(al), *b.in_slice(bl))
+        return hs + d + ht
 
     def query_via(self, s: int, t: int) -> tuple[float, int]:
         """Like :meth:`query` but also return the best pivot (-1 if none)."""
@@ -388,11 +433,14 @@ class ShardedLabelStore:
             if not 0 <= s < self.n:
                 raise IndexError(f"query ({s}, {t}) out of range [0, {self.n})")
             return 0.0, s
+        s, hs = self._resolve(s)
+        t, ht = self._resolve(t)
+        if s == t:
+            return float(hs + ht), s
         a, al = self._locate(s)
         b, bl = self._locate(t)
-        ap, ad, ao, ae = a.out_slice(al)
-        bp, bd, bo, be = b.in_slice(bl)
-        return merge_min_via(ap, ad, ao, ae, bp, bd, bo, be)
+        d, pivot = merge_min_via(*a.out_slice(al), *b.in_slice(bl))
+        return hs + d + ht, pivot
 
     def query_group(self, s: int, targets: Sequence[int]) -> list[float]:
         """Distances from ``s`` to each target, amortising the source side.
@@ -402,7 +450,8 @@ class ShardedLabelStore:
         ``Lout(s)`` dict is built once from ``s``'s shard and probed
         with every target's in-label from whichever shard owns it.
         """
-        a, al = self._locate(s)
+        ps, hs = self._resolve(s)
+        a, al = self._locate(ps)
         ap, ad, ao, ae = a.out_slice(al)
         src = dict(zip(ap[ao:ae], ad[ao:ae]))
         get = src.get
@@ -412,19 +461,21 @@ class ShardedLabelStore:
             if t == s:
                 append(0.0)
                 continue
-            b, bl = self._locate(t)
+            pt, ht = self._resolve(t)
+            if pt == ps:
+                append(float(hs + ht))
+                continue
+            b, bl = self._locate(pt)
             bp, bd, bo, be = b.in_slice(bl)
-            append(probe_slice_min(get, bp, bd, bo, be))
+            append(hs + probe_slice_min(get, bp, bd, bo, be) + ht)
         return out
 
     # -- statistics ----------------------------------------------------------
     def total_entries(self, include_trivial: bool = False) -> int:
         """Total label entries (self entries excluded unless asked)."""
-        total = sum(
-            shard.total_entries(include_trivial=True) for shard in self.shards
+        return sum(
+            shard.total_entries(include_trivial) for shard in self.shards
         )
-        trivial = self.n * (2 if self.directed else 1)
-        return total if include_trivial else total - trivial
 
     def size_in_bytes(self) -> int:
         """Index size under the paper's 5-bytes-per-entry convention."""
@@ -444,6 +495,7 @@ class ShardedLabelStore:
             max_label_size=max(st.max_label_size for st in shard_stats),
             avg_label_size=total / self.n if self.n else 0.0,
             index_bytes=self.size_in_bytes(),
+            pendants=sum(st.pendants for st in shard_stats),
         )
 
     @property
@@ -684,14 +736,18 @@ def _pack_any(store: LabelStore) -> FlatLabelStore:
     to a different shard count.
     """
 
+    columns = getattr(store, "_pendant_columns", None)
+    parent, hang = columns() if columns is not None else (None, None)
+
     def pack(label_of):
         offsets = array("q", [0])
         pivots = array("i")
         dists = array("d")
         for v in range(store.n):
-            for p, d in label_of(v):
-                pivots.append(p)
-                dists.append(d)
+            if hang is None or not hang[v]:
+                for p, d in label_of(v):
+                    pivots.append(p)
+                    dists.append(d)
             offsets.append(len(pivots))
         return offsets, pivots, dists
 
@@ -701,7 +757,7 @@ def _pack_any(store: LabelStore) -> FlatLabelStore:
     else:
         io, ip, id_ = oo, op, od
     rank = getattr(store, "rank", None)
-    return FlatLabelStore(
+    packed = FlatLabelStore(
         store.n,
         store.directed,
         oo,
@@ -712,6 +768,8 @@ def _pack_any(store: LabelStore) -> FlatLabelStore:
         id_,
         list(rank) if rank is not None else None,
     )
+    packed.parent, packed.hang = parent, hang
+    return packed
 
 
 def _slice_store(store: FlatLabelStore, lo: int, hi: int) -> FlatLabelStore:
@@ -733,6 +791,10 @@ def _slice_store(store: FlatLabelStore, lo: int, hi: int) -> FlatLabelStore:
     else:
         io, ip, id_ = oo, op, od
     rank = list(store.rank[lo:hi]) if store.rank is not None else None
-    return FlatLabelStore(
+    shard = FlatLabelStore(
         hi - lo, store.directed, oo, op, od, io, ip, id_, rank
     )
+    if store.hang is not None and any(store.hang[lo:hi]):
+        shard.parent = array("i", store.parent[lo:hi])
+        shard.hang = array("d", store.hang[lo:hi])
+    return shard

@@ -131,6 +131,7 @@ def graph_strategy(
     min_n: int = 2,
     fractional: bool = False,
     self_loops: bool = False,
+    pendants: bool = False,
 ):
     """Draw a small random graph (weights are small integers-as-floats,
     so distance comparisons are exact).
@@ -139,7 +140,10 @@ def graph_strategy(
     ``fractional`` lets a weighted draw use quarter weights (still
     exact in binary, but not storable as integers), ``self_loops``
     lets a draw keep its ``(v, v)`` edges, and ``min_n=1`` admits the
-    single-vertex graph.
+    single-vertex graph.  ``pendants`` hangs up to ten more vertices
+    off the drawn ones and off each other — stars, caterpillars,
+    chains — and may add a K2 component and isolated vertices, all
+    with ids past the drawn ``n``.
     """
     n = draw(st.integers(min_value=min_n, max_value=max_n))
     m = draw(st.integers(min_value=0, max_value=max_m))
@@ -156,6 +160,15 @@ def graph_strategy(
     else:
         edge = st.tuples(vertex, vertex)
     edges = draw(st.lists(edge, max_size=m))
+    if pendants:
+        for _ in range(draw(st.integers(min_value=0, max_value=10))):
+            hung_from = draw(st.integers(min_value=0, max_value=n - 1))
+            edges.append((hung_from, n, draw(weight)) if weighted else (hung_from, n))
+            n += 1
+        if draw(st.booleans()):
+            edges.append((n, n + 1, draw(weight)) if weighted else (n, n + 1))
+            n += 2
+        n += draw(st.integers(min_value=0, max_value=2))
     return Graph.from_edges(
         n,
         edges,

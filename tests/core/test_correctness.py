@@ -14,6 +14,7 @@ from repro.baselines.apsp import APSPOracle
 from repro.baselines.pll import build_pll
 from repro.core.hybrid import make_builder
 from repro.core.ranking import make_ranking, random_ranking
+from repro.graphs.digraph import Graph
 from repro.graphs.transform import permute_vertices, random_permutation
 from tests.conftest import graph_strategy, random_graph
 
@@ -75,13 +76,44 @@ class TestCanonicalIdentity:
         assert hop.out_labels == pll.out_labels
         assert hop.in_labels == pll.in_labels
 
-    @settings(max_examples=20, deadline=None)
+    # The same 20 draws on every host and checkout: no replay of
+    # whatever a past run left in .hypothesis/examples (the graph that
+    # does falsify the claim is pinned right below).
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
     @given(graph_strategy(weighted=True))
     def test_sizes_close_to_pll_weighted(self, g):
         """On weighted graphs tie-breaking may differ slightly, but the
         two canonical-style indexes stay within a few entries."""
         pll, _ = build_pll(g)
         hop = make_builder(g, "hybrid").build().index
+        a, b = hop.total_entries(), pll.total_entries()
+        assert abs(a - b) <= max(4, 0.15 * max(a, b))
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP 2a: a seed edge tied with a route through a "
+        "higher-ranked vertex is admitted before any witness exists and "
+        "never re-tested (10 non-trivial entries where PLL keeps 5)",
+    )
+    def test_sizes_close_to_pll_weighted_tied_seed_edges(self):
+        """The graph that falsifies the claim above; only its size half."""
+        g = Graph.from_edges(
+            6,
+            [(0, 1, 1), (0, 2, 1), (0, 3, 1), (0, 4, 1), (0, 5, 1),
+             (1, 2, 2), (1, 3, 2), (1, 4, 2), (1, 5, 2), (2, 3, 2)],
+            directed=False,
+            weighted=True,
+        )
+        truth = APSPOracle(g)
+        pll, _ = build_pll(g)
+        hop = make_builder(g, "hybrid").build().index
+        wrong = [
+            (s, t) for s in range(6) for t in range(6)
+            if hop.query(s, t) != truth.query(s, t)
+        ]
+        if wrong:  # not an AssertionError: never the expected failure
+            pytest.fail(f"inexact distances at {wrong}")
         a, b = hop.total_entries(), pll.total_entries()
         assert abs(a - b) <= max(4, 0.15 * max(a, b))
 
