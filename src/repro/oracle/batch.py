@@ -48,10 +48,16 @@ _MISS = object()
 KERNEL_MODES = ("auto", "on", "off")
 
 #: Below this many unique pairs "auto" stays on the scalar path — the
-#: kernel's fixed per-call cost (array setup, a sort, a dozen numpy
-#: calls whatever the size) is larger than a handful of dict probes.
-#: Purely a perf cutoff: both paths return bit-identical distances.
-MIN_KERNEL_PAIRS = 8
+#: kernel's fixed per-call cost (a few dozen numpy calls whatever the
+#: size) is larger than a handful of dict probes.  Purely a perf
+#: cutoff: both paths return bit-identical distances.  Measured as
+#: ``query_batch`` of a ``PairColumns`` block on a warm mmapped index,
+#: kernel "off" / "on" in µs (2-vCPU x86 box, one pinned core):
+#:
+#:   pairs        1        2        3        4        5        8
+#:   BA-10k v2    12 / 49  22 / 48  30 / 49  40 / 50  48 / 49   75 / 51
+#:   GLP-70k v3   18 / 50  37 / 51  53 / 50  70 / 52  86 / 53  142 / 55
+MIN_KERNEL_PAIRS = 4
 
 
 def _use_kernel(store: LabelStore, kernel: str, num_pairs: int) -> bool:

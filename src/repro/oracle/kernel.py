@@ -48,6 +48,16 @@ computation and only the remainder needs a search.
    when the batch is too small or too spread out to pay for walking
    the table.  The answer is the smaller of the two parts.
 
+Stages 3-5 are the *grouped* shape.  A batch below
+:data:`_PAIRWISE_BELOW` pairs, where sorting and deduping cost more
+than they save, takes the **pairwise** shape instead: no orientation,
+sort or dedupe; the hub part is one gather per side over the batch,
+and both ends' tails are keyed per pair as ``pair * n + pivot`` (the
+source keys come out sorted, because a tail keeps its pivot order),
+matched with ``np.searchsorted`` and reduced into their pairs.
+Everything else — the range check, the pendant mapping below, the
+``s == t`` mask, the row cache and its lock — is shared.
+
 **Pendants.**  A store built with its pendant vertices peeled
 (:mod:`repro.core.flatstore`) keeps an empty row for each and answers
 it through its neighbour: :func:`batch_eval_arrays` maps both columns
@@ -134,6 +144,21 @@ _MAX_CELL = 63
 #: this many rows stay inside the L2 cache.
 _HUB_PASS_PAIRS = 2048
 
+#: Batches of fewer pairs than this are joined pair by pair
+#: (:func:`_pairwise`); larger ones are grouped.  Warm kernel calls,
+#: pairwise / grouped in µs (2-vCPU x86 box, one pinned core), on
+#: uniform pairs and on Zipf(1.2) endpoints:
+#:
+#:   pairs              16        256        512        1,024      2,048
+#:   BA-10k v2          55 / 106  178 / 242  327 / 401  634 / 696  1250 / 1303
+#:     Zipf             52 / 106  168 / 222  308 / 308  561 / 501  1091 / 841
+#:   GLP-70k v3         57 / 108  185 / 235  295 / 392  554 / 665  1092 / 1189
+#:     Zipf             56 / 113  162 / 213  290 / 289  506 / 465   935 / 759
+#:
+#: Repeated pairs are what the grouped shape evaluates once; from
+#: 1,024 pairs on that wins it the Zipf batches.
+_PAIRWISE_BELOW = 1024
+
 #: Largest packed key a join may hold as int32.
 _INT32_MAX = 0x7FFFFFFF
 
@@ -152,7 +177,7 @@ _STATS = {
     "rows_filled": 0,
     "source_rows": 0,
     "gathered_entries": 0,
-    "joins": {"local_table": 0, "local_sorted": 0},
+    "joins": {"local_table": 0, "local_sorted": 0, "pairwise": 0},
 }
 
 #: Every live view, so a forked child can re-create their locks; the
@@ -184,8 +209,11 @@ def stats() -> dict:
     target-side *tail* entries the join pulled (a pair the hub table
     answers alone gathers none), ``source_rows`` the distinct sources
     whose tails a join gathered and keyed, and ``joins`` how many
-    evaluations each join kind served.  Counters only ever grow;
-    difference two snapshots to meter a stretch of work.
+    evaluations each join kind served.  The ``pairwise`` shape counts
+    every evaluation it serves, and it neither orients nor dedupes:
+    there ``distinct_pairs`` equals ``pairs`` and every pair keys its
+    own source row.  Counters only ever grow; difference two
+    snapshots to meter a stretch of work.
     """
     with _STATS_LOCK:
         return {**_STATS, "joins": dict(_STATS["joins"])}
@@ -772,12 +800,49 @@ def _join_tails(out: _Rows, inn: _Rows, base: int, S, T, res):
     )
 
 
+def _pairwise(view: _View, S, T):
+    """Distances of the pairs ``(S[k], T[k])`` as they stand.
+
+    The small-batch shape: no orientation, sort or dedupe.  The hub
+    part is one gather per side over the whole batch; the tail part
+    keys both ends' tails as ``pair * n + pivot`` — the source keys
+    come out sorted, because each tail keeps its pivot order — and
+    reduces the matches into their pairs.  Returns the distances and
+    the target entries gathered.
+    """
+    out, inn, base = view.out, view.inn, view.n
+    if view.hubs.size:
+        best = np.add(
+            np.take(out.table, S, axis=0), np.take(inn.table, T, axis=0)
+        ).min(axis=1)
+        res = np.where(best < _NO_ENTRY, best, np.inf)
+    else:
+        res = np.full(len(S), np.inf)
+    slens, tlens = out.tail_len[S], inn.tail_len[T]
+    sidx, _ = _expand(out.tail_start[S], slens)
+    tidx, _ = _expand(inn.tail_start[T], tlens)
+    if sidx.size and tidx.size:
+        # int32 keys while they fit: half the bytes to search.
+        dtype = np.int64 if len(S) * base > _INT32_MAX else np.int32
+        keyed = np.arange(0, len(S) * base, base, dtype=dtype)
+        owner = np.repeat(keyed, tlens)
+        hit, pos = _match_sorted(
+            np.repeat(keyed, slens) + out.tail_piv[sidx],
+            owner + inn.tail_piv[tidx],
+        )
+        sums = out.tail_dist[sidx[pos]] + inn.tail_dist[tidx[hit]]
+        np.minimum.at(res, owner[hit] // base, sums)
+    return res, tidx.size
+
+
 def _eval(view: _View, S, T):
     """Distances for the global pairs ``(S[k], T[k])``, none with s == t.
 
-    On an undirected store pairs are flipped so the shorter tail is
-    the expanded one — valid because the two sides alias and ``dist``
-    is symmetric; the scalar dict probe plays the same trick, and both
+    A batch below :data:`_PAIRWISE_BELOW` pairs is joined pair by pair
+    (:func:`_pairwise`).  A larger one is grouped: on an undirected
+    store pairs are flipped so the shorter tail is the expanded one —
+    valid because the two sides alias and ``dist`` is symmetric; the
+    scalar dict probe plays the same trick, and both
     orientations form the identical set of ``d1 + d2`` sums.  Ties go
     by vertex id, so a mirrored ``(t, s)`` lands on ``(s, t)`` and the
     dedupe below evaluates the two once.
@@ -785,6 +850,10 @@ def _eval(view: _View, S, T):
     n = view.n
     with view.lock:
         view.ensure_rows(S, T)
+        if len(S) < _PAIRWISE_BELOW:
+            res, gathered = _pairwise(view, S, T)
+            _tally(len(S), len(S), 0, len(S), gathered, "pairwise")
+            return res
         out, inn = view.out, view.inn
         if not view.directed:
             a, b = out.tail_len[S], out.tail_len[T]
@@ -835,8 +904,10 @@ def batch_eval_arrays(store, S, T):
             f"{S.shape} and {T.shape}"
         )
     n = store.n
-    bad = (S < 0) | (S >= n) | (T < 0) | (T >= n)
-    if bad.any():
+    # Read as unsigned, a negative id is too large as well: two passes
+    # find out whether anything is out of range, the mask says where.
+    if len(S) and max(S.view(np.uint64).max(), T.view(np.uint64).max()) >= n:
+        bad = (S < 0) | (S >= n) | (T < 0) | (T >= n)
         k = int(np.flatnonzero(bad)[0])
         raise IndexError(
             f"query ({int(S[k])}, {int(T[k])}) out of range [0, {n})"

@@ -8,19 +8,26 @@ cost (Python dispatch, kernel setup, a possible thread hop) once per
 The :class:`AdmissionBatcher` sits between the asyncio frontend and
 the evaluator and turns concurrency into batch size:
 
-* each request enqueues its pairs and awaits a future;
+* a **lone** request — nothing queued, no batch being collected or
+  dispatched, a synchronous evaluator and at most ``inline_below``
+  pairs — is answered by its submitter: after a single cooperative
+  yield (``asyncio.sleep(0)``), a still-empty queue proves no other
+  submitter was runnable, so ``submit`` evaluates the pairs itself
+  (no future, no collector wake-up, no extra loop turn).  A submitter
+  that arrives during that yield queues, and the lone one queues
+  behind it, so concurrent clients still coalesce;
+* every other request enqueues its pairs and awaits a future;
 * a collector drains the queue into one batch until either
   ``max_batch_pairs`` is reached or ``max_wait`` seconds have
-  elapsed — with one crucial exception: after a single cooperative
-  yield (``asyncio.sleep(0)``), an empty queue proves no other
-  submitter was runnable, so a lone request dispatches immediately
-  instead of waiting out the admission window;
+  elapsed — or, after the same one yield, the queue is empty: a
+  batch never waits out the admission window for companions that
+  are not there;
 * one evaluator call answers the whole batch, and every request's
   future resolves with its slice of the results — neither is
   rebuilt on the way: column blocks
   (:class:`~repro.oracle.batch.PairColumns`) are concatenated as
-  columns, a lone request reaches the evaluator as the very object
-  that was submitted, and a float64 result array is handed back as
+  columns, a batch of one request reaches the evaluator as the very
+  object that was submitted, and a float64 result array is handed back as
   views, not as lists;
 * **backpressure**: once ``max_pending_pairs`` admitted-but-unanswered
   pairs are in flight, :meth:`~AdmissionBatcher.submit` fails fast
@@ -91,9 +98,9 @@ class AdmissionBatcher:
     callable runs on a worker thread past ``inline_below`` pairs; an
     ``async def`` evaluator is awaited as-is.
 
-    The collector task starts lazily on first submit and is torn down
-    by :meth:`aclose`, which also fails every unanswered request with
-    :class:`ServeClosedError`.
+    The collector task starts lazily, with the first request that has
+    to queue, and is torn down by :meth:`aclose`, which also fails
+    every unanswered request with :class:`ServeClosedError`.
     """
 
     def __init__(
@@ -127,8 +134,13 @@ class AdmissionBatcher:
         self._pending_pairs = 0
         self._closed = False
         self._collector: asyncio.Task | None = None
+        # Held by the collector over a whole collect + dispatch, and by
+        # a submitter while it yields to prove it is alone.
+        self._collecting = False
+        self._lone = False
         self.pairs_served = 0
         self.batches_dispatched = 0
+        self.lone_requests = 0
         self.requests_rejected = 0
         self.max_batch_seen = 0
 
@@ -140,7 +152,8 @@ class AdmissionBatcher:
 
         The answer is this request's slice of whatever sequence the
         evaluator returned for the batch (a list for a list, a view
-        for a numpy array).  Raises :class:`ServeOverloadedError` past
+        for a numpy array), or, for a lone request, what it returned
+        for these pairs.  Raises :class:`ServeOverloadedError` past
         the backpressure mark, :class:`ServeClosedError` if the batcher
         closes before the request is answered, and re-raises whatever
         the evaluator raised for the batch the request rode in.
@@ -156,14 +169,46 @@ class AdmissionBatcher:
                 f"{self._pending_pairs} pairs already pending against a "
                 f"high-water mark of {self.max_pending_pairs}; retry later"
             )
+        self._pending_pairs += npairs
+        if npairs <= self.inline_below and not (
+            self._is_async or self._queue or self._collecting or self._lone
+        ):
+            # The collector's proof of loneliness, taken by the submitter
+            # itself: if the queue is still empty after one yield, no
+            # other submitter was runnable, and nothing is left to wait
+            # for.  One that did turn up has queued instead (``_lone``
+            # is set), so this request queues behind it.
+            self._lone = True
+            try:
+                await asyncio.sleep(0)
+            except asyncio.CancelledError:
+                self._pending_pairs -= npairs
+                raise
+            finally:
+                self._lone = False
+            if self._closed or not (self._queue or self._collecting):
+                return self._answer_alone(pairs)
         loop = asyncio.get_running_loop()
         if self._collector is None:
             self._collector = loop.create_task(self._run())
         future = loop.create_future()
-        self._pending_pairs += npairs
         self._queue.append(_Request(pairs, future))
         self._wake.set()
         return await future
+
+    def _answer_alone(self, pairs) -> Sequence[float]:
+        """Evaluate a lone request here, accounted as a batch of one."""
+        try:
+            if self._closed:
+                raise ServeClosedError("batcher closed with requests pending")
+            distances = self._evaluate(pairs)
+        finally:
+            self._pending_pairs -= len(pairs)
+        self.lone_requests += 1
+        self.batches_dispatched += 1
+        self.pairs_served += len(pairs)
+        self.max_batch_seen = max(self.max_batch_seen, len(pairs))
+        return distances
 
     # -- collector side ------------------------------------------------------
     async def _run(self) -> None:
@@ -171,8 +216,12 @@ class AdmissionBatcher:
             if not self._queue:
                 self._wake.clear()
                 await self._wake.wait()
-            batch = await self._collect()
-            await self._dispatch(batch)
+            self._collecting = True
+            try:
+                batch = await self._collect()
+                await self._dispatch(batch)
+            finally:
+                self._collecting = False
 
     async def _collect(self) -> list[_Request]:
         """Drain the queue into one batch under the admission window."""
@@ -269,10 +318,16 @@ class AdmissionBatcher:
             self._pending_pairs -= len(request.pairs)
 
     def stats(self) -> dict:
-        """Serving counters plus the current backpressure level."""
+        """Serving counters plus the current backpressure level.
+
+        ``lone_requests`` counts the requests their submitter answered
+        without the collector; each is also one of
+        ``batches_dispatched``.
+        """
         return {
             "pairs_served": self.pairs_served,
             "batches_dispatched": self.batches_dispatched,
+            "lone_requests": self.lone_requests,
             "requests_rejected": self.requests_rejected,
             "max_batch_seen": self.max_batch_seen,
             "pending_pairs": self._pending_pairs,

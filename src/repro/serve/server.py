@@ -236,6 +236,8 @@ class DistanceServer:
             "bytes_out": 0,
         }
         self._server: asyncio.base_events.Server | None = None
+        #: The live connections' handler tasks and their streams.
+        self._connections: dict[asyncio.Task, tuple] = {}
 
     @property
     def address(self) -> tuple[str, int]:
@@ -260,17 +262,30 @@ class DistanceServer:
         await self._server.serve_forever()
 
     async def aclose(self) -> None:
-        """Stop accepting, then fail any still-pending requests."""
+        """Stop accepting, fail the pending requests, end every connection.
+
+        A request still pending is answered 503; each connection then
+        ends once the requests it already sent are answered, and this
+        returns when every handler has finished — so nothing is left
+        for the event loop to cancel (Python 3.11's
+        ``Server.wait_closed`` does not wait for the connections).
+        """
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
         await self.batcher.aclose()
+        for reader, writer in self._connections.values():
+            writer.transport.pause_reading()
+            reader.feed_eof()
+        await asyncio.gather(*self._connections, return_exceptions=True)
 
     # -- request handling ----------------------------------------------------
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        self._connections[task] = reader, writer
         try:
             resync = True
             while resync:
@@ -292,6 +307,8 @@ class DistanceServer:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):
                 pass
+            finally:
+                del self._connections[task]
 
     async def _answer(self, pairs: PairColumns):
         """Range check, admission, evaluation: the path both codecs share."""

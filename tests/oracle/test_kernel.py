@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import HopDoublingIndex
 from repro.core.dynamic import DynamicHopDoublingIndex
 from repro.core.flatstore import FlatLabelStore
 from repro.core.hybrid import HybridBuilder
@@ -31,9 +32,21 @@ from repro.oracle import (
     evaluate_batch,
 )
 from repro.oracle import kernel
+from repro.oracle.batch import MIN_KERNEL_PAIRS
 from tests.conftest import random_graph
 
 np = pytest.importorskip("numpy")
+
+#: The smallest batch the kernel groups (sorts, dedupes, joins by
+#: source) rather than joining pair by pair.
+GROUPED = kernel._PAIRWISE_BELOW
+
+
+def grouped(pairs):
+    """``pairs`` repeated until the kernel groups them: at least
+    :data:`GROUPED` of them with ``s != t``."""
+    live = sum(s != t for s, t in pairs)
+    return pairs * -(-GROUPED // live) if live else pairs
 
 
 def build_flat(n=120, seed=3, directed=False):
@@ -133,12 +146,14 @@ class TestBitIdentity:
         ]
 
     def test_both_join_kinds_match(self, flat, monkeypatch):
-        # A batch whose tails would not pay for walking the probe
-        # table is binary-searched, a larger one goes through it.
-        few = batch(flat.n, 4, seed=15, include_special=False)
+        # A grouped batch whose tails would not pay for walking the
+        # probe table is binary-searched, a larger one goes through it.
+        few = grouped(batch(flat.n, 40, seed=15, include_special=False))
         many = batch(flat.n, 1500, seed=15)
-        monkeypatch.setattr(kernel, "_TABLE_BLOCK_ENTRIES", 8)
-        for pairs, join in ((few, "local_sorted"), (many, "local_table")):
+        for pairs, join, cost in (
+            (few, "local_sorted", 10**6), (many, "local_table", 8)
+        ):
+            monkeypatch.setattr(kernel, "_TABLE_BLOCK_ENTRIES", cost)
             got, did = work(lambda: kernel.batch_eval(flat, pairs))
             assert got == [flat.query(s, t) for s, t in pairs]
             assert did["joins"] == {join: 1}
@@ -172,12 +187,13 @@ class TestBitIdentity:
              synth_store(split, n, special)],
             [(0, split), (split, n)],
         )
-        pairs = [(s, t), (t, s), (s, 7), (t, t), (t, 60_000), (t, s)]
+        pairs = grouped([(s, t), (t, s), (s, 7), (t, t), (t, 60_000), (t, s)])
         got, did = work(lambda: kernel.batch_eval(sharded, pairs))
         assert got == [sharded.query(a, b) for a, b in pairs]
         assert got[:2] == [2.0, 2.0]
         assert did["joins"] == {"local_sorted": 1}
-        assert (did["pairs"], did["distinct_pairs"]) == (5, 3)
+        live = len(pairs) * 5 // 6
+        assert (did["pairs"], did["distinct_pairs"]) == (live, 3)
         assert did["rows_filled"] == 4
 
     def test_unreachable_pairs_inf(self):
@@ -329,6 +345,7 @@ class TestDistinctWork:
            kind=st.sampled_from(KINDS))
     def test_differential_with_duplicates(self, served, pairs, directed, kind):
         store = served[directed][kind]
+        pairs = grouped(pairs)
         got, did = work(lambda: kernel.batch_eval(store, pairs))
         assert got == [store.query(s, t) for s, t in pairs]
         assert did["pairs"] == len([p for p in pairs if p[0] != p[1]])
@@ -339,14 +356,14 @@ class TestDistinctWork:
     def test_one_pair_repeated_and_mirrored(self, served, directed, kind):
         store = served[directed][kind]
         s, t = 3, 71
-        same = [(s, t)] * 40
+        same = [(s, t)] * GROUPED
         got, did = work(lambda: kernel.batch_eval(store, same))
-        assert got == [store.query(s, t)] * 40
-        assert (did["pairs"], did["distinct_pairs"]) == (40, 1)
+        assert got == [store.query(s, t)] * GROUPED
+        assert (did["pairs"], did["distinct_pairs"]) == (GROUPED, 1)
 
-        mirrored = [(s, t), (t, s)] * 20
+        mirrored = [(s, t), (t, s)] * (GROUPED // 2)
         got, did = work(lambda: kernel.batch_eval(store, mirrored))
-        assert got == [store.query(s, t), store.query(t, s)] * 20
+        assert got == [store.query(s, t), store.query(t, s)] * (GROUPED // 2)
         assert did["distinct_pairs"] == (2 if directed else 1)
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -357,12 +374,13 @@ class TestDistinctWork:
         # only what the hub table does not hold.
         store = served[directed][kind]
         hot = [(k, 80 - k) for k in range(11)]
-        pairs = batch(store.n, 300, seed=31, include_special=False)
-        pairs += [hot[k % 11] for k in range(300)]
+        pairs = batch(store.n, 600, seed=31, include_special=False)
+        pairs += [hot[k % 11] for k in range(600)]
         random.Random(1).shuffle(pairs)
         got, did = work(lambda: kernel.batch_eval(store, pairs))
         assert got == [store.query(s, t) for s, t in pairs]
-        assert did["distinct_pairs"] <= did["pairs"] - 289
+        assert did["pairs"] >= GROUPED
+        assert did["distinct_pairs"] <= did["pairs"] - 589
         distinct = oriented(store, pairs)
         assert did["distinct_pairs"] == len(distinct)
         assert store._view.hubs.size > 0
@@ -374,6 +392,127 @@ class TestDistinctWork:
         # One gathered row per distinct source, however many pairs and
         # repeats leave from it.
         assert did["source_rows"] == len({s for s, _ in distinct})
+
+
+def unreachable_pair(store):
+    """Some ``(s, t)`` the store cannot connect, or None."""
+    return next(
+        ((s, t) for s in range(store.n) for t in range(store.n)
+         if store.query(s, t) == float("inf")),
+        None,
+    )
+
+
+@pytest.fixture(scope="module")
+def every_store():
+    """``kind -> (store, unreachable pair)`` for the crossover differential."""
+    edges = [(u, v) for u, v, _ in glp_graph(120, seed=9).edges()]
+    edges += [(v, v + 1) for v in range(120, 129)]  # a second component
+    g = Graph.from_edges(130, edges, directed=False)
+    flat = FlatLabelStore.from_index(HybridBuilder(g).build().index)
+    staged = FlatLabelStore.from_index(flat.to_index())
+    dyn = DynamicHopDoublingIndex.from_store(staged, graph=g)
+    dyn.insert_edges([(0, 77), (5, 119), (40, 41)])
+    staged.apply_updates(dyn.pop_label_delta())
+    rng = random.Random(0)
+    weighted = Graph.from_edges(  # vertex 120 stays isolated
+        121,
+        [(rng.randrange(120), rng.randrange(120), float(rng.choice([1, 2, 40])))
+         for _ in range(360)],
+        directed=False, weighted=True,
+    )
+    # Forty blocks of eight vertices, each labelled with pivots of its
+    # own block: pairs share several pivots, yet no pivot is in more
+    # than 1 in 32 labels.
+    blocks = {}
+    for v in range(320):
+        block = range(v - v % 8, v - v % 8 + 8)
+        pivots = sorted({v, *rng.sample(block, 4)})
+        blocks[v] = [(p, float(p != v and rng.randint(1, 9))) for p in pivots]
+    stores = {
+        "v2": flat,
+        "v3": QuantizedLabelStore.from_flat(flat),
+        "sharded": ShardedLabelStore.split(flat, 3),
+        "directed": build_flat(n=120, seed=3, directed=True),
+        "pendants": FlatLabelStore.from_index(HopDoublingIndex.build(g).labels),
+        "staged": staged,
+        "retiring": FlatLabelStore.from_index(
+            HybridBuilder(weighted).build().index
+        ),
+        "no_hubs": synth_store(0, 320, blocks),
+    }
+    assert stores["pendants"].hang is not None
+    assert stores["staged"].has_pending_updates
+    retiring = stores["retiring"]
+    kernel.ensure_sides(retiring)
+    chosen = retiring._view.hubs.size
+    kernel.batch_eval(retiring, all_pairs(121))
+    assert retiring._view.hubs.size < chosen
+    forget_view(retiring)  # the tests retire the columns again
+    kernel.ensure_sides(stores["no_hubs"])
+    assert kernel.view_info(stores["no_hubs"])["hub_columns"] == 0
+    return {kind: (store, unreachable_pair(store)) for kind, store in stores.items()}
+
+
+def evaluated_batch(store, size, seed, far):
+    """``size`` pairs the kernel evaluates — ``far`` (unreachable),
+    mirrors and repeats among them — shuffled with three ``s == t``
+    pairs it answers without evaluating."""
+    rng = random.Random(seed)
+    parent = getattr(store, "parent", None)
+    root = (lambda v: v) if parent is None else (lambda v: parent[v])
+    live = [far] if far else []
+    while len(live) < size:
+        roll = rng.random()
+        if live and roll < 0.2:
+            live.append(rng.choice(live))
+        elif live and roll < 0.4:
+            live.append(rng.choice(live)[::-1])
+        else:
+            s, t = rng.randrange(store.n), rng.randrange(store.n)
+            if root(s) != root(t):  # else: siblings, read without a join
+                live.append((s, t))
+    pairs = live[:size] + [(v, v) for v in rng.sample(range(store.n), 3)]
+    rng.shuffle(pairs)
+    return pairs
+
+
+class TestPairwise:
+    """Below the crossover pairs are joined one by one, above it
+    grouped: either way every store answers like ``store.query``."""
+
+    @pytest.mark.parametrize(
+        "size",
+        [1, 2, MIN_KERNEL_PAIRS, GROUPED - 1, GROUPED, GROUPED + 1],
+    )
+    @pytest.mark.parametrize(
+        "kind",
+        ["v2", "v3", "sharded", "directed", "pendants", "staged",
+         "retiring", "no_hubs"],
+    )
+    def test_matches_query_around_the_crossover(self, every_store, kind, size):
+        store, far = every_store[kind]
+        assert far is not None
+        pairs = evaluated_batch(store, size, seed=size, far=far)
+        got, did = work(lambda: kernel.batch_eval(store, pairs))
+        assert got == [store.query(s, t) for s, t in pairs]
+        assert did["pairs"] == size
+        if size < GROUPED:
+            assert did["joins"] == {"pairwise": 1}
+            assert did["distinct_pairs"] == did["source_rows"] == size
+        else:
+            assert "pairwise" not in did["joins"]
+            assert did["distinct_pairs"] < size
+
+    @pytest.mark.parametrize("kind", ["v3", "directed", "pendants", "no_hubs"])
+    def test_keys_past_int32_answer_alike(self, every_store, kind, monkeypatch):
+        store, far = every_store[kind]
+        pairs = evaluated_batch(store, 300, seed=5, far=far)
+        want = [store.query(s, t) for s, t in pairs]
+        # Keys of 300 pairs x 130 vertices no longer fit: int64 ones.
+        monkeypatch.setattr(kernel, "_INT32_MAX", 1000)
+        got, did = work(lambda: kernel.batch_eval(store, pairs))
+        assert got == want and did["joins"] == {"pairwise": 1}
 
 
 class TestRowChunks:
@@ -404,7 +543,7 @@ class TestRowChunks:
         self, served, directed, kind, rows_per_chunk, table
     ):
         store = served[directed][kind]
-        pairs = batch(90, 700, seed=41)
+        pairs = batch(90, 1400, seed=41)
         with self.chunked(rows_per_chunk, table) as join:
             got, did = work(lambda: kernel.batch_eval(store, pairs))
         assert got == [store.query(s, t) for s, t in pairs]
@@ -422,6 +561,7 @@ class TestRowChunks:
         self, served, pairs, table, rows_per_chunk, kind
     ):
         store = served[False][kind]
+        pairs = grouped(pairs)
         with self.chunked(rows_per_chunk, table):
             got = kernel.batch_eval(store, pairs)
         assert got == [store.query(s, t) for s, t in pairs]

@@ -49,6 +49,102 @@ def test_single_request_no_artificial_wait():
     assert calls == [[(1, 2), (3, 4)]]
 
 
+def test_lone_request_is_answered_by_its_submitter():
+    calls = []
+
+    async def main():
+        batcher = AdmissionBatcher(_echo_evaluate(calls), max_wait=30.0)
+        first = await batcher.submit([(1, 2)])
+        second = await batcher.submit([(3, 4), (5, 6)])
+        collector, stats = batcher._collector, batcher.stats()
+        await batcher.aclose()
+        return first, second, collector, stats
+
+    first, second, collector, stats = asyncio.run(main())
+    assert (first, second) == ([3.0], [7.0, 11.0])
+    assert calls == [[(1, 2)], [(3, 4), (5, 6)]]
+    # Answered in submit: the collector task was never created.
+    assert collector is None
+    assert stats["lone_requests"] == stats["batches_dispatched"] == 2
+    assert (stats["pairs_served"], stats["max_batch_seen"]) == (3, 2)
+    assert stats["pending_pairs"] == 0
+
+
+def test_two_runnable_submitters_still_share_one_call():
+    calls = []
+
+    async def main():
+        batcher = AdmissionBatcher(_echo_evaluate(calls), max_wait=0.05)
+        got = await asyncio.gather(
+            batcher.submit([(1, 2)]), batcher.submit([(3, 4), (5, 6)])
+        )
+        stats = batcher.stats()
+        await batcher.aclose()
+        return got, stats
+
+    got, stats = asyncio.run(main())
+    assert got == [[3.0], [7.0, 11.0]]
+    assert len(calls) == 1 and sorted(calls[0]) == [(1, 2), (3, 4), (5, 6)]
+    assert stats["lone_requests"] == 0 and stats["pending_pairs"] == 0
+
+
+def test_aclose_during_the_lone_yield_fails_the_request_as_closed():
+    calls, unhandled = [], []
+
+    async def main():
+        loop = asyncio.get_running_loop()
+        loop.set_exception_handler(lambda _, ctx: unhandled.append(ctx))
+        batcher = AdmissionBatcher(_echo_evaluate(calls))
+        lone = asyncio.ensure_future(batcher.submit([(1, 2)]))
+        await asyncio.sleep(0)
+        assert batcher._lone  # the submitter is inside its one yield
+        await batcher.aclose()
+        with pytest.raises(ServeClosedError):
+            await lone
+        return batcher.stats()
+
+    stats = asyncio.run(main())
+    assert calls == [] and unhandled == []
+    assert stats["pending_pairs"] == 0 and stats["lone_requests"] == 0
+
+
+def test_cancelled_lone_submitter_leaves_nothing_behind():
+    calls = []
+
+    async def main():
+        batcher = AdmissionBatcher(_echo_evaluate(calls))
+        lone = asyncio.ensure_future(batcher.submit([(1, 2)]))
+        await asyncio.sleep(0)
+        lone.cancel()
+        with pytest.raises(asyncio.CancelledError):
+            await lone
+        pending = batcher.stats()["pending_pairs"]
+        again = await batcher.submit([(3, 4)])
+        await batcher.aclose()
+        return pending, again, batcher.stats()
+
+    pending, again, stats = asyncio.run(main())
+    assert pending == 0 and again == [7.0]
+    assert calls == [[(3, 4)]] and stats["lone_requests"] == 1
+
+
+def test_lone_evaluator_failure_reaches_its_submitter():
+    async def main():
+        def evaluate(pairs):
+            raise RuntimeError("kernel exploded")
+
+        batcher = AdmissionBatcher(evaluate)
+        with pytest.raises(RuntimeError, match="exploded"):
+            await batcher.submit([(0, 1)])
+        stats = batcher.stats()
+        await batcher.aclose()
+        return stats
+
+    stats = asyncio.run(main())
+    assert stats["pending_pairs"] == 0
+    assert stats["lone_requests"] == stats["batches_dispatched"] == 0
+
+
 def test_concurrent_requests_coalesce_into_one_batch():
     calls = []
 

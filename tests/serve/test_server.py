@@ -183,8 +183,12 @@ def test_stats_op_reports_batcher_counters(flat):
 
 def test_stats_op_reports_kernel_counters(flat):
     pytest.importorskip("numpy")
-    # Ten copies of one pair: one distinct evaluation.
-    pairs = [(0, 5)] * 10
+    from repro.oracle import kernel
+
+    # Copies of one pair, enough for the kernel to group them: one
+    # distinct evaluation.
+    copies = kernel._PAIRWISE_BELOW
+    pairs = [(0, 5)] * copies
 
     async def scenario(server, host, port):
         client = await DistanceClient.connect(host, port)
@@ -198,15 +202,40 @@ def test_stats_op_reports_kernel_counters(flat):
     # A store no batch has touched: its row cache starts empty.
     fresh = type(flat).from_index(flat.to_index())
     before, after = _serve(fresh, scenario)
-    assert after["pairs"] - before["pairs"] == 10
+    assert after["pairs"] - before["pairs"] == copies
     assert after["distinct_pairs"] - before["distinct_pairs"] == 1
     # Both endpoints' rows were filled for it, one source row keyed.
     assert after["rows_filled"] - before["rows_filled"] == 2
     assert after["source_rows"] - before["source_rows"] == 1
     assert sum(after["joins"].values()) - sum(before["joins"].values()) <= 1
+    assert after["joins"]["pairwise"] == before["joins"]["pairwise"]
     assert before["view"] is None
     assert after["view"]["rows_resident"] == 2
     assert after["view"]["hub_columns"] > 0
+
+
+def test_stats_op_reports_the_path_a_small_request_took(flat):
+    pytest.importorskip("numpy")
+    small = random_pairs(flat.n, 16, seed=44)
+
+    async def scenario(server, host, port):
+        client = await DistanceClient.connect(host, port)
+        try:
+            before = await client.stats()
+            got = [await client.query(small) for _ in range(3)]
+            return before, got, await client.stats()
+        finally:
+            await client.aclose()
+
+    before, got, after = _serve(flat, scenario)
+    assert got == [[flat.query(s, t) for s, t in small]] * 3
+    # One connection asking in turn: every request was alone, answered
+    # by its submitter, and each was joined pair by pair.
+    lone = after["batcher"]["lone_requests"] - before["batcher"]["lone_requests"]
+    joins = after["kernel"]["joins"]
+    assert lone == 3
+    assert joins["pairwise"] - before["kernel"]["joins"]["pairwise"] == 3
+    assert after["batcher"]["pending_pairs"] == 0
 
 
 def test_stats_op_reports_shard_hits_of_a_live_pool(

@@ -485,6 +485,28 @@ def test_shutdown_answers_a_pending_frame_with_503(flat):
     assert _serve(flat, scenario) == (503, "server shutting down")
 
 
+def test_server_aclose_ends_every_connection(flat):
+    # An idle connection and one that already has its answer both end
+    # with the server, so nothing is left for the loop to cancel.
+    async def scenario(server, host, port):
+        streams = [await asyncio.open_connection(host, port) for _ in range(2)]
+        try:
+            for reader, writer in streams:
+                writer.write(b'{"op":"ping"}\n')
+                await _read_line(reader)
+            writer.write(_line([(0, 1)]))
+            answer = await _read_line(reader)
+            await server.aclose()
+            return answer, [await _closed(reader) for reader, _ in streams]
+        finally:
+            for _, writer in streams:
+                writer.close()
+
+    answer, closed = _serve(flat, scenario)
+    assert answer["distances"] == [flat.query(0, 1)]
+    assert closed == [True, True]
+
+
 # -- numpy is optional for framing ----------------------------------------------
 def test_framing_without_numpy_answers_identically(flat, monkeypatch):
     pairs = [(0, 130), (7, 7), (3, 90), (3, 90)] + [(k, k + 1) for k in range(20)]
