@@ -34,8 +34,6 @@ from repro.core.hybrid import make_builder
 from repro.core.index import HopDoublingIndex
 from repro.graphs.generators import ba_graph
 
-np = pytest.importorskip("numpy", reason="the array build engine requires numpy")
-
 NUM_VERTICES = 10_000
 #: Acceptance floor for the array engine vs the dict engine.  The
 #: vectorized joins measure ~4-5x on CPython 3.10-3.12; 2.0 is the

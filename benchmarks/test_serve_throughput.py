@@ -239,7 +239,7 @@ def measurements(flat, pairs):
 def test_fanout_answers_bit_identical(flat, pairs, expected):
     """The shm fan-out path agrees with the scalar store everywhere."""
     if not shm.available():
-        pytest.skip("shared-memory fan-out unavailable (no numpy/fork)")
+        pytest.skip("shared-memory fan-out unavailable (no fork)")
     store = ShardedLabelStore.split(flat, NUM_SHARDS)
     with SharedMemoryFanout(store, workers=2) as fanout:
         assert fanout.query_batch(pairs) == expected
@@ -250,8 +250,8 @@ def test_shm_fanout_floor(measurements):
     """The acceptance criterion: fan-out >= 1.5x inline on >= 4 cores."""
     if "fanout_speedup" not in measurements:
         reason = (
-            "SKIP: shared-memory fan-out unavailable (no numpy or no "
-            "fork start method); rates not measured"
+            "SKIP: shared-memory fan-out unavailable (no fork start "
+            "method); rates not measured"
         )
         print(reason, file=sys.stderr)
         pytest.skip(reason)

@@ -4,8 +4,7 @@ Two extensions built on the paper's machinery:
 
 * **incremental edge insertion** (`repro.core.dynamic`) — the paper
   targets static graphs; the hop-doubling rules double as a repair
-  procedure, keeping queries exact as edges arrive (batched here,
-  through the vectorized array repair engine when numpy is present),
+  procedure, keeping queries exact as edges arrive (batched here),
   with the changed labels handed to a serving store as a delta;
 * **inverted label index** (`repro.core.knn`) — one-to-all distances
   and k-NN straight from the labels, serving the centrality-style
@@ -45,8 +44,8 @@ def main() -> None:
     per_insert = (time.perf_counter() - t0) / max(inserted, 1)
     print(
         f"inserted {inserted} random edges in one batch "
-        f"({per_insert * 1e3:.1f} ms/insert incl. repair, "
-        f"{dyn.engine} engine); dist({s}, {t}) now: {dyn.query(s, t):g}"
+        f"({per_insert * 1e3:.1f} ms/insert incl. repair); "
+        f"dist({s}, {t}) now: {dyn.query(s, t):g}"
     )
 
     delta = dyn.pop_label_delta()

@@ -7,7 +7,7 @@ Subcommands::
                                [--engine {auto,array,dict}]
                                [--jobs N] [--force]
     repro query INDEX [S T ...] [--batch FILE] [--backend {flat,list}]
-                               [--mmap] [--kernel {auto,on,off}]
+                               [--mmap]
     repro query --shards DIR [S T ...] [--batch FILE] [--workers N]
     repro convert INDEX -o OUTPUT [--format {v1,v2,v3}] [--stats]
                                [--force]
@@ -15,9 +15,7 @@ Subcommands::
     repro serve INDEX|DIR [--host H] [--port P] [--workers N]
                                [--max-batch PAIRS] [--max-wait-ms MS]
                                [--max-pending PAIRS]
-                               [--kernel {auto,on,off}]
     repro update INDEX --edges FILE [-o OUT] [--shards DIR]
-                               [--engine {auto,array,dict}]
     repro stats GRAPH [--directed] [--weighted]
     repro generate MODEL -n N -o GRAPH [--density D] [--seed K]
                                [--directed]
@@ -38,8 +36,8 @@ label repair — no rebuild; a shard directory has only its changed
 shards rewritten and their manifest checksums refreshed.  Queries are served through the
 :class:`~repro.oracle.DistanceOracle` facade; ``--batch FILE``
 evaluates one ``s t`` pair per line with the vectorized numpy kernel
-when available (``--kernel`` pins the choice) and grouped merge joins
-otherwise.  ``repro serve`` runs the asyncio distance server of
+on a flat or quantized store and grouped merge joins otherwise.
+``repro serve`` runs the asyncio distance server of
 :mod:`repro.serve` over an index file or shard directory: concurrent
 clients' requests coalesce into kernel batches under an admission
 window, and the same :class:`~repro.oracle.ParallelOracle` decides per
@@ -58,42 +56,6 @@ from repro.graphs.io import read_edge_list, write_edge_list
 from repro.graphs.stats import summarize
 from repro.utils.prettyprint import format_bytes, format_count
 from repro.utils.timer import format_duration
-
-
-def _resolve_engine(engine: str, jobs: int) -> tuple[str, int] | None:
-    """Turn the CLI engine choice into builder kwargs (None = error).
-
-    The rule is :func:`repro.core.engine.resolve_engine`'s (``auto`` =
-    array when numpy imports, else dict); this wrapper only words the
-    outcome for a command line.  An ``auto`` that falls back to the
-    single-process dict engine forces ``jobs`` back to 1.  It runs
-    before the graph load, so a misconfigured invocation fails fast.
-    """
-    from repro.core.engine import resolve_engine
-
-    try:
-        resolved = resolve_engine(engine)
-    except ValueError:
-        print(
-            "error: --engine array requires numpy; install it or "
-            "use --engine dict",
-            file=sys.stderr,
-        )
-        return None
-    if resolved == "dict" and jobs > 1:
-        if engine == "dict":
-            print(
-                "error: --jobs > 1 requires --engine array",
-                file=sys.stderr,
-            )
-            return None
-        print(
-            "warning: numpy unavailable; falling back to the dict "
-            "engine (single-process, --jobs ignored)",
-            file=sys.stderr,
-        )
-        jobs = 1
-    return resolved, jobs
 
 
 def _print_round(it) -> None:
@@ -117,10 +79,14 @@ def _cmd_build(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    resolved = _resolve_engine(args.engine, args.jobs)
-    if resolved is None:
+    from repro.core.engine import check_engine_options, resolve_engine
+
+    try:
+        check_engine_options(args.engine, args.jobs)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    engine, jobs = resolved
+    engine, jobs = resolve_engine(args.engine), args.jobs
     graph = read_edge_list(
         args.graph, directed=args.directed, weighted=args.weighted
     )
@@ -199,15 +165,10 @@ def _cmd_query(args: argparse.Namespace) -> int:
             return 2
     try:
         if args.shards:
-            oracle = ParallelOracle(
-                args.shards,
-                workers=args.workers,
-                kernel=args.kernel,
-            )
+            oracle = ParallelOracle(args.shards, workers=args.workers)
         else:
             oracle = DistanceOracle.open(
-                args.index, backend=args.backend, use_mmap=args.mmap,
-                kernel=args.kernel,
+                args.index, backend=args.backend, use_mmap=args.mmap
             )
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -246,10 +207,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
                 f"({rate:,.0f} pairs/s)",
                 file=sys.stderr,
             )
-    except (IndexError, ValueError) as exc:
-        # IndexError: out-of-range vertex ids; ValueError: --kernel on
-        # with a store that has no vectorized path (numpy missing or
-        # --backend list).
+    except IndexError as exc:  # out-of-range vertex ids
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
@@ -429,7 +387,7 @@ def _cmd_update(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        dyn = DynamicHopDoublingIndex.from_store(store, engine=args.engine)
+        dyn = DynamicHopDoublingIndex.from_store(store)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -443,7 +401,7 @@ def _cmd_update(args: argparse.Namespace) -> int:
     delta = dyn.pop_label_delta()
     print(
         f"inserted {added} of {len(edges)} edges in "
-        f"{format_duration(repair_seconds)} ({dyn.engine} repair engine): "
+        f"{format_duration(repair_seconds)}: "
         f"{format_count(len(delta.vertices()))} vertex labels changed"
     )
     try:
@@ -491,10 +449,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import DistanceServer
 
     try:
-        oracle = ParallelOracle(
-            args.index, workers=args.workers, cache_size=0,
-            kernel=args.kernel,
-        )
+        oracle = ParallelOracle(args.index, workers=args.workers, cache_size=0)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -661,9 +616,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=["auto", "array", "dict"],
         default="auto",
-        help="construction engine: vectorized arrays or the reference "
-        "dict implementation (auto = array when numpy is available); "
-        "both produce bit-identical indexes",
+        help="construction engine: vectorized arrays (auto) or the "
+        "reference dict implementation; both produce bit-identical "
+        "indexes",
     )
     p.add_argument(
         "--jobs",
@@ -702,13 +657,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--mmap",
         action="store_true",
         help="memory-map a v2/v3 index instead of reading it",
-    )
-    p.add_argument(
-        "--kernel",
-        choices=["auto", "on", "off"],
-        default="auto",
-        help="vectorized numpy batch evaluation (default: auto — used "
-        "when numpy and a flat/quantized backend are available)",
     )
     p.add_argument(
         "--shards",
@@ -838,13 +786,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="backpressure high-water mark: reject requests (code 429) "
         "past this many admitted-but-unanswered pairs (default: 262144)",
     )
-    p.add_argument(
-        "--kernel",
-        choices=["auto", "on", "off"],
-        default="auto",
-        help="vectorized numpy batch evaluation (default: auto — used "
-        "when numpy and a flat/quantized backend are available)",
-    )
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser(
@@ -871,14 +812,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         metavar="DIR",
         help="also reconcile this shard directory with the same updates",
-    )
-    p.add_argument(
-        "--engine",
-        choices=["auto", "array", "dict"],
-        default="auto",
-        help="repair engine: vectorized arrays or the reference dict "
-        "path (auto = array when numpy is available); both produce "
-        "identical answers",
     )
     p.set_defaults(func=_cmd_update)
 

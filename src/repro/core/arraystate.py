@@ -45,10 +45,6 @@ min-``(dist, hops)`` logic as the dict engine, so the two engines — and
 any worker partition of the candidate generation — produce
 **bit-identical** label sets and iteration counters
 (``tests/core/test_parallel_build.py`` enforces this).
-
-``numpy`` is required here (and only here): the module import raises
-``ModuleNotFoundError`` if it is missing, which the engine factory
-turns into a friendly "use engine='dict'" error.
 """
 
 from __future__ import annotations

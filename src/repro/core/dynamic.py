@@ -21,20 +21,15 @@ joins the surviving frontier against *all* current labels, and any
 derivation combining two fresh entries occurs in the round where the
 later-derived one is the frontier and the earlier sits in the store.
 
-Two repair engines implement the rounds, selected by ``engine=``:
-
-* ``"dict"`` — the reference per-entry path over the dict states of
-  :mod:`repro.core.labels` (exactly the original implementation);
-* ``"array"`` — the vectorized path over
-  :class:`~repro.core.arraystate.ArrayLabelState`: seeds admitted as a
-  block, candidates generated through
-  :func:`~repro.core.rules.array_doubling` over **frontier-restricted**
-  label snapshots (only the affected vertices' partner slices are
-  gathered and sorted), admission and pruning through
-  :func:`~repro.core.pruning.admit_and_prune_arrays`.  Both engines
-  produce bit-identical label states for the same insertion sequence
-  (``benchmarks/test_update_throughput.py`` gates the array path at
-  >= 3x the dict path on a 10k-vertex insertion stream).
+The rounds run on :class:`~repro.core.arraystate.ArrayLabelState`:
+seeds admitted as a block, candidates generated through
+:func:`~repro.core.rules.array_doubling` over **frontier-restricted**
+label snapshots (only the affected vertices' partner slices are
+gathered and sorted), admission and pruning through
+:func:`~repro.core.pruning.admit_and_prune_arrays`.  The index starts
+from a build: the constructor runs ``HopDoublingIndex.build`` and
+adopts its labels exactly as :meth:`DynamicHopDoublingIndex.from_store`
+adopts a store loaded from disk.
 
 Updates reach the serving layer as :class:`~repro.core.labels.LabelDelta`
 objects: every admission/removal records the owner whose label changed
@@ -74,19 +69,17 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from repro.core.engine import resolve_engine, seed_dict_state
-from repro.core.labels import (
-    DirectedLabelState,
-    LabelDelta,
-    LabelIndex,
-    LabelStore,
-    UndirectedLabelState,
-)
-from repro.core.pruning import admit_and_prune, admit_entries, exhaustive_prune
+import numpy as np
+
+from repro.core.arraystate import ArrayLabelState, PrevBlock
+from repro.core.flatstore import FlatLabelStore
+from repro.core.labels import LabelDelta, LabelIndex, LabelStore
+from repro.core.pruning import admit_and_prune_arrays, exhaustive_prune
 from repro.core.ranking import Ranking, make_ranking
-from repro.core.rules import PrevEntry, make_engine
+from repro.core.rules import PrevEntry, array_doubling
 from repro.graphs.builder import GraphBuilder
 from repro.graphs.digraph import Graph
+
 
 def _edge_keys(graph: Graph) -> set[tuple[int, int]]:
     """``DynamicHopDoublingIndex._edge_key`` of every edge of ``graph``,
@@ -97,8 +90,8 @@ def _edge_keys(graph: Graph) -> set[tuple[int, int]]:
     return {(u, v) for u in range(n) for v in out(u) if u <= v}
 
 
-class _DictRepairEngine:
-    """The reference repair path over the dict-based label states.
+class _ArrayRepairEngine:
+    """The repair rounds over the struct-of-arrays state.
 
     Repair must use the FULL rule set: the minimized rules'
     equivalence (Lemma 4) relies on alternative derivations that exist
@@ -107,132 +100,21 @@ class _DictRepairEngine:
     through its own pivot.
     """
 
-    name = "dict"
-
-    def __init__(self, state: DirectedLabelState | UndirectedLabelState) -> None:
-        self.state = state
-        # The rule engines consult the graph only for *stepping* joins;
-        # repair rounds are pure doubling, so no graph is attached.
-        self.rules = make_engine(state, None, "full")
-
-    @classmethod
-    def from_graph(cls, graph: Graph, ranking: Ranking) -> "_DictRepairEngine":
-        state, prev = seed_dict_state(graph, ranking.rank_of)
-        engine = cls(state)
-        engine.repair(prev)
-        return engine
-
-    @classmethod
-    def from_label_entries(
-        cls,
-        rank_of: Sequence[int],
-        directed: bool,
-        entries: Iterable[tuple[int, int, float, int]],
-    ) -> "_DictRepairEngine":
-        if directed:
-            state: DirectedLabelState | UndirectedLabelState = (
-                DirectedLabelState(rank_of)
-            )
-        else:
-            state = UndirectedLabelState(rank_of)
-        for a, b, dist, hops in entries:
-            state.set_pair(a, b, dist, hops)
-        return cls(state)
-
-    # -- repair --------------------------------------------------------
-    def admit_and_repair(self, entries: list[PrevEntry]) -> int:
-        staged = admit_entries(self.state, entries)
-        self.repair(staged)
-        return len(staged)
-
-    def repair(self, prev: list[PrevEntry]) -> None:
-        """Doubling rounds until no surviving candidate remains."""
-        while prev:
-            candidates = self.rules.doubling(prev)
-            prev, _ = admit_and_prune(self.state, candidates)
-
-    # -- queries / maintenance -----------------------------------------
-    def query(self, s: int, t: int) -> float:
-        return self.state.two_hop_bound(s, t)
-
-    def snapshot(self) -> LabelIndex:
-        return LabelIndex.from_state(self.state)
-
-    def compact(self) -> int:
-        return exhaustive_prune(self.state)
-
-    def total_entries(self) -> int:
-        return self.state.total_entries()
-
-    def track_touched(self):
-        return self.state.track_touched()
-
-    def owner_pivot(self, a: int, b: int) -> tuple[int, int]:
-        return self.state.owner_pivot(a, b)
-
-    # -- serving labels ------------------------------------------------
-    # The dict stores keep the trivial (v, 0) self entries inline, so a
-    # serving label is one sorted() away.
-    def serving_out_label(self, v: int) -> list[tuple[int, float]]:
-        state = self.state
-        if isinstance(state, DirectedLabelState):
-            return sorted((p, d) for p, (d, _) in state.out[v].items())
-        return sorted((p, d) for p, (d, _) in state.lab[v].items())
-
-    def serving_in_label(self, v: int) -> list[tuple[int, float]]:
-        return sorted((p, d) for p, (d, _) in self.state.inn[v].items())
-
-
-class _ArrayRepairEngine:
-    """The vectorized repair path over the struct-of-arrays state."""
-
-    name = "array"
-
     def __init__(self, state) -> None:
         self.state = state
-
-    @classmethod
-    def from_graph(cls, graph: Graph, ranking: Ranking) -> "_ArrayRepairEngine":
-        from repro.core.arraystate import arc_columns
-        from repro.core.engine import seed_array_state
-
-        state, prev = seed_array_state(
-            graph, ranking.rank_of, arc_columns(graph)
-        )
-        engine = cls(state)
-        engine.repair(prev)
-        return engine
-
-    @classmethod
-    def from_label_entries(
-        cls,
-        rank_of: Sequence[int],
-        directed: bool,
-        entries: Iterable[tuple[int, int, float, int]],
-    ) -> "_ArrayRepairEngine":
-        from repro.core.arraystate import ArrayLabelState
-
-        state = ArrayLabelState.from_initial_entries(
-            rank_of, directed, list(entries)
-        )
-        return cls(state)
 
     @classmethod
     def from_columns(
         cls, rank_of: Sequence[int], directed: bool, a, b, dist
     ) -> "_ArrayRepairEngine":
-        """:meth:`from_label_entries` over int64/float64 numpy columns."""
-        import numpy as np
-
-        from repro.core.arraystate import ArrayLabelState, PrevBlock
-
+        """Adopt label entries ``a[k] -> b[k]`` of length ``dist[k]``
+        (int64/float64 numpy columns, as :func:`kernel.label_entries
+        <repro.oracle.kernel.label_entries>` returns them)."""
         block = PrevBlock(a, b, dist, np.ones(a.size, dtype=np.int64))
         return cls(ArrayLabelState.from_block(rank_of, directed, block))
 
     # -- repair --------------------------------------------------------
     def admit_and_repair(self, entries: list[PrevEntry]) -> int:
-        from repro.core.arraystate import PrevBlock
-
         block = PrevBlock.from_lists(entries)
         admitted = self.state.admit(block.a, block.b, block.dist, block.hops)
         self.repair(
@@ -251,12 +133,8 @@ class _ArrayRepairEngine:
         Each round's partner views are restricted to the frontier's
         vertices (:meth:`ArrayLabelState.doubling_snapshot`), so the
         round's cost tracks the number of affected vertices, not the
-        index size — the full rule set is preserved (see
-        :class:`_DictRepairEngine`'s Lemma 4 caveat).
+        index size — the full rule set is preserved (class docstring).
         """
-        from repro.core.pruning import admit_and_prune_arrays
-        from repro.core.rules import array_doubling
-
         while len(prev):
             candidates = array_doubling(
                 self.state.doubling_snapshot(prev), prev, full=True
@@ -280,8 +158,6 @@ class _ArrayRepairEngine:
         survives the swap: the dict twin records the removals into the
         same sets the callers already hold.
         """
-        from repro.core.arraystate import ArrayLabelState
-
         touched = self.state._touched
         dict_state = self.state.to_dict_state()
         if touched is not None:
@@ -315,8 +191,6 @@ class _ArrayRepairEngine:
     # The array state excludes trivial self entries; re-insert (v, 0.0)
     # at its sorted position to match the frozen stores' label shape.
     def _serving_label(self, side, v: int) -> list[tuple[int, float]]:
-        import numpy as np
-
         o, e = side.off[v], side.off[v + 1]
         label = list(
             zip(side.piv[o:e].tolist(), side.dist[o:e].tolist())
@@ -337,7 +211,7 @@ class DynamicHopDoublingIndex:
     Build once from a base graph (or adopt a built store with
     :meth:`from_store`), then insert edges as the graph grows::
 
-        dyn = DynamicHopDoublingIndex(base_graph, engine="array")
+        dyn = DynamicHopDoublingIndex(base_graph)
         dyn.query(s, t)
         dyn.insert_edge(u, v)            # index repaired in-place
         dyn.insert_edges([(a, b), ...])  # batched: one repair fixpoint
@@ -352,31 +226,20 @@ class DynamicHopDoublingIndex:
     correct).
     """
 
-    def __init__(
-        self,
-        graph: Graph,
-        ranking: Ranking | str = "auto",
-        engine: str = "auto",
-    ) -> None:
+    #: The class whose ``from_columns`` adopts a store's labels and
+    #: whose instances run the repair rounds.  Nothing in the package
+    #: swaps it; the bit-identity tests plug a reference engine in here.
+    _repair_engine = _ArrayRepairEngine
+
+    def __init__(self, graph: Graph, ranking: Ranking | str = "auto") -> None:
+        """Build ``graph``'s index (``HopDoublingIndex.build``) and adopt
+        its labels exactly as :meth:`from_store` adopts a loaded one."""
+        from repro.core.index import HopDoublingIndex
+
         if isinstance(ranking, str):
             ranking = make_ranking(graph, ranking)
-        self.ranking = ranking
-        self.rule_set = "full"  # see the engines' Lemma 4 caveat
-        self.engine = resolve_engine(engine)
-        self.n = graph.num_vertices
-        self.directed = graph.directed
-        self.weighted = graph.weighted
-        if self.engine == "array":
-            self._impl = _ArrayRepairEngine.from_graph(graph, ranking)
-        else:
-            self._impl = _DictRepairEngine.from_graph(graph, ranking)
-        # Tracking starts *after* the initial build: the first delta
-        # covers insertions only, not the base index.
-        self._touched = self._impl.track_touched()
-        self._new_edges: list[tuple[int, int, float]] = []
-        self._edge_keys = _edge_keys(graph)
-        self._graph: Graph | None = graph
-        self.insertions = 0
+        index = HopDoublingIndex.build(graph, ranking=ranking)
+        self._adopt(FlatLabelStore.from_index(index.labels), graph, ranking)
 
     @classmethod
     def from_store(
@@ -384,7 +247,6 @@ class DynamicHopDoublingIndex:
         store: LabelStore,
         graph: Graph | None = None,
         ranking: Ranking | Sequence[int] | None = None,
-        engine: str = "auto",
     ) -> "DynamicHopDoublingIndex":
         """Adopt a frozen label store as the live repair state.
 
@@ -418,54 +280,36 @@ class DynamicHopDoublingIndex:
                 f"graph covers {graph.num_vertices} vertices, store has "
                 f"{store.n}"
             )
-
         self = cls.__new__(cls)
+        self._adopt(store, graph, ranking)
+        return self
+
+    def _adopt(
+        self, store: LabelStore, graph: Graph | None, ranking: Ranking
+    ) -> None:
+        from repro.oracle import kernel
+
         self.ranking = ranking
-        self.rule_set = "full"
-        self.engine = resolve_engine(engine)
+        self.rule_set = "full"  # see _ArrayRepairEngine's Lemma 4 caveat
         self.n = store.n
         self.directed = store.directed
         self.weighted = graph.weighted if graph is not None else True
-
-        def entries():
-            for v in range(store.n):
-                for p, d in store.out_label(v):
-                    if p != v:
-                        yield (v, p, d, 1)
-                if store.directed:
-                    for p, d in store.in_label(v):
-                        if p != v:
-                            yield (p, v, d, 1)
-
-        if self.engine == "array":
-            from repro.oracle import kernel
-
-            if kernel.supports(store):
-                # CSR columns in, CSR columns out: no tuple per entry.
-                self._impl = _ArrayRepairEngine.from_columns(
-                    ranking.rank_of, store.directed,
-                    *kernel.label_entries(store),
-                )
-            else:
-                self._impl = _ArrayRepairEngine.from_label_entries(
-                    ranking.rank_of, store.directed, entries()
-                )
-        else:
-            self._impl = _DictRepairEngine.from_label_entries(
-                ranking.rank_of, store.directed, entries()
-            )
+        if not kernel.supports(store):
+            store = FlatLabelStore.from_index(store)
+        # CSR columns in, CSR columns out: no tuple per entry.
+        self._impl = self._repair_engine.from_columns(
+            ranking.rank_of, store.directed, *kernel.label_entries(store)
+        )
+        # Tracking starts *after* adoption: the first delta covers
+        # insertions only, not the base index.
         self._touched = self._impl.track_touched()
-        if graph is not None:
-            self._edge_keys = _edge_keys(graph)
-        else:
-            # No graph: pre-existing edges cannot be detected (their
-            # re-insertion is a harmless no-better seed), but edges
-            # inserted through this index still dedupe.
-            self._edge_keys = set()
-        self._new_edges = []
+        # No graph: pre-existing edges cannot be detected (their
+        # re-insertion is a harmless no-better seed), but edges
+        # inserted through this index still dedupe.
+        self._edge_keys = _edge_keys(graph) if graph is not None else set()
+        self._new_edges: list[tuple[int, int, float]] = []
         self._graph = graph
         self.insertions = 0
-        return self
 
     # -- queries -----------------------------------------------------------
     def query(self, s: int, t: int) -> float:
@@ -629,5 +473,5 @@ class DynamicHopDoublingIndex:
             shape = f"|V|={self.n}"
         return (
             f"DynamicHopDoublingIndex({shape}, "
-            f"insertions={self.insertions}, engine={self.engine!r})"
+            f"insertions={self.insertions})"
         )

@@ -11,7 +11,7 @@ contract:
   dict-based states of :mod:`repro.core.labels` (exactly the original
   single-threaded construction path);
 * :class:`ArrayBuildEngine` — the vectorized engine over
-  :mod:`repro.core.arraystate` (requires numpy), with
+  :mod:`repro.core.arraystate`, with
   :class:`repro.core.parallel_build.ParallelBuildEngine` layering
   multiprocess candidate generation on top for ``jobs > 1``.  It reads
   the graph once into arc columns, and what it freezes is the CSR
@@ -25,8 +25,7 @@ byte-identical v2/v3 files — the benchmarks,
 ``tests/core/test_parallel_build.py`` and
 ``tests/core/test_write_path.py`` enforce it — so ``engine=`` and
 ``jobs=`` are pure performance knobs.  ``engine="auto"``, the default
-everywhere, is the array engine when numpy imports and the dict engine
-otherwise (:func:`resolve_engine`).
+everywhere, is the array engine (:func:`resolve_engine`).
 """
 
 from __future__ import annotations
@@ -76,24 +75,11 @@ def check_engine_options(engine: str, jobs: int) -> None:
 def resolve_engine(engine: str) -> str:
     """Resolve the ``engine`` knob to ``"array"`` or ``"dict"``.
 
-    ``"auto"`` (the default everywhere: builders, repair, CLI) prefers
-    the vectorized array engine and falls back to the reference dict
-    engine when numpy is unavailable; asking for ``"array"`` without
-    numpy raises a pointed ``ValueError``.
+    ``"auto"`` (the default of the builders and the CLI) is the
+    vectorized array engine.
     """
     _check_engine_name(engine)
-    if engine == "dict":
-        return engine
-    try:
-        import repro.core.arraystate  # noqa: F401  (probes numpy)
-    except ModuleNotFoundError as exc:
-        if engine == "array":
-            raise ValueError(
-                "engine='array' requires numpy; install it or use "
-                "engine='dict'"
-            ) from exc
-        return "dict"
-    return "array"
+    return "dict" if engine == "dict" else "array"
 
 
 def seed_dict_state(
@@ -221,7 +207,7 @@ class DictBuildEngine:
 
 
 class ArrayBuildEngine:
-    """The vectorized engine over struct-of-arrays state (needs numpy)."""
+    """The vectorized engine over struct-of-arrays state."""
 
     name = "array"
 
@@ -307,12 +293,10 @@ def make_build_engine(
 ) -> BuildEngine:
     """Instantiate a construction backend by name.
 
-    ``engine`` is ``"auto"`` (array when numpy imports, else dict),
-    ``"array"`` (vectorized, requires numpy) or ``"dict"``
+    ``engine`` is ``"auto"`` or ``"array"`` (vectorized) or ``"dict"``
     (reference); ``jobs > 1`` selects the multiprocess
     :class:`~repro.core.parallel_build.ParallelBuildEngine` and is
-    only available with the array engine (an ``"auto"`` that falls
-    back to dict builds single-process).
+    only available with the array engine.
     """
     check_engine_options(engine, jobs)
     if resolve_engine(engine) == "dict":

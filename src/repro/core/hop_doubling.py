@@ -112,9 +112,8 @@ class LabelingBuilder:
         adversarial weighted inputs.
     engine:
         Construction backend: ``"array"`` (the vectorized
-        struct-of-arrays engine, requires numpy), ``"dict"`` (the
-        reference per-entry implementation) or ``"auto"`` (default:
-        array when numpy imports, else dict).  Both produce
+        struct-of-arrays engine), ``"dict"`` (the reference per-entry
+        implementation) or ``"auto"`` (default: array).  Both produce
         bit-identical indexes and iteration counters; ``"array"`` is
         several times faster on non-trivial graphs.
     jobs:

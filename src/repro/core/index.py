@@ -69,11 +69,11 @@ class HopDoublingIndex:
         unweighted graphs only).
 
         Performance knobs pass through ``builder_kwargs``: ``engine``
-        (default ``"auto"``: the vectorized array engine when numpy
-        imports, else the reference ``"dict"`` engine — bit-identical
-        output either way), ``jobs=N`` to fan candidate generation over
-        N worker processes, and ``on_round`` to be called with each
-        round's :class:`IterationStats` as it finishes — see
+        (default ``"auto"``: the vectorized array engine; ``"dict"`` is
+        the reference engine — bit-identical output either way),
+        ``jobs=N`` to fan candidate generation over N worker
+        processes, and ``on_round`` to be called with each round's
+        :class:`IterationStats` as it finishes — see
         :mod:`repro.core.engine`.
 
         Pendant vertices of an undirected graph (degree 1, under a

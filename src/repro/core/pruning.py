@@ -111,33 +111,6 @@ def admit_and_prune(
     )
 
 
-def admit_entries(
-    state: DirectedLabelState | UndirectedLabelState,
-    entries: list[PrevEntry],
-) -> list[PrevEntry]:
-    """Admit pre-staged ``(a, b, dist, hops)`` entries; return the admitted.
-
-    The admission half of :func:`admit_and_prune` for entries that are
-    *facts* rather than rule candidates — the unit-hop entries of
-    inserted edges.  Each entry is staged when the pair is absent or
-    its distance strictly improves, and is never pruned here: a
-    dominated edge entry is harmless (its distance is a real path
-    length) and the repair rounds it seeds still run.  The returned
-    list is the repair frontier.  The array twin is
-    :meth:`repro.core.arraystate.ArrayLabelState.admit`, which applies
-    the identical rule, so both dynamic repair engines stage the same
-    seeds.
-    """
-    staged: list[PrevEntry] = []
-    for a, b, dist, hops in entries:
-        existing = state.get_pair(a, b)
-        if existing is not None and existing[0] <= dist:
-            continue
-        state.set_pair(a, b, dist, hops)
-        staged.append((a, b, dist, hops))
-    return staged
-
-
 def admit_and_prune_arrays(state, batch, prune: bool = True):
     """Array-engine twin of :func:`admit_and_prune`.
 

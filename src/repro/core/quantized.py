@@ -36,11 +36,9 @@ part in choosing it).
 mmap load is a handful of zero-copy casts (no decode pass), the
 vectorized batch kernel (:mod:`repro.oracle.kernel`) consumes the
 quantized arrays as-is, and the scalar reference paths decode only the
-one or two label slices a query touches.  Serving is pure stdlib;
-*packing* (:meth:`QuantizedLabelStore.from_flat`) chooses the widths
-and computes the deltas with a few numpy array operations when numpy
-imports and entry by entry when it does not — the same bytes either
-way.
+one or two label slices a query touches.  *Packing*
+(:meth:`QuantizedLabelStore.from_flat`) chooses the widths and
+computes the deltas with a few numpy array operations per side.
 """
 
 from __future__ import annotations
@@ -49,10 +47,7 @@ import mmap as _mmap
 import struct
 from array import array
 
-try:
-    import numpy as np
-except ModuleNotFoundError:  # pyproject declares no hard dependencies
-    np = None
+import numpy as np
 
 from repro.core.flatstore import (
     _BIG_ENDIAN,
@@ -117,63 +112,15 @@ def _offsets_code(sides) -> str:
     return "I" if max(len(s[1]) for s in sides) <= 0xFFFFFFFF else "Q"
 
 
-def _encode_python(n: int, sides, hang=None):
-    """Choose the widths and pack v2-layout ``sides``, entry by entry.
+def _encode(sides, hang=None):
+    """Choose the widths and pack v2-layout ``sides`` as v3 arrays.
 
-    The numpy-free reference of :func:`_encode_numpy`; returns
-    ``(pivot_width, dist_width, [(offsets, pivots, dists), ...], hang)``
-    with ``hang`` (the pendant edges, or None) at the distance width.
-    """
-    max_delta = 0
-    max_dist = 0.0
-    integral = True
-    for offsets, pivots, dists in sides:
-        for v in range(n):
-            prev = 0
-            for p in pivots[offsets[v] : offsets[v + 1]]:
-                if p - prev > max_delta:
-                    max_delta = p - prev
-                prev = p
-    for dists in [side[2] for side in sides] + [() if hang is None else hang]:
-        for d in dists:
-            if d > max_dist:
-                max_dist = d
-            if integral and not (d >= 0 and d == int(d)):
-                integral = False
-    pivot_width, dist_width = _choose_widths(max_delta, max_dist, integral)
-    pivot_code = _PIVOT_CODES[pivot_width]
-    dist_code = _DIST_CODES[dist_width]
-    off_code = _offsets_code(sides)
-
-    def pack(offsets, pivots, dists):
-        q_off = array(off_code, offsets)
-        q_piv = array(pivot_code)
-        ap = q_piv.append
-        for v in range(n):
-            o, e = offsets[v], offsets[v + 1]
-            prev = 0
-            for p in pivots[o:e]:
-                ap(p - prev)
-                prev = p
-        return q_off, q_piv, pack_dists(dists)
-
-    def pack_dists(dists):
-        if dist_width == 8:
-            return array("d", dists)
-        return array(dist_code, (int(d) for d in dists))
-
-    return (
-        pivot_width, dist_width, [pack(*side) for side in sides],
-        pack_dists(hang) if hang is not None else None,
-    )
-
-
-def _encode_numpy(n: int, sides, hang=None):
-    """:func:`_encode_python` as array operations (byte-identical output).
-
-    The v2 blobs (``array.array`` or typed memoryviews) are read
-    zero-copy; per side it is one ``diff`` for the deltas, one ``max``
-    and one integrality test for the widths, and three ``astype``.
+    Returns ``(pivot_width, dist_width, [(offsets, pivots, dists), ...],
+    hang)`` with ``hang`` (the pendant edges, or None) at the distance
+    width.  The v2 blobs (``array.array`` or typed memoryviews) are
+    read zero-copy; per side it is one ``diff`` for the deltas, one
+    ``max`` and one integrality test for the widths, and three
+    ``astype``.
     """
     columns = []
     max_delta = 0
@@ -275,10 +222,7 @@ class QuantizedLabelStore(FlatLabelStore):
         sides = [(store.out_offsets, store.out_pivots, store.out_dists)]
         if store.directed:
             sides.append((store.in_offsets, store.in_pivots, store.in_dists))
-        encode = _encode_python if np is None else _encode_numpy
-        pivot_width, dist_width, packed, hang = encode(
-            store.n, sides, store.hang
-        )
+        pivot_width, dist_width, packed, hang = _encode(sides, store.hang)
         oo, op, od = packed[0]
         io, ip, id_ = packed[-1]
         rank = list(store.rank) if store.rank is not None else None

@@ -12,7 +12,7 @@ For indexes too big (or traffic too heavy) for one core,
 directory (:mod:`repro.oracle.sharding`) or an index file with N
 workers.  It is the only inline-vs-pool router: a batch is answered
 inline when it is small, when ``workers == 1``, while updates are
-staged, when the index is cache-resident, or when numpy/``fork``/the
+staged, when the index is cache-resident, or when ``fork`` or the
 kernel is unavailable, and otherwise goes to the one pool — the forked
 shared-memory fan-out of :mod:`repro.serve.shm`.  The asyncio request
 frontend lives one layer up in :mod:`repro.serve`.
@@ -30,12 +30,7 @@ Quick start::
     served.query_batch(pairs)                       # inline or fanned out
 """
 
-from repro.oracle.batch import (
-    KERNEL_MODES,
-    PairColumns,
-    evaluate_batch,
-    read_pair_file,
-)
+from repro.oracle.batch import PairColumns, evaluate_batch, read_pair_file
 from repro.oracle.cache import CacheInfo, LRUCache
 from repro.oracle.oracle import DEFAULT_CACHE_SIZE, DistanceOracle
 from repro.oracle.parallel import ParallelOracle
@@ -52,7 +47,6 @@ __all__ = [
     "ShardedLabelStore",
     "ShardError",
     "DEFAULT_CACHE_SIZE",
-    "KERNEL_MODES",
     "LRUCache",
     "PairColumns",
     "CacheInfo",

@@ -9,17 +9,18 @@ A batch of ``(s, t)`` pairs is answered in three steps:
    without touching the store;
 3. **evaluation** — the remaining pairs go through the vectorized
    numpy kernel (:mod:`repro.oracle.kernel`) when the store exposes
-   CSR arrays and numpy is importable, or otherwise through grouped
-   merge joins: pairs are grouped by source vertex so a store that
-   implements ``query_group`` (the CSR backend) builds each source's
-   pivot dict once and probes every target through it; stores without
-   the hook fall back to per-pair ``query``.
+   CSR arrays and the batch has at least :data:`MIN_KERNEL_PAIRS`
+   pairs, or otherwise through grouped merge joins: pairs are grouped
+   by source vertex so a store that implements ``query_group`` (the
+   CSR backend) builds each source's pivot dict once and probes every
+   target through it; stores without the hook fall back to per-pair
+   ``query``.
 
 Results are bit-identical to calling ``store.query`` per pair
 whichever path runs: every path computes the same minimum over the
 same float64 sums, and the cache only ever stores values produced by
-one of them.  The ``kernel`` knob ("auto"/"on"/"off") exists so
-benchmarks can pin a path; "auto" is right everywhere else.
+one of them.  Which path runs is decided from the store type and the
+batch size alone; there is nothing to configure.
 
 A batch that already *is* two int64 columns — a :class:`PairColumns`,
 which is what the serve tier decodes every request into — skips steps
@@ -31,28 +32,22 @@ shortcut evaluates a repeated pair twice.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Iterable, Iterator
 
-try:  # numpy is an optional dependency of the serving stack
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    np = None
+import numpy as np
 
 from repro.core.labels import LabelStore
+from repro.oracle import kernel as _kernel
 from repro.oracle.cache import LRUCache
 
 _MISS = object()
 
-#: Accepted values of the ``kernel`` knob.
-KERNEL_MODES = ("auto", "on", "off")
-
-#: Below this many unique pairs "auto" stays on the scalar path — the
+#: Below this many unique pairs a batch stays on the scalar path — the
 #: kernel's fixed per-call cost (a few dozen numpy calls whatever the
 #: size) is larger than a handful of dict probes.  Purely a perf
 #: cutoff: both paths return bit-identical distances.  Measured as
 #: ``query_batch`` of a ``PairColumns`` block on a warm mmapped index,
-#: kernel "off" / "on" in µs (2-vCPU x86 box, one pinned core):
+#: scalar / kernel in µs (2-vCPU x86 box, one pinned core):
 #:
 #:   pairs        1        2        3        4        5        8
 #:   BA-10k v2    12 / 49  22 / 48  30 / 49  40 / 50  48 / 49   75 / 51
@@ -60,23 +55,8 @@ KERNEL_MODES = ("auto", "on", "off")
 MIN_KERNEL_PAIRS = 4
 
 
-def _use_kernel(store: LabelStore, kernel: str, num_pairs: int) -> bool:
-    """Resolve the ``kernel`` knob for this store and batch."""
-    if kernel not in KERNEL_MODES:
-        raise ValueError(
-            f"kernel must be one of {KERNEL_MODES}, got {kernel!r}"
-        )
-    if kernel == "off":
-        return False
-    from repro.oracle import kernel as _kernel
-
-    if kernel == "on":
-        if not _kernel.supports(store):
-            raise ValueError(
-                "kernel='on' but this store has no vectorized path "
-                "(numpy missing, or a tuple-list backend)"
-            )
-        return True
+def _use_kernel(store: LabelStore, num_pairs: int) -> bool:
+    """Whether this batch goes to the kernel rather than the scalar path."""
     return num_pairs >= MIN_KERNEL_PAIRS and _kernel.supports(store)
 
 
@@ -94,10 +74,9 @@ def pair_key(store: LabelStore, s: int, t: int) -> tuple[int, int]:
 class PairColumns:
     """A batch of ``(source, target)`` pairs held as two columns.
 
-    ``sources[k]`` and ``targets[k]`` are pair ``k``.  With numpy the
-    columns are contiguous int64 arrays — the form the kernel consumes
-    and the wire carries, so a request decoded once is never rebuilt —
-    and without it whatever integer sequences were passed in.  The
+    ``sources[k]`` and ``targets[k]`` are pair ``k``, held as
+    contiguous int64 arrays — the form the kernel consumes and the
+    wire carries, so a request decoded once is never rebuilt.  The
     block reads like the list of tuples it replaces (``len``, integer
     indexing, iteration), which keeps every scalar path working.
     """
@@ -105,9 +84,8 @@ class PairColumns:
     __slots__ = ("sources", "targets")
 
     def __init__(self, sources, targets) -> None:
-        if np is not None:
-            sources = np.asarray(sources, dtype=np.int64)
-            targets = np.asarray(targets, dtype=np.int64)
+        sources = np.asarray(sources, dtype=np.int64)
+        targets = np.asarray(targets, dtype=np.int64)
         if len(sources) != len(targets):
             raise ValueError(
                 f"{len(sources)} sources against {len(targets)} targets"
@@ -138,20 +116,13 @@ class PairColumns:
     def concat(cls, blocks) -> "PairColumns":
         """One block holding every pair of ``blocks``, in order."""
         blocks = [cls.from_pairs(block) for block in blocks]
-        sources = [block.sources for block in blocks]
-        targets = [block.targets for block in blocks]
-        if np is None:
-            flat = chain.from_iterable
-            return cls(list(flat(sources)), list(flat(targets)))
-        return cls(np.concatenate(sources), np.concatenate(targets))
+        return cls(
+            np.concatenate([block.sources for block in blocks]),
+            np.concatenate([block.targets for block in blocks]),
+        )
 
     def first_outside(self, n: int) -> tuple[int, int] | None:
         """The first pair with a vertex outside ``[0, n)``, if any."""
-        if np is None:
-            return next(
-                (p for p in self if not (0 <= p[0] < n and 0 <= p[1] < n)),
-                None,
-            )
         S, T = self.sources, self.targets
         bad = (S < 0) | (S >= n) | (T < 0) | (T >= n)
         return self[int(bad.argmax())] if bad.any() else None
@@ -163,8 +134,6 @@ class PairColumns:
         return int(self.sources[k]), int(self.targets[k])
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        if np is None:
-            return zip(self.sources, self.targets)
         return zip(self.sources.tolist(), self.targets.tolist())
 
     def __repr__(self) -> str:
@@ -175,31 +144,25 @@ def evaluate_batch(
     store: LabelStore,
     pairs: Iterable[tuple[int, int]],
     cache: LRUCache | None = None,
-    kernel: str = "auto",
 ) -> list[float]:
     """Distances for every pair, in input order.
 
     A list — except for :class:`PairColumns` answered straight by the
-    kernel (numpy present, no cache), which come back as the kernel's
-    float64 array: the serve tier writes it to the socket as it is.
+    kernel (no cache), which come back as the kernel's float64 array:
+    the serve tier writes it to the socket as it is.
     """
     if (
         isinstance(pairs, PairColumns)
-        and np is not None
         and cache is None
-        and _use_kernel(store, kernel, len(pairs))
+        and _use_kernel(store, len(pairs))
     ):
-        from repro.oracle import kernel as _kernel
-
         return _kernel.batch_eval_arrays(store, pairs.sources, pairs.targets)
     pairs = list(pairs)
-    if cache is None and _use_kernel(store, kernel, len(pairs)):
+    if cache is None and _use_kernel(store, len(pairs)):
         # No cache to probe or fill: hand the raw batch straight to
         # the kernel, skipping the per-pair Python dedupe loop.  The
         # kernel sorts by (source, target) itself and evaluates each
         # distinct pair once, so repeats cost a compare, not a join.
-        from repro.oracle import kernel as _kernel
-
         return _kernel.batch_eval(store, pairs)
     results: list[float] = [0.0] * len(pairs)
     # key -> positions in `pairs` still awaiting a distance.  The
@@ -222,9 +185,7 @@ def evaluate_batch(
     if not pending:
         return results
 
-    if _use_kernel(store, kernel, len(pending)):
-        from repro.oracle import kernel as _kernel
-
+    if _use_kernel(store, len(pending)):
         keys = list(pending)
         for key, d in zip(keys, _kernel.batch_eval(store, keys)):
             if cache is not None:

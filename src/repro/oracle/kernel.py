@@ -97,11 +97,6 @@ the tail sums are the same float64 sums, and the minimum of a set of
 floats does not depend on evaluation order
 (``benchmarks/test_query_throughput.py`` enforces both the equality
 and a >= 3x throughput floor).
-
-numpy is optional everywhere else in the query stack; this module
-degrades to ``available() == False`` without it and
-:func:`repro.oracle.batch.evaluate_batch` falls back to the scalar
-path.
 """
 
 from __future__ import annotations
@@ -113,10 +108,7 @@ from array import array
 from itertools import chain
 from typing import Sequence
 
-try:  # numpy is an optional dependency of the serving stack
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    np = None
+import numpy as np
 
 from repro.core.flatstore import FlatLabelStore
 
@@ -219,22 +211,14 @@ def stats() -> dict:
         return {**_STATS, "joins": dict(_STATS["joins"])}
 
 
-def available() -> bool:
-    """Whether the kernel can run at all (numpy importable)."""
-    return np is not None
-
-
 def supports(store) -> bool:
     """Whether ``store`` exposes arrays the kernel can consume.
 
     True for the CSR-backed stores — :class:`FlatLabelStore`, its
     quantized v3 subclass, and a
-    :class:`~repro.oracle.sharding.ShardedLabelStore` over them —
-    when numpy is importable.  Tuple-list indexes have no arrays to
-    vectorize over.
+    :class:`~repro.oracle.sharding.ShardedLabelStore` over them.
+    Tuple-list indexes have no arrays to vectorize over.
     """
-    if np is None:
-        return False
     if isinstance(store, FlatLabelStore):
         return True
     from repro.oracle.sharding import ShardedLabelStore
@@ -599,7 +583,7 @@ def _relock_after_fork() -> None:
             view._build(view.store)
 
 
-if np is not None and hasattr(os, "register_at_fork"):
+if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_relock_after_fork)
 
 

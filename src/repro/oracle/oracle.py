@@ -45,12 +45,10 @@ class DistanceOracle:
         store: LabelStore,
         graph: Graph | None = None,
         cache_size: int = DEFAULT_CACHE_SIZE,
-        kernel: str = "auto",
     ) -> None:
         self.store = store
         self.graph = graph
         self.cache = LRUCache(cache_size)
-        self.kernel = kernel
         self._inverted: InvertedLabelIndex | None = None
 
     # -- construction --------------------------------------------------------
@@ -62,7 +60,6 @@ class DistanceOracle:
         use_mmap: bool = False,
         graph: Graph | None = None,
         cache_size: int = DEFAULT_CACHE_SIZE,
-        kernel: str = "auto",
     ) -> "DistanceOracle":
         """Open an index file (any format version) and serve it.
 
@@ -70,8 +67,7 @@ class DistanceOracle:
         (default) keeps the file's array layout — CSR for v2,
         compact quantized for v3 — for the fast query paths;
         ``"list"`` keeps/expands tuple lists.  ``use_mmap`` maps a
-        v2/v3 file zero-copy instead of reading it.  ``kernel``
-        ("auto"/"on"/"off") pins the batched numpy evaluation.
+        v2/v3 file zero-copy instead of reading it.
         """
         from repro.core.flatstore import FlatLabelStore, load_store
 
@@ -87,7 +83,7 @@ class DistanceOracle:
                 store = store.to_index()
         else:
             raise ValueError(f"unknown backend {backend!r}")
-        return cls(store, graph=graph, cache_size=cache_size, kernel=kernel)
+        return cls(store, graph=graph, cache_size=cache_size)
 
     # -- basic facts ---------------------------------------------------------
     @property
@@ -126,9 +122,7 @@ class DistanceOracle:
         its float64 array instead of a list.
         """
         cache = self.cache if self.cache.capacity > 0 else None
-        return evaluate_batch(
-            self.store, pairs, cache=cache, kernel=self.kernel
-        )
+        return evaluate_batch(self.store, pairs, cache=cache)
 
     def query_via(self, s: int, t: int) -> tuple[float, int]:
         """``(dist, best_pivot)`` — the pivot certifying the distance."""

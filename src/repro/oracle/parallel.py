@@ -30,8 +30,7 @@ otherwise:
    hold the pre-update labels; only the parent's overlay is right);
 4. the index has at most :data:`INLINE_ENTRIES` label entries (one
    kernel pass over its row cache beats the hand-off);
-5. numpy, the ``fork`` start method or the batch kernel is unavailable
-   (including ``kernel="off"``).
+5. the ``fork`` start method or the batch kernel is unavailable.
 
 ``route="inline"`` / ``route="fanout"`` pin condition 4 either way —
 the benchmark times both sides of the crossover with them to
@@ -50,7 +49,7 @@ from typing import Iterable
 
 from repro.core.flatstore import load_store
 from repro.graphs.digraph import Graph
-from repro.oracle.batch import KERNEL_MODES, PairColumns
+from repro.oracle.batch import PairColumns
 from repro.oracle.oracle import DEFAULT_CACHE_SIZE, DistanceOracle
 from repro.oracle.sharding import ShardedLabelStore
 
@@ -85,15 +84,10 @@ class ParallelOracle(DistanceOracle):
         workers: int | None = None,
         graph: Graph | None = None,
         cache_size: int = DEFAULT_CACHE_SIZE,
-        kernel: str = "auto",
         route: str = "auto",
     ) -> None:
         # Validate configuration before the store load so a bad call
         # never leaks open file mappings.
-        if kernel not in KERNEL_MODES:
-            raise ValueError(
-                f"kernel must be one of {KERNEL_MODES}, got {kernel!r}"
-            )
         if route not in ROUTE_MODES:
             raise ValueError(
                 f"route must be one of {ROUTE_MODES}, got {route!r}"
@@ -107,8 +101,7 @@ class ParallelOracle(DistanceOracle):
             store = load_store(path, prefer_flat=True, use_mmap=True)
         else:
             store = ShardedLabelStore.load(path, use_mmap=True)
-        super().__init__(store, graph=graph, cache_size=cache_size,
-                         kernel=kernel)
+        super().__init__(store, graph=graph, cache_size=cache_size)
         self.path = path
         self.route = route
         # Every forked worker shares the whole label set, so any of
@@ -125,7 +118,7 @@ class ParallelOracle(DistanceOracle):
         """
         if self.workers <= 1 or self.route == "inline":
             return False
-        if self.store.has_pending_updates or self.kernel == "off":
+        if self.store.has_pending_updates:
             return False
         if (
             self.route == "auto"

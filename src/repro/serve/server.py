@@ -46,9 +46,6 @@ it would have ridden in.  Connections are handled sequentially per
 request (responses come back in request order, so requests may be
 pipelined); concurrency comes from many connections, which is exactly
 what the admission window coalesces.
-
-numpy is optional here as everywhere in the query stack: without it
-the frames are packed and unpacked with :mod:`struct`.
 """
 
 from __future__ import annotations
@@ -58,10 +55,7 @@ import json
 import math
 import struct
 
-try:  # numpy is an optional dependency of the serving stack
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    np = None
+import numpy as np
 
 from repro.oracle import kernel as _kernel
 from repro.oracle.batch import PairColumns
@@ -135,19 +129,12 @@ def _range_error(pair, n: int) -> str:
 # -- the two codecs' column halves --------------------------------------------
 def _pack(code: str, column) -> bytes:
     """Little-endian bytes of an int64 (``q``) or float64 (``d``) column."""
-    if np is not None:
-        return np.asarray(column, dtype=_NUMPY_DTYPE[code]).tobytes()
-    try:
-        return struct.pack(f"<{len(column)}{code}", *column)
-    except struct.error as exc:
-        raise ValueError(f"column does not fit the frame: {exc}") from None
+    return np.asarray(column, dtype=_NUMPY_DTYPE[code]).tobytes()
 
 
 def _unpack(code: str, data: bytes, count: int, offset: int = 0):
     """The column :func:`_pack` wrote ``offset`` bytes into ``data``."""
-    if np is not None:
-        return np.frombuffer(data, _NUMPY_DTYPE[code], count, offset)
-    return struct.unpack_from(f"<{count}{code}", data, offset)
+    return np.frombuffer(data, _NUMPY_DTYPE[code], count, offset)
 
 
 def _is_pair(pair) -> bool:

@@ -28,8 +28,8 @@ A worker that dies (OOM kill, ``SIGKILL``) breaks the executor for
 good; the batch in flight is then answered by the same kernel
 in-process, the pool is dropped, and the next batch forks a fresh one.
 
-Requires numpy and the ``fork`` start method (POSIX);
-:func:`available` reports both.  Whether a batch should come here at
+Requires the ``fork`` start method (POSIX); :func:`available` reports
+whether it is there.  Whether a batch should come here at
 all is :class:`~repro.oracle.parallel.ParallelOracle`'s decision.
 """
 
@@ -42,10 +42,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Iterable
 
-try:  # numpy is an optional dependency of the serving stack
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    np = None
+import numpy as np
 
 from repro.oracle import kernel as _kernel
 from repro.oracle.batch import PairColumns
@@ -65,11 +62,8 @@ class FanoutUnavailableError(RuntimeError):
 
 
 def available() -> bool:
-    """Whether fan-out can run here: numpy plus the ``fork`` method."""
-    return (
-        np is not None
-        and "fork" in multiprocessing.get_all_start_methods()
-    )
+    """Whether fan-out can run here: the ``fork`` start method exists."""
+    return "fork" in multiprocessing.get_all_start_methods()
 
 
 # Worker-side serving state, inherited at fork time: (store, S, T, R)
@@ -115,8 +109,7 @@ class SharedMemoryFanout:
     ) -> None:
         if not available():
             raise FanoutUnavailableError(
-                "shared-memory fan-out needs numpy and the 'fork' "
-                "start method"
+                "shared-memory fan-out needs the 'fork' start method"
             )
         if not _kernel.supports(store):
             raise FanoutUnavailableError(

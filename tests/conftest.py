@@ -29,13 +29,13 @@ def fan_out_everything(monkeypatch):
     Test indexes are cache-resident and test batches small, so at the
     shipped values every batch is (rightly) answered inline; with the
     floors down, any batch of two or more pairs reaches the fork pool.
-    Skips where that pool cannot exist (no numpy, no ``fork``).
+    Skips where that pool cannot exist (no ``fork``).
     """
     from repro.oracle import parallel
     from repro.serve import fanout_available
 
     if not fanout_available():
-        pytest.skip("needs numpy and the fork start method")
+        pytest.skip("needs the fork start method")
 
     monkeypatch.setattr(parallel, "MIN_PARALLEL_BATCH", 2)
     monkeypatch.setattr(parallel, "INLINE_ENTRIES", 0)

@@ -6,7 +6,8 @@ unweighted graphs and randomized insertion sequences:
 * queries after any insertion sequence are **exact** (equal to APSP on
   the grown graph) — i.e. bit-identical to a from-scratch rebuild's
   answers;
-* the dict and array repair engines produce **bit-identical label
+* the array repair engine and the dict reference
+  (``tests/reference/dict_repair.py``) produce **bit-identical label
   states** (not just answers) for the same sequence;
 * the :class:`~repro.core.labels.LabelDelta` hand-off reproduces the
   updated answers through every serving store (flat v2, quantized v3,
@@ -22,22 +23,15 @@ from hypothesis import given, settings
 
 from repro.baselines.apsp import APSPOracle
 from repro.core.dynamic import DynamicHopDoublingIndex
-from repro.core.engine import BUILD_ENGINES, resolve_engine
 from repro.core.flatstore import FlatLabelStore
 from repro.core.hybrid import make_builder
 from repro.graphs.digraph import Graph
 from tests.conftest import graph_strategy, random_graph
+from tests.reference.dict_repair import DictRepairEngine, DictRepairIndex
 
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - numpy-free environments
-    HAVE_NUMPY = False
-
-ENGINES = ["dict"] + (["array"] if HAVE_NUMPY else [])
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy")
+#: The index class per repair engine: the package's own, and the same
+#: index repairing through the dict reference.
+ENGINES = {"dict": DictRepairIndex, "array": DynamicHopDoublingIndex}
 
 
 def _random_stream(rng: random.Random, n: int, count: int, weighted: bool):
@@ -69,7 +63,7 @@ class TestRandomizedRepair:
         rng = random.Random(seed)
         graph = random_graph(seed, max_n=22)
         n = graph.num_vertices
-        dyn = DynamicHopDoublingIndex(graph, engine=engine)
+        dyn = ENGINES[engine](graph)
         for _ in range(3):
             if rng.random() < 0.5:
                 edge = _random_stream(rng, n, 1, graph.weighted)[0]
@@ -82,17 +76,16 @@ class TestRandomizedRepair:
                 )
         _assert_exact(dyn)
 
-    @needs_numpy
     @pytest.mark.parametrize("seed", range(10))
     def test_engines_bit_identical(self, seed):
         """Dict and array repair build the exact same label state."""
         rng = random.Random(seed + 500)
         graph = random_graph(seed, max_n=22)
         n = graph.num_vertices
-        dyns = {
-            engine: DynamicHopDoublingIndex(graph, engine=engine)
-            for engine in ("dict", "array")
-        }
+        dyns = {engine: index(graph) for engine, index in ENGINES.items()}
+        # The seam really swaps the engine: two array repairs would agree
+        # trivially.
+        assert isinstance(dyns["dict"]._impl, DictRepairEngine)
         for _ in range(3):
             batch = _random_stream(
                 rng, n, rng.randrange(1, 6), graph.weighted
@@ -115,8 +108,7 @@ class TestRandomizedRepair:
         """Hypothesis: repair stays exact on arbitrary small graphs."""
         rng = random.Random(graph.num_vertices * 31 + graph.num_edges)
         n = graph.num_vertices
-        engine = "array" if HAVE_NUMPY else "dict"
-        dyn = DynamicHopDoublingIndex(graph, engine=engine)
+        dyn = DynamicHopDoublingIndex(graph)
         dyn.insert_edges(_random_stream(rng, n, 4, graph.weighted))
         _assert_exact(dyn)
 
@@ -131,9 +123,7 @@ class TestFromStoreAdoption:
         store = FlatLabelStore.from_index(
             make_builder(graph, "hybrid").build().index
         )
-        dyn = DynamicHopDoublingIndex.from_store(
-            store, graph=graph, engine=engine
-        )
+        dyn = ENGINES[engine].from_store(store, graph=graph)
         dyn.insert_edges(_random_stream(rng, n, 5, graph.weighted))
         _assert_exact(dyn)
 
@@ -151,24 +141,29 @@ class TestFromStoreAdoption:
         store = FlatLabelStore.from_index(
             make_builder(graph, "hybrid").build().index
         )
-        dyn = DynamicHopDoublingIndex.from_store(store, engine="dict")
+        dyn = DynamicHopDoublingIndex.from_store(store)
         assert dyn.insert_edge(0, 2)
         assert dyn.query(0, 2) == 1.0
         with pytest.raises(ValueError, match="no graph attached"):
             dyn.graph  # noqa: B018 - the property raises
 
     def test_engine_knob_validation(self):
+        """The repair engine is not a constructor argument of either
+        way to make a dynamic index."""
         graph = Graph.from_edges(2, [(0, 1)], directed=False)
-        with pytest.raises(ValueError, match="unknown engine"):
-            DynamicHopDoublingIndex(graph, engine="gpu")
-        assert resolve_engine("dict") == "dict"
-        assert resolve_engine("auto") in BUILD_ENGINES
+        store = FlatLabelStore.from_index(
+            make_builder(graph, "hybrid").build().index
+        )
+        with pytest.raises(TypeError, match="engine"):
+            DynamicHopDoublingIndex(graph, engine="dict")
+        with pytest.raises(TypeError, match="engine"):
+            DynamicHopDoublingIndex.from_store(store, engine="array")
 
 
 class TestBatchSemantics:
     def test_batch_counts_and_dedupe(self):
         graph = Graph.from_edges(5, [(0, 1), (1, 2)], directed=False)
-        dyn = DynamicHopDoublingIndex(graph, engine="dict")
+        dyn = DynamicHopDoublingIndex(graph)
         # existing, self loop, duplicate-in-batch, two new edges
         added = dyn.insert_edges([(0, 1), (3, 3), (2, 3), (2, 3), (3, 4)])
         assert added == 2
@@ -178,7 +173,7 @@ class TestBatchSemantics:
 
     def test_batch_validation(self):
         graph = Graph.from_edges(3, [(0, 1, 2.0)], weighted=True)
-        dyn = DynamicHopDoublingIndex(graph, engine="dict")
+        dyn = DynamicHopDoublingIndex(graph)
         with pytest.raises(IndexError):
             dyn.insert_edges([(0, 9)])
         with pytest.raises(ValueError):
@@ -188,7 +183,7 @@ class TestBatchSemantics:
     def test_invalid_batch_leaves_state_untouched(self, engine):
         """A rejected batch must not record any of its edges."""
         graph = Graph.from_edges(6, [(0, 2), (2, 1)], directed=False)
-        dyn = DynamicHopDoublingIndex(graph, engine=engine)
+        dyn = ENGINES[engine](graph)
         with pytest.raises(IndexError):
             dyn.insert_edges([(0, 1), (3, 999)])
         assert dyn.insertions == 0
@@ -202,10 +197,10 @@ class TestBatchSemantics:
         graph = random_graph(3, max_n=16, weighted=False)
         n = graph.num_vertices
         stream = _random_stream(random.Random(9), n, 6, False)
-        one = DynamicHopDoublingIndex(graph, engine="dict")
+        one = DynamicHopDoublingIndex(graph)
         for u, v in stream:
             one.insert_edge(u, v)
-        batched = DynamicHopDoublingIndex(graph, engine="dict")
+        batched = DynamicHopDoublingIndex(graph)
         batched.insert_edges(stream)
         # Same grown graph, same (exact) answers; the label sets may
         # differ transiently, so compare through queries.
@@ -222,9 +217,7 @@ class TestLabelDeltaHandoff:
         store = FlatLabelStore.from_index(
             make_builder(graph, "hybrid").build().index
         )
-        dyn = DynamicHopDoublingIndex.from_store(
-            store, graph=graph, engine=engine
-        )
+        dyn = ENGINES[engine].from_store(store, graph=graph)
         dyn.insert_edges(
             _random_stream(rng, graph.num_vertices, 6, graph.weighted)
         )
@@ -253,10 +246,9 @@ class TestLabelDeltaHandoff:
             for t in range(n):
                 assert store.query(s, t) == dyn.query(s, t)
 
-    @needs_numpy
     def test_delta_serves_through_quantized_and_kernel(self):
         from repro.core.quantized import QuantizedLabelStore
-        from repro.oracle import evaluate_batch
+        from repro.oracle import evaluate_batch, kernel
 
         graph, store, dyn = self._updated_pair(3, "array")
         n = graph.num_vertices
@@ -266,9 +258,10 @@ class TestLabelDeltaHandoff:
         quant.apply_updates(delta)
         pairs = [(s, t) for s in range(n) for t in range(n)]
         want = [dyn.query(s, t) for s, t in pairs]
-        assert evaluate_batch(store, pairs, kernel="on") == want
-        assert evaluate_batch(quant, pairs, kernel="on") == want
-        assert evaluate_batch(quant, pairs, kernel="off") == want
+        assert kernel.batch_eval(store, pairs) == want
+        assert kernel.batch_eval(quant, pairs) == want
+        assert evaluate_batch(quant, pairs) == want
+        assert [quant.query(s, t) for s, t in pairs] == want
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_delta_routes_through_sharded_store(self, tmp_path, engine):

@@ -22,8 +22,6 @@ from repro.core.hybrid import HybridBuilder
 from repro.graphs.digraph import Graph
 from repro.graphs.generators import ba_graph, glp_graph
 
-np = pytest.importorskip("numpy")
-
 BUILDERS = [HopDoubling, HopStepping, HybridBuilder]
 
 

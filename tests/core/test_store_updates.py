@@ -18,7 +18,7 @@ def setting():
     graph = glp_graph(80, seed=21)
     index = make_builder(graph, "hybrid").build().index
     store = FlatLabelStore.from_index(index)
-    dyn = DynamicHopDoublingIndex.from_store(store, graph=graph, engine="dict")
+    dyn = DynamicHopDoublingIndex.from_store(store, graph=graph)
     dyn.insert_edges([(0, 79), (5, 60), (17, 44)])
     return graph, index, dyn, dyn.pop_label_delta()
 

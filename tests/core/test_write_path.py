@@ -4,42 +4,33 @@ The array engine freezes into CSR arrays that the v2/v3 packers take
 as they are; the dict engine freezes into tuple lists that are packed
 entry by entry.  Both must write the same bytes, count the same
 candidates, and — when someone asks for them — show the same tuple
-lists.  The prune test's inert-side rule and the numpy-free fallback
+lists.  The prune test's inert-side rule and the v3 encoder's widths
 are pinned here too.
 """
 
 from __future__ import annotations
 
 import os
-import subprocess
-import sys
 import tempfile
-from pathlib import Path
+from array import array
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro import DistanceOracle, HopDoublingIndex
-from repro.core.flatstore import FlatLabelStore, load_store
+from repro import HopDoublingIndex
+from repro.core.flatstore import FlatLabelStore
 from repro.core.hybrid import make_builder
 from repro.core.labels import DirectedLabelState, UndirectedLabelState
 from repro.core.pruning import admit_and_prune, admit_and_prune_arrays
-from repro.core.quantized import (
-    QuantizedLabelStore,
-    _encode_numpy,
-    _encode_python,
-)
+from repro.core.quantized import QuantizedLabelStore, _encode
 from repro.core.rules import CandidateBatch, CandidateSet
 from repro.graphs.digraph import Graph
 from repro.graphs.generators import glp_graph
 from tests.conftest import graph_strategy
 
-np = pytest.importorskip("numpy")
-
-from repro.core import arraystate  # noqa: E402  (needs numpy)
-from repro.core.arraystate import ArrayLabelState  # noqa: E402
-
-SRC = Path(__file__).resolve().parents[2] / "src"
+from repro.core import arraystate
+from repro.core.arraystate import ArrayLabelState
 
 write_path_graphs = graph_strategy(
     max_n=18, max_m=40, min_n=1, fractional=True, self_loops=True
@@ -316,87 +307,25 @@ def test_from_index_returns_independent_stores(store_cls):
 
 
 # ---------------------------------------------------------------------------
-# v3 encoding: array operations vs the per-entry loop
+# v3 encoding
 # ---------------------------------------------------------------------------
-
-
-@settings(max_examples=40, deadline=None)
-@given(graph=write_path_graphs)
-def test_numpy_and_python_encoders_write_identical_files(graph):
-    flat = FlatLabelStore.from_index(
-        make_builder(graph, "hybrid", engine="dict").build().index
-    )
-    sides = [(flat.out_offsets, flat.out_pivots, flat.out_dists)]
-    if flat.directed:
-        sides.append((flat.in_offsets, flat.in_pivots, flat.in_dists))
-    widths_np = _encode_numpy(flat.n, sides)
-    widths_py = _encode_python(flat.n, sides)
-    assert widths_np[:2] == widths_py[:2]
-    for side_np, side_py in zip(widths_np[2], widths_py[2]):
-        for blob_np, blob_py in zip(side_np, side_py):
-            assert blob_np.tobytes() == blob_py.tobytes()
-            assert blob_np.itemsize == blob_py.itemsize
 
 
 def test_encoders_agree_past_one_byte_widths():
-    """Wide pivot deltas, distances past 255, an empty middle label."""
-    from array import array
-
+    """The v3 encoder agrees with hand-packed arrays: wide pivot
+    deltas, distances past 255, an empty middle label."""
     offsets = array("q", [0, 2, 2, 5])
     pivots = array("i", [3, 70_000, 0, 300, 301])
     sides = [(offsets, pivots, array("d", [0.0, 300.0, 1.0, 2.0, 65_535.0]))]
-    got, want = _encode_numpy(3, sides), _encode_python(3, sides)
-    assert got[:2] == want[:2] == (4, 2)
-    for blob_np, blob_py in zip(got[2][0], want[2][0]):
-        assert blob_np.tobytes() == blob_py.tobytes()
-    fractional = [(offsets, pivots, array("d", [0.0, 0.5, 1.0, 2.0, 3.0]))]
-    assert _encode_numpy(3, fractional)[1] == _encode_python(3, fractional)[1] == 8
-
-
-# ---------------------------------------------------------------------------
-# Without numpy
-# ---------------------------------------------------------------------------
-
-_NUMPY_FREE = """
-import sys
-sys.modules["numpy"] = None
-from repro import DistanceOracle, HopDoublingIndex
-from repro.core.flatstore import load_store
-from repro.graphs.generators import glp_graph
-
-graph = glp_graph(150, seed=11)
-index = HopDoublingIndex.build(graph)              # engine="auto" -> dict
-assert index.labels._store is None
-pairs = [(s, (7 * s + 3) % 150) for s in range(40)]
-want = [index.query(s, t) for s, t in pairs]
-for fmt in ("v2", "v3"):
-    path = sys.argv[1] + "/free." + fmt
-    index.save(path, format=fmt)
-    assert DistanceOracle(load_store(path)).query_batch(pairs) == want
-try:
-    HopDoublingIndex.build(graph, engine="array")
-except ValueError as exc:
-    assert "requires numpy" in str(exc)
-else:
-    raise SystemExit("engine='array' built without numpy")
-print("ok")
-"""
-
-
-def test_numpy_free_write_path(tmp_path):
-    """dict build -> v2/v3 -> load -> query_batch with numpy unimportable,
-    and the files equal the ones the numpy path writes."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    done = subprocess.run(
-        [sys.executable, "-c", _NUMPY_FREE, str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=120,
+    pivot_width, dist_width, [packed], hang = _encode(sides)
+    assert (pivot_width, dist_width, hang) == (4, 2, None)
+    want = (
+        array("I", [0, 2, 2, 5]),
+        array("I", [3, 69_997, 0, 300, 1]),  # a label's first pivot whole
+        array("H", [0, 300, 1, 2, 65_535]),
     )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "ok"
-    index = HopDoublingIndex.build(glp_graph(150, seed=11), engine="array")
-    for fmt in ("v2", "v3"):
-        with_numpy = tmp_path / f"numpy.{fmt}"
-        index.save(with_numpy, format=fmt)
-        assert with_numpy.read_bytes() == (tmp_path / f"free.{fmt}").read_bytes()
-        store = load_store(with_numpy)
-        assert DistanceOracle(store).query(0, 149) == index.query(0, 149)
+    for blob, ref in zip(packed, want):
+        assert blob.itemsize == ref.itemsize
+        assert bytes(blob) == ref.tobytes()
+    fractional = [(offsets, pivots, array("d", [0.0, 0.5, 1.0, 2.0, 3.0]))]
+    assert _encode(fractional)[1] == 8

@@ -13,6 +13,7 @@ import threading
 from array import array
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,7 +36,6 @@ from repro.oracle import kernel
 from repro.oracle.batch import MIN_KERNEL_PAIRS
 from tests.conftest import random_graph
 
-np = pytest.importorskip("numpy")
 
 #: The smallest batch the kernel groups (sorts, dedupes, joins by
 #: source) rather than joining pair by pair.
@@ -105,7 +105,6 @@ def synth_store(lo, hi, special):
 
 class TestSupports:
     def test_flat_and_quantized_supported(self, flat):
-        assert kernel.available()
         assert kernel.supports(flat)
         assert kernel.supports(QuantizedLabelStore.from_flat(flat))
         assert kernel.supports(ShardedLabelStore.split(flat, 3))
@@ -843,22 +842,32 @@ class TestConcurrency:
 class TestEvaluateBatchIntegration:
     def test_kernel_on_off_agree(self, flat):
         pairs = batch(flat.n, 1000, seed=21)
-        off = evaluate_batch(flat, pairs, kernel="off")
-        assert evaluate_batch(flat, pairs, kernel="on") == off
-        assert evaluate_batch(flat, pairs, kernel="auto") == off
+        off = [flat.query(s, t) for s, t in pairs]
+        assert kernel.batch_eval(flat, pairs) == off
+        assert evaluate_batch(flat, pairs) == off
 
-    def test_kernel_on_unsupported_raises(self, flat):
-        with pytest.raises(ValueError, match="kernel='on'"):
-            evaluate_batch(flat.to_index(), [(0, 1)], kernel="on")
+    def test_store_and_size_choose_the_path(self, flat):
+        """No knob: a flat store and at least MIN_KERNEL_PAIRS pairs go
+        to the kernel, anything else to the scalar path."""
+        pairs = [(0, 1), (2, 3), (4, 5), (6, 7)]
+        assert len(pairs) == MIN_KERNEL_PAIRS
+        want = [flat.query(s, t) for s, t in pairs]
+        index = flat.to_index()
+        _, few = work(lambda: evaluate_batch(flat, pairs[:3]))
+        _, lists = work(lambda: evaluate_batch(index, pairs * 50))
+        got, enough = work(lambda: evaluate_batch(flat, pairs))
+        assert few["pairs"] == lists["pairs"] == 0
+        assert enough["pairs"] == 4
+        assert got == want
 
     def test_bad_kernel_mode_rejected(self, flat):
-        with pytest.raises(ValueError, match="kernel must be one of"):
+        with pytest.raises(TypeError, match="kernel"):
             evaluate_batch(flat, [(0, 1)], kernel="fast")
 
     def test_auto_falls_back_for_lists(self, flat):
         index = flat.to_index()
         pairs = batch(flat.n, 200, seed=22)
-        assert evaluate_batch(index, pairs, kernel="auto") == [
+        assert evaluate_batch(index, pairs) == [
             flat.query(s, t) for s, t in pairs
         ]
 
@@ -867,34 +876,39 @@ class TestEvaluateBatchIntegration:
 
         cache = LRUCache(1024)
         pairs = batch(flat.n, 100, seed=23)
-        first = evaluate_batch(flat, pairs, cache=cache, kernel="on")
+        first, filled = work(lambda: evaluate_batch(flat, pairs, cache=cache))
+        assert filled["pairs"] > 0  # the misses went through the kernel
         assert cache.info().size > 0
         # Second pass must be served from the cache, identically.
-        assert evaluate_batch(flat, pairs, cache=cache, kernel="on") == first
+        assert evaluate_batch(flat, pairs, cache=cache) == first
 
-    def test_oracle_kernel_knob(self, flat):
-        pairs = batch(flat.n, 500, seed=24)
-        on = DistanceOracle(flat, cache_size=0, kernel="on")
-        off = DistanceOracle(flat, cache_size=0, kernel="off")
-        assert on.query_batch(pairs) == off.query_batch(pairs)
+    def test_oracle_kernel_knob(self, flat, tmp_path):
+        """The oracles take no ``kernel=``; a bad call fails at once,
+        not at its first batch."""
+        path = tmp_path / "i.idx3"
+        QuantizedLabelStore.from_flat(flat).save(path)
+        with pytest.raises(TypeError, match="kernel"):
+            DistanceOracle(flat, kernel="off")
+        with pytest.raises(TypeError, match="kernel"):
+            DistanceOracle.open(path, kernel="on")
 
     def test_parallel_oracle_rejects_bad_kernel_mode(self, flat, tmp_path):
         shard_dir = tmp_path / "shards"
         ShardedLabelStore.split(flat, 2).save(shard_dir)
-        with pytest.raises(ValueError, match="kernel must be one of"):
-            ParallelOracle(shard_dir, kernel="bogus")
+        with pytest.raises(TypeError, match="kernel"):
+            ParallelOracle(shard_dir, kernel="off")
 
     def test_mmapped_v3_through_kernel(self, flat, tmp_path):
         q = QuantizedLabelStore.from_flat(flat)
         q.save(tmp_path / "i.idx3")
         oracle = DistanceOracle.open(
-            tmp_path / "i.idx3", use_mmap=True, kernel="on", cache_size=0
+            tmp_path / "i.idx3", use_mmap=True, cache_size=0
         )
         try:
             assert oracle.store.is_mmapped
             pairs = batch(flat.n, 500, seed=25)
-            assert oracle.query_batch(pairs) == [
-                flat.query(s, t) for s, t in pairs
-            ]
+            got, did = work(lambda: oracle.query_batch(pairs))
+            assert did["pairs"] > 0
+            assert got == [flat.query(s, t) for s, t in pairs]
         finally:
             oracle.close()

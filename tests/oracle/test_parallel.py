@@ -59,10 +59,6 @@ def test_four_way_bit_identity(
     with ParallelOracle(shard_dir, workers=2, cache_size=0) as oracle:
         assert oracle.query_batch(pairs) == want
         assert sum(oracle.shard_hits) == len(pairs)  # through the pool
-    with ParallelOracle(
-        shard_dir, workers=2, cache_size=0, kernel="off"
-    ) as oracle:
-        assert oracle.query_batch(pairs) == want  # scalar merge joins
 
 
 def test_order_preserved_with_duplicates_and_self_pairs(
@@ -94,8 +90,7 @@ INLINE_REASONS = {
         "patch": {"repro.oracle.parallel.INLINE_ENTRIES": 2_000_000}
     },
     "route pinned inline": {"kwargs": {"route": "inline"}},
-    "kernel off": {"kwargs": {"kernel": "off"}},
-    "no numpy or fork": {
+    "no fork": {
         "patch": {"repro.serve.shm.available": lambda: False}
     },
     "store the kernel cannot read": {
@@ -214,7 +209,7 @@ def test_invalid_configuration_rejected(shard_dir):
 
 @pytest.mark.parametrize(
     "removed",
-    ["executor", "transport", "min_parallel_batch", "inline_entries"],
+    ["executor", "transport", "min_parallel_batch", "inline_entries", "kernel"],
 )
 def test_removed_knobs_are_gone(shard_dir, removed):
     with pytest.raises(TypeError, match=removed):

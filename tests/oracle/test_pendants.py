@@ -10,11 +10,8 @@ un-peel vertices, and that hostile pendant sections are refused.
 from __future__ import annotations
 
 import asyncio
-import os
 import random
 import struct
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -37,9 +34,6 @@ from repro.oracle.sharding import ShardError
 from repro.serve import DistanceClient, DistanceServer, fanout_available
 from tests.conftest import graph_strategy
 
-np = pytest.importorskip("numpy", reason="the batch kernel requires numpy")
-
-SRC = Path(__file__).resolve().parents[2] / "src"
 FORMATS = {"v2": FlatLabelStore, "v3": QuantizedLabelStore}
 
 #: Two hubs (0, 1) joined through 2; pendants 3, 4 under hub 0 (4 by a
@@ -70,9 +64,8 @@ def store_surfaces(store):
     """``(name, answer(pairs))`` for one in-memory store, every path."""
     yield "query", lambda ps: [store.query(s, t) for s, t in ps]
     yield "query_via", lambda ps: [store.query_via(s, t)[0] for s, t in ps]
-    for mode in ("on", "off"):
-        oracle = DistanceOracle(store, cache_size=0, kernel=mode)
-        yield f"kernel={mode}", oracle.query_batch
+    yield "kernel", lambda ps: kernel.batch_eval(store, ps)
+    yield "query_batch", DistanceOracle(store, cache_size=0).query_batch
 
 
 def check_stores(index, graph, pairs, tmp_path, shards=True):
@@ -297,23 +290,9 @@ def _bytes(path) -> bytes:
     return Path(path).read_bytes()
 
 
-_NUMPY_FREE = """
-import sys
-sys.modules["numpy"] = None
-from repro import HopDoublingIndex
-from repro.graphs.io import read_edge_list
-graph = read_edge_list(sys.argv[1], directed=False, weighted=True)
-index = HopDoublingIndex.build(graph)
-assert index.labels._store is None and index.stats().pendants > 0
-for fmt in ("v2", "v3"):
-    index.save(sys.argv[2] + "/free." + fmt, format=fmt)
-print("ok")
-"""
-
-
 @pytest.mark.parametrize("quarter_weights", [False, True])
 def test_engines_write_identical_files(quarter_weights, tmp_path):
-    """Array engine, dict engine and the numpy-free path: same bytes."""
+    """Array engine and dict engine: same bytes."""
     rng = random.Random(3)
     scale = 4 if quarter_weights else 1
     write_edge_list(
@@ -326,21 +305,13 @@ def test_engines_write_identical_files(quarter_weights, tmp_path):
         ),
         tmp_path / "g.txt",
     )
-    # Reading renumbers the vertices: both processes read the file.
     graph = read_edge_list(tmp_path / "g.txt", directed=False, weighted=True)
-    done = subprocess.run(
-        [sys.executable, "-c", _NUMPY_FREE, str(tmp_path / "g.txt"), str(tmp_path)],
-        env=dict(os.environ, PYTHONPATH=str(SRC)),
-        capture_output=True, text=True, timeout=300,
-    )
-    assert done.returncode == 0, done.stderr
     for fmt in FORMATS:
         for engine in ("array", "dict"):
             HopDoublingIndex.build(graph, engine=engine).save(
                 tmp_path / f"{engine}.{fmt}", format=fmt
             )
         assert _bytes(tmp_path / f"array.{fmt}") == _bytes(tmp_path / f"dict.{fmt}")
-        assert _bytes(tmp_path / f"array.{fmt}") == _bytes(tmp_path / f"free.{fmt}")
     v3 = load_store(tmp_path / "array.v3")
     assert v3.pendants > 100
     # Fractional pendant edges force raw f64 distances, hangs included.
@@ -449,7 +420,7 @@ def test_hostile_sections_never_answer(fmt, tmp_path):
             with pytest.raises(ValueError, match="corrupt pendant section"):
                 store.out_label(3)
             with pytest.raises(ValueError, match="corrupt pendant section"):
-                DistanceOracle(store, kernel="on").query_batch([(3, 1), (0, 2)])
+                kernel.batch_eval(store, [(3, 1), (0, 2)])
             sharded = ShardedLabelStore.split(load_store(path), 2)
             with pytest.raises(ShardError, match="corrupt pendant section"):
                 sharded.query(3, 1)

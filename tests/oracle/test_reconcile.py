@@ -25,7 +25,7 @@ def setting():
     graph = glp_graph(120, seed=8)
     index = make_builder(graph, "hybrid").build().index
     store = FlatLabelStore.from_index(index)
-    dyn = DynamicHopDoublingIndex.from_store(store, graph=graph, engine="dict")
+    dyn = DynamicHopDoublingIndex.from_store(store, graph=graph)
     dyn.insert_edges([(0, 119), (30, 95)])
     return graph, store, dyn, dyn.pop_label_delta()
 

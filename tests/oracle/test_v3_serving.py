@@ -125,11 +125,8 @@ class TestShardedServing:
         expected = [flat.query(s, t) for s, t in p]
         with ParallelOracle(shard_dir, workers=2, cache_size=0) as oracle:
             assert oracle.query_batch(p) == expected
-        # And with the kernel pinned off, through the scalar path.
-        with ParallelOracle(
-            shard_dir, workers=2, cache_size=0, kernel="off"
-        ) as oracle:
-            assert oracle.query_batch(p) == expected
+            # And pair by pair, through the sharded store's scalar path.
+            assert [oracle.query(s, t) for s, t in p] == expected
 
     def test_resplit_v3_shards(self, setup, tmp_path):
         _, flat, _, p3 = setup

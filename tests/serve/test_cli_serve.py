@@ -30,7 +30,7 @@ def test_parser_defaults():
     assert args.max_batch == 8192
     assert args.max_wait_ms == 2.0
     assert args.max_pending == 262144
-    assert args.kernel == "auto"
+    assert not hasattr(args, "kernel")
 
 
 def test_serve_missing_index(tmp_path, capsys):

@@ -182,7 +182,6 @@ def test_stats_op_reports_batcher_counters(flat):
 
 
 def test_stats_op_reports_kernel_counters(flat):
-    pytest.importorskip("numpy")
     from repro.oracle import kernel
 
     # Copies of one pair, enough for the kernel to group them: one
@@ -215,7 +214,6 @@ def test_stats_op_reports_kernel_counters(flat):
 
 
 def test_stats_op_reports_the_path_a_small_request_took(flat):
-    pytest.importorskip("numpy")
     small = random_pairs(flat.n, 16, seed=44)
 
     async def scenario(server, host, port):

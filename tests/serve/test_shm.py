@@ -6,22 +6,20 @@ import time
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
-from repro.baselines.pll import build_pll  # noqa: E402
-from repro.bench.workloads import random_pairs  # noqa: E402
-from repro.core.flatstore import FlatLabelStore  # noqa: E402
-from repro.core.quantized import QuantizedLabelStore  # noqa: E402
-from repro.graphs.generators import ba_graph  # noqa: E402
-from repro.oracle import ShardedLabelStore  # noqa: E402
-from repro.serve import shm  # noqa: E402
-from repro.serve.shm import (  # noqa: E402
+from repro.baselines.pll import build_pll
+from repro.bench.workloads import random_pairs
+from repro.core.flatstore import FlatLabelStore
+from repro.core.quantized import QuantizedLabelStore
+from repro.graphs.generators import ba_graph
+from repro.oracle import ShardedLabelStore
+from repro.serve import shm
+from repro.serve.shm import (
     FanoutUnavailableError,
     SharedMemoryFanout,
 )
 
 pytestmark = pytest.mark.skipif(
-    not shm.available(), reason="needs numpy and the fork start method"
+    not shm.available(), reason="needs the fork start method"
 )
 
 

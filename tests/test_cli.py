@@ -89,7 +89,6 @@ class TestBuildAndQuery:
 
     def test_build_engines_agree(self, graph_file, tmp_path, capsys):
         """--engine dict/array (and --jobs) write identical index files."""
-        pytest.importorskip("numpy")
         outputs = {}
         for name, flags in {
             "dict": ["--engine", "dict"],
@@ -130,7 +129,7 @@ class TestBuildAndQuery:
             "--engine", "dict", "--jobs", "2",
         ])
         assert rc == 2
-        assert "--engine array" in capsys.readouterr().err
+        assert "engine='array'" in capsys.readouterr().err
         assert not idx.exists()
 
 
@@ -220,27 +219,36 @@ class TestConvertAndBatch:
 
     def test_batch_kernel_on_off_agree(self, v1_index, graph_file,
                                        tmp_path, capsys):
+        """The kernel (a v3 store, a batch of four) and the scalar path
+        (tuple lists) print the same lines."""
+        from repro.oracle import kernel
+
         v3 = tmp_path / "g.idx3"
         main(["convert", str(v1_index), "-o", str(v3), "--format", "v3"])
         batch = tmp_path / "pairs.txt"
         batch.write_text("0 10\n3 7\n5 5\n1 40\n")
         capsys.readouterr()
-        assert main(["query", str(v3), "--batch", str(batch),
-                     "--kernel", "on"]) == 0
+        before = kernel.stats()["pairs"]
+        assert main(["query", str(v3), "--batch", str(batch)]) == 0
         on_out = capsys.readouterr().out
+        assert kernel.stats()["pairs"] == before + 3  # 5 5 reads 0.0
         assert main(["query", str(v1_index), "--batch", str(batch),
-                     "--kernel", "off"]) == 0
+                     "--backend", "list"]) == 0
         off_out = capsys.readouterr().out
+        assert kernel.stats()["pairs"] == before + 3
         assert on_out == off_out
 
     def test_query_kernel_on_without_vector_path(self, v1_index, tmp_path,
                                                  capsys):
+        """Asking for the kernel is refused outright: the store and the
+        batch size choose the path, so ``--kernel`` no longer parses."""
         batch = tmp_path / "pairs.txt"
         batch.write_text("0 1\n")
-        rc = main(["query", str(v1_index), "--batch", str(batch),
-                   "--backend", "list", "--kernel", "on"])
-        assert rc == 2
-        assert "kernel" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["query", str(v1_index), "--batch", str(batch),
+                  "--backend", "list", "--kernel", "on"])
+        assert exc.value.code == 2
+        assert "--kernel" in capsys.readouterr().err
 
     def test_query_missing_index(self, tmp_path, capsys):
         rc = main(["query", str(tmp_path / "nope.idx"), "0", "1"])
@@ -495,6 +503,23 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["bench", "table99"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["query", "g.idx", "--kernel", "off"],
+            ["serve", "g.idx", "--kernel", "on"],
+            ["update", "g.idx", "--edges", "new.txt", "--engine", "dict"],
+        ],
+        ids=["query --kernel", "serve --kernel", "update --engine"],
+    )
+    def test_removed_flags_are_gone(self, argv, capsys):
+        """The kernel and the repair engine are not chosen on a command
+        line: argparse refuses the flags before any file is read."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert argv[-2] in capsys.readouterr().err
+
 
 class TestVerify:
     def test_verify_good_index(self, graph_file, tmp_path, capsys):
@@ -542,7 +567,7 @@ class TestUpdate:
         out_idx = tmp_path / "updated.idx"
         before = idx.read_bytes()
         rc = main(["update", str(idx), "--edges", str(edges),
-                   "-o", str(out_idx), "--engine", "dict"])
+                   "-o", str(out_idx)])
         assert rc == 0
         assert idx.read_bytes() == before
         capsys.readouterr()
