@@ -123,9 +123,8 @@ class PairColumns:
 
     def first_outside(self, n: int) -> tuple[int, int] | None:
         """The first pair with a vertex outside ``[0, n)``, if any."""
-        S, T = self.sources, self.targets
-        bad = (S < 0) | (S >= n) | (T < 0) | (T >= n)
-        return self[int(bad.argmax())] if bad.any() else None
+        k = _kernel.first_outside(self.sources, self.targets, n)
+        return None if k is None else self[k]
 
     def __len__(self) -> int:
         return len(self.sources)

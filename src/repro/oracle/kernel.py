@@ -241,8 +241,8 @@ def _expand(starts, lens):
     and each slice's start in that order.
     """
     total = int(lens.sum())
-    seg0 = np.cumsum(lens) - lens
-    idx = np.arange(total, dtype=np.int64) + np.repeat(starts - seg0, lens)
+    seg0 = lens.cumsum() - lens
+    idx = np.arange(total, dtype=np.int64) + (starts - seg0).repeat(lens)
     return idx, seg0
 
 
@@ -684,9 +684,9 @@ def _hub_min(out_table, in_table, S, T):
 
 def _match_sorted(s_keys, t_keys):
     """Positions of ``t_keys`` found in sorted ``s_keys``: (where, at)."""
-    pos = np.searchsorted(s_keys, t_keys)
+    pos = s_keys.searchsorted(t_keys)
     np.minimum(pos, s_keys.size - 1, out=pos)
-    hit = np.flatnonzero(s_keys[pos] == t_keys)
+    hit = (s_keys[pos] == t_keys).nonzero()[0]
     return hit, pos[hit]
 
 
@@ -792,26 +792,30 @@ def _pairwise(view: _View, S, T):
     keys both ends' tails as ``pair * n + pivot`` — the source keys
     come out sorted, because each tail keeps its pivot order — and
     reduces the matches into their pairs.  Returns the distances and
-    the target entries gathered.
+    the target entries gathered.  It calls array methods (``a.take``,
+    ``a.repeat``), not their ``np.`` wrappers: at this size the
+    wrappers' Python dispatch costs about as much as the work.
     """
     out, inn, base = view.out, view.inn, view.n
     if view.hubs.size:
-        best = np.add(
-            np.take(out.table, S, axis=0), np.take(inn.table, T, axis=0)
-        ).min(axis=1)
+        best = (out.table.take(S, axis=0) + inn.table.take(T, axis=0)).min(axis=1)
         res = np.where(best < _NO_ENTRY, best, np.inf)
     else:
         res = np.full(len(S), np.inf)
-    slens, tlens = out.tail_len[S], inn.tail_len[T]
-    sidx, _ = _expand(out.tail_start[S], slens)
-    tidx, _ = _expand(inn.tail_start[T], tlens)
+    # Both ends' tails in one expansion, the sources' slices first.
+    lens = np.concatenate((out.tail_len[S], inn.tail_len[T]))
+    idx, seg0 = _expand(
+        np.concatenate((out.tail_start[S], inn.tail_start[T])), lens
+    )
+    slens, tlens = lens[: len(S)], lens[len(S) :]
+    sidx, tidx = idx[: seg0[len(S)]], idx[seg0[len(S)] :]
     if sidx.size and tidx.size:
         # int32 keys while they fit: half the bytes to search.
         dtype = np.int64 if len(S) * base > _INT32_MAX else np.int32
         keyed = np.arange(0, len(S) * base, base, dtype=dtype)
-        owner = np.repeat(keyed, tlens)
+        owner = keyed.repeat(tlens)
         hit, pos = _match_sorted(
-            np.repeat(keyed, slens) + out.tail_piv[sidx],
+            keyed.repeat(slens) + out.tail_piv[sidx],
             owner + inn.tail_piv[tidx],
         )
         sums = out.tail_dist[sidx[pos]] + inn.tail_dist[tidx[hit]]
@@ -869,6 +873,16 @@ def _eval(view: _View, S, T):
     return answer
 
 
+def first_outside(S, T, n: int) -> int | None:
+    """Index of the first pair of int64 columns with an id outside ``[0, n)``."""
+    # Read as unsigned, a negative id is too large as well: two maxima
+    # find out whether anything is out of range, the mask says where.
+    top = np.maximum.reduce
+    if top(S.view(np.uint64), initial=0) < n and top(T.view(np.uint64), initial=0) < n:
+        return None
+    return int(np.flatnonzero((S < 0) | (S >= n) | (T < 0) | (T >= n))[0])
+
+
 def batch_eval_arrays(store, S, T):
     """Array-in/array-out evaluation (the parallel workers' entry).
 
@@ -888,11 +902,8 @@ def batch_eval_arrays(store, S, T):
             f"{S.shape} and {T.shape}"
         )
     n = store.n
-    # Read as unsigned, a negative id is too large as well: two passes
-    # find out whether anything is out of range, the mask says where.
-    if len(S) and max(S.view(np.uint64).max(), T.view(np.uint64).max()) >= n:
-        bad = (S < 0) | (S >= n) | (T < 0) | (T >= n)
-        k = int(np.flatnonzero(bad)[0])
+    k = first_outside(S, T, n)
+    if k is not None:
         raise IndexError(
             f"query ({int(S[k])}, {int(T[k])}) out of range [0, {n})"
         )

@@ -6,22 +6,22 @@ evaluates each request's pairs on arrival pays the fixed per-call
 cost (Python dispatch, kernel setup, a possible thread hop) once per
 *request*; under many concurrent clients that fixed cost dominates.
 The :class:`AdmissionBatcher` sits between the asyncio frontend and
-the evaluator and turns concurrency into batch size:
+the evaluator and turns concurrency into batch size.
 
-* a **lone** request — nothing queued, no batch being collected or
-  dispatched, a synchronous evaluator and at most ``inline_below``
-  pairs — is answered by its submitter: after a single cooperative
-  yield (``asyncio.sleep(0)``), a still-empty queue proves no other
-  submitter was runnable, so ``submit`` evaluates the pairs itself
-  (no future, no collector wake-up, no extra loop turn).  A submitter
-  that arrives during that yield queues, and the lone one queues
-  behind it, so concurrent clients still coalesce;
-* every other request enqueues its pairs and awaits a future;
-* a collector drains the queue into one batch until either
-  ``max_batch_pairs`` is reached or ``max_wait`` seconds have
-  elapsed — or, after the same one yield, the queue is empty: a
-  batch never waits out the admission window for companions that
-  are not there;
+:meth:`~AdmissionBatcher.submit` is a plain method returning an
+:class:`asyncio.Future` — no task, no ``await`` and no loop turn of
+its own — and the batching rule follows the event loop's ticks (a tick
+runs every callback that was ready when it began, typically one per
+connection the last ``select`` found readable):
+
+* the **first** request of a tick is answered on arrival, inside
+  ``submit``, when the evaluator is synchronous, the request has at
+  most ``inline_below`` pairs and nothing is queued or being
+  dispatched: the future comes back already resolved;
+* every later request of the tick queues, and one callback at the end
+  of the tick batches the queue.  While each tick brings more
+  requests it waits one tick more, until the batch holds
+  ``max_batch_pairs`` pairs or ``max_wait`` seconds have passed;
 * one evaluator call answers the whole batch, and every request's
   future resolves with its slice of the results — neither is
   rebuilt on the way: column blocks
@@ -32,20 +32,21 @@ the evaluator and turns concurrency into batch size:
 * **backpressure**: once ``max_pending_pairs`` admitted-but-unanswered
   pairs are in flight, :meth:`~AdmissionBatcher.submit` fails fast
   with :class:`ServeOverloadedError` — the server maps it to a
-   429-style response so clients shed load instead of queueing
+  429-style response so clients shed load instead of queueing
   unboundedly.
 
 Requests are never split across batches, so a batch may overshoot
-``max_batch_pairs`` by at most one request's size.  Large batches are
-evaluated on a worker thread (``run_in_executor``) to keep the event
-loop accepting; batches at or below ``inline_below`` pairs run
-directly on the loop, where the evaluator finishes faster than the
-thread hop itself would take.
+``max_batch_pairs`` by at most one request's size.  A batch above
+``inline_below`` pairs is evaluated on a worker thread
+(``run_in_executor``) to keep the loop accepting, and an ``async def``
+evaluator is awaited; requests arriving meanwhile queue for the next
+batch.  Smaller batches run on the loop: a thread hop costs more.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 from collections import deque
 from typing import Callable, Sequence
 
@@ -97,10 +98,6 @@ class AdmissionBatcher:
     :meth:`repro.serve.shm.SharedMemoryFanout.query_batch`.  A plain
     callable runs on a worker thread past ``inline_below`` pairs; an
     ``async def`` evaluator is awaited as-is.
-
-    The collector task starts lazily, with the first request that has
-    to queue, and is torn down by :meth:`aclose`, which also fails
-    every unanswered request with :class:`ServeClosedError`.
     """
 
     def __init__(
@@ -130,14 +127,16 @@ class AdmissionBatcher:
         self.max_pending_pairs = max_pending_pairs
         self.inline_below = inline_below
         self._queue: deque[_Request] = deque()
-        self._wake = asyncio.Event()
         self._pending_pairs = 0
         self._closed = False
-        self._collector: asyncio.Task | None = None
-        # Held by the collector over a whole collect + dispatch, and by
-        # a submitter while it yields to prove it is alone.
-        self._collecting = False
-        self._lone = False
+        #: The end-of-tick callback, armed by the tick's first request.
+        self._tick: asyncio.Handle | None = None
+        #: A batch on a worker thread or in an async evaluator.
+        self._inflight: asyncio.Future | None = None
+        #: The admission window of the queue: its deadline, and how many
+        #: requests the last tick had seen queued.
+        self._deadline: float | None = None
+        self._seen = 0
         self.pairs_served = 0
         self.batches_dispatched = 0
         self.lone_requests = 0
@@ -145,184 +144,151 @@ class AdmissionBatcher:
         self.max_batch_seen = 0
 
     # -- request side --------------------------------------------------------
-    async def submit(
-        self, pairs: Sequence[tuple[int, int]]
-    ) -> Sequence[float]:
-        """Admit one request's pairs and await their distances.
+    def submit(self, pairs: Sequence[tuple[int, int]]) -> asyncio.Future:
+        """Admit one request's pairs; a future of their distances.
 
         The answer is this request's slice of whatever sequence the
         evaluator returned for the batch (a list for a list, a view
-        for a numpy array), or, for a lone request, what it returned
-        for these pairs.  Raises :class:`ServeOverloadedError` past
-        the backpressure mark, :class:`ServeClosedError` if the batcher
-        closes before the request is answered, and re-raises whatever
-        the evaluator raised for the batch the request rode in.
+        for a numpy array), or, for a request answered on arrival,
+        what it returned for these pairs.  The future fails with
+        :class:`ServeOverloadedError` past the backpressure mark,
+        :class:`ServeClosedError` if the batcher closes before the
+        request is answered, and whatever the evaluator raised for the
+        batch the request rode in.
         """
-        if self._closed:
-            raise ServeClosedError("batcher is closed")
-        npairs = len(pairs)
-        if npairs == 0:
-            return []
-        if self._pending_pairs + npairs > self.max_pending_pairs:
-            self.requests_rejected += 1
-            raise ServeOverloadedError(
-                f"{self._pending_pairs} pairs already pending against a "
-                f"high-water mark of {self.max_pending_pairs}; retry later"
-            )
-        self._pending_pairs += npairs
-        if npairs <= self.inline_below and not (
-            self._is_async or self._queue or self._collecting or self._lone
-        ):
-            # The collector's proof of loneliness, taken by the submitter
-            # itself: if the queue is still empty after one yield, no
-            # other submitter was runnable, and nothing is left to wait
-            # for.  One that did turn up has queued instead (``_lone``
-            # is set), so this request queues behind it.
-            self._lone = True
-            try:
-                await asyncio.sleep(0)
-            except asyncio.CancelledError:
-                self._pending_pairs -= npairs
-                raise
-            finally:
-                self._lone = False
-            if self._closed or not (self._queue or self._collecting):
-                return self._answer_alone(pairs)
         loop = asyncio.get_running_loop()
-        if self._collector is None:
-            self._collector = loop.create_task(self._run())
         future = loop.create_future()
-        self._queue.append(_Request(pairs, future))
-        self._wake.set()
-        return await future
+        npairs = len(pairs)
+        if self._closed:
+            future.set_exception(ServeClosedError("batcher is closed"))
+        elif npairs == 0:
+            future.set_result([])
+        elif self._pending_pairs + npairs > self.max_pending_pairs:
+            self.requests_rejected += 1
+            future.set_exception(
+                ServeOverloadedError(
+                    f"{self._pending_pairs} pairs already pending against a "
+                    f"high-water mark of {self.max_pending_pairs}; retry later"
+                )
+            )
+        else:
+            self._pending_pairs += npairs
+            self._queue.append(_Request(pairs, future))
+            # A queue always has a tick armed or a batch in flight: with
+            # neither, this is the tick's first request and nothing is
+            # queued or dispatching.  It is answered now if it may be,
+            # and the rest of the tick queues.
+            if self._tick is None and self._inflight is None:
+                self._tick = loop.call_soon(self._flush)
+                if npairs <= self.inline_below and not self._is_async:
+                    self._dispatch(loop, lone=True)
+        return future
 
-    def _answer_alone(self, pairs) -> Sequence[float]:
-        """Evaluate a lone request here, accounted as a batch of one."""
-        try:
-            if self._closed:
-                raise ServeClosedError("batcher closed with requests pending")
-            distances = self._evaluate(pairs)
-        finally:
-            self._pending_pairs -= len(pairs)
-        self.lone_requests += 1
-        self.batches_dispatched += 1
-        self.pairs_served += len(pairs)
-        self.max_batch_seen = max(self.max_batch_seen, len(pairs))
-        return distances
-
-    # -- collector side ------------------------------------------------------
-    async def _run(self) -> None:
-        while True:
-            if not self._queue:
-                self._wake.clear()
-                await self._wake.wait()
-            self._collecting = True
-            try:
-                batch = await self._collect()
-                await self._dispatch(batch)
-            finally:
-                self._collecting = False
-
-    async def _collect(self) -> list[_Request]:
-        """Drain the queue into one batch under the admission window."""
+    # -- batch side ----------------------------------------------------------
+    def _flush(self) -> None:
+        """End of a tick: dispatch the queue, unless it is still growing."""
+        self._tick = None
+        if not self._queue or self._inflight is not None:
+            return
         loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.max_wait
-        batch: list[_Request] = []
-        npairs = 0
-        while True:
-            while self._queue and npairs < self.max_batch_pairs:
-                request = self._queue.popleft()
-                batch.append(request)
-                npairs += len(request.pairs)
-            if npairs >= self.max_batch_pairs:
-                break
-            # One cooperative yield lets every already-runnable
-            # submitter enqueue; an empty queue after it means nothing
-            # else is in flight, so a lone request never waits out the
-            # admission window.
-            await asyncio.sleep(0)
-            if not self._queue or loop.time() >= deadline:
-                break
-        if npairs > self.max_batch_seen:
-            self.max_batch_seen = npairs
-        return batch
+        if self._deadline is None:
+            self._deadline = loop.time() + self.max_wait
+        if (
+            len(self._queue) > self._seen
+            and self._pending_pairs < self.max_batch_pairs
+            and loop.time() < self._deadline
+        ):
+            self._seen = len(self._queue)
+            self._tick = loop.call_soon(self._flush)
+            return
+        self._deadline, self._seen = None, 0
+        while self._queue and self._inflight is None:
+            self._dispatch(loop)
 
-    async def _dispatch(self, batch: list[_Request]) -> None:
-        """Evaluate one batch and resolve its requests' futures."""
+    def _dispatch(self, loop, lone: bool = False) -> None:
+        """Evaluate the head of the queue as one batch."""
+        batch, npairs = [], 0
+        while self._queue and npairs < self.max_batch_pairs:
+            batch.append(self._queue.popleft())
+            npairs += len(batch[-1].pairs)
         pairs = batch[0].pairs
         if len(batch) > 1:
             if isinstance(pairs, PairColumns):
                 pairs = PairColumns.concat([r.pairs for r in batch])
             else:
                 pairs = [pair for r in batch for pair in r.pairs]
-        try:
-            if self._is_async:
-                distances = await self._evaluate(pairs)
-            elif len(pairs) <= self.inline_below:
-                distances = self._evaluate(pairs)
-            else:
-                distances = await asyncio.get_running_loop().run_in_executor(
-                    None, self._evaluate, pairs
-                )
-        except asyncio.CancelledError:
-            self._fail(batch, ServeClosedError("batcher closed mid-batch"))
-            raise
-        except Exception as exc:
-            # The whole batch shares the evaluator's failure; the
-            # server validates per request before admission precisely
-            # so one bad request cannot poison its batch mates.
-            self._fail(batch, exc)
+        if self._is_async:
+            self._inflight = asyncio.ensure_future(self._evaluate(pairs))
+        elif npairs > self.inline_below:
+            self._inflight = loop.run_in_executor(None, self._evaluate, pairs)
         else:
-            self.batches_dispatched += 1
-            self.pairs_served += len(pairs)
-            offset = 0
-            for request in batch:
-                end = offset + len(request.pairs)
-                if not request.future.done():
-                    request.future.set_result(distances[offset:end])
-                offset = end
-        finally:
-            for request in batch:
-                self._pending_pairs -= len(request.pairs)
+            try:
+                distances, error = self._evaluate(pairs), None
+            except Exception as exc:
+                # The whole batch shares the evaluator's failure; the
+                # server validates per request before admission precisely
+                # so one bad request cannot poison its batch mates.
+                distances, error = None, exc
+            self._settle(batch, error, distances, lone)
+            return
+        self._inflight.add_done_callback(functools.partial(self._landed, batch))
 
-    @staticmethod
-    def _fail(batch: list[_Request], exc: BaseException) -> None:
+    def _landed(self, batch: list[_Request], inflight: asyncio.Future) -> None:
+        """A thread or async batch finished: answer it, start the next."""
+        self._inflight = None
+        if inflight.cancelled():
+            error = ServeClosedError("batcher closed mid-batch")
+        else:
+            error = inflight.exception()
+        self._settle(batch, error, None if error else inflight.result())
+        self._flush()
+
+    def _settle(self, batch, error, distances, lone: bool = False) -> None:
+        """Resolve every request of ``batch`` with its slice, or fail it."""
+        npairs = sum(len(request.pairs) for request in batch)
+        self._pending_pairs -= npairs
+        if error is None:
+            self.batches_dispatched += 1
+            self.lone_requests += lone
+            self.pairs_served += npairs
+            self.max_batch_seen = max(self.max_batch_seen, npairs)
+        offset = 0
         for request in batch:
-            if not request.future.done():
-                request.future.set_exception(exc)
+            end = offset + len(request.pairs)
+            if request.future.done():
+                pass
+            elif error is None:
+                request.future.set_result(distances[offset:end])
+            else:
+                request.future.set_exception(error)
+            offset = end
 
     # -- lifecycle and introspection -----------------------------------------
     async def aclose(self) -> None:
-        """Stop the collector and fail every unanswered request.
+        """Fail every unanswered request with :class:`ServeClosedError`.
 
-        Requests already handed to the evaluator fail with
-        :class:`ServeClosedError` as the collector unwinds; queued
-        requests that never reached a batch fail the same way.
+        Queued requests fail at once; a batch on a thread or in an async
+        evaluator is cancelled and its requests fail as it lands.
         Idempotent.
         """
         if self._closed:
             return
         self._closed = True
-        if self._collector is not None:
-            self._collector.cancel()
-            try:
-                await self._collector
-            except asyncio.CancelledError:
-                pass
-            self._collector = None
-        exc = ServeClosedError("batcher closed with requests pending")
-        while self._queue:
-            request = self._queue.popleft()
-            if not request.future.done():
-                request.future.set_exception(exc)
-            self._pending_pairs -= len(request.pairs)
+        if self._tick is not None:
+            self._tick.cancel()
+            self._tick = None
+        closed = ServeClosedError("batcher closed with requests pending")
+        self._settle(list(self._queue), closed, None)
+        self._queue.clear()
+        if self._inflight is not None:
+            self._inflight.cancel()
+            await asyncio.wait([self._inflight])
 
     def stats(self) -> dict:
         """Serving counters plus the current backpressure level.
 
-        ``lone_requests`` counts the requests their submitter answered
-        without the collector; each is also one of
-        ``batches_dispatched``.
+        ``lone_requests`` counts the requests answered on arrival (the
+        first of a loop tick); each is also one of ``batches_dispatched``.
         """
         return {
             "pairs_served": self.pairs_served,

@@ -42,15 +42,25 @@ int64 columns, which is also what the batcher concatenates and the
 kernel consumes — and from there a request takes one path: range
 check, admission, evaluation, error mapping.  Requests are validated
 *before* admission, so a malformed request can never poison the batch
-it would have ridden in.  Connections are handled sequentially per
-request (responses come back in request order, so requests may be
-pipelined); concurrency comes from many connections, which is exactly
-what the admission window coalesces.
+it would have ridden in.
+
+**Connections** are :class:`asyncio.Protocol` objects, not tasks: each
+cuts complete requests out of its receive buffer in the callback that
+received the bytes.  When the batcher answers at once (the first
+request of a loop tick, see :mod:`repro.serve.batcher`) the reply is
+written from that same callback; otherwise it is written when the
+request's future resolves.  Replies leave in request order, so
+requests may be pipelined: a connection stops parsing while an answer
+is pending or while the peer is not reading (``pause_writing``), and
+stops reading once its unparsed bytes pass :attr:`line_limit`.
+Concurrency comes from many connections, which is exactly what the
+batcher coalesces.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import math
 import struct
@@ -177,6 +187,201 @@ def _json_line(body: dict, rid) -> bytes:
     return json.dumps(body, separators=(",", ":")).encode() + b"\n"
 
 
+def _frame_reply(result) -> bytes:
+    """The reply frame of a request's distances or its refusal."""
+    if isinstance(result, _Refused):
+        message = str(result).encode()
+        return _REPLY.pack(MAGIC, result.code, len(message)) + message
+    return _REPLY.pack(MAGIC, 0, len(result)) + _pack("d", result)
+
+
+def _line_reply(rid, result) -> bytes:
+    """The reply line of a request's distances or its refusal."""
+    if isinstance(result, _Refused):
+        return _json_line(_error(result.code, str(result)), rid)
+    distances = [None if math.isinf(d) else d for d in np.asarray(result).tolist()]
+    return _json_line({"ok": True, "distances": distances}, rid)
+
+
+def _outcome(future: asyncio.Future):
+    """The distances a submitted request resolved to, or its refusal."""
+    try:
+        return future.result()
+    except ServeOverloadedError as exc:
+        return _Refused(429, str(exc))
+    except ServeClosedError:
+        return _Refused(503, "server shutting down")
+    except Exception as exc:  # evaluator failure
+        return _Refused(500, f"{type(exc).__name__}: {exc}")
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection: requests cut out of its receive buffer."""
+
+    def __init__(self, server: DistanceServer) -> None:
+        self.server = server
+        self.buffer = bytearray()
+        self.transport: asyncio.Transport | None = None
+        self.pending: asyncio.Future | None = None  # an answer not yet ready
+        self.paused = False  # the peer is not reading its replies
+        self.eof = False  # no more requests: answer what is buffered
+        self.lost = asyncio.get_running_loop().create_future()
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.server._connections.add(self)
+
+    def connection_lost(self, exc) -> None:
+        self.server._connections.discard(self)
+        self.lost.set_result(None)
+
+    def data_received(self, data: bytes) -> None:
+        self.buffer += data
+        self.parse()
+
+    def eof_received(self) -> bool:
+        self.eof = True
+        self.parse()
+        return True  # the transport stays open for the replies
+
+    def pause_writing(self) -> None:
+        self.paused = True
+
+    def resume_writing(self) -> None:
+        self.paused = False
+        self.parse()
+
+    def parse(self) -> None:
+        """Answer buffered requests in order until one has to wait."""
+        transport = self.transport
+        while not (self.pending or self.paused or transport.is_closing()):
+            if not (self.buffer and self._next()):
+                break
+        if self.eof:
+            if not (self.pending or self.buffer):
+                transport.close()
+        elif len(self.buffer) > self.server.line_limit:
+            transport.pause_reading()
+        else:
+            transport.resume_reading()
+
+    def _next(self) -> bool:
+        """Answer the next request in the buffer; False if none is whole."""
+        frame = self.buffer[0] == MAGIC[0]
+        try:
+            request = self._cut_frame() if frame else self._cut_line()
+        except _Refused as exc:
+            request = exc
+        if request is None:
+            return False
+        self.server.wire["frame_requests" if frame else "json_requests"] += 1
+        if not frame:
+            return self._serve_line(request)
+        if isinstance(request, _Refused):
+            return self._reply(_frame_reply, request)
+        return self._query(_frame_reply, request)
+
+    def _cut_frame(self) -> PairColumns | None:
+        """The frame codec's decoder: the next frame's columns."""
+        buf, limit = self.buffer, self.server.batcher.max_pending_pairs
+        if len(buf) >= _REQUEST.size:
+            magic, count = _REQUEST.unpack_from(buf)
+            if magic != MAGIC:
+                raise _Refused(400, "bad frame magic", resync=False)
+            if count > limit:
+                message = f"frame of {count} pairs exceeds the limit of {limit}"
+                raise _Refused(400, message, resync=False)
+            end = _REQUEST.size + 16 * count
+            if len(buf) >= end:
+                body = buf[_REQUEST.size : end]
+                del buf[:end]
+                self.server.wire["bytes_in"] += end
+                return PairColumns(*_unpack("q", body, 2 * count).reshape(2, count))
+        if self.eof:
+            raise _Refused(400, "truncated frame", resync=False)
+        return None
+
+    def _cut_line(self) -> bytearray | None:
+        """The JSON codec's framing: the next line (at EOF, what is left)."""
+        buf, limit = self.buffer, self.server.line_limit
+        end = buf.find(b"\n")
+        if (len(buf) if end < 0 else end) > limit:
+            raise _Refused(400, f"request line exceeds {limit} bytes", resync=False)
+        if end < 0 and not self.eof:
+            return None
+        end = len(buf) if end < 0 else end + 1
+        line = buf[:end]
+        del buf[:end]
+        self.server.wire["bytes_in"] += end
+        return line
+
+    def _serve_line(self, line) -> bool:
+        """The JSON codec's decoder, as far as the query it asks."""
+        rid = None
+        try:
+            if isinstance(line, _Refused):
+                raise line
+            try:
+                request = json.loads(line)
+            except (ValueError, RecursionError):  # not JSON, or not UTF-8
+                raise _Refused(400, "request is not valid JSON") from None
+            if not isinstance(request, dict):
+                raise _Refused(400, "request must be a JSON object")
+            rid = request.get("id")
+            op = request.get("op", "query")
+            if op in ("ping", "stats"):
+                body = {"ok": True}
+                if op == "stats":
+                    body["stats"] = self.server.stats()
+                self._write(_json_line(body, rid))
+                return True
+            if op != "query":
+                raise _Refused(400, f"unknown op {op!r}")
+            pairs = _columns_from_json(request.get("pairs"), self.server.n)
+        except _Refused as exc:
+            return self._reply(functools.partial(_line_reply, rid), exc)
+        return self._query(functools.partial(_line_reply, rid), pairs)
+
+    def _query(self, reply, pairs: PairColumns) -> bool:
+        """Range check and admission: the path both codecs share."""
+        n = self.server.n
+        outside = pairs.first_outside(n)
+        if outside is not None:
+            return self._reply(reply, _Refused(400, _range_error(outside, n)))
+        # Looked up per request and run through ensure_future, so a
+        # wrapped ``submit`` (even an ``async def``) keeps working.
+        future = asyncio.ensure_future(self.server.batcher.submit(pairs))
+        if future.done():
+            return self._reply(reply, _outcome(future))
+        self.pending = future
+        future.add_done_callback(functools.partial(self._answered, reply))
+        return True
+
+    def _answered(self, reply, future: asyncio.Future) -> None:
+        self.pending = None
+        result = _outcome(future)
+        if not self.transport.is_closing():
+            self._reply(reply, result)
+        self.parse()
+
+    def _reply(self, reply, result) -> bool:
+        """Write one answer; False when the connection ends with it."""
+        self._write(reply(result))
+        if not isinstance(result, _Refused):
+            return True
+        if result.code == 400:
+            self.server.wire["bad_requests"] += 1
+        if result.resync:
+            return True
+        self.buffer.clear()
+        self.transport.close()
+        return False
+
+    def _write(self, data: bytes) -> None:
+        self.server.wire["bytes_out"] += len(data)
+        self.transport.write(data)
+
+
 class DistanceServer:
     """Serve distance queries for one backend over asyncio TCP.
 
@@ -223,8 +428,7 @@ class DistanceServer:
             "bytes_out": 0,
         }
         self._server: asyncio.base_events.Server | None = None
-        #: The live connections' handler tasks and their streams.
-        self._connections: dict[asyncio.Task, tuple] = {}
+        self._connections: set[_Connection] = set()
 
     @property
     def address(self) -> tuple[str, int]:
@@ -236,8 +440,8 @@ class DistanceServer:
         """Bind the listening socket and start accepting connections."""
         if self._server is not None:
             raise RuntimeError("server already started")
-        self._server = await asyncio.start_server(
-            self._handle, self.host, self.port, limit=self.line_limit
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         return self.address
@@ -251,148 +455,23 @@ class DistanceServer:
     async def aclose(self) -> None:
         """Stop accepting, fail the pending requests, end every connection.
 
-        A request still pending is answered 503; each connection then
-        ends once the requests it already sent are answered, and this
-        returns when every handler has finished — so nothing is left
-        for the event loop to cancel (Python 3.11's
-        ``Server.wait_closed`` does not wait for the connections).
+        A request still pending is answered 503, and so is every
+        request a connection has already sent; each connection then
+        closes, and this returns once every one of them is gone.
         """
         if self._server is not None:
             self._server.close()
+        await self.batcher.aclose()
+        connections = list(self._connections)
+        for connection in connections:  # no more requests: answer, then close
+            connection.eof = True
+            connection.transport.pause_reading()
+            connection.parse()
+        await asyncio.gather(*(c.lost for c in connections))
+        if self._server is not None:
+            # Last: from Python 3.12 on it also waits for the connections.
             await self._server.wait_closed()
             self._server = None
-        await self.batcher.aclose()
-        for reader, writer in self._connections.values():
-            writer.transport.pause_reading()
-            reader.feed_eof()
-        await asyncio.gather(*self._connections, return_exceptions=True)
-
-    # -- request handling ----------------------------------------------------
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        self._connections[task] = reader, writer
-        try:
-            resync = True
-            while resync:
-                head = await reader.read(1)
-                if not head:
-                    break
-                serve = (
-                    self._serve_frame if head == MAGIC[:1] else self._serve_line
-                )
-                reply, resync = await serve(head, reader)
-                self.wire["bytes_out"] += len(reply)
-                writer.write(reply)
-                await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-            finally:
-                del self._connections[task]
-
-    async def _answer(self, pairs: PairColumns):
-        """Range check, admission, evaluation: the path both codecs share."""
-        outside = pairs.first_outside(self.n)
-        if outside is not None:
-            raise _Refused(400, _range_error(outside, self.n))
-        try:
-            return await self.batcher.submit(pairs)
-        except ServeOverloadedError as exc:
-            raise _Refused(429, str(exc)) from None
-        except ServeClosedError:
-            raise _Refused(503, "server shutting down") from None
-        except Exception as exc:  # evaluator failure
-            raise _Refused(500, f"{type(exc).__name__}: {exc}") from None
-
-    def _refuse(self, exc: _Refused) -> None:
-        if exc.code == 400:
-            self.wire["bad_requests"] += 1
-
-    async def _read_frame(self, head: bytes, reader) -> PairColumns:
-        """The frame codec's decoder (``head`` is the frame's first byte)."""
-        limit = self.batcher.max_pending_pairs
-        try:
-            header = head + await reader.readexactly(_REQUEST.size - 1)
-            magic, count = _REQUEST.unpack(header)
-            if magic != MAGIC:
-                raise _Refused(400, "bad frame magic", resync=False)
-            if count > limit:
-                raise _Refused(
-                    400,
-                    f"frame of {count} pairs exceeds the limit of {limit}",
-                    resync=False,
-                )
-            body = await reader.readexactly(16 * count)
-        except asyncio.IncompleteReadError:
-            raise _Refused(400, "truncated frame", resync=False) from None
-        self.wire["bytes_in"] += len(header) + len(body)
-        return PairColumns(
-            _unpack("q", body, count), _unpack("q", body, count, 8 * count)
-        )
-
-    async def _serve_frame(self, head: bytes, reader) -> tuple[bytes, bool]:
-        """One framed request → its reply frame, and whether to go on."""
-        self.wire["frame_requests"] += 1
-        try:
-            distances = await self._answer(await self._read_frame(head, reader))
-        except _Refused as exc:
-            self._refuse(exc)
-            message = str(exc).encode()
-            return (
-                _REPLY.pack(MAGIC, exc.code, len(message)) + message,
-                exc.resync,
-            )
-        return _REPLY.pack(MAGIC, 0, len(distances)) + _pack("d", distances), True
-
-    async def _read_line(self, head: bytes, reader) -> dict:
-        """The JSON codec's decoder, as far as the request object."""
-        try:
-            line = head if head == b"\n" else head + await reader.readline()
-        except ValueError:  # no newline within the reader's limit
-            raise _Refused(
-                400, f"request line exceeds {self.line_limit} bytes", resync=False
-            ) from None
-        self.wire["bytes_in"] += len(line)
-        try:
-            request = json.loads(line)
-        except (ValueError, RecursionError):  # not JSON, or not UTF-8
-            raise _Refused(400, "request is not valid JSON") from None
-        if not isinstance(request, dict):
-            raise _Refused(400, "request must be a JSON object")
-        return request
-
-    async def _serve_line(self, head: bytes, reader) -> tuple[bytes, bool]:
-        """One JSON request line → its reply line, and whether to go on."""
-        self.wire["json_requests"] += 1
-        rid = None
-        try:
-            request = await self._read_line(head, reader)
-            rid = request.get("id")
-            op = request.get("op", "query")
-            if op == "ping":
-                return _json_line({"ok": True}, rid), True
-            if op == "stats":
-                return _json_line({"ok": True, "stats": self.stats()}, rid), True
-            if op != "query":
-                raise _Refused(400, f"unknown op {op!r}")
-            distances = await self._answer(
-                _columns_from_json(request.get("pairs"), self.n)
-            )
-        except _Refused as exc:
-            self._refuse(exc)
-            return _json_line(_error(exc.code, str(exc)), rid), exc.resync
-        tolist = getattr(distances, "tolist", None)  # a float64 array
-        if tolist is not None:
-            distances = tolist()
-        distances = [None if math.isinf(d) else d for d in distances]
-        return _json_line({"ok": True, "distances": distances}, rid), True
 
     def stats(self) -> dict:
         """Wire, batcher, kernel and (when it has any) backend counters.
@@ -445,12 +524,14 @@ class DistanceClient:
 
         A payload whose ``"pairs"`` is a
         :class:`~repro.oracle.batch.PairColumns` block travels as a
-        frame, anything else as a JSON line.  Either reply comes back
-        as the same ``{"ok": ...}`` object; only a frame's distances
-        hold ``inf`` where a line's hold ``None``.
+        frame and is answered with one, anything else as a JSON line.
+        Either reply comes back as the same ``{"ok": ...}`` object;
+        only a frame's distances hold ``inf`` where a line's hold
+        ``None``.
         """
         pairs = payload.get("pairs")
-        if isinstance(pairs, PairColumns):
+        framed = isinstance(pairs, PairColumns)
+        if framed:
             data = (
                 _REQUEST.pack(MAGIC, len(pairs))
                 + _pack("q", pairs.sources)
@@ -461,13 +542,13 @@ class DistanceClient:
         self._writer.write(data)
         await self._writer.drain()
         try:
-            head = await self._reader.read(1)
-            if not head:
-                raise ConnectionError("server closed the connection")
-            if head != MAGIC[:1]:
-                return json.loads(head + await self._reader.readline())
+            if not framed:
+                line = await self._reader.readline()
+                if not line:
+                    raise ConnectionError("server closed the connection")
+                return json.loads(line)
             magic, status, length = _REPLY.unpack(
-                head + await self._reader.readexactly(_REPLY.size - 1)
+                await self._reader.readexactly(_REPLY.size)
             )
             if magic != MAGIC:
                 raise ConnectionError("reply is not a frame this client reads")
@@ -476,7 +557,7 @@ class DistanceClient:
             raise ConnectionError("server closed the connection") from None
         if status:
             return _error(status, body.decode())
-        return {"ok": True, "distances": list(struct.unpack(f"<{length}d", body))}
+        return {"ok": True, "distances": _unpack("d", body, length).tolist()}
 
     async def query(self, pairs) -> list[float]:
         """Distances for ``pairs``; raises :class:`ServerError` on errors.

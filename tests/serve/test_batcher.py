@@ -1,4 +1,4 @@
-"""Admission-batching edge cases: the satellite contract of ISSUE 7.
+"""Admission-batching edge cases.
 
 Every test drives a real event loop via ``asyncio.run`` — the batcher
 is pure asyncio, so no plugin is needed.  The evaluator is a plain
@@ -28,8 +28,8 @@ def _echo_evaluate(calls):
 
 
 def test_single_request_no_artificial_wait():
-    # A lone request must dispatch after one cooperative yield, not
-    # after max_wait — set an absurd window and require promptness.
+    # A lone request is answered on arrival, not after max_wait — set
+    # an absurd window and require promptness.
     calls = []
 
     async def main():
@@ -54,70 +54,91 @@ def test_lone_request_is_answered_by_its_submitter():
 
     async def main():
         batcher = AdmissionBatcher(_echo_evaluate(calls), max_wait=30.0)
-        first = await batcher.submit([(1, 2)])
-        second = await batcher.submit([(3, 4), (5, 6)])
-        collector, stats = batcher._collector, batcher.stats()
+        first = batcher.submit([(1, 2)])
+        await asyncio.sleep(0)  # the next request arrives in a later tick
+        second = batcher.submit([(3, 4), (5, 6)])
+        answered = first.done() and second.done()
+        stats = batcher.stats()
         await batcher.aclose()
-        return first, second, collector, stats
+        return await first, await second, answered, stats
 
-    first, second, collector, stats = asyncio.run(main())
+    first, second, answered, stats = asyncio.run(main())
     assert (first, second) == ([3.0], [7.0, 11.0])
     assert calls == [[(1, 2)], [(3, 4), (5, 6)]]
-    # Answered in submit: the collector task was never created.
-    assert collector is None
+    # Each was the first request of its tick: answered inside submit,
+    # the future came back resolved.
+    assert answered
     assert stats["lone_requests"] == stats["batches_dispatched"] == 2
     assert (stats["pairs_served"], stats["max_batch_seen"]) == (3, 2)
     assert stats["pending_pairs"] == 0
 
 
-def test_two_runnable_submitters_still_share_one_call():
+def test_three_submits_in_one_tick_make_two_evaluator_calls():
     calls = []
 
     async def main():
-        batcher = AdmissionBatcher(_echo_evaluate(calls), max_wait=0.05)
+        batcher = AdmissionBatcher(_echo_evaluate(calls))
         got = await asyncio.gather(
-            batcher.submit([(1, 2)]), batcher.submit([(3, 4), (5, 6)])
+            *[batcher.submit([(i, i + 1)]) for i in range(3)]
         )
         stats = batcher.stats()
         await batcher.aclose()
         return got, stats
 
     got, stats = asyncio.run(main())
-    assert got == [[3.0], [7.0, 11.0]]
-    assert len(calls) == 1 and sorted(calls[0]) == [(1, 2), (3, 4), (5, 6)]
+    assert got == [[1.0], [3.0], [5.0]]
+    # The first alone, on arrival; the other two share the tick's flush.
+    assert calls == [[(0, 1)], [(1, 2), (2, 3)]]
+    assert stats["lone_requests"] == 1 and stats["batches_dispatched"] == 2
+
+
+def test_two_runnable_submitters_still_share_one_call():
+    # A request too large to answer on arrival queues; a small one of
+    # the same tick may not jump it, and the two ride one batch.
+    calls = []
+
+    async def main():
+        batcher = AdmissionBatcher(_echo_evaluate(calls), inline_below=1)
+        got = await asyncio.gather(
+            batcher.submit([(1, 2), (3, 4)]), batcher.submit([(5, 6)])
+        )
+        stats = batcher.stats()
+        await batcher.aclose()
+        return got, stats
+
+    got, stats = asyncio.run(main())
+    assert got == [[3.0, 7.0], [11.0]]
+    assert calls == [[(1, 2), (3, 4), (5, 6)]]
     assert stats["lone_requests"] == 0 and stats["pending_pairs"] == 0
 
 
-def test_aclose_during_the_lone_yield_fails_the_request_as_closed():
-    calls, unhandled = [], []
-
-    async def main():
-        loop = asyncio.get_running_loop()
-        loop.set_exception_handler(lambda _, ctx: unhandled.append(ctx))
-        batcher = AdmissionBatcher(_echo_evaluate(calls))
-        lone = asyncio.ensure_future(batcher.submit([(1, 2)]))
-        await asyncio.sleep(0)
-        assert batcher._lone  # the submitter is inside its one yield
-        await batcher.aclose()
-        with pytest.raises(ServeClosedError):
-            await lone
-        return batcher.stats()
-
-    stats = asyncio.run(main())
-    assert calls == [] and unhandled == []
-    assert stats["pending_pairs"] == 0 and stats["lone_requests"] == 0
-
-
-def test_cancelled_lone_submitter_leaves_nothing_behind():
+def test_aclose_before_the_tick_flush_fails_queued_requests_as_closed():
     calls = []
 
     async def main():
         batcher = AdmissionBatcher(_echo_evaluate(calls))
-        lone = asyncio.ensure_future(batcher.submit([(1, 2)]))
-        await asyncio.sleep(0)
-        lone.cancel()
-        with pytest.raises(asyncio.CancelledError):
-            await lone
+        first = batcher.submit([(1, 2)])  # answered on arrival
+        queued = batcher.submit([(3, 4)])  # waits for the tick's flush
+        await batcher.aclose()
+        with pytest.raises(ServeClosedError):
+            await queued
+        await asyncio.sleep(0.01)  # the cancelled flush never runs
+        return await first, batcher.stats()
+
+    first, stats = asyncio.run(main())
+    assert first == [3.0] and calls == [[(1, 2)]]
+    assert stats["pending_pairs"] == 0 and stats["lone_requests"] == 1
+
+
+def test_cancelled_queued_request_leaves_nothing_behind():
+    calls = []
+
+    async def main():
+        batcher = AdmissionBatcher(_echo_evaluate(calls))
+        batcher.submit([(1, 2)])  # the tick's first: answered on arrival
+        queued = batcher.submit([(5, 6)])
+        queued.cancel()
+        await asyncio.sleep(0.01)  # the flush settles around it
         pending = batcher.stats()["pending_pairs"]
         again = await batcher.submit([(3, 4)])
         await batcher.aclose()
@@ -125,7 +146,7 @@ def test_cancelled_lone_submitter_leaves_nothing_behind():
 
     pending, again, stats = asyncio.run(main())
     assert pending == 0 and again == [7.0]
-    assert calls == [[(3, 4)]] and stats["lone_requests"] == 1
+    assert calls[-1] == [(3, 4)] and stats["lone_requests"] == 2
 
 
 def test_lone_evaluator_failure_reaches_its_submitter():
@@ -158,9 +179,9 @@ def test_concurrent_requests_coalesce_into_one_batch():
 
     results = asyncio.run(main())
     assert results == [[float(2 * i + 1)] for i in range(32)]
-    # All 32 requests ran while the collector coalesced: one batch.
-    assert len(calls) == 1
-    assert len(calls[0]) == 32
+    # The tick's first request is answered on arrival; the other 31
+    # arrived in the same tick and ride one batch.
+    assert [len(batch) for batch in calls] == [1, 31]
 
 
 def test_burst_larger_than_max_batch_splits():
@@ -216,7 +237,7 @@ def test_queue_full_rejection():
         )
         # Fill the admission queue to the high-water mark...
         first = [
-            asyncio.create_task(batcher.submit([(0, 1)] * 4))
+            asyncio.ensure_future(batcher.submit([(0, 1)] * 4))
             for _ in range(2)
         ]
         await asyncio.sleep(0.01)
@@ -247,10 +268,10 @@ def test_shutdown_with_pending_futures():
             return [0.0] * len(pairs)
 
         batcher = AdmissionBatcher(evaluate, max_wait=0.001)
-        inflight = asyncio.create_task(batcher.submit([(0, 1)]))
+        inflight = asyncio.ensure_future(batcher.submit([(0, 1)]))
         await started.wait()
         # This one is still queued behind the stalled batch.
-        queued = asyncio.create_task(batcher.submit([(2, 3)]))
+        queued = asyncio.ensure_future(batcher.submit([(2, 3)]))
         await asyncio.sleep(0.01)
         await batcher.aclose()
         with pytest.raises(ServeClosedError):

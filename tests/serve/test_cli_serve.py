@@ -80,6 +80,7 @@ def _serve_and_ask(index_file, workers, requests):
     finally:
         proc.terminate()
         proc.wait(timeout=10)
+        proc.stdout.close()
 
 
 def test_serve_round_trip(index_file):

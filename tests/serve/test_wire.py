@@ -8,6 +8,7 @@ own connection.
 """
 
 import asyncio
+import gc
 import json
 import math
 import struct
@@ -257,7 +258,164 @@ def test_two_connections_and_two_codecs_ride_one_batch(flat):
     assert line["distances"] == [flat.query(s, t) for s, t in lined]
 
 
+# -- the stream: requests cut out of whatever the writes delivered -------------
+def test_a_pipelined_stream_written_one_byte_at_a_time(flat):
+    batches = [[(0, 1), (2, 130)], [(5, 6)], [(9, 9), (100, 4), (7, 8)]]
+    want = [[flat.query(s, t) for s, t in batch] for batch in batches]
+    stream = (
+        _frame(batches[0]) + _line(batches[1]) + b'{"op":"ping"}\n'
+        + _frame(batches[2]) + _line(batches[0])
+    )
+
+    async def scenario(server, host, port):
+        reader, writer = await asyncio.open_connection(host, port)
+        try:
+            for k in range(len(stream)):
+                writer.write(stream[k : k + 1])
+                await writer.drain()
+                await asyncio.sleep(0)
+            return [
+                await _read_frame(reader),
+                await _read_line(reader),
+                await _read_line(reader),
+                await _read_frame(reader),
+                await _read_line(reader),
+                server.stats()["wire"],
+            ]
+        finally:
+            writer.close()
+
+    a, b, pong, c, d, wire = _serve(flat, scenario)
+    assert (a, c) == ((0, want[0]), (0, want[2]))
+    assert (b["distances"], d["distances"]) == (want[1], want[0])
+    assert pong == {"ok": True}
+    assert (wire["frame_requests"], wire["json_requests"]) == (2, 3)
+    assert wire["bytes_in"] == len(stream) and wire["bad_requests"] == 0
+
+
+def test_two_frames_and_a_line_in_one_write(flat):
+    batches = [[(0, 1), (2, 3)], [(130, 0)], [(4, 5), (6, 7), (8, 8)]]
+    want = [[flat.query(s, t) for s, t in batch] for batch in batches]
+
+    async def scenario(server, host, port):
+        reader, writer = await asyncio.open_connection(host, port)
+        writer.write(_frame(batches[0]) + _frame(batches[1]) + _line(batches[2]))
+        try:
+            return [
+                await _read_frame(reader),
+                await _read_frame(reader),
+                await _read_line(reader),
+            ]
+        finally:
+            writer.close()
+
+    first, second, line = _serve(flat, scenario)
+    assert (first, second) == ((0, want[0]), (0, want[1]))
+    assert line["distances"] == want[2]
+
+
+def test_requests_pipelined_behind_a_waiting_one_come_back_in_order(flat):
+    batches = [[(0, 1)], [(2, 130), (3, 4)], [(5, 6)]]
+    want = [[flat.query(s, t) for s, t in batch] for batch in batches]
+
+    async def scenario(server, host, port):
+        gate = _stall(server)
+        reader, writer = await asyncio.open_connection(host, port)
+        try:
+            writer.write(_frame(batches[0]))
+            await _pending(server, 1)  # the first waits in the batcher
+            writer.write(
+                _frame(batches[1]) + b'{"op":"ping","id":2}\n' + _line(batches[2])
+            )
+            await asyncio.sleep(0.05)
+            gate.set()
+            return [
+                await _read_frame(reader),
+                await _read_frame(reader),
+                await _read_line(reader),
+                await _read_line(reader),
+            ]
+        finally:
+            writer.close()
+
+    first, second, pong, third = _serve(flat, scenario)
+    assert (first, second) == ((0, want[0]), (0, want[1]))
+    assert pong == {"ok": True, "id": 2}
+    assert third["distances"] == want[2]
+
+
 # -- hostile input -------------------------------------------------------------
+def test_a_slow_loris_does_not_delay_other_connections(flat):
+    frame = _frame([(0, 1), (2, 3)])
+
+    async def scenario(server, host, port):
+        reader, writer = await asyncio.open_connection(host, port)
+        writer.write(frame[: len(frame) // 2])  # half a frame, then silence
+        client = await DistanceClient.connect(host, port)
+
+        async def ask():
+            return [await client.query([(k, k + 1)]) for k in range(50)]
+
+        try:
+            answers = await asyncio.wait_for(ask(), timeout=5)
+            writer.write(frame[len(frame) // 2 :])
+            return answers, await _read_frame(reader)
+        finally:
+            writer.close()
+            await client.aclose()
+
+    answers, late = _serve(flat, scenario)
+    assert answers == [[flat.query(k, k + 1)] for k in range(50)]
+    assert late == (0, [flat.query(0, 1), flat.query(2, 3)])
+
+
+def _server_transport(port: int):
+    """The server's end of the one connection to ``port``."""
+    (transport,) = [
+        o
+        for o in gc.get_objects()
+        if isinstance(o, asyncio.Transport)
+        and not o.is_closing()
+        and (o.get_extra_info("sockname") or ("", 0))[1] == port
+    ]
+    return transport
+
+
+def test_a_client_that_never_reads_cannot_grow_the_server_buffers(flat):
+    asked = [(k % N, 7 * k % N) for k in range(16)]
+    requests = [_frame([pair] * 64) for pair in asked]
+    want = [[flat.query(*pair)] * 64 for pair in asked]
+    cap = 48 << 20
+
+    async def scenario(server, host, port):
+        reader, writer = await asyncio.open_connection(host, port)
+        sent = 0
+        try:
+            # Pipeline up to 48 MB without reading a reply: the writes
+            # must stall long before that, once the server stops reading.
+            while sent * len(requests[0]) < cap:
+                writer.write(b"".join(requests))
+                sent += len(requests)
+                try:
+                    await asyncio.wait_for(writer.drain(), 0.5)
+                except asyncio.TimeoutError:
+                    break
+            transport = _server_transport(port)
+            held = transport.get_write_buffer_size(), transport.is_reading()
+            # Reading again, the client gets every reply, in order.
+            replies = [await _read_frame(reader) for _ in range(sent)]
+            return sent, held, replies
+        finally:
+            writer.close()
+
+    sent, (write_buffer, reading), replies = _serve(
+        flat, scenario, max_batch_pairs=64, max_pending_pairs=64
+    )
+    assert sent * len(requests[0]) < cap
+    # At most the transport's high-water mark and one reply frame.
+    assert write_buffer <= (64 << 10) + 12 + 8 * 64
+    assert not reading
+    assert replies == [(0, want[k % len(asked)]) for k in range(sent)]
 @pytest.mark.parametrize(
     "sent, message",
     [
