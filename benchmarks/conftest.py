@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.datasets import load_dataset
-from repro.bench.workloads import random_pairs
+from paper.bench.datasets import load_dataset
+from paper.bench.workloads import random_pairs
 from repro.core.hybrid import make_builder
 
 

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.datasets import load_dataset
-from repro.core.bitparallel import add_bitparallel
+from paper.bench.datasets import load_dataset
+from paper.bitparallel import add_bitparallel
 from repro.core.hybrid import HybridBuilder, make_builder
 
 
@@ -81,7 +81,7 @@ def test_rule_set_ablation(benchmark):
 def test_hybrid_switch_point(benchmark, switch):
     """Any switch point yields the same answers; earlier switches trade
     candidate volume for fewer iterations on long-diameter graphs."""
-    from repro.bench.table8 import long_diameter_graph
+    from paper.bench.table8 import long_diameter_graph
 
     graph = long_diameter_graph(300, seed=7)
     result = benchmark.pedantic(
@@ -120,8 +120,8 @@ def test_bitparallel_ablation(benchmark):
 def test_external_memory_budget_sweep(benchmark):
     """Section 5.3's I/O shape: block traffic grows as memory shrinks,
     output stays identical."""
-    from repro.io_sim.diskmodel import DiskModel
-    from repro.io_sim.external_labeling import ExternalLabelingBuilder
+    from paper.io_sim.diskmodel import DiskModel
+    from paper.io_sim.external_labeling import ExternalLabelingBuilder
 
     graph = load_dataset("enron")
 

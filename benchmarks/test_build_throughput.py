@@ -29,7 +29,7 @@ import time
 
 import pytest
 
-from repro.bench.export import write_bench_json
+from paper.bench.export import write_bench_json
 from repro.core.hybrid import make_builder
 from repro.core.index import HopDoublingIndex
 from repro.graphs.generators import ba_graph

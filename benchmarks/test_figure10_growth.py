@@ -3,7 +3,7 @@
 Asserts the paper's instrumented-build observations on the
 long-diameter control graph (the scaled stand-in for wiki-English,
 which converges too quickly to show the dynamics — see
-`repro.bench.figure10`):
+`paper.bench.figure10`):
 
 * the growing factor is moderate during the stepping phase and jumps
   at the switch to doubling;
@@ -14,7 +14,7 @@ which converges too quickly to show the dynamics — see
 
 from __future__ import annotations
 
-from repro.bench.figure10 import run
+from paper.bench.figure10 import run
 
 
 def test_figure10_dynamics(benchmark):

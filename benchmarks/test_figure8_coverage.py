@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.figure8 import DEFAULT_GRAPHS, FRACTIONS, run
+from paper.bench.figure8 import DEFAULT_GRAPHS, FRACTIONS, run
+from paper.coverage import coverage_curve
 
 
 def test_figure8_curves(benchmark):
@@ -35,7 +36,7 @@ def test_coverage_concentration_per_graph(benchmark, built_indexes, name):
     _, result = built_indexes(name)
     index = result.index
 
-    curve = benchmark(lambda: index.coverage_curve(FRACTIONS))
-    top10pct = index.coverage_curve([0.10])[0][1]
+    curve = benchmark(lambda: coverage_curve(index, FRACTIONS))
+    top10pct = coverage_curve(index, [0.10])[0][1]
     assert top10pct > 0.5  # uniform would give 0.10
     assert len(curve) == len(FRACTIONS)

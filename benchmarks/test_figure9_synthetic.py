@@ -7,7 +7,7 @@ empirical O(h|V|) index bound — and iteration counts stay tiny.
 
 from __future__ import annotations
 
-from repro.bench.figure9 import run_density_sweep, run_size_sweep
+from paper.bench.figure9 import run_density_sweep, run_size_sweep
 
 
 def test_density_sweep_label_flatness(benchmark):

@@ -26,10 +26,10 @@ import time
 
 import pytest
 
-from repro.baselines.pll import build_pll
-from repro.bench.export import write_bench_json
-from repro.bench.metrics import interleaved_rates
-from repro.bench.workloads import random_pairs
+from paper.baselines.pll import build_pll
+from paper.bench.export import write_bench_json
+from paper.bench.metrics import interleaved_rates
+from paper.bench.workloads import random_pairs
 from repro.core.flatstore import FlatLabelStore
 from repro.core.labels import LabelIndex
 from repro.graphs.generators import ba_graph

@@ -8,7 +8,7 @@ datasets and asserts its *shape* claims:
 * label queries beat online bidirectional search by a wide margin;
 * the disk-resident query touches only the two label lists.
 
-Run ``python -m repro bench table6 --profile full`` for the whole
+Run ``python -m paper table6 --profile full`` for the whole
 27-row table.
 """
 
@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines.bidij import BidirectionalSearchOracle
-from repro.baselines.islabel import build_islabel
-from repro.baselines.pll import build_pll
-from repro.bench.datasets import load_dataset, profile_names
-from repro.io_sim.disk_index import DiskResidentIndex
-from repro.io_sim.diskmodel import DiskModel
+from paper.baselines.bidij import BidirectionalSearchOracle
+from paper.baselines.islabel import build_islabel
+from paper.baselines.pll import build_pll
+from paper.bench.datasets import load_dataset, profile_names
+from paper.io_sim.disk_index import DiskResidentIndex
+from paper.io_sim.diskmodel import DiskModel
 
 QUICK = profile_names("quick")
 
@@ -109,7 +109,7 @@ def test_disk_query_blocks(benchmark, built_indexes, query_workload, name):
 @pytest.mark.parametrize("name", ["enron"])
 def test_hopdb_external_build(benchmark, name):
     """The 'Indexing time' column for the external HopDb build."""
-    from repro.io_sim.external_labeling import ExternalLabelingBuilder
+    from paper.io_sim.external_labeling import ExternalLabelingBuilder
 
     graph = load_dataset(name)
 

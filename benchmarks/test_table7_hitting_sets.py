@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.datasets import load_dataset, profile_names
-from repro.bench.table7 import run_one
+from paper.bench.datasets import load_dataset, profile_names
+from paper.bench.table7 import run_one
+from paper.coverage import coverage_curve
 
 QUICK = profile_names("quick")
 
@@ -46,7 +47,7 @@ def test_coverage_far_above_uniform(benchmark):
 
     def build_and_measure():
         index = HybridBuilder(graph).build().index
-        return index.coverage_curve([0.1])[0][1]
+        return coverage_curve(index, [0.1])[0][1]
 
     coverage = benchmark.pedantic(build_and_measure, rounds=1, iterations=1)
     assert coverage > 0.4  # uniform would give 0.1

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.datasets import load_dataset
-from repro.bench.table8 import long_diameter_graph
+from paper.bench.datasets import load_dataset
+from paper.bench.table8 import long_diameter_graph
 from repro.core.hybrid import make_builder
 
 STRATEGIES = ("doubling", "stepping", "hybrid")

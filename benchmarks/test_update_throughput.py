@@ -32,8 +32,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.baselines.bidij import BidirectionalSearchOracle
-from repro.bench.export import write_bench_json
+from paper.baselines.bidij import BidirectionalSearchOracle
+from paper.bench.export import write_bench_json
 from repro.core.dynamic import DynamicHopDoublingIndex
 from repro.core.flatstore import FlatLabelStore
 from repro.core.hybrid import make_builder

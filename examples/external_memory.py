@@ -11,9 +11,9 @@ simulated disk query cost with the in-memory query time.
 
 import time
 
-from repro.bench.workloads import random_pairs
+from paper.bench.workloads import random_pairs
+from paper.io_sim import DiskModel, DiskResidentIndex, ExternalLabelingBuilder
 from repro.graphs import glp_graph
-from repro.io_sim import DiskModel, DiskResidentIndex, ExternalLabelingBuilder
 
 
 def main() -> None:

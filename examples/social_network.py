@@ -14,8 +14,8 @@ kind of workload that would be prohibitive with per-query BFS:
 import random
 import time
 
+from paper.bitparallel import add_bitparallel
 from repro import HopDoublingIndex
-from repro.core.bitparallel import add_bitparallel
 from repro.core.query import closeness_centrality, distance_histogram
 from repro.graphs import glp_graph
 

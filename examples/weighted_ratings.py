@@ -15,6 +15,7 @@ graphs.  This example:
 
 import random
 
+from paper.coverage import top_fraction_for_coverage
 from repro import HopDoublingIndex, INF
 from repro.graphs import Graph, glp_graph
 from repro.graphs.traversal import dijkstra_distances
@@ -71,7 +72,7 @@ def main() -> None:
         print(f"  users {s:>4} and {t:>4}: {shown}")
 
     # --- small hitting sets persist under weights -------------------------
-    top = index.labels.top_fraction_for_coverage(0.9)
+    top = top_fraction_for_coverage(index.labels, 0.9)
     print(
         f"\ntop {top * 100:.1f}% of ranked vertices cover 90% of all label "
         f"entries — the small-hitting-set behaviour extends to weighted "

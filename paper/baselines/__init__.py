@@ -9,21 +9,21 @@ the benchmark harness:
 
 Implemented from scratch:
 
-* :mod:`repro.baselines.pll` — Pruned Landmark Labeling (Akiba et al.,
+* :mod:`paper.baselines.pll` — Pruned Landmark Labeling (Akiba et al.,
   SIGMOD 2013);
-* :mod:`repro.baselines.islabel` — IS-Label (Fu et al., PVLDB 2013),
+* :mod:`paper.baselines.islabel` — IS-Label (Fu et al., PVLDB 2013),
   full-index and residual-graph modes;
-* :mod:`repro.baselines.hcl` — HCL-lite, a highway-cover stand-in for
+* :mod:`paper.baselines.hcl` — HCL-lite, a highway-cover stand-in for
   Highway-Centric Labeling (see DESIGN.md substitutions);
-* :mod:`repro.baselines.bidij` — index-free bidirectional BFS/Dijkstra;
-* :mod:`repro.baselines.apsp` — ground-truth all-pairs oracle for tests.
+* :mod:`paper.baselines.bidij` — index-free bidirectional BFS/Dijkstra;
+* :mod:`paper.baselines.apsp` — ground-truth all-pairs oracle for tests.
 """
 
-from repro.baselines.apsp import APSPOracle
-from repro.baselines.bidij import BidirectionalSearchOracle
-from repro.baselines.hcl import HCLLiteOracle, build_hcl
-from repro.baselines.islabel import ISLabelIndex, build_islabel
-from repro.baselines.pll import build_pll
+from paper.baselines.apsp import APSPOracle
+from paper.baselines.bidij import BidirectionalSearchOracle
+from paper.baselines.hcl import HCLLiteOracle, build_hcl
+from paper.baselines.islabel import ISLabelIndex, build_islabel
+from paper.baselines.pll import build_pll
 
 __all__ = [
     "APSPOracle",

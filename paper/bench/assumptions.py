@@ -22,23 +22,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.bench.datasets import load_dataset, profile_names
-from repro.core.hybrid import HybridBuilder
-from repro.graphs.digraph import Graph
-from repro.graphs.generators import grid_graph
-from repro.graphs.hitting import (
+from paper.bench.datasets import load_dataset, profile_names
+from paper.bench.export import render_table
+from paper.hitting import (
     DEFAULT_D0,
     hub_dimension_estimate,
     max_excluded_neighborhood,
     verify_long_path_hitting,
 )
+from repro.core.hybrid import HybridBuilder
+from repro.graphs.digraph import Graph
+from repro.graphs.generators import grid_graph
 from repro.graphs.stats import (
     expansion_factor,
     hop_diameter,
     predicted_diameter,
     predicted_expansion,
 )
-from repro.utils.prettyprint import render_table
 
 HEADERS = [
     "Graph",

@@ -1,8 +1,9 @@
-"""CSV/JSON export for the table/figure drivers and perf gates.
+"""Text, CSV and JSON output for the table/figure drivers and perf gates.
 
-The text tables are for eyeballing against the paper; downstream
-analysis (plotting Figure 8/9/10, regression-tracking Table 6) wants
-machine-readable output.  Every driver result object can be passed to
+:func:`render_table` lays a driver's rows out as an aligned monospace
+table for eyeballing against the paper; downstream analysis (plotting
+Figure 8/9/10, regression-tracking Table 6) wants machine-readable
+output.  Every driver result object can be passed to
 :func:`write_csv` with its headers and rows, and perf-gate benchmarks
 record their measurements with :func:`write_bench_json` — CI uploads
 the resulting ``BENCH_*.json`` files as workflow artifacts, so the
@@ -16,6 +17,39 @@ import json
 import platform
 from pathlib import Path
 from typing import Iterable, Sequence
+
+
+def render_table(
+    headers: Sequence[str],
+    rows: Iterable[Sequence[object]],
+    title: str | None = None,
+) -> str:
+    """Render ``rows`` under ``headers`` as an aligned monospace table.
+
+    Cells are stringified with ``str``; ``None`` renders as ``—`` which
+    mirrors the paper's convention for methods that failed to finish.
+    """
+    str_rows = [["—" if cell is None else str(cell) for cell in row] for row in rows]
+    widths = [len(h) for h in headers]
+    for row in str_rows:
+        if len(row) != len(headers):
+            raise ValueError(
+                f"row has {len(row)} cells, expected {len(headers)}: {row!r}"
+            )
+        for i, cell in enumerate(row):
+            widths[i] = max(widths[i], len(cell))
+
+    def fmt_row(cells: Sequence[str]) -> str:
+        return "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(cells)).rstrip()
+
+    lines = []
+    if title:
+        lines.append(title)
+        lines.append("=" * len(title))
+    lines.append(fmt_row(list(headers)))
+    lines.append("  ".join("-" * w for w in widths))
+    lines.extend(fmt_row(row) for row in str_rows)
+    return "\n".join(lines)
 
 
 def write_csv(

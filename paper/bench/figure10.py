@@ -20,11 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.bench.datasets import load_dataset
+from paper.bench.datasets import load_dataset
+from paper.bench.export import render_table
 from repro.core.hop_doubling import BuildResult
 from repro.core.hybrid import HybridBuilder
 from repro.graphs.digraph import Graph
-from repro.utils.prettyprint import render_table
 
 #: The paper instruments wiki-English; its scaled stand-in converges in
 #: 3-4 stepping iterations, which would hide the doubling phase, so the
@@ -116,7 +116,7 @@ def run(
     """
     if graph is None:
         if name == "long-diam":
-            from repro.bench.table8 import long_diameter_graph
+            from paper.bench.table8 import long_diameter_graph
 
             graph = long_diameter_graph()
         else:

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.bench.datasets import load_dataset
+from paper.bench.datasets import load_dataset
+from paper.bench.export import render_table
+from paper.coverage import coverage_curve
 from repro.core.hybrid import HybridBuilder
-from repro.utils.prettyprint import render_table
 
 #: Fractions of top vertices probed (the paper's x axis, 0..1%).
 FRACTIONS = [0.001, 0.002, 0.004, 0.006, 0.008, 0.01, 0.02, 0.05, 0.1]
@@ -57,7 +58,7 @@ def run(graph_names: list[str] | None = None) -> Figure8:
         graph = load_dataset(name)
         index = HybridBuilder(graph).build().index
         curves.append(
-            CoverageCurve(name=name, points=index.coverage_curve(FRACTIONS))
+            CoverageCurve(name=name, points=coverage_curve(index, FRACTIONS))
         )
     return Figure8(curves)
 

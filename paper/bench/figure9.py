@@ -18,9 +18,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+from paper.bench.export import render_table
 from repro.core.hybrid import HybridBuilder
 from repro.graphs.generators import glp_graph
-from repro.utils.prettyprint import format_bytes, render_table
+from repro.utils.prettyprint import format_bytes
 
 _GLP_P = 0.4695
 

@@ -12,18 +12,18 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from repro.baselines.bidij import BidirectionalSearchOracle
-from repro.baselines.islabel import build_islabel
-from repro.baselines.pll import build_pll
-from repro.bench.datasets import DatasetSpec, dataset_by_name, load_dataset
-from repro.bench.metrics import QueryTiming, run_with_budget, time_queries
-from repro.bench.workloads import random_pairs
+from paper.baselines.bidij import BidirectionalSearchOracle
+from paper.baselines.islabel import build_islabel
+from paper.baselines.pll import build_pll
+from paper.bench.datasets import DatasetSpec, dataset_by_name, load_dataset
+from paper.bench.metrics import QueryTiming, run_with_budget, time_queries
+from paper.bench.workloads import random_pairs
+from paper.io_sim.disk_index import DiskResidentIndex
+from paper.io_sim.diskmodel import DiskModel
+from paper.io_sim.external_labeling import ExternalLabelingBuilder
 from repro.core.flatstore import FlatLabelStore
 from repro.graphs.digraph import Graph
 from repro.graphs.stats import GraphSummary, summarize
-from repro.io_sim.disk_index import DiskResidentIndex
-from repro.io_sim.diskmodel import DiskModel
-from repro.io_sim.external_labeling import ExternalLabelingBuilder
 from repro.oracle import DistanceOracle
 
 #: Default per-method wall-clock budget (seconds); override with

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.bench.datasets import profile_names
-from repro.bench.harness import DatasetResult, run_dataset
-from repro.utils.prettyprint import format_bytes, format_count, render_table
+from paper.bench.datasets import profile_names
+from paper.bench.export import render_table
+from paper.bench.harness import DatasetResult, run_dataset
+from repro.utils.prettyprint import format_bytes, format_count
 
 HEADERS = [
     "G",
@@ -90,7 +91,7 @@ class Table6:
 
     def to_csv(self, path) -> int:
         """Write the table as CSV; returns the row count."""
-        from repro.bench.export import write_csv
+        from paper.bench.export import write_csv
 
         return write_csv(path, HEADERS, self.rows())
 

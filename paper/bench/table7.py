@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.bench.datasets import load_dataset, profile_names
+from paper.bench.datasets import load_dataset, profile_names
+from paper.bench.export import render_table
+from paper.coverage import top_fraction_for_coverage
 from repro.core.hybrid import HybridBuilder
-from repro.utils.prettyprint import render_table
 
 HEADERS = [
     "Graph",
@@ -59,7 +60,7 @@ class Table7:
 
     def to_csv(self, path) -> int:
         """Write the table as CSV; returns the row count."""
-        from repro.bench.export import write_csv
+        from paper.bench.export import write_csv
 
         return write_csv(path, HEADERS, (r.cells() for r in self.rows))
 
@@ -74,9 +75,9 @@ def run_one(name: str) -> Table7Row:
         name=name,
         iterations=result.num_iterations,
         avg_label=stats.avg_label_size,
-        top70=index.top_fraction_for_coverage(0.70),
-        top80=index.top_fraction_for_coverage(0.80),
-        top90=index.top_fraction_for_coverage(0.90),
+        top70=top_fraction_for_coverage(index, 0.70),
+        top80=top_fraction_for_coverage(index, 0.80),
+        top90=top_fraction_for_coverage(index, 0.90),
     )
 
 

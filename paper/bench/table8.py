@@ -20,12 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.bench.datasets import load_dataset, profile_names
-from repro.bench.metrics import run_with_budget
+from paper.bench.datasets import load_dataset, profile_names
+from paper.bench.export import render_table
+from paper.bench.metrics import run_with_budget
 from repro.core.hybrid import make_builder
 from repro.graphs.digraph import Graph
 from repro.graphs.generators import cycle_graph, glp_graph
-from repro.utils.prettyprint import render_table
 
 HEADERS = [
     "Graph",
@@ -86,7 +86,7 @@ class Table8:
 
     def to_csv(self, path) -> int:
         """Write the table as CSV; returns the row count."""
-        from repro.bench.export import write_csv
+        from paper.bench.export import write_csv
 
         return write_csv(path, HEADERS, (r.cells() for r in self.rows))
 

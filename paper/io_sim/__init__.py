@@ -20,14 +20,14 @@ that setting on top of counted block I/O:
   "Disk query time" column of Table 6.
 """
 
-from repro.io_sim.diskmodel import DiskModel, IOStats
-from repro.io_sim.blockfile import EntryFile
-from repro.io_sim.external_sort import external_sort
-from repro.io_sim.external_labeling import (
+from paper.io_sim.diskmodel import DiskModel, IOStats
+from paper.io_sim.blockfile import EntryFile
+from paper.io_sim.external_sort import external_sort
+from paper.io_sim.external_labeling import (
     ExternalBuildResult,
     ExternalLabelingBuilder,
 )
-from repro.io_sim.disk_index import DiskResidentIndex
+from paper.io_sim.disk_index import DiskResidentIndex
 
 __all__ = [
     "DiskModel",

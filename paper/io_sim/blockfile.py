@@ -32,7 +32,7 @@ import tempfile
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from repro.io_sim.diskmodel import DiskModel
+from paper.io_sim.diskmodel import DiskModel
 
 Entry = tuple[int, int, float, int]
 

@@ -13,8 +13,8 @@ paper's 7200 RPM SATA disk: ~5 ms for the seek-dominated first block,
 
 from __future__ import annotations
 
+from paper.io_sim.diskmodel import DiskModel
 from repro.core.labels import LabelStore, merge_join_distance
-from repro.io_sim.diskmodel import DiskModel
 
 # Latency defaults (seconds): seek + rotational delay for the first
 # block of a label, then sequential streaming for the rest.

@@ -10,7 +10,7 @@ Conventions (Section 4 of the paper, following [6]):
   passes, each reading and writing the data once).
 
 :class:`DiskModel` carries the parameters and accumulates counters; all
-file operations in :mod:`repro.io_sim` charge against one model
+file operations in :mod:`paper.io_sim` charge against one model
 instance, so an experiment can read off exactly how many block I/Os an
 index build or a query burst incurred.
 """

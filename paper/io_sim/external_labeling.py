@@ -3,7 +3,7 @@
 :class:`ExternalLabelingBuilder` re-implements the iterative labeling
 with the disk-resident layout of Algorithm 2:
 
-* label entries live in sorted :class:`~repro.io_sim.blockfile.EntryFile`
+* label entries live in sorted :class:`~paper.io_sim.blockfile.EntryFile`
   objects — ``OUT`` keyed by owner (the paper's "old (u2→u) sorted by
   u2") and ``IN`` keyed by owner (the "old (u1→u) sorted by u");
 * each iteration's candidate generation runs as a **blocked
@@ -12,7 +12,7 @@ with the disk-resident layout of Algorithm 2:
   a *range scan* over the co-sorted file, Rule-2/5 partners with a full
   sequential scan of the opposite file per batch (the inner loop,
   ``BR``) — exactly the paper's access pattern, with every block
-  charged to the shared :class:`~repro.io_sim.diskmodel.DiskModel`;
+  charged to the shared :class:`~paper.io_sim.diskmodel.DiskModel`;
 * the pruning pass charges the Section 4.2 nested loop: the
   candidates+old outer stream and one inner scan of the opposite-side
   file per outer batch.
@@ -35,6 +35,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from paper.io_sim.blockfile import Entry, EntryFile
+from paper.io_sim.diskmodel import DiskModel, IOStats
 from repro.core.hop_doubling import IterationStats
 from repro.core.labels import (
     DirectedLabelState,
@@ -45,8 +47,6 @@ from repro.core.pruning import admit_and_prune
 from repro.core.ranking import Ranking, make_ranking
 from repro.core.rules import CandidateSet, PrevEntry
 from repro.graphs.digraph import Graph
-from repro.io_sim.blockfile import Entry, EntryFile
-from repro.io_sim.diskmodel import DiskModel, IOStats
 from repro.utils.timer import Timer
 
 

@@ -1,6 +1,6 @@
 """External merge sort with Aggarwal-Vitter cost accounting.
 
-Used by :class:`~repro.io_sim.external_labeling.ExternalLabelingBuilder`
+Used by :class:`~paper.io_sim.external_labeling.ExternalLabelingBuilder`
 between iterations ("prev (u→v) are sorted by u in file...").  The
 implementation genuinely forms memory-sized runs and k-way merges them
 — on the memory backend this is slower than calling ``list.sort`` but
@@ -14,8 +14,8 @@ from __future__ import annotations
 import heapq
 from typing import Callable
 
-from repro.io_sim.blockfile import Entry
-from repro.io_sim.diskmodel import DiskModel
+from paper.io_sim.blockfile import Entry
+from paper.io_sim.diskmodel import DiskModel
 
 
 def external_sort(

@@ -19,12 +19,13 @@ Subpackages
 -----------
 ``repro.graphs``     graph containers, generators, I/O, statistics
 ``repro.core``       the labeling algorithms (hop-doubling / stepping /
-                     hybrid), pruning, bit-parallel labels, query engine
-``repro.io_sim``     external-memory (I/O-cost) simulation of Section 4
-``repro.baselines``  PLL, IS-Label, HCL-lite, bidirectional search, APSP
+                     hybrid), pruning, label stores, dynamic updates
 ``repro.oracle``     the batched DistanceOracle serving layer
-``repro.bench``      harness regenerating every table and figure of
-                     Section 8
+``repro.serve``      the asyncio distance server and client
+
+The paper's Section 8 tables and figures, its baselines and its
+external-memory simulation are a separate, uninstalled reproduction kit
+(``paper/`` in the source repository) built on this package.
 """
 
 from repro.core.flatstore import FlatLabelStore

@@ -20,8 +20,6 @@ Subcommands::
     repro generate MODEL -n N -o GRAPH [--density D] [--seed K]
                                [--directed]
     repro verify GRAPH INDEX [--directed] [--weighted] [--samples N]
-    repro bench {table6,table7,table8,figure8,figure9,figure10,
-                 assumptions,all}
 
 ``GRAPH`` files are text edge lists (``u v [w]`` per line, ``#``
 comments); ``INDEX`` files use the library's binary label formats
@@ -551,34 +549,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import (
-        assumptions,
-        figure8,
-        figure9,
-        figure10,
-        table6,
-        table7,
-        table8,
-    )
-
-    runners = {
-        "table6": lambda: table6.main(args.profile),
-        "table7": lambda: table7.main(args.profile),
-        "table8": lambda: table8.main(args.profile),
-        "figure8": figure8.main,
-        "figure9": figure9.main,
-        "figure10": figure10.main,
-        "assumptions": lambda: assumptions.main(args.profile),
-    }
-    targets = list(runners) if args.target == "all" else [args.target]
-    for i, target in enumerate(targets):
-        if i:
-            print()
-        runners[target]()
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser."""
     parser = argparse.ArgumentParser(
@@ -852,23 +822,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="random pairs checked against exact search (default: 500)",
     )
     p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("bench", help="regenerate a paper table or figure")
-    p.add_argument(
-        "target",
-        choices=[
-            "table6",
-            "table7",
-            "table8",
-            "figure8",
-            "figure9",
-            "figure10",
-            "assumptions",
-            "all",
-        ],
-    )
-    p.add_argument("--profile", choices=["quick", "full"], default="quick")
-    p.set_defaults(func=_cmd_bench)
 
     return parser
 

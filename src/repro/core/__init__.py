@@ -6,7 +6,7 @@ Public surface:
 * the three builders (:class:`HopDoubling`, :class:`HopStepping`,
   :class:`HybridBuilder`) for callers that want iteration-level control;
 * :class:`LabelIndex` — the frozen 2-hop index;
-* ranking strategies and the bit-parallel post-processing step.
+* ranking strategies, pruning and the query helpers.
 """
 
 from repro.core.labels import (
@@ -58,10 +58,6 @@ from repro.core.hop_doubling import (
 )
 from repro.core.hop_stepping import HopStepping
 from repro.core.hybrid import DEFAULT_SWITCH_ITERATION, HybridBuilder, make_builder
-from repro.core.bitparallel import (
-    BitParallelIndex,
-    add_bitparallel,
-)
 from repro.core.query import (
     average_distance,
     closeness_centrality,
@@ -115,8 +111,6 @@ __all__ = [
     "HybridBuilder",
     "DEFAULT_SWITCH_ITERATION",
     "make_builder",
-    "BitParallelIndex",
-    "add_bitparallel",
     "query_many",
     "is_reachable",
     "reconstruct_path",

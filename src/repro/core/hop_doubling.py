@@ -23,18 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.core.engine import (
-    check_engine_options,
-    make_build_engine,
-    seed_dict_state,
-)
-from repro.core.labels import (
-    DirectedLabelState,
-    LabelIndex,
-    UndirectedLabelState,
-)
+from repro.core.engine import check_engine_options, make_build_engine
+from repro.core.labels import LabelIndex
 from repro.core.ranking import Ranking, make_ranking
-from repro.core.rules import PrevEntry
 from repro.graphs.digraph import Graph
 from repro.utils.timer import Timer
 
@@ -167,17 +158,6 @@ class LabelingBuilder:
         raise NotImplementedError
 
     # -- construction ------------------------------------------------------
-    def _initial_state(
-        self,
-    ) -> tuple[DirectedLabelState | UndirectedLabelState, list[PrevEntry]]:
-        """Seed dict stores with one entry per edge (paper's iteration 1).
-
-        Retained for callers that drive the dict state directly (the
-        dynamic-update index, the external-memory simulator); the
-        engines seed themselves through :mod:`repro.core.engine`.
-        """
-        return seed_dict_state(self.graph, self.ranking.rank_of)
-
     def build(self) -> BuildResult:
         """Run the iterative construction and freeze the index."""
         total_timer = Timer().start()

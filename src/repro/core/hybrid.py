@@ -60,13 +60,6 @@ class HybridBuilder(LabelingBuilder):
         return "step" if iteration <= self.switch_iteration else "double"
 
 
-BUILDERS = {
-    "doubling": "repro.core.hop_doubling.HopDoubling",
-    "stepping": "repro.core.hop_stepping.HopStepping",
-    "hybrid": "repro.core.hybrid.HybridBuilder",
-}
-
-
 def make_builder(graph: Graph, strategy: str = "hybrid", **kwargs):
     """Instantiate a builder by strategy name.
 

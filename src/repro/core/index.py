@@ -13,15 +13,13 @@ This is the interface a downstream user of the library sees::
 
 Construction dispatches to the three builders of Sections 3 and 5
 (``strategy`` = ``"hybrid"`` (default) / ``"stepping"`` /
-``"doubling"``) and can post-process with bit-parallel labels
-(Section 6) on undirected unweighted graphs.
+``"doubling"``).
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from repro.core.bitparallel import BitParallelIndex, add_bitparallel
 from repro.core.hop_doubling import BuildResult, IterationStats
 from repro.core.hybrid import make_builder
 from repro.core.labels import INF, LabelIndex, LabelStats
@@ -38,12 +36,10 @@ class HopDoublingIndex:
         self,
         labels: LabelIndex,
         build_result: BuildResult | None = None,
-        bitparallel: BitParallelIndex | None = None,
         graph: Graph | None = None,
     ) -> None:
         self.labels = labels
         self.build_result = build_result
-        self.bitparallel = bitparallel
         self._graph = graph
 
     # -- construction ------------------------------------------------------
@@ -55,8 +51,6 @@ class HopDoublingIndex:
         ranking: Ranking | str = "auto",
         rule_set: str = "minimized",
         prune: bool = True,
-        use_bitparallel: bool = False,
-        num_roots: int = 50,
         **builder_kwargs,
     ) -> "HopDoublingIndex":
         """Build an index for ``graph``.
@@ -64,9 +58,7 @@ class HopDoublingIndex:
         Parameters mirror the paper's knobs: ``strategy`` selects
         Hop-Stepping / Hop-Doubling / hybrid (default, switch at
         iteration 10); ``ranking`` the vertex order (degree-based by
-        default); ``rule_set`` the four minimized or six full rules;
-        ``use_bitparallel`` adds Section 6's root labels (undirected
-        unweighted graphs only).
+        default); ``rule_set`` the four minimized or six full rules.
 
         Performance knobs pass through ``builder_kwargs``: ``engine``
         (default ``"auto"``: the vectorized array engine; ``"dict"`` is
@@ -99,16 +91,11 @@ class HopDoublingIndex:
         result = builder.build()
         if hang is not None:
             result.index = result.index.with_pendants(parent, hang)
-        bp = None
-        if use_bitparallel:
-            bp = add_bitparallel(graph, result.index, num_roots=num_roots)
-        return cls(result.index, result, bp, graph)
+        return cls(result.index, result, graph)
 
     # -- querying -----------------------------------------------------------
     def query(self, s: int, t: int) -> float:
         """Exact ``dist(s, t)``; ``float('inf')`` when unreachable."""
-        if self.bitparallel is not None:
-            return self.bitparallel.query(s, t)
         return self.labels.query(s, t)
 
     def query_path(self, s: int, t: int) -> list[int] | None:
@@ -149,13 +136,11 @@ class HopDoublingIndex:
 
     def size_in_bytes(self) -> int:
         """Index size under the paper's storage convention."""
-        if self.bitparallel is not None:
-            return self.bitparallel.size_in_bytes()
         return self.labels.size_in_bytes()
 
     # -- persistence --------------------------------------------------------------
     def save(self, path: str | Path, format: str = "v1") -> None:
-        """Persist the plain 2-hop labels (bit-parallel side not saved).
+        """Persist the 2-hop labels.
 
         ``format="v1"`` writes the per-entry struct format;
         ``format="v2"`` writes the flat-array blobs of
@@ -212,5 +197,4 @@ class HopDoublingIndex:
         return DistanceOracle(store, graph=graph, **kwargs)
 
     def __repr__(self) -> str:
-        bp = ", bit-parallel" if self.bitparallel is not None else ""
-        return f"HopDoublingIndex({self.labels!r}{bp})"
+        return f"HopDoublingIndex({self.labels!r})"

@@ -666,60 +666,6 @@ class LabelIndex:
         """Index size under the paper's 5-bytes-per-entry convention."""
         return self.total_entries(include_trivial=True) * BYTES_PER_ENTRY
 
-    def entries_per_pivot(self) -> dict[int, int]:
-        """Non-trivial entry counts keyed by pivot vertex (for Figure 8)."""
-        counts: dict[int, int] = {}
-        for v in range(self.n):
-            for p, _ in self.out_labels[v]:
-                if p != v:
-                    counts[p] = counts.get(p, 0) + 1
-            if self.directed:
-                for p, _ in self.in_labels[v]:
-                    if p != v:
-                        counts[p] = counts.get(p, 0) + 1
-        return counts
-
-    def coverage_curve(
-        self, fractions: Sequence[float]
-    ) -> list[tuple[float, float]]:
-        """Label coverage by top-ranked vertices (paper's Figure 8).
-
-        For each requested fraction ``f`` of top-ranked vertices, report
-        the fraction of non-trivial label entries whose pivot lies in
-        that top set.  Requires the index to carry its ranking.
-        """
-        if self.rank is None:
-            raise ValueError("index has no ranking attached")
-        counts = self.entries_per_pivot()
-        total = sum(counts.values())
-        order = sorted(range(self.n), key=lambda v: self.rank[v])
-        curve = []
-        for f in fractions:
-            k = max(1, int(round(f * self.n)))
-            covered = sum(counts.get(v, 0) for v in order[:k])
-            curve.append((f, covered / total if total else 1.0))
-        return curve
-
-    def top_fraction_for_coverage(self, target: float) -> float:
-        """Smallest fraction of top vertices covering ``target`` of entries.
-
-        This regenerates the "top vertices coverage 70%/80%/90%" columns
-        of Table 7.
-        """
-        if self.rank is None:
-            raise ValueError("index has no ranking attached")
-        counts = self.entries_per_pivot()
-        total = sum(counts.values())
-        if total == 0:
-            return 0.0
-        order = sorted(range(self.n), key=lambda v: self.rank[v])
-        covered = 0
-        for k, v in enumerate(order, start=1):
-            covered += counts.get(v, 0)
-            if covered >= target * total:
-                return k / self.n
-        return 1.0
-
     # -- serialization -------------------------------------------------------
     def save(self, path) -> None:
         """Write the index to ``path`` in binary format v1.

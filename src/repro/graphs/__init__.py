@@ -40,14 +40,6 @@ from repro.graphs.traversal import (
     bidirectional_dijkstra,
     dijkstra_distances,
 )
-from repro.graphs.hitting import (
-    DEFAULT_D0,
-    HittingReport,
-    h_excluded_neighborhood,
-    hub_dimension_estimate,
-    max_excluded_neighborhood,
-    verify_long_path_hitting,
-)
 from repro.graphs.transform import (
     largest_connected_component,
     permute_vertices,
@@ -82,12 +74,6 @@ __all__ = [
     "bidirectional_bfs",
     "bidirectional_dijkstra",
     "dijkstra_distances",
-    "DEFAULT_D0",
-    "HittingReport",
-    "h_excluded_neighborhood",
-    "hub_dimension_estimate",
-    "max_excluded_neighborhood",
-    "verify_long_path_hitting",
     "largest_connected_component",
     "permute_vertices",
     "to_undirected",

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Callable, Sequence
+from typing import Callable
 
 from repro.graphs.digraph import Graph
 from repro.utils.validation import check_vertex
@@ -193,11 +193,6 @@ def bidirectional_dijkstra(graph: Graph, s: int, t: int) -> float:
         else:
             expand(heap_b, dist_b, dist_f, settled_b, graph.in_edges)
     return best
-
-
-def kbfs_hop_counts(graph: Graph, sources: Sequence[int]) -> list[list[float]]:
-    """Run forward BFS from each source; convenience for tests/benches."""
-    return [bfs_distances(graph, s) for s in sources]
 
 
 def eccentricity(graph: Graph, source: int) -> float:

@@ -3,9 +3,9 @@
 The :class:`DistanceOracle` facade is the single entry point for
 answering queries over a built index: it attaches to any
 :class:`~repro.core.labels.LabelStore` backend (tuple-list or flat
-CSR), serves single-pair and batched point-to-point distances through
-an LRU result cache, and exposes reachability, path reconstruction,
-one-to-all, and k-NN on top.
+CSR), serves single-pair distances through an LRU result cache and
+batches through the vectorized kernel, and exposes reachability, path
+reconstruction, one-to-all, and k-NN on top.
 
 For indexes too big (or traffic too heavy) for one core,
 :class:`ParallelOracle` (:mod:`repro.oracle.parallel`) serves a shard

@@ -1,33 +1,22 @@
 """Batched evaluation of distance queries over a label store.
 
-A batch of ``(s, t)`` pairs is answered in three steps:
-
-1. **dedupe** — identical pairs (after orientation normalisation on
-   undirected stores, where ``dist(s, t) == dist(t, s)``) are
-   evaluated once and fanned back out to every position;
-2. **cache probe** — pairs already in the shared LRU are answered
-   without touching the store;
-3. **evaluation** — the remaining pairs go through the vectorized
-   numpy kernel (:mod:`repro.oracle.kernel`) when the store exposes
-   CSR arrays and the batch has at least :data:`MIN_KERNEL_PAIRS`
-   pairs, or otherwise through grouped merge joins: pairs are grouped
-   by source vertex so a store that implements ``query_group`` (the
-   CSR backend) builds each source's pivot dict once and probes every
-   target through it; stores without the hook fall back to per-pair
-   ``query``.
+A batch of ``(s, t)`` pairs goes through the vectorized numpy kernel
+(:mod:`repro.oracle.kernel`) when the store exposes CSR arrays and the
+batch has at least :data:`MIN_KERNEL_PAIRS` pairs; the kernel
+evaluates each distinct pair of the batch once.  Otherwise it goes
+through grouped merge joins: pairs are grouped by source vertex so a
+store that implements ``query_group`` (the CSR backend) builds each
+source's pivot dict once and probes every target through it; stores
+without the hook fall back to per-pair ``query``.
 
 Results are bit-identical to calling ``store.query`` per pair
 whichever path runs: every path computes the same minimum over the
-same float64 sums, and the cache only ever stores values produced by
-one of them.  Which path runs is decided from the store type and the
-batch size alone; there is nothing to configure.
-
-A batch that already *is* two int64 columns — a :class:`PairColumns`,
-which is what the serve tier decodes every request into — skips steps
-1 and 2 when there is no cache and goes to the kernel as it stands;
-so does a list of tuples when there is no cache.  The kernel does its
-own step 1 on the columns (one sort, one compare pass), so neither
-shortcut evaluates a repeated pair twice.
+same float64 sums.  Which path runs is decided from the store type and
+the batch size alone; there is nothing to configure.  A batch that
+already *is* two int64 columns — a :class:`PairColumns`, which is what
+the serve tier decodes every request into — goes to the kernel as it
+stands.  No batch touches the oracle's result cache, which serves
+single-pair queries only.
 """
 
 from __future__ import annotations
@@ -38,11 +27,8 @@ import numpy as np
 
 from repro.core.labels import LabelStore
 from repro.oracle import kernel as _kernel
-from repro.oracle.cache import LRUCache
 
-_MISS = object()
-
-#: Below this many unique pairs a batch stays on the scalar path — the
+#: Below this many pairs a batch stays on the scalar path — the
 #: kernel's fixed per-call cost (a few dozen numpy calls whatever the
 #: size) is larger than a handful of dict probes.  Purely a perf
 #: cutoff: both paths return bit-identical distances.  Measured as
@@ -58,17 +44,6 @@ MIN_KERNEL_PAIRS = 4
 def _use_kernel(store: LabelStore, num_pairs: int) -> bool:
     """Whether this batch goes to the kernel rather than the scalar path."""
     return num_pairs >= MIN_KERNEL_PAIRS and _kernel.supports(store)
-
-
-def pair_key(store: LabelStore, s: int, t: int) -> tuple[int, int]:
-    """Canonical cache/dedupe key for a pair on this store.
-
-    Undirected stores answer ``(s, t)`` and ``(t, s)`` identically, so
-    both orientations share one key.
-    """
-    if not store.directed and s > t:
-        return t, s
-    return s, t
 
 
 class PairColumns:
@@ -140,75 +115,33 @@ class PairColumns:
 
 
 def evaluate_batch(
-    store: LabelStore,
-    pairs: Iterable[tuple[int, int]],
-    cache: LRUCache | None = None,
+    store: LabelStore, pairs: Iterable[tuple[int, int]]
 ) -> list[float]:
     """Distances for every pair, in input order.
 
-    A list — except for :class:`PairColumns` answered straight by the
-    kernel (no cache), which come back as the kernel's float64 array:
-    the serve tier writes it to the socket as it is.
+    A list — except for :class:`PairColumns` answered by the kernel,
+    which come back as the kernel's float64 array: the serve tier
+    writes it to the socket as it is.
     """
-    if (
-        isinstance(pairs, PairColumns)
-        and cache is None
-        and _use_kernel(store, len(pairs))
-    ):
+    if isinstance(pairs, PairColumns) and _use_kernel(store, len(pairs)):
         return _kernel.batch_eval_arrays(store, pairs.sources, pairs.targets)
     pairs = list(pairs)
-    if cache is None and _use_kernel(store, len(pairs)):
-        # No cache to probe or fill: hand the raw batch straight to
-        # the kernel, skipping the per-pair Python dedupe loop.  The
-        # kernel sorts by (source, target) itself and evaluates each
-        # distinct pair once, so repeats cost a compare, not a join.
+    if _use_kernel(store, len(pairs)):
         return _kernel.batch_eval(store, pairs)
-    results: list[float] = [0.0] * len(pairs)
-    # key -> positions in `pairs` still awaiting a distance.  The
-    # cache is probed once per *unique* key so repeated pairs in one
-    # batch count as a single miss, not one per occurrence.
-    pending: dict[tuple[int, int], list[int]] = {}
-    for pos, (s, t) in enumerate(pairs):
-        key = pair_key(store, s, t)
-        positions = pending.get(key)
-        if positions is not None:
-            positions.append(pos)
-            continue
-        if cache is not None:
-            hit = cache.get(key, _MISS)
-            if hit is not _MISS:
-                results[pos] = hit
-                continue
-        pending[key] = [pos]
-
-    if not pending:
-        return results
-
-    if _use_kernel(store, len(pending)):
-        keys = list(pending)
-        for key, d in zip(keys, _kernel.batch_eval(store, keys)):
-            if cache is not None:
-                cache.put(key, d)
-            for pos in pending[key]:
-                results[pos] = d
-        return results
-
+    # The positions of each source's pairs: its label is read once.
     by_source: dict[int, list[int]] = {}
-    for s, t in pending:
-        by_source.setdefault(s, []).append(t)
-
+    for pos, (s, _) in enumerate(pairs):
+        by_source.setdefault(s, []).append(pos)
+    results: list[float] = [0.0] * len(pairs)
     query_group = getattr(store, "query_group", None)
-    for s, targets in by_source.items():
+    for s, positions in by_source.items():
+        targets = [pairs[pos][1] for pos in positions]
         if query_group is not None:
             distances = query_group(s, targets)
         else:
             distances = [store.query(s, t) for t in targets]
-        for t, d in zip(targets, distances):
-            key = pair_key(store, s, t)
-            if cache is not None:
-                cache.put(key, d)
-            for pos in pending[key]:
-                results[pos] = d
+        for pos, d in zip(positions, distances):
+            results[pos] = d
     return results
 
 

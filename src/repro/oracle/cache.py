@@ -1,9 +1,9 @@
 """A small LRU cache for query results, with hit/miss accounting.
 
-``functools.lru_cache`` memoises a function, but the oracle needs to
-share one cache between the single-pair and batch paths, key it on
-normalised pairs, and expose occupancy for monitoring — so this is an
-explicit ``OrderedDict``-based implementation instead.
+``functools.lru_cache`` memoises a function, but the oracle's
+single-pair path needs to key it on normalised pairs, clear it on
+updates and expose occupancy for monitoring — so this is an explicit
+``OrderedDict``-based implementation instead.
 """
 
 from __future__ import annotations

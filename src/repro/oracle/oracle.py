@@ -8,9 +8,9 @@ label store backend and layers the serving conveniences on top:
   (tuple-list :class:`~repro.core.labels.LabelIndex` or CSR
   :class:`~repro.core.flatstore.FlatLabelStore`), attached directly or
   opened from an index file of any format version;
-* an LRU result cache shared by the single-pair and batch paths;
-* batched merge-join evaluation (:meth:`query_batch`) that dedupes
-  pairs and groups them by source vertex;
+* an LRU result cache for single-pair queries;
+* batched evaluation (:meth:`query_batch`) through the vectorized
+  kernel or merge joins grouped by source vertex;
 * the derived workloads: reachability, shortest-path reconstruction
   (needs a graph attached), one-to-all distances, and k-nearest
   neighbours via a lazily built inverted index.
@@ -29,7 +29,7 @@ from repro.core.knn import InvertedLabelIndex
 from repro.core.labels import INF, LabelStore
 from repro.core.query import reconstruct_path
 from repro.graphs.digraph import Graph
-from repro.oracle.batch import evaluate_batch, pair_key
+from repro.oracle.batch import evaluate_batch
 from repro.oracle.cache import CacheInfo, LRUCache
 
 #: Default LRU capacity — roughly 64k cached pairs, a few MB of
@@ -102,7 +102,8 @@ class DistanceOracle:
             # Caching disabled: skip key building and LRU bookkeeping
             # so timed paths pay only the real merge-join cost.
             return self.store.query(s, t)
-        key = pair_key(self.store, s, t)
+        # Undirected stores answer (s, t) and (t, s) alike: one key.
+        key = (t, s) if not self.store.directed and s > t else (s, t)
         hit = self.cache.get(key, _MISS)
         if hit is not _MISS:
             return hit
@@ -113,16 +114,15 @@ class DistanceOracle:
     def query_batch(self, pairs: Iterable[tuple[int, int]]) -> list[float]:
         """Distances for every pair, in input order.
 
-        Dedupes repeated pairs, serves cache hits, and evaluates the
-        rest with the vectorized kernel or grouped merge joins (see
-        :mod:`repro.oracle.batch`).  Bit-identical to calling
-        :meth:`query` per pair.  A
-        :class:`~repro.oracle.batch.PairColumns` block served with the
-        cache off goes to the kernel as it stands and comes back as
-        its float64 array instead of a list.
+        Evaluated with the vectorized kernel, which dedupes the batch
+        itself, or grouped merge joins (see :mod:`repro.oracle.batch`);
+        the result cache is neither probed nor filled.  Bit-identical
+        to calling :meth:`query` per pair.  A
+        :class:`~repro.oracle.batch.PairColumns` block goes to the
+        kernel as it stands and comes back as its float64 array
+        instead of a list.
         """
-        cache = self.cache if self.cache.capacity > 0 else None
-        return evaluate_batch(self.store, pairs, cache=cache)
+        return evaluate_batch(self.store, pairs)
 
     def query_via(self, s: int, t: int) -> tuple[float, int]:
         """``(dist, best_pivot)`` — the pivot certifying the distance."""

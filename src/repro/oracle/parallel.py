@@ -35,10 +35,9 @@ otherwise:
 ``route="inline"`` / ``route="fanout"`` pin condition 4 either way —
 the benchmark times both sides of the crossover with them to
 re-measure :data:`INLINE_ENTRIES`; ``"auto"`` is right everywhere
-else.  Inline batches go through the LRU cache like any oracle; fanned
-batches bypass it (shipping cache state between processes would cost
-more than the merge joins it saves).  Answers are bit-identical to
-``store.query`` per pair on either side: both run the same kernel.
+else.  No batch goes through the LRU result cache, inline or fanned
+out; it serves single-pair ``query`` only.  Answers are bit-identical
+to ``store.query`` per pair on either side: both run the same kernel.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
-"""Small shared utilities: timing, validation, table rendering.
+"""Small shared utilities: timing, validation, number formatting.
 
 These helpers are deliberately dependency-free so that every other
-subpackage (graphs, core, baselines, bench) can use them without import
+subpackage (graphs, core, oracle, serve) can use them without import
 cycles.
 """
 
@@ -13,11 +13,7 @@ from repro.utils.validation import (
     check_probability,
     check_vertex,
 )
-from repro.utils.prettyprint import (
-    format_bytes,
-    format_count,
-    render_table,
-)
+from repro.utils.prettyprint import format_bytes, format_count
 
 __all__ = [
     "Timer",
@@ -29,5 +25,4 @@ __all__ = [
     "check_vertex",
     "format_bytes",
     "format_count",
-    "render_table",
 ]

@@ -1,14 +1,6 @@
-"""Plain-text table rendering for the benchmark drivers.
-
-The paper reports its evaluation as tables (Table 6, 7, 8) and series
-(Figures 8-10).  The drivers in :mod:`repro.bench` produce rows of
-cells; this module turns them into aligned monospace tables so the
-harness output can be compared side by side with the paper.
-"""
+"""Compact human-readable byte counts and counts for CLI output."""
 
 from __future__ import annotations
-
-from typing import Iterable, Sequence
 
 
 def format_bytes(num_bytes: float) -> str:
@@ -53,35 +45,3 @@ def format_count(count: float) -> str:
         return f"{count / 1_000_000:.1f}M"
     return f"{count / 1_000_000_000:.2f}B"
 
-
-def render_table(
-    headers: Sequence[str],
-    rows: Iterable[Sequence[object]],
-    title: str | None = None,
-) -> str:
-    """Render ``rows`` under ``headers`` as an aligned monospace table.
-
-    Cells are stringified with ``str``; ``None`` renders as ``—`` which
-    mirrors the paper's convention for methods that failed to finish.
-    """
-    str_rows = [["—" if cell is None else str(cell) for cell in row] for row in rows]
-    widths = [len(h) for h in headers]
-    for row in str_rows:
-        if len(row) != len(headers):
-            raise ValueError(
-                f"row has {len(row)} cells, expected {len(headers)}: {row!r}"
-            )
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-
-    def fmt_row(cells: Sequence[str]) -> str:
-        return "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(cells)).rstrip()
-
-    lines = []
-    if title:
-        lines.append(title)
-        lines.append("=" * len(title))
-    lines.append(fmt_row(list(headers)))
-    lines.append("  ".join("-" * w for w in widths))
-    lines.extend(fmt_row(row) for row in str_rows)
-    return "\n".join(lines)

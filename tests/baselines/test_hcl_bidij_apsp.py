@@ -3,9 +3,9 @@
 import pytest
 from hypothesis import given, settings
 
-from repro.baselines.apsp import APSPOracle
-from repro.baselines.bidij import BidirectionalSearchOracle
-from repro.baselines.hcl import build_hcl
+from paper.baselines.apsp import APSPOracle
+from paper.baselines.bidij import BidirectionalSearchOracle
+from paper.baselines.hcl import build_hcl
 from repro.graphs.digraph import Graph
 from repro.graphs.generators import glp_graph, path_graph, star_graph
 from tests.conftest import graph_strategy

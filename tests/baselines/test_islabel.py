@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import given, settings
 
-from repro.baselines.apsp import APSPOracle
-from repro.baselines.islabel import build_islabel
+from paper.baselines.apsp import APSPOracle
+from paper.baselines.islabel import build_islabel
 from repro.graphs.generators import glp_graph, path_graph
 from tests.conftest import graph_strategy, random_graph
 

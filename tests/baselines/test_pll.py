@@ -2,8 +2,8 @@
 
 from hypothesis import given, settings
 
-from repro.baselines.apsp import APSPOracle
-from repro.baselines.pll import build_pll
+from paper.baselines.apsp import APSPOracle
+from paper.baselines.pll import build_pll
 from repro.core.ranking import random_ranking
 from repro.graphs.generators import glp_graph, path_graph, star_graph
 from tests.conftest import graph_strategy

@@ -4,15 +4,15 @@ import time
 
 import pytest
 
-from repro.bench.datasets import (
+from paper.bench.datasets import (
     DATASETS,
     DENSITY_CAP,
     dataset_by_name,
     load_dataset,
     profile_names,
 )
-from repro.bench.metrics import run_with_budget, time_queries
-from repro.bench.workloads import random_pairs, reachable_pairs, stratified_pairs
+from paper.bench.metrics import run_with_budget, time_queries
+from paper.bench.workloads import random_pairs, reachable_pairs, stratified_pairs
 from repro.graphs.generators import glp_graph
 from repro.graphs.traversal import INF, bfs_distances
 

@@ -7,8 +7,9 @@ datasets and tight budgets.
 
 import pytest
 
-from repro.bench import figure8, figure9, figure10, table6, table7, table8
-from repro.bench.harness import run_dataset
+from paper.__main__ import build_parser, main
+from paper.bench import figure8, figure9, figure10, table6, table7, table8
+from paper.bench.harness import run_dataset
 
 
 class TestHarness:
@@ -31,7 +32,7 @@ class TestHarness:
         # the tiny datasets that relying on wall-clock races is flaky.
         import time
 
-        import repro.bench.harness as harness
+        import paper.bench.harness as harness
 
         def slow_build(graph):
             time.sleep(5.0)
@@ -62,7 +63,7 @@ class TestTableDrivers:
         assert "Table 7" in text
 
     def test_table8_row(self):
-        from repro.bench.datasets import load_dataset
+        from paper.bench.datasets import load_dataset
 
         row = table8.run_one("enron", load_dataset("enron"), budget=60.0)
         assert set(row.seconds) == set(table8.STRATEGIES)
@@ -107,3 +108,16 @@ class TestFigureDrivers:
         total_time = sum(p.time_ratio for p in fig.points)
         assert total_time == pytest.approx(1.0)
         assert "Figure 10" in fig.render()
+
+
+class TestCommandLine:
+    def test_target_choices(self):
+        args = build_parser().parse_args(["table7"])
+        assert args.target == "table7"
+        assert args.profile == "quick"
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["table99"])
+
+    def test_prints_the_figure(self, capsys):
+        assert main(["figure10"]) == 0
+        assert "Figure 10" in capsys.readouterr().out

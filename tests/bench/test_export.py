@@ -3,8 +3,8 @@
 import csv
 import json
 
-from repro.bench import table7
-from repro.bench.export import write_bench_json, write_csv
+from paper.bench import table7
+from paper.bench.export import write_bench_json, write_csv
 
 
 class TestWriteCsv:

@@ -9,8 +9,8 @@ import csv
 
 import pytest
 
-from repro.bench import table6
-from repro.bench.harness import run_dataset
+from paper.bench import table6
+from paper.bench.harness import run_dataset
 
 
 @pytest.fixture(scope="module")

@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import given, settings
 
-from repro.baselines.apsp import APSPOracle
-from repro.core.bitparallel import (
+from paper.baselines.apsp import APSPOracle
+from paper.bitparallel import (
     BYTES_PER_BP_TUPLE,
     add_bitparallel,
     _bit_parallel_bfs,

@@ -10,8 +10,8 @@ unweighted inputs).
 import pytest
 from hypothesis import given, settings
 
-from repro.baselines.apsp import APSPOracle
-from repro.baselines.pll import build_pll
+from paper.baselines.apsp import APSPOracle
+from paper.baselines.pll import build_pll
 from repro.core.hybrid import make_builder
 from repro.core.ranking import make_ranking, random_ranking
 from repro.graphs.digraph import Graph

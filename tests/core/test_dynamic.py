@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.baselines.apsp import APSPOracle
+from paper.baselines.apsp import APSPOracle
 from repro.core.dynamic import DynamicHopDoublingIndex
 from repro.core.hybrid import make_builder
 from repro.graphs.digraph import Graph

@@ -21,7 +21,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from repro.baselines.apsp import APSPOracle
+from paper.baselines.apsp import APSPOracle
 from repro.core.dynamic import DynamicHopDoublingIndex
 from repro.core.flatstore import FlatLabelStore
 from repro.core.hybrid import make_builder

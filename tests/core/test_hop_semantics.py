@@ -9,7 +9,8 @@ entry corresponds to a *trough* path under the ranking.
 import pytest
 from hypothesis import given, settings
 
-from repro.baselines.apsp import APSPOracle
+from paper.baselines.apsp import APSPOracle
+from repro.core.engine import seed_dict_state
 from repro.core.hop_stepping import HopStepping
 from repro.graphs.digraph import Graph
 from repro.graphs.traversal import INF
@@ -18,7 +19,7 @@ from tests.conftest import graph_strategy, random_graph
 
 def _build_state(builder_cls, g, ranking=None):
     builder = builder_cls(g, ranking=ranking if ranking else "auto")
-    state, prev = builder._initial_state()
+    state, prev = seed_dict_state(g, builder.ranking.rank_of)
     from repro.core.rules import make_engine
     from repro.core.pruning import admit_and_prune
 

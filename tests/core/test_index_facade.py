@@ -2,10 +2,10 @@
 
 import pytest
 
+from paper.baselines.apsp import APSPOracle
 from repro import HopDoublingIndex, INF
 from repro.graphs.digraph import Graph
 from repro.graphs.generators import glp_graph
-from repro.baselines.apsp import APSPOracle
 
 
 @pytest.fixture(scope="module")
@@ -29,18 +29,6 @@ class TestBuildAndQuery:
     def test_strategies_accepted(self, graph, strategy):
         idx = HopDoublingIndex.build(graph, strategy=strategy)
         assert idx.query(0, 1) == HopDoublingIndex.build(graph).query(0, 1)
-
-    def test_bitparallel_option(self, graph):
-        idx = HopDoublingIndex.build(graph, use_bitparallel=True, num_roots=8)
-        plain = HopDoublingIndex.build(graph)
-        for s in range(0, graph.num_vertices, 11):
-            for t in range(0, graph.num_vertices, 11):
-                assert idx.query(s, t) == plain.query(s, t)
-
-    def test_bitparallel_rejected_on_directed(self):
-        g = Graph.from_edges(3, [(0, 1), (1, 2)], directed=True)
-        with pytest.raises(ValueError):
-            HopDoublingIndex.build(g, use_bitparallel=True)
 
     def test_reachability(self, index):
         assert index.is_reachable(0, 100)

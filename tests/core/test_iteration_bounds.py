@@ -9,7 +9,7 @@ import math
 import pytest
 from hypothesis import given, settings
 
-from repro.baselines.apsp import APSPOracle
+from paper.baselines.apsp import APSPOracle
 from repro.core.hop_doubling import HopDoubling
 from repro.core.hop_stepping import HopStepping
 from repro.core.hybrid import HybridBuilder

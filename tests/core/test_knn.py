@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings
 
-from repro.baselines.apsp import APSPOracle
+from paper.baselines.apsp import APSPOracle
 from repro.core.hybrid import make_builder
 from repro.core.knn import InvertedLabelIndex
 from repro.graphs.digraph import Graph

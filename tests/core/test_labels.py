@@ -2,6 +2,7 @@
 
 import pytest
 
+from paper.coverage import coverage_curve, top_fraction_for_coverage
 from repro.core.labels import (
     BYTES_PER_ENTRY,
     INF,
@@ -145,7 +146,7 @@ class TestLabelIndexStats:
     def test_coverage_curve_monotone(self):
         g = glp_graph(200, seed=4)
         idx = HybridBuilder(g).build().index
-        curve = idx.coverage_curve([0.01, 0.1, 0.5, 1.0])
+        curve = coverage_curve(idx, [0.01, 0.1, 0.5, 1.0])
         values = [c for _, c in curve]
         assert values == sorted(values)
         assert values[-1] == pytest.approx(1.0)
@@ -153,15 +154,15 @@ class TestLabelIndexStats:
     def test_top_fraction_for_coverage(self):
         g = glp_graph(200, seed=4)
         idx = HybridBuilder(g).build().index
-        f70 = idx.top_fraction_for_coverage(0.7)
-        f90 = idx.top_fraction_for_coverage(0.9)
+        f70 = top_fraction_for_coverage(idx, 0.7)
+        f90 = top_fraction_for_coverage(idx, 0.9)
         assert 0 < f70 <= f90 <= 1.0
 
     def test_coverage_requires_ranking(self):
         idx = LabelIndex(2, False, [[(0, 0.0)], [(1, 0.0)]],
                          [[(0, 0.0)], [(1, 0.0)]], rank=None)
         with pytest.raises(ValueError):
-            idx.coverage_curve([0.5])
+            coverage_curve(idx, [0.5])
 
 
 class TestSerialization:

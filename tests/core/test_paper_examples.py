@@ -47,7 +47,7 @@ class TestRoadGraphTable3:
         assert index.total_entries() == 5
 
     def test_all_queries_exact(self, index, road_graph):
-        from repro.baselines.apsp import APSPOracle
+        from paper.baselines.apsp import APSPOracle
 
         truth = APSPOracle(road_graph)
         for s in range(5):

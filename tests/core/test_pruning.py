@@ -2,7 +2,7 @@
 
 from hypothesis import given, settings
 
-from repro.baselines.apsp import APSPOracle
+from paper.baselines.apsp import APSPOracle
 from repro.core.hybrid import make_builder
 from repro.core.labels import DirectedLabelState
 from repro.core.pruning import admit_and_prune, exhaustive_prune

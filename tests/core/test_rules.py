@@ -131,7 +131,7 @@ class TestEntryInvariants:
     def test_entry_distances_are_real_path_lengths(self, g):
         """Every label entry must be >= the true distance and correspond
         to an actual path (never an underestimate)."""
-        from repro.baselines.apsp import APSPOracle
+        from paper.baselines.apsp import APSPOracle
 
         truth = APSPOracle(g)
         result = make_builder(g, "hybrid").build()

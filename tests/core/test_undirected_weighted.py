@@ -2,7 +2,7 @@
 
 from hypothesis import given, settings
 
-from repro.baselines.apsp import APSPOracle
+from paper.baselines.apsp import APSPOracle
 from repro.core.hybrid import make_builder
 from repro.graphs.digraph import Graph
 from repro.graphs.generators import glp_graph, grid_graph

@@ -1,7 +1,8 @@
-"""Smoke-run the serving examples so they can't silently rot.
+"""Smoke-run the examples so they can't silently rot.
 
 Each example is executed as a real subprocess (the way a reader would
-run it), with ``src/`` on ``PYTHONPATH``.  The examples assert their
+run it), with ``src/`` and the repository root on ``PYTHONPATH`` (some
+use the reproduction kit in ``paper/``).  The examples assert their
 own invariants internally (BFS cross-checks, bit-identical strategies)
 so a zero exit status is a meaningful check, not just an import test.
 CI invokes this file separately (``pytest -q -p no:cacheprovider``)
@@ -23,14 +24,17 @@ EXAMPLES = [
     "sharded_serving.py",
     "parallel_build.py",
     "async_serving.py",
+    "external_memory.py",
+    "social_network.py",
+    "weighted_ratings.py",
 ]
 
 
 @pytest.mark.parametrize("script", EXAMPLES)
 def test_example_runs_clean(script):
     env = dict(os.environ)
-    env["PYTHONPATH"] = str(_REPO / "src") + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(_REPO / "src"), str(_REPO), *filter(None, [env.get("PYTHONPATH")])]
     )
     result = subprocess.run(
         [sys.executable, str(_REPO / "examples" / script)],

@@ -1,13 +1,13 @@
 """Tests for the Section 2.2 hitting-set machinery."""
 
-from repro.graphs.digraph import Graph
-from repro.graphs.generators import glp_graph, grid_graph, path_graph, star_graph
-from repro.graphs.hitting import (
+from paper.hitting import (
     h_excluded_neighborhood,
     hub_dimension_estimate,
     max_excluded_neighborhood,
     verify_long_path_hitting,
 )
+from repro.graphs.digraph import Graph
+from repro.graphs.generators import glp_graph, grid_graph, path_graph, star_graph
 
 
 class TestLongPathHitting:
@@ -96,7 +96,7 @@ class TestHubDimension:
 
 class TestAssumptionsDriver:
     def test_row_structure(self):
-        from repro.bench.assumptions import AssumptionsTable, run_one
+        from paper.bench.assumptions import AssumptionsTable, run_one
 
         g = glp_graph(200, seed=4)
         row = run_one("mini", g)

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.io_sim.blockfile import EntryFile
-from repro.io_sim.diskmodel import DiskModel
-from repro.io_sim.external_sort import external_sort
+from paper.io_sim.blockfile import EntryFile
+from paper.io_sim.diskmodel import DiskModel
+from paper.io_sim.external_sort import external_sort
 
 
 def _entries(n, stride=1):

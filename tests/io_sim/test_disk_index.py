@@ -2,10 +2,10 @@
 
 import pytest
 
+from paper.io_sim.disk_index import DiskResidentIndex
+from paper.io_sim.diskmodel import DiskModel
 from repro.core.hybrid import make_builder
 from repro.graphs.generators import glp_graph, star_graph
-from repro.io_sim.disk_index import DiskResidentIndex
-from repro.io_sim.diskmodel import DiskModel
 
 
 @pytest.fixture(scope="module")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.io_sim.diskmodel import DiskModel, IOStats
+from paper.io_sim.diskmodel import DiskModel, IOStats
 
 
 class TestParameters:

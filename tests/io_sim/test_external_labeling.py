@@ -4,11 +4,11 @@ and its I/O counters must behave like Section 4/5.3 predict."""
 import pytest
 from hypothesis import given, settings
 
-from repro.baselines.apsp import APSPOracle
+from paper.baselines.apsp import APSPOracle
+from paper.io_sim.diskmodel import DiskModel
+from paper.io_sim.external_labeling import ExternalLabelingBuilder
 from repro.core.hybrid import make_builder
 from repro.graphs.generators import glp_graph
-from repro.io_sim.diskmodel import DiskModel
-from repro.io_sim.external_labeling import ExternalLabelingBuilder
 from tests.conftest import graph_strategy, random_graph
 
 STRATEGIES = ("stepping", "doubling", "hybrid")

@@ -871,17 +871,6 @@ class TestEvaluateBatchIntegration:
             flat.query(s, t) for s, t in pairs
         ]
 
-    def test_cache_filled_by_kernel_path(self, flat):
-        from repro.oracle.cache import LRUCache
-
-        cache = LRUCache(1024)
-        pairs = batch(flat.n, 100, seed=23)
-        first, filled = work(lambda: evaluate_batch(flat, pairs, cache=cache))
-        assert filled["pairs"] > 0  # the misses went through the kernel
-        assert cache.info().size > 0
-        # Second pass must be served from the cache, identically.
-        assert evaluate_batch(flat, pairs, cache=cache) == first
-
     def test_oracle_kernel_knob(self, flat, tmp_path):
         """The oracles take no ``kernel=``; a bad call fails at once,
         not at its first batch."""

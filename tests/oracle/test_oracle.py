@@ -94,19 +94,17 @@ class TestCache:
         oracle.query(20, 5)
         assert oracle.cache_info().hits == 0
 
-    def test_batch_fills_cache_for_single_queries(self, built):
+    def test_batches_bypass_the_cache(self, built):
+        """Only single-pair queries use the LRU; the kernel dedupes a
+        batch itself."""
         _, idx = built
         oracle = DistanceOracle(FlatLabelStore.from_index(idx))
-        oracle.query_batch([(1, 7), (2, 9)])
         oracle.query(1, 7)
-        assert oracle.cache_info().hits == 1
-
-    def test_batch_duplicates_count_one_miss(self, built):
-        _, idx = built
-        oracle = DistanceOracle(FlatLabelStore.from_index(idx))
-        oracle.query_batch([(0, 9)] * 1000)
+        want = [idx.query(1, 7), idx.query(2, 9)] * 500
+        assert oracle.query_batch([(1, 7), (2, 9)] * 500) == want
+        assert oracle.query_batch([(1, 7), (2, 9)]) == want[:2]
         info = oracle.cache_info()
-        assert info.misses == 1 and info.hits == 0
+        assert (info.hits, info.misses, info.size) == (0, 1, 1)
 
     def test_clear_cache_drops_inverted_index(self, built):
         _, idx = built

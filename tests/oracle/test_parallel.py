@@ -4,8 +4,8 @@ import os
 
 import pytest
 
-from repro.baselines.pll import build_pll
-from repro.bench.workloads import random_pairs
+from paper.baselines.pll import build_pll
+from paper.bench.workloads import random_pairs
 from repro.core.flatstore import FlatLabelStore
 from repro.core.labels import LabelDelta
 from repro.core.quantized import QuantizedLabelStore

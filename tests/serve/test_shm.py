@@ -6,8 +6,8 @@ import time
 
 import pytest
 
-from repro.baselines.pll import build_pll
-from repro.bench.workloads import random_pairs
+from paper.baselines.pll import build_pll
+from paper.bench.workloads import random_pairs
 from repro.core.flatstore import FlatLabelStore
 from repro.core.quantized import QuantizedLabelStore
 from repro.graphs.generators import ba_graph

@@ -497,12 +497,6 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_bench_choices(self):
-        args = build_parser().parse_args(["bench", "table7"])
-        assert args.target == "table7"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench", "table99"])
-
     @pytest.mark.parametrize(
         "argv",
         [

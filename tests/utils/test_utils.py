@@ -4,7 +4,8 @@ import time
 
 import pytest
 
-from repro.utils.prettyprint import format_bytes, format_count, render_table
+from paper.bench.export import render_table
+from repro.utils.prettyprint import format_bytes, format_count
 from repro.utils.timer import Timer, format_duration
 from repro.utils.validation import (
     check_index,
