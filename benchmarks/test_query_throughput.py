@@ -44,7 +44,6 @@ from paper.bench.export import write_bench_json
 from paper.bench.metrics import interleaved_rates
 from paper.bench.workloads import random_pairs
 from repro.core.flatstore import FlatLabelStore
-from repro.core.quantized import QuantizedLabelStore
 from repro.graphs.generators import ba_graph
 from repro.oracle import DistanceOracle, kernel
 
@@ -67,8 +66,8 @@ def assets(tmp_path_factory):
     v2_path = root / "index.idx2"
     v3_path = root / "index.idx3"
     flat.save(v2_path)
-    QuantizedLabelStore.from_flat(flat).save(v3_path)
-    quantized = QuantizedLabelStore.load(v3_path, use_mmap=True)
+    flat.encoded("v3").save(v3_path)
+    quantized = FlatLabelStore.load(v3_path, use_mmap=True)
     yield flat, quantized, v2_path, v3_path
     quantized.close()
 
@@ -169,7 +168,7 @@ def test_v3_size_ceiling(assets):
         f"{v2_path.stat().st_size:,} bytes) — above the "
         f"{MAX_V3_SIZE_RATIO:.0%} ceiling"
     )
-    assert quantized.is_quantized
+    assert quantized.encoding == "v3" and quantized.dist_width != 8
 
 
 def test_kernel_throughput_floor_and_export(assets, pairs, zipf_pairs):
@@ -192,7 +191,7 @@ def test_kernel_throughput_floor_and_export(assets, pairs, zipf_pairs):
     (zipf_rate,) = interleaved_rates([kernel_v3], zipf_pairs, repeats=7)
     # The same batch against a store nothing has touched yet: hub
     # columns chosen and every named row filled inside the timed call.
-    fresh = QuantizedLabelStore.load(v3_path, use_mmap=True)
+    fresh = FlatLabelStore.load(v3_path, use_mmap=True)
     try:
         start = time.perf_counter()
         first = kernel_batches(fresh)(pairs)

@@ -34,7 +34,7 @@ label repair — no rebuild; a shard directory has only its changed
 shards rewritten and their manifest checksums refreshed.  Queries are served through the
 :class:`~repro.oracle.DistanceOracle` facade; ``--batch FILE``
 evaluates one ``s t`` pair per line with the vectorized numpy kernel
-on a flat or quantized store and grouped merge joins otherwise.
+on a v2/v3 store and per-pair queries otherwise.
 ``repro serve`` runs the asyncio distance server of
 :mod:`repro.serve` over an index file or shard directory: concurrent
 clients' requests coalesce into kernel batches under an admission
@@ -217,7 +217,6 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     import os
 
     from repro.core.flatstore import load_store
-    from repro.core.quantized import QuantizedLabelStore
 
     if os.path.exists(args.output) and not args.force:
         print(
@@ -227,21 +226,12 @@ def _cmd_convert(args: argparse.Namespace) -> int:
         )
         return 2
     try:
-        store = load_store(args.index, prefer_flat=True)
-        flat = (
-            store.to_flat()
-            if isinstance(store, QuantizedLabelStore)
-            else store
-        )
-        if args.format == "v3":
-            out_store = QuantizedLabelStore.from_flat(flat)
-            out_store.save(args.output)
-        elif args.format == "v2":
-            out_store = flat
-            flat.save(args.output)
+        out_store = load_store(args.index, prefer_flat=True)
+        if args.format == "v1":
+            out_store.to_index().save(args.output)
         else:
-            out_store = flat
-            flat.to_index().save(args.output)
+            out_store = out_store.encoded(args.format)
+            out_store.save(args.output)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -262,11 +252,9 @@ def _cmd_convert(args: argparse.Namespace) -> int:
         )
         print(f"  entries         {format_count(entries)}")
         print(f"  avg |label|     {stats.avg_label_size:.1f}")
-        if isinstance(out_store, QuantizedLabelStore):
+        if out_store.encoding == "v3":
             print(f"  pivot width     {out_store.pivot_width} B (delta)")
-            dist_kind = (
-                "quantized" if out_store.is_quantized else "raw f64"
-            )
+            dist_kind = "raw f64" if out_store.dist_width == 8 else "quantized"
             print(
                 f"  dist width      {out_store.dist_width} B ({dist_kind})"
             )
@@ -417,7 +405,7 @@ def _cmd_update(args: argparse.Namespace) -> int:
             if source_version == 1:
                 # Keep a v1 file in its own format: an update is not a
                 # format upgrade (that is `repro convert`'s job).
-                store.merged().to_index().save(target)
+                store.to_index().save(target)
             else:
                 store.save(target)
             print(f"updated index written to {target}")

@@ -1,4 +1,4 @@
-"""Contiguous struct-of-arrays label storage (CSR) and binary format v2.
+"""Contiguous struct-of-arrays label storage (CSR): one store, two encodings.
 
 :class:`~repro.core.labels.LabelIndex` keeps one Python list of
 ``(pivot, dist)`` tuples per vertex — simple, but every entry is a
@@ -10,14 +10,23 @@ layout used for adjacency lists.  :class:`FlatLabelStore` is that
 backend, implementing the same :class:`~repro.core.labels.LabelStore`
 protocol the rest of the query stack is written against.
 
+A store carries an **encoding**, which is also its file format:
+
+* ``"v2"`` — absolute int32 pivots and float64 distances;
+* ``"v3"`` — per-label pivot deltas and distances at widths chosen
+  from the data (the codec is :mod:`repro.core.quantized`).
+
+One reader (:meth:`FlatLabelStore.load`, behind :func:`load_store`)
+and one writer (:meth:`FlatLabelStore.save`) serve both, and
+:meth:`FlatLabelStore.encoded` re-encodes a whole store — staged
+updates folded in — with array operations over whole columns.
+
 Queries exploit the layout: the smaller label is zipped into a dict at
 C speed and the larger one is probed through it, which is 2-3x faster
 than the tuple-list merge join in pure Python while returning the
 bit-identical minimum (``benchmarks/test_store_throughput.py`` gates
-the equality and exports the rates).
-Grouped evaluation (:meth:`FlatLabelStore.query_group`) builds the
-source-side dict once per source, which is what the oracle's batch
-path amortises.
+the equality and exports the rates).  A v2 query joins the arrays in
+place; a v3 query decodes the two slices it touches first.
 
 **Binary format v2** serialises the arrays as raw little-endian blobs
 after an 27-byte header, so a load is a handful of bulk ``frombytes``
@@ -32,6 +41,11 @@ instead of per-entry ``struct`` unpacking::
     out_dists:    out_count * f64
     [in_offsets / in_pivots / in_dists]    if directed
     [parent: n * i32 | hang: n * f64]      if flags bit 1 (pendants)
+
+v3 adds four width bytes to the header and narrows the columns
+(:mod:`repro.core.quantized`).  The reader checks every offsets column
+once at open (starts at 0, never decreases, ends at the entry count),
+so no query ever indexes past a column.
 
 **Pendant vertices** (degree 1, neighbour of degree >= 2; undirected
 stores only) are not labelled: the row of pendant ``v`` is empty and
@@ -55,32 +69,41 @@ import struct
 import sys
 from array import array
 from bisect import bisect_left
-from typing import Sequence
+
+import numpy as np
 
 from repro.core.labels import BYTES_PER_ENTRY, INF, LabelIndex, LabelStats
+from repro.core.quantized import (
+    DIST_CODES,
+    OFFSET_CODES,
+    PIVOT_CODES,
+    _encode,
+    absolute_pivots,
+    decode_slice,
+    pivot_deltas,
+)
 from repro.utils.atomicio import atomic_binary_writer
 
 _MAGIC = b"RPLI"
-_VERSION = 2
 _HEADER = struct.Struct("<BBBIQQ")  # version, flags, has_rank, n, counts
+_WIDTHS = struct.Struct("<BBBB")  # v3 only: off, pivot, dist width, 0
+
+#: The version byte of each encoding, and v2's column typecodes
+#: (offsets, pivots, dists).
+_VERSIONS = {"v2": 2, "v3": 3}
+_V2_CODES = ("q", "i", "d")
+
+_DTYPES = {
+    "b": "int8", "B": "uint8", "h": "int16", "H": "uint16",
+    "i": "int32", "I": "uint32", "l": "int64", "L": "uint64",
+    "q": "int64", "Q": "uint64", "f": "float32", "d": "float64",
+}
 
 
-def probe_slice_min(get, pivots, dists, o, e) -> float:
-    """Min ``get(w) + d2`` over one CSR label slice, probing a dict.
-
-    ``get`` is the bound ``dict.get`` of the other side's ``pivot ->
-    dist`` mapping.  This is *the* evaluation inner loop — every CSR
-    query path (single store or sharded) funnels through it, so the
-    bit-identical-answers guarantee has a single implementation.
-    """
-    best = INF
-    for w, d2 in zip(pivots[o:e], dists[o:e]):
-        d1 = get(w)
-        if d1 is not None:
-            d = d1 + d2
-            if d < best:
-                best = d
-    return best
+def _as_np(buf):
+    """Zero-copy numpy view of an ``array.array`` or typed memoryview."""
+    code = getattr(buf, "typecode", None) or buf.format
+    return np.frombuffer(buf, dtype=np.dtype(_DTYPES[code]))
 
 
 def probe_min_distance(
@@ -90,13 +113,24 @@ def probe_min_distance(
 
     The smaller slice is zipped into a dict at C speed and the larger
     one is probed through it; the minimum over common pivots is the
-    same sum a sorted merge join would return.
+    same sum a sorted merge join would return.  This is *the*
+    evaluation inner loop of every scalar CSR query (single store or
+    sharded), so the bit-identical-answers guarantee has a single
+    implementation.
     """
-    if ae - ao <= be - bo:
-        probe = dict(zip(a_pivots[ao:ae], a_dists[ao:ae]))
-        return probe_slice_min(probe.get, b_pivots, b_dists, bo, be)
-    probe = dict(zip(b_pivots[bo:be], b_dists[bo:be]))
-    return probe_slice_min(probe.get, a_pivots, a_dists, ao, ae)
+    if ae - ao > be - bo:
+        a_pivots, a_dists, ao, ae, b_pivots, b_dists, bo, be = (
+            b_pivots, b_dists, bo, be, a_pivots, a_dists, ao, ae
+        )
+    get = dict(zip(a_pivots[ao:ae], a_dists[ao:ae])).get
+    best = INF
+    for w, d2 in zip(b_pivots[bo:be], b_dists[bo:be]):
+        d1 = get(w)
+        if d1 is not None:
+            d = d1 + d2
+            if d < best:
+                best = d
+    return best
 
 
 def merge_min_via(
@@ -181,6 +215,7 @@ class FlatLabelStore:
         "parent",
         "hang",
         "lo",
+        "encoding",
         "_mmap",
         "_view",
         "_delta_out",
@@ -210,6 +245,9 @@ class FlatLabelStore:
         self.rank = rank
         self.parent = self.hang = None
         self.lo = 0
+        # "v2" or "v3" (module docstring); set by whoever packs the
+        # columns, as parent / hang are.
+        self.encoding = "v2"
         self._mmap = None
         # The batch kernel's row cache (repro.oracle.kernel), created
         # by the first batch; dropped on close().
@@ -222,6 +260,16 @@ class FlatLabelStore:
         self._delta_in: dict[int, tuple] = (
             {} if directed else self._delta_out
         )
+
+    @property
+    def pivot_width(self) -> int:
+        """Bytes per stored pivot (4 in v2; v3's chosen width)."""
+        return self.out_pivots.itemsize
+
+    @property
+    def dist_width(self) -> int:
+        """Bytes per stored distance (8 = raw f64; 1 or 2 = quantized)."""
+        return self.out_dists.itemsize
 
     @property
     def is_mmapped(self) -> bool:
@@ -308,7 +356,8 @@ class FlatLabelStore:
         index = LabelIndex(self.n, self.directed, out_labels, in_labels, rank)
         parent, hang = self._pendant_columns()
         if hang is not None:
-            index.parent, index.hang = list(parent), list(hang)
+            index.parent = parent.tolist()
+            index.hang = hang.astype(np.float64).tolist()
         return index
 
     # -- pendant vertices ----------------------------------------------------
@@ -326,18 +375,16 @@ class FlatLabelStore:
         return p, h
 
     def _pendant_columns(self):
-        """``(parent, hang)`` with the overlay folded in, as fresh arrays.
-
-        A vertex with a staged label is core; ``(None, None)`` when no
-        pendant is left.
-        """
+        """``(parent, hang)`` with the overlay folded in, as fresh numpy
+        arrays: a vertex with a staged label is core.  ``(None, None)``
+        when no pendant is left."""
         if self.hang is None:
             return None, None
-        parent, hang = array("i", self.parent), array("d", self.hang)
-        for v in self._delta_out:
-            parent[v] = v + self.lo
-            hang[v] = 0.0
-        if not any(hang):
+        parent, hang = _as_np(self.parent).copy(), _as_np(self.hang).copy()
+        staged = np.fromiter(self._delta_out, np.int64, len(self._delta_out))
+        parent[staged] = staged + self.lo
+        hang[staged] = 0
+        if not hang.any():
             return None, None
         return parent, hang
 
@@ -393,40 +440,80 @@ class FlatLabelStore:
             self._view.invalidate(delta)
         return staged
 
-    def merged(self) -> "FlatLabelStore":
-        """Fold the staged overlay into fresh CSR arrays (v2 layout).
+    def encoded(self, encoding: str) -> "FlatLabelStore":
+        """This store's labels in ``encoding`` (``"v2"`` or ``"v3"``),
+        staged updates folded in.
 
-        Returns ``self`` when nothing is staged.  The quantized
-        subclass overrides this to re-encode the merged arrays (widths
-        are re-chosen, since updates can move the maxima).
+        ``self`` when the store already is ``encoding`` with nothing
+        staged.  Otherwise a new store, made from whole columns: v3
+        deltas decoded by one cumulative sum (or v2 pivots turned into
+        deltas), the base columns cut at the staged rows' offsets with
+        the overlay rows laid in between (one concatenate per column),
+        then the target's column types — v3 widths chosen afresh,
+        since updates can move the maxima they came from.
         """
-        if not self.has_pending_updates:
+        if encoding not in _VERSIONS:
+            raise ValueError(
+                f"unknown label encoding {encoding!r}; expected 'v2' or 'v3'"
+            )
+        if encoding == self.encoding and not self.has_pending_updates:
             return self
         parent, hang = self._pendant_columns()
-
-        def side(slice_of):
-            offsets = array("q", [0])
-            pivots = array("i")
-            dists = array("d")
-            for v in range(self.n):
-                if hang is None or not hang[v]:
-                    p, d, o, e = slice_of(v)
-                    pivots.extend(p[o:e])
-                    dists.extend(d[o:e])
-                offsets.append(len(pivots))
-            return offsets, pivots, dists
-
-        oo, op, od = side(self.out_slice)
+        sides = [self._columns(
+            encoding, self._delta_out,
+            self.out_offsets, self.out_pivots, self.out_dists,
+        )]
         if self.directed:
-            io, ip, id_ = side(self.in_slice)
-        else:
-            io, ip, id_ = oo, op, od
-        rank = list(self.rank) if self.rank is not None else None
-        store = FlatLabelStore(
-            self.n, self.directed, oo, op, od, io, ip, id_, rank
+            sides.append(self._columns(
+                encoding, self._delta_in,
+                self.in_offsets, self.in_pivots, self.in_dists,
+            ))
+        return packed(
+            self.n, self.directed, encoding, sides, parent, hang, self.rank,
+            self.lo,
         )
-        store.parent, store.hang, store.lo = parent, hang, self.lo
-        return store
+
+    def _columns(self, encoding, overlay, offsets, pivots, dists):
+        """One side as numpy ``(offsets, pivots, dists)``, its pivots in
+        ``encoding``'s form (absolute, or v3 deltas), overlay spliced in."""
+        off = _as_np(offsets).astype(np.int64)
+        piv, dst = _as_np(pivots), _as_np(dists)
+        if encoding != self.encoding:
+            piv = (
+                pivot_deltas(off, piv) if encoding == "v3"
+                else absolute_pivots(piv, np.diff(off))
+            )
+        if not overlay:
+            return off, piv, dst
+        verts = sorted(overlay)
+        staged_piv, staged_dst, row_off = array("i"), array("d"), [0]
+        for v in verts:
+            p, d = overlay[v]
+            staged_piv.extend(p)
+            staged_dst.extend(d)
+            row_off.append(len(staged_piv))
+        row_piv = np.frombuffer(staged_piv, dtype=np.int32)
+        if encoding == "v3":
+            row_piv = pivot_deltas(row_off, row_piv)
+        # The base columns cut at the staged vertices' offsets, each
+        # staged row laid in where its base row was.
+        at = np.asarray(verts, dtype=np.int64)
+        stretches = list(zip([0] + off[at + 1].tolist(), off[at].tolist() + [None]))
+        rows = list(zip(row_off, row_off[1:]))
+
+        def splice(base, staged):
+            parts = [base[slice(*stretches[0])]]
+            for (lo, hi), stretch in zip(rows, stretches[1:]):
+                parts += [staged[lo:hi], base[slice(*stretch)]]
+            return np.concatenate(parts)
+
+        lens = np.diff(off)
+        lens[verts] = np.diff(row_off)
+        return (
+            np.concatenate(([0], np.cumsum(lens))),
+            splice(piv, row_piv),
+            splice(dst, np.frombuffer(staged_dst)),
+        )
 
     # -- LabelStore accessors ------------------------------------------------
     def out_label(self, v: int) -> list[tuple[int, float]]:
@@ -449,11 +536,10 @@ class FlatLabelStore:
 
         The uniform slice accessor the cross-store query paths (the
         sharded store joining labels from two different shards) use:
-        plain CSR backends return the raw arrays with bounds, the
-        quantized v3 backend returns decoded per-slice lists, and
-        vertices with a staged update return their overlay arrays and
-        pendants their derived label — any shape feeds the shared
-        scalar helpers directly.
+        a v2 store returns the raw arrays with bounds, a v3 store
+        decoded per-slice lists, and vertices with a staged update
+        return their overlay arrays and pendants their derived label —
+        any shape feeds the shared scalar helpers directly.
         """
         if self._delta_out:
             staged = self._delta_out.get(v)
@@ -462,12 +548,11 @@ class FlatLabelStore:
         if self.hang is not None and self.hang[v]:
             p, h = self._resolve(v)
             return derived_slice(v, h, *self.out_slice(p))
-        return (
-            self.out_pivots,
-            self.out_dists,
-            self.out_offsets[v],
-            self.out_offsets[v + 1],
-        )
+        o, e = self.out_offsets[v], self.out_offsets[v + 1]
+        if self.encoding == "v3":
+            piv, dst = decode_slice(self.out_pivots, self.out_dists, o, e)
+            return piv, dst, 0, len(piv)
+        return self.out_pivots, self.out_dists, o, e
 
     def in_slice(self, v: int):
         """``(pivots, dists, lo, hi)`` bounds of ``Lin(v)`` in the arrays."""
@@ -478,12 +563,11 @@ class FlatLabelStore:
         if self.hang is not None and self.hang[v]:
             p, h = self._resolve(v)
             return derived_slice(v, h, *self.in_slice(p))
-        return (
-            self.in_pivots,
-            self.in_dists,
-            self.in_offsets[v],
-            self.in_offsets[v + 1],
-        )
+        o, e = self.in_offsets[v], self.in_offsets[v + 1]
+        if self.encoding == "v3":
+            piv, dst = decode_slice(self.in_pivots, self.in_dists, o, e)
+            return piv, dst, 0, len(piv)
+        return self.in_pivots, self.in_dists, o, e
 
     # -- querying ------------------------------------------------------------
     def _check(self, s: int, t: int) -> None:
@@ -527,8 +611,10 @@ class FlatLabelStore:
         return hs + d + ht, pivot
 
     def _join(self, join, s: int, t: int):
-        """``join`` over the stored slices of core vertices ``s != t``."""
-        if self._delta_out or self._delta_in:
+        """``join`` over the stored slices of core vertices ``s != t``:
+        a v2 store's arrays in place, else the two slices as
+        :meth:`out_slice` / :meth:`in_slice` hand them out."""
+        if self.encoding == "v3" or self._delta_out or self._delta_in:
             return join(*self.out_slice(s), *self.in_slice(t))
         return join(
             self.out_pivots,
@@ -540,36 +626,6 @@ class FlatLabelStore:
             self.in_offsets[t],
             self.in_offsets[t + 1],
         )
-
-    def query_group(self, s: int, targets: Sequence[int]) -> list[float]:
-        """Distances from ``s`` to each target, amortising the source side.
-
-        The ``Lout(s)`` dict is built once and probed with every
-        target's in-label — the building block of
-        :meth:`repro.oracle.DistanceOracle.query_batch`.  Written over
-        the slice accessors, so one loop serves plain, overlaid,
-        quantized and peeled stores.
-        """
-        if not 0 <= s < self.n:
-            raise IndexError(f"source {s} out of range [0, {self.n})")
-        ps, hs = self._resolve(s)
-        sp, sd, so, se = self.out_slice(ps)
-        get = dict(zip(sp[so:se], sd[so:se])).get
-        out: list[float] = []
-        append = out.append
-        for t in targets:
-            if not 0 <= t < self.n:
-                raise IndexError(f"target {t} out of range [0, {self.n})")
-            if t == s:
-                append(0.0)
-                continue
-            pt, ht = self._resolve(t)
-            if pt == ps:
-                append(float(hs + ht))
-                continue
-            tp, td, to, te = self.in_slice(pt)
-            append(hs + probe_slice_min(get, tp, td, to, te) + ht)
-        return out
 
     def _label_len(self, v: int, out: bool) -> int:
         """Current label length of ``v`` (overlay-aware)."""
@@ -646,93 +702,74 @@ class FlatLabelStore:
 
     # -- serialization -------------------------------------------------------
     def save(self, path) -> None:
-        """Write binary format v2 atomically (temp file + rename).
+        """Write the store as a file of its encoding, atomically (temp
+        file + rename).
 
-        Staged updates are folded in first, so the file always holds
-        the merged labels."""
+        Staged updates are folded in first (:meth:`encoded`), so the
+        file always holds the merged labels."""
         if self.has_pending_updates:
-            self.merged().save(path)
+            self.encoded(self.encoding).save(path)
             return
-        flags = file_flags(self)
-        has_rank = 1 if self.rank is not None else 0
-        out_count = len(self.out_pivots)
-        in_count = len(self.in_pivots) if self.directed else 0
+        blobs = [self.out_offsets, self.out_pivots, self.out_dists]
+        if self.directed:
+            blobs += [self.in_offsets, self.in_pivots, self.in_dists]
+        if self.hang is not None:
+            blobs += [self.parent, self.hang]
         with atomic_binary_writer(path) as fh:
-            fh.write(_MAGIC)
-            fh.write(
-                _HEADER.pack(_VERSION, flags, has_rank, self.n, out_count,
-                             in_count)
-            )
+            fh.write(_header(self))
             if self.rank is not None:
-                fh.write(_as_le_bytes(array("I", self.rank), "I"))
-            sides = [("q", self.out_offsets), ("i", self.out_pivots),
-                     ("d", self.out_dists)]
-            if self.directed:
-                sides += [("q", self.in_offsets), ("i", self.in_pivots),
-                          ("d", self.in_dists)]
-            if self.hang is not None:
-                sides += [("i", self.parent), ("d", self.hang)]
-            for typecode, blob in sides:
-                fh.write(_as_le_bytes(blob, typecode))
+                fh.write(_as_le_bytes(array("I", self.rank)))
+            for blob in blobs:
+                fh.write(_as_le_bytes(blob))
 
     @classmethod
     def load(cls, path, use_mmap: bool = False) -> "FlatLabelStore":
-        """Read a v2 file: one bulk read (or an ``mmap``) plus casts.
+        """Read a v2 or v3 file: one bulk read (or an ``mmap``) plus casts.
 
-        With ``use_mmap=True`` the arrays are zero-copy typed
+        There is no decode pass: the columns are served in the file's
+        encoding.  With ``use_mmap=True`` they are zero-copy typed
         memoryviews over a shared read-only mapping, so a multi-GB
         index "loads" in microseconds and pages in on demand.  Raises
-        ``ValueError`` on wrong magic, version, or truncation.
+        ``ValueError`` on a wrong magic or version, invalid header
+        widths, truncation, bytes after the last section, or an
+        offsets column that does not delimit its side's entries.
         """
-        fh = open(path, "rb")
-        with fh:
-            head = fh.read(4 + _HEADER.size)
-            if head[:4] != _MAGIC:
-                raise ValueError(f"{path}: not a label index file")
-            if len(head) < 4 + _HEADER.size:
-                raise ValueError(f"{path}: truncated or corrupt index file")
-            version, flags, has_rank, n, out_count, in_count = _HEADER.unpack(
-                head[4:]
+        with open(path, "rb") as fh:
+            encoding, directed, peeled, has_rank, n, counts, codes = (
+                _read_header(path, fh)
             )
-            if version != _VERSION:
-                raise ValueError(
-                    f"{path}: not a v2 flat index (version {version}); "
-                    "use load_store() to read any version"
-                )
             if use_mmap and not _BIG_ENDIAN:
-                body = memoryview(
-                    _mmap.mmap(fh.fileno(), 0, access=_mmap.ACCESS_READ)
-                )[4 + _HEADER.size :]
+                mapping = _mmap.mmap(fh.fileno(), 0, access=_mmap.ACCESS_READ)
+                body = memoryview(mapping)[fh.tell() :]
             else:
                 # On big-endian hosts the blobs must be byteswapped, so
                 # zero-copy views are impossible; fall back to copying.
                 body = memoryview(fh.read())
 
+        off_code, pivot_code, dist_code = codes
         cursor = _Cursor(path, body)
         try:
-            directed, peeled = read_flags(path, flags)
-            rank = None
-            if has_rank:
-                rank = list(cursor.take("I", n))
-            oo = cursor.take("q", n + 1)
-            op = cursor.take("i", out_count)
-            od = cursor.take("d", out_count)
-            if directed:
-                io = cursor.take("q", n + 1)
-                ip = cursor.take("i", in_count)
-                id_ = cursor.take("d", in_count)
-            else:
-                io, ip, id_ = oo, op, od
+            rank = list(cursor.take("I", n)) if has_rank else None
+            sides = []
+            for count in counts:
+                offsets = cursor.take(off_code, n + 1)
+                _check_offsets(path, offsets, count)
+                sides.append((
+                    offsets,
+                    cursor.take(pivot_code, count),
+                    cursor.take(dist_code, count),
+                ))
             parent = hang = None
             if peeled:
-                parent, hang = cursor.take("i", n), cursor.take("d", n)
+                parent, hang = cursor.take("i", n), cursor.take(dist_code, n)
             cursor.finish()
         except ValueError:
-            # Don't leak the mapping of a truncated file: release every
+            # Don't leak the mapping of a corrupt file: release every
             # exported view, then close the mmap before re-raising.
             cursor.abandon()
             raise
-        store = cls(n, directed, oo, op, od, io, ip, id_, rank)
+        store = cls(n, directed, *sides[0], *sides[-1], rank)
+        store.encoding = encoding
         store.parent, store.hang = parent, hang
         if cursor.zero_copy:
             store._mmap = body.obj
@@ -741,7 +778,7 @@ class FlatLabelStore:
     def __repr__(self) -> str:
         kind = "directed" if self.directed else "undirected"
         return (
-            f"FlatLabelStore(|V|={self.n}, {kind}, "
+            f"FlatLabelStore(|V|={self.n}, {kind}, {self.encoding}, "
             f"entries={self.total_entries()})"
         )
 
@@ -794,15 +831,59 @@ class _Cursor:
         mapping.close()
 
 
-def file_flags(store) -> int:
-    """The v2/v3 header flags byte: bit 0 directed, bit 1 a pendant
-    section follows the label blobs."""
-    return (1 if store.directed else 0) | (2 if store.hang is not None else 0)
+def _header(store) -> bytes:
+    """The header of ``store``'s file — the one writer of v2 and v3
+    headers.  Flags: bit 0 directed, bit 1 a pendant section follows
+    the label blobs; v3 appends the column widths."""
+    flags = (1 if store.directed else 0) | (2 if store.hang is not None else 0)
+    head = _MAGIC + _HEADER.pack(
+        _VERSIONS[store.encoding], flags, 0 if store.rank is None else 1,
+        store.n, len(store.out_pivots),
+        len(store.in_pivots) if store.directed else 0,
+    )
+    if store.encoding == "v3":
+        head += _WIDTHS.pack(
+            store.out_offsets.itemsize, store.pivot_width, store.dist_width, 0
+        )
+    return head
 
 
-def read_flags(path, flags: int) -> tuple[bool, bool]:
-    """``(directed, has pendant section)`` from a header flags byte; a
-    bit this reader does not know is an error, never ignored."""
+def _read_header(path, fh):
+    """Parse the header of a v2 or v3 file — the one reader of both.
+
+    Returns ``(encoding, directed, peeled, has_rank, n, counts,
+    codes)``: ``counts`` the entry count of each side in the file, and
+    ``codes`` the typecodes of its (offsets, pivots, dists) columns.
+    A flag bit this reader does not know is an error, never ignored.
+    """
+    head = fh.read(4 + _HEADER.size)
+    if head[:4] != _MAGIC:
+        raise ValueError(f"{path}: not a label index file")
+    if len(head) < 4 + _HEADER.size:
+        raise ValueError(f"{path}: truncated or corrupt index file")
+    version, flags, has_rank, n, out_count, in_count = _HEADER.unpack(head[4:])
+    if version == 2:
+        encoding, codes = "v2", _V2_CODES
+    elif version == 3:
+        widths = fh.read(_WIDTHS.size)
+        if len(widths) < _WIDTHS.size:
+            raise ValueError(f"{path}: truncated or corrupt index file")
+        encoding, codes = "v3", []
+        for name, table, width in zip(
+            ("offset", "pivot", "distance"),
+            (OFFSET_CODES, PIVOT_CODES, DIST_CODES),
+            _WIDTHS.unpack(widths),
+        ):
+            if width not in table:
+                raise ValueError(
+                    f"{path}: corrupt header ({name} width {width})"
+                )
+            codes.append(table[width])
+    else:
+        raise ValueError(
+            f"{path}: not a v2/v3 index (version {version}); "
+            "use load_store() to read any version"
+        )
     directed, peeled = bool(flags & 1), bool(flags & 2)
     if flags & ~3:
         raise ValueError(
@@ -813,7 +894,21 @@ def read_flags(path, flags: int) -> tuple[bool, bool]:
         raise ValueError(
             f"{path}: corrupt header (pendant section on a directed index)"
         )
-    return directed, peeled
+    counts = (out_count, in_count) if directed else (out_count,)
+    return encoding, directed, peeled, has_rank, n, counts, codes
+
+
+def _check_offsets(path, offsets, count: int) -> None:
+    """Refuse an offsets column that does not delimit ``count`` entries:
+    it must start at 0, never decrease, and end at ``count``."""
+    col = _as_np(offsets)
+    ok = col[0] == 0 and col[-1] == count and not (col[1:] < col[:-1]).any()
+    del col  # a live view would keep a refused file's mapping open
+    if not ok:
+        raise ValueError(
+            f"{path}: corrupt offsets column (must run from 0 to the "
+            f"entry count {count} without decreasing)"
+        )
 
 
 def frozen_views(*arrays) -> tuple:
@@ -828,6 +923,38 @@ def frozen_views(*arrays) -> tuple:
     return tuple(map(memoryview, arrays))
 
 
+def packed(
+    n, directed, encoding, sides, parent=None, hang=None, rank=None, lo=0
+) -> FlatLabelStore:
+    """A store of ``encoding`` over numpy label columns.
+
+    ``sides`` holds ``(offsets, pivots, dists)`` per label side — one
+    when undirected — with absolute pivots for v2 and per-label deltas
+    (:func:`~repro.core.quantized.pivot_deltas`) for v3; ``parent`` /
+    ``hang`` are the pendant columns or None.  v2 casts the columns to
+    its fixed types; v3 narrows them to the widths
+    :func:`~repro.core.quantized._encode` chooses.
+    """
+    if encoding == "v3":
+        sides, hang = _encode(sides, hang)
+    else:
+        sides = [
+            (off.astype(np.int64), piv.astype(np.int32), dst.astype(np.float64))
+            for off, piv, dst in sides
+        ]
+        hang = None if hang is None else hang.astype(np.float64)
+    columns = [frozen_views(*side) for side in sides]
+    store = FlatLabelStore(
+        n, directed, *columns[0], *columns[-1],
+        None if rank is None else list(rank),
+    )
+    store.encoding = encoding
+    store.lo = lo
+    if hang is not None:
+        store.parent, store.hang = frozen_views(parent.astype(np.int32), hang)
+    return store
+
+
 def drop_pendant_rows(store: "FlatLabelStore", parent, hang) -> "FlatLabelStore":
     """``store`` (array-built, over a core graph) with the pendants' rows
     emptied and ``parent`` / ``hang`` attached.
@@ -835,8 +962,6 @@ def drop_pendant_rows(store: "FlatLabelStore", parent, hang) -> "FlatLabelStore"
     A pendant is isolated in the core graph, so its row is exactly its
     self entry: one position per pendant is cut out of the columns.
     """
-    import numpy as np
-
     offsets, pivots, dists = (
         np.asarray(col)
         for col in (store.out_offsets, store.out_pivots, store.out_dists)
@@ -855,23 +980,19 @@ def drop_pendant_rows(store: "FlatLabelStore", parent, hang) -> "FlatLabelStore"
     return peeled
 
 
-def _as_le_bytes(blob, typecode: str) -> bytes:
+def _as_le_bytes(blob) -> bytes:
     """Serialise an array or typed-memoryview blob as little-endian bytes."""
     if not _BIG_ENDIAN:
         return blob.tobytes()
-    swapped = array(typecode)
-    swapped.frombytes(blob.tobytes())
-    swapped.byteswap()
-    return swapped.tobytes()
+    return _as_np(blob).byteswap().tobytes()
 
 
 def load_store(path, prefer_flat: bool = True, use_mmap: bool = False):
     """Open an index file of **any** format version as a label store.
 
-    Sniffs the version byte: v2 loads straight into a
-    :class:`FlatLabelStore`; v3 into a
-    :class:`~repro.core.quantized.QuantizedLabelStore` (the compact
-    arrays are served as-is — no decode pass); v1 loads through
+    Sniffs the version byte: v2 and v3 load straight into a
+    :class:`FlatLabelStore` of that encoding (the columns are served
+    as stored — no decode pass); v1 loads through
     :class:`~repro.core.labels.LabelIndex` and is packed into CSR
     arrays when ``prefer_flat`` (the default), so old files get the
     fast query path for free.  With ``prefer_flat=False`` a v1 file
@@ -881,13 +1002,8 @@ def load_store(path, prefer_flat: bool = True, use_mmap: bool = False):
         head = fh.read(5)
     if len(head) < 5 or head[:4] != _MAGIC:
         raise ValueError(f"{path}: not a label index file")
-    version = head[4]
-    if version == _VERSION:
+    if head[4] in _VERSIONS.values():
         return FlatLabelStore.load(path, use_mmap=use_mmap)
-    if version == 3:
-        from repro.core.quantized import QuantizedLabelStore
-
-        return QuantizedLabelStore.load(path, use_mmap=use_mmap)
     index = LabelIndex.load(path)
     if prefer_flat:
         return FlatLabelStore.from_index(index)

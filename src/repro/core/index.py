@@ -145,21 +145,17 @@ class HopDoublingIndex:
         ``format="v1"`` writes the per-entry struct format;
         ``format="v2"`` writes the flat-array blobs of
         :mod:`repro.core.flatstore` (same contents, bulk-loadable);
-        ``format="v3"`` writes the compact quantized arrays of
+        ``format="v3"`` writes the compact quantized encoding of
         :mod:`repro.core.quantized` (same contents, ~25-50% of the v2
         bytes).  All writes are atomic.  ``repro convert`` translates
         between the formats on disk.
         """
         if format == "v1":
             self.labels.save(path)
-        elif format == "v2":
+        elif format in ("v2", "v3"):
             from repro.core.flatstore import FlatLabelStore
 
-            FlatLabelStore.from_index(self.labels).save(path)
-        elif format == "v3":
-            from repro.core.quantized import QuantizedLabelStore
-
-            QuantizedLabelStore.from_index(self.labels).save(path)
+            FlatLabelStore.from_index(self.labels).encoded(format).save(path)
         else:
             raise ValueError(f"unknown index format {format!r}")
 

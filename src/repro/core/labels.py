@@ -697,9 +697,8 @@ class LabelIndex:
         """Read an index from ``path``, whatever its format version.
 
         Version 1 files (this class's :meth:`save`) are read directly;
-        version 2 flat-array files are read through
-        :mod:`repro.core.flatstore` and version 3 quantized files
-        through :mod:`repro.core.quantized`, both expanded to lists.
+        version 2 and 3 files are read through
+        :mod:`repro.core.flatstore` and expanded to lists.
         Raises
         ``ValueError`` on anything that is not a complete index file
         (wrong magic, unsupported version, truncation).
@@ -711,14 +710,10 @@ class LabelIndex:
                 version, flags, has_rank, n = struct.unpack(
                     "<BBBI", fh.read(7)
                 )
-                if version == 2:
+                if version in (2, 3):
                     from repro.core.flatstore import FlatLabelStore
 
                     return FlatLabelStore.load(path).to_index()
-                if version == 3:
-                    from repro.core.quantized import QuantizedLabelStore
-
-                    return QuantizedLabelStore.load(path).to_index()
                 if version != _VERSION:
                     raise ValueError(f"{path}: unsupported version {version}")
                 directed = bool(flags & 1)

@@ -3,11 +3,8 @@
 A batch of ``(s, t)`` pairs goes through the vectorized numpy kernel
 (:mod:`repro.oracle.kernel`) when the store exposes CSR arrays and the
 batch has at least :data:`MIN_KERNEL_PAIRS` pairs; the kernel
-evaluates each distinct pair of the batch once.  Otherwise it goes
-through grouped merge joins: pairs are grouped by source vertex so a
-store that implements ``query_group`` (the CSR backend) builds each
-source's pivot dict once and probes every target through it; stores
-without the hook fall back to per-pair ``query``.
+evaluates each distinct pair of the batch once.  Otherwise each pair
+is one ``store.query`` call.
 
 Results are bit-identical to calling ``store.query`` per pair
 whichever path runs: every path computes the same minimum over the
@@ -128,21 +125,7 @@ def evaluate_batch(
     pairs = list(pairs)
     if _use_kernel(store, len(pairs)):
         return _kernel.batch_eval(store, pairs)
-    # The positions of each source's pairs: its label is read once.
-    by_source: dict[int, list[int]] = {}
-    for pos, (s, _) in enumerate(pairs):
-        by_source.setdefault(s, []).append(pos)
-    results: list[float] = [0.0] * len(pairs)
-    query_group = getattr(store, "query_group", None)
-    for s, positions in by_source.items():
-        targets = [pairs[pos][1] for pos in positions]
-        if query_group is not None:
-            distances = query_group(s, targets)
-        else:
-            distances = [store.query(s, t) for t in targets]
-        for pos, d in zip(positions, distances):
-            results[pos] = d
-    return results
+    return [store.query(s, t) for s, t in pairs]
 
 
 def read_pair_file(path) -> list[tuple[int, int]]:

@@ -110,13 +110,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.flatstore import FlatLabelStore
-
-_DTYPES = {
-    "b": "int8", "B": "uint8", "h": "int16", "H": "uint16",
-    "i": "int32", "I": "uint32", "l": "int64", "L": "uint64",
-    "q": "int64", "Q": "uint64", "f": "float32", "d": "float64",
-}
+from repro.core.flatstore import FlatLabelStore, _as_np
+from repro.core.quantized import absolute_pivots
 
 #: Labels sampled to choose the hub columns, and the share of them a
 #: pivot must appear in (more than 1 in _HUB_SHARE) to get one: a
@@ -214,8 +209,8 @@ def stats() -> dict:
 def supports(store) -> bool:
     """Whether ``store`` exposes arrays the kernel can consume.
 
-    True for the CSR-backed stores — :class:`FlatLabelStore`, its
-    quantized v3 subclass, and a
+    True for the CSR-backed stores — :class:`FlatLabelStore` in
+    either encoding, and a
     :class:`~repro.oracle.sharding.ShardedLabelStore` over them.
     Tuple-list indexes have no arrays to vectorize over.
     """
@@ -226,12 +221,6 @@ def supports(store) -> bool:
     if isinstance(store, ShardedLabelStore):
         return all(isinstance(s, FlatLabelStore) for s in store.shards)
     return False
-
-
-def _as_np(buf):
-    """Zero-copy numpy view of an ``array.array`` or typed memoryview."""
-    code = getattr(buf, "typecode", None) or buf.format
-    return np.frombuffer(buf, dtype=np.dtype(_DTYPES[code]))
 
 
 def _expand(starts, lens):
@@ -298,8 +287,6 @@ class _View:
         self._build(store)
 
     def _build(self, store) -> None:
-        from repro.core.quantized import QuantizedLabelStore
-
         shards = getattr(store, "shards", [store])
         self.store = store
         self.n = store.n
@@ -314,7 +301,7 @@ class _View:
                 )
             self.parts.append((
                 shard,
-                isinstance(shard, QuantizedLabelStore),
+                shard.encoding == "v3",
                 [tuple(map(_as_np, side)) for side in sides],
             ))
         self.arena_resets = 0
@@ -442,16 +429,10 @@ class _View:
             offsets, base_piv, base_dist = sides[side]
             starts = offsets[local - lo].astype(np.int64)
             size = offsets[local - lo + 1].astype(np.int64) - starts
-            idx, seg0 = _expand(starts, size)
-            piv = base_piv[idx].astype(np.int64)
-            if delta and idx.size:
-                # v3 stores per-label pivot deltas: the absolute id is
-                # the running sum within the label — one cumsum over
-                # the gathered entries, minus each label's base.
-                run = np.cumsum(piv)
-                full = size > 0
-                first = seg0[full]
-                piv = run - np.repeat(run[first] - piv[first], size[full])
+            idx, _ = _expand(starts, size)
+            piv = base_piv[idx]
+            # v3 stores per-label pivot deltas, decoded in one pass.
+            piv = absolute_pivots(piv, size) if delta else piv.astype(np.int64)
             verts.append(local)
             pivots.append(piv)
             dists.append(base_dist[idx].astype(np.float64, copy=False))

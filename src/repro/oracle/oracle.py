@@ -115,7 +115,7 @@ class DistanceOracle:
         """Distances for every pair, in input order.
 
         Evaluated with the vectorized kernel, which dedupes the batch
-        itself, or grouped merge joins (see :mod:`repro.oracle.batch`);
+        itself, or pair by pair (see :mod:`repro.oracle.batch`);
         the result cache is neither probed nor filled.  Bit-identical
         to calling :meth:`query` per pair.  A
         :class:`~repro.oracle.batch.PairColumns` block goes to the

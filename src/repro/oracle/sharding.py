@@ -35,26 +35,22 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from array import array
 from bisect import bisect_right
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from repro.core.flatstore import (
     FlatLabelStore,
+    _as_np,
     derived_slice,
     load_store,
     merge_min_via,
+    packed,
     probe_min_distance,
-    probe_slice_min,
 )
-from repro.core.quantized import QuantizedLabelStore
-from repro.core.labels import (
-    BYTES_PER_ENTRY,
-    LabelIndex,
-    LabelStats,
-    LabelStore,
-)
+from repro.core.labels import BYTES_PER_ENTRY, LabelStats, LabelStore
 from repro.utils.atomicio import atomic_binary_writer
 
 #: Manifest file name inside a shard directory.
@@ -194,28 +190,56 @@ class ShardedLabelStore:
         (:func:`split_ranges`).
 
         Tuple-list indexes are packed through
-        :meth:`FlatLabelStore.from_index` first, quantized v3 stores
-        are expanded to the v2 layout (the sliced shards can be
-        re-quantized at save time), and any other backend (including
-        an already-sharded store being re-split to a new count)
-        goes through its ``out_label``/``in_label`` accessors; the CSR
-        arrays are then sliced per range (offsets re-based to each
-        shard's start), which preserves entry order and therefore
-        answers.
+        :meth:`FlatLabelStore.from_index` first, a sharded store being
+        re-split to a new count has its shards' columns concatenated,
+        and staged updates are folded in.  The columns are then cut
+        per range (offsets re-based to each shard's start) in the
+        store's own encoding — a v3 label stores its first pivot whole,
+        so the cut needs no decode — which preserves entry order and
+        therefore answers.
         """
-        if isinstance(store, QuantizedLabelStore):
-            store = store.to_flat()
-        elif isinstance(store, FlatLabelStore):
-            # Fold any staged updates first: the range slicing below
-            # reads the raw base arrays.
-            store = store.merged()
-        elif isinstance(store, LabelIndex):
+        if isinstance(store, ShardedLabelStore):
+            store = store._joined()
+        elif not isinstance(store, FlatLabelStore):
             store = FlatLabelStore.from_index(store)
-        else:
-            store = _pack_any(store)
+        store = store.encoded(store.encoding)
         ranges = split_ranges(store.n, num_shards)
         shards = [_slice_store(store, lo, hi) for lo, hi in ranges]
         return cls(shards, ranges)
+
+    def _joined(self) -> FlatLabelStore:
+        """One store over every shard's columns, staged updates folded
+        in, in the first shard's encoding."""
+        encoding = self.shards[0].encoding
+        shards = [shard.encoded(encoding) for shard in self.shards]
+        sides = []
+        for side in range(2 if self.directed else 1):
+            columns = [
+                _side_columns(shard, side, 0, shard.n) for shard in shards
+            ]
+            bases = np.cumsum([0] + [off[-1] for off, _, _ in columns])
+            sides.append((
+                np.concatenate([[0]] + [
+                    off[1:] + base for (off, _, _), base in zip(columns, bases)
+                ]),
+                np.concatenate([piv for _, piv, _ in columns]),
+                np.concatenate([dst for _, _, dst in columns]),
+            ))
+        parent = hang = None
+        if any(shard.hang is not None for shard in shards):
+            parent = np.concatenate([
+                np.arange(lo, hi) if shard.hang is None
+                else _as_np(shard.parent)
+                for (lo, hi), shard in zip(self.ranges, shards)
+            ])
+            hang = np.concatenate([
+                np.zeros(shard.n, _as_np(shard.out_dists).dtype)
+                if shard.hang is None else _as_np(shard.hang)
+                for shard in shards
+            ])
+        return packed(
+            self.n, self.directed, encoding, sides, parent, hang, self.rank
+        )
 
     # -- incremental updates -------------------------------------------------
     @property
@@ -314,13 +338,10 @@ class ShardedLabelStore:
         self._view = None
         for i in rewritten:
             entry = manifest["shards"][i]
-            merged = self.shards[i].merged()
             # Match the on-disk per-shard format recorded by save().
-            if entry["file"].endswith(".idx3"):
-                if not isinstance(merged, QuantizedLabelStore):
-                    merged = QuantizedLabelStore.from_flat(merged)
-            elif isinstance(merged, QuantizedLabelStore):
-                merged = merged.to_flat()
+            merged = self.shards[i].encoded(
+                "v3" if entry["file"].endswith(".idx3") else "v2"
+            )
             new_name = _next_shard_file(entry["file"])
             merged.save(root / new_name)
             entry["file"] = new_name
@@ -373,16 +394,6 @@ class ShardedLabelStore:
                 f"corrupt pendant section: vertex {v} hangs {h!r} from {p}"
             )
         return p, h
-
-    def _pendant_columns(self):
-        """Global ``(parent, hang)`` arrays, staged updates folded in;
-        ``(None, None)`` on a store without pendants."""
-        parent, hang = array("i"), array("d")
-        for (lo, hi), shard in zip(self.ranges, self.shards):
-            p, h = shard._pendant_columns()
-            parent.extend(range(lo, hi) if p is None else p)
-            hang.extend([0.0] * (hi - lo) if h is None else h)
-        return (parent, hang) if any(hang) else (None, None)
 
     def _slice(self, v: int, out: bool):
         """``(pivots, dists, lo, hi)`` of ``v``'s label; a pendant's is
@@ -442,34 +453,6 @@ class ShardedLabelStore:
         d, pivot = merge_min_via(*a.out_slice(al), *b.in_slice(bl))
         return hs + d + ht, pivot
 
-    def query_group(self, s: int, targets: Sequence[int]) -> list[float]:
-        """Distances from ``s`` to each target, amortising the source side.
-
-        The batched-evaluation hook
-        (:func:`repro.oracle.batch.evaluate_batch` detects it): the
-        ``Lout(s)`` dict is built once from ``s``'s shard and probed
-        with every target's in-label from whichever shard owns it.
-        """
-        ps, hs = self._resolve(s)
-        a, al = self._locate(ps)
-        ap, ad, ao, ae = a.out_slice(al)
-        src = dict(zip(ap[ao:ae], ad[ao:ae]))
-        get = src.get
-        out: list[float] = []
-        append = out.append
-        for t in targets:
-            if t == s:
-                append(0.0)
-                continue
-            pt, ht = self._resolve(t)
-            if pt == ps:
-                append(float(hs + ht))
-                continue
-            b, bl = self._locate(pt)
-            bp, bd, bo, be = b.in_slice(bl)
-            append(hs + probe_slice_min(get, bp, bd, bo, be) + ht)
-        return out
-
     # -- statistics ----------------------------------------------------------
     def total_entries(self, include_trivial: bool = False) -> int:
         """Total label entries (self entries excluded unless asked)."""
@@ -513,7 +496,7 @@ class ShardedLabelStore:
 
         ``format`` selects the per-shard file format: ``"v2"`` flat
         CSR blobs or ``"v3"`` compact quantized arrays (~25-50% of the
-        v2 bytes; shards are converted in either direction as needed).
+        v2 bytes; each shard is re-encoded as needed).
         Each shard file is written atomically, the manifest last — a
         reader that finds a manifest therefore finds the shard files
         it names.  An existing shard directory (one with a manifest)
@@ -537,13 +520,7 @@ class ShardedLabelStore:
         entries = []
         for i, ((lo, hi), shard) in enumerate(zip(self.ranges, self.shards)):
             name = SHARD_FILE_FORMATS[format].format(i)
-            if format == "v3":
-                out = QuantizedLabelStore.from_flat(shard)
-            elif isinstance(shard, QuantizedLabelStore):
-                out = shard.to_flat()
-            else:
-                out = shard
-            out.save(root / name)
+            shard.encoded(format).save(root / name)
             entries.append(
                 {
                     "id": i,
@@ -727,74 +704,31 @@ def _validate_ranges(ranges: Sequence[tuple[int, int]]) -> None:
             raise ShardError(f"empty shard range [{lo}, {hi})")
 
 
-def _pack_any(store: LabelStore) -> FlatLabelStore:
-    """Pack any :class:`LabelStore` into CSR arrays via its accessors.
-
-    The generic path behind :meth:`ShardedLabelStore.split` for
-    backends that are neither :class:`FlatLabelStore` nor
-    :class:`LabelIndex` — e.g. re-splitting an already-sharded store
-    to a different shard count.
-    """
-
-    columns = getattr(store, "_pendant_columns", None)
-    parent, hang = columns() if columns is not None else (None, None)
-
-    def pack(label_of):
-        offsets = array("q", [0])
-        pivots = array("i")
-        dists = array("d")
-        for v in range(store.n):
-            if hang is None or not hang[v]:
-                for p, d in label_of(v):
-                    pivots.append(p)
-                    dists.append(d)
-            offsets.append(len(pivots))
-        return offsets, pivots, dists
-
-    oo, op, od = pack(store.out_label)
-    if store.directed:
-        io, ip, id_ = pack(store.in_label)
-    else:
-        io, ip, id_ = oo, op, od
-    rank = getattr(store, "rank", None)
-    packed = FlatLabelStore(
-        store.n,
-        store.directed,
-        oo,
-        op,
-        od,
-        io,
-        ip,
-        id_,
-        list(rank) if rank is not None else None,
+def _side_columns(store: FlatLabelStore, side: int, lo: int, hi: int):
+    """Vertices ``[lo, hi)`` of one side of ``store`` as numpy
+    ``(offsets, pivots, dists)``, offsets re-based to start at 0."""
+    columns = (
+        (store.in_offsets, store.in_pivots, store.in_dists) if side
+        else (store.out_offsets, store.out_pivots, store.out_dists)
     )
-    packed.parent, packed.hang = parent, hang
-    return packed
+    offsets, pivots, dists = map(_as_np, columns)
+    off = offsets[lo : hi + 1].astype(np.int64)
+    return off - off[0], pivots[off[0] : off[-1]], dists[off[0] : off[-1]]
 
 
 def _slice_store(store: FlatLabelStore, lo: int, hi: int) -> FlatLabelStore:
-    """Copy vertices ``[lo, hi)`` of a flat store into a local-id store."""
-
-    def side(offsets, pivots, dists):
-        base = offsets[lo]
-        local_offsets = array("q", (offsets[v] - base for v in range(lo, hi + 1)))
-        end = offsets[hi]
-        return (
-            local_offsets,
-            array("i", pivots[base:end]),
-            array("d", dists[base:end]),
-        )
-
-    oo, op, od = side(store.out_offsets, store.out_pivots, store.out_dists)
-    if store.directed:
-        io, ip, id_ = side(store.in_offsets, store.in_pivots, store.in_dists)
-    else:
-        io, ip, id_ = oo, op, od
-    rank = list(store.rank[lo:hi]) if store.rank is not None else None
-    shard = FlatLabelStore(
-        hi - lo, store.directed, oo, op, od, io, ip, id_, rank
+    """Vertices ``[lo, hi)`` of a flat store (nothing staged) as a
+    local-id store of the same encoding; v3 widths are chosen for the
+    slice."""
+    sides = [
+        _side_columns(store, side, lo, hi)
+        for side in range(2 if store.directed else 1)
+    ]
+    parent = hang = None
+    if store.hang is not None and _as_np(store.hang)[lo:hi].any():
+        parent = _as_np(store.parent)[lo:hi]
+        hang = _as_np(store.hang)[lo:hi]
+    rank = store.rank[lo:hi] if store.rank is not None else None
+    return packed(
+        hi - lo, store.directed, store.encoding, sides, parent, hang, rank
     )
-    if store.hang is not None and any(store.hang[lo:hi]):
-        shard.parent = array("i", store.parent[lo:hi])
-        shard.hang = array("d", store.hang[lo:hi])
-    return shard

@@ -11,6 +11,8 @@ Includes the paper's own example graphs:
 from __future__ import annotations
 
 import random
+import struct
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
@@ -176,3 +178,13 @@ def graph_strategy(
         weighted=weighted,
         allow_self_loops=self_loops and draw(st.booleans()),
     )
+
+
+def patch_offset(path, k: int, value: int) -> None:
+    """Overwrite ``out_offsets[k]`` of a v2 or v3 index file in place."""
+    data = bytearray(Path(path).read_bytes())
+    version, _, has_rank, n = struct.unpack_from("<BBBI", data, 4)
+    at, width = (31, data[27]) if version == 3 else (27, 8)
+    at += 4 * n * has_rank + k * width
+    data[at : at + width] = value.to_bytes(width, "little")
+    Path(path).write_bytes(bytes(data))

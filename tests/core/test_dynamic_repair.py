@@ -247,12 +247,11 @@ class TestLabelDeltaHandoff:
                 assert store.query(s, t) == dyn.query(s, t)
 
     def test_delta_serves_through_quantized_and_kernel(self):
-        from repro.core.quantized import QuantizedLabelStore
         from repro.oracle import evaluate_batch, kernel
 
         graph, store, dyn = self._updated_pair(3, "array")
         n = graph.num_vertices
-        quant = QuantizedLabelStore.from_flat(store)
+        quant = store.encoded("v3")
         delta = dyn.pop_label_delta()
         store.apply_updates(delta)
         quant.apply_updates(delta)

@@ -6,9 +6,11 @@ import pytest
 
 from repro.core.flatstore import FlatLabelStore, load_store
 from repro.core.hybrid import HybridBuilder
+from repro.core.index import HopDoublingIndex
 from repro.core.labels import INF, LabelIndex
-from repro.graphs.generators import glp_graph
-from tests.conftest import random_graph
+from repro.graphs.generators import ba_graph, glp_graph
+from repro.oracle import DistanceOracle
+from tests.conftest import patch_offset, random_graph
 
 
 def build_index(n=80, seed=5, directed=False):
@@ -72,23 +74,18 @@ class TestQueries:
             for t in range(0, idx.n, 7):
                 assert flat.query_via(s, t) == idx.query_via(s, t)
 
-    def test_query_group_matches_per_pair(self, index_pair):
-        idx, flat = index_pair
-        targets = list(range(idx.n))
-        assert flat.query_group(3, targets) == [
-            idx.query(3, t) for t in targets
-        ]
-
     def test_bounds_checked(self, index_pair):
         idx, flat = index_pair
         with pytest.raises(IndexError):
             flat.query(0, idx.n)
         with pytest.raises(IndexError):
             flat.query_via(-1, 0)
+        # Batches below the kernel's size take the same scalar path.
+        oracle = DistanceOracle(flat, cache_size=0)
         with pytest.raises(IndexError):
-            flat.query_group(idx.n, [0])
+            oracle.query_batch([(idx.n, 0)])
         with pytest.raises(IndexError):
-            flat.query_group(0, [idx.n])
+            oracle.query_batch([(0, 1), (0, idx.n)])
 
     def test_disconnected_is_inf(self):
         from repro.graphs.digraph import Graph
@@ -230,6 +227,40 @@ class TestFormatV2:
         idx.save(p1)
         assert isinstance(load_store(p1), FlatLabelStore)
         assert isinstance(load_store(p1, prefer_flat=False), LabelIndex)
+
+
+class TestCorruptOffsets:
+    """The one reader refuses an offsets column that does not delimit
+    its side's entries, in either encoding, before anything is served."""
+
+    @pytest.fixture(scope="class")
+    def ba(self):
+        return HopDoublingIndex.build(ba_graph(300, m=2, seed=1))
+
+    @pytest.mark.parametrize(
+        "case", ["past the end", "decreasing", "nonzero start", "short end"]
+    )
+    @pytest.mark.parametrize("use_mmap", [False, True])
+    @pytest.mark.parametrize("fmt", ["v2", "v3"])
+    def test_refused_at_open(self, ba, fmt, use_mmap, case, tmp_path):
+        path = tmp_path / f"ba.{fmt}"
+        ba.save(path, format=fmt)
+        offsets = list(load_store(path).out_offsets)
+        n, count = len(offsets) - 1, offsets[-1]
+        k, value = {
+            "past the end": (11, count + 5),
+            "decreasing": (11, offsets[12] + 1),
+            "nonzero start": (0, 1),
+            "short end": (n, count - 1),
+        }[case]
+        patch_offset(path, k, value)
+        with pytest.raises(ValueError, match="corrupt offsets"):
+            load_store(path, use_mmap=use_mmap)
+        import pathlib
+
+        maps = pathlib.Path("/proc/self/maps")
+        if maps.exists():
+            assert str(path) not in maps.read_text()
 
 
 class TestEndianness:

@@ -25,7 +25,7 @@ def build_index(n=80, seed=5, directed=False, weighted=False):
 def stores(request):
     idx = build_index(directed=request.param)
     flat = FlatLabelStore.from_index(idx)
-    return idx, flat, QuantizedLabelStore.from_flat(flat)
+    return idx, flat, flat.encoded("v3")
 
 
 def make_flat(labels, n=None):
@@ -53,7 +53,7 @@ class TestRoundTrip:
 
     def test_v2_v3_v2_round_trip(self, stores):
         _, flat, q = stores
-        back = q.to_flat()
+        back = q.encoded("v2")
         assert list(back.out_offsets) == list(flat.out_offsets)
         assert list(back.out_pivots) == list(flat.out_pivots)
         assert list(back.out_dists) == list(flat.out_dists)
@@ -77,8 +77,6 @@ class TestRoundTrip:
         assert [q.query_via(s, t) for s, t in pairs] == [
             flat.query_via(s, t) for s, t in pairs
         ]
-        targets = list(range(idx.n))
-        assert q.query_group(3, targets) == flat.query_group(3, targets)
 
     def test_undirected_arrays_alias(self, stores):
         idx, _, q = stores
@@ -98,8 +96,14 @@ class TestRoundTrip:
         assert q2.to_index().out_labels == idx.out_labels
 
     def test_from_flat_idempotent(self, stores):
-        _, _, q = stores
-        assert QuantizedLabelStore.from_flat(q) is q
+        """Re-encoding to the store's own encoding, nothing staged,
+        hands back the store itself."""
+        _, flat, q = stores
+        assert q.encoded("v3") is q
+        assert flat.encoded("v2") is flat
+        assert q.encoding == "v3" and flat.encoding == "v2"
+        with pytest.raises(ValueError, match="encoding"):
+            flat.encoded("v4")
 
     def test_weighted_falls_back_to_raw_dists(self):
         from repro.graphs.digraph import Graph
@@ -108,9 +112,8 @@ class TestRoundTrip:
         g = Graph.from_edges(4, edges, directed=False, weighted=True)
         idx = HybridBuilder(g).build().index
         flat = FlatLabelStore.from_index(idx)
-        q = QuantizedLabelStore.from_flat(flat)
+        q = flat.encoded("v3")
         assert q.dist_width == 8
-        assert not q.is_quantized
         for v in range(idx.n):
             assert q.out_label(v) == idx.out_labels[v]
         pairs = [(s, t) for s in range(4) for t in range(4)]
@@ -121,60 +124,44 @@ class TestRoundTrip:
 
 class TestWidthSelection:
     def test_dist_boundary_255(self):
-        q = QuantizedLabelStore.from_flat(
-            make_flat([[(0, 0.0), (1, 255.0)], [(1, 0.0)]])
-        )
+        q = make_flat([[(0, 0.0), (1, 255.0)], [(1, 0.0)]]).encoded("v3")
         assert q.dist_width == 1
 
     def test_dist_boundary_256(self):
-        q = QuantizedLabelStore.from_flat(
-            make_flat([[(0, 0.0), (1, 256.0)], [(1, 0.0)]])
-        )
+        q = make_flat([[(0, 0.0), (1, 256.0)], [(1, 0.0)]]).encoded("v3")
         assert q.dist_width == 2
 
     def test_dist_boundary_65535(self):
-        q = QuantizedLabelStore.from_flat(
-            make_flat([[(0, 0.0), (1, 65535.0)], [(1, 0.0)]])
-        )
+        q = make_flat([[(0, 0.0), (1, 65535.0)], [(1, 0.0)]]).encoded("v3")
         assert q.dist_width == 2
 
     def test_dist_boundary_65536(self):
-        q = QuantizedLabelStore.from_flat(
-            make_flat([[(0, 0.0), (1, 65536.0)], [(1, 0.0)]])
-        )
+        q = make_flat([[(0, 0.0), (1, 65536.0)], [(1, 0.0)]]).encoded("v3")
         assert q.dist_width == 8
 
     def test_fractional_dist_raw(self):
-        q = QuantizedLabelStore.from_flat(
-            make_flat([[(0, 0.0), (1, 2.5)], [(1, 0.0)]])
-        )
+        q = make_flat([[(0, 0.0), (1, 2.5)], [(1, 0.0)]]).encoded("v3")
         assert q.dist_width == 8
 
     def test_pivot_delta_boundary_255(self):
-        q = QuantizedLabelStore.from_flat(
-            make_flat([[(0, 0.0), (255, 1.0)], [(1, 0.0)]], n=2)
-        )
+        q = make_flat([[(0, 0.0), (255, 1.0)], [(1, 0.0)]], n=2).encoded("v3")
         assert q.pivot_width == 1
 
     def test_pivot_delta_boundary_256(self):
-        q = QuantizedLabelStore.from_flat(
-            make_flat([[(0, 0.0), (256, 1.0)], [(1, 0.0)]], n=2)
-        )
+        q = make_flat([[(0, 0.0), (256, 1.0)], [(1, 0.0)]], n=2).encoded("v3")
         assert q.pivot_width == 2
 
     def test_pivot_delta_boundary_65536(self):
-        q = QuantizedLabelStore.from_flat(
-            make_flat([[(0, 0.0), (65536, 1.0)], [(1, 0.0)]], n=2)
-        )
+        q = make_flat([[(0, 0.0), (65536, 1.0)], [(1, 0.0)]], n=2).encoded("v3")
         assert q.pivot_width == 4
 
     def test_widths_round_trip(self):
         flat = make_flat(
             [[(0, 0.0), (300, 7.0), (400, 300.0)], [(1, 0.0)]], n=2
         )
-        q = QuantizedLabelStore.from_flat(flat)
+        q = flat.encoded("v3")
         assert (q.pivot_width, q.dist_width) == (2, 2)
-        back = q.to_flat()
+        back = q.encoded("v2")
         assert back.out_label(0) == flat.out_label(0)
 
 
@@ -185,8 +172,8 @@ class TestSerialization:
         q.save(path)
         pairs = [(s, t) for s in range(0, idx.n, 9) for t in range(idx.n)]
         expected = [flat.query(s, t) for s, t in pairs]
-        eager = QuantizedLabelStore.load(path)
-        mapped = QuantizedLabelStore.load(path, use_mmap=True)
+        eager = FlatLabelStore.load(path)
+        mapped = FlatLabelStore.load(path, use_mmap=True)
         try:
             assert not eager.is_mmapped
             assert mapped.is_mmapped
@@ -204,7 +191,7 @@ class TestSerialization:
         _, _, q = stores
         path = tmp_path / "index.idx3"
         q.save(path)
-        mapped = QuantizedLabelStore.load(path, use_mmap=True)
+        mapped = FlatLabelStore.load(path, use_mmap=True)
         mapped.query(0, 1)
         mapped.close()
         assert not mapped.is_mmapped
@@ -214,7 +201,7 @@ class TestSerialization:
         path = tmp_path / "index.idx3"
         q.save(path)
         loaded = load_store(path)
-        assert isinstance(loaded, QuantizedLabelStore)
+        assert loaded.encoding == "v3"
 
     def test_label_index_load_reads_v3(self, stores, tmp_path):
         idx, _, q = stores
@@ -235,7 +222,7 @@ class TestSerialization:
 class TestCorruption:
     def _saved(self, tmp_path):
         idx = build_index()
-        q = QuantizedLabelStore.from_flat(FlatLabelStore.from_index(idx))
+        q = FlatLabelStore.from_index(idx).encoded("v3")
         path = tmp_path / "index.idx3"
         q.save(path)
         return path
@@ -246,7 +233,7 @@ class TestCorruption:
         data[:4] = b"NOPE"
         path.write_bytes(bytes(data))
         with pytest.raises(ValueError, match="not a label index"):
-            QuantizedLabelStore.load(path)
+            FlatLabelStore.load(path)
 
     def test_wrong_version(self, tmp_path):
         path = self._saved(tmp_path)
@@ -254,7 +241,7 @@ class TestCorruption:
         data[4] = 7
         path.write_bytes(bytes(data))
         with pytest.raises(ValueError, match="version"):
-            QuantizedLabelStore.load(path)
+            FlatLabelStore.load(path)
 
     @pytest.mark.parametrize(
         "offset, name",
@@ -268,7 +255,7 @@ class TestCorruption:
         data[offset] = 99
         path.write_bytes(bytes(data))
         with pytest.raises(ValueError, match=f"corrupt header.*{name}"):
-            QuantizedLabelStore.load(path)
+            FlatLabelStore.load(path)
 
     @pytest.mark.parametrize("use_mmap", [False, True])
     def test_truncated_body(self, tmp_path, use_mmap):
@@ -276,13 +263,13 @@ class TestCorruption:
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
         with pytest.raises(ValueError, match="truncated or corrupt"):
-            QuantizedLabelStore.load(path, use_mmap=use_mmap)
+            FlatLabelStore.load(path, use_mmap=use_mmap)
 
     def test_truncated_header(self, tmp_path):
         path = self._saved(tmp_path)
         path.write_bytes(path.read_bytes()[:10])
         with pytest.raises(ValueError, match="truncated or corrupt"):
-            QuantizedLabelStore.load(path)
+            FlatLabelStore.load(path)
 
     def test_header_width_shape(self):
         # Guard against silent header layout drift: the width bytes

@@ -7,8 +7,8 @@ import pytest
 from repro.core.dynamic import DynamicHopDoublingIndex
 from repro.core.flatstore import FlatLabelStore, load_store
 from repro.core.hybrid import make_builder
+from repro.core.index import HopDoublingIndex
 from repro.core.labels import LabelDelta
-from repro.core.quantized import QuantizedLabelStore
 from repro.graphs.generators import glp_graph
 
 
@@ -51,12 +51,12 @@ class TestFlatOverlay:
         pivots, dists, lo, hi = store.out_slice(v)
         assert list(zip(pivots[lo:hi], dists[lo:hi])) == delta.out[v]
 
-    def test_query_group_and_via_respect_overlay(self, setting):
+    def test_query_and_via_respect_overlay(self, setting):
         graph, _, dyn, delta = setting
         store = fresh_flat(setting)
         store.apply_updates(delta)
         targets = list(range(graph.num_vertices))
-        assert store.query_group(0, targets) == [
+        assert [store.query(0, t) for t in targets] == [
             dyn.query(0, t) for t in targets
         ]
         dist, pivot = store.query_via(0, 79)
@@ -68,14 +68,14 @@ class TestFlatOverlay:
         store = fresh_flat(setting)
         merged_total = None
         store.apply_updates(delta)
-        merged_total = store.merged().total_entries(include_trivial=True)
+        merged_total = store.encoded("v2").total_entries(include_trivial=True)
         assert store.total_entries(include_trivial=True) == merged_total
 
     def test_merged_and_save_fold_overlay(self, setting, tmp_path):
         graph, _, dyn, delta = setting
         store = fresh_flat(setting)
         store.apply_updates(delta)
-        merged = store.merged()
+        merged = store.encoded("v2")
         assert not merged.has_pending_updates
         store.save(tmp_path / "u.idx2")
         reloaded = load_store(tmp_path / "u.idx2")
@@ -110,21 +110,21 @@ class TestFlatOverlay:
 class TestQuantizedOverlay:
     def test_overlay_and_reencode_roundtrip(self, setting, tmp_path):
         graph, index, dyn, delta = setting
-        quant = QuantizedLabelStore.from_flat(fresh_flat(setting))
+        quant = fresh_flat(setting).encoded("v3")
         quant.apply_updates(delta)
         for s, t in all_pairs(graph.num_vertices):
             assert quant.query(s, t) == dyn.query(s, t)
         quant.save(tmp_path / "u.idx3")
         reloaded = load_store(tmp_path / "u.idx3")
-        assert isinstance(reloaded, QuantizedLabelStore)
+        assert reloaded.encoding == "v3"
         for s, t in all_pairs(graph.num_vertices):
             assert reloaded.query(s, t) == dyn.query(s, t)
 
     def test_to_flat_folds_overlay(self, setting):
         graph, _, dyn, delta = setting
-        quant = QuantizedLabelStore.from_flat(fresh_flat(setting))
+        quant = fresh_flat(setting).encoded("v3")
         quant.apply_updates(delta)
-        flat = quant.to_flat()
+        flat = quant.encoded("v2")
         assert not flat.has_pending_updates
         for s, t in all_pairs(graph.num_vertices):
             assert flat.query(s, t) == dyn.query(s, t)
@@ -133,7 +133,36 @@ class TestQuantizedOverlay:
         graph, _, dyn, delta = setting
         store = fresh_flat(setting)
         store.apply_updates(delta)
-        quant = QuantizedLabelStore.from_flat(store)
+        quant = store.encoded("v3")
         assert not quant.has_pending_updates
         for s, t in all_pairs(graph.num_vertices):
             assert quant.query(s, t) == dyn.query(s, t)
+
+
+class TestReencode:
+    """``encoded`` against the overlaid store's own per-vertex labels:
+    whole-column decode, splice and encode change no label."""
+
+    @pytest.fixture(scope="class")
+    def peeled(self):
+        graph = glp_graph(150, seed=4)  # two thirds pendants
+        index = HopDoublingIndex.build(graph)
+        store = FlatLabelStore.from_index(index.labels)
+        dyn = DynamicHopDoublingIndex.from_store(store, graph=graph)
+        pendants = [v for v in range(store.n) if store.hang[v]]
+        dyn.insert_edges([(pendants[0], pendants[-1]), (3, 140), (7, 99)])
+        return index, dyn.pop_label_delta()
+
+    @pytest.mark.parametrize("target", ["v2", "v3"])
+    @pytest.mark.parametrize("source", ["v2", "v3"])
+    def test_labels_match_overlaid_store(self, peeled, source, target):
+        index, delta = peeled
+        store = FlatLabelStore.from_index(index.labels).encoded(source)
+        peeled_before = store.pendants
+        store.apply_updates(delta)
+        out = store.encoded(target)
+        assert (out.encoding, out.has_pending_updates) == (target, False)
+        assert out.pendants == store.pendants < peeled_before
+        for v in range(store.n):
+            assert out.out_label(v) == store.out_label(v)
+        assert out.total_entries() == store.total_entries()

@@ -23,7 +23,12 @@ from repro.core.flatstore import FlatLabelStore
 from repro.core.hybrid import make_builder
 from repro.core.labels import DirectedLabelState, UndirectedLabelState
 from repro.core.pruning import admit_and_prune, admit_and_prune_arrays
-from repro.core.quantized import QuantizedLabelStore, _encode
+from repro.core.quantized import (
+    QuantizedLabelStore,
+    _encode,
+    absolute_pivots,
+    pivot_deltas,
+)
 from repro.core.rules import CandidateBatch, CandidateSet
 from repro.graphs.digraph import Graph
 from repro.graphs.generators import glp_graph
@@ -314,11 +319,12 @@ def test_from_index_returns_independent_stores(store_cls):
 def test_encoders_agree_past_one_byte_widths():
     """The v3 encoder agrees with hand-packed arrays: wide pivot
     deltas, distances past 255, an empty middle label."""
-    offsets = array("q", [0, 2, 2, 5])
-    pivots = array("i", [3, 70_000, 0, 300, 301])
-    sides = [(offsets, pivots, array("d", [0.0, 300.0, 1.0, 2.0, 65_535.0]))]
-    pivot_width, dist_width, [packed], hang = _encode(sides)
-    assert (pivot_width, dist_width, hang) == (4, 2, None)
+    offsets = np.array([0, 2, 2, 5])
+    pivots = np.array([3, 70_000, 0, 300, 301])
+    deltas = pivot_deltas(offsets, pivots)
+    dists = np.array([0.0, 300.0, 1.0, 2.0, 65_535.0])
+    [packed], hang = _encode([(offsets, deltas, dists)])
+    assert hang is None
     want = (
         array("I", [0, 2, 2, 5]),
         array("I", [3, 69_997, 0, 300, 1]),  # a label's first pivot whole
@@ -327,5 +333,8 @@ def test_encoders_agree_past_one_byte_widths():
     for blob, ref in zip(packed, want):
         assert blob.itemsize == ref.itemsize
         assert bytes(blob) == ref.tobytes()
-    fractional = [(offsets, pivots, array("d", [0.0, 0.5, 1.0, 2.0, 3.0]))]
-    assert _encode(fractional)[1] == 8
+    lens = np.diff(packed[0]).astype(np.int64)
+    assert absolute_pivots(packed[1], lens).tolist() == pivots.tolist()
+    fractional = np.array([0.0, 0.5, 1.0, 2.0, 3.0])
+    [(_, _, wide)], _ = _encode([(offsets, deltas, fractional)])
+    assert wide.dtype == np.float64

@@ -23,7 +23,6 @@ from repro.core.dynamic import DynamicHopDoublingIndex
 from repro.core.flatstore import FlatLabelStore
 from repro.core.hybrid import HybridBuilder
 from repro.core.labels import LabelDelta
-from repro.core.quantized import QuantizedLabelStore
 from repro.graphs.digraph import Graph
 from repro.graphs.generators import glp_graph
 from repro.oracle import (
@@ -106,7 +105,7 @@ def synth_store(lo, hi, special):
 class TestSupports:
     def test_flat_and_quantized_supported(self, flat):
         assert kernel.supports(flat)
-        assert kernel.supports(QuantizedLabelStore.from_flat(flat))
+        assert kernel.supports(flat.encoded("v3"))
         assert kernel.supports(ShardedLabelStore.split(flat, 3))
 
     def test_tuple_list_not_supported(self, flat):
@@ -120,7 +119,7 @@ class TestBitIdentity:
         assert kernel.batch_eval(flat, pairs) == expected
 
     def test_quantized_matches_scalar(self, flat):
-        q = QuantizedLabelStore.from_flat(flat)
+        q = flat.encoded("v3")
         pairs = batch(flat.n, 1500, seed=12)
         assert kernel.batch_eval(q, pairs) == [
             flat.query(s, t) for s, t in pairs
@@ -136,9 +135,7 @@ class TestBitIdentity:
     def test_sharded_quantized_shards(self, flat, tmp_path):
         ShardedLabelStore.split(flat, 3).save(tmp_path / "s", format="v3")
         sharded = ShardedLabelStore.load(tmp_path / "s")
-        assert all(
-            isinstance(s, QuantizedLabelStore) for s in sharded.shards
-        )
+        assert all(s.encoding == "v3" for s in sharded.shards)
         pairs = batch(flat.n, 800, seed=14)
         assert kernel.batch_eval(sharded, pairs) == [
             flat.query(s, t) for s, t in pairs
@@ -163,7 +160,7 @@ class TestBitIdentity:
     def test_random_graphs(self, seed):
         g = random_graph(seed, max_n=60)
         flat = FlatLabelStore.from_index(HybridBuilder(g).build().index)
-        q = QuantizedLabelStore.from_flat(flat)
+        q = flat.encoded("v3")
         pairs = [(s, t) for s in range(g.num_vertices)
                  for t in range(g.num_vertices)]
         expected = [flat.query(s, t) for s, t in pairs]
@@ -282,7 +279,7 @@ def served():
         flat = build_flat(n=90, seed=5, directed=directed)
         made[directed] = {
             "v2": flat,
-            "v3": QuantizedLabelStore.from_flat(flat),
+            "v3": flat.encoded("v3"),
             "sharded": ShardedLabelStore.split(flat, 3),
         }
     return made
@@ -430,7 +427,7 @@ def every_store():
         blocks[v] = [(p, float(p != v and rng.randint(1, 9))) for p in pivots]
     stores = {
         "v2": flat,
-        "v3": QuantizedLabelStore.from_flat(flat),
+        "v3": flat.encoded("v3"),
         "sharded": ShardedLabelStore.split(flat, 3),
         "directed": build_flat(n=120, seed=3, directed=True),
         "pendants": FlatLabelStore.from_index(HopDoublingIndex.build(g).labels),
@@ -620,7 +617,7 @@ class TestRowCache:
         flat = FlatLabelStore.from_index(HybridBuilder(g).build().index)
         store = {
             "v2": lambda: flat,
-            "v3": lambda: QuantizedLabelStore.from_flat(flat),
+            "v3": lambda: flat.encoded("v3"),
             "sharded": lambda: ShardedLabelStore.split(flat, 3),
         }[kind]()
         dyn = DynamicHopDoublingIndex.from_store(flat, graph=g)
@@ -649,7 +646,7 @@ class TestRowCache:
         edges += [(v, v + 1, 1.25) for v in range(1, 59)]
         g = Graph.from_edges(60, edges, directed=False, weighted=True)
         flat = FlatLabelStore.from_index(HybridBuilder(g).build().index)
-        for store in (flat, QuantizedLabelStore.from_flat(flat)):
+        for store in (flat, flat.encoded("v3")):
             kernel.ensure_sides(store)
             assert 0 in store._view.hubs  # common, until a label is read
             pairs = all_pairs(60)
@@ -695,7 +692,7 @@ class TestRowCache:
         flat = FlatLabelStore.from_index(HybridBuilder(g).build().index)
         pairs = batch(n, 1200, seed=seed)
         retired = 0
-        for store in (flat, QuantizedLabelStore.from_flat(flat),
+        for store in (flat, flat.encoded("v3"),
                       ShardedLabelStore.split(flat, 3)):
             for lo in range(0, len(pairs), 20):
                 piece = pairs[lo : lo + 20]
@@ -745,7 +742,7 @@ class TestRowCache:
         assert resets >= 1
 
     def test_v3_rows_are_decoded_on_first_touch_only(self, flat):
-        q = QuantizedLabelStore.from_flat(flat)
+        q = flat.encoded("v3")
         first = batch(q.n, 40, seed=51, include_special=False)
         second = batch(q.n, 40, seed=52, include_special=False)
         sides = 2 if q.directed else 1
@@ -875,7 +872,7 @@ class TestEvaluateBatchIntegration:
         """The oracles take no ``kernel=``; a bad call fails at once,
         not at its first batch."""
         path = tmp_path / "i.idx3"
-        QuantizedLabelStore.from_flat(flat).save(path)
+        flat.encoded("v3").save(path)
         with pytest.raises(TypeError, match="kernel"):
             DistanceOracle(flat, kernel="off")
         with pytest.raises(TypeError, match="kernel"):
@@ -888,7 +885,7 @@ class TestEvaluateBatchIntegration:
             ParallelOracle(shard_dir, kernel="off")
 
     def test_mmapped_v3_through_kernel(self, flat, tmp_path):
-        q = QuantizedLabelStore.from_flat(flat)
+        q = flat.encoded("v3")
         q.save(tmp_path / "i.idx3")
         oracle = DistanceOracle.open(
             tmp_path / "i.idx3", use_mmap=True, cache_size=0

@@ -8,7 +8,6 @@ from paper.baselines.pll import build_pll
 from paper.bench.workloads import random_pairs
 from repro.core.flatstore import FlatLabelStore
 from repro.core.labels import LabelDelta
-from repro.core.quantized import QuantizedLabelStore
 from repro.graphs.generators import ba_graph
 from repro.oracle import DistanceOracle, ParallelOracle, ShardedLabelStore
 
@@ -30,7 +29,7 @@ def shard_dir(flat, tmp_path_factory):
 @pytest.fixture(scope="module")
 def index_file(flat, tmp_path_factory):
     path = tmp_path_factory.mktemp("parallel") / "index.idx3"
-    QuantizedLabelStore.from_flat(flat).save(path)
+    flat.encoded("v3").save(path)
     return path
 
 

@@ -21,7 +21,6 @@ from repro import DistanceOracle, HopDoublingIndex, ParallelOracle, ShardedLabel
 from repro.core.dynamic import DynamicHopDoublingIndex
 from repro.core.flatstore import FlatLabelStore, load_store
 from repro.core.hybrid import make_builder
-from repro.core.quantized import QuantizedLabelStore
 from repro.core.ranking import make_ranking
 from repro.core.verify import verify_index
 from repro.graphs.digraph import Graph
@@ -34,7 +33,7 @@ from repro.oracle.sharding import ShardError
 from repro.serve import DistanceClient, DistanceServer, fanout_available
 from tests.conftest import graph_strategy
 
-FORMATS = {"v2": FlatLabelStore, "v3": QuantizedLabelStore}
+FORMATS = ("v2", "v3")
 
 #: Two hubs (0, 1) joined through 2; pendants 3, 4 under hub 0 (4 by a
 #: fractional edge) and 5 under hub 1; a star component 6 - {7, 8} no
@@ -72,19 +71,20 @@ def check_stores(index, graph, pairs, tmp_path, shards=True):
     """Every file format, eager and mmap, flat and 3-sharded, is exact."""
     want = truth_of(graph, pairs)
     assert [index.labels.query(s, t) for s, t in pairs] == want
-    for fmt, cls in FORMATS.items():
+    for fmt in FORMATS:
         path = tmp_path / f"index.{fmt}"
         index.save(path, format=fmt)
         for use_mmap in (False, True):
             store = load_store(path, use_mmap=use_mmap)
-            assert type(store) is cls
+            assert store.encoding == fmt
             for name, answer in store_surfaces(store):
                 assert answer(pairs) == want, (fmt, use_mmap, name)
             store.close()
         if shards:
             shard_dir = tmp_path / f"shards.{fmt}"
             ShardedLabelStore.split(
-                cls.from_index(index.labels), min(3, graph.num_vertices)
+                FlatLabelStore.from_index(index.labels).encoded(fmt),
+                min(3, graph.num_vertices),
             ).save(shard_dir, format=fmt, overwrite=True)
             with ParallelOracle(shard_dir, workers=2, cache_size=0) as oracle:
                 assert oracle.query_batch(pairs) == want, (fmt, "sharded")
@@ -146,7 +146,7 @@ def test_derived_label_is_the_unpeeled_label(graph):
         peeled = HopDoublingIndex.build(graph, ranking=rank).labels
         whole = make_builder(graph, "hybrid", ranking=rank).build().index
         assert peeled.out_labels == whole.out_labels
-        flat = QuantizedLabelStore.from_index(peeled)
+        flat = FlatLabelStore.from_index(peeled).encoded("v3")
         for v in range(graph.num_vertices):
             assert flat.out_label(v) == whole.out_labels[v]
             assert flat.in_label(v) == whole.out_labels[v]
@@ -239,9 +239,9 @@ def test_updates_unpeel(case, fmt, tmp_path):
     want = truth_of(grown, pairs)
     path, shard_dir = tmp_path / f"base.{fmt}", tmp_path / "shards"
     index.save(path, format=fmt)
-    ShardedLabelStore.split(FORMATS[fmt].from_index(index.labels), 3).save(
-        shard_dir, format=fmt
-    )
+    ShardedLabelStore.split(
+        FlatLabelStore.from_index(index.labels).encoded(fmt), 3
+    ).save(shard_dir, format=fmt)
     store = load_store(path, use_mmap=True)
     sharded = ShardedLabelStore.load(shard_dir, use_mmap=True)
     for served in (store, sharded):
@@ -262,8 +262,8 @@ def test_updates_unpeel(case, fmt, tmp_path):
     for served in (store, sharded):
         served.apply_updates(delta)
         exact(served, "staged")
-    merged = store.merged()
-    assert type(merged) is FORMATS[fmt]
+    merged = store.encoded(fmt)
+    assert merged.encoding == fmt and not merged.has_pending_updates
     exact(merged, "merged")
     touched = {v for edge in INSERTIONS[case] for v in edge}
     assert merged.pendants == len({5, 6, 7, 8} - touched)
@@ -334,8 +334,8 @@ def test_no_pendants_no_flag_and_round_trips(tmp_path):
     index.save(tmp_path / "a.v3", format="v3")
     assert _bytes(tmp_path / "a.v2")[5] == _bytes(tmp_path / "a.v3")[5] == 2
     v2, v3 = load_store(tmp_path / "a.v2"), load_store(tmp_path / "a.v3")
-    QuantizedLabelStore.from_flat(v2).save(tmp_path / "b.v3")
-    v3.to_flat().save(tmp_path / "b.v2")
+    v2.encoded("v3").save(tmp_path / "b.v3")
+    v3.encoded("v2").save(tmp_path / "b.v2")
     assert _bytes(tmp_path / "b.v3") == _bytes(tmp_path / "a.v3")
     assert _bytes(tmp_path / "b.v2") == _bytes(tmp_path / "a.v2")
     # Through shards and back: each file carries its own slice.
@@ -343,7 +343,11 @@ def test_no_pendants_no_flag_and_round_trips(tmp_path):
     sharded.save(tmp_path / "shards", format="v3")
     again = ShardedLabelStore.load(tmp_path / "shards")
     assert again.stats().pendants == v2.pendants == index.stats().pendants
-    ShardedLabelStore.split(again, 1).shards[0].save(tmp_path / "c.v2")
+    # A split keeps the source's encoding: the one shard is v3 again.
+    (whole,) = ShardedLabelStore.split(again, 1).shards
+    whole.save(tmp_path / "c.v3")
+    assert _bytes(tmp_path / "c.v3") == _bytes(tmp_path / "a.v3")
+    whole.encoded("v2").save(tmp_path / "c.v2")
     assert _bytes(tmp_path / "c.v2") == _bytes(tmp_path / "a.v2")
     # v1 has no section: it holds the expanded labels.
     index.save(tmp_path / "a.v1", format="v1")

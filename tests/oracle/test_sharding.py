@@ -1,5 +1,6 @@
 """Tests for the range-sharded label store and its manifest."""
 
+import hashlib
 import json
 
 import pytest
@@ -18,6 +19,7 @@ from repro.oracle import (
     split_ranges,
 )
 from repro.oracle.sharding import MANIFEST_NAME
+from tests.conftest import patch_offset
 
 
 @pytest.fixture(scope="module")
@@ -107,12 +109,6 @@ class TestShardedStore:
         ]
         v = directed_flat.n // 2
         assert sharded.in_label(v) == directed_flat.in_label(v)
-
-    def test_query_group_matches_flat(self, undirected):
-        _, flat = undirected
-        sharded = ShardedLabelStore.split(flat, 3)
-        targets = list(range(0, flat.n, 7))
-        assert sharded.query_group(5, targets) == flat.query_group(5, targets)
 
     def test_shard_of_routing(self, undirected):
         _, flat = undirected
@@ -211,6 +207,20 @@ def _edit_manifest(shard_dir, mutate):
 
 
 class TestManifestFailureModes:
+    @pytest.mark.parametrize("fmt", ["v2", "v3"])
+    def test_corrupt_offsets_refused(self, undirected, tmp_path, fmt):
+        """A shard file whose checksum matches but whose offsets column
+        runs past its entries: the reader's offsets check refuses it."""
+        _, flat = undirected
+        root = tmp_path / "shards"
+        ShardedLabelStore.split(flat, 3).save(root, format=fmt)
+        shard = root / load_manifest(root)["shards"][1]["file"]
+        patch_offset(shard, 11, 10**6)
+        digest = hashlib.sha256(shard.read_bytes()).hexdigest()
+        _edit_manifest(root, lambda m: m["shards"][1].update(sha256=digest))
+        with pytest.raises(ShardError, match="corrupt offsets"):
+            ShardedLabelStore.load(root, use_mmap=True)
+
     def test_missing_directory(self, tmp_path):
         with pytest.raises(ShardError, match="not a shard directory"):
             ShardedLabelStore.load(tmp_path / "nope")

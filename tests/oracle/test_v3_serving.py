@@ -12,7 +12,6 @@ import pytest
 
 from repro.core.flatstore import FlatLabelStore
 from repro.core.hybrid import HybridBuilder
-from repro.core.quantized import QuantizedLabelStore
 from repro.core.verify import verify_index
 from repro.graphs.generators import glp_graph
 from repro.oracle import DistanceOracle, ParallelOracle, ShardedLabelStore
@@ -29,7 +28,7 @@ def setup(request, tmp_path_factory):
     p2 = root / "index.idx2"
     p3 = root / "index.idx3"
     flat.save(p2)
-    QuantizedLabelStore.from_flat(flat).save(p3)
+    flat.encoded("v3").save(p3)
     return g, flat, p2, p3
 
 
@@ -38,7 +37,7 @@ def oracles(setup):
     g, _, p2, p3 = setup
     o2 = DistanceOracle.open(p2, graph=g)
     o3 = DistanceOracle.open(p3, graph=g)
-    assert isinstance(o3.store, QuantizedLabelStore)
+    assert o3.store.encoding == "v3"
     return o2, o3
 
 
@@ -88,7 +87,7 @@ class TestOracleSurfaces:
 
     def test_verifier(self, setup):
         g, _, _, p3 = setup
-        store = QuantizedLabelStore.load(p3)
+        store = FlatLabelStore.load(p3)
         report = verify_index(g, store, samples=300)
         assert report.ok, report.violations[:5]
 
@@ -96,7 +95,7 @@ class TestOracleSurfaces:
 class TestShardedServing:
     def test_sharded_v3_dir_bit_identical(self, setup, tmp_path):
         g, flat, _, p3 = setup
-        q = QuantizedLabelStore.load(p3)
+        q = FlatLabelStore.load(p3)
         shard_dir = tmp_path / "shards"
         ShardedLabelStore.split(q, 3).save(shard_dir, format="v3")
         sharded = ShardedLabelStore.load(shard_dir, use_mmap=True)
@@ -107,10 +106,6 @@ class TestShardedServing:
             assert [sharded.query_via(s, t) for s, t in p] == [
                 flat.query_via(s, t) for s, t in p
             ]
-            targets = [t for _, t in p[:50]]
-            assert sharded.query_group(5, targets) == flat.query_group(
-                5, targets
-            )
         finally:
             sharded.close()
 
@@ -119,7 +114,7 @@ class TestShardedServing:
     ):
         g, flat, _, p3 = setup
         shard_dir = tmp_path / "shards"
-        q = QuantizedLabelStore.load(p3)
+        q = FlatLabelStore.load(p3)
         ShardedLabelStore.split(q, 3).save(shard_dir, format="v3")
         p = pairs(37, 600)
         expected = [flat.query(s, t) for s, t in p]
@@ -130,7 +125,7 @@ class TestShardedServing:
 
     def test_resplit_v3_shards(self, setup, tmp_path):
         _, flat, _, p3 = setup
-        q = QuantizedLabelStore.load(p3)
+        q = FlatLabelStore.load(p3)
         sharded = ShardedLabelStore.split(q, 4)
         resharded = ShardedLabelStore.split(sharded, 2)
         p = pairs(38, 300)

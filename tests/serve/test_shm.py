@@ -9,7 +9,6 @@ import pytest
 from paper.baselines.pll import build_pll
 from paper.bench.workloads import random_pairs
 from repro.core.flatstore import FlatLabelStore
-from repro.core.quantized import QuantizedLabelStore
 from repro.graphs.generators import ba_graph
 from repro.oracle import ShardedLabelStore
 from repro.serve import shm
@@ -52,7 +51,7 @@ def test_flat_store_bit_identity(flat, expected):
 
 def test_quantized_store_bit_identity(flat, expected):
     pairs, want = expected
-    store = QuantizedLabelStore.from_flat(flat)
+    store = flat.encoded("v3")
     with SharedMemoryFanout(store, workers=2) as fanout:
         assert fanout.query_batch(pairs) == want
 
