@@ -71,7 +71,7 @@ def test_rule_set_ablation(benchmark):
         )
 
     minimized, full = benchmark.pedantic(measure, rounds=1, iterations=1)
-    assert minimized.index.out_labels == full.index.out_labels
+    assert minimized.index.to_index().out_labels == full.index.to_index().out_labels
     raw_min = sum(it.raw_generated for it in minimized.iterations)
     raw_full = sum(it.raw_generated for it in full.iterations)
     assert raw_min < raw_full

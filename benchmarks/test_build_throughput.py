@@ -96,8 +96,10 @@ def _counters(result):
 def test_engines_bit_identical(builds):
     """The array engine rebuilds the exact index, counter for counter."""
     dict_result, _, array_result, _ = builds
-    assert array_result.index.out_labels == dict_result.index.out_labels
-    assert array_result.index.in_labels == dict_result.index.in_labels
+    array_lists = array_result.index.to_index()
+    dict_lists = dict_result.index.to_index()
+    assert array_lists.out_labels == dict_lists.out_labels
+    assert array_lists.in_labels == dict_lists.in_labels
     assert array_result.index.rank == dict_result.index.rank
     assert _counters(array_result) == _counters(dict_result)
 
@@ -107,7 +109,10 @@ def test_parallel_build_bit_identical(graph, builds):
     _, _, array_result, _ = builds
     jobs = min(PARALLEL_JOBS, max(_CORES, 2))
     parallel_result, _ = _timed_build(graph, engine="array", jobs=jobs)
-    assert parallel_result.index.out_labels == array_result.index.out_labels
+    assert (
+        parallel_result.index.to_index().out_labels
+        == array_result.index.to_index().out_labels
+    )
     assert _counters(parallel_result) == _counters(array_result)
 
 

@@ -34,6 +34,7 @@ from repro.core.flatstore import FlatLabelStore
 from repro.core.labels import LabelIndex
 from repro.graphs.generators import ba_graph
 from repro.oracle import DistanceOracle
+from tests.reference.v1_writer import write_v1
 
 NUM_VERTICES = 10_000
 NUM_PAIRS = 2_000
@@ -107,7 +108,7 @@ def test_flat_store_gates_and_export(stores, pairs, tmp_path):
     # i32 pivot + f64 distance per entry, i64 offsets: no per-entry object.
     assert flat.storage_bytes() == 12 * entries + 8 * (NUM_VERTICES + 1)
 
-    index.save(tmp_path / "labels.idx")
+    write_v1(index, tmp_path / "labels.idx")
     flat.save(tmp_path / "labels.idx2")
     start = time.perf_counter()
     loaded = LabelIndex.load(tmp_path / "labels.idx")

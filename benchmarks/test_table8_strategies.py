@@ -43,7 +43,7 @@ def test_doubling_generates_more_candidates(benchmark):
     s_cands = sum(it.distinct_generated for it in stepping.iterations)
     assert d_cands > s_cands
     # Identical final index regardless of strategy.
-    assert doubling.index.out_labels == stepping.index.out_labels
+    assert doubling.index.to_index().out_labels == stepping.index.to_index().out_labels
 
 
 def test_hybrid_limits_iterations_on_long_diameter(benchmark):
@@ -74,4 +74,4 @@ def test_hybrid_matches_stepping_on_small_diameter(benchmark):
 
     hybrid, stepping = benchmark.pedantic(measure, rounds=1, iterations=1)
     assert hybrid.num_iterations == stepping.num_iterations
-    assert hybrid.index.out_labels == stepping.index.out_labels
+    assert hybrid.index.to_index().out_labels == stepping.index.to_index().out_labels

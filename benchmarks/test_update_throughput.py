@@ -99,8 +99,8 @@ def replays(setting):
 def test_engines_bit_identical_and_exact(replays):
     """Both engines repair to the same labels; answers match Dijkstra."""
     _, array_dyn, dict_dyn = replays
-    array_snap = array_dyn.snapshot()
-    dict_snap = dict_dyn.snapshot()
+    array_snap = array_dyn.snapshot().to_index()
+    dict_snap = dict_dyn.snapshot().to_index()
     assert array_snap.out_labels == dict_snap.out_labels
     assert array_snap.in_labels == dict_snap.in_labels
     truth = BidirectionalSearchOracle(array_dyn.graph)

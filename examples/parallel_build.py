@@ -49,8 +49,8 @@ for name, index, seconds in (
 print(f"array-engine speedup: {dict_seconds / array_seconds:.1f}x")
 
 # The guarantee: same entries, same counters, whatever the engine.
-assert vectorized.labels.out_labels == reference.labels.out_labels
-assert parallel.labels.out_labels == reference.labels.out_labels
+assert vectorized.labels.to_index().out_labels == reference.labels.to_index().out_labels
+assert parallel.labels.to_index().out_labels == reference.labels.to_index().out_labels
 ref_counters = [
     (it.raw_generated, it.admitted, it.pruned)
     for it in reference.iteration_stats

@@ -54,18 +54,19 @@ def main() -> None:
     path = index.query_path(17, 1234)
     print(f"one shortest path 17 -> 1234: {path}")
 
-    # 6. Save, convert to the flat-array format v2, and reload.
+    # 6. Save in both encodings and reload.
     with tempfile.TemporaryDirectory() as tmp:
-        v1 = Path(tmp) / "quickstart.index"
+        v3 = Path(tmp) / "quickstart.index"
         v2 = Path(tmp) / "quickstart.index2"
-        index.save(v1)                    # format v1 (per-entry structs)
-        index.save(v2, format="v2")       # format v2 (flat-array blobs)
-        from_v1 = DistanceOracle.open(v1)
+        index.save(v3)                    # format v3 (compact, the default)
+        index.save(v2, format="v2")       # format v2 (int32/f64 arrays)
+        from_v3 = DistanceOracle.open(v3)
         reloaded = DistanceOracle.open(v2, use_mmap=True)
-        assert from_v1.query(17, 1234) == oracle.query(17, 1234)
+        assert from_v3.query(17, 1234) == oracle.query(17, 1234)
         assert reloaded.query(17, 1234) == oracle.query(17, 1234)
-        print(f"round-tripped through {v2.name} "
-              f"({v2.stat().st_size / 1024:.0f} KB on disk, mmap-loaded)")
+        print(f"round-tripped through {v3.name} "
+              f"({v3.stat().st_size / 1024:.0f} KB on disk) and {v2.name} "
+              f"({v2.stat().st_size / 1024:.0f} KB, mmap-loaded)")
         # Release the mapping before the tempdir is deleted (required
         # on Windows, where a mapped file cannot be removed).
         reloaded.close()

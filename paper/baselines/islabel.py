@@ -112,7 +112,7 @@ class ISLabelIndex:
         if s == t:
             return 0.0
         best = merge_join_distance(
-            self.labels.out_labels[s], self.labels.in_labels[t]
+            self.labels.out_label(s), self.labels.in_label(t)
         )
         if not self.residual_vertices:
             return best
@@ -126,14 +126,14 @@ class ISLabelIndex:
         vertex yields a candidate distance.
         """
         fwd: dict[int, float] = {}
-        for p, d in self.labels.out_labels[s]:
+        for p, d in self.labels.out_label(s):
             if p in self.residual_vertices or p == s:
                 if p in self.residual_vertices:
                     fwd[p] = min(fwd.get(p, INF), d)
         if s in self.residual_vertices:
             fwd[s] = 0.0
         bwd: dict[int, float] = {}
-        for p, d in self.labels.in_labels[t]:
+        for p, d in self.labels.in_label(t):
             if p in self.residual_vertices:
                 bwd[p] = min(bwd.get(p, INF), d)
         if t in self.residual_vertices:

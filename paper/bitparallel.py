@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.labels import INF, LabelIndex, merge_join_distance
+from repro.core.labels import INF, LabelIndex, LabelStore, merge_join_distance
 from repro.graphs.digraph import Graph
 
 DEFAULT_NUM_ROOTS = 50
@@ -213,7 +213,7 @@ def _bit_parallel_bfs(
 
 def add_bitparallel(
     graph: Graph,
-    index: LabelIndex,
+    index: LabelStore,
     num_roots: int = DEFAULT_NUM_ROOTS,
     max_set_size: int = MAX_SET_SIZE,
 ) -> BitParallelIndex:
@@ -284,7 +284,7 @@ def add_bitparallel(
     for v in range(n):
         kept = [
             (p, d)
-            for p, d in index.out_labels[v]
+            for p, d in index.out_label(v)
             if p == v or p not in covered
         ]
         new_labels.append(kept)

@@ -3,14 +3,12 @@
 Subcommands::
 
     repro build GRAPH -o INDEX [--directed] [--weighted] [--strategy S]
-                               [--format {v1,v2,v3}]
+                               [--format {v2,v3}]
                                [--engine {auto,array,dict}]
                                [--jobs N] [--force]
-    repro query INDEX [S T ...] [--batch FILE] [--backend {flat,list}]
-                               [--mmap]
+    repro query INDEX [S T ...] [--batch FILE] [--mmap]
     repro query --shards DIR [S T ...] [--batch FILE] [--workers N]
-    repro convert INDEX -o OUTPUT [--format {v1,v2,v3}] [--stats]
-                               [--force]
+    repro convert INDEX -o OUTPUT [--format {v2,v3}] [--stats] [--force]
     repro shard INDEX -o DIR [--shards N] [--format {v2,v3}] [--force]
     repro serve INDEX|DIR [--host H] [--port P] [--workers N]
                                [--max-batch PAIRS] [--max-wait-ms MS]
@@ -22,30 +20,38 @@ Subcommands::
     repro verify GRAPH INDEX [--directed] [--weighted] [--samples N]
 
 ``GRAPH`` files are text edge lists (``u v [w]`` per line, ``#``
-comments); ``INDEX`` files use the library's binary label formats
-(v1 per-entry structs, v2 flat-array blobs, v3 compact quantized
-arrays — ``repro convert`` translates between them and ``--stats``
-reports the size breakdown).  ``repro shard`` splits an index into a
-directory of per-vertex-range v2 (or, with ``--format v3``, quantized)
-files plus a manifest, which ``repro query --shards`` serves through a
-:class:`~repro.oracle.ParallelOracle`.  ``repro update`` inserts edges
-into a built index (or a shard directory) by incremental Hop-Doubling
-label repair — no rebuild; a shard directory has only its changed
-shards rewritten and their manifest checksums refreshed.  Queries are served through the
+comments); ``INDEX`` files use the library's binary label formats.
+Every command that writes one writes v3 (compact arrays) unless
+``--format v2`` (int32 pivots, f64 distances) asks otherwise; every
+command reads v1 (legacy per-entry structs), v2 and v3, and ``repro
+convert`` rewrites any of them as v2 or v3 (``--stats`` reports the
+size breakdown).  ``repro shard`` splits an index into a directory of
+per-vertex-range files plus a manifest, which ``repro query --shards``
+serves through a :class:`~repro.oracle.ParallelOracle`.  ``repro
+update`` inserts edges into a built index (or a shard directory) by
+incremental Hop-Doubling label repair — no rebuild — and writes the
+format it read; a shard directory has only its changed shards
+rewritten and their manifest checksums refreshed.  ``build``,
+``convert`` and ``update -o`` refuse to replace an existing file
+(``--force`` for the first two; ``update`` writes in place without
+``-o``).  Queries are served through the
 :class:`~repro.oracle.DistanceOracle` facade; ``--batch FILE``
 evaluates one ``s t`` pair per line with the vectorized numpy kernel
-on a v2/v3 store and per-pair queries otherwise.
+(per-pair queries below four pairs).
 ``repro serve`` runs the asyncio distance server of
 :mod:`repro.serve` over an index file or shard directory: concurrent
 clients' requests coalesce into kernel batches under an admission
 window, and the same :class:`~repro.oracle.ParallelOracle` decides per
 batch between the inline kernel and forked workers sharing the label
-arrays (see ``docs/ARCHITECTURE.md``).
+arrays (see ``docs/ARCHITECTURE.md``).  A missing or corrupt input, an
+invalid option value or an out-of-range vertex id is one ``error:``
+line on stderr and exit status 2; ``verify`` exits 1 on violations.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from repro.core.index import HopDoublingIndex
@@ -54,6 +60,8 @@ from repro.graphs.io import read_edge_list, write_edge_list
 from repro.graphs.stats import summarize
 from repro.utils.prettyprint import format_bytes, format_count
 from repro.utils.timer import format_duration
+
+_FORCE = "pass --force to overwrite it"
 
 
 def _print_round(it) -> None:
@@ -67,40 +75,38 @@ def _print_round(it) -> None:
     )
 
 
-def _cmd_build(args: argparse.Namespace) -> int:
-    import os
+def _check_output(path, overwrite: bool, hint: str) -> None:
+    """The one existing-output guard of the commands that write a file.
 
-    if os.path.exists(args.output) and not args.force:
-        print(
-            f"error: {args.output} already exists; pass --force to "
-            "overwrite it",
-            file=sys.stderr,
-        )
-        return 2
+    Refuses an existing ``path`` unless ``overwrite`` (``hint`` says how
+    to get past it), and a ``path`` whose directory does not exist —
+    both before the command does any work.
+    """
+    if os.path.exists(path) and not overwrite:
+        raise FileExistsError(f"{path} already exists; {hint}")
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise FileNotFoundError(f"{path}: no directory {parent}")
+
+
+def _cmd_build(args: argparse.Namespace) -> int:
     from repro.core.engine import check_engine_options, resolve_engine
 
-    try:
-        check_engine_options(args.engine, args.jobs)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    _check_output(args.output, args.force, _FORCE)
+    check_engine_options(args.engine, args.jobs)
     engine, jobs = resolve_engine(args.engine), args.jobs
     graph = read_edge_list(
         args.graph, directed=args.directed, weighted=args.weighted
     )
     print(f"loaded {graph}")
-    try:
-        index = HopDoublingIndex.build(
-            graph,
-            strategy=args.strategy,
-            ranking=args.ranking,
-            engine=engine,
-            jobs=jobs,
-            on_round=_print_round,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    index = HopDoublingIndex.build(
+        graph,
+        strategy=args.strategy,
+        ranking=args.ranking,
+        engine=engine,
+        jobs=jobs,
+        on_round=_print_round,
+    )
     stats = index.stats()
     workers = f", {jobs} jobs" if jobs > 1 else ""
     print(
@@ -142,45 +148,22 @@ def _cmd_query(args: argparse.Namespace) -> int:
     if not args.pair and not args.batch:
         print("error: provide vertex pairs or --batch FILE", file=sys.stderr)
         return 2
-    if args.shards and (args.mmap or args.backend != "flat"):
+    if args.shards and args.mmap:
         print(
-            "warning: --mmap and --backend are ignored with --shards "
-            "(shard files are always memory-mapped flat stores)",
+            "warning: --mmap is ignored with --shards (shard files are "
+            "always memory-mapped)",
             file=sys.stderr,
         )
-    elif args.mmap and args.backend == "list":
-        print(
-            "warning: --mmap has no effect with --backend list "
-            "(tuple lists are materialized in memory)",
-            file=sys.stderr,
-        )
-    batch_pairs = None
-    if args.batch:
-        try:
-            batch_pairs = read_pair_file(args.batch)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    try:
-        if args.shards:
-            oracle = ParallelOracle(args.shards, workers=args.workers)
-        else:
-            oracle = DistanceOracle.open(
-                args.index, backend=args.backend, use_mmap=args.mmap
-            )
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if (
-        not args.shards
-        and args.mmap
-        and args.backend == "flat"
-        and not getattr(oracle.store, "is_mmapped", False)
-    ):
+    batch_pairs = read_pair_file(args.batch) if args.batch else None
+    if args.shards:
+        oracle = ParallelOracle(args.shards, workers=args.workers)
+    else:
+        oracle = DistanceOracle.open(args.index, use_mmap=args.mmap)
+    if not args.shards and args.mmap and not oracle.store.is_mmapped:
         print(
             f"warning: --mmap not in effect for {args.index} (v1 file, or "
             "platform without zero-copy support); loaded into memory "
-            "instead — see `repro convert` for format v2",
+            "instead — `repro convert` rewrites a v1 file as v3",
             file=sys.stderr,
         )
     try:
@@ -205,36 +188,17 @@ def _cmd_query(args: argparse.Namespace) -> int:
                 f"({rate:,.0f} pairs/s)",
                 file=sys.stderr,
             )
-    except IndexError as exc:  # out-of-range vertex ids
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     finally:
         oracle.close()
     return 0
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
-    import os
-
     from repro.core.flatstore import load_store
 
-    if os.path.exists(args.output) and not args.force:
-        print(
-            f"error: {args.output} already exists; pass --force to "
-            "overwrite it",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        out_store = load_store(args.index, prefer_flat=True)
-        if args.format == "v1":
-            out_store.to_index().save(args.output)
-        else:
-            out_store = out_store.encoded(args.format)
-            out_store.save(args.output)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    _check_output(args.output, args.force, _FORCE)
+    out_store = load_store(args.index).encoded(args.format)
+    out_store.save(args.output)
     src = os.path.getsize(args.index)
     dst = os.path.getsize(args.output)
     print(
@@ -264,24 +228,14 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
 
 def _cmd_shard(args: argparse.Namespace) -> int:
-    import os
-
     from repro.core.flatstore import load_store
     from repro.oracle import ShardedLabelStore
     from repro.oracle.sharding import SHARD_FILE_FORMATS
 
-    try:
-        store = load_store(args.index, prefer_flat=True)
-        sharded = ShardedLabelStore.split(store, args.shards)
-        manifest_path = sharded.save(
-            args.output, overwrite=args.force, format=args.format
-        )
-    except FileExistsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    sharded = ShardedLabelStore.split(load_store(args.index), args.shards)
+    manifest_path = sharded.save(
+        args.output, overwrite=args.force, format=args.format
+    )
     total = 0
     for i, (lo, hi) in enumerate(sharded.ranges):
         size = os.path.getsize(
@@ -334,18 +288,13 @@ def _read_insert_edges(path) -> list[tuple[int, int, float]]:
 
 
 def _cmd_update(args: argparse.Namespace) -> int:
-    import os
     import time
 
     from repro.core.dynamic import DynamicHopDoublingIndex
     from repro.core.flatstore import load_store
     from repro.oracle import ShardedLabelStore
 
-    try:
-        edges = _read_insert_edges(args.edges)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    edges = _read_insert_edges(args.edges)
     if not edges:
         print(f"error: {args.edges}: no edges to insert", file=sys.stderr)
         return 2
@@ -357,32 +306,22 @@ def _cmd_update(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    source_version = None
-    try:
-        if is_dir:
-            store = ShardedLabelStore.load(args.index)
-        else:
-            with open(args.index, "rb") as fh:
-                head = fh.read(5)
-            source_version = head[4] if len(head) == 5 else None
-            store = load_store(args.index, prefer_flat=True)
-        if store.rank is None:
-            print(
-                f"error: {args.index} carries no ranking; rebuild the "
-                "index (repro build records it) before updating",
-                file=sys.stderr,
-            )
-            return 2
-        dyn = DynamicHopDoublingIndex.from_store(store)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    if args.output:
+        in_place = os.path.exists(args.output) and os.path.samefile(
+            args.output, args.index
+        )
+        _check_output(args.output, in_place, "leave out -o to update in place")
+    store = (ShardedLabelStore.load if is_dir else load_store)(args.index)
+    if store.rank is None:
+        print(
+            f"error: {args.index} carries no ranking; rebuild the "
+            "index (repro build records it) before updating",
+            file=sys.stderr,
+        )
         return 2
+    dyn = DynamicHopDoublingIndex.from_store(store)
     t0 = time.perf_counter()
-    try:
-        added = dyn.insert_edges(edges)
-    except (IndexError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    added = dyn.insert_edges(edges)
     repair_seconds = time.perf_counter() - t0
     delta = dyn.pop_label_delta()
     print(
@@ -390,36 +329,22 @@ def _cmd_update(args: argparse.Namespace) -> int:
         f"{format_duration(repair_seconds)}: "
         f"{format_count(len(delta.vertices()))} vertex labels changed"
     )
-    try:
-        if is_dir:
-            store.apply_updates(delta)
-            rewritten = store.reconcile(args.index)
-            print(
-                f"reconciled {args.index}: rewrote "
-                f"{len(rewritten)}/{store.num_shards} shards "
-                f"({', '.join(str(i) for i in rewritten) or 'none'})"
-            )
-        else:
-            store.apply_updates(delta)
-            target = args.output or args.index
-            if source_version == 1:
-                # Keep a v1 file in its own format: an update is not a
-                # format upgrade (that is `repro convert`'s job).
-                store.to_index().save(target)
-            else:
-                store.save(target)
-            print(f"updated index written to {target}")
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    store.apply_updates(delta)
+    if is_dir:
+        rewritten = store.reconcile(args.index)
+        print(
+            f"reconciled {args.index}: rewrote "
+            f"{len(rewritten)}/{store.num_shards} shards "
+            f"({', '.join(str(i) for i in rewritten) or 'none'})"
+        )
+    else:
+        target = args.output or args.index
+        store.save(target)
+        print(f"updated index written to {target} (format {store.encoding})")
     if args.shards:
-        try:
-            sharded = ShardedLabelStore.load(args.shards)
-            sharded.apply_updates(delta)
-            rewritten = sharded.reconcile(args.shards)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        sharded = ShardedLabelStore.load(args.shards)
+        sharded.apply_updates(delta)
+        rewritten = sharded.reconcile(args.shards)
         print(
             f"reconciled {args.shards}: rewrote "
             f"{len(rewritten)}/{sharded.num_shards} shards "
@@ -434,11 +359,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.oracle import ParallelOracle
     from repro.serve import DistanceServer
 
-    try:
-        oracle = ParallelOracle(args.index, workers=args.workers, cache_size=0)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    oracle = ParallelOracle(args.index, workers=args.workers, cache_size=0)
     # Fork the workers (if any batch could use them) before the event
     # loop and its thread pool exist — the quiescent-parent moment.
     pooled = oracle.warmup()
@@ -514,8 +435,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    import os
-
     from repro.core.flatstore import load_store
     from repro.core.verify import verify_index
 
@@ -535,6 +454,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     for violation in report.violations[:20]:
         print(f"  ! {violation}")
     return 0 if report.ok else 1
+
+
+def _add_format(p: argparse.ArgumentParser, what: str) -> None:
+    """The ``--format`` option of every command that writes an index."""
+    p.add_argument(
+        "--format",
+        choices=["v2", "v3"],
+        default="v3",
+        help=f"{what} format (default: v3 compact arrays; v2 = int32 "
+        "pivots and f64 distances)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -563,13 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help="vertex importance order used for pruning (default: auto)",
     )
-    p.add_argument(
-        "--format",
-        choices=["v1", "v2", "v3"],
-        default="v1",
-        help="index file format (default: v1 per-entry structs; v2 = "
-        "flat-array blobs, v3 = compact quantized arrays)",
-    )
+    _add_format(p, "index file")
     p.add_argument(
         "--engine",
         choices=["auto", "array", "dict"],
@@ -606,12 +530,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="evaluate one 's t' pair per line of FILE (batched path)",
     )
     p.add_argument(
-        "--backend",
-        choices=["flat", "list"],
-        default="flat",
-        help="in-memory label storage backend (default: flat CSR)",
-    )
-    p.add_argument(
         "--mmap",
         action="store_true",
         help="memory-map a v2/v3 index instead of reading it",
@@ -633,17 +551,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_query)
 
     p = sub.add_parser(
-        "convert", help="convert an index file between formats v1/v2/v3"
+        "convert", help="rewrite an index file (any version) as v2 or v3"
     )
     p.add_argument("index", help="index file in any format")
     p.add_argument("-o", "--output", required=True, help="converted output")
-    p.add_argument(
-        "--format",
-        choices=["v1", "v2", "v3"],
-        default="v2",
-        help="target format (default: v2 flat-array; v3 = compact "
-        "quantized arrays)",
-    )
+    _add_format(p, "target")
     p.add_argument(
         "--stats",
         action="store_true",
@@ -658,9 +570,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "shard",
-        help="split an index into a sharded directory (v2 files + manifest)",
+        help="split an index into a sharded directory (files + manifest)",
     )
-    p.add_argument("index", help="index file in either format")
+    p.add_argument("index", help="index file in any format")
     p.add_argument(
         "-o", "--output", required=True, help="shard directory to create"
     )
@@ -671,13 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="number of contiguous vertex-range shards (default: 4)",
     )
-    p.add_argument(
-        "--format",
-        choices=["v2", "v3"],
-        default="v2",
-        help="per-shard file format (default: v2; v3 = compact "
-        "quantized arrays)",
-    )
+    _add_format(p, "per-shard file")
     p.add_argument(
         "--force",
         action="store_true",
@@ -830,7 +736,14 @@ def main(argv: list[str] | None = None) -> int:
             args.pair.extend(int(tok) for tok in extra)
         else:
             parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    return args.func(args)
+    # The one error boundary: a missing or unreadable file, a corrupt
+    # index, an invalid option value or an out-of-range vertex id is
+    # one `error:` line and exit 2, never a traceback.
+    try:
+        return args.func(args)
+    except (OSError, ValueError, IndexError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def _is_int(token: str) -> bool:

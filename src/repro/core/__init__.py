@@ -5,7 +5,9 @@ Public surface:
 * :class:`HopDoublingIndex` — build / query / save / load facade;
 * the three builders (:class:`HopDoubling`, :class:`HopStepping`,
   :class:`HybridBuilder`) for callers that want iteration-level control;
-* :class:`LabelIndex` — the frozen 2-hop index;
+* :class:`LabelIndex` — the tuple-list index: the v1 file reader and
+  the dict reference (a build returns a
+  :class:`~repro.core.flatstore.FlatLabelStore`);
 * ranking strategies, pruning and the query helpers.
 """
 

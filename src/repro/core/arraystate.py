@@ -23,10 +23,10 @@ struct-of-arrays instead:
   built straight from the deduplicated candidate columns; and
   :meth:`ArrayLabelState.freeze` merges the self entries into each
   sorted side with one ``searchsorted`` + ``insert`` per array, giving
-  the v2-layout CSR arrays the frozen
-  :class:`~repro.core.labels.LabelIndex` holds and the v2/v3 packers
-  take as they are.  No per-entry Python object exists anywhere on
-  that path;
+  the v2-layout CSR arrays of the
+  :class:`~repro.core.flatstore.FlatLabelStore` a build returns, which
+  the v2/v3 writers take as they are.  No per-entry Python object
+  exists anywhere on that path;
 * **the pruning test gathers only possible witnesses**.  Both legs of
   a witness route are strictly shorter than the candidate, so a side
   whose shortest entry is not is *inert* and is neither expanded nor
@@ -56,11 +56,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.core.flatstore import FlatLabelStore, frozen_views
-from repro.core.labels import (
-    DirectedLabelState,
-    LabelIndex,
-    UndirectedLabelState,
-)
+from repro.core.labels import DirectedLabelState, UndirectedLabelState
 from repro.graphs.digraph import Graph
 
 #: Pruning expands each staged pair's source label; blocks of this many
@@ -1048,22 +1044,19 @@ class ArrayLabelState:
             return DirectedLabelState.from_entries(rank, self.iter_entries())
         return UndirectedLabelState.from_entries(rank, self.iter_entries())
 
-    def freeze(self) -> LabelIndex:
-        """Freeze into a queryable :class:`LabelIndex` over CSR arrays.
+    def freeze(self) -> FlatLabelStore:
+        """Freeze into a queryable v2 :class:`~repro.core.flatstore.FlatLabelStore`.
 
-        The same index as ``LabelIndex.from_state`` on the equivalent
-        dict state — labels sorted by pivot id with the trivial
-        ``(v, 0)`` self entries re-added — but held as the v2-layout
-        arrays of a :class:`~repro.core.flatstore.FlatLabelStore`, so
-        packing and saving it never builds a per-entry object.  The
-        arrays are copies: the index does not follow later mutations.
+        The same labels as ``LabelIndex.from_state`` on the equivalent
+        dict state — sorted by pivot id with the trivial ``(v, 0)``
+        self entries re-added — held as CSR arrays, so packing and
+        saving them never builds a per-entry object.  The arrays are
+        copies: the store does not follow later mutations.
         """
         out = self._csr_side(self.out)
         inn = self._csr_side(self.inn) if self.directed else out
-        return LabelIndex.over_store(
-            FlatLabelStore(
-                self.n, self.directed, *out, *inn, rank=self.rank.tolist()
-            )
+        return FlatLabelStore(
+            self.n, self.directed, *out, *inn, rank=self.rank.tolist()
         )
 
     def _csr_side(self, side: SideArrays) -> tuple:

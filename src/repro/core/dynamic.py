@@ -73,7 +73,7 @@ import numpy as np
 
 from repro.core.arraystate import ArrayLabelState, PrevBlock
 from repro.core.flatstore import FlatLabelStore
-from repro.core.labels import LabelDelta, LabelIndex, LabelStore
+from repro.core.labels import LabelDelta, LabelStore
 from repro.core.pruning import admit_and_prune_arrays, exhaustive_prune
 from repro.core.ranking import Ranking, make_ranking
 from repro.core.rules import PrevEntry, array_doubling
@@ -145,7 +145,7 @@ class _ArrayRepairEngine:
     def query(self, s: int, t: int) -> float:
         return self.state.two_hop_distance(s, t)
 
-    def snapshot(self) -> LabelIndex:
+    def snapshot(self) -> FlatLabelStore:
         return self.state.freeze()
 
     def compact(self) -> int:
@@ -318,8 +318,8 @@ class DynamicHopDoublingIndex:
             return 0.0
         return self._impl.query(s, t)
 
-    def snapshot(self) -> LabelIndex:
-        """Freeze the current labels into an immutable index."""
+    def snapshot(self) -> FlatLabelStore:
+        """Freeze the current labels into an immutable store."""
         return self._impl.snapshot()
 
     @property

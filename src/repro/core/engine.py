@@ -14,10 +14,11 @@ contract:
   :mod:`repro.core.arraystate`, with
   :class:`repro.core.parallel_build.ParallelBuildEngine` layering
   multiprocess candidate generation on top for ``jobs > 1``.  It reads
-  the graph once into arc columns, and what it freezes is the CSR
-  arrays of a :class:`~repro.core.flatstore.FlatLabelStore` inside the
-  :class:`~repro.core.labels.LabelIndex` — the tuple lists the dict
-  engine produces are, for this engine, a view derived on demand.
+  the graph once into arc columns and freezes straight into CSR arrays.
+
+Both freeze into a :class:`~repro.core.flatstore.FlatLabelStore`: the
+array engine's arrays as they are, the dict engine's tuple lists
+(:meth:`~repro.core.labels.LabelIndex.from_state`) packed.
 
 Every engine produces **bit-identical** label entries, distances, hops
 and per-iteration counters for the same graph and ranking, and
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 from typing import Protocol, Sequence
 
+from repro.core.flatstore import FlatLabelStore
 from repro.core.labels import (
     DirectedLabelState,
     LabelIndex,
@@ -157,8 +159,8 @@ class BuildEngine(Protocol):
         """Section 5.2's final sweep; returns entries removed."""
         ...
 
-    def freeze(self) -> LabelIndex:
-        """Freeze the state into the queryable index."""
+    def freeze(self) -> FlatLabelStore:
+        """Freeze the state into the queryable store."""
         ...
 
     def close(self) -> None:
@@ -199,8 +201,8 @@ class DictBuildEngine:
     def exhaustive_prune(self) -> int:
         return exhaustive_prune(self.state)
 
-    def freeze(self) -> LabelIndex:
-        return LabelIndex.from_state(self.state)
+    def freeze(self) -> FlatLabelStore:
+        return FlatLabelStore.from_index(LabelIndex.from_state(self.state))
 
     def close(self) -> None:
         pass
@@ -275,9 +277,11 @@ class ArrayBuildEngine:
         self._final_dict_state = dict_state
         return removed
 
-    def freeze(self) -> LabelIndex:
+    def freeze(self) -> FlatLabelStore:
         if self._final_dict_state is not None:
-            return LabelIndex.from_state(self._final_dict_state)
+            return FlatLabelStore.from_index(
+                LabelIndex.from_state(self._final_dict_state)
+            )
         return self.state.freeze()
 
     def close(self) -> None:

@@ -298,16 +298,18 @@ class FlatLabelStore:
 
     # -- conversion ----------------------------------------------------------
     @classmethod
-    def from_index(cls, index: LabelIndex) -> "FlatLabelStore":
-        """Pack a :class:`LabelIndex` into CSR arrays.
+    def from_index(cls, index: "FlatLabelStore | LabelIndex") -> "FlatLabelStore":
+        """A CSR store of ``index``'s labels.
 
-        An index already held as arrays (``LabelIndex.over_store``, the
-        array build engine's output) is not packed at all: the result
-        is a fresh store — its own update overlay, its own kernel row
-        cache — over the same immutable arrays.
+        Given a store (what a build returns), no entry is packed: the
+        result is a fresh store — its own update overlay, its own kernel
+        row cache — over the same immutable arrays, in the same
+        encoding; staged updates, if any, are folded in first
+        (:meth:`encoded`).  Given a tuple-list :class:`LabelIndex`, its
+        labels are packed into v2 columns.
         """
-        held = index._store
-        if held is not None:
+        if isinstance(index, FlatLabelStore):
+            held = index.encoded(index.encoding)
             store = cls(
                 held.n, held.directed,
                 held.out_offsets, held.out_pivots, held.out_dists,
@@ -315,6 +317,7 @@ class FlatLabelStore:
                 list(held.rank) if held.rank is not None else None,
             )
             store.parent, store.hang = held.parent, held.hang
+            store.encoding, store.lo = held.encoding, held.lo
             return store
 
         hang = index.hang

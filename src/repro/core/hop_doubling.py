@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.core.engine import check_engine_options, make_build_engine
-from repro.core.labels import LabelIndex
+from repro.core.flatstore import FlatLabelStore
 from repro.core.ranking import Ranking, make_ranking
 from repro.graphs.digraph import Graph
 from repro.utils.timer import Timer
@@ -60,7 +60,7 @@ class IterationStats:
 class BuildResult:
     """Everything a build produces: the index plus its provenance."""
 
-    index: LabelIndex
+    index: FlatLabelStore
     ranking: Ranking
     iterations: list[IterationStats] = field(default_factory=list)
     build_seconds: float = 0.0
@@ -72,7 +72,7 @@ class BuildResult:
         return 1 + sum(1 for it in self.iterations if it.survived > 0)
 
     def query(self, s: int, t: int) -> float:
-        """Convenience passthrough to :meth:`LabelIndex.query`."""
+        """Convenience passthrough to :meth:`FlatLabelStore.query`."""
         return self.index.query(s, t)
 
 

@@ -9,7 +9,7 @@ This is the interface a downstream user of the library sees::
     idx = HopDoublingIndex.build(g)          # hybrid strategy, paper defaults
     idx.query(3, 4021)                        # exact distance
     idx.stats()                               # label-size statistics
-    idx.save("g.index")                       # compact binary format
+    idx.save("g.index")                       # compact binary format (v3)
 
 Construction dispatches to the three builders of Sections 3 and 5
 (``strategy`` = ``"hybrid"`` (default) / ``"stepping"`` /
@@ -20,9 +20,10 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from repro.core.flatstore import FlatLabelStore, drop_pendant_rows, load_store
 from repro.core.hop_doubling import BuildResult, IterationStats
 from repro.core.hybrid import make_builder
-from repro.core.labels import INF, LabelIndex, LabelStats
+from repro.core.labels import INF, LabelStats
 from repro.core.query import reconstruct_path
 from repro.core.ranking import Ranking, make_ranking
 from repro.graphs.digraph import Graph
@@ -34,7 +35,7 @@ class HopDoublingIndex:
 
     def __init__(
         self,
-        labels: LabelIndex,
+        labels: FlatLabelStore,
         build_result: BuildResult | None = None,
         graph: Graph | None = None,
     ) -> None:
@@ -90,7 +91,7 @@ class HopDoublingIndex:
         )
         result = builder.build()
         if hang is not None:
-            result.index = result.index.with_pendants(parent, hang)
+            result.index = drop_pendant_rows(result.index, parent, hang)
         return cls(result.index, result, graph)
 
     # -- querying -----------------------------------------------------------
@@ -139,58 +140,41 @@ class HopDoublingIndex:
         return self.labels.size_in_bytes()
 
     # -- persistence --------------------------------------------------------------
-    def save(self, path: str | Path, format: str = "v1") -> None:
-        """Persist the 2-hop labels.
+    def save(self, path: str | Path, format: str = "v3") -> None:
+        """Persist the 2-hop labels, atomically.
 
-        ``format="v1"`` writes the per-entry struct format;
-        ``format="v2"`` writes the flat-array blobs of
-        :mod:`repro.core.flatstore` (same contents, bulk-loadable);
-        ``format="v3"`` writes the compact quantized encoding of
-        :mod:`repro.core.quantized` (same contents, ~25-50% of the v2
-        bytes).  All writes are atomic.  ``repro convert`` translates
-        between the formats on disk.
+        ``format="v3"`` (default) writes the compact encoding of
+        :mod:`repro.core.quantized` (~25-50% of the v2 bytes);
+        ``format="v2"`` the flat-array blobs of
+        :mod:`repro.core.flatstore`.  Same labels either way;
+        ``repro convert`` translates between them on disk.
         """
-        if format == "v1":
-            self.labels.save(path)
-        elif format in ("v2", "v3"):
-            from repro.core.flatstore import FlatLabelStore
-
-            FlatLabelStore.from_index(self.labels).encoded(format).save(path)
-        else:
-            raise ValueError(f"unknown index format {format!r}")
+        self.labels.encoded(format).save(path)
 
     @classmethod
     def load(cls, path: str | Path) -> "HopDoublingIndex":
-        """Load an index saved with :meth:`save` (either format)."""
-        return cls(LabelIndex.load(path))
+        """Load an index file of any format version."""
+        return cls(load_store(path))
 
     # -- serving ------------------------------------------------------------------
-    def oracle(self, backend: str = "flat", graph: Graph | None = None,
-               **kwargs):
+    def oracle(self, graph: Graph | None = None, **kwargs):
         """A :class:`~repro.oracle.DistanceOracle` serving this index.
 
-        ``backend="flat"`` (default) serves a CSR store — packed from
-        the tuple lists, or for an array-built index a fresh store over
-        the build's own arrays (each call its own overlay and kernel
-        cache); ``"list"`` serves the index object itself.  Keyword
-        arguments (``cache_size`` …) pass through to the oracle.  For
-        path reconstruction the build graph, when retained, is attached
+        The oracle serves a fresh store over this index's arrays
+        (:meth:`FlatLabelStore.from_index`), so each call gets its own
+        update overlay and kernel cache.  Keyword arguments
+        (``cache_size`` …) pass through to the oracle.  For path
+        reconstruction the build graph, when retained, is attached
         automatically; pass ``graph=`` to attach one to a disk-loaded
         index.
         """
         from repro.oracle import DistanceOracle
 
-        if backend == "flat":
-            from repro.core.flatstore import FlatLabelStore
-
-            store = FlatLabelStore.from_index(self.labels)
-        elif backend == "list":
-            store = self.labels
-        else:
-            raise ValueError(f"unknown backend {backend!r}")
         if graph is None:
             graph = self._graph
-        return DistanceOracle(store, graph=graph, **kwargs)
+        return DistanceOracle(
+            FlatLabelStore.from_index(self.labels), graph=graph, **kwargs
+        )
 
     def __repr__(self) -> str:
         return f"HopDoublingIndex({self.labels!r})"

@@ -21,17 +21,17 @@ Two families of classes live here:
   indexes the rule engine needs and the 2-hop bound used for pruning
   (the vectorized struct-of-arrays twin used by the fast build engine
   lives in :mod:`repro.core.arraystate`);
-* :class:`LabelIndex` — the immutable, sorted-array index produced at
-  the end, optimized for merge-join queries, measurable in bytes using
-  the paper's 32-bit-pivot + 8-bit-distance convention, and
-  serializable to disk.
+* :class:`LabelIndex` — an immutable index of per-vertex tuple lists,
+  optimized for merge-join queries and measurable in bytes using the
+  paper's 32-bit-pivot + 8-bit-distance convention: the reader of
+  legacy v1 files and the dict reference's frozen state.
 
 :class:`LabelIndex` is also the reference implementation of the
-:class:`LabelStore` protocol — the storage-backend interface every
+:class:`LabelStore` protocol — the read-side interface every
 query-side consumer (the :class:`~repro.oracle.DistanceOracle` facade,
 the inverted k-NN index, the disk-resident simulator) is written
-against.  The contiguous struct-of-arrays backend lives in
-:mod:`repro.core.flatstore`.
+against.  What a build returns, and what ``repro`` writes, is the CSR
+store of :mod:`repro.core.flatstore`.
 """
 
 from __future__ import annotations
@@ -39,8 +39,6 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Protocol, Sequence, runtime_checkable
-
-from repro.utils.atomicio import atomic_binary_writer
 
 INF = float("inf")
 
@@ -356,10 +354,6 @@ class LabelStore(Protocol):
         """Index size under the paper's 5-bytes-per-entry convention."""
         ...
 
-    def save(self, path) -> None:
-        """Persist the store to disk (atomically)."""
-        ...
-
 
 @dataclass
 class LabelDelta:
@@ -431,37 +425,32 @@ class LabelStats:
 
 
 class LabelIndex:
-    """Immutable 2-hop label index with merge-join querying.
+    """Immutable 2-hop label index over per-vertex tuple lists.
 
     For directed graphs each vertex has an out-label and an in-label;
-    for undirected graphs the two alias the same array.  Labels are
+    for undirected graphs the two alias the same list.  Labels are
     sorted by pivot id so a distance query is a linear merge of two
     sorted arrays (the disk-friendly evaluation of Section 2: "looking
     up Lout(s) and Lin(t)").
 
     Self entries ``(v, 0)`` are stored explicitly, as in the paper.
 
-    The labels are held either as per-vertex ``(pivot, dist)`` tuple
-    lists (the dict build engine, v1 files) or as the CSR arrays of a
-    private :class:`~repro.core.flatstore.FlatLabelStore`
-    (:meth:`over_store`: what the array build engine freezes into).
-    An array-held index answers every method from the arrays and packs
-    into the v2/v3 stores without touching an entry;
-    :attr:`out_labels` / :attr:`in_labels` are then a derived view,
-    materialised on first access.
+    This is the reader of v1 files, the dict build engine's frozen
+    state (:meth:`from_state`, packed into a
+    :class:`~repro.core.flatstore.FlatLabelStore` before the build
+    returns it) and the shape the ``paper/`` baselines build; a built
+    index is a :class:`~repro.core.flatstore.FlatLabelStore`.
 
-    An index built with pendant vertices peeled
-    (:meth:`with_pendants`) carries ``parent`` / ``hang``.  The tuple
-    lists always hold a pendant's *derived* label — its parent's,
-    shifted by the pendant edge, plus ``(v, 0.0)`` — so reading and
-    querying them needs no care; the arrays (and the v2/v3 files)
-    hold an empty row instead, and the size figures count what the
-    arrays store.
+    An index expanded from a store with pendant vertices peeled
+    (:meth:`~repro.core.flatstore.FlatLabelStore.to_index`) carries
+    ``parent`` / ``hang``.  The tuple lists hold a pendant's *derived*
+    label — its parent's, shifted by the pendant edge, plus ``(v,
+    0.0)`` — so reading and querying them needs no care; the size
+    figures count what a store holds for a pendant: an empty row.
     """
 
     __slots__ = (
-        "n", "directed", "rank", "parent", "hang",
-        "_out_labels", "_in_labels", "_store",
+        "n", "directed", "rank", "parent", "hang", "out_labels", "in_labels",
     )
 
     def __init__(
@@ -474,66 +463,12 @@ class LabelIndex:
     ) -> None:
         self.n = num_vertices
         self.directed = directed
-        self._out_labels = out_labels
-        self._in_labels = in_labels
+        #: Per-vertex out-labels as tuple lists (do not mutate).
+        self.out_labels = out_labels
+        #: Per-vertex in-labels; aliases :attr:`out_labels` if undirected.
+        self.in_labels = in_labels
         self.rank = rank
         self.parent = self.hang = None
-        self._store = None
-
-    @classmethod
-    def over_store(cls, store) -> "LabelIndex":
-        """An index held as ``store``'s CSR arrays (v2 layout).
-
-        The store becomes private to the index: it is never handed out
-        or updated, which is what lets ``from_index`` share its arrays.
-        """
-        index = cls(store.n, store.directed, None, None, store.rank)
-        index.parent, index.hang = store.parent, store.hang
-        index._store = store
-        return index
-
-    def with_pendants(self, parent, hang) -> "LabelIndex":
-        """This index of a core graph, extended to the pendants peeled
-        off it (:func:`repro.graphs.transform.peel_pendants`).
-
-        ``self`` labels the graph with every pendant isolated, so a
-        pendant's row is its bare self entry: the arrays drop it, the
-        tuple lists replace it by the derived label.
-        """
-        if self._store is not None:
-            from repro.core.flatstore import drop_pendant_rows
-
-            return LabelIndex.over_store(
-                drop_pendant_rows(self._store, parent, hang)
-            )
-        labels = list(self._out_labels)
-        for v, h in enumerate(hang):
-            if h:
-                label = [(p, h + d) for p, d in labels[parent[v]]]
-                label.append((v, 0.0))
-                label.sort()
-                labels[v] = label
-        index = LabelIndex(self.n, False, labels, labels, self.rank)
-        index.parent, index.hang = parent, hang
-        return index
-
-    @property
-    def out_labels(self) -> list[list[tuple[int, float]]]:
-        """Per-vertex out-labels as tuple lists (do not mutate)."""
-        if self._out_labels is None:
-            self._materialise()
-        return self._out_labels
-
-    @property
-    def in_labels(self) -> list[list[tuple[int, float]]]:
-        """Per-vertex in-labels; aliases :attr:`out_labels` if undirected."""
-        if self._in_labels is None:
-            self._materialise()
-        return self._in_labels
-
-    def _materialise(self) -> None:
-        lists = self._store.to_index()
-        self._out_labels, self._in_labels = lists.out_labels, lists.in_labels
 
     # -- construction ---------------------------------------------------
     @classmethod
@@ -560,8 +495,6 @@ class LabelIndex:
     # -- querying ---------------------------------------------------------
     def query(self, s: int, t: int) -> float:
         """Exact ``dist(s, t)``; :data:`INF` when unreachable."""
-        if self._store is not None:
-            return self._store.query(s, t)
         if not 0 <= s < self.n or not 0 <= t < self.n:
             raise IndexError(f"query ({s}, {t}) out of range [0, {self.n})")
         if s == t:
@@ -574,8 +507,6 @@ class LabelIndex:
         Useful for path reconstruction: the pivot is the highest-ranked
         vertex on a shortest ``s -> t`` path.
         """
-        if self._store is not None:
-            return self._store.query_via(s, t)
         if not 0 <= s < self.n or not 0 <= t < self.n:
             raise IndexError(f"query ({s}, {t}) out of range [0, {self.n})")
         if s == t:
@@ -608,21 +539,15 @@ class LabelIndex:
     # -- LabelStore accessors ------------------------------------------------
     def out_label(self, v: int) -> list[tuple[int, float]]:
         """``Lout(v)`` (do not mutate)."""
-        if self._store is not None:
-            return self._store.out_label(v)
-        return self._out_labels[v]
+        return self.out_labels[v]
 
     def in_label(self, v: int) -> list[tuple[int, float]]:
         """``Lin(v)`` (do not mutate)."""
-        if self._store is not None:
-            return self._store.in_label(v)
-        return self._in_labels[v]
+        return self.in_labels[v]
 
     # -- statistics ---------------------------------------------------------
     def total_entries(self, include_trivial: bool = False) -> int:
         """Total label entries (self entries excluded unless asked)."""
-        if self._store is not None:
-            return self._store.total_entries(include_trivial)
         total = sum(self._stored_sizes())
         if include_trivial:
             return total
@@ -648,8 +573,6 @@ class LabelIndex:
 
     def stats(self) -> LabelStats:
         """Aggregate size statistics (paper's |label| counts non-trivial)."""
-        if self._store is not None:
-            return self._store.stats()
         trivial = 2 if self.directed else 1
         per_vertex = [max(size - trivial, 0) for size in self._stored_sizes()]
         total = sum(per_vertex)
@@ -667,39 +590,13 @@ class LabelIndex:
         return self.total_entries(include_trivial=True) * BYTES_PER_ENTRY
 
     # -- serialization -------------------------------------------------------
-    def save(self, path) -> None:
-        """Write the index to ``path`` in binary format v1.
-
-        The write is atomic (temp file + rename): a crash mid-save
-        never leaves a truncated index behind.  For the flat-array
-        format v2 see :meth:`repro.core.flatstore.FlatLabelStore.save`.
-        """
-        with atomic_binary_writer(path) as fh:
-            fh.write(_MAGIC)
-            flags = 1 if self.directed else 0
-            has_rank = 1 if self.rank is not None else 0
-            fh.write(struct.pack("<BBBI", _VERSION, flags, has_rank, self.n))
-            if self.rank is not None:
-                fh.write(struct.pack(f"<{self.n}I", *self.rank))
-
-            def write_side(labels: list[list[tuple[int, float]]]) -> None:
-                for lab in labels:
-                    fh.write(struct.pack("<I", len(lab)))
-                    for p, d in lab:
-                        fh.write(struct.pack("<Id", p, d))
-
-            write_side(self.out_labels)
-            if self.directed:
-                write_side(self.in_labels)
-
     @classmethod
     def load(cls, path) -> "LabelIndex":
-        """Read an index from ``path``, whatever its format version.
+        """Read an index from ``path`` as tuple lists, whatever its version.
 
-        Version 1 files (this class's :meth:`save`) are read directly;
-        version 2 and 3 files are read through
-        :mod:`repro.core.flatstore` and expanded to lists.
-        Raises
+        Version 1 files (per-entry structs; read-only legacy) are read
+        directly; version 2 and 3 files are read through
+        :mod:`repro.core.flatstore` and expanded to lists.  Raises
         ``ValueError`` on anything that is not a complete index file
         (wrong magic, unsupported version, truncation).
         """

@@ -58,7 +58,6 @@ class VerificationReport:
 
 def _check_pendants(index: LabelStore, report: VerificationReport) -> None:
     """Check 0 over each array store under ``index`` (global ids)."""
-    index = getattr(index, "_store", None) or index
     n = index.n
     rank = getattr(index, "rank", None)
     shards = getattr(index, "shards", [index])

@@ -5,9 +5,9 @@ examples, the bench harness — goes through one object that owns a
 label store backend and layers the serving conveniences on top:
 
 * pluggable storage: any :class:`~repro.core.labels.LabelStore`
-  (tuple-list :class:`~repro.core.labels.LabelIndex` or CSR
-  :class:`~repro.core.flatstore.FlatLabelStore`), attached directly or
-  opened from an index file of any format version;
+  (usually a CSR :class:`~repro.core.flatstore.FlatLabelStore`),
+  attached directly or opened from an index file of any format
+  version;
 * an LRU result cache for single-pair queries;
 * batched evaluation (:meth:`query_batch`) through the vectorized
   kernel or merge joins grouped by source vertex;
@@ -56,33 +56,19 @@ class DistanceOracle:
     def open(
         cls,
         path: str | Path,
-        backend: str = "flat",
         use_mmap: bool = False,
         graph: Graph | None = None,
         cache_size: int = DEFAULT_CACHE_SIZE,
     ) -> "DistanceOracle":
         """Open an index file (any format version) and serve it.
 
-        ``backend`` selects the in-memory representation: ``"flat"``
-        (default) keeps the file's array layout — CSR for v2,
-        compact quantized for v3 — for the fast query paths;
-        ``"list"`` keeps/expands tuple lists.  ``use_mmap`` maps a
-        v2/v3 file zero-copy instead of reading it.
+        The store keeps the file's array layout — CSR for v2, compact
+        for v3; a v1 file is packed into v2 arrays.  ``use_mmap`` maps
+        a v2/v3 file zero-copy instead of reading it.
         """
-        from repro.core.flatstore import FlatLabelStore, load_store
+        from repro.core.flatstore import load_store
 
-        if backend == "flat":
-            store: LabelStore = load_store(
-                path, prefer_flat=True, use_mmap=use_mmap
-            )
-        elif backend == "list":
-            # Tuple lists are materialized in memory regardless, so
-            # never create a file mapping that would only leak.
-            store = load_store(path, prefer_flat=False, use_mmap=False)
-            if isinstance(store, FlatLabelStore):
-                store = store.to_index()
-        else:
-            raise ValueError(f"unknown backend {backend!r}")
+        store = load_store(path, use_mmap=use_mmap)
         return cls(store, graph=graph, cache_size=cache_size)
 
     # -- basic facts ---------------------------------------------------------

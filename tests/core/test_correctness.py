@@ -72,7 +72,7 @@ class TestCanonicalIdentity:
     @given(graph_strategy(weighted=False))
     def test_labels_equal_pll(self, strategy, g):
         pll, _ = build_pll(g)
-        hop = make_builder(g, strategy).build().index
+        hop = make_builder(g, strategy).build().index.to_index()
         assert hop.out_labels == pll.out_labels
         assert hop.in_labels == pll.in_labels
 
@@ -127,7 +127,7 @@ class TestMinimality:
         g = random_graph(seed, max_n=12, weighted=False)
         truth = APSPOracle(g)
         result = make_builder(g, "hybrid").build()
-        idx = result.index
+        idx = result.index.to_index()
         n = g.num_vertices
 
         def queries_all_exact(index) -> bool:

@@ -95,7 +95,7 @@ class TestRandomizedRepair:
                 for engine, dyn in dyns.items()
             }
             assert results["dict"] == results["array"]
-        snaps = {e: d.snapshot() for e, d in dyns.items()}
+        snaps = {e: d.snapshot().to_index() for e, d in dyns.items()}
         assert snaps["dict"].out_labels == snaps["array"].out_labels
         assert snaps["dict"].in_labels == snaps["array"].in_labels
         deltas = {e: d.pop_label_delta() for e, d in dyns.items()}

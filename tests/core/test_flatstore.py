@@ -11,11 +11,12 @@ from repro.core.labels import INF, LabelIndex
 from repro.graphs.generators import ba_graph, glp_graph
 from repro.oracle import DistanceOracle
 from tests.conftest import patch_offset, random_graph
+from tests.reference.v1_writer import write_v1
 
 
 def build_index(n=80, seed=5, directed=False):
     g = glp_graph(n, seed=seed, directed=directed)
-    return HybridBuilder(g).build().index
+    return HybridBuilder(g).build().index.to_index()
 
 
 @pytest.fixture(scope="module", params=[False, True], ids=["undir", "dir"])
@@ -91,7 +92,7 @@ class TestQueries:
         from repro.graphs.digraph import Graph
 
         g = Graph.from_edges(4, [(0, 1), (2, 3)], directed=False)
-        idx = HybridBuilder(g).build().index
+        idx = HybridBuilder(g).build().index.to_index()
         flat = FlatLabelStore.from_index(idx)
         assert flat.query(0, 3) == INF
         assert flat.query_via(0, 3) == (INF, -1)
@@ -99,7 +100,7 @@ class TestQueries:
     @pytest.mark.parametrize("seed", range(12))
     def test_random_graphs_agree(self, seed):
         g = random_graph(seed, max_n=30)
-        idx = HybridBuilder(g).build().index
+        idx = HybridBuilder(g).build().index.to_index()
         flat = FlatLabelStore.from_index(idx)
         for s in range(g.num_vertices):
             for t in range(g.num_vertices):
@@ -134,7 +135,7 @@ class TestFormatV2:
         idx, flat = index_pair
         p1 = tmp_path / "a.idx"
         p2 = tmp_path / "a.idx2"
-        idx.save(p1)
+        write_v1(idx, p1)
         flat.save(p2)
         from_v1 = load_store(p1)
         from_v2 = load_store(p2)
@@ -224,7 +225,7 @@ class TestFormatV2:
     def test_load_store_prefers_backend(self, tmp_path, index_pair):
         idx, _ = index_pair
         p1 = tmp_path / "a.idx"
-        idx.save(p1)
+        write_v1(idx, p1)
         assert isinstance(load_store(p1), FlatLabelStore)
         assert isinstance(load_store(p1, prefer_flat=False), LabelIndex)
 
@@ -331,7 +332,7 @@ class TestV1Compatibility:
 class TestAtomicWrites:
     def test_no_temp_residue_after_save(self, tmp_path, index_pair):
         idx, flat = index_pair
-        idx.save(tmp_path / "a.idx")
+        write_v1(idx, tmp_path / "a.idx")
         flat.save(tmp_path / "a.idx2")
         names = {p.name for p in tmp_path.iterdir()}
         assert names == {"a.idx", "a.idx2"}

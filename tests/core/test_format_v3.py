@@ -18,7 +18,7 @@ def build_index(n=80, seed=5, directed=False, weighted=False):
         g = random_graph(seed, max_n=n, directed=False, weighted=True)
     else:
         g = glp_graph(n, seed=seed, directed=directed)
-    return HybridBuilder(g).build().index
+    return HybridBuilder(g).build().index.to_index()
 
 
 @pytest.fixture(scope="module", params=[False, True], ids=["undir", "dir"])
@@ -110,7 +110,7 @@ class TestRoundTrip:
 
         edges = [(0, 1, 0.5), (1, 2, 1.25), (2, 3, 2.0), (3, 0, 0.75)]
         g = Graph.from_edges(4, edges, directed=False, weighted=True)
-        idx = HybridBuilder(g).build().index
+        idx = HybridBuilder(g).build().index.to_index()
         flat = FlatLabelStore.from_index(idx)
         q = flat.encoded("v3")
         assert q.dist_width == 8

@@ -117,7 +117,10 @@ class TestHybridIterations:
         stepping = HopStepping(g).build()
         hybrid = HybridBuilder(g).build()
         assert hybrid.num_iterations == stepping.num_iterations
-        assert hybrid.index.out_labels == stepping.index.out_labels
+        assert (
+            hybrid.index.to_index().out_labels
+            == stepping.index.to_index().out_labels
+        )
 
     def test_max_iterations_cap_respected(self):
         g = path_graph(50)

@@ -13,6 +13,7 @@ from repro.core.labels import (
 )
 from repro.core.hybrid import HybridBuilder
 from repro.graphs.generators import glp_graph
+from tests.reference.v1_writer import write_v1
 
 
 class TestDirectedState:
@@ -108,19 +109,19 @@ class TestLabelIndexQuery:
 
     def test_query_identity(self):
         g = glp_graph(50, seed=1)
-        idx = HybridBuilder(g).build().index
+        idx = HybridBuilder(g).build().index.to_index()
         assert idx.query(7, 7) == 0.0
 
     def test_query_out_of_range(self):
         g = glp_graph(20, seed=1)
-        idx = HybridBuilder(g).build().index
+        idx = HybridBuilder(g).build().index.to_index()
         with pytest.raises(IndexError):
             idx.query(0, 99)
 
     def test_query_via_returns_highest_pivot(self):
         g = glp_graph(60, seed=2)
         built = HybridBuilder(g).build()
-        idx = built.index
+        idx = built.index.to_index()
         d, pivot = idx.query_via(5, 40)
         assert d == idx.query(5, 40)
         if d not in (0.0, INF):
@@ -132,7 +133,7 @@ class TestLabelIndexQuery:
 class TestLabelIndexStats:
     def test_stats_and_bytes(self):
         g = glp_graph(80, seed=3)
-        idx = HybridBuilder(g).build().index
+        idx = HybridBuilder(g).build().index.to_index()
         stats = idx.stats()
         assert stats.total_entries == idx.total_entries()
         assert stats.avg_label_size == pytest.approx(
@@ -145,7 +146,7 @@ class TestLabelIndexStats:
 
     def test_coverage_curve_monotone(self):
         g = glp_graph(200, seed=4)
-        idx = HybridBuilder(g).build().index
+        idx = HybridBuilder(g).build().index.to_index()
         curve = coverage_curve(idx, [0.01, 0.1, 0.5, 1.0])
         values = [c for _, c in curve]
         assert values == sorted(values)
@@ -153,7 +154,7 @@ class TestLabelIndexStats:
 
     def test_top_fraction_for_coverage(self):
         g = glp_graph(200, seed=4)
-        idx = HybridBuilder(g).build().index
+        idx = HybridBuilder(g).build().index.to_index()
         f70 = top_fraction_for_coverage(idx, 0.7)
         f90 = top_fraction_for_coverage(idx, 0.9)
         assert 0 < f70 <= f90 <= 1.0
@@ -169,9 +170,9 @@ class TestSerialization:
     @pytest.mark.parametrize("directed", [True, False])
     def test_save_load_round_trip(self, tmp_path, directed):
         g = glp_graph(60, seed=5, directed=directed)
-        idx = HybridBuilder(g).build().index
+        idx = HybridBuilder(g).build().index.to_index()
         path = tmp_path / "x.idx"
-        idx.save(path)
+        write_v1(idx, path)
         loaded = LabelIndex.load(path)
         assert loaded.n == idx.n
         assert loaded.directed == idx.directed
@@ -181,9 +182,9 @@ class TestSerialization:
 
     def test_undirected_load_aliases_labels(self, tmp_path):
         g = glp_graph(30, seed=6)
-        idx = HybridBuilder(g).build().index
+        idx = HybridBuilder(g).build().index.to_index()
         path = tmp_path / "x.idx"
-        idx.save(path)
+        write_v1(idx, path)
         loaded = LabelIndex.load(path)
         assert loaded.out_labels is loaded.in_labels
 
@@ -195,9 +196,9 @@ class TestSerialization:
 
     def test_truncated_file_rejected(self, tmp_path):
         g = glp_graph(40, seed=7)
-        idx = HybridBuilder(g).build().index
+        idx = HybridBuilder(g).build().index.to_index()
         path = tmp_path / "full.idx"
-        idx.save(path)
+        write_v1(idx, path)
         data = path.read_bytes()
         truncated = tmp_path / "trunc.idx"
         truncated.write_bytes(data[: len(data) // 2])

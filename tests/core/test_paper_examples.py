@@ -158,7 +158,10 @@ class TestExample3HopStepping:
             figure3_graph, ranking=ranking, prune=False
         ).build()
         # Same final labels either way...
-        assert doubling.index.out_labels == stepping.index.out_labels
+        assert (
+            doubling.index.to_index().out_labels
+            == stepping.index.to_index().out_labels
+        )
         # ...but stepping takes one more productive round (3 vs 2).
         d_rounds = sum(1 for it in doubling.iterations if it.survived)
         s_rounds = sum(1 for it in stepping.iterations if it.survived)

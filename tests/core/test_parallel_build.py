@@ -70,9 +70,10 @@ def _fingerprint(result):
         )
         for it in result.iterations
     ]
+    lists = result.index.to_index()
     return (
-        result.index.out_labels,
-        result.index.in_labels,
+        lists.out_labels,
+        lists.in_labels,
         result.index.rank,
         counters,
     )
@@ -167,7 +168,7 @@ class TestEngineOptions:
 
 class TestArrayStateInternals:
     def test_freeze_matches_dict_freeze(self):
-        """ArrayLabelState.freeze == LabelIndex.from_state round trip."""
+        """ArrayLabelState.freeze == the dict engine's packed freeze."""
         from repro.core.engine import ArrayBuildEngine, DictBuildEngine
         from repro.core.ranking import make_ranking
 
@@ -177,8 +178,8 @@ class TestArrayStateInternals:
         a = ArrayBuildEngine(g, ranking, "minimized")
         d.initialize()
         a.initialize()
-        di = d.freeze()
-        ai = a.freeze()
+        di = d.freeze().to_index()
+        ai = a.freeze().to_index()
         assert di.out_labels == ai.out_labels
         assert di.in_labels == ai.in_labels
         assert di.rank == ai.rank

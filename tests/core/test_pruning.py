@@ -137,7 +137,7 @@ class TestExhaustivePrune:
 
         st = UndirectedLabelState(result.ranking.rank_of)
         for v in range(g.num_vertices):
-            for p, d in result.index.out_labels[v]:
+            for p, d in result.index.out_label(v):
                 if p != v:
                     st.set_pair(v, p, d, 0)
         removed = exhaustive_prune(st)
@@ -151,10 +151,10 @@ class TestExhaustivePrune:
         result = builder.build()
         st = DirectedLabelState(result.ranking.rank_of)
         for v in range(g.num_vertices):
-            for p, d in result.index.out_labels[v]:
+            for p, d in result.index.out_label(v):
                 if p != v:
                     st.set_pair(v, p, d, 0)
-            for p, d in result.index.in_labels[v]:
+            for p, d in result.index.in_label(v):
                 if p != v:
                     st.set_pair(p, v, d, 0)
         assert exhaustive_prune(st) == 0
@@ -168,11 +168,11 @@ class TestExhaustivePrune:
         cls = DirectedLabelState if directed else UndirectedLabelState
         st = cls(result.ranking.rank_of)
         for v in range(g.num_vertices):
-            for p, d in result.index.out_labels[v]:
+            for p, d in result.index.out_label(v):
                 if p != v:
                     st.set_pair(v, p, d, 0)
             if directed:
-                for p, d in result.index.in_labels[v]:
+                for p, d in result.index.in_label(v):
                     if p != v:
                         st.set_pair(p, v, d, 0)
         return st

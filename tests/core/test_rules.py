@@ -85,8 +85,9 @@ class TestDirectedGeneration:
         )
         res_step = make_builder(g, "stepping").build()
         res_double = make_builder(g, "doubling").build()
-        assert res_step.index.out_labels == res_double.index.out_labels
-        assert res_step.index.in_labels == res_double.index.in_labels
+        step, double = res_step.index.to_index(), res_double.index.to_index()
+        assert step.out_labels == double.out_labels
+        assert step.in_labels == double.in_labels
 
 
 class TestMinimizedEqualsFull:
@@ -98,6 +99,7 @@ class TestMinimizedEqualsFull:
         for strategy in ("stepping", "doubling"):
             a = make_builder(g, strategy, rule_set="minimized").build().index
             b = make_builder(g, strategy, rule_set="full").build().index
+            a, b = a.to_index(), b.to_index()
             assert a.out_labels == b.out_labels
             assert a.in_labels == b.in_labels
 
@@ -121,9 +123,9 @@ class TestEntryInvariants:
         rank = result.ranking.rank_of
         idx = result.index
         for v in range(g.num_vertices):
-            for pivot, _ in idx.out_labels[v]:
+            for pivot, _ in idx.out_label(v):
                 assert pivot == v or rank[pivot] < rank[v]
-            for pivot, _ in idx.in_labels[v]:
+            for pivot, _ in idx.in_label(v):
                 assert pivot == v or rank[pivot] < rank[v]
 
     @settings(max_examples=40, deadline=None)
@@ -137,7 +139,7 @@ class TestEntryInvariants:
         result = make_builder(g, "hybrid").build()
         idx = result.index
         for v in range(g.num_vertices):
-            for pivot, d in idx.out_labels[v]:
+            for pivot, d in idx.out_label(v):
                 assert d >= truth.query(v, pivot)
-            for pivot, d in idx.in_labels[v]:
+            for pivot, d in idx.in_label(v):
                 assert d >= truth.query(pivot, v)

@@ -10,13 +10,15 @@ from tests.conftest import graph_strategy
 
 
 class TestUndirectedSingleLabel:
-    """Undirected graphs use one label per vertex; the frozen index
+    """Undirected graphs use one label per vertex; the frozen store
     aliases in/out sides."""
 
     def test_label_sides_alias(self):
         g = glp_graph(80, seed=1)
         idx = make_builder(g, "hybrid").build().index
-        assert idx.out_labels is idx.in_labels
+        assert idx.in_offsets is idx.out_offsets
+        assert idx.in_pivots is idx.out_pivots
+        assert idx.in_dists is idx.out_dists
 
     def test_symmetry_of_queries(self):
         g = glp_graph(120, seed=2)

@@ -40,10 +40,11 @@ class TestHappyPath:
 
 class TestFailureInjection:
     def _mutated(self, idx, mutate) -> LabelIndex:
-        out = [list(lab) for lab in idx.out_labels]
+        lists = idx.to_index()
+        out = [list(lab) for lab in lists.out_labels]
         mutate(out)
         if idx.directed:
-            return LabelIndex(idx.n, True, out, idx.in_labels, idx.rank)
+            return LabelIndex(idx.n, True, out, lists.in_labels, idx.rank)
         return LabelIndex(idx.n, False, out, out, idx.rank)
 
     def test_vertex_count_mismatch(self, built):
@@ -56,7 +57,7 @@ class TestFailureInjection:
     def test_unsorted_label_detected(self, built):
         g, idx = built
         v = next(
-            v for v in range(idx.n) if len(idx.out_labels[v]) >= 3
+            v for v in range(idx.n) if len(idx.out_label(v)) >= 3
         )
 
         def mutate(out):
@@ -77,7 +78,7 @@ class TestFailureInjection:
     def test_underestimating_entry_detected(self, built):
         g, idx = built
         v = next(
-            v for v in range(idx.n) if len(idx.out_labels[v]) >= 2
+            v for v in range(idx.n) if len(idx.out_label(v)) >= 2
         )
 
         def mutate(out):
@@ -94,7 +95,7 @@ class TestFailureInjection:
         g, idx = built
         # Remove a non-trivial entry from a high-degree vertex: some
         # sampled query should now come out wrong.
-        v = max(range(idx.n), key=lambda v: len(idx.out_labels[v]))
+        v = max(range(idx.n), key=lambda v: len(idx.out_label(v)))
 
         def mutate(out):
             out[v] = [e for e in out[v][:1]] + out[v][2:]
@@ -106,8 +107,9 @@ class TestFailureInjection:
         g, idx = built
         # Attach a ranking that contradicts the pivot order.
         flipped = list(reversed(idx.rank))
+        lists = idx.to_index()
         bad = LabelIndex(
-            idx.n, idx.directed, idx.out_labels, idx.in_labels, flipped
+            idx.n, idx.directed, lists.out_labels, lists.in_labels, flipped
         )
         report = verify_index(g, bad)
         assert any("outrank" in m for m in report.violations)

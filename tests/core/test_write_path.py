@@ -2,10 +2,10 @@
 
 The array engine freezes into CSR arrays that the v2/v3 packers take
 as they are; the dict engine freezes into tuple lists that are packed
-entry by entry.  Both must write the same bytes, count the same
-candidates, and — when someone asks for them — show the same tuple
-lists.  The prune test's inert-side rule and the v3 encoder's widths
-are pinned here too.
+entry by entry.  Both return a ``FlatLabelStore``, and both must write
+the same bytes, count the same candidates, and — when someone expands
+them — show the same tuple lists.  The prune test's inert-side rule and
+the v3 encoder's widths are pinned here too.
 """
 
 from __future__ import annotations
@@ -85,9 +85,9 @@ def _check_write_path(graph: Graph, options: dict) -> None:
             assert _file_bytes(
                 HopDoublingIndex(result.index), fmt, workdir
             ) == _file_bytes(HopDoublingIndex(reference.index), fmt, workdir)
-    # The tuple lists are materialised only now, after both saves.
-    assert result.index.out_labels == reference.index.out_labels
-    assert result.index.in_labels == reference.index.in_labels
+    lists, reference_lists = result.index.to_index(), reference.index.to_index()
+    assert lists.out_labels == reference_lists.out_labels
+    assert lists.in_labels == reference_lists.in_labels
     assert result.index.rank == reference.index.rank
     assert result.index.stats() == reference.index.stats()
 
@@ -107,17 +107,19 @@ def test_parallel_write_path_matches_dict_reference(graph):
 
 
 def test_array_engine_freezes_into_arrays_not_tuples():
-    """build -> save(v2|v3) never materialises a per-entry object."""
+    """build -> save(v2|v3) never materialises a per-entry object: the
+    build returns the CSR store its engine froze."""
     graph = glp_graph(300, seed=5)
     index = HopDoublingIndex.build(graph, engine="array")
+    assert isinstance(index.labels, FlatLabelStore)
+    assert index.labels.encoding == "v2"
     with tempfile.TemporaryDirectory() as workdir:
         for fmt in ("v2", "v3"):
             _file_bytes(index, fmt, workdir)
-    assert index.labels._out_labels is None
     assert index.query(0, 299) == index.oracle().query(0, 299)
-    assert index.labels.out_label(7) == index.labels.out_labels[7]
-    # Undirected: the materialised in-side aliases the out-side.
-    assert index.labels.in_labels is index.labels.out_labels
+    assert index.labels.out_label(7) == index.labels.to_index().out_labels[7]
+    # Undirected: the in-side aliases the out-side.
+    assert index.labels.in_pivots is index.labels.out_pivots
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +301,11 @@ def test_from_index_returns_independent_stores(store_cls):
     first = store_cls.from_index(index.labels)
     second = store_cls.from_index(index.labels)
     assert first is not second
+    if store_cls is FlatLabelStore:
+        # Nothing packed: both stand on the build's own arrays.
+        for name in ("out_offsets", "out_pivots", "out_dists"):
+            assert getattr(first, name) is getattr(index.labels, name)
+            assert getattr(second, name) is getattr(index.labels, name)
     kernel.ensure_sides(first)
     assert kernel.view_info(first) is not None
     assert kernel.view_info(second) is None
@@ -308,7 +315,14 @@ def test_from_index_returns_independent_stores(store_cls):
     assert first.query(s, t) == 1.0
     assert second.query(s, t) == before == index.query(s, t)
     assert not second.has_pending_updates
+    assert not index.labels.has_pending_updates
     assert index.labels.out_label(s) == second.out_label(s)
+    # A store with staged rows hands them on folded into new arrays, in
+    # its own encoding.
+    third = FlatLabelStore.from_index(first)
+    assert not third.has_pending_updates
+    assert third.encoding == first.encoding
+    assert third.query(s, t) == 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@ class TestBitIdentity:
         ext = ExternalLabelingBuilder(
             g, DiskModel(256, 16), strategy=strategy, switch_iteration=3
         ).build()
-        assert ext.index.out_labels == mem.index.out_labels
-        assert ext.index.in_labels == mem.index.in_labels
+        assert ext.index.out_labels == mem.index.to_index().out_labels
+        assert ext.index.in_labels == mem.index.to_index().in_labels
 
     @pytest.mark.parametrize("seed", range(4))
     def test_queries_exact(self, seed):
@@ -42,7 +42,7 @@ class TestBitIdentity:
         ext = ExternalLabelingBuilder(
             g, DiskModel(256, 16), backend="disk"
         ).build()
-        assert ext.index.out_labels == mem.index.out_labels
+        assert ext.index.out_labels == mem.index.to_index().out_labels
 
     def test_iteration_counters_match_inmemory(self):
         g = glp_graph(150, seed=9)

@@ -11,6 +11,7 @@ from repro.graphs.generators import glp_graph
 from repro.oracle import DistanceOracle, read_pair_file
 from repro.oracle.batch import evaluate_batch
 from tests.conftest import random_graph
+from tests.reference.v1_writer import write_v1
 
 
 @pytest.fixture(scope="module", params=[False, True], ids=["undir", "dir"])
@@ -28,7 +29,9 @@ class TestQueryBatch:
     @pytest.mark.parametrize("backend", ["flat", "list"])
     def test_bit_identical_to_per_pair(self, built, backend):
         g, idx = built
-        store = FlatLabelStore.from_index(idx) if backend == "flat" else idx
+        store = FlatLabelStore.from_index(idx)
+        if backend == "list":
+            store = idx.to_index()
         oracle = DistanceOracle(store)
         pairs = all_pairs(g.num_vertices)
         assert oracle.query_batch(pairs) == [idx.query(s, t) for s, t in pairs]
@@ -149,13 +152,18 @@ class TestOpen:
     @pytest.mark.parametrize("fmt", ["v1", "v2"])
     @pytest.mark.parametrize("backend", ["flat", "list"])
     def test_open_any_format_any_backend(self, tmp_path, built, fmt, backend):
+        """``open`` serves any file version as a CSR store; the oracle
+        serves the same labels as tuple lists alike."""
         _, idx = built
         path = tmp_path / f"x.{fmt}"
         if fmt == "v1":
-            idx.save(path)
+            write_v1(idx, path)
         else:
             FlatLabelStore.from_index(idx).save(path)
-        oracle = DistanceOracle.open(path, backend=backend)
+        oracle = DistanceOracle.open(path)
+        assert isinstance(oracle.store, FlatLabelStore)
+        if backend == "list":
+            oracle = DistanceOracle(oracle.store.to_index())
         for s, t in [(0, 1), (5, 40), (7, 7)]:
             assert oracle.query(s, t) == idx.query(s, t)
 
@@ -168,15 +176,6 @@ class TestOpen:
         assert oracle.query_batch(pairs) == [idx.query(s, t)
                                              for s, t in pairs]
 
-    def test_open_list_backend_never_maps(self, tmp_path, built):
-        _, idx = built
-        path = tmp_path / "x.idx2"
-        FlatLabelStore.from_index(idx).save(path)
-        oracle = DistanceOracle.open(path, backend="list", use_mmap=True)
-        assert not getattr(oracle.store, "is_mmapped", False)
-        oracle.close()  # no mapping to leak; file is freely deletable
-        path.unlink()
-
     def test_close_releases_mmap_backend(self, tmp_path, built):
         _, idx = built
         path = tmp_path / "x.idx2"
@@ -187,11 +186,12 @@ class TestOpen:
         assert not oracle.store.is_mmapped
 
     def test_open_unknown_backend(self, tmp_path, built):
+        """``open`` has no ``backend=`` knob: every value is unknown."""
         _, idx = built
         path = tmp_path / "x.idx"
         idx.save(path)
-        with pytest.raises(ValueError, match="backend"):
-            DistanceOracle.open(path, backend="gpu")
+        with pytest.raises(TypeError, match="backend"):
+            DistanceOracle.open(path, backend="list")
 
 
 class TestDerivedWorkloads:

@@ -138,7 +138,8 @@ class TestOracleInvalidation:
 
     def test_unsupported_backend_raises(self, setting):
         graph, _, _, delta = setting
-        oracle = DistanceOracle(make_builder(graph, "hybrid").build().index)
+        lists = make_builder(graph, "hybrid").build().index.to_index()
+        oracle = DistanceOracle(lists)
         with pytest.raises(TypeError, match="does not support"):
             oracle.apply_updates(delta)
 

@@ -19,6 +19,7 @@ from itertools import repeat
 from typing import Iterable, Sequence
 
 from repro.core.dynamic import DynamicHopDoublingIndex
+from repro.core.flatstore import FlatLabelStore
 from repro.core.labels import (
     DirectedLabelState,
     LabelIndex,
@@ -111,8 +112,8 @@ class DictRepairEngine:
     def query(self, s: int, t: int) -> float:
         return self.state.two_hop_bound(s, t)
 
-    def snapshot(self) -> LabelIndex:
-        return LabelIndex.from_state(self.state)
+    def snapshot(self) -> FlatLabelStore:
+        return FlatLabelStore.from_index(LabelIndex.from_state(self.state))
 
     def compact(self) -> int:
         return exhaustive_prune(self.state)

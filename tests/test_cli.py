@@ -3,6 +3,8 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.flatstore import load_store
+from tests.reference.v1_writer import write_v1
 
 
 @pytest.fixture
@@ -136,13 +138,17 @@ class TestBuildAndQuery:
 class TestConvertAndBatch:
     @pytest.fixture
     def v1_index(self, graph_file, tmp_path):
+        """A legacy v1 file of the build's labels (the reference writer)."""
+        built = tmp_path / "g.built"
+        main(["build", str(graph_file), "-o", str(built)])
         idx = tmp_path / "g.idx"
-        main(["build", str(graph_file), "-o", str(idx)])
+        write_v1(load_store(built), idx)
         return idx
 
     def test_convert_to_v2_and_query(self, v1_index, tmp_path, capsys):
         v2 = tmp_path / "g.idx2"
-        rc = main(["convert", str(v1_index), "-o", str(v2)])
+        rc = main(["convert", str(v1_index), "-o", str(v2), "--format",
+                   "v2"])
         assert rc == 0
         assert "format v2" in capsys.readouterr().out
         rc = main(["query", str(v2), "0", "10"])
@@ -151,21 +157,48 @@ class TestConvertAndBatch:
 
     def test_convert_round_trip_preserves_answers(self, v1_index, tmp_path,
                                                   capsys):
+        """v1 -> v2 -> v3 -> v2: the second v2 file is the first."""
         v2 = tmp_path / "g.idx2"
-        back = tmp_path / "g.back.idx"
-        main(["convert", str(v1_index), "-o", str(v2)])
-        main(["convert", str(v2), "-o", str(back), "--format", "v1"])
+        v3 = tmp_path / "g.idx3"
+        back = tmp_path / "g.back.idx2"
+        main(["convert", str(v1_index), "-o", str(v2), "--format", "v2"])
+        main(["convert", str(v2), "-o", str(v3)])
+        main(["convert", str(v3), "-o", str(back), "--format", "v2"])
+        assert back.read_bytes() == v2.read_bytes()
         main(["query", str(v1_index), "0", "17"])
         first = capsys.readouterr().out.splitlines()[-1]
         main(["query", str(back), "0", "17"])
         second = capsys.readouterr().out.splitlines()[-1]
         assert first == second
 
+    def test_convert_v1_to_v3_matches_a_v3_build(self, tmp_path, capsys):
+        """A v1 file converts to v3 with the same answer on every pair,
+        byte-identical to building v3 directly (BA: no pendants)."""
+        graph = tmp_path / "ba.txt"
+        main(["generate", "ba", "-n", "120", "--density", "2",
+              "-o", str(graph)])
+        direct = tmp_path / "direct.idx3"
+        main(["build", str(graph), "-o", str(direct)])
+        v1 = tmp_path / "ba.idx1"
+        write_v1(load_store(direct), v1)
+        converted = tmp_path / "converted.idx3"
+        assert main(["convert", str(v1), "-o", str(converted)]) == 0
+        assert "format v3" in capsys.readouterr().out
+        assert converted.read_bytes() == direct.read_bytes()
+        old, new = load_store(v1), load_store(converted)
+        assert old.encoding == "v2" and new.encoding == "v3"
+        assert all(
+            old.query(s, t) == new.query(s, t)
+            for s in range(old.n)
+            for t in range(old.n)
+        )
+
     def test_build_v2_format_directly(self, graph_file, tmp_path, capsys):
         idx = tmp_path / "g.idx2"
         rc = main(["build", str(graph_file), "-o", str(idx), "--format",
                    "v2"])
         assert rc == 0
+        assert idx.read_bytes()[4] == 2
         assert main(["query", str(idx), "3", "3"]) == 0
         assert "dist(3, 3) = 0" in capsys.readouterr().out
 
@@ -192,8 +225,8 @@ class TestConvertAndBatch:
     def test_convert_v3_half_the_v2_size(self, v1_index, tmp_path, capsys):
         v2 = tmp_path / "g.idx2"
         v3 = tmp_path / "g.idx3"
-        main(["convert", str(v1_index), "-o", str(v2)])
-        main(["convert", str(v1_index), "-o", str(v3), "--format", "v3"])
+        main(["convert", str(v1_index), "-o", str(v2), "--format", "v2"])
+        main(["convert", str(v1_index), "-o", str(v3)])
         assert v3.stat().st_size <= 0.5 * v2.stat().st_size
 
     def test_convert_v3_round_trip_preserves_answers(
@@ -220,21 +253,24 @@ class TestConvertAndBatch:
     def test_batch_kernel_on_off_agree(self, v1_index, graph_file,
                                        tmp_path, capsys):
         """The kernel (a v3 store, a batch of four) and the scalar path
-        (tuple lists) print the same lines."""
+        (the v1 file, one pair per batch) print the same lines."""
         from repro.oracle import kernel
 
         v3 = tmp_path / "g.idx3"
         main(["convert", str(v1_index), "-o", str(v3), "--format", "v3"])
+        lines = ["0 10\n", "3 7\n", "5 5\n", "1 40\n"]
         batch = tmp_path / "pairs.txt"
-        batch.write_text("0 10\n3 7\n5 5\n1 40\n")
+        batch.write_text("".join(lines))
         capsys.readouterr()
         before = kernel.stats()["pairs"]
         assert main(["query", str(v3), "--batch", str(batch)]) == 0
         on_out = capsys.readouterr().out
         assert kernel.stats()["pairs"] == before + 3  # 5 5 reads 0.0
-        assert main(["query", str(v1_index), "--batch", str(batch),
-                     "--backend", "list"]) == 0
-        off_out = capsys.readouterr().out
+        off_out = ""
+        for line in lines:
+            batch.write_text(line)
+            assert main(["query", str(v1_index), "--batch", str(batch)]) == 0
+            off_out += capsys.readouterr().out
         assert kernel.stats()["pairs"] == before + 3
         assert on_out == off_out
 
@@ -246,7 +282,7 @@ class TestConvertAndBatch:
         batch.write_text("0 1\n")
         with pytest.raises(SystemExit) as exc:
             main(["query", str(v1_index), "--batch", str(batch),
-                  "--backend", "list", "--kernel", "on"])
+                  "--kernel", "on"])
         assert exc.value.code == 2
         assert "--kernel" in capsys.readouterr().err
 
@@ -288,15 +324,14 @@ class TestConvertAndBatch:
 
     def test_query_batch_with_mmap_backend(self, v1_index, tmp_path, capsys):
         v2 = tmp_path / "g.idx2"
-        main(["convert", str(v1_index), "-o", str(v2)])
+        main(["convert", str(v1_index), "-o", str(v2), "--format", "v2"])
         batch = tmp_path / "pairs.txt"
         batch.write_text("0 10\n")
         capsys.readouterr()
         rc = main(["query", str(v2), "--batch", str(batch), "--mmap"])
         assert rc == 0
         out_mmap = capsys.readouterr().out
-        rc = main(["query", str(v2), "--batch", str(batch), "--backend",
-                   "list"])
+        rc = main(["query", str(v1_index), "--batch", str(batch)])
         assert rc == 0
         assert capsys.readouterr().out == out_mmap
 
@@ -326,7 +361,7 @@ class TestConvertAndBatch:
         assert "out of range" in capsys.readouterr().err
 
     def test_query_flags_before_pairs(self, v1_index, capsys):
-        rc = main(["query", str(v1_index), "--backend", "list", "0", "10"])
+        rc = main(["query", str(v1_index), "--mmap", "0", "10"])
         assert rc == 0
         assert "dist(0, 10)" in capsys.readouterr().out
 
@@ -341,7 +376,7 @@ class TestConvertAndBatch:
 
     def test_verify_reads_v2(self, graph_file, v1_index, tmp_path, capsys):
         v2 = tmp_path / "g.idx2"
-        main(["convert", str(v1_index), "-o", str(v2)])
+        main(["convert", str(v1_index), "-o", str(v2), "--format", "v2"])
         rc = main(["verify", str(graph_file), str(v2)])
         assert rc == 0
         assert "OK" in capsys.readouterr().out
@@ -358,7 +393,7 @@ class TestShardAndParallelQuery:
     def shard_dir(self, v2_index, tmp_path):
         out = tmp_path / "g.shards"
         assert main(["shard", str(v2_index), "-o", str(out),
-                     "--shards", "3"]) == 0
+                     "--shards", "3", "--format", "v2"]) == 0
         return out
 
     def test_shard_writes_manifest_and_files(self, shard_dir, capsys):
@@ -368,10 +403,9 @@ class TestShardAndParallelQuery:
 
     def test_shard_v3_format_and_query(self, v2_index, tmp_path, capsys):
         out = tmp_path / "g.shards3"
-        rc = main(["shard", str(v2_index), "-o", str(out),
-                   "--shards", "3", "--format", "v3"])
+        rc = main(["shard", str(v2_index), "-o", str(out), "--shards", "3"])
         assert rc == 0
-        assert "format v3" in capsys.readouterr().out
+        assert "format v3" in capsys.readouterr().out  # the default
         for i in range(3):
             assert (out / f"shard-{i:04d}.idx3").exists()
         main(["query", str(v2_index), "0", "10"])
@@ -407,7 +441,7 @@ class TestShardAndParallelQuery:
 
     def test_shard_force_overwrites_and_prunes(self, v2_index, shard_dir):
         rc = main(["shard", str(v2_index), "-o", str(shard_dir),
-                   "--shards", "2", "--force"])
+                   "--shards", "2", "--format", "v2", "--force"])
         assert rc == 0
         assert not (shard_dir / "shard-0002.idx2").exists()
 
@@ -480,15 +514,12 @@ class TestShardAndParallelQuery:
     def test_convert_refuses_overwrite_without_force(self, v2_index,
                                                      tmp_path, capsys):
         out = tmp_path / "conv.idx"
-        assert main(["convert", str(v2_index), "-o", str(out),
-                     "--format", "v1"]) == 0
+        assert main(["convert", str(v2_index), "-o", str(out)]) == 0
         capsys.readouterr()
-        rc = main(["convert", str(v2_index), "-o", str(out),
-                   "--format", "v1"])
+        rc = main(["convert", str(v2_index), "-o", str(out)])
         assert rc == 2
         assert "--force" in capsys.readouterr().err
-        rc = main(["convert", str(v2_index), "-o", str(out),
-                   "--format", "v1", "--force"])
+        rc = main(["convert", str(v2_index), "-o", str(out), "--force"])
         assert rc == 0
 
 
@@ -568,14 +599,16 @@ class TestUpdate:
         main(["query", str(out_idx), "0", "199"])
         assert "dist(0, 199) = 1" in capsys.readouterr().out
 
-    def test_update_v1_index_keeps_format(self, built, tmp_path, capsys):
+    def test_update_v1_index_writes_v2(self, built, tmp_path, capsys):
+        """An update writes what it loaded: a v1 file loads as v2 arrays."""
         idx, edges = built
         idx1 = tmp_path / "g1.idx"
-        main(["convert", str(idx), "-o", str(idx1), "--format", "v1"])
+        write_v1(load_store(idx), idx1)
+        capsys.readouterr()
         rc = main(["update", str(idx1), "--edges", str(edges)])
         assert rc == 0
-        assert idx1.read_bytes()[4] == 1  # still a v1 file
-        capsys.readouterr()
+        assert "(format v2)" in capsys.readouterr().out
+        assert idx1.read_bytes()[4] == 2
         main(["query", str(idx1), "0", "199"])
         assert "dist(0, 199) = 1" in capsys.readouterr().out
 
@@ -642,3 +675,69 @@ class TestUpdate:
                    "-o", str(tmp_path / "x.idx")])
         assert rc == 2
         assert "in place" in capsys.readouterr().err
+
+
+class TestErrorBoundary:
+    """Every failure below is one `error:` line and exit 2, no traceback."""
+
+    @staticmethod
+    def assert_one_error(capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_build_missing_graph(self, tmp_path, capsys):
+        rc = main(["build", str(tmp_path / "MISSING.txt"),
+                   "-o", str(tmp_path / "x.idx")])
+        assert rc == 2
+        self.assert_one_error(capsys)
+
+    def test_build_into_missing_directory(self, graph_file, tmp_path,
+                                          capsys, monkeypatch):
+        """Refused before the build starts, not after it finishes."""
+        from repro.core import index
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("built before checking the output path")
+
+        monkeypatch.setattr(index.HopDoublingIndex, "build", no_build)
+        rc = main(["build", str(graph_file),
+                   "-o", str(tmp_path / "nodir" / "x.idx")])
+        assert rc == 2
+        self.assert_one_error(capsys)
+
+    def test_verify_missing_or_corrupt_index(self, graph_file, tmp_path,
+                                             capsys):
+        rc = main(["verify", str(graph_file), str(tmp_path / "MISSING.idx")])
+        assert rc == 2
+        self.assert_one_error(capsys)
+        bad = tmp_path / "bad.idx"
+        bad.write_bytes(b"garbage!")
+        rc = main(["verify", str(graph_file), str(bad)])
+        assert rc == 2
+        self.assert_one_error(capsys)
+
+    def test_stats_missing_graph(self, tmp_path, capsys):
+        rc = main(["stats", str(tmp_path / "MISSING.txt")])
+        assert rc == 2
+        self.assert_one_error(capsys)
+
+    def test_update_output_never_replaces_another_file(
+        self, graph_file, tmp_path, capsys
+    ):
+        """`update -o` onto an existing file other than INDEX is refused
+        and leaves that file intact; onto INDEX itself it is in place."""
+        idx = tmp_path / "g.idx"
+        main(["build", str(graph_file), "-o", str(idx)])
+        edges = tmp_path / "new.txt"
+        edges.write_text("0 199\n")
+        before = graph_file.read_bytes()
+        capsys.readouterr()
+        rc = main(["update", str(idx), "--edges", str(edges),
+                   "-o", str(graph_file)])
+        assert rc == 2
+        assert "already exists" in capsys.readouterr().err
+        assert graph_file.read_bytes() == before
+        rc = main(["update", str(idx), "--edges", str(edges), "-o", str(idx)])
+        assert rc == 0
+        assert "(format v3)" in capsys.readouterr().out
