@@ -6,46 +6,48 @@ Subcommands::
                                [--format {v2,v3}]
                                [--engine {auto,array,dict}]
                                [--jobs N] [--force]
-    repro query INDEX [S T ...] [--batch FILE] [--mmap]
-    repro query --shards DIR [S T ...] [--batch FILE] [--workers N]
+    repro query INDEX|DIR [S T ...] [--batch FILE] [--workers N]
     repro convert INDEX -o OUTPUT [--format {v2,v3}] [--stats] [--force]
     repro shard INDEX -o DIR [--shards N] [--format {v2,v3}] [--force]
     repro serve INDEX|DIR [--host H] [--port P] [--workers N]
                                [--max-batch PAIRS] [--max-wait-ms MS]
                                [--max-pending PAIRS]
-    repro update INDEX --edges FILE [-o OUT] [--shards DIR]
+    repro update INDEX|DIR --edges FILE [-o OUT] [--shards DIR]
     repro stats GRAPH [--directed] [--weighted]
     repro generate MODEL -n N -o GRAPH [--density D] [--seed K]
                                [--directed]
-    repro verify GRAPH INDEX [--directed] [--weighted] [--samples N]
+    repro verify GRAPH INDEX|DIR [--directed] [--weighted] [--samples N]
 
-``GRAPH`` files are text edge lists (``u v [w]`` per line, ``#``
-comments); ``INDEX`` files use the library's binary label formats.
-Every command that writes one writes v3 (compact arrays) unless
-``--format v2`` (int32 pivots, f64 distances) asks otherwise; every
-command reads v1 (legacy per-entry structs), v2 and v3, and ``repro
-convert`` rewrites any of them as v2 or v3 (``--stats`` reports the
-size breakdown).  ``repro shard`` splits an index into a directory of
-per-vertex-range files plus a manifest, which ``repro query --shards``
-serves through a :class:`~repro.oracle.ParallelOracle`.  ``repro
-update`` inserts edges into a built index (or a shard directory) by
-incremental Hop-Doubling label repair — no rebuild — and writes the
-format it read; a shard directory has only its changed shards
-rewritten and their manifest checksums refreshed.  ``build``,
-``convert`` and ``update -o`` refuse to replace an existing file
-(``--force`` for the first two; ``update`` writes in place without
-``-o``).  Queries are served through the
-:class:`~repro.oracle.DistanceOracle` facade; ``--batch FILE``
-evaluates one ``s t`` pair per line with the vectorized numpy kernel
-(per-pair queries below four pairs).
-``repro serve`` runs the asyncio distance server of
-:mod:`repro.serve` over an index file or shard directory: concurrent
-clients' requests coalesce into kernel batches under an admission
-window, and the same :class:`~repro.oracle.ParallelOracle` decides per
-batch between the inline kernel and forked workers sharing the label
-arrays (see ``docs/ARCHITECTURE.md``).  A missing or corrupt input, an
-invalid option value or an out-of-range vertex id is one ``error:``
-line on stderr and exit status 2; ``verify`` exits 1 on violations.
+Every text input — a ``GRAPH`` edge list (``u v [w]`` per line), a
+``--batch`` file (``s t``) and an ``--edges`` file (``u v [w]``) — is
+read by the one reader of :mod:`repro.graphs.io`: ``#``/``%``
+comments and blank lines skipped, ``.gz`` read transparently, integer
+vertex ids kept as written, so every command addresses the file's
+ids.  ``INDEX`` files use the library's binary label formats.  Every
+command that writes one writes v3 (compact arrays) unless ``--format
+v2`` (int32 pivots, f64 distances) asks otherwise; every command reads
+v1 (legacy per-entry structs), v2 and v3, and ``repro convert``
+rewrites any of them as v2 or v3 (``--stats`` reports the size
+breakdown).  ``repro shard`` splits an index into a directory of
+per-vertex-range files plus a manifest (``DIR``); every command that
+reads an index takes either.  ``repro update`` inserts edges into a
+built index or shard directory by incremental Hop-Doubling label
+repair — no rebuild — and writes the format it read; a shard directory
+has only its changed shards rewritten and their manifest checksums
+refreshed.  ``build``, ``convert`` and ``update -o`` refuse to replace
+an existing file (``--force`` for the first two; ``update`` writes in
+place without ``-o``).  ``repro query`` and ``repro serve`` open their
+index the same way, through a :class:`~repro.oracle.ParallelOracle`
+(memory-mapped, with ``--workers`` sizing its fork pool); ``--batch
+FILE`` evaluates its pairs with the vectorized numpy kernel (per-pair
+queries below four pairs).  ``repro serve`` runs the asyncio distance
+server of :mod:`repro.serve`: concurrent clients' requests coalesce
+into kernel batches under an admission window, and the oracle decides
+per batch between the inline kernel and forked workers sharing the
+label arrays (see ``docs/ARCHITECTURE.md``).  A missing or corrupt
+input, an invalid option value or an out-of-range vertex id is one
+``error:`` line on stderr and exit status 2; ``verify`` exits 1 on
+violations.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ import sys
 
 from repro.core.index import HopDoublingIndex
 from repro.graphs.generators import ba_graph, er_graph, glp_graph
-from repro.graphs.io import read_edge_list, write_edge_list
+from repro.graphs.io import read_edge_list, read_records, write_edge_list
 from repro.graphs.stats import summarize
 from repro.utils.prettyprint import format_bytes, format_count
 from repro.utils.timer import format_duration
@@ -87,6 +89,25 @@ def _check_output(path, overwrite: bool, hint: str) -> None:
     parent = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(parent):
         raise FileNotFoundError(f"{path}: no directory {parent}")
+
+
+def _open_oracle(args: argparse.Namespace):
+    """The oracle ``query`` and ``serve`` answer from: an index file or
+    a shard directory, memory-mapped, with ``--workers`` forked workers
+    for the batches that pay for them."""
+    from repro.oracle import ParallelOracle
+
+    return ParallelOracle(args.index, workers=args.workers, cache_size=0)
+
+
+def _open_store(path, prefer_flat: bool = True):
+    """The label store of an index file (any version) or shard directory."""
+    from repro.core.flatstore import load_store
+    from repro.oracle import ShardedLabelStore
+
+    if os.path.isdir(path):
+        return ShardedLabelStore.load(path)
+    return load_store(path, prefer_flat=prefer_flat)
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
@@ -124,23 +145,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    from repro.oracle import DistanceOracle, ParallelOracle, read_pair_file
+    from repro.oracle import read_pair_file
 
-    # With --shards the INDEX positional must be omitted; argparse may
-    # have captured the first vertex id there, so hand it back.
-    if args.shards and args.index is not None:
-        if _is_int(args.index):
-            args.pair.insert(0, int(args.index))
-            args.index = None
-        else:
-            print(
-                "error: give either INDEX or --shards DIR, not both",
-                file=sys.stderr,
-            )
-            return 2
-    if not args.shards and args.index is None:
-        print("error: provide an INDEX file or --shards DIR", file=sys.stderr)
-        return 2
     # Validate the invocation before paying for the index load.
     if len(args.pair) % 2 != 0:
         print("error: provide an even number of vertex ids", file=sys.stderr)
@@ -148,24 +154,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
     if not args.pair and not args.batch:
         print("error: provide vertex pairs or --batch FILE", file=sys.stderr)
         return 2
-    if args.shards and args.mmap:
-        print(
-            "warning: --mmap is ignored with --shards (shard files are "
-            "always memory-mapped)",
-            file=sys.stderr,
-        )
     batch_pairs = read_pair_file(args.batch) if args.batch else None
-    if args.shards:
-        oracle = ParallelOracle(args.shards, workers=args.workers)
-    else:
-        oracle = DistanceOracle.open(args.index, use_mmap=args.mmap)
-    if not args.shards and args.mmap and not oracle.store.is_mmapped:
-        print(
-            f"warning: --mmap not in effect for {args.index} (v1 file, or "
-            "platform without zero-copy support); loaded into memory "
-            "instead — `repro convert` rewrites a v1 file as v3",
-            file=sys.stderr,
-        )
+    oracle = _open_oracle(args)
     try:
         for i in range(0, len(args.pair), 2):
             s, t = args.pair[i], args.pair[i + 1]
@@ -175,16 +165,15 @@ def _cmd_query(args: argparse.Namespace) -> int:
         if batch_pairs is not None:
             import time
 
-            pairs = batch_pairs
             t0 = time.perf_counter()
-            distances = oracle.query_batch(pairs)
+            distances = oracle.query_batch(batch_pairs)
             elapsed = time.perf_counter() - t0
-            for (s, t), d in zip(pairs, distances):
+            for (s, t), d in zip(batch_pairs, distances):
                 shown = "inf" if d == float("inf") else f"{d:g}"
                 print(f"{s}\t{t}\t{shown}")
-            rate = len(pairs) / elapsed if elapsed > 0 else float("inf")
+            rate = len(batch_pairs) / elapsed if elapsed > 0 else float("inf")
             print(
-                f"answered {len(pairs)} pairs in {format_duration(elapsed)} "
+                f"answered {len(batch_pairs)} pairs in {format_duration(elapsed)} "
                 f"({rate:,.0f} pairs/s)",
                 file=sys.stderr,
             )
@@ -256,45 +245,13 @@ def _cmd_shard(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_insert_edges(path) -> list[tuple[int, int, float]]:
-    """Parse an insertion edge file: one ``u v [w]`` per line.
-
-    Same conventions as the other text inputs: blank lines and
-    ``#``/``%`` comments skipped, ``.gz`` decompressed transparently.
-    Raises ``ValueError`` on malformed lines.
-    """
-    from repro.graphs.io import _open_text
-
-    out: list[tuple[int, int, float]] = []
-    with _open_text(path, "r") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0].split("%", 1)[0].strip()
-            if not body:
-                continue
-            parts = body.split()
-            if len(parts) not in (2, 3):
-                raise ValueError(
-                    f"{path}:{lineno}: expected 'u v [w]', got {line.strip()!r}"
-                )
-            try:
-                u, v = int(parts[0]), int(parts[1])
-                w = float(parts[2]) if len(parts) == 3 else 1.0
-            except ValueError as exc:
-                raise ValueError(
-                    f"{path}:{lineno}: expected 'u v [w]', got {line.strip()!r}"
-                ) from exc
-            out.append((u, v, w))
-    return out
-
-
 def _cmd_update(args: argparse.Namespace) -> int:
     import time
 
     from repro.core.dynamic import DynamicHopDoublingIndex
-    from repro.core.flatstore import load_store
     from repro.oracle import ShardedLabelStore
 
-    edges = _read_insert_edges(args.edges)
+    edges = read_records(args.edges)
     if not edges:
         print(f"error: {args.edges}: no edges to insert", file=sys.stderr)
         return 2
@@ -311,7 +268,7 @@ def _cmd_update(args: argparse.Namespace) -> int:
             args.output, args.index
         )
         _check_output(args.output, in_place, "leave out -o to update in place")
-    store = (ShardedLabelStore.load if is_dir else load_store)(args.index)
+    store = _open_store(args.index)
     if store.rank is None:
         print(
             f"error: {args.index} carries no ranking; rebuild the "
@@ -331,12 +288,7 @@ def _cmd_update(args: argparse.Namespace) -> int:
     )
     store.apply_updates(delta)
     if is_dir:
-        rewritten = store.reconcile(args.index)
-        print(
-            f"reconciled {args.index}: rewrote "
-            f"{len(rewritten)}/{store.num_shards} shards "
-            f"({', '.join(str(i) for i in rewritten) or 'none'})"
-        )
+        _reconcile(store, args.index)
     else:
         target = args.output or args.index
         store.save(target)
@@ -344,22 +296,26 @@ def _cmd_update(args: argparse.Namespace) -> int:
     if args.shards:
         sharded = ShardedLabelStore.load(args.shards)
         sharded.apply_updates(delta)
-        rewritten = sharded.reconcile(args.shards)
-        print(
-            f"reconciled {args.shards}: rewrote "
-            f"{len(rewritten)}/{sharded.num_shards} shards "
-            f"({', '.join(str(i) for i in rewritten) or 'none'})"
-        )
+        _reconcile(sharded, args.shards)
     return 0
+
+
+def _reconcile(sharded, directory) -> None:
+    """Rewrite the shards of ``directory`` that staged updates changed."""
+    rewritten = sharded.reconcile(directory)
+    print(
+        f"reconciled {directory}: rewrote "
+        f"{len(rewritten)}/{sharded.num_shards} shards "
+        f"({', '.join(str(i) for i in rewritten) or 'none'})"
+    )
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.oracle import ParallelOracle
     from repro.serve import DistanceServer
 
-    oracle = ParallelOracle(args.index, workers=args.workers, cache_size=0)
+    oracle = _open_oracle(args)
     # Fork the workers (if any batch could use them) before the event
     # loop and its thread pool exist — the quiescent-parent moment.
     pooled = oracle.warmup()
@@ -435,20 +391,14 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from repro.core.flatstore import load_store
     from repro.core.verify import verify_index
 
     graph = read_edge_list(
         args.graph, directed=args.directed, weighted=args.weighted
     )
-    if os.path.isdir(args.index):
-        from repro.oracle import ShardedLabelStore
-
-        store = ShardedLabelStore.load(args.index)
-    else:
-        # The arrays as stored (v1: tuple lists), so the checks see the
-        # file's rows and pendant section, not labels derived from them.
-        store = load_store(args.index, prefer_flat=False)
+    # The arrays as stored (v1: tuple lists), so the checks see the
+    # file's rows and pendant section, not labels derived from them.
+    store = _open_store(args.index, prefer_flat=False)
     report = verify_index(graph, store, samples=args.samples)
     print(report)
     for violation in report.violations[:20]:
@@ -464,6 +414,26 @@ def _add_format(p: argparse.ArgumentParser, what: str) -> None:
         default="v3",
         help=f"{what} format (default: v3 compact arrays; v2 = int32 "
         "pivots and f64 distances)",
+    )
+
+
+def _add_index(p: argparse.ArgumentParser) -> None:
+    """The ``INDEX|DIR`` positional of every command that reads an index."""
+    p.add_argument(
+        "index",
+        help="index file from `repro build`, or a `repro shard` directory",
+    )
+
+
+def _add_workers(p: argparse.ArgumentParser) -> None:
+    """The ``--workers`` option of the commands that open an oracle."""
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        metavar="N",
+        help="shared-memory fan-out workers (default: all cores; 1, or "
+        "a cache-resident index, answers inline with no fork)",
     )
 
 
@@ -518,36 +488,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_build)
 
     p = sub.add_parser("query", help="query a built index")
-    p.add_argument(
-        "index",
-        nargs="?",
-        help="index file from `repro build` (omit with --shards)",
-    )
+    _add_index(p)
     p.add_argument("pair", nargs="*", type=int, help="s t [s t ...]")
     p.add_argument(
         "--batch",
         metavar="FILE",
         help="evaluate one 's t' pair per line of FILE (batched path)",
     )
-    p.add_argument(
-        "--mmap",
-        action="store_true",
-        help="memory-map a v2/v3 index instead of reading it",
-    )
-    p.add_argument(
-        "--shards",
-        metavar="DIR",
-        help="serve a shard directory (from `repro shard`) instead of "
-        "a single index file",
-    )
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="workers for --shards (default: all cores; large batches on "
-        "an index past the cache-resident size fan out, the rest is "
-        "answered inline)",
-    )
+    _add_workers(p)
     p.set_defaults(func=_cmd_query)
 
     p = sub.add_parser(
@@ -602,10 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
         'nc: {"pairs": [[s, t], ...]}, {"op": "ping"}, {"op": "stats"}.  '
         "docs/FORMATS.md has the bytes.",
     )
-    p.add_argument(
-        "index",
-        help="index file from `repro build`, or a `repro shard` directory",
-    )
+    _add_index(p)
     p.add_argument(
         "--host",
         default="127.0.0.1",
@@ -617,14 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="listen port (default: 0 = pick a free port and print it)",
     )
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="shared-memory fan-out workers (default: all cores; 1, or "
-        "a cache-resident index, serves inline with no fork)",
-    )
+    _add_workers(p)
     p.add_argument(
         "--max-batch",
         type=int,
@@ -656,11 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
         "update",
         help="insert edges into a built index (incremental label repair)",
     )
-    p.add_argument(
-        "index",
-        help="index file from `repro build`, or a `repro shard` directory "
-        "(reconciled in place, only changed shards rewritten)",
-    )
+    _add_index(p)
     p.add_argument(
         "--edges",
         required=True,
@@ -703,10 +637,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="verify an index against its graph (exit 1 on failure)"
     )
     p.add_argument("graph", help="edge-list file")
-    p.add_argument(
-        "index",
-        help="index file from `repro build`, or a `repro shard` directory",
-    )
+    _add_index(p)
     p.add_argument("--directed", action="store_true")
     p.add_argument("--weighted", action="store_true")
     p.add_argument(
@@ -725,7 +656,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     # `query` takes both a variadic int positional and options; argparse
     # cannot backtrack into a zero-width positional once it has seen an
-    # option (`query IDX --mmap 0 5` leaves `0 5` unparsed), and
+    # option (`query IDX --workers 1 0 5` leaves `0 5` unparsed), and
     # parse_intermixed_args does not support subparsers.  Recover the
     # stranded vertex ids by hand so either argument order works.
     args, extra = parser.parse_known_args(argv)

@@ -493,52 +493,6 @@ class ArrayLabelState:
         return ((self.out, np.ones(a.size, dtype=bool), a, b),)
 
     # -- snapshots -----------------------------------------------------
-    def label_snapshot(self) -> LabelSnapshot:
-        """Read-only doubling partners for the current labels."""
-        rank = self.rank
-        o_off, o_piv, o_dist, o_hops, o_key = _rank_sorted_view(self.out, rank)
-        ro_off, ro_owner, ro_dist, ro_hops = _pivot_grouped_view(self.out)
-        if self.directed:
-            i_off, i_piv, i_dist, i_hops, i_key = _rank_sorted_view(self.inn, rank)
-            ri_off, ri_owner, ri_dist, ri_hops = _pivot_grouped_view(self.inn)
-        else:
-            i_off, i_piv, i_dist, i_hops, i_key = (
-                o_off,
-                o_piv,
-                o_dist,
-                o_hops,
-                o_key,
-            )
-            ri_off, ri_owner, ri_dist, ri_hops = (
-                ro_off,
-                ro_owner,
-                ro_dist,
-                ro_hops,
-            )
-        return LabelSnapshot(
-            n=self.n,
-            directed=self.directed,
-            rank=rank,
-            out_r_off=o_off,
-            out_r_piv=o_piv,
-            out_r_dist=o_dist,
-            out_r_hops=o_hops,
-            out_r_key=o_key,
-            in_r_off=i_off,
-            in_r_piv=i_piv,
-            in_r_dist=i_dist,
-            in_r_hops=i_hops,
-            in_r_key=i_key,
-            rev_out_off=ro_off,
-            rev_out_owner=ro_owner,
-            rev_out_dist=ro_dist,
-            rev_out_hops=ro_hops,
-            rev_in_off=ri_off,
-            rev_in_owner=ri_owner,
-            rev_in_dist=ri_dist,
-            rev_in_hops=ri_hops,
-        )
-
     def label_snapshot_for(
         self,
         anchors: np.ndarray | None,
@@ -557,7 +511,7 @@ class ArrayLabelState:
         ends, which rank below their pivots and therefore pivot few
         entries — so for any ``prev`` covered by the anchor sets the
         joins produce the exact rule applications (same values, same
-        order) the full :meth:`label_snapshot` yields, while sorting
+        order) the full views (``anchors=None``) yield, while sorting
         only the touched partner slices instead of the whole store.
         This is what makes a repair round's cost track the fresh-entry
         frontier rather than the index size.
@@ -649,9 +603,9 @@ class ArrayLabelState:
         A small frontier (the dynamic-update repair rounds, the tail
         iterations of a build) gets the restricted
         :meth:`label_snapshot_for`; a frontier touching a sizable
-        share of the vertices falls back to the full
-        :meth:`label_snapshot`, whose single global sort is cheaper
-        than masking at that scale.  Either choice yields identical
+        share of the vertices falls back to the full owner views
+        (``anchors=None``), whose single global sort is cheaper than
+        masking at that scale.  Either choice yields identical
         rule applications, so callers are free to treat this as a pure
         performance knob.
         """
@@ -1009,13 +963,6 @@ class ArrayLabelState:
         if not bounds_parts:
             return np.zeros(0), np.zeros(0, np.int64)
         return np.concatenate(bounds_parts), np.concatenate(pair_parts)
-
-    def remove(self, a: np.ndarray, b: np.ndarray) -> None:
-        """Delete the (present) entries for the pairs ``a -> b``."""
-        for i, (side, mask, owners, pivs) in enumerate(self._side_groups(a, b)):
-            side.delete(owners[mask], pivs[mask])
-            if self._touched is not None:
-                self._touched[i].update(owners[mask].tolist())
 
     # -- statistics / export -------------------------------------------
     def total_entries(self) -> int:

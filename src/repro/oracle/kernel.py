@@ -105,7 +105,6 @@ import os
 import threading
 import weakref
 from array import array
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -924,27 +923,13 @@ def batch_eval(
     ``store`` must satisfy :func:`supports`.  Bit-identical to calling
     ``store.query`` per pair (``inf`` for unreachable, ``0.0`` for
     ``s == t``); raises ``IndexError`` on out-of-range vertices like
-    the scalar paths do.
+    the scalar paths do, and ``ValueError`` on anything
+    :meth:`PairColumns.from_pairs <repro.oracle.batch.PairColumns.from_pairs>`
+    refuses.
     """
+    from repro.oracle.batch import PairColumns
+
     if not pairs:
         return []
-    S, T = pair_columns(pairs)
-    return batch_eval_arrays(store, S, T).tolist()
-
-
-def pair_columns(pairs: Sequence[tuple[int, int]]):
-    """The int64 ``(sources, targets)`` columns of a list of pairs."""
-    try:
-        paired = set(map(len, pairs)) == {2}
-    except TypeError:
-        paired = False
-    if paired:
-        # Twice as fast as building the 2-D array, for the one shape
-        # it cannot misread; anything else fails (or is read) below
-        # exactly as it always was.
-        sq = np.fromiter(
-            chain.from_iterable(pairs), np.int64, 2 * len(pairs)
-        ).reshape(-1, 2)
-    else:
-        sq = np.asarray(pairs, dtype=np.int64)
-    return sq[:, 0], sq[:, 1]
+    columns = PairColumns.from_pairs(pairs)
+    return batch_eval_arrays(store, columns.sources, columns.targets).tolist()

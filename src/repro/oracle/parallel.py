@@ -2,8 +2,8 @@
 
 One :class:`~repro.oracle.DistanceOracle` is one process serving one
 store.  This frontend is the single owner of "serve this index with N
-workers" — ``repro query --shards`` and ``repro serve`` both go
-through it — and it makes exactly one decision per batch: answer
+workers" — ``repro query`` and ``repro serve`` both open their
+index through it — and it makes exactly one decision per batch: answer
 **inline** on the parent's own kernel, or hand the batch to the
 **fork pool** of :mod:`repro.serve.shm`.
 

@@ -232,10 +232,8 @@ class SharedMemoryFanout:
         """
         if isinstance(pairs, PairColumns):
             return self.query_batch_arrays(pairs.sources, pairs.targets)
-        pairs = list(pairs)
-        if not pairs:
-            return []
-        return self.query_batch_arrays(*_kernel.pair_columns(pairs)).tolist()
+        columns = PairColumns.from_pairs(pairs)
+        return self.query_batch_arrays(columns.sources, columns.targets).tolist()
 
     def query_batch_arrays(self, S, T):
         """Distances for pair columns ``(S[k], T[k])`` as one f64 array.

@@ -22,6 +22,7 @@ from repro.core.flatstore import FlatLabelStore
 from repro.graphs.digraph import Graph
 from repro.graphs.generators import ba_graph
 from repro.oracle import DistanceOracle, PairColumns
+from repro.oracle.batch import MIN_KERNEL_PAIRS
 from repro.serve import DistanceClient, DistanceServer, ServerError
 
 MAGIC = b"\xffHD\x01"
@@ -185,11 +186,24 @@ def test_library_columns_match_lists(flat):
 
 @pytest.mark.parametrize(
     "pairs",
-    [[(1, 2, 3)], [(1,)], [(1, 2), (3,)], [(0, 2**63)], [(-(2**63) - 1, 0)], [5]],
+    [
+        [(1, 2, 3)],
+        [(1,)],
+        [(1, 2), (3,)],
+        [(0, 2**63)],
+        [(-(2**63) - 1, 0)],
+        [5],
+        [(None, 1)],
+    ],
 )
-def test_columns_refuse_what_is_not_int64_pairs(pairs):
-    with pytest.raises(ValueError, match="int64 pairs"):
-        PairColumns.from_pairs(pairs)
+def test_columns_refuse_what_is_not_int64_pairs(flat, pairs):
+    """One converter, one refusal: the columns, and a list batch on
+    either side of the kernel cutoff."""
+    oracle = DistanceOracle(flat, cache_size=0)
+    for call in (PairColumns.from_pairs, oracle.query_batch):
+        for batch in (pairs, pairs * MIN_KERNEL_PAIRS):
+            with pytest.raises(ValueError, match="int64 pairs"):
+                call(batch)
 
 
 def test_codecs_interleaved_and_pipelined_on_one_connection(flat):

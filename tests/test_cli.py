@@ -4,6 +4,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.core.flatstore import load_store
+from repro.graphs import Graph, bfs_distances
 from tests.reference.v1_writer import write_v1
 
 
@@ -208,7 +209,7 @@ class TestConvertAndBatch:
                    "v3"])
         assert rc == 0
         assert "format v3" in capsys.readouterr().out
-        rc = main(["query", str(v3), "0", "10", "--mmap"])
+        rc = main(["query", str(v3), "0", "10"])
         assert rc == 0
         assert "dist(0, 10)" in capsys.readouterr().out
 
@@ -328,7 +329,7 @@ class TestConvertAndBatch:
         batch = tmp_path / "pairs.txt"
         batch.write_text("0 10\n")
         capsys.readouterr()
-        rc = main(["query", str(v2), "--batch", str(batch), "--mmap"])
+        rc = main(["query", str(v2), "--batch", str(batch)])
         assert rc == 0
         out_mmap = capsys.readouterr().out
         rc = main(["query", str(v1_index), "--batch", str(batch)])
@@ -361,7 +362,7 @@ class TestConvertAndBatch:
         assert "out of range" in capsys.readouterr().err
 
     def test_query_flags_before_pairs(self, v1_index, capsys):
-        rc = main(["query", str(v1_index), "--mmap", "0", "10"])
+        rc = main(["query", str(v1_index), "--workers", "1", "0", "10"])
         assert rc == 0
         assert "dist(0, 10)" in capsys.readouterr().out
 
@@ -410,7 +411,7 @@ class TestShardAndParallelQuery:
             assert (out / f"shard-{i:04d}.idx3").exists()
         main(["query", str(v2_index), "0", "10"])
         single = capsys.readouterr().out
-        rc = main(["query", "--shards", str(out), "0", "10"])
+        rc = main(["query", str(out), "0", "10"])
         assert rc == 0
         assert capsys.readouterr().out == single
 
@@ -461,7 +462,7 @@ class TestShardAndParallelQuery:
                                                capsys):
         main(["query", str(v2_index), "0", "10", "3", "3"])
         single = capsys.readouterr().out
-        rc = main(["query", "--shards", str(shard_dir), "0", "10", "3", "3"])
+        rc = main(["query", str(shard_dir), "0", "10", "3", "3"])
         assert rc == 0
         assert capsys.readouterr().out == single
 
@@ -471,37 +472,39 @@ class TestShardAndParallelQuery:
         batch.write_text("0 10\n3 3\n10 0\n")
         main(["query", str(v2_index), "--batch", str(batch)])
         single = capsys.readouterr().out
-        rc = main(["query", "--shards", str(shard_dir), "--workers", "2",
+        rc = main(["query", str(shard_dir), "--workers", "2",
                    "--batch", str(batch)])
         assert rc == 0
         assert capsys.readouterr().out == single
 
     def test_query_executor_flag_is_gone(self, shard_dir, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["query", "--shards", str(shard_dir), "--executor",
-                  "thread", "0", "10"])
+            main(["query", str(shard_dir), "--executor", "thread", "0", "10"])
         assert exc.value.code == 2
         assert "--executor" in capsys.readouterr().err
 
     def test_query_index_and_shards_rejected(self, v2_index, shard_dir,
                                              capsys):
-        rc = main(["query", str(v2_index), "--shards", str(shard_dir),
-                   "0", "10"])
-        assert rc == 2
-        assert "not both" in capsys.readouterr().err
+        """A shard directory is the INDEX positional: --shards is gone."""
+        with pytest.raises(SystemExit) as exc:
+            main(["query", str(v2_index), "--shards", str(shard_dir),
+                  "0", "10"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --shards" in capsys.readouterr().err
 
     def test_query_neither_index_nor_shards(self, capsys):
-        rc = main(["query", "--batch", "whatever.txt"])
-        assert rc == 2
-        assert "INDEX file or --shards" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["query", "--batch", "whatever.txt"])
+        assert exc.value.code == 2
+        assert "required: index" in capsys.readouterr().err
 
     def test_query_missing_shard_dir(self, tmp_path, capsys):
-        rc = main(["query", "--shards", str(tmp_path / "nope"), "0", "1"])
+        rc = main(["query", str(tmp_path / "nope"), "0", "1"])
         assert rc == 2
         assert "not a shard directory" in capsys.readouterr().err
 
     def test_query_shards_out_of_range(self, shard_dir, capsys):
-        rc = main(["query", "--shards", str(shard_dir), "0", "999999"])
+        rc = main(["query", str(shard_dir), "0", "999999"])
         assert rc == 2
         assert "out of range" in capsys.readouterr().err
 
@@ -534,12 +537,17 @@ class TestParser:
             ["query", "g.idx", "--kernel", "off"],
             ["serve", "g.idx", "--kernel", "on"],
             ["update", "g.idx", "--edges", "new.txt", "--engine", "dict"],
+            ["query", "g.idx", "--mmap", "0"],
         ],
-        ids=["query --kernel", "serve --kernel", "update --engine"],
+        ids=[
+            "query --kernel", "serve --kernel", "update --engine",
+            "query --mmap",
+        ],
     )
     def test_removed_flags_are_gone(self, argv, capsys):
-        """The kernel and the repair engine are not chosen on a command
-        line: argparse refuses the flags before any file is read."""
+        """The kernel, the repair engine and how an index is opened are
+        not chosen on a command line: argparse refuses the flags before
+        any file is read."""
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -631,8 +639,7 @@ class TestUpdate:
         assert rc == 0
         out = capsys.readouterr().out
         assert "reconciled" in out
-        main(["query", "--shards", str(shards), "--workers", "1",
-              "0", "199"])
+        main(["query", str(shards), "--workers", "1", "0", "199"])
         assert "dist(0, 199) = 1" in capsys.readouterr().out
 
     def test_update_index_plus_shards(self, built, tmp_path, capsys):
@@ -675,6 +682,96 @@ class TestUpdate:
                    "-o", str(tmp_path / "x.idx")])
         assert rc == 2
         assert "in place" in capsys.readouterr().err
+
+
+class TestFileIds:
+    """Every command addresses a file's integer vertex ids as written."""
+
+    @pytest.fixture
+    def path_file(self, tmp_path):
+        """The path 5 - 3 - 9 - 0 - 7: ids neither dense nor first-seen."""
+        path = tmp_path / "p.txt"
+        path.write_text("5 3\n3 9\n9 0\n0 7\n")
+        index = tmp_path / "p.idx"
+        assert main(["build", str(path), "-o", str(index)]) == 0
+        return path, index
+
+    @staticmethod
+    def distance(capsys, *argv):
+        capsys.readouterr()
+        assert main(["query", *map(str, argv)]) == 0
+        return capsys.readouterr().out.split(" = ")[-1].strip()
+
+    def test_query_reads_the_file_ids(self, path_file, capsys):
+        _, index = path_file
+        assert self.distance(capsys, index, 0, 3) == "2"
+        assert self.distance(capsys, index, 0, 9) == "1"
+        assert self.distance(capsys, index, 0, 5) == "3"
+        assert self.distance(capsys, index, 5, 7) == "4"
+        assert self.distance(capsys, index, 5, 1) == "unreachable"
+
+    def test_stats_counts_every_id_up_to_the_largest(self, path_file, capsys):
+        path, _ = path_file
+        capsys.readouterr()
+        assert main(["stats", str(path)]) == 0
+        assert "|V|            10\n" in capsys.readouterr().out
+
+    def test_batch_matches_bfs_over_the_file(self, tmp_path, capsys):
+        graph = tmp_path / "ba.txt"
+        main(["generate", "ba", "-n", "50", "--seed", "1", "-o", str(graph)])
+        index = tmp_path / "ba.idx"
+        assert main(["build", str(graph), "-o", str(index)]) == 0
+        n = 50
+        edges = [
+            tuple(map(int, line.split()))
+            for line in graph.read_text().splitlines()
+            if not line.startswith("#")
+        ]
+        reference = Graph.from_edges(n, edges, directed=False)
+        want = [
+            f"{s}\t{t}\t{d:g}"
+            for s in range(n)
+            for t, d in enumerate(bfs_distances(reference, s))
+        ]
+        batch = tmp_path / "pairs.txt"
+        batch.write_text(
+            "".join(f"{s} {t}\n" for s in range(n) for t in range(n))
+        )
+        capsys.readouterr()
+        assert main(["query", str(index), "--batch", str(batch)]) == 0
+        assert capsys.readouterr().out.splitlines() == want
+
+    def test_update_and_verify_read_the_file_ids(self, path_file, tmp_path,
+                                                 capsys):
+        path, index = path_file
+        edges = tmp_path / "new.txt"
+        edges.write_text("5 7\n")
+        assert main(["update", str(index), "--edges", str(edges)]) == 0
+        assert self.distance(capsys, index, 5, 7) == "1"
+        assert self.distance(capsys, index, 3, 0) == "2"
+        grown = tmp_path / "grown.txt"
+        grown.write_text(path.read_text() + "5 7\n")
+        assert main(["verify", str(grown), str(index)]) == 0
+        assert "OK" in capsys.readouterr().out
+        assert main(["verify", str(path), str(index)]) == 1
+
+    def test_query_dir_prints_what_query_file_prints(self, path_file,
+                                                     tmp_path, capsys):
+        _, index = path_file
+        shards = tmp_path / "p.shards"
+        assert main(["shard", str(index), "-o", str(shards),
+                     "--shards", "3"]) == 0
+        batch = tmp_path / "pairs.txt"
+        batch.write_text("".join(f"{s} {t}\n" for s in range(10)
+                                 for t in (0, 3, 7, 9)))
+        printed = []
+        for source in (index, shards):
+            capsys.readouterr()
+            assert main(["query", str(source), "--batch", str(batch),
+                         "0", "9"]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        assert printed[0].startswith("dist(0, 9) = 1\n0\t0\t0\n0\t3\t2\n")
 
 
 class TestErrorBoundary:
