@@ -61,11 +61,8 @@ from repro.core.hop_doubling import (
 from repro.core.hop_stepping import HopStepping
 from repro.core.hybrid import DEFAULT_SWITCH_ITERATION, HybridBuilder, make_builder
 from repro.core.query import (
-    average_distance,
     closeness_centrality,
     distance_histogram,
-    is_reachable,
-    query_many,
     reconstruct_path,
 )
 from repro.core.index import HopDoublingIndex
@@ -113,11 +110,8 @@ __all__ = [
     "HybridBuilder",
     "DEFAULT_SWITCH_ITERATION",
     "make_builder",
-    "query_many",
-    "is_reachable",
     "reconstruct_path",
     "closeness_centrality",
-    "average_distance",
     "distance_histogram",
     "HopDoublingIndex",
     "DynamicHopDoublingIndex",

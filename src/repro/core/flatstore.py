@@ -133,32 +133,6 @@ def probe_min_distance(
     return best
 
 
-def merge_min_via(
-    a_pivots, a_dists, i, ie, b_pivots, b_dists, j, je
-) -> tuple[float, int]:
-    """Sorted merge of two CSR label slices: ``(min dist, best pivot)``.
-
-    Returns pivot -1 when the slices share no pivot (unreachable).
-    """
-    best = INF
-    best_pivot = -1
-    while i < ie and j < je:
-        pa = a_pivots[i]
-        pb = b_pivots[j]
-        if pa == pb:
-            d = a_dists[i] + b_dists[j]
-            if d < best:
-                best = d
-                best_pivot = pa
-            i += 1
-            j += 1
-        elif pa < pb:
-            i += 1
-        else:
-            j += 1
-    return best, best_pivot
-
-
 def derived_slice(v, hang, pivots, dists, o, e):
     """Pendant ``v``'s label slice from its parent's ``pivots/dists[o:e]``.
 
@@ -521,17 +495,17 @@ class FlatLabelStore:
     # -- LabelStore accessors ------------------------------------------------
     def out_label(self, v: int) -> list[tuple[int, float]]:
         """``Lout(v)`` as a fresh (pivot, dist) list, sorted by pivot."""
+        if not 0 <= v < self.n:
+            raise IndexError(f"vertex {v} out of range [0, {self.n})")
         p, d, o, e = self.out_slice(v)
         return list(zip(p[o:e], d[o:e]))
 
     def in_label(self, v: int) -> list[tuple[int, float]]:
         """``Lin(v)`` as a fresh (pivot, dist) list, sorted by pivot."""
+        if not 0 <= v < self.n:
+            raise IndexError(f"vertex {v} out of range [0, {self.n})")
         p, d, o, e = self.in_slice(v)
         return list(zip(p[o:e], d[o:e]))
-
-    def label_of(self, v: int, out: bool = True) -> list[tuple[int, float]]:
-        """The (pivot, dist) list of ``v``'s out- or in-label."""
-        return self.out_label(v) if out else self.in_label(v)
 
     # -- slice views (shared with the sharded store's query paths) -----------
     def out_slice(self, v: int):
@@ -591,35 +565,20 @@ class FlatLabelStore:
             return 0.0
         hang = self.hang
         if hang is None or not (hang[s] or hang[t]):
-            return self._join(probe_min_distance, s, t)
+            return self._join(s, t)
         s, hs = self._resolve(s)
         t, ht = self._resolve(t)
         if s == t:
             return float(hs + ht)
-        return hs + self._join(probe_min_distance, s, t) + ht
+        return hs + self._join(s, t) + ht
 
-    def query_via(self, s: int, t: int) -> tuple[float, int]:
-        """Like :meth:`query` but also return the best pivot (-1 if none)."""
-        self._check(s, t)
-        if s == t:
-            return 0.0, s
-        hang = self.hang
-        if hang is None or not (hang[s] or hang[t]):
-            return self._join(merge_min_via, s, t)
-        s, hs = self._resolve(s)
-        t, ht = self._resolve(t)
-        if s == t:
-            return float(hs + ht), s
-        d, pivot = self._join(merge_min_via, s, t)
-        return hs + d + ht, pivot
-
-    def _join(self, join, s: int, t: int):
-        """``join`` over the stored slices of core vertices ``s != t``:
-        a v2 store's arrays in place, else the two slices as
-        :meth:`out_slice` / :meth:`in_slice` hand them out."""
+    def _join(self, s: int, t: int) -> float:
+        """:func:`probe_min_distance` over the stored slices of core
+        vertices ``s != t``: a v2 store's arrays in place, else the two
+        slices as :meth:`out_slice` / :meth:`in_slice` hand them out."""
         if self.encoding == "v3" or self._delta_out or self._delta_in:
-            return join(*self.out_slice(s), *self.in_slice(t))
-        return join(
+            return probe_min_distance(*self.out_slice(s), *self.in_slice(t))
+        return probe_min_distance(
             self.out_pivots,
             self.out_dists,
             self.out_offsets[s],

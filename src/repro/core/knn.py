@@ -47,9 +47,14 @@ class InvertedLabelIndex:
             for entries in lists.values():
                 entries.sort()
 
+    def _check(self, v: int) -> None:
+        if not 0 <= v < self.index.n:
+            raise IndexError(f"vertex {v} out of range [0, {self.index.n})")
+
     # -- one-to-all ------------------------------------------------------
     def distances_from(self, s: int) -> list[float]:
         """Distances from ``s`` to every vertex, via the labels only."""
+        self._check(s)
         dist = [INF] * self.index.n
         dist[s] = 0.0
         for w, d1 in self.index.out_label(s):
@@ -61,6 +66,7 @@ class InvertedLabelIndex:
 
     def distances_to(self, t: int) -> list[float]:
         """Distances from every vertex to ``t`` (reverse one-to-all)."""
+        self._check(t)
         dist = [INF] * self.index.n
         dist[t] = 0.0
         for w, d2 in self.index.in_label(t):
@@ -82,6 +88,7 @@ class InvertedLabelIndex:
         of per-pivot cursors yields globally non-decreasing candidates
         and the scan stops after ``k`` distinct vertices.
         """
+        self._check(s)
         if k <= 0:
             return []
         # Heap items: (candidate_dist, pivot_order, pivot, cursor).
@@ -114,10 +121,3 @@ class InvertedLabelIndex:
         if not include_self:
             result = [(d, v) for d, v in result if v != s][:k]
         return result[:k]
-
-    def size_in_entries(self) -> int:
-        """Total inverted entries (equals label entries, trivial incl.)."""
-        total = sum(len(v) for v in self.inverted_in.values())
-        if self.index.directed:
-            total += sum(len(v) for v in self.inverted_out.values())
-        return total

@@ -342,10 +342,6 @@ class LabelStore(Protocol):
         """Exact ``dist(s, t)``; ``inf`` when unreachable."""
         ...
 
-    def query_via(self, s: int, t: int) -> tuple[float, int]:
-        """``(dist, best_pivot)``; pivot is -1 when unreachable."""
-        ...
-
     def total_entries(self, include_trivial: bool = False) -> int:
         """Total label entries."""
         ...
@@ -501,48 +497,17 @@ class LabelIndex:
             return 0.0
         return merge_join_distance(self.out_labels[s], self.in_labels[t])
 
-    def query_via(self, s: int, t: int) -> tuple[float, int]:
-        """Like :meth:`query` but also return the best pivot (-1 if none).
-
-        Useful for path reconstruction: the pivot is the highest-ranked
-        vertex on a shortest ``s -> t`` path.
-        """
-        if not 0 <= s < self.n or not 0 <= t < self.n:
-            raise IndexError(f"query ({s}, {t}) out of range [0, {self.n})")
-        if s == t:
-            return 0.0, s
-        best = INF
-        best_pivot = -1
-        a = self.out_labels[s]
-        b = self.in_labels[t]
-        i = j = 0
-        while i < len(a) and j < len(b):
-            pa, da = a[i]
-            pb, db = b[j]
-            if pa == pb:
-                d = da + db
-                if d < best:
-                    best = d
-                    best_pivot = pa
-                i += 1
-                j += 1
-            elif pa < pb:
-                i += 1
-            else:
-                j += 1
-        return best, best_pivot
-
-    def label_of(self, v: int, out: bool = True) -> list[tuple[int, float]]:
-        """The (pivot, dist) list of ``v``'s out- or in-label."""
-        return list(self.out_label(v) if out else self.in_label(v))
-
     # -- LabelStore accessors ------------------------------------------------
     def out_label(self, v: int) -> list[tuple[int, float]]:
         """``Lout(v)`` (do not mutate)."""
+        if not 0 <= v < self.n:
+            raise IndexError(f"vertex {v} out of range [0, {self.n})")
         return self.out_labels[v]
 
     def in_label(self, v: int) -> list[tuple[int, float]]:
         """``Lin(v)`` (do not mutate)."""
+        if not 0 <= v < self.n:
+            raise IndexError(f"vertex {v} out of range [0, {self.n})")
         return self.in_labels[v]
 
     # -- statistics ---------------------------------------------------------

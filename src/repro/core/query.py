@@ -2,11 +2,11 @@
 
 A 2-hop index answers ``dist(s, t)`` by merging two sorted labels
 (Section 2).  This module adds the conveniences a downstream user
-expects from a distance oracle: batched evaluation, reachability,
-shortest-path *reconstruction* (the index itself stores distances
-only), and simple analytics such as closeness centrality that the
-introduction of the paper motivates ("network analysis such as
-betweenness centrality computation").
+expects from a distance oracle: shortest-path *reconstruction* (the
+index itself stores distances only) and simple analytics such as
+closeness centrality and distance histograms, which the introduction
+of the paper motivates ("network analysis such as betweenness
+centrality computation").
 """
 
 from __future__ import annotations
@@ -15,28 +15,6 @@ from typing import Iterable, Sequence
 
 from repro.core.labels import INF, LabelStore
 from repro.graphs.digraph import Graph
-
-
-def query_many(
-    index: LabelStore, pairs: Iterable[tuple[int, int]]
-) -> list[float]:
-    """Evaluate ``dist(s, t)`` for every pair in order.
-
-    .. deprecated::
-        Prefer :meth:`repro.oracle.DistanceOracle.query_batch`, which
-        this now delegates to: it dedupes repeated pairs and groups
-        the rest by source vertex so CSR backends amortise the
-        source-side work.  This thin wrapper (cache-less, one-shot)
-        is kept for callers that hold a bare store.
-    """
-    from repro.oracle.batch import evaluate_batch
-
-    return evaluate_batch(index, pairs)
-
-
-def is_reachable(index: LabelStore, s: int, t: int) -> bool:
-    """Whether any path ``s -> t`` exists (distance is finite)."""
-    return index.query(s, t) != INF
 
 
 def reconstruct_path(
@@ -96,29 +74,6 @@ def closeness_centrality(
     if total == 0.0:
         return 0.0
     return reached / total
-
-
-def average_distance(
-    index: LabelStore, pairs: Iterable[tuple[int, int]]
-) -> tuple[float, float]:
-    """Mean distance over the connected pairs; returns (mean, connectivity).
-
-    ``connectivity`` is the fraction of pairs with a finite distance —
-    handy when sampling pairs on graphs that are not strongly
-    connected.
-    """
-    total = 0.0
-    finite = 0
-    count = 0
-    for s, t in pairs:
-        count += 1
-        d = index.query(s, t)
-        if d != INF:
-            total += d
-            finite += 1
-    if count == 0 or finite == 0:
-        return 0.0, 0.0
-    return total / finite, finite / count
 
 
 def distance_histogram(

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from repro.core.labels import INF, LabelStore
 from repro.graphs.digraph import Graph
 from repro.graphs.traversal import bfs_distances, dijkstra_distances
+from repro.utils.validation import check_positive
 
 
 @dataclass
@@ -101,9 +102,9 @@ def _check_structure(index: LabelStore, report: VerificationReport) -> None:
     sides = [("out", index.out_label)]
     if index.directed:
         sides.append(("in", index.in_label))
-    for side, label_of in sides:
+    for side, read_label in sides:
         for v in range(index.n):
-            lab = label_of(v)
+            lab = read_label(v)
             pivots = [p for p, _ in lab]
             if pivots != sorted(pivots):
                 report.add(f"L{side}({v}) is not sorted by pivot")
@@ -130,7 +131,11 @@ def verify_index(
     samples: int = 200,
     seed: int = 0,
 ) -> VerificationReport:
-    """Verify ``index`` against ``graph``; see module docstring."""
+    """Verify ``index`` against ``graph``; see module docstring.
+
+    Raises ``ValueError`` unless ``samples >= 1``.
+    """
+    check_positive("samples", samples)
     report = VerificationReport()
     if index.n != graph.num_vertices:
         report.add(

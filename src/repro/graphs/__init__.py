@@ -8,26 +8,18 @@ is built once and queried many times.
 
 from repro.graphs.digraph import Graph
 from repro.graphs.builder import GraphBuilder
-from repro.graphs.io import (
-    read_edge_list,
-    write_edge_list,
-    read_binary,
-    write_binary,
-)
+from repro.graphs.io import read_edge_list, write_edge_list
 from repro.graphs.generators import (
     ba_graph,
-    configuration_model_graph,
     er_graph,
     glp_graph,
     grid_graph,
     path_graph,
     star_graph,
-    complete_graph,
     cycle_graph,
 )
 from repro.graphs.stats import (
     GraphSummary,
-    degree_histogram,
     expansion_factor,
     hop_diameter,
     rank_exponent,
@@ -40,31 +32,21 @@ from repro.graphs.traversal import (
     bidirectional_dijkstra,
     dijkstra_distances,
 )
-from repro.graphs.transform import (
-    largest_connected_component,
-    permute_vertices,
-    to_undirected,
-    reverse_graph,
-)
+from repro.graphs.transform import permute_vertices
 
 __all__ = [
     "Graph",
     "GraphBuilder",
     "read_edge_list",
     "write_edge_list",
-    "read_binary",
-    "write_binary",
     "ba_graph",
-    "configuration_model_graph",
     "er_graph",
     "glp_graph",
     "grid_graph",
     "path_graph",
     "star_graph",
-    "complete_graph",
     "cycle_graph",
     "GraphSummary",
-    "degree_histogram",
     "expansion_factor",
     "hop_diameter",
     "rank_exponent",
@@ -74,8 +56,5 @@ __all__ = [
     "bidirectional_bfs",
     "bidirectional_dijkstra",
     "dijkstra_distances",
-    "largest_connected_component",
     "permute_vertices",
-    "to_undirected",
-    "reverse_graph",
 ]

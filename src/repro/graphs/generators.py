@@ -11,10 +11,9 @@ are reproduced here (together with the companion parameters ``p`` and
 Every generator takes an integer ``seed`` and is fully deterministic for
 a given seed, which is what makes the benchmark datasets reproducible.
 
-Also provided: BA, power-law configuration model, Erdős–Rényi, and the
-deterministic families (star — Figure 2 of the paper — path, cycle,
-grid, complete) used by tests and by the road-network discussion in
-Section 7.
+Also provided: BA, Erdős–Rényi, and the deterministic families (star —
+Figure 2 of the paper — path, cycle, grid) used by tests and by the
+road-network discussion in Section 7.
 """
 
 from __future__ import annotations
@@ -27,13 +26,11 @@ from repro.utils.validation import check_nonnegative, check_positive, check_prob
 __all__ = [
     "glp_graph",
     "ba_graph",
-    "configuration_model_graph",
     "er_graph",
     "star_graph",
     "path_graph",
     "cycle_graph",
     "grid_graph",
-    "complete_graph",
 ]
 
 
@@ -215,58 +212,6 @@ def ba_graph(
     return Graph.from_edges(num_vertices, arcs, directed=True)
 
 
-def configuration_model_graph(
-    num_vertices: int,
-    exponent: float = 2.3,
-    min_degree: int = 1,
-    seed: int = 0,
-    directed: bool = False,
-) -> Graph:
-    """Generate a power-law graph via the configuration model.
-
-    Degrees are drawn from a discrete power law
-    ``P(k) ∝ k^-exponent`` for ``k >= min_degree``; half-edges are then
-    paired uniformly at random, discarding self loops and parallel
-    edges (the "erased" configuration model).  This produces graphs
-    matching the paper's scale-free assumption with an explicit,
-    controllable exponent ``2 <= alpha <= 3``.
-    """
-    check_positive("num_vertices", num_vertices)
-    check_positive("min_degree", min_degree)
-    if exponent <= 1.0:
-        raise ValueError(f"exponent must be > 1, got {exponent}")
-    rng = random.Random(seed)
-
-    max_degree = max(min_degree + 1, int(round(num_vertices ** 0.7)))
-    ks = list(range(min_degree, max_degree + 1))
-    weights = [k ** (-exponent) for k in ks]
-    degrees = rng.choices(ks, weights=weights, k=num_vertices)
-    if sum(degrees) % 2 == 1:
-        degrees[0] += 1
-
-    stubs: list[int] = []
-    for v, d in enumerate(degrees):
-        stubs.extend([v] * d)
-    rng.shuffle(stubs)
-
-    edges: set[tuple[int, int]] = set()
-    for i in range(0, len(stubs) - 1, 2):
-        u, v = stubs[i], stubs[i + 1]
-        if u == v:
-            continue
-        key = (u, v) if u < v else (v, u)
-        edges.add(key)
-
-    if not directed:
-        return Graph.from_edges(num_vertices, sorted(edges), directed=False)
-    arcs = []
-    for u, v in sorted(edges):
-        if rng.random() < 0.5:
-            u, v = v, u
-        arcs.append((u, v))
-    return Graph.from_edges(num_vertices, arcs, directed=True)
-
-
 def er_graph(
     num_vertices: int,
     num_edges: int,
@@ -331,22 +276,3 @@ def grid_graph(rows: int, cols: int) -> Graph:
             if r + 1 < rows:
                 edges.append((v, v + cols))
     return Graph.from_edges(rows * cols, edges, directed=False)
-
-
-def complete_graph(num_vertices: int, directed: bool = False) -> Graph:
-    """The complete graph ``K_n`` (worst case for plain 2-hop covers)."""
-    check_positive("num_vertices", num_vertices)
-    if directed:
-        edges = [
-            (u, v)
-            for u in range(num_vertices)
-            for v in range(num_vertices)
-            if u != v
-        ]
-    else:
-        edges = [
-            (u, v)
-            for u in range(num_vertices)
-            for v in range(u + 1, num_vertices)
-        ]
-    return Graph.from_edges(num_vertices, edges, directed=directed)

@@ -1,38 +1,27 @@
-"""Reading and writing graphs.
+"""Reading and writing graphs as text edge lists.
 
-Two formats are supported:
-
-* **text** — the SNAP/KONECT interchange format the paper's datasets
-  ship in.  One reader serves every text input (graph edge lists,
-  ``repro query --batch`` pair files, ``repro update --edges`` files)
-  with one set of rules: one record per line, blank lines and ``#`` or
-  ``%`` comments (whole-line or inline) skipped, ``.gz`` read
-  transparently, and a malformed line reported as ``path:line:
-  expected ...``.  Integer vertex ids are kept as written, so a graph
-  has one vertex per id up to the largest (an id the file never names
-  is an isolated vertex) and every command addresses the file's ids; a
-  graph file with any other label has all its labels renumbered
-  densely in first-seen order;
-* **binary** — a compact little-endian format mirroring the paper's
-  storage convention (32-bit vertex ids; float64 weights when present)
-  for fast reload of prepared benchmark graphs.
-
-Both round-trip through :class:`~repro.graphs.Graph`.
+The format is the SNAP/KONECT interchange format the paper's datasets
+ship in.  One reader serves every text input (graph edge lists,
+``repro query --batch`` pair files, ``repro update --edges`` files)
+with one set of rules: one record per line, blank lines and ``#`` or
+``%`` comments (whole-line or inline) skipped, ``.gz`` read
+transparently, and a malformed line reported as ``path:line:
+expected ...``.  Integer vertex ids are kept as written, so a graph
+has one vertex per id up to the largest (an id the file never names
+is an isolated vertex) and every command addresses the file's ids; a
+graph file with any other label has all its labels renumbered densely
+in first-seen order.
 """
 
 from __future__ import annotations
 
 import gzip
 import io
-import struct
 from pathlib import Path
 from typing import IO, Iterator
 
 from repro.graphs.builder import GraphBuilder
 from repro.graphs.digraph import Graph
-
-_MAGIC = b"RPRG"
-_VERSION = 1
 
 
 def _open_text(path: str | Path, mode: str) -> IO[str]:
@@ -137,45 +126,3 @@ def write_edge_list(graph: Graph, path: str | Path) -> None:
                 handle.write(f"{u} {v} {w:g}\n")
             else:
                 handle.write(f"{u} {v}\n")
-
-
-def write_binary(graph: Graph, path: str | Path) -> None:
-    """Serialize ``graph`` to the compact binary format."""
-    flags = (1 if graph.directed else 0) | (2 if graph.weighted else 0)
-    with open(path, "wb") as handle:
-        handle.write(_MAGIC)
-        handle.write(
-            struct.pack(
-                "<BBIQ", _VERSION, flags, graph.num_vertices, graph.num_edges
-            )
-        )
-        if graph.weighted:
-            for u, v, w in graph.edges():
-                handle.write(struct.pack("<IId", u, v, w))
-        else:
-            for u, v, _ in graph.edges():
-                handle.write(struct.pack("<II", u, v))
-
-
-def read_binary(path: str | Path) -> Graph:
-    """Load a graph previously written by :func:`write_binary`."""
-    with open(path, "rb") as handle:
-        magic = handle.read(4)
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: not a repro graph file (bad magic {magic!r})")
-        version, flags, n, m = struct.unpack("<BBIQ", handle.read(14))
-        if version != _VERSION:
-            raise ValueError(f"{path}: unsupported version {version}")
-        directed = bool(flags & 1)
-        weighted = bool(flags & 2)
-        edges = []
-        if weighted:
-            record = struct.Struct("<IId")
-            for _ in range(m):
-                edges.append(record.unpack(handle.read(record.size)))
-        else:
-            record = struct.Struct("<II")
-            for _ in range(m):
-                u, v = record.unpack(handle.read(record.size))
-                edges.append((u, v))
-    return Graph.from_edges(n, edges, directed=directed, weighted=weighted)

@@ -25,15 +25,6 @@ from repro.graphs.digraph import Graph
 from repro.graphs.traversal import INF, bfs_distances
 
 
-def degree_histogram(graph: Graph) -> dict[int, int]:
-    """Map ``degree -> number of vertices with that degree``."""
-    hist: dict[int, int] = {}
-    for v in graph.vertices():
-        d = graph.degree(v)
-        hist[d] = hist.get(d, 0) + 1
-    return hist
-
-
 def degree_sequence(graph: Graph) -> list[int]:
     """All vertex degrees, sorted non-increasing (rank order)."""
     return sorted((graph.degree(v) for v in graph.vertices()), reverse=True)

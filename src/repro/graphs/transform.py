@@ -1,10 +1,9 @@
-"""Graph transformations: symmetrization, reversal, relabeling, components.
+"""Graph transformations: relabeling, components, pendant peeling.
 
-Dataset preparation for the paper's experiments needs a few standard
-rewrites: treating a directed crawl as undirected, restricting to the
-largest (weakly) connected component so query workloads do not drown in
-unreachable pairs, and permuting vertex ids (used by tests to check that
-algorithms do not depend on accidental id order).
+Permuting vertex ids checks that algorithms do not depend on accidental
+id order; :func:`weakly_connected_components` lists the components;
+:func:`peel_pendants` takes the degree-1 vertices off an undirected
+graph before it is indexed.
 """
 
 from __future__ import annotations
@@ -14,32 +13,6 @@ from collections import deque
 from typing import Sequence
 
 from repro.graphs.digraph import Graph
-
-
-def to_undirected(graph: Graph) -> Graph:
-    """Forget arc directions (collapsing antiparallel arcs, min weight)."""
-    if not graph.directed:
-        return graph
-    if graph.weighted:
-        edges = [(u, v, w) for u, v, w in graph.edges()]
-    else:
-        edges = [(u, v) for u, v, _ in graph.edges()]
-    return Graph.from_edges(
-        graph.num_vertices, edges, directed=False, weighted=graph.weighted
-    )
-
-
-def reverse_graph(graph: Graph) -> Graph:
-    """Reverse every arc (identity for undirected graphs)."""
-    if not graph.directed:
-        return graph
-    if graph.weighted:
-        edges = [(v, u, w) for u, v, w in graph.edges()]
-    else:
-        edges = [(v, u) for u, v, _ in graph.edges()]
-    return Graph.from_edges(
-        graph.num_vertices, edges, directed=True, weighted=graph.weighted
-    )
 
 
 def permute_vertices(graph: Graph, permutation: Sequence[int]) -> Graph:
@@ -92,47 +65,6 @@ def weakly_connected_components(graph: Graph) -> list[list[int]]:
         components.append(comp)
     components.sort(key=len, reverse=True)
     return components
-
-
-def largest_connected_component(graph: Graph) -> Graph:
-    """Induced subgraph on the largest weakly connected component.
-
-    Vertices are renumbered densely, preserving relative order, so the
-    result is independent of traversal order.
-    """
-    components = weakly_connected_components(graph)
-    if not components:
-        return graph
-    keep = sorted(components[0])
-    new_id = {v: i for i, v in enumerate(keep)}
-    edges = []
-    for u, v, w in graph.edges():
-        if u in new_id and v in new_id:
-            if graph.weighted:
-                edges.append((new_id[u], new_id[v], w))
-            else:
-                edges.append((new_id[u], new_id[v]))
-    return Graph.from_edges(
-        len(keep), edges, directed=graph.directed, weighted=graph.weighted
-    )
-
-
-def induced_subgraph(graph: Graph, vertices: Sequence[int]) -> Graph:
-    """Induced subgraph on ``vertices`` (renumbered densely in given order)."""
-    new_id = {v: i for i, v in enumerate(vertices)}
-    if len(new_id) != len(vertices):
-        raise ValueError("vertices must be distinct")
-    edges = []
-    for u, v, w in graph.edges():
-        iu, iv = new_id.get(u), new_id.get(v)
-        if iu is not None and iv is not None:
-            if graph.weighted:
-                edges.append((iu, iv, w))
-            else:
-                edges.append((iu, iv))
-    return Graph.from_edges(
-        len(vertices), edges, directed=graph.directed, weighted=graph.weighted
-    )
 
 
 def peel_pendants(graph: Graph, rank_of: Sequence[int]):

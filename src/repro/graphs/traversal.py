@@ -86,13 +86,6 @@ def dijkstra_distances(
     return dist
 
 
-def single_pair_distance(graph: Graph, s: int, t: int) -> float:
-    """Exact ``dist(s, t)`` by the cheapest applicable online method."""
-    if graph.weighted:
-        return bidirectional_dijkstra(graph, s, t)
-    return bidirectional_bfs(graph, s, t)
-
-
 def bidirectional_bfs(graph: Graph, s: int, t: int) -> float:
     """Unweighted ``dist(s, t)`` via alternating two-frontier BFS.
 
@@ -193,10 +186,3 @@ def bidirectional_dijkstra(graph: Graph, s: int, t: int) -> float:
         else:
             expand(heap_b, dist_b, dist_f, settled_b, graph.in_edges)
     return best
-
-
-def eccentricity(graph: Graph, source: int) -> float:
-    """Largest finite hop distance from ``source`` (its eccentricity)."""
-    dist = bfs_distances(graph, source)
-    finite = [d for d in dist if d != INF]
-    return max(finite) if finite else 0.0

@@ -10,14 +10,12 @@ label store backend and layers the serving conveniences on top:
   version;
 * an LRU result cache for single-pair queries;
 * batched evaluation (:meth:`query_batch`) through the vectorized
-  kernel or merge joins grouped by source vertex;
+  kernel, or pair by pair for a store or batch the kernel does not
+  take;
 * the derived workloads: reachability, shortest-path reconstruction
-  (needs a graph attached), one-to-all distances, and k-nearest
-  neighbours via a lazily built inverted index.
-
-This is the seam later scaling work (sharding, async serving,
-multi-backend routing) plugs into: an oracle is one shard's worth of
-serving state.
+  (needs a graph: ``graph=`` or the :attr:`graph` attribute), one-to-all
+  distances, and k-nearest neighbours via a lazily built inverted
+  index.
 """
 
 from __future__ import annotations
@@ -110,30 +108,22 @@ class DistanceOracle:
         """
         return evaluate_batch(self.store, pairs)
 
-    def query_via(self, s: int, t: int) -> tuple[float, int]:
-        """``(dist, best_pivot)`` — the pivot certifying the distance."""
-        return self.store.query_via(s, t)
-
     def is_reachable(self, s: int, t: int) -> bool:
         """Whether any path ``s -> t`` exists."""
         return self.query(s, t) != INF
 
     # -- paths ---------------------------------------------------------------
-    def attach_graph(self, graph: Graph) -> None:
-        """Provide the graph needed by :meth:`reconstruct_path`."""
-        self.graph = graph
-
     def reconstruct_path(self, s: int, t: int) -> list[int] | None:
         """One shortest path ``s -> t``; ``None`` when unreachable.
 
         The labels store distances only, so this greedily descends
-        through the attached graph (raises ``ValueError`` when no
-        graph was attached).
+        through :attr:`graph` (raises ``ValueError`` when it is
+        ``None``).
         """
         if self.graph is None:
             raise ValueError(
                 "path reconstruction needs the graph; pass graph= at "
-                "construction or call attach_graph()"
+                "construction or set the oracle's .graph"
             )
         return reconstruct_path(self.store, self.graph, s, t)
 
@@ -199,11 +189,6 @@ class DistanceOracle:
     def cache_info(self) -> CacheInfo:
         """Hit/miss statistics of the result cache."""
         return self.cache.info()
-
-    def clear_cache(self) -> None:
-        """Drop all derived state (e.g. after swapping the store):
-        the result cache and the lazily built inverted k-NN index."""
-        self.invalidate()
 
     def close(self) -> None:
         """Release backend resources (the file mapping of an

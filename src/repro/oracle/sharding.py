@@ -46,7 +46,6 @@ from repro.core.flatstore import (
     _as_np,
     derived_slice,
     load_store,
-    merge_min_via,
     packed,
     probe_min_distance,
 )
@@ -414,10 +413,6 @@ class ShardedLabelStore:
         p, d, o, e = self._slice(v, False)
         return list(zip(p[o:e], d[o:e]))
 
-    def label_of(self, v: int, out: bool = True) -> list[tuple[int, float]]:
-        """The (pivot, dist) list of ``v``'s out- or in-label."""
-        return self.out_label(v) if out else self.in_label(v)
-
     # -- querying ------------------------------------------------------------
     def query(self, s: int, t: int) -> float:
         """Exact ``dist(s, t)``; ``inf`` when unreachable.
@@ -437,21 +432,6 @@ class ShardedLabelStore:
         b, bl = self._locate(t)
         d = probe_min_distance(*a.out_slice(al), *b.in_slice(bl))
         return hs + d + ht
-
-    def query_via(self, s: int, t: int) -> tuple[float, int]:
-        """Like :meth:`query` but also return the best pivot (-1 if none)."""
-        if s == t:
-            if not 0 <= s < self.n:
-                raise IndexError(f"query ({s}, {t}) out of range [0, {self.n})")
-            return 0.0, s
-        s, hs = self._resolve(s)
-        t, ht = self._resolve(t)
-        if s == t:
-            return float(hs + ht), s
-        a, al = self._locate(s)
-        b, bl = self._locate(t)
-        d, pivot = merge_min_via(*a.out_slice(al), *b.in_slice(bl))
-        return hs + d + ht, pivot
 
     # -- statistics ----------------------------------------------------------
     def total_entries(self, include_trivial: bool = False) -> int:

@@ -90,8 +90,8 @@ class SharedMemoryFanout:
     """Fan batches out over forked workers sharing the label arrays.
 
     ``store`` is a kernel-supported label store — a
-    :class:`~repro.core.flatstore.FlatLabelStore`, its quantized v3
-    subclass, or a :class:`~repro.oracle.sharding.ShardedLabelStore`
+    :class:`~repro.core.flatstore.FlatLabelStore` of either encoding
+    (v2 or v3), or a :class:`~repro.oracle.sharding.ShardedLabelStore`
     over them.  Answers are bit-identical to ``store.query`` per pair:
     every span runs the same :func:`repro.oracle.kernel`
     machinery the inline path uses, just on another core.

@@ -34,7 +34,7 @@ class TestPLLLabels:
         index, _ = build_pll(star_graph(5))
         # Center first in degree order: leaves get exactly {self, center}.
         for leaf in range(1, 6):
-            assert dict(index.label_of(leaf)) == {leaf: 0.0, 0: 1.0}
+            assert dict(index.out_label(leaf)) == {leaf: 0.0, 0: 1.0}
 
     def test_pivots_outrank_owners(self):
         g = glp_graph(100, seed=7)

@@ -69,18 +69,12 @@ class TestQueries:
             for t in range(0, idx.n, 7):
                 assert flat.query(s, t) == idx.query(s, t)
 
-    def test_query_via_matches(self, index_pair):
-        idx, flat = index_pair
-        for s in range(0, idx.n, 5):
-            for t in range(0, idx.n, 7):
-                assert flat.query_via(s, t) == idx.query_via(s, t)
-
     def test_bounds_checked(self, index_pair):
         idx, flat = index_pair
         with pytest.raises(IndexError):
             flat.query(0, idx.n)
         with pytest.raises(IndexError):
-            flat.query_via(-1, 0)
+            flat.query(-1, 0)
         # Batches below the kernel's size take the same scalar path.
         oracle = DistanceOracle(flat, cache_size=0)
         with pytest.raises(IndexError):
@@ -95,7 +89,6 @@ class TestQueries:
         idx = HybridBuilder(g).build().index.to_index()
         flat = FlatLabelStore.from_index(idx)
         assert flat.query(0, 3) == INF
-        assert flat.query_via(0, 3) == (INF, -1)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_graphs_agree(self, seed):

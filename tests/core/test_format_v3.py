@@ -74,9 +74,6 @@ class TestRoundTrip:
         assert [q.query(s, t) for s, t in pairs] == [
             flat.query(s, t) for s, t in pairs
         ]
-        assert [q.query_via(s, t) for s, t in pairs] == [
-            flat.query_via(s, t) for s, t in pairs
-        ]
 
     def test_undirected_arrays_alias(self, stores):
         idx, _, q = stores

@@ -118,17 +118,6 @@ class TestLabelIndexQuery:
         with pytest.raises(IndexError):
             idx.query(0, 99)
 
-    def test_query_via_returns_highest_pivot(self):
-        g = glp_graph(60, seed=2)
-        built = HybridBuilder(g).build()
-        idx = built.index.to_index()
-        d, pivot = idx.query_via(5, 40)
-        assert d == idx.query(5, 40)
-        if d not in (0.0, INF):
-            assert pivot >= 0
-            # The pivot must actually lie on a shortest path.
-            assert idx.query(5, pivot) + idx.query(pivot, 40) == d
-
 
 class TestLabelIndexStats:
     def test_stats_and_bytes(self):

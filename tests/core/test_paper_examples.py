@@ -20,7 +20,7 @@ A, B, C, D, E = 0, 1, 2, 3, 4  # Figure 1/2 vertex names
 
 
 def _labels_as_dict(index, v, out=True):
-    return dict(index.label_of(v, out=out))
+    return dict(index.out_label(v) if out else index.in_label(v))
 
 
 class TestRoadGraphTable3:

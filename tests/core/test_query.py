@@ -3,16 +3,15 @@
 import pytest
 
 from repro.core.hybrid import HybridBuilder
+from repro.core.index import HopDoublingIndex
 from repro.core.query import (
-    average_distance,
     closeness_centrality,
     distance_histogram,
-    is_reachable,
-    query_many,
     reconstruct_path,
 )
 from repro.graphs.digraph import Graph
 from repro.graphs.generators import glp_graph, path_graph, star_graph
+from repro.oracle.batch import evaluate_batch
 from tests.conftest import random_graph
 
 
@@ -27,28 +26,27 @@ class TestQueryMany:
     def test_order_preserved(self, built):
         g, idx = built
         pairs = [(0, 1), (5, 9), (2, 2)]
-        assert query_many(idx, pairs) == [idx.query(*p) for p in pairs]
+        assert evaluate_batch(idx, pairs) == [idx.query(*p) for p in pairs]
 
     def test_empty(self, built):
         _, idx = built
-        assert query_many(idx, []) == []
+        assert evaluate_batch(idx, []) == []
 
 
 class TestReachability:
     def test_connected_pair(self, built):
-        _, idx = built
-        assert is_reachable(idx, 0, 10)
+        g, _ = built
+        assert HopDoublingIndex.build(g).is_reachable(0, 10)
 
     def test_disconnected(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)], directed=False)
-        idx = HybridBuilder(g).build().index
-        assert not is_reachable(idx, 0, 3)
+        assert not HopDoublingIndex.build(g).is_reachable(0, 3)
 
     def test_directed_one_way(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2)], directed=True)
-        idx = HybridBuilder(g).build().index
-        assert is_reachable(idx, 0, 2)
-        assert not is_reachable(idx, 2, 0)
+        idx = HopDoublingIndex.build(g)
+        assert idx.is_reachable(0, 2)
+        assert not idx.is_reachable(2, 0)
 
 
 class TestPathReconstruction:
@@ -94,24 +92,6 @@ class TestAnalytics:
         g = Graph.from_edges(3, [(0, 1)], directed=False)
         idx = HybridBuilder(g).build().index
         assert closeness_centrality(idx, 2, [0, 1]) == 0.0
-
-    def test_average_distance(self):
-        g = path_graph(3)
-        idx = HybridBuilder(g).build().index
-        mean, connectivity = average_distance(idx, [(0, 1), (0, 2), (1, 2)])
-        assert mean == pytest.approx((1 + 2 + 1) / 3)
-        assert connectivity == 1.0
-
-    def test_average_distance_with_unreachable(self):
-        g = Graph.from_edges(3, [(0, 1)], directed=True)
-        idx = HybridBuilder(g).build().index
-        mean, connectivity = average_distance(idx, [(0, 1), (1, 2)])
-        assert mean == 1.0
-        assert connectivity == 0.5
-
-    def test_average_distance_empty(self, built):
-        _, idx = built
-        assert average_distance(idx, []) == (0.0, 0.0)
 
     def test_histogram_buckets(self):
         g = path_graph(4)

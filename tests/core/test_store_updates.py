@@ -59,9 +59,6 @@ class TestFlatOverlay:
         assert [store.query(0, t) for t in targets] == [
             dyn.query(0, t) for t in targets
         ]
-        dist, pivot = store.query_via(0, 79)
-        assert dist == dyn.query(0, 79)
-        assert pivot >= 0
 
     def test_total_entries_tracks_overlay(self, setting):
         _, _, _, delta = setting

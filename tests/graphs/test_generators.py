@@ -4,8 +4,6 @@ import pytest
 
 from repro.graphs.generators import (
     ba_graph,
-    complete_graph,
-    configuration_model_graph,
     cycle_graph,
     er_graph,
     glp_graph,
@@ -79,23 +77,6 @@ class TestBA:
         assert degrees[0] > 5 * degrees[len(degrees) // 2]
 
 
-class TestConfigurationModel:
-    def test_deterministic(self):
-        a = configuration_model_graph(300, seed=1)
-        b = configuration_model_graph(300, seed=1)
-        assert a == b
-
-    def test_exponent_validation(self):
-        with pytest.raises(ValueError):
-            configuration_model_graph(10, exponent=0.5)
-
-    def test_simple_graph(self):
-        g = configuration_model_graph(200, seed=3)
-        # No self loops (dropped), no parallel edges (set semantics).
-        for u, v, _ in g.edges():
-            assert u != v
-
-
 class TestER:
     def test_edge_count(self):
         g = er_graph(100, 250, seed=0)
@@ -135,11 +116,3 @@ class TestDeterministicFamilies:
         g = grid_graph(3, 4)
         assert g.num_vertices == 12
         assert g.num_edges == 3 * 3 + 2 * 4  # horizontal + vertical
-
-    def test_complete(self):
-        g = complete_graph(5)
-        assert g.num_edges == 10
-
-    def test_complete_directed(self):
-        g = complete_graph(4, directed=True)
-        assert g.num_edges == 12

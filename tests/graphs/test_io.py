@@ -3,14 +3,7 @@
 import pytest
 
 from repro.graphs.digraph import Graph
-from repro.graphs.io import (
-    read_binary,
-    read_edge_list,
-    read_records,
-    write_binary,
-    write_edge_list,
-)
-from tests.conftest import random_graph
+from repro.graphs.io import read_edge_list, read_records, write_edge_list
 
 
 class TestEdgeList:
@@ -114,25 +107,3 @@ class TestRecords:
         path.write_text(f"0 1\n{line}\n")
         with pytest.raises(ValueError, match=r"r\.txt:2: expected 'u v \[w\]'"):
             read_records(path)
-
-
-class TestBinary:
-    @pytest.mark.parametrize("seed", range(6))
-    def test_round_trip_random(self, tmp_path, seed):
-        g = random_graph(seed)
-        path = tmp_path / "g.bin"
-        write_binary(g, path)
-        assert read_binary(path) == g
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"NOPE" + b"\x00" * 20)
-        with pytest.raises(ValueError, match="magic"):
-            read_binary(path)
-
-    def test_empty_graph(self, tmp_path):
-        g = Graph.from_edges(0, [])
-        path = tmp_path / "empty.bin"
-        write_binary(g, path)
-        loaded = read_binary(path)
-        assert loaded.num_vertices == 0

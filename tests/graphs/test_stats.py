@@ -5,7 +5,6 @@ import math
 from repro.graphs.digraph import Graph
 from repro.graphs.generators import glp_graph, grid_graph, path_graph, star_graph
 from repro.graphs.stats import (
-    degree_histogram,
     degree_sequence,
     expansion_factor,
     hop_diameter,
@@ -17,11 +16,6 @@ from repro.graphs.stats import (
 
 
 class TestDegreeStats:
-    def test_histogram_star(self):
-        g = star_graph(4)
-        hist = degree_histogram(g)
-        assert hist == {4: 1, 1: 4}
-
     def test_sequence_sorted_descending(self):
         g = star_graph(3)
         assert degree_sequence(g) == [3, 1, 1, 1]

@@ -4,51 +4,11 @@ import pytest
 
 from repro.graphs.digraph import Graph
 from repro.graphs.transform import (
-    induced_subgraph,
-    largest_connected_component,
     permute_vertices,
     random_permutation,
-    reverse_graph,
-    to_undirected,
     weakly_connected_components,
 )
 from tests.conftest import random_graph
-
-
-class TestToUndirected:
-    def test_forgets_direction(self):
-        g = Graph.from_edges(3, [(0, 1), (1, 0), (1, 2)], directed=True)
-        u = to_undirected(g)
-        assert not u.directed
-        assert u.num_edges == 2  # antiparallel pair collapses
-
-    def test_identity_on_undirected(self):
-        g = Graph.from_edges(3, [(0, 1)], directed=False)
-        assert to_undirected(g) is g
-
-    def test_weighted_keeps_min(self):
-        g = Graph.from_edges(
-            2, [(0, 1, 5.0), (1, 0, 2.0)], directed=True, weighted=True
-        )
-        u = to_undirected(g)
-        assert u.edge_weight(0, 1) == 2.0
-
-
-class TestReverse:
-    def test_arcs_flip(self):
-        g = Graph.from_edges(3, [(0, 1), (1, 2)], directed=True)
-        r = reverse_graph(g)
-        assert r.has_edge(1, 0)
-        assert r.has_edge(2, 1)
-        assert not r.has_edge(0, 1)
-
-    def test_double_reverse_identity(self):
-        g = random_graph(3, directed=True, weighted=False)
-        assert reverse_graph(reverse_graph(g)) == g
-
-    def test_undirected_unchanged(self):
-        g = Graph.from_edges(2, [(0, 1)], directed=False)
-        assert reverse_graph(g) is g
 
 
 class TestPermutation:
@@ -85,31 +45,3 @@ class TestComponents:
         g = Graph.from_edges(3, [(0, 1), (2, 1)], directed=True)
         comps = weakly_connected_components(g)
         assert len(comps) == 1
-
-    def test_lcc_extraction(self):
-        g = Graph.from_edges(6, [(0, 1), (1, 2), (4, 5)], directed=False)
-        lcc = largest_connected_component(g)
-        assert lcc.num_vertices == 3
-        assert lcc.num_edges == 2
-
-    def test_lcc_preserves_weights(self):
-        g = Graph.from_edges(
-            4, [(0, 1, 3.0), (2, 3, 1.0), (1, 0, 9.0)], directed=True,
-            weighted=True,
-        )
-        lcc = largest_connected_component(g)
-        assert lcc.num_vertices == 2
-        assert lcc.weighted
-
-
-class TestInducedSubgraph:
-    def test_induced(self):
-        g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)], directed=False)
-        sub = induced_subgraph(g, [1, 2])
-        assert sub.num_vertices == 2
-        assert sub.num_edges == 1
-
-    def test_duplicate_vertices_rejected(self):
-        g = Graph.from_edges(2, [(0, 1)])
-        with pytest.raises(ValueError):
-            induced_subgraph(g, [0, 0])

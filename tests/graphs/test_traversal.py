@@ -4,15 +4,13 @@ import pytest
 from hypothesis import given, settings
 
 from repro.graphs.digraph import Graph
-from repro.graphs.generators import glp_graph, path_graph
+from repro.graphs.generators import path_graph
 from repro.graphs.traversal import (
     INF,
     bfs_distances,
     bidirectional_bfs,
     bidirectional_dijkstra,
     dijkstra_distances,
-    eccentricity,
-    single_pair_distance,
 )
 from tests.conftest import graph_strategy, random_graph
 
@@ -92,18 +90,3 @@ class TestBidirectional:
         g = Graph.from_edges(3, [(0, 1), (1, 2)], directed=True)
         assert bidirectional_bfs(g, 0, 2) == 2.0
         assert bidirectional_bfs(g, 2, 0) == INF
-
-    def test_single_pair_dispatches_on_weightedness(self):
-        gu = path_graph(4)
-        gw = Graph.from_edges(4, [(0, 1, 2.0), (1, 2, 2.0)], weighted=True)
-        assert single_pair_distance(gu, 0, 3) == 3.0
-        assert single_pair_distance(gw, 0, 2) == 4.0
-
-
-class TestEccentricity:
-    def test_path_end(self):
-        assert eccentricity(path_graph(5), 0) == 4.0
-
-    def test_scale_free_small(self):
-        g = glp_graph(300, seed=2)
-        assert 2 <= eccentricity(g, 0) <= 12

@@ -4,11 +4,11 @@ import pytest
 
 from repro.core.flatstore import FlatLabelStore
 from repro.core.hybrid import HybridBuilder
+from repro.core.index import HopDoublingIndex
 from repro.core.knn import InvertedLabelIndex
 from repro.core.labels import INF
-from repro.core.query import query_many
-from repro.graphs.generators import glp_graph
-from repro.oracle import DistanceOracle, read_pair_file
+from repro.graphs.generators import ba_graph, glp_graph
+from repro.oracle import DistanceOracle, ShardedLabelStore, read_pair_file
 from repro.oracle.batch import evaluate_batch
 from tests.conftest import random_graph
 from tests.reference.v1_writer import write_v1
@@ -115,7 +115,7 @@ class TestCache:
         oracle.nearest(0, 3)
         inverted = oracle._inverted
         assert inverted is not None
-        oracle.clear_cache()
+        oracle.invalidate()
         assert oracle._inverted is None
 
     def test_eviction_respects_capacity(self, built):
@@ -138,7 +138,7 @@ class TestCache:
         _, idx = built
         oracle = DistanceOracle(idx)
         oracle.query(0, 5)
-        oracle.clear_cache()
+        oracle.invalidate()
         info = oracle.cache_info()
         assert info.size == 0 and info.misses == 0
 
@@ -199,7 +199,6 @@ class TestDerivedWorkloads:
         _, idx = built
         oracle = DistanceOracle(FlatLabelStore.from_index(idx))
         assert oracle.is_reachable(0, 1) == (idx.query(0, 1) != INF)
-        assert oracle.query_via(0, 1) == idx.query_via(0, 1)
 
     def test_reconstruct_path_needs_graph(self, built):
         _, idx = built
@@ -225,7 +224,7 @@ class TestDerivedWorkloads:
     def test_attach_graph(self, built):
         g, idx = built
         oracle = DistanceOracle(idx)
-        oracle.attach_graph(g)
+        oracle.graph = g
         assert oracle.reconstruct_path(3, 3) == [3]
 
     def test_nearest_matches_inverted_index(self, built):
@@ -250,6 +249,46 @@ class TestDerivedWorkloads:
         assert oracle.n == idx.n
         assert oracle.directed == idx.directed
         assert "DistanceOracle" in repr(oracle)
+
+
+@pytest.fixture(scope="module")
+def ba60(tmp_path_factory):
+    """``repro generate ba -n 60 --seed 2`` built, saved as v2, v3 and
+    a 3-shard directory."""
+    store = HopDoublingIndex.build(ba_graph(60, m=10, seed=2)).labels
+    root = tmp_path_factory.mktemp("ba60")
+    for fmt in ("v2", "v3"):
+        store.encoded(fmt).save(root / f"g.{fmt}")
+    ShardedLabelStore.split(store, 3).save(root / "shards", format="v3")
+    return store, root
+
+
+_OPENERS = {
+    "v2": lambda store, root: FlatLabelStore.load(root / "g.v2"),
+    "v3": lambda store, root: FlatLabelStore.load(root / "g.v3"),
+    "3 shards": lambda store, root: ShardedLabelStore.load(root / "shards"),
+    "to_index": lambda store, root: store.to_index(),
+}
+
+
+@pytest.mark.parametrize("surface", _OPENERS)
+def test_label_reads_refuse_out_of_range_ids(ba60, surface):
+    """A negative id must not wrap around to a vertex at the end."""
+    oracle = DistanceOracle(_OPENERS[surface](*ba60))
+    n = oracle.n
+    reads = {
+        "out_label": oracle.store.out_label,
+        "in_label": oracle.store.in_label,
+        "nearest": lambda v: oracle.nearest(v, 3),
+        "distances_from": oracle.distances_from,
+        "distances_to": oracle.distances_to,
+    }
+    for v in (-1, -n, n):
+        for name, read in reads.items():
+            with pytest.raises(IndexError):
+                read(v)
+                pytest.fail(f"{name}({v}) did not raise")
+    oracle.close()
 
 
 class TestFacadeOracle:
@@ -279,13 +318,13 @@ class TestQueryManyDelegation:
     def test_matches_per_pair(self, built):
         _, idx = built
         pairs = all_pairs(idx.n, 3, 7) + [(0, 0), (1, 1)]
-        assert query_many(idx, pairs) == [idx.query(s, t) for s, t in pairs]
+        assert evaluate_batch(idx, pairs) == [idx.query(s, t) for s, t in pairs]
 
     def test_flat_store_accepted(self, built):
         _, idx = built
         flat = FlatLabelStore.from_index(idx)
         pairs = all_pairs(idx.n, 6, 8)
-        assert query_many(flat, pairs) == [idx.query(s, t) for s, t in pairs]
+        assert evaluate_batch(flat, pairs) == [idx.query(s, t) for s, t in pairs]
 
 
 class TestPairFile:

@@ -180,7 +180,6 @@ def test_single_pair_facilities_work(served_path, flat):
     with ParallelOracle(served_path, workers=2) as oracle:
         assert oracle.n == flat.n
         assert oracle.query(3, 250) == flat.query(3, 250)
-        assert oracle.query_via(3, 250) == flat.query_via(3, 250)
         reference = DistanceOracle(flat)
         assert oracle.nearest(9, k=4) == reference.nearest(9, k=4)
 

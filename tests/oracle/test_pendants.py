@@ -63,7 +63,6 @@ def truth_of(graph: Graph, pairs) -> list[float]:
 def store_surfaces(store):
     """``(name, answer(pairs))`` for one in-memory store, every path."""
     yield "query", lambda ps: [store.query(s, t) for s, t in ps]
-    yield "query_via", lambda ps: [store.query_via(s, t)[0] for s, t in ps]
     yield "kernel", lambda ps: kernel.batch_eval(store, ps)
     yield "query_batch", DistanceOracle(store, cache_size=0).query_batch
 

@@ -81,14 +81,6 @@ class TestShardedStore:
             flat.query(s, t) for s, t in pairs
         ]
 
-    def test_query_via_matches_flat(self, undirected):
-        _, flat = undirected
-        sharded = ShardedLabelStore.split(flat, 3)
-        pairs = random_pairs(flat.n, 200, seed=5)
-        assert [sharded.query_via(s, t) for s, t in pairs] == [
-            flat.query_via(s, t) for s, t in pairs
-        ]
-
     def test_labels_and_stats_match_flat(self, undirected):
         _, flat = undirected
         sharded = ShardedLabelStore.split(flat, 4)

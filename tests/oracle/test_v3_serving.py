@@ -57,11 +57,6 @@ class TestOracleSurfaces:
         p = pairs(32)
         assert o3.query_batch(p) == o2.query_batch(p)
 
-    def test_query_via(self, oracles):
-        o2, o3 = oracles
-        for s, t in pairs(33, 300):
-            assert o3.query_via(s, t) == o2.query_via(s, t)
-
     def test_reachability(self, oracles):
         o2, o3 = oracles
         for s, t in pairs(34, 200):
@@ -103,9 +98,6 @@ class TestShardedServing:
             p = pairs(36)
             expected = [flat.query(s, t) for s, t in p]
             assert [sharded.query(s, t) for s, t in p] == expected
-            assert [sharded.query_via(s, t) for s, t in p] == [
-                flat.query_via(s, t) for s, t in p
-            ]
         finally:
             sharded.close()
 

@@ -36,9 +36,9 @@ def write_v1(store, path) -> None:
         if store.rank is not None:
             fh.write(struct.pack(f"<{n}I", *store.rank))
 
-        def write_side(label_of) -> None:
+        def write_side(read_label) -> None:
             for v in range(n):
-                lab = label_of(v)
+                lab = read_label(v)
                 fh.write(struct.pack("<I", len(lab)))
                 for p, d in lab:
                     fh.write(struct.pack("<Id", p, d))

@@ -572,6 +572,18 @@ class TestVerify:
         assert rc == 1
         assert "violation" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_verify_refuses_no_samples(
+        self, graph_file, tmp_path, capsys, samples
+    ):
+        idx = tmp_path / "g.idx"
+        main(["build", str(graph_file), "-o", str(idx)])
+        capsys.readouterr()
+        rc = main(["verify", str(graph_file), str(idx), "--samples", samples])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"error: samples must be > 0, got {int(samples)}\n"
+
 
 class TestUpdate:
     @pytest.fixture

@@ -63,3 +63,68 @@ def test_cli_has_no_bench_subcommand():
     )
     assert "serve" in commands.choices
     assert "bench" not in commands.choices
+
+
+def _repro_modules():
+    import importlib
+    import pkgutil
+
+    import repro
+
+    yield repro
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if not info.name.endswith(".__main__"):
+            yield importlib.import_module(info.name)
+
+
+def test_every_public_name_resolves():
+    """A string left in an ``__all__`` after its definition went would
+    break ``from ... import *``."""
+    for module in _repro_modules():
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+#: Public names deleted because only their own unit tests called them.
+_DELETED_FUNCTIONS = (
+    "merge_min_via",
+    "query_many",
+    "is_reachable",
+    "average_distance",
+    "to_undirected",
+    "reverse_graph",
+    "induced_subgraph",
+    "largest_connected_component",
+    "write_binary",
+    "read_binary",
+    "configuration_model_graph",
+    "complete_graph",
+    "eccentricity",
+    "single_pair_distance",
+    "degree_histogram",
+)
+
+
+def test_deleted_functions_are_gone():
+    for module in _repro_modules():
+        for name in _DELETED_FUNCTIONS:
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_deleted_methods_are_gone():
+    from repro.core.flatstore import FlatLabelStore
+    from repro.core.knn import InvertedLabelIndex
+    from repro.core.labels import LabelIndex, LabelStore
+    from repro.oracle import DistanceOracle, ShardedLabelStore
+
+    deleted = {
+        FlatLabelStore: ("query_via", "label_of"),
+        ShardedLabelStore: ("query_via", "label_of"),
+        LabelIndex: ("query_via", "label_of"),
+        LabelStore: ("query_via",),
+        DistanceOracle: ("query_via", "clear_cache", "attach_graph"),
+        InvertedLabelIndex: ("size_in_entries",),
+    }
+    for cls, names in deleted.items():
+        for name in names:
+            assert not hasattr(cls, name), f"{cls.__name__}.{name}"
