@@ -1,10 +1,8 @@
-"""Construction-engine benchmark: dict vs array build wall-clock.
+"""Construction-engine benchmark: dict reference vs array build wall-clock.
 
-PRs 1-2 gated the *serving* side (CSR store >= 2x tuple lists, sharded
-batches >= 1.5x single store); this file gates the *construction* side
-the same way.  One 10k-vertex Barabasi-Albert graph is indexed with
-the paper's hybrid strategy by both build engines and the file
-enforces:
+One 10k-vertex Barabasi-Albert graph is indexed with the paper's hybrid
+strategy by the array engine and by the per-entry dict reference
+engine (``tests/reference/dict_build.py``), and the file enforces:
 
 * **bit-identical indexes and iteration counters** between the dict
   and array engines, and between ``jobs=1`` and multiprocess builds
@@ -13,7 +11,7 @@ enforces:
   the reference dict engine.  The speedup is single-process
   vectorization (measured ~4-5x on CPython 3.11), so the floor holds
   on single-core runners too;
-* **build -> file**: ``HopDoublingIndex.build(engine="array")`` plus
+* **build -> file**: ``HopDoublingIndex.build`` plus
   ``save(format="v3")`` timed end to end (what a user waits for), the
   file byte-identical to the one the dict engine's index packs into.
 
@@ -33,6 +31,8 @@ from paper.bench.export import write_bench_json
 from repro.core.hybrid import make_builder
 from repro.core.index import HopDoublingIndex
 from repro.graphs.generators import ba_graph
+from tests.reference.dict_build import dict_engine
+from tests.reference.label_lists import label_lists
 
 NUM_VERTICES = 10_000
 #: Acceptance floor for the array engine vs the dict engine.  The
@@ -59,8 +59,9 @@ def _timed_build(graph, **kwargs):
 @pytest.fixture(scope="module")
 def builds(graph):
     """Both engine builds of the same graph, timed once per session."""
-    dict_result, dict_seconds = _timed_build(graph, engine="dict")
-    array_result, array_seconds = _timed_build(graph, engine="array")
+    with dict_engine():
+        dict_result, dict_seconds = _timed_build(graph)
+    array_result, array_seconds = _timed_build(graph)
     return dict_result, dict_seconds, array_result, array_seconds
 
 
@@ -69,7 +70,7 @@ def to_file(graph, tmp_path_factory):
     """Array build straight into a v3 file: path, total and pack seconds."""
     path = tmp_path_factory.mktemp("build") / "array.v3"
     t0 = time.perf_counter()
-    index = HopDoublingIndex.build(graph, engine="array")
+    index = HopDoublingIndex.build(graph)
     t1 = time.perf_counter()
     index.save(path, format="v3")
     t2 = time.perf_counter()
@@ -96,10 +97,7 @@ def _counters(result):
 def test_engines_bit_identical(builds):
     """The array engine rebuilds the exact index, counter for counter."""
     dict_result, _, array_result, _ = builds
-    array_lists = array_result.index.to_index()
-    dict_lists = dict_result.index.to_index()
-    assert array_lists.out_labels == dict_lists.out_labels
-    assert array_lists.in_labels == dict_lists.in_labels
+    assert label_lists(array_result.index) == label_lists(dict_result.index)
     assert array_result.index.rank == dict_result.index.rank
     assert _counters(array_result) == _counters(dict_result)
 
@@ -108,11 +106,8 @@ def test_parallel_build_bit_identical(graph, builds):
     """jobs=N at benchmark scale matches the single-process build."""
     _, _, array_result, _ = builds
     jobs = min(PARALLEL_JOBS, max(_CORES, 2))
-    parallel_result, _ = _timed_build(graph, engine="array", jobs=jobs)
-    assert (
-        parallel_result.index.to_index().out_labels
-        == array_result.index.to_index().out_labels
-    )
+    parallel_result, _ = _timed_build(graph, jobs=jobs)
+    assert label_lists(parallel_result.index) == label_lists(array_result.index)
     assert _counters(parallel_result) == _counters(array_result)
 
 

@@ -40,6 +40,7 @@ import numpy as np
 import pytest
 
 from paper.baselines.pll import build_pll
+from paper.labels import to_store
 from paper.bench.export import write_bench_json
 from paper.bench.metrics import interleaved_rates
 from paper.bench.workloads import random_pairs
@@ -61,7 +62,7 @@ def assets(tmp_path_factory):
     """One PLL index saved as v2 and v3, plus the serving stores."""
     graph = ba_graph(NUM_VERTICES, m=2, seed=1)
     index, _ = build_pll(graph)
-    flat = FlatLabelStore.from_index(index)
+    flat = to_store(index)
     root = tmp_path_factory.mktemp("query-bench")
     v2_path = root / "index.idx2"
     v3_path = root / "index.idx3"

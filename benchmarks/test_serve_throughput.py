@@ -40,10 +40,10 @@ import time
 import pytest
 
 from paper.baselines.pll import build_pll
+from paper.labels import to_store
 from paper.bench.export import write_bench_json
 from paper.bench.metrics import interleaved_rates
 from paper.bench.workloads import random_pairs
-from repro.core.flatstore import FlatLabelStore
 from repro.graphs.generators import ba_graph
 from repro.oracle import DistanceOracle, ShardedLabelStore
 from repro.serve import DistanceClient, DistanceServer, shm
@@ -78,7 +78,7 @@ _CORES = os.cpu_count() or 1
 def flat():
     graph = ba_graph(NUM_VERTICES, m=2, seed=1)
     index, _ = build_pll(graph)
-    return FlatLabelStore.from_index(index)
+    return to_store(index)
 
 
 @pytest.fixture(scope="module")

@@ -40,6 +40,7 @@ from repro.core.hybrid import make_builder
 from repro.graphs.digraph import Graph
 from repro.graphs.generators import ba_graph
 from tests.reference.dict_repair import DictRepairIndex
+from tests.reference.label_lists import label_lists
 
 #: Barabasi-Albert component (the part that grows).
 NUM_BA_VERTICES = 10_000
@@ -71,7 +72,7 @@ def setting():
         for i in range(0, NUM_PAD_VERTICES - 1, 2)
     ]
     base = Graph.from_edges(NUM_VERTICES, base_edges, directed=False)
-    index = make_builder(base, "hybrid", engine="array").build().index
+    index = make_builder(base, "hybrid").build().index
     return base, FlatLabelStore.from_index(index), stream
 
 
@@ -99,10 +100,7 @@ def replays(setting):
 def test_engines_bit_identical_and_exact(replays):
     """Both engines repair to the same labels; answers match Dijkstra."""
     _, array_dyn, dict_dyn = replays
-    array_snap = array_dyn.snapshot().to_index()
-    dict_snap = dict_dyn.snapshot().to_index()
-    assert array_snap.out_labels == dict_snap.out_labels
-    assert array_snap.in_labels == dict_snap.in_labels
+    assert label_lists(array_dyn.snapshot()) == label_lists(dict_dyn.snapshot())
     truth = BidirectionalSearchOracle(array_dyn.graph)
     rng = random.Random(11)
     for _ in range(40):

@@ -15,4 +15,7 @@ imports it; it imports ``repro``.  Run it from a repository checkout
   Section 2.2;
 * :mod:`paper.coverage` — label coverage by top-ranked vertices
   (Figure 8, Table 7).
+* :mod:`paper.labels` — the dict label model the kit's builders and
+  baselines are written in: per-entry build states, the tuple-list
+  :class:`~paper.labels.LabelIndex`, and its packer into the CSR store.
 """

@@ -29,7 +29,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from repro.core.labels import INF, LabelIndex, merge_join_distance
+from paper.labels import LabelIndex, merge_join_distance
+from repro.core.labels import INF
 from repro.graphs.digraph import Graph
 from repro.utils.timer import Timer
 

@@ -12,7 +12,7 @@ baseline for label size: a useful cross-check is that Hop-Doubling /
 Stepping with pruning produce exactly this index (our test suite
 asserts it on unweighted graphs).
 
-The output reuses :class:`repro.core.labels.LabelIndex`, so querying,
+The output reuses :class:`paper.labels.LabelIndex`, so querying,
 statistics and serialization are shared with the main algorithm.
 
 Why the paper still wins: PLL requires the whole index *and* graph in
@@ -27,7 +27,8 @@ from __future__ import annotations
 import heapq
 from collections import deque
 
-from repro.core.labels import INF, LabelIndex
+from paper.labels import LabelIndex
+from repro.core.labels import INF
 from repro.core.ranking import Ranking, make_ranking
 from repro.graphs.digraph import Graph
 from repro.utils.timer import Timer

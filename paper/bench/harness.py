@@ -21,7 +21,7 @@ from paper.bench.workloads import random_pairs
 from paper.io_sim.disk_index import DiskResidentIndex
 from paper.io_sim.diskmodel import DiskModel
 from paper.io_sim.external_labeling import ExternalLabelingBuilder
-from repro.core.flatstore import FlatLabelStore
+from paper.labels import to_store
 from repro.graphs.digraph import Graph
 from repro.graphs.stats import GraphSummary, summarize
 from repro.oracle import DistanceOracle
@@ -83,7 +83,7 @@ def _serving_query(index):
     apples-to-apples; IS-Label keeps its bespoke two-level evaluator
     and BIDIJ is the online-search contrast.
     """
-    oracle = DistanceOracle(FlatLabelStore.from_index(index), cache_size=0)
+    oracle = DistanceOracle(to_store(index), cache_size=0)
     return oracle.query
 
 

@@ -38,7 +38,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.labels import INF, LabelIndex, LabelStore, merge_join_distance
+from paper.labels import LabelIndex, merge_join_distance
+from repro.core.labels import INF, LabelStore
 from repro.graphs.digraph import Graph
 
 DEFAULT_NUM_ROOTS = 50

@@ -3,18 +3,20 @@
 How many of an index's non-trivial label entries have their pivot
 among the top-ranked vertices: the measured form of the paper's
 small-hitting-set assumption.  Plain functions of a
-:class:`~repro.core.labels.LabelIndex` that carries its ranking, read
-through ``out_label``/``in_label``.
+:class:`~repro.core.labels.LabelStore` that carries its ranking (a
+built :class:`~repro.core.flatstore.FlatLabelStore` or a baseline's
+:class:`~paper.labels.LabelIndex`), read through
+``out_label``/``in_label``.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro.core.labels import LabelIndex
+from repro.core.labels import LabelStore
 
 
-def entries_per_pivot(index: LabelIndex) -> dict[int, int]:
+def entries_per_pivot(index: LabelStore) -> dict[int, int]:
     """Non-trivial entry counts keyed by pivot vertex."""
     counts: dict[int, int] = {}
     for v in range(index.n):
@@ -28,7 +30,7 @@ def entries_per_pivot(index: LabelIndex) -> dict[int, int]:
     return counts
 
 
-def _ranked(index: LabelIndex) -> tuple[dict[int, int], int, list[int]]:
+def _ranked(index: LabelStore) -> tuple[dict[int, int], int, list[int]]:
     """``(entries_per_pivot, their total, vertices in rank order)``."""
     if index.rank is None:
         raise ValueError("index has no ranking attached")
@@ -38,7 +40,7 @@ def _ranked(index: LabelIndex) -> tuple[dict[int, int], int, list[int]]:
 
 
 def coverage_curve(
-    index: LabelIndex, fractions: Sequence[float]
+    index: LabelStore, fractions: Sequence[float]
 ) -> list[tuple[float, float]]:
     """``(f, covered)`` per fraction ``f`` of top-ranked vertices.
 
@@ -54,7 +56,7 @@ def coverage_curve(
     return curve
 
 
-def top_fraction_for_coverage(index: LabelIndex, target: float) -> float:
+def top_fraction_for_coverage(index: LabelStore, target: float) -> float:
     """Smallest fraction of top vertices covering ``target`` of entries.
 
     This regenerates the "top vertices coverage 70%/80%/90%" columns

@@ -18,11 +18,11 @@ with the disk-resident layout of Algorithm 2:
   file per outer batch.
 
 Admission bookkeeping (duplicate suppression) and the pruning *bound*
-evaluation use the same shadow
-:class:`~repro.core.labels.DirectedLabelState` the in-memory builders
-use — standing in for the buffer-resident binary searches of
-Algorithm 2 — so the resulting index is **bit-identical** to the
-in-memory builder with the same options (the test suite asserts this).
+evaluation use a shadow :class:`~paper.labels.DirectedLabelState` —
+standing in for the buffer-resident binary searches of Algorithm 2 —
+with the admission and pruning rules the in-memory builders use, so
+the resulting index is **bit-identical** to the in-memory builder with
+the same options (the test suite asserts this).
 Only the minimized rule set is supported, as in the paper's external
 algorithms.
 
@@ -37,15 +37,16 @@ from dataclasses import dataclass, field
 
 from paper.io_sim.blockfile import Entry, EntryFile
 from paper.io_sim.diskmodel import DiskModel, IOStats
-from repro.core.hop_doubling import IterationStats
-from repro.core.labels import (
+from paper.labels import (
+    CandidateSet,
     DirectedLabelState,
     LabelIndex,
     UndirectedLabelState,
+    admit_and_prune,
 )
-from repro.core.pruning import admit_and_prune
+from repro.core.hop_doubling import IterationStats
 from repro.core.ranking import Ranking, make_ranking
-from repro.core.rules import CandidateSet, PrevEntry
+from repro.core.rules import PrevEntry
 from repro.graphs.digraph import Graph
 from repro.utils.timer import Timer
 

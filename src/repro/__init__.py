@@ -30,7 +30,7 @@ external-memory simulation are a separate, uninstalled reproduction kit
 
 from repro.core.flatstore import FlatLabelStore
 from repro.core.index import HopDoublingIndex
-from repro.core.labels import INF, LabelIndex, LabelStore
+from repro.core.labels import INF, LabelStore
 from repro.graphs.digraph import Graph
 from repro.oracle import DistanceOracle, ParallelOracle, ShardedLabelStore
 
@@ -38,7 +38,6 @@ __version__ = "1.2.0"
 
 __all__ = [
     "HopDoublingIndex",
-    "LabelIndex",
     "LabelStore",
     "FlatLabelStore",
     "DistanceOracle",

@@ -3,9 +3,7 @@
 Subcommands::
 
     repro build GRAPH -o INDEX [--directed] [--weighted] [--strategy S]
-                               [--format {v2,v3}]
-                               [--engine {auto,array,dict}]
-                               [--jobs N] [--force]
+                               [--format {v2,v3}] [--jobs N] [--force]
     repro query INDEX|DIR [S T ...] [--batch FILE] [--workers N]
     repro convert INDEX -o OUTPUT [--format {v2,v3}] [--stats] [--force]
     repro shard INDEX -o DIR [--shards N] [--format {v2,v3}] [--force]
@@ -100,22 +98,22 @@ def _open_oracle(args: argparse.Namespace):
     return ParallelOracle(args.index, workers=args.workers, cache_size=0)
 
 
-def _open_store(path, prefer_flat: bool = True):
+def _open_store(path):
     """The label store of an index file (any version) or shard directory."""
     from repro.core.flatstore import load_store
     from repro.oracle import ShardedLabelStore
 
     if os.path.isdir(path):
         return ShardedLabelStore.load(path)
-    return load_store(path, prefer_flat=prefer_flat)
+    return load_store(path)
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
-    from repro.core.engine import check_engine_options, resolve_engine
+    from repro.core.engine import check_engine_options
 
     _check_output(args.output, args.force, _FORCE)
-    check_engine_options(args.engine, args.jobs)
-    engine, jobs = resolve_engine(args.engine), args.jobs
+    jobs = args.jobs
+    check_engine_options("auto", jobs)  # before the graph is read
     graph = read_edge_list(
         args.graph, directed=args.directed, weighted=args.weighted
     )
@@ -124,7 +122,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
         graph,
         strategy=args.strategy,
         ranking=args.ranking,
-        engine=engine,
         jobs=jobs,
         on_round=_print_round,
     )
@@ -132,7 +129,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
     workers = f", {jobs} jobs" if jobs > 1 else ""
     print(
         f"built in {format_duration(index.build_result.build_seconds)} "
-        f"({index.num_iterations} iterations, {engine} engine{workers}): "
+        f"({index.num_iterations} iterations{workers}): "
         f"{format_count(stats.total_entries)} entries, "
         f"avg |label| {stats.avg_label_size:.1f}, "
         f"{format_bytes(index.size_in_bytes())}, "
@@ -396,9 +393,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     graph = read_edge_list(
         args.graph, directed=args.directed, weighted=args.weighted
     )
-    # The arrays as stored (v1: tuple lists), so the checks see the
-    # file's rows and pendant section, not labels derived from them.
-    store = _open_store(args.index, prefer_flat=False)
+    # The arrays as stored, so the checks see the file's rows and
+    # pendant section, not labels derived from them.
+    store = _open_store(args.index)
     report = verify_index(graph, store, samples=args.samples)
     print(report)
     for violation in report.violations[:20]:
@@ -465,20 +462,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_format(p, "index file")
     p.add_argument(
-        "--engine",
-        choices=["auto", "array", "dict"],
-        default="auto",
-        help="construction engine: vectorized arrays (auto) or the "
-        "reference dict implementation; both produce bit-identical "
-        "indexes",
-    )
-    p.add_argument(
         "--jobs",
         type=int,
         default=1,
         metavar="N",
-        help="worker processes for candidate generation "
-        "(array engine only; default: 1)",
+        help="worker processes for candidate generation (default: 1)",
     )
     p.add_argument(
         "--force",

@@ -5,21 +5,16 @@ Public surface:
 * :class:`HopDoublingIndex` — build / query / save / load facade;
 * the three builders (:class:`HopDoubling`, :class:`HopStepping`,
   :class:`HybridBuilder`) for callers that want iteration-level control;
-* :class:`LabelIndex` — the tuple-list index: the v1 file reader and
-  the dict reference (a build returns a
-  :class:`~repro.core.flatstore.FlatLabelStore`);
-* ranking strategies, pruning and the query helpers.
+* ranking strategies, the array rule joins, pruning and the query
+  helpers.  A build returns a
+  :class:`~repro.core.flatstore.FlatLabelStore`, the one label store.
 """
 
 from repro.core.labels import (
     INF,
     BYTES_PER_ENTRY,
-    DirectedLabelState,
     LabelDelta,
-    LabelIndex,
     LabelStats,
-    UndirectedLabelState,
-    merge_join_distance,
 )
 from repro.core.ranking import (
     Ranking,
@@ -32,24 +27,18 @@ from repro.core.ranking import (
 )
 from repro.core.rules import (
     CandidateBatch,
-    CandidateSet,
-    DirectedRuleEngine,
     RULE_SETS,
-    UndirectedRuleEngine,
     array_doubling,
     array_stepping,
-    make_engine,
 )
 from repro.core.pruning import (
     PruneOutcome,
-    admit_and_prune,
     admit_and_prune_arrays,
     exhaustive_prune,
 )
 from repro.core.engine import (
     BUILD_ENGINES,
     ArrayBuildEngine,
-    DictBuildEngine,
     make_build_engine,
 )
 from repro.core.hop_doubling import (
@@ -73,12 +62,8 @@ from repro.core.verify import VerificationReport, verify_index
 __all__ = [
     "INF",
     "BYTES_PER_ENTRY",
-    "DirectedLabelState",
-    "UndirectedLabelState",
     "LabelDelta",
-    "LabelIndex",
     "LabelStats",
-    "merge_join_distance",
     "Ranking",
     "RANKING_STRATEGIES",
     "degree_ranking",
@@ -87,20 +72,14 @@ __all__ = [
     "betweenness_sample_ranking",
     "make_ranking",
     "CandidateBatch",
-    "CandidateSet",
-    "DirectedRuleEngine",
-    "UndirectedRuleEngine",
     "RULE_SETS",
     "array_doubling",
     "array_stepping",
-    "make_engine",
     "PruneOutcome",
-    "admit_and_prune",
     "admit_and_prune_arrays",
     "exhaustive_prune",
     "BUILD_ENGINES",
     "ArrayBuildEngine",
-    "DictBuildEngine",
     "make_build_engine",
     "BuildResult",
     "IterationStats",

@@ -1,10 +1,10 @@
-"""Array-backed construction state for the fast build engine.
+"""Array-backed construction state of the build engine.
 
-The dict stores of :mod:`repro.core.labels` pay a Python-level dict
-probe per rule application and per pruning test; profiling a 10k-vertex
-Barabasi-Albert build shows ~90% of the wall clock inside those
-per-entry loops.  This module keeps the *same* label state as
-struct-of-arrays instead:
+A per-entry label state (dicts of ``pivot -> (dist, hops)``) pays a
+Python-level dict probe per rule application and per pruning test;
+profiling a 10k-vertex Barabasi-Albert build showed ~90% of the wall
+clock inside those per-entry loops.  This module keeps the label state
+as struct-of-arrays instead:
 
 * every store side (``Lout`` / ``Lin``, or the single undirected
   ``L``) is a :class:`SideArrays` — contiguous ``owner`` / ``pivot`` /
@@ -14,9 +14,9 @@ struct-of-arrays instead:
   key;
 * **trivial self entries are not stored**.  They only ever matter to
   the pruning test through an entry's own pivot — exactly the route
-  ``two_hop_bound``'s ``exclude_pivot`` suppresses — so leaving them
-  out makes the vectorized bound equal the dict engine's excluded
-  bound by construction (they are re-added when freezing);
+  a pruning test must exclude — so leaving them out makes the
+  vectorized bound the excluded bound by construction (they are
+  re-added when freezing);
 * **the state is columnar from the graph to the file**.  The adjacency
   is read once into arc columns (:func:`arc_columns`) that seed the
   state and, later, the stepping partners; a round's staged overlay is
@@ -41,22 +41,22 @@ struct-of-arrays instead:
   workers once per iteration.
 
 All reductions (candidate dedupe, admission, pruning) use the same
-min-``(dist, hops)`` logic as the dict engine, so the two engines — and
-any worker partition of the candidate generation — produce
-**bit-identical** label sets and iteration counters
-(``tests/core/test_parallel_build.py`` enforces this).
+min-``(dist, hops)`` logic as the per-entry reference engine in
+``tests/reference/dict_build.py``, so the two — and any worker
+partition of the candidate generation — produce **bit-identical**
+label sets and iteration counters (``tests/core/test_parallel_build.py``
+enforces this).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.core.flatstore import FlatLabelStore, frozen_views
-from repro.core.labels import DirectedLabelState, UndirectedLabelState
 from repro.graphs.digraph import Graph
 
 #: Pruning expands each staged pair's source label; blocks of this many
@@ -415,10 +415,10 @@ def _pivot_grouped_view(side: SideArrays):
 class ArrayLabelState:
     """Mutable struct-of-arrays label state (directed or undirected).
 
-    The array twin of :class:`DirectedLabelState` /
-    :class:`UndirectedLabelState`: the same entries (minus the implicit
-    trivial self pairs), the same admission and pruning semantics, but
-    every per-iteration operation vectorized over numpy arrays.
+    The entries of ``Lout`` / ``Lin`` (or the single undirected ``L``)
+    minus the implicit trivial self pairs, one :class:`SideArrays` per
+    store side, with every per-iteration operation — admission,
+    pruning, snapshots for the rule joins — vectorized over them.
     """
 
     __slots__ = ("n", "directed", "rank", "out", "inn", "_touched", "_staged")
@@ -439,10 +439,9 @@ class ArrayLabelState:
     ) -> tuple[set, set]:
         """Start recording which vertices' labels change.
 
-        Same contract as the dict states' ``track_touched``: returns
-        ``(out_owners, in_owners)`` sets that every admission and
-        removal adds its store-side owner to (undirected states fill
-        only the first).  ``sets`` re-attaches existing sets, which
+        Returns ``(out_owners, in_owners)`` sets that every admission
+        and removal adds its store-side owner to (undirected states
+        fill only the first).  ``sets`` re-attaches existing sets, which
         the dynamic index uses when it swaps the state underneath.
         """
         if sets is not None:
@@ -452,16 +451,6 @@ class ArrayLabelState:
         return self._touched
 
     # -- construction --------------------------------------------------
-    @classmethod
-    def from_initial_entries(
-        cls,
-        rank: Sequence[int],
-        directed: bool,
-        entries: Sequence[tuple[int, int, float, int]],
-    ) -> "ArrayLabelState":
-        """Seed from ``(a, b, dist, hops)`` tuples (see :meth:`from_block`)."""
-        return cls.from_block(rank, directed, PrevBlock.from_lists(entries))
-
     @classmethod
     def from_block(
         cls, rank: Sequence[int], directed: bool, block: PrevBlock
@@ -651,10 +640,9 @@ class ArrayLabelState:
     def two_hop_distance(self, s: int, t: int) -> float:
         """Exact ``dist(s, t)`` on the current state.
 
-        The dict states' unexcluded ``two_hop_bound``: the join over
-        non-trivial entries plus the two trivial-pivot routes, which
-        both collapse to the pair's own entry (the only routes the
-        stored trivial self entries ever contribute).
+        The join over non-trivial entries plus the two trivial-pivot
+        routes, which both collapse to the pair's own entry (the only
+        routes the trivial self entries ever contribute).
         """
         if s == t:
             return 0.0
@@ -686,10 +674,10 @@ class ArrayLabelState:
     ) -> np.ndarray:
         """Stage deduplicated candidates; return the admitted mask.
 
-        Semantics of :func:`repro.core.pruning.admit_and_prune`'s
-        admission pass: a candidate is admitted when the pair has no
-        entry yet or strictly improves the distance; admitted values
-        overwrite in place.
+        The admission rule of
+        :func:`repro.core.pruning.admit_and_prune_arrays`: a candidate
+        is admitted when the pair has no entry yet or strictly improves
+        the distance; admitted values overwrite in place.
         """
         admitted = np.zeros(a.size, dtype=bool)
         for i, (side, mask, owners, pivs) in enumerate(self._side_groups(a, b)):
@@ -785,16 +773,24 @@ class ArrayLabelState:
             side.delete(o[gone], p[gone])
         self._staged = None
 
+    def remove(self, a: np.ndarray, b: np.ndarray) -> None:
+        """Delete the (present) entries of the pairs ``a -> b``."""
+        for i, (side, mask, owners, pivs) in enumerate(self._side_groups(a, b)):
+            side.delete(owners[mask], pivs[mask])
+            if self._touched is not None:
+                self._touched[i].update(owners[mask].tolist())
+
     # -- pruning -------------------------------------------------------
     def prunable(self, a: np.ndarray, b: np.ndarray, dist: np.ndarray):
         """Vectorized Section 3.3 pruning test for the pairs ``a -> b``.
 
-        True where ``two_hop_bound(a, b, exclude_pivot=<own pivot>)``
-        on the equivalent dict state would be ``<= dist``: the join
-        runs over non-trivial entries only, which is exactly what the
-        exclusion admits (see the module docstring).  Like the dict
-        bound, the smaller of the two labels is expanded and the
-        larger probed.  Evaluated in blocks to bound peak memory.
+        True where the best ``d1 + d2`` over common pivots of the
+        pair's ``Lout(a)`` and ``Lin(b)``, the pair's own pivot
+        excluded, is ``<= dist``: the join runs over non-trivial
+        entries only, which is exactly what the exclusion admits (see
+        the module docstring).  The smaller of the two labels is
+        expanded and the larger probed.  Evaluated in blocks to bound
+        peak memory.
 
         **Only possible witnesses are gathered.**  A witness route
         needs ``d1 + d2 <= dist`` with both legs positive (edge weights
@@ -822,8 +818,8 @@ class ArrayLabelState:
         two O(1) gathers instead of a binary search over the whole
         side.  Small blocks keep the global ``searchsorted`` probe.
         Either path forms the identical ``d1 + d2`` sums, so the
-        outcome — and the bit-identity with the dict engine — does not
-        depend on the join strategy.
+        outcome — and the bit-identity with the reference engine —
+        does not depend on the join strategy.
         """
         best = np.full(a.size, np.inf)
         if a.size == 0:
@@ -972,31 +968,11 @@ class ArrayLabelState:
             total += len(self.inn)
         return total
 
-    def iter_entries(self) -> Iterator[tuple[int, int, float, int, bool]]:
-        """Yield ``(owner, pivot, dist, hops, is_out)`` like the dict states."""
-        for side, is_out in ((self.out, True), (self.inn, False)):
-            if not self.directed and not is_out:
-                break
-            owners = side.owner.tolist()
-            pivs = side.piv.tolist()
-            dists = side.dist.tolist()
-            hops = side.hops.tolist()
-            for i in range(len(owners)):
-                yield owners[i], pivs[i], dists[i], hops[i], is_out
-
-    def to_dict_state(self) -> DirectedLabelState | UndirectedLabelState:
-        """Materialize the equivalent dict-based state (same entries)."""
-        rank = self.rank.tolist()
-        if self.directed:
-            return DirectedLabelState.from_entries(rank, self.iter_entries())
-        return UndirectedLabelState.from_entries(rank, self.iter_entries())
-
     def freeze(self) -> FlatLabelStore:
         """Freeze into a queryable v2 :class:`~repro.core.flatstore.FlatLabelStore`.
 
-        The same labels as ``LabelIndex.from_state`` on the equivalent
-        dict state — sorted by pivot id with the trivial ``(v, 0)``
-        self entries re-added — held as CSR arrays, so packing and
+        Each label sorted by pivot id with the trivial ``(v, 0)`` self
+        entry re-added, held as CSR arrays, so packing and
         saving them never builds a per-entry object.  The arrays are
         copies: the store does not follow later mutations.
         """

@@ -149,34 +149,9 @@ class _ArrayRepairEngine:
         return self.state.freeze()
 
     def compact(self) -> int:
-        """Exhaustive re-prune via the dict twin, then re-adopt.
-
-        The sweep has data-dependent per-entry control flow (same
-        reasoning as ``ArrayBuildEngine.exhaustive_prune``), so it
-        runs on a materialized dict state; the pruned entries are then
-        packed back into a fresh array state.  Touched-vertex tracking
-        survives the swap: the dict twin records the removals into the
-        same sets the callers already hold.
-        """
-        touched = self.state._touched
-        dict_state = self.state.to_dict_state()
-        if touched is not None:
-            dict_state.track_touched(touched)
-        removed = exhaustive_prune(dict_state)
-        directed = self.state.directed
-        entries = []
-        for owner, pivot, dist, hops, is_out in dict_state.iter_entries():
-            if directed and not is_out:
-                entries.append((pivot, owner, dist, hops))
-            else:
-                entries.append((owner, pivot, dist, hops))
-        state = ArrayLabelState.from_initial_entries(
-            self.state.rank.tolist(), directed, entries
-        )
-        if touched is not None:
-            state.track_touched(touched)
-        self.state = state
-        return removed
+        """Exhaustive re-prune of the array state, in place; removals
+        land in the touched sets the callers already hold."""
+        return exhaustive_prune(self.state)
 
     def total_entries(self) -> int:
         return self.state.total_entries()
@@ -250,9 +225,9 @@ class DynamicHopDoublingIndex:
     ) -> "DynamicHopDoublingIndex":
         """Adopt a frozen label store as the live repair state.
 
-        This is how an index loaded from disk (flat v2, quantized v3,
-        or a shard directory) becomes updatable without a rebuild: the
-        store's entries seed the mutable state directly.  ``ranking``
+        This is how an index loaded from disk (a v2 or v3 file, or a
+        shard directory) becomes updatable without a rebuild: the
+        store's CSR columns seed the mutable state directly.  ``ranking``
         defaults to the ranking recorded in the store; pass ``graph``
         to enable duplicate-edge detection and the :attr:`graph`
         accessor (label repair itself never consults the graph — the
@@ -294,8 +269,6 @@ class DynamicHopDoublingIndex:
         self.n = store.n
         self.directed = store.directed
         self.weighted = graph.weighted if graph is not None else True
-        if not kernel.supports(store):
-            store = FlatLabelStore.from_index(store)
         # CSR columns in, CSR columns out: no tuple per entry.
         self._impl = self._repair_engine.from_columns(
             ranking.rank_of, store.directed, *kernel.label_entries(store)

@@ -1,13 +1,13 @@
 """Contiguous struct-of-arrays label storage (CSR): one store, two encodings.
 
-:class:`~repro.core.labels.LabelIndex` keeps one Python list of
-``(pivot, dist)`` tuples per vertex — simple, but every entry is a
-heap-allocated tuple holding two boxed numbers, and loading an index
-re-allocates all of them.  Pruned Landmark Labeling and its scalable
-successors store labels the way this module does instead: one flat
-offsets array plus contiguous pivot/distance arrays per side, the CSR
-layout used for adjacency lists.  :class:`FlatLabelStore` is that
-backend, implementing the same :class:`~repro.core.labels.LabelStore`
+A list of ``(pivot, dist)`` tuples per vertex is simple, but every
+entry is a heap-allocated tuple holding two boxed numbers, and loading
+an index re-allocates all of them.  Pruned Landmark Labeling and its
+scalable successors store labels the way this module does instead: one
+flat offsets array plus contiguous pivot/distance arrays per side, the
+CSR layout used for adjacency lists.  :class:`FlatLabelStore` is that
+store — the one label representation ``repro`` builds, writes and
+serves — implementing the :class:`~repro.core.labels.LabelStore`
 protocol the rest of the query stack is written against.
 
 A store carries an **encoding**, which is also its file format:
@@ -23,9 +23,9 @@ updates folded in — with array operations over whole columns.
 
 Queries exploit the layout: the smaller label is zipped into a dict at
 C speed and the larger one is probed through it, which is 2-3x faster
-than the tuple-list merge join in pure Python while returning the
-bit-identical minimum (``benchmarks/test_store_throughput.py`` gates
-the equality and exports the rates).  A v2 query joins the arrays in
+than a tuple-list merge join in pure Python while returning the
+bit-identical minimum (``benchmarks/test_store_throughput.py`` exports
+the rates).  A v2 query joins the arrays in
 place; a v3 query decodes the two slices it touches first.
 
 **Binary format v2** serialises the arrays as raw little-endian blobs
@@ -52,14 +52,22 @@ stores only) are not labelled: the row of pendant ``v`` is empty and
 ``parent[v]`` / ``hang[v]`` name its neighbour and the edge between
 them (``v`` and ``0`` for every other, *core* vertex), so ``dist(s, t)
 = hang[s] + dist(parent[s], parent[t]) + hang[t]``.  Label reads
-(``out_label``, ``out_slice``, ``to_index``) hand out a pendant's
+(``out_label``, ``out_slice``) hand out a pendant's
 *derived* label — the parent's, shifted by ``hang``, with ``(v, 0.0)``
 merged in — so every consumer of labels is unaware of the peel; the
 arrays, the file and the size figures hold what is stored.  A vertex
 with a staged update is core from then on.
 
-Version 1 files remain loadable through :func:`load_store`, which
-sniffs the version byte and upgrades transparently.
+Version 1 files (per-entry structs, written by no current code)
+remain loadable through :func:`load_store`, which sniffs the version
+byte and reads them straight into v2 columns::
+
+    RPLI | u8 version=1 | u8 flags | u8 has_rank | u32 n
+    [rank: n * u32]                                  if has_rank
+    per vertex: u32 count, count * (u32 pivot, f64 dist)   (out-side)
+    [the same for the in-side]                       if directed
+
+v1 knows flag bit 0 (directed) only: it has no pendant section.
 """
 
 from __future__ import annotations
@@ -72,7 +80,7 @@ from bisect import bisect_left
 
 import numpy as np
 
-from repro.core.labels import BYTES_PER_ENTRY, INF, LabelIndex, LabelStats
+from repro.core.labels import BYTES_PER_ENTRY, INF, LabelStats
 from repro.core.quantized import (
     DIST_CODES,
     OFFSET_CODES,
@@ -272,70 +280,24 @@ class FlatLabelStore:
 
     # -- conversion ----------------------------------------------------------
     @classmethod
-    def from_index(cls, index: "FlatLabelStore | LabelIndex") -> "FlatLabelStore":
-        """A CSR store of ``index``'s labels.
+    def from_index(cls, index: "FlatLabelStore") -> "FlatLabelStore":
+        """A fresh store over ``index``'s labels.
 
-        Given a store (what a build returns), no entry is packed: the
-        result is a fresh store — its own update overlay, its own kernel
-        row cache — over the same immutable arrays, in the same
-        encoding; staged updates, if any, are folded in first
-        (:meth:`encoded`).  Given a tuple-list :class:`LabelIndex`, its
-        labels are packed into v2 columns.
+        No entry is packed: the result has its own update overlay and
+        its own kernel row cache over the same immutable arrays, in the
+        same encoding; staged updates, if any, are folded in first
+        (:meth:`encoded`).
         """
-        if isinstance(index, FlatLabelStore):
-            held = index.encoded(index.encoding)
-            store = cls(
-                held.n, held.directed,
-                held.out_offsets, held.out_pivots, held.out_dists,
-                held.in_offsets, held.in_pivots, held.in_dists,
-                list(held.rank) if held.rank is not None else None,
-            )
-            store.parent, store.hang = held.parent, held.hang
-            store.encoding, store.lo = held.encoding, held.lo
-            return store
-
-        hang = index.hang
-
-        def pack(labels):
-            # A tuple-list index holds a pendant's derived label; the
-            # arrays hold an empty row for it.
-            offsets = array("q", [0])
-            pivots = array("i")
-            dists = array("d")
-            for v, lab in enumerate(labels):
-                if hang is None or not hang[v]:
-                    for p, d in lab:
-                        pivots.append(p)
-                        dists.append(d)
-                offsets.append(len(pivots))
-            return offsets, pivots, dists
-
-        oo, op, od = pack(index.out_labels)
-        if index.directed:
-            io, ip, id_ = pack(index.in_labels)
-        else:
-            io, ip, id_ = oo, op, od
-        rank = list(index.rank) if index.rank is not None else None
-        store = cls(index.n, index.directed, oo, op, od, io, ip, id_, rank)
-        if hang is not None:
-            store.parent = array("i", index.parent)
-            store.hang = array("d", hang)
+        held = index.encoded(index.encoding)
+        store = cls(
+            held.n, held.directed,
+            held.out_offsets, held.out_pivots, held.out_dists,
+            held.in_offsets, held.in_pivots, held.in_dists,
+            list(held.rank) if held.rank is not None else None,
+        )
+        store.parent, store.hang = held.parent, held.hang
+        store.encoding, store.lo = held.encoding, held.lo
         return store
-
-    def to_index(self) -> LabelIndex:
-        """Expand back into a tuple-list :class:`LabelIndex`."""
-        out_labels = [self.out_label(v) for v in range(self.n)]
-        if self.directed:
-            in_labels = [self.in_label(v) for v in range(self.n)]
-        else:
-            in_labels = out_labels
-        rank = list(self.rank) if self.rank is not None else None
-        index = LabelIndex(self.n, self.directed, out_labels, in_labels, rank)
-        parent, hang = self._pendant_columns()
-        if hang is not None:
-            index.parent = parent.tolist()
-            index.hang = hang.astype(np.float64).tolist()
-        return index
 
     # -- pendant vertices ----------------------------------------------------
     def _resolve(self, v: int):
@@ -644,7 +606,8 @@ class FlatLabelStore:
         return total
 
     def stats(self) -> LabelStats:
-        """Aggregate size statistics (same semantics as LabelIndex)."""
+        """Aggregate size statistics (the paper's |label| counts
+        non-trivial entries; a pendant's empty row counts nothing)."""
         per_vertex = []
         for v in range(self.n):
             size = self._label_len(v, out=True) - 1
@@ -776,9 +739,7 @@ class _Cursor:
         """Require that the sections read so far are the whole file."""
         if self.pos != len(self.body):
             raise ValueError(
-                f"{self.path}: {len(self.body) - self.pos} bytes after the "
-                "last section (corrupt index file, or a section its "
-                "header flags do not announce)"
+                _trailing_bytes(self.path, len(self.body) - self.pos)
             )
 
     def abandon(self) -> None:
@@ -846,18 +807,30 @@ def _read_header(path, fh):
             f"{path}: not a v2/v3 index (version {version}); "
             "use load_store() to read any version"
         )
+    _check_flags(path, flags, known=3)
     directed, peeled = bool(flags & 1), bool(flags & 2)
-    if flags & ~3:
-        raise ValueError(
-            f"{path}: unknown header flag bits {flags:#04x}; written by a "
-            "newer version of this library?"
-        )
     if directed and peeled:
         raise ValueError(
             f"{path}: corrupt header (pendant section on a directed index)"
         )
     counts = (out_count, in_count) if directed else (out_count,)
     return encoding, directed, peeled, has_rank, n, counts, codes
+
+
+def _check_flags(path, flags: int, known: int) -> None:
+    """Refuse a header whose flags set a bit outside ``known``."""
+    if flags & ~known:
+        raise ValueError(
+            f"{path}: unknown header flag bits {flags:#04x}; written by a "
+            "newer version of this library?"
+        )
+
+
+def _trailing_bytes(path, extra: int) -> str:
+    return (
+        f"{path}: {extra} bytes after the last section (corrupt index "
+        "file, or a section its header flags do not announce)"
+    )
 
 
 def _check_offsets(path, offsets, count: int) -> None:
@@ -950,23 +923,68 @@ def _as_le_bytes(blob) -> bytes:
 
 
 def load_store(path, prefer_flat: bool = True, use_mmap: bool = False):
-    """Open an index file of **any** format version as a label store.
+    """Open an index file of **any** format version as a
+    :class:`FlatLabelStore`.
 
-    Sniffs the version byte: v2 and v3 load straight into a
-    :class:`FlatLabelStore` of that encoding (the columns are served
-    as stored — no decode pass); v1 loads through
-    :class:`~repro.core.labels.LabelIndex` and is packed into CSR
-    arrays when ``prefer_flat`` (the default), so old files get the
-    fast query path for free.  With ``prefer_flat=False`` a v1 file
-    yields the original tuple-list :class:`LabelIndex`.
+    Sniffs the version byte: v2 and v3 load in that encoding (the
+    columns are served as stored — no decode pass); v1 is read into v2
+    columns (see the module docstring), refused on the same grounds as
+    v2/v3 (unknown flag bits, truncation, bytes after the last
+    section).  ``prefer_flat`` must be True: every file opens as a CSR
+    store.
     """
+    if not prefer_flat:
+        raise ValueError(
+            "prefer_flat=False is gone: every index opens as a FlatLabelStore"
+        )
     with open(path, "rb") as fh:
         head = fh.read(5)
     if len(head) < 5 or head[:4] != _MAGIC:
         raise ValueError(f"{path}: not a label index file")
     if head[4] in _VERSIONS.values():
         return FlatLabelStore.load(path, use_mmap=use_mmap)
-    index = LabelIndex.load(path)
-    if prefer_flat:
-        return FlatLabelStore.from_index(index)
-    return index
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return _load_v1(path, data)
+
+
+def _load_v1(path, data: bytes) -> FlatLabelStore:
+    """A v1 file's labels as a v2-encoded store.
+
+    The per-vertex counts are walked once to cut out each label's
+    entries; the joined entries are read with one structured
+    ``np.frombuffer`` per side.
+    """
+    if len(data) < 11:
+        raise ValueError(f"{path}: truncated or corrupt index file")
+    version, flags, has_rank, n = struct.unpack_from("<BBBI", data, 4)
+    if version != 1:
+        raise ValueError(f"{path}: unsupported version {version}")
+    _check_flags(path, flags, known=1)
+    directed = bool(flags & 1)
+    pos = 11
+    entry = np.dtype([("pivot", "<u4"), ("dist", "<f8")])  # 12 bytes, packed
+    try:
+        rank = None
+        if has_rank:
+            rank = list(struct.unpack_from(f"<{n}I", data, pos))
+            pos += 4 * n
+        sides = []
+        for _ in range(2 if directed else 1):
+            counts = np.zeros(n + 1, dtype=np.int64)
+            chunks = []
+            for v in range(n):
+                (count,) = struct.unpack_from("<I", data, pos)
+                pos += 4
+                chunks.append(data[pos : pos + count * entry.itemsize])
+                counts[v + 1] = count
+                pos += count * entry.itemsize
+            if pos > len(data):
+                raise ValueError(f"{path}: truncated or corrupt index file")
+            entries = np.frombuffer(b"".join(chunks), dtype=entry)
+            sides.append((np.cumsum(counts), entries["pivot"], entries["dist"]))
+    except struct.error as exc:
+        raise ValueError(f"{path}: truncated or corrupt index file") from exc
+    if pos != len(data):
+        raise ValueError(_trailing_bytes(path, len(data) - pos))
+    return packed(n, directed, "v2", sides, rank=rank)

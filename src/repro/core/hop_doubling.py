@@ -23,7 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.core.engine import check_engine_options, make_build_engine
+from repro.core.engine import (
+    BuildEngine,
+    check_engine_options,
+    make_build_engine,
+)
 from repro.core.flatstore import FlatLabelStore
 from repro.core.ranking import Ranking, make_ranking
 from repro.graphs.digraph import Graph
@@ -89,7 +93,7 @@ class LabelingBuilder:
         degree for undirected, in x out product for directed graphs).
     rule_set:
         ``"minimized"`` (the paper's four simplified rules, default) or
-        ``"full"`` (all six rules — the reference engine).
+        ``"full"`` (all six rules).
     prune:
         Apply the Section 3.3 pruning step (default).  Disabling it is
         only useful for the ablation benchmarks; indexes stay correct
@@ -102,14 +106,12 @@ class LabelingBuilder:
         Optional hard stop (generation rounds), a safety valve for
         adversarial weighted inputs.
     engine:
-        Construction backend: ``"array"`` (the vectorized
-        struct-of-arrays engine), ``"dict"`` (the reference per-entry
-        implementation) or ``"auto"`` (default: array).  Both produce
-        bit-identical indexes and iteration counters; ``"array"`` is
-        several times faster on non-trivial graphs.
+        ``"auto"`` (default) or ``"array"``: both name the one,
+        vectorized struct-of-arrays engine
+        (:class:`~repro.core.engine.ArrayBuildEngine`).
     jobs:
-        Worker processes for candidate generation (array engine only).
-        ``jobs=N`` builds are bit-identical to ``jobs=1``.
+        Worker processes for candidate generation.  ``jobs=N`` builds
+        are bit-identical to ``jobs=1``.
     on_round:
         Optional callback given each round's :class:`IterationStats`
         as soon as the round finishes (``repro build`` prints them).
@@ -144,7 +146,6 @@ class LabelingBuilder:
         self.prune = prune
         self.final_exhaustive_prune = final_exhaustive_prune
         self.max_iterations = max_iterations
-        self.engine = engine
         self.jobs = jobs
         self.on_round = on_round
 
@@ -158,16 +159,20 @@ class LabelingBuilder:
         raise NotImplementedError
 
     # -- construction ------------------------------------------------------
+    def _engine(self) -> BuildEngine:
+        """The engine :meth:`build` runs this builder's schedule on.
+
+        A test seam, not an option: the bit-identity tests override it
+        to run the same schedule on the per-entry reference engine.
+        """
+        return make_build_engine(
+            self.graph, self.ranking, rule_set=self.rule_set, jobs=self.jobs
+        )
+
     def build(self) -> BuildResult:
         """Run the iterative construction and freeze the index."""
         total_timer = Timer().start()
-        engine = make_build_engine(
-            self.graph,
-            self.ranking,
-            rule_set=self.rule_set,
-            engine=self.engine,
-            jobs=self.jobs,
-        )
+        engine = self._engine()
         iterations: list[IterationStats] = []
         try:
             prev = engine.initialize()
@@ -184,7 +189,7 @@ class LabelingBuilder:
                     raise ValueError(f"unknown mode {mode!r}")
                 round_timer = Timer().start()
                 candidates = engine.generate(mode, prev)
-                survivors, outcome = engine.admit_and_prune(
+                survivors, outcome = engine.admit_round(
                     candidates, prune=self.prune
                 )
                 elapsed = round_timer.stop()

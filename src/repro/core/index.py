@@ -61,13 +61,11 @@ class HopDoublingIndex:
         iteration 10); ``ranking`` the vertex order (degree-based by
         default); ``rule_set`` the four minimized or six full rules.
 
-        Performance knobs pass through ``builder_kwargs``: ``engine``
-        (default ``"auto"``: the vectorized array engine; ``"dict"`` is
-        the reference engine — bit-identical output either way),
-        ``jobs=N`` to fan candidate generation over N worker
-        processes, and ``on_round`` to be called with each round's
-        :class:`IterationStats` as it finishes — see
-        :mod:`repro.core.engine`.
+        ``builder_kwargs`` pass through to the builder: ``jobs=N`` to
+        fan candidate generation over N worker processes, ``on_round``
+        to be called with each round's :class:`IterationStats` as it
+        finishes, and ``engine`` (``"auto"`` or ``"array"``, the one
+        vectorized engine) — see :mod:`repro.core.engine`.
 
         Pendant vertices of an undirected graph (degree 1, under a
         higher-ranked neighbour of degree >= 2) are not labelled: the

@@ -23,8 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.labels import DirectedLabelState, UndirectedLabelState
-from repro.core.rules import CandidateSet, PrevEntry
+import numpy as np
+
+from repro.core.labels import INF
 
 
 @dataclass(frozen=True)
@@ -48,81 +49,22 @@ class PruneOutcome:
         return self.admitted - self.pruned
 
 
-def admit_and_prune(
-    state: DirectedLabelState | UndirectedLabelState,
-    candidates: CandidateSet,
-    prune: bool = True,
-) -> tuple[list[PrevEntry], PruneOutcome]:
-    """Stage ``candidates`` into ``state``, prune, return the survivors.
-
-    Returns the surviving entries (the ``prevLabel`` of the next
-    iteration) and the iteration counters.  With ``prune=False`` only
-    admission (duplicate suppression) is applied — the configuration
-    used by the ablation benchmarks to expose how essential pruning is.
-    """
-    staged: list[PrevEntry] = []
-    for (a, b), (dist, hops) in candidates.items():
-        existing = state.get_pair(a, b)
-        if existing is not None and existing[0] <= dist:
-            continue
-        state.set_pair(a, b, dist, hops)
-        staged.append((a, b, dist, hops))
-
-    admitted = len(staged)
-    if not prune:
-        return staged, PruneOutcome(
-            raw_generated=candidates.raw_generated,
-            distinct_generated=len(candidates),
-            admitted=admitted,
-            pruned=0,
-        )
-
-    # Two-pass (snapshot) pruning: bounds are evaluated with *all*
-    # staged candidates present, then removals are applied together.
-    # Pruning an entry through a route that is itself pruned stays
-    # sound — every entry's distance is the length of a real path — and
-    # the snapshot makes the outcome independent of evaluation order,
-    # which the external-memory implementation relies on for
-    # bit-identical results.
-    directed = isinstance(state, DirectedLabelState)
-    survivors: list[PrevEntry] = []
-    doomed: list[tuple[int, int]] = []
-    for a, b, dist, hops in staged:
-        if directed:
-            exclude = b if state.is_out_pair(a, b) else a
-        else:
-            # Undirected entries are (owner, pivot); the trivial
-            # self-route goes through the pivot.
-            exclude = state.owner_pivot(a, b)[1]
-        bound = state.two_hop_bound(a, b, exclude_pivot=exclude)
-        if bound <= dist:
-            doomed.append((a, b))
-        else:
-            survivors.append((a, b, dist, hops))
-    for a, b in doomed:
-        state.remove_pair(a, b)
-    pruned = len(doomed)
-
-    return survivors, PruneOutcome(
-        raw_generated=candidates.raw_generated,
-        distinct_generated=len(candidates),
-        admitted=admitted,
-        pruned=pruned,
-    )
-
-
 def admit_and_prune_arrays(state, batch, prune: bool = True):
-    """Array-engine twin of :func:`admit_and_prune`.
+    """Stage one round's candidates, prune, return the survivors.
 
     ``state`` is a :class:`repro.core.arraystate.ArrayLabelState` and
     ``batch`` a :class:`repro.core.rules.CandidateBatch`; returns the
-    surviving entries as a :class:`~repro.core.arraystate.PrevBlock`
-    plus the same :class:`PruneOutcome` counters the dict path
-    produces.  Admission and the snapshot pruning bound are evaluated
-    with vectorized lookups; because candidates are deduplicated with
-    the same min-``(dist, hops)`` reduction and the bound runs against
-    the identical post-admission entry set, the outcome — entries,
-    values, and every counter — is bit-identical to the dict engine's.
+    surviving entries (the next round's ``prevLabel``) as a
+    :class:`~repro.core.arraystate.PrevBlock` plus the round's
+    :class:`PruneOutcome` counters.  With ``prune=False`` only
+    admission (duplicate suppression) is applied — the configuration
+    the ablation benchmarks use to expose how essential pruning is.
+
+    Pruning is two-pass (snapshot): bounds are evaluated with *all*
+    staged candidates present, then the removals land together.
+    Pruning an entry through a route that is itself pruned stays sound
+    — every entry's distance is the length of a real path — and the
+    snapshot makes the outcome independent of evaluation order.
     """
     from repro.core.arraystate import PrevBlock
 
@@ -144,12 +86,10 @@ def admit_and_prune_arrays(state, batch, prune: bool = True):
             pruned=0,
         )
 
-    # Same two-pass snapshot semantics as admit_and_prune — bounds see
-    # every staged candidate, removals land together — but admission
-    # is *deferred*: candidates stage in small per-side overlays that
-    # prunable joins alongside the base arrays, and only the survivors
-    # are merged in (state.commit_staged), so the doomed majority of a
-    # round never touches the O(index) base arrays.
+    # Admission is *deferred*: candidates stage in small per-side
+    # overlays that prunable joins alongside the base arrays, and only
+    # the survivors are merged in (state.commit_staged), so the doomed
+    # majority of a round never touches the O(index) base arrays.
     admitted_mask = state.stage(a, b, dist, hops)
     a, b, dist, hops = (
         a[admitted_mask],
@@ -170,102 +110,139 @@ def admit_and_prune_arrays(state, batch, prune: bool = True):
     )
 
 
-def _canonical_entry_order(state, entries):
-    """Sort entries lowest-priority pivot first, then owner, then side.
-
-    A fixed visiting order makes the sweep deterministic for any
-    source of the same entry set (dict engine, array engine, worker
-    partitions) — removals within a sweep can affect later tests, so
-    the order is part of the contract.
-    """
-    rank = state.rank
-    return sorted(entries, key=lambda e: (-rank[e[1]], e[0], not e[4]))
-
-
-def exhaustive_prune(
-    state: DirectedLabelState | UndirectedLabelState,
-) -> int:
+def exhaustive_prune(state) -> int:
     """Re-run the pruning test over *all* non-trivial entries until fixpoint.
 
     Section 5.2 notes that Hop-Doubling "by exhaustive pruning" reaches
-    the same label size as Hop-Stepping; this post-pass implements that
-    sweep.  Entries are visited from lowest-priority pivots upward (a
-    deterministic order shared by both build engines).
+    the same label size as Hop-Stepping; this post-pass is that sweep
+    over an :class:`~repro.core.arraystate.ArrayLabelState`.  Entries
+    are visited in :func:`_canonical_entry_order`, and a removal is
+    seen by every later test of the same sweep, so the order is part
+    of the contract.
 
-    Removing an entry can only *shrink* the labels its neighbours join
-    through — bounds are monotonically weakened — so the first full
-    sweep already removes everything removable, and what remains is
-    confirming the fixpoint.  Only entries incident to a touched
-    vertex have a changed bound to re-check: the **dirty set** tracks
-    owners whose out-label (``Lout``) or in-label (``Lin``) lost an
-    entry, and the confirmation sweep's worklist is rebuilt from the
-    stores and reverse indexes of those vertices alone, instead of
-    re-listing every entry until fixpoint.  Returns the number of
-    entries removed.
+    Removing an entry can only *weaken* the bounds of the others, so
+    an entry whose bound over the whole state at the start of a sweep
+    already exceeds its distance survives the sweep whatever is
+    removed before its turn.  One vectorized :meth:`prunable
+    <repro.core.arraystate.ArrayLabelState.prunable>` over every entry
+    therefore screens the sweep, and only the flagged entries are
+    tested one by one, in order (:func:`_sweep`) — the same removals a
+    per-entry pass over all of them makes.  For the same reason the
+    first sweep already removes everything removable; confirming the
+    fixpoint re-checks only the **dirty set**, the entries with a
+    source whose ``Lout`` or a target whose ``Lin`` (the owner's
+    ``L`` when undirected) lost an entry.  Removals are recorded in
+    the state's touched sets.  Returns the number of entries removed.
     """
-    directed = isinstance(state, DirectedLabelState)
+    a, b, dist, is_out = _pair_columns(state)
     removed_total = 0
-    entries = _canonical_entry_order(state, state.iter_entries())
-    while entries:
-        # (a, b, was_out) per removal this sweep, for dirty tracking.
-        removed_pairs: list[tuple[int, int, bool]] = []
-        for owner, pivot, dist, _hops, is_out in entries:
-            if directed:
-                a, b = (owner, pivot) if is_out else (pivot, owner)
-            else:
-                a, b = owner, pivot
-            if state.get_pair(a, b) is None:
-                continue  # already removed within this sweep
-            bound = state.two_hop_bound(a, b, exclude_pivot=pivot)
-            if bound <= dist:
-                state.remove_pair(a, b)
-                removed_pairs.append((a, b, is_out))
-        removed_total += len(removed_pairs)
-        if not removed_pairs:
+    while a.size:
+        screened = np.flatnonzero(state.prunable(a, b, dist))
+        a, b, dist, is_out = (col[screened] for col in (a, b, dist, is_out))
+        gone = _sweep(state, a, b, dist, is_out)
+        if not gone.any():
             break
-        entries = _canonical_entry_order(
-            state, _dirty_entries(state, directed, removed_pairs)
-        )
+        a, b, is_out = a[gone], b[gone], is_out[gone]
+        state.remove(a, b)
+        removed_total += int(a.size)
+        # The bound of a pair (x, y) joins Lout(x) with Lin(y): a
+        # removed out-entry dirties its source, an in-entry its target.
+        src = np.zeros(state.n, dtype=bool)
+        dst = np.zeros(state.n, dtype=bool)
+        src[a[is_out]] = True
+        dst[b[~is_out]] = True
+        if not state.directed:
+            src |= dst
+            dst = src
+        a, b, dist, is_out = _pair_columns(state)
+        dirty = src[a] | dst[b]
+        a, b, dist, is_out = (col[dirty] for col in (a, b, dist, is_out))
     return removed_total
 
 
-def _dirty_entries(state, directed, removed_pairs):
-    """Entries whose pruning bound may have changed after removals.
+def _pair_columns(state):
+    """Every stored entry as ``(a, b, dist, is_out)`` columns.
 
-    The bound of a pair ``(x, y)`` joins ``Lout(x)`` with ``Lin(y)``
-    (``L(x)`` with ``L(y)`` when undirected), so removing ``(a, b)``
-    dirties exactly the entries with source ``a`` (when an out-entry
-    shrank ``Lout(a)``) or target ``b`` (when an in-entry shrank
-    ``Lin(b)``); for undirected states the owner's single store shrank.
-    Entries are gathered through the stores and reverse indexes.
+    ``a -> b`` is the entry's pair (``(owner, pivot)`` when
+    undirected) and ``is_out`` whether it lives in ``Lout(a)``.
     """
-    seen: dict[tuple[int, int], tuple] = {}
-    if not directed:
-        dirty = {a for a, _b, _ in removed_pairs}
-        for o in dirty:
-            for p, (d, h) in state.lab[o].items():
-                if p != o:
-                    seen[(o, p)] = (o, p, d, h, True)
-            for x, (d, h) in state.rev[o].items():
-                seen[(x, o)] = (x, o, d, h, True)
-        return seen.values()
+    sides = [(state.out, True)]
+    if state.directed:
+        sides.append((state.inn, False))
+    columns = [
+        (
+            side.owner if is_out else side.piv,
+            side.piv if is_out else side.owner,
+            side.dist,
+            np.full(len(side), is_out),
+        )
+        for side, is_out in sides
+    ]
+    return [np.concatenate(col) for col in zip(*columns)]
 
-    dirty_src = {a for a, _b, was_out in removed_pairs if was_out}
-    dirty_dst = {b for _a, b, was_out in removed_pairs if not was_out}
-    for x in dirty_src:
-        # Pairs with source x: out-entries of x plus entries (x -> y)
-        # held in Lin(y), reached through rev_in[x].
-        for p, (d, h) in state.out[x].items():
-            if p != x:
-                seen[(x, p)] = (x, p, d, h, True)
-        for y, (d, h) in state.rev_in[x].items():
-            seen[(x, y)] = (y, x, d, h, False)
-    for y in dirty_dst:
-        # Pairs with target y: in-entries of y plus entries (x -> y)
-        # held in Lout(x), reached through rev_out[y].
-        for p, (d, h) in state.inn[y].items():
-            if p != y:
-                seen[(p, y)] = (y, p, d, h, False)
-        for x, (d, h) in state.rev_out[y].items():
-            seen[(x, y)] = (x, y, d, h, True)
-    return seen.values()
+
+def _canonical_entry_order(rank, a, b, is_out):
+    """Visit order of a sweep: lowest-priority pivot first, then owner,
+    then the out-side entry before the in-side one.
+
+    A fixed order makes the sweep deterministic for any source of the
+    same entry set.
+    """
+    pivot = np.where(is_out, b, a)
+    owner = np.where(is_out, a, b)
+    return np.lexsort((~is_out, owner, -rank[pivot]))
+
+
+def _sweep(state, a, b, dist, is_out):
+    """Test the entries ``a -> b`` one by one, in canonical order,
+    each against the labels the earlier removals left; returns the
+    mask of the entries removed.
+
+    Labels are plain ``{pivot: dist}`` dicts of the non-trivial
+    entries, made on first use.  With the self entries left out, the
+    join of ``Lout(a)`` with ``Lin(b)`` cannot meet the entry's own
+    route, so no pivot needs excluding.
+    """
+    out_row = _rows(state.out)
+    in_row = _rows(state.inn) if state.directed else out_row
+    gone = np.zeros(a.size, dtype=bool)
+    order = _canonical_entry_order(state.rank, a, b, is_out)
+    for i, x, y, d, out in zip(
+        order.tolist(),
+        a[order].tolist(),
+        b[order].tolist(),
+        dist[order].tolist(),
+        is_out[order].tolist(),
+    ):
+        lx, ly = out_row(x), in_row(y)
+        small, large = (lx, ly) if len(lx) <= len(ly) else (ly, lx)
+        bound = INF
+        for w, d1 in small.items():
+            d2 = large.get(w)
+            if d2 is not None and d1 + d2 < bound:
+                bound = d1 + d2
+        if bound <= d:
+            if out:
+                del lx[y]
+            else:
+                del ly[x]
+            gone[i] = True
+    return gone
+
+
+def _rows(side):
+    """``row(v)``: vertex ``v``'s ``{pivot: dist}`` dict on ``side``,
+    built from the arrays once and then kept (and mutated) by the
+    caller."""
+    rows: dict[int, dict[int, float]] = {}
+
+    def row(v: int) -> dict[int, float]:
+        label = rows.get(v)
+        if label is None:
+            o, e = side.off[v], side.off[v + 1]
+            label = rows[v] = dict(
+                zip(side.piv[o:e].tolist(), side.dist[o:e].tolist())
+            )
+        return label
+
+    return row

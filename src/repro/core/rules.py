@@ -7,21 +7,21 @@ higher-ranked of ``x`` and ``y`` (Definition 1).  The paper's six rules
 of Table 5 are the six (prev-entry type x partner store) templates of
 this join, and Lemmas 3-4 show four of them suffice.
 
-Both engines are implemented:
+Both rule sets are implemented:
 
-* ``rule_set="full"`` — all six templates (the reference engine);
+* ``rule_set="full"`` — all six templates;
 * ``rule_set="minimized"`` — the four simplified rules (the default, as
   in the paper).
 
-Each engine offers two joining modes:
+Each is applied in two joining modes:
 
-* :meth:`doubling` — partners come from **all** current labels
+* :func:`array_doubling` — partners come from **all** current labels
   (Hop-Doubling, Section 3): covered hop lengths roughly double per
   iteration (Theorem 2);
-* :meth:`stepping` — partners are unit-hop entries, i.e. graph edges
-  (Hop-Stepping, Section 5.1): covered hop lengths grow by one per
-  iteration (Lemma 5), keeping the candidate volume per iteration down
-  to ``O(h |V| log |V|)`` (Section 5.3).
+* :func:`array_stepping` — partners are unit-hop entries, i.e. graph
+  edges (Hop-Stepping, Section 5.1): covered hop lengths grow by one
+  per iteration (Lemma 5), keeping the candidate volume per iteration
+  down to ``O(h |V| log |V|)`` (Section 5.3).
 
 Notation reminder: rank 0 is the *highest* priority, so the paper's
 ``r(a) > r(b)`` reads ``rank[a] < rank[b]`` in this code.
@@ -29,14 +29,7 @@ Notation reminder: rank 0 is the *highest* priority, so the paper's
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
-from repro.core.labels import (
-    DirectedLabelState,
-    EntryValue,
-    UndirectedLabelState,
-)
-from repro.graphs.digraph import Graph
+from typing import Sequence
 
 # A prev entry: (source, target, distance, hops).  For undirected
 # engines the convention is (owner, pivot, distance, hops).
@@ -45,290 +38,17 @@ PrevEntry = tuple[int, int, float, int]
 RULE_SETS = ("minimized", "full")
 
 
-class CandidateSet:
-    """Accumulates generated candidates, keeping the best per pair.
-
-    ``raw_generated`` counts every rule application (before
-    deduplication) — the quantity behind the *growing factor* of
-    Figure 10; ``pairs`` maps ``(a, b)`` to the best ``(dist, hops)``
-    seen (smaller distance wins; ties prefer fewer hops).
-    """
-
-    __slots__ = ("pairs", "raw_generated")
-
-    def __init__(self) -> None:
-        self.pairs: dict[tuple[int, int], EntryValue] = {}
-        self.raw_generated = 0
-
-    def offer(self, a: int, b: int, dist: float, hops: int) -> None:
-        """Record a generated candidate for the pair ``a -> b``."""
-        self.raw_generated += 1
-        key = (a, b)
-        current = self.pairs.get(key)
-        if (
-            current is None
-            or dist < current[0]
-            or (dist == current[0] and hops < current[1])
-        ):
-            self.pairs[key] = (dist, hops)
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def items(self) -> Iterable[tuple[tuple[int, int], EntryValue]]:
-        return self.pairs.items()
-
-
-def _check_rule_set(rule_set: str) -> None:
-    if rule_set not in RULE_SETS:
-        raise ValueError(
-            f"unknown rule_set {rule_set!r}; expected one of {RULE_SETS}"
-        )
-
-
-class DirectedRuleEngine:
-    """Generation rules over a :class:`DirectedLabelState`."""
-
-    def __init__(
-        self,
-        state: DirectedLabelState,
-        graph: Graph,
-        rule_set: str = "minimized",
-    ) -> None:
-        _check_rule_set(rule_set)
-        self.state = state
-        self.graph = graph
-        self.full = rule_set == "full"
-
-    # ------------------------------------------------------------------
-    # Hop-Doubling: partners from all current labels
-    # ------------------------------------------------------------------
-    def doubling(self, prev: Sequence[PrevEntry]) -> CandidateSet:
-        """Apply the rules with label partners (Hop-Doubling joins)."""
-        state = self.state
-        rank = state.rank
-        out = state.out
-        inn = state.inn
-        rev_out = state.rev_out
-        rev_in = state.rev_in
-        cands = CandidateSet()
-        full = self.full
-
-        for u, v, d, h in prev:
-            if rank[v] < rank[u]:
-                # prev is an out-entry of u: (u -> v), pivot v outranks u.
-                rank_v = rank[v]
-                # Rule 1: partners (x -> u) in Lin(u); minimized keeps
-                # only x ranked between u and v.
-                for x, (d1, h1) in inn[u].items():
-                    if x == u or x == v:
-                        continue
-                    if full or rank[x] > rank_v:
-                        cands.offer(x, v, d1 + d, h1 + h)
-                # Rule 2: partners (x -> u) held as out-entries of x
-                # (x ranked below u) — reached through the reverse index.
-                for x, (d1, h1) in rev_out[u].items():
-                    if x == v:
-                        continue
-                    cands.offer(x, v, d1 + d, h1 + h)
-                if full:
-                    # Rule 3: partners (v -> y) in Lout(v); redundant by
-                    # Lemma 3 but kept in the reference engine.
-                    for y, (d2, h2) in out[v].items():
-                        if y == v or y == u:
-                            continue
-                        cands.offer(u, y, d + d2, h + h2)
-            else:
-                # prev is an in-entry of v: (u -> v), pivot u outranks v.
-                rank_u = rank[u]
-                # Rule 4: partners (v -> y) in Lout(v); minimized keeps
-                # only y ranked between v and u.
-                for y, (d2, h2) in out[v].items():
-                    if y == v or y == u:
-                        continue
-                    if full or rank[y] > rank_u:
-                        cands.offer(u, y, d + d2, h + h2)
-                # Rule 5: partners (v -> y) held as in-entries of y
-                # (y ranked below v) — reached through the reverse index.
-                for y, (d2, h2) in rev_in[v].items():
-                    if y == u:
-                        continue
-                    cands.offer(u, y, d + d2, h + h2)
-                if full:
-                    # Rule 6: partners (x -> u) in Lin(u); redundant by
-                    # Lemma 3 but kept in the reference engine.
-                    for x, (d1, h1) in inn[u].items():
-                        if x == u or x == v:
-                            continue
-                        cands.offer(x, v, d1 + d, h1 + h)
-        return cands
-
-    # ------------------------------------------------------------------
-    # Hop-Stepping: partners are unit-hop entries (graph edges)
-    # ------------------------------------------------------------------
-    def stepping(self, prev: Sequence[PrevEntry]) -> CandidateSet:
-        """Apply the rules with edge partners (Hop-Stepping joins)."""
-        state = self.state
-        rank = state.rank
-        graph = self.graph
-        cands = CandidateSet()
-        full = self.full
-
-        for u, v, d, h in prev:
-            if rank[v] < rank[u]:
-                # prev out-entry (u -> v): extend backwards over in-edges
-                # of u.  Minimized: partner x must rank below v (union of
-                # Rules 1 and 2); full: any x (adds Rule 1's dropped
-                # branch), plus Rule 3 partners over out-edges of v.
-                rank_v = rank[v]
-                for x, w in graph.in_edges(u):
-                    if x == v:
-                        continue
-                    if full or rank[x] > rank_v:
-                        cands.offer(x, v, w + d, h + 1)
-                if full:
-                    rank_v = rank[v]
-                    for y, w in graph.out_edges(v):
-                        if y == u:
-                            continue
-                        if rank[y] < rank_v:
-                            cands.offer(u, y, d + w, h + 1)
-            else:
-                # prev in-entry (u -> v): extend forwards over out-edges
-                # of v.  Minimized: partner y must rank below u (union of
-                # Rules 4 and 5); full: any y, plus Rule 6 partners over
-                # in-edges of u.
-                rank_u = rank[u]
-                for y, w in graph.out_edges(v):
-                    if y == u:
-                        continue
-                    if full or rank[y] > rank_u:
-                        cands.offer(u, y, d + w, h + 1)
-                if full:
-                    for x, w in graph.in_edges(u):
-                        if x == v:
-                            continue
-                        if rank[x] < rank_u:
-                            cands.offer(x, v, w + d, h + 1)
-        return cands
-
-
-class UndirectedRuleEngine:
-    """Generation rules over an :class:`UndirectedLabelState` (Section 7).
-
-    Entries are unordered pairs ``{owner, pivot}`` with the pivot
-    outranking the owner.  The directed rules collapse pairwise
-    (Rule 1 with Rule 4, Rule 2 with Rule 5), leaving:
-
-    * minimized — partners of the owner ranked below the pivot;
-    * full — additionally, any owner partner and pivot-side partners
-      (the analogue of Rules 3/6).
-    """
-
-    def __init__(
-        self,
-        state: UndirectedLabelState,
-        graph: Graph,
-        rule_set: str = "minimized",
-    ) -> None:
-        _check_rule_set(rule_set)
-        self.state = state
-        self.graph = graph
-        self.full = rule_set == "full"
-
-    def _offer(
-        self, cands: CandidateSet, a: int, b: int, dist: float, hops: int
-    ) -> None:
-        """Offer the unordered pair ``{a, b}`` in (owner, pivot) order.
-
-        Normalizing here keeps each unordered pair under a single
-        candidate key regardless of which join produced it.
-        """
-        if self.state.rank[a] < self.state.rank[b]:
-            a, b = b, a
-        cands.offer(a, b, dist, hops)
-
-    def doubling(self, prev: Sequence[PrevEntry]) -> CandidateSet:
-        """Apply the rules with label partners (Hop-Doubling joins)."""
-        state = self.state
-        rank = state.rank
-        lab = state.lab
-        rev = state.rev
-        cands = CandidateSet()
-        full = self.full
-
-        for owner, pivot, d, h in prev:
-            rank_p = rank[pivot]
-            # Rule 1 analogue: partners in L(owner).
-            for x, (d1, h1) in lab[owner].items():
-                if x == owner or x == pivot:
-                    continue
-                if full or rank[x] > rank_p:
-                    self._offer(cands, x, pivot, d1 + d, h1 + h)
-            # Rule 2 analogue: partners holding `owner` as their pivot.
-            for x, (d1, h1) in rev[owner].items():
-                if x == pivot:
-                    continue
-                self._offer(cands, x, pivot, d1 + d, h1 + h)
-            if full:
-                # Rule 3/6 analogue: extend through the pivot side.
-                for y, (d2, h2) in lab[pivot].items():
-                    if y == pivot or y == owner:
-                        continue
-                    self._offer(cands, owner, y, d + d2, h + h2)
-        return cands
-
-    def stepping(self, prev: Sequence[PrevEntry]) -> CandidateSet:
-        """Apply the rules with edge partners (Hop-Stepping joins)."""
-        state = self.state
-        rank = state.rank
-        graph = self.graph
-        cands = CandidateSet()
-        full = self.full
-
-        for owner, pivot, d, h in prev:
-            rank_p = rank[pivot]
-            for x, w in graph.out_edges(owner):
-                if x == pivot:
-                    continue
-                if full or rank[x] > rank_p:
-                    self._offer(cands, x, pivot, w + d, h + 1)
-            if full:
-                for y, w in graph.out_edges(pivot):
-                    if y == owner:
-                        continue
-                    if rank[y] < rank_p:
-                        self._offer(cands, owner, y, d + w, h + 1)
-        return cands
-
-
-def make_engine(
-    state: DirectedLabelState | UndirectedLabelState,
-    graph: Graph,
-    rule_set: str = "minimized",
-) -> DirectedRuleEngine | UndirectedRuleEngine:
-    """Instantiate the rule engine matching the state's directedness."""
-    if isinstance(state, DirectedLabelState):
-        return DirectedRuleEngine(state, graph, rule_set)
-    return UndirectedRuleEngine(state, graph, rule_set)
-
-
-# ---------------------------------------------------------------------------
-# Array-backed rule application (the fast build engine's joins)
-# ---------------------------------------------------------------------------
+# The templates are applied to a whole ``prevLabel`` block at once over
+# the read-only snapshots of :mod:`repro.core.arraystate`: each rule
+# becomes one ragged gather (``expand_segments``) over partner
+# segments, with the minimized rules' rank filters turned into a single
+# ``searchsorted`` on rank-sorted partner arrays.  Candidates are
+# accumulated as parallel arrays and deduplicated in one ``lexsort``
+# pass at the end (:meth:`CandidateBatch.dedupe`).  The multiset of
+# rule applications, and therefore every iteration counter, is that of
+# the per-entry reference engines in ``tests/reference/dict_build.py``.
 #
-# The same six templates, but applied to a whole ``prevLabel`` block at
-# once over the read-only snapshots of :mod:`repro.core.arraystate`:
-# each rule becomes one ragged gather (``expand_segments``) over
-# partner segments, with the minimized rules' rank filters turned into
-# a single ``searchsorted`` on rank-sorted partner arrays.  Candidates
-# are accumulated as parallel arrays and deduplicated in one
-# ``lexsort`` pass at the end (:meth:`CandidateBatch.dedupe`) instead
-# of a per-candidate :meth:`CandidateSet.offer` — the multiset of rule
-# applications, and therefore every iteration counter, is identical to
-# the dict engines'.
-#
-# Exclusion checks that the dict engines perform per partner are
+# Exclusion checks that a per-entry join performs per partner are
 # compiled away where vertex ranks make them impossible (e.g. Rule 2's
 # ``x == v``: every ``x`` holding ``u`` in its out-label ranks below
 # ``u``, while ``v`` outranks it) and applied as vector masks where
@@ -338,10 +58,9 @@ def make_engine(
 class CandidateBatch:
     """Generated candidates as parallel arrays (pre-deduplication).
 
-    The array twin of :class:`CandidateSet`: ``raw`` counts every rule
-    application; :meth:`dedupe` reduces to the best ``(dist, hops)``
-    per pair with the same smaller-distance-then-fewer-hops rule, in
-    canonical pair-key order (so any concatenation order of the raw
+    ``raw`` counts every rule application; :meth:`dedupe` reduces to
+    the best ``(dist, hops)`` per pair — smaller distance, then fewer
+    hops — in canonical pair-key order (so any concatenation order of the raw
     arrays — e.g. from parallel workers — yields identical output).
     """
 
@@ -378,7 +97,8 @@ class CandidateBatch:
 
         Returns ``(a, b, dist, hops)`` arrays with unique pairs.
         Ordering candidates by ``(key, dist, hops)`` and keeping the
-        first of each key group is exactly the ``offer`` reduction.
+        first of each key group keeps, per pair, the smallest distance
+        and, among equals, the fewest hops.
         """
         import numpy as np
 
@@ -429,8 +149,7 @@ def array_stepping(snap, prev, full: bool = False) -> CandidateBatch:
     """Edge-partner joins (Hop-Stepping) over an :class:`EdgeSnapshot`.
 
     ``prev`` is a :class:`repro.core.arraystate.PrevBlock`; the result
-    contains the same rule applications as the dict engines'
-    ``stepping`` over the same entries.
+    holds one candidate per rule application.
     """
     import numpy as np
 
@@ -485,7 +204,7 @@ def array_stepping(snap, prev, full: bool = False) -> CandidateBatch:
                 ca, cb = nbr[pos], v[reps]
                 cd = wt[pos] + d[reps]
             ch = h[reps] + 1
-            # full keeps the dict engines' explicit x != v / y != u skip.
+            # full keeps the rules' explicit x != v / y != u skip.
             emit(ca, cb, cd, ch, drop_equal=full)
             if full:
                 # The Rule 3/6 analogues: extend through the prev
@@ -533,7 +252,7 @@ def array_stepping(snap, prev, full: bool = False) -> CandidateBatch:
         cd = wt[pos] + d[reps]
         ch = h[reps] + 1
         if full:
-            keep = ca != cb  # the dict engine's x != pivot skip
+            keep = ca != cb  # the rule's x != pivot skip
             ca, cb, cd, ch = ca[keep], cb[keep], cd[keep], ch[keep]
             groups.append(_normalize_undirected(rank, ca, cb, cd, ch))
             # Pivot-side partners ranked above the pivot (Rule 3/6).
@@ -581,7 +300,7 @@ def array_doubling(snap, prev, full: bool = False) -> CandidateBatch:
         cd = snap.in_r_dist[pos] + d[reps]
         ch = snap.in_r_hops[pos] + h[reps]
         if full:
-            keep = ca != cb  # the dict engine's x != v skip
+            keep = ca != cb  # the rule's x != v skip
             ca, cb, cd, ch = ca[keep], cb[keep], cd[keep], ch[keep]
         groups.append((ca, cb, cd, ch))
         # Rule 2: partners (x -> u) held as out-entries of x.
@@ -619,7 +338,7 @@ def array_doubling(snap, prev, full: bool = False) -> CandidateBatch:
         cd = d[reps] + snap.out_r_dist[pos]
         ch = h[reps] + snap.out_r_hops[pos]
         if full:
-            keep = cb != ca  # the dict engine's y != u skip
+            keep = cb != ca  # the rule's y != u skip
             ca, cb, cd, ch = ca[keep], cb[keep], cd[keep], ch[keep]
         groups.append((ca, cb, cd, ch))
         # Rule 5: partners (v -> y) held as in-entries of y.
@@ -655,7 +374,7 @@ def array_doubling(snap, prev, full: bool = False) -> CandidateBatch:
         cd = snap.out_r_dist[pos] + d[reps]
         ch = snap.out_r_hops[pos] + h[reps]
         if full:
-            keep = ca != cb  # the dict engine's x != pivot skip
+            keep = ca != cb  # the rule's x != pivot skip
             ca, cb, cd, ch = ca[keep], cb[keep], cd[keep], ch[keep]
         groups.append(_normalize_undirected(rank, ca, cb, cd, ch))
         # Rule 2 analogue: partners holding `owner` as their pivot —

@@ -49,7 +49,7 @@ from repro.core.flatstore import (
     packed,
     probe_min_distance,
 )
-from repro.core.labels import BYTES_PER_ENTRY, LabelStats, LabelStore
+from repro.core.labels import BYTES_PER_ENTRY, LabelStats
 from repro.utils.atomicio import atomic_binary_writer
 
 #: Manifest file name inside a shard directory.
@@ -180,27 +180,23 @@ class ShardedLabelStore:
     @classmethod
     def split(
         cls,
-        store: LabelStore,
+        store: "FlatLabelStore | ShardedLabelStore",
         num_shards: int,
     ) -> "ShardedLabelStore":
-        """Partition any label store into contiguous range shards.
+        """Partition a CSR store into contiguous range shards.
 
         ``num_shards`` splits the vertex range into near-equal pieces
         (:func:`split_ranges`).
 
-        Tuple-list indexes are packed through
-        :meth:`FlatLabelStore.from_index` first, a sharded store being
-        re-split to a new count has its shards' columns concatenated,
-        and staged updates are folded in.  The columns are then cut
-        per range (offsets re-based to each shard's start) in the
+        A sharded store being re-split to a new count has its shards'
+        columns concatenated, and staged updates are folded in.  The
+        columns are then cut per range (offsets re-based to each shard's start) in the
         store's own encoding — a v3 label stores its first pivot whole,
         so the cut needs no decode — which preserves entry order and
         therefore answers.
         """
         if isinstance(store, ShardedLabelStore):
             store = store._joined()
-        elif not isinstance(store, FlatLabelStore):
-            store = FlatLabelStore.from_index(store)
         store = store.encoded(store.encoding)
         ranges = split_ranges(store.n, num_shards)
         shards = [_slice_store(store, lo, hi) for lo, hi in ranges]

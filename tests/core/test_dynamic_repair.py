@@ -28,6 +28,7 @@ from repro.core.hybrid import make_builder
 from repro.graphs.digraph import Graph
 from tests.conftest import graph_strategy, random_graph
 from tests.reference.dict_repair import DictRepairEngine, DictRepairIndex
+from tests.reference.label_lists import label_lists
 
 #: The index class per repair engine: the package's own, and the same
 #: index repairing through the dict reference.
@@ -78,7 +79,8 @@ class TestRandomizedRepair:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_engines_bit_identical(self, seed):
-        """Dict and array repair build the exact same label state."""
+        """Dict and array repair (and compaction) build the exact same
+        label state."""
         rng = random.Random(seed + 500)
         graph = random_graph(seed, max_n=22)
         n = graph.num_vertices
@@ -95,9 +97,11 @@ class TestRandomizedRepair:
                 for engine, dyn in dyns.items()
             }
             assert results["dict"] == results["array"]
-        snaps = {e: d.snapshot().to_index() for e, d in dyns.items()}
-        assert snaps["dict"].out_labels == snaps["array"].out_labels
-        assert snaps["dict"].in_labels == snaps["array"].in_labels
+        # The exhaustive sweep too: same removals, same touched vertices.
+        removed = {engine: dyn.compact() for engine, dyn in dyns.items()}
+        assert removed["dict"] == removed["array"]
+        snaps = {e: label_lists(d.snapshot()) for e, d in dyns.items()}
+        assert snaps["dict"] == snaps["array"]
         deltas = {e: d.pop_label_delta() for e, d in dyns.items()}
         assert deltas["dict"].out == deltas["array"].out
         assert deltas["dict"].inn == deltas["array"].inn

@@ -4,25 +4,28 @@ import struct
 
 import pytest
 
+from paper.labels import LabelIndex, to_store
 from repro.core.flatstore import FlatLabelStore, load_store
 from repro.core.hybrid import HybridBuilder
 from repro.core.index import HopDoublingIndex
-from repro.core.labels import INF, LabelIndex
+from repro.core.labels import INF
 from repro.graphs.generators import ba_graph, glp_graph
 from repro.oracle import DistanceOracle
 from tests.conftest import patch_offset, random_graph
+from tests.reference.label_lists import as_label_index, label_lists
 from tests.reference.v1_writer import write_v1
 
 
-def build_index(n=80, seed=5, directed=False):
+def build_index(n=80, seed=5, directed=False) -> LabelIndex:
     g = glp_graph(n, seed=seed, directed=directed)
-    return HybridBuilder(g).build().index.to_index()
+    return as_label_index(HybridBuilder(g).build().index)
 
 
 @pytest.fixture(scope="module", params=[False, True], ids=["undir", "dir"])
 def index_pair(request):
+    """Tuple lists and the CSR store they pack into."""
     idx = build_index(directed=request.param)
-    return idx, FlatLabelStore.from_index(idx)
+    return idx, to_store(idx)
 
 
 class TestConversion:
@@ -33,22 +36,19 @@ class TestConversion:
             assert flat.in_label(v) == idx.in_labels[v]
 
     def test_to_index_round_trip(self, index_pair):
+        """Lists packed into CSR columns read back as the same lists."""
         idx, flat = index_pair
-        back = flat.to_index()
-        assert back.out_labels == idx.out_labels
-        assert back.in_labels == idx.in_labels
-        assert back.rank == idx.rank
-        assert back.directed == idx.directed
+        assert label_lists(flat) == (idx.out_labels, idx.in_labels)
+        assert flat.rank == idx.rank
+        assert flat.directed == idx.directed
 
     def test_undirected_arrays_alias(self):
-        flat = FlatLabelStore.from_index(build_index(directed=False))
+        flat = to_store(build_index(directed=False))
         assert flat.in_pivots is flat.out_pivots
         assert flat.in_offsets is flat.out_offsets
-        back = flat.to_index()
-        assert back.in_labels is back.out_labels
 
     def test_directed_arrays_distinct(self):
-        flat = FlatLabelStore.from_index(build_index(directed=True))
+        flat = to_store(build_index(directed=True))
         assert flat.in_pivots is not flat.out_pivots
 
     def test_counts_and_bytes_match(self, index_pair):
@@ -86,15 +86,15 @@ class TestQueries:
         from repro.graphs.digraph import Graph
 
         g = Graph.from_edges(4, [(0, 1), (2, 3)], directed=False)
-        idx = HybridBuilder(g).build().index.to_index()
-        flat = FlatLabelStore.from_index(idx)
+        flat = HybridBuilder(g).build().index
+        assert as_label_index(flat).query(0, 3) == INF
         assert flat.query(0, 3) == INF
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_graphs_agree(self, seed):
         g = random_graph(seed, max_n=30)
-        idx = HybridBuilder(g).build().index.to_index()
-        flat = FlatLabelStore.from_index(idx)
+        flat = HybridBuilder(g).build().index
+        idx = as_label_index(flat)
         for s in range(g.num_vertices):
             for t in range(g.num_vertices):
                 assert flat.query(s, t) == idx.query(s, t)
@@ -117,7 +117,7 @@ class TestFormatV2:
             assert loaded.query(s, t) == idx.query(s, t)
 
     def test_undirected_load_aliases(self, tmp_path):
-        flat = FlatLabelStore.from_index(build_index(directed=False))
+        flat = to_store(build_index(directed=False))
         path = tmp_path / "u.idx2"
         flat.save(path)
         loaded = FlatLabelStore.load(path)
@@ -139,12 +139,11 @@ class TestFormatV2:
                 assert from_v2.query(s, t) == expected
 
     def test_label_index_load_reads_v2(self, tmp_path, index_pair):
+        """A v2 file reads back as the tuple lists it was packed from."""
         idx, flat = index_pair
         path = tmp_path / "x.idx2"
         flat.save(path)
-        loaded = LabelIndex.load(path)
-        assert loaded.out_labels == idx.out_labels
-        assert loaded.in_labels == idx.in_labels
+        assert label_lists(load_store(path)) == (idx.out_labels, idx.in_labels)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.idx2"
@@ -216,11 +215,13 @@ class TestFormatV2:
         assert flat.query(0, 0) == 0.0
 
     def test_load_store_prefers_backend(self, tmp_path, index_pair):
+        """Every version opens as a CSR store; there is no other."""
         idx, _ = index_pair
         p1 = tmp_path / "a.idx"
         write_v1(idx, p1)
         assert isinstance(load_store(p1), FlatLabelStore)
-        assert isinstance(load_store(p1, prefer_flat=False), LabelIndex)
+        with pytest.raises(ValueError, match="prefer_flat"):
+            load_store(p1, prefer_flat=False)
 
 
 class TestCorruptOffsets:
@@ -264,7 +265,7 @@ class TestEndianness:
         load so the on-disk format stays little-endian."""
         import repro.core.flatstore as fs
 
-        flat = FlatLabelStore.from_index(build_index(n=40, seed=9))
+        flat = to_store(build_index(n=40, seed=9))
         native = tmp_path / "native.idx2"
         flat.save(native)
 
@@ -285,7 +286,7 @@ class TestEndianness:
         and report is_mmapped=False so close() stays a no-op."""
         import repro.core.flatstore as fs
 
-        flat = FlatLabelStore.from_index(build_index(n=40, seed=9))
+        flat = to_store(build_index(n=40, seed=9))
         monkeypatch.setattr(fs, "_BIG_ENDIAN", True)
         path = tmp_path / "be.idx2"
         flat.save(path)
@@ -310,16 +311,41 @@ class TestV1Compatibility:
         path = tmp_path / "legacy.idx"
         path.write_bytes(blob)
 
-        idx = LabelIndex.load(path)
-        assert idx.n == 3
-        assert not idx.directed
-        assert idx.out_labels == out_labels
-        assert idx.query(1, 2) == 3.0  # via pivot 0
-
         flat = load_store(path)
         assert isinstance(flat, FlatLabelStore)
-        assert flat.query(1, 2) == 3.0
+        assert flat.n == 3
+        assert not flat.directed
+        assert label_lists(flat)[0] == out_labels
+        assert flat.query(1, 2) == 3.0  # via pivot 0
         assert flat.rank == rank
+
+    @pytest.mark.parametrize(
+        "case", ["unknown flag", "pendant flag", "trailing bytes", "truncated"]
+    )
+    def test_v1_refused_like_v2(self, tmp_path, case):
+        """A v1 file is refused on the grounds, and with the messages, a
+        v2/v3 file is: v1 knows flag bit 0 only (it has no pendant
+        section), and the labels must end where the file does."""
+        path = tmp_path / "a.idx"
+        write_v1(HybridBuilder(glp_graph(40, seed=9)).build().index, path)
+        data = bytearray(path.read_bytes())
+        match = {
+            "unknown flag": "unknown header flag bits 0x80",
+            "pendant flag": "unknown header flag bits 0x02",
+            "trailing bytes": "8 bytes after the last section",
+            "truncated": "truncated",
+        }[case]
+        if case == "unknown flag":
+            data[5] = 0x80  # the flags byte follows magic and version
+        elif case == "pendant flag":
+            data[5] = 0x02
+        elif case == "trailing bytes":
+            data += bytes(8)
+        else:
+            del data[-8:]
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match=match):
+            load_store(path)
 
 
 class TestAtomicWrites:

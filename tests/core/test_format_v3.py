@@ -7,25 +7,25 @@ import pytest
 
 from repro.core.flatstore import FlatLabelStore, load_store
 from repro.core.hybrid import HybridBuilder
-from repro.core.labels import LabelIndex
 from repro.core.quantized import QuantizedLabelStore
 from repro.graphs.generators import glp_graph
 from tests.conftest import random_graph
+from tests.reference.label_lists import as_label_index, label_lists
 
 
-def build_index(n=80, seed=5, directed=False, weighted=False):
+def build_store(n=80, seed=5, directed=False, weighted=False):
     if weighted:
         g = random_graph(seed, max_n=n, directed=False, weighted=True)
     else:
         g = glp_graph(n, seed=seed, directed=directed)
-    return HybridBuilder(g).build().index.to_index()
+    return HybridBuilder(g).build().index
 
 
 @pytest.fixture(scope="module", params=[False, True], ids=["undir", "dir"])
 def stores(request):
-    idx = build_index(directed=request.param)
-    flat = FlatLabelStore.from_index(idx)
-    return idx, flat, flat.encoded("v3")
+    """The built labels as tuple lists, the v2 store and its v3 twin."""
+    flat = build_store(directed=request.param)
+    return as_label_index(flat), flat, flat.encoded("v3")
 
 
 def make_flat(labels, n=None):
@@ -62,11 +62,10 @@ class TestRoundTrip:
             assert list(back.in_dists) == list(flat.in_dists)
 
     def test_to_index_round_trip(self, stores):
+        """v3 columns read back as the v2 store's lists."""
         idx, _, q = stores
-        back = q.to_index()
-        assert back.out_labels == idx.out_labels
-        assert back.in_labels == idx.in_labels
-        assert back.rank == idx.rank
+        assert label_lists(q) == (idx.out_labels, idx.in_labels)
+        assert q.rank == idx.rank
 
     def test_queries_bit_identical(self, stores):
         idx, flat, q = stores
@@ -88,9 +87,10 @@ class TestRoundTrip:
         assert q.storage_bytes() < flat.storage_bytes()
 
     def test_from_index_classmethod(self, stores):
-        idx, _, q = stores
-        q2 = QuantizedLabelStore.from_index(idx)
-        assert q2.to_index().out_labels == idx.out_labels
+        idx, flat, q = stores
+        q2 = QuantizedLabelStore.from_index(flat)
+        assert q2.encoding == "v3"
+        assert label_lists(q2)[0] == idx.out_labels
 
     def test_from_flat_idempotent(self, stores):
         """Re-encoding to the store's own encoding, nothing staged,
@@ -107,12 +107,11 @@ class TestRoundTrip:
 
         edges = [(0, 1, 0.5), (1, 2, 1.25), (2, 3, 2.0), (3, 0, 0.75)]
         g = Graph.from_edges(4, edges, directed=False, weighted=True)
-        idx = HybridBuilder(g).build().index.to_index()
-        flat = FlatLabelStore.from_index(idx)
+        flat = HybridBuilder(g).build().index
         q = flat.encoded("v3")
         assert q.dist_width == 8
-        for v in range(idx.n):
-            assert q.out_label(v) == idx.out_labels[v]
+        for v in range(flat.n):
+            assert q.out_label(v) == flat.out_label(v)
         pairs = [(s, t) for s in range(4) for t in range(4)]
         assert [q.query(s, t) for s, t in pairs] == [
             flat.query(s, t) for s, t in pairs
@@ -201,11 +200,11 @@ class TestSerialization:
         assert loaded.encoding == "v3"
 
     def test_label_index_load_reads_v3(self, stores, tmp_path):
+        """A v3 file reads back as the lists the store was built with."""
         idx, _, q = stores
         path = tmp_path / "index.idx3"
         q.save(path)
-        back = LabelIndex.load(path)
-        assert back.out_labels == idx.out_labels
+        assert label_lists(load_store(path))[0] == idx.out_labels
 
     def test_file_much_smaller_than_v2(self, stores, tmp_path):
         _, flat, q = stores
@@ -218,8 +217,7 @@ class TestSerialization:
 
 class TestCorruption:
     def _saved(self, tmp_path):
-        idx = build_index()
-        q = FlatLabelStore.from_index(idx).encoded("v3")
+        q = build_store().encoded("v3")
         path = tmp_path / "index.idx3"
         q.save(path)
         return path

@@ -10,27 +10,21 @@ import pytest
 from hypothesis import given, settings
 
 from paper.baselines.apsp import APSPOracle
-from repro.core.engine import seed_dict_state
 from repro.core.hop_stepping import HopStepping
 from repro.graphs.digraph import Graph
 from repro.graphs.traversal import INF
 from tests.conftest import graph_strategy, random_graph
+from tests.reference.dict_build import DictBuildEngine
 
 
 def _build_state(builder_cls, g, ranking=None):
+    """The dict state a reference build of ``builder_cls`` leaves: the
+    hop counts are construction-time bookkeeping no store keeps."""
     builder = builder_cls(g, ranking=ranking if ranking else "auto")
-    state, prev = seed_dict_state(g, builder.ranking.rank_of)
-    from repro.core.rules import make_engine
-    from repro.core.pruning import admit_and_prune
-
-    engine = make_engine(state, g, "minimized")
-    iteration = 1
-    while prev:
-        iteration += 1
-        mode = builder.mode_for(iteration)
-        cands = engine.stepping(prev) if mode == "step" else engine.doubling(prev)
-        prev, _ = admit_and_prune(state, cands)
-    return state
+    engine = DictBuildEngine(g, builder.ranking, builder.rule_set)
+    builder._engine = lambda: engine
+    builder.build()
+    return engine.state
 
 
 class TestHopCounts:

@@ -1,18 +1,19 @@
-"""Unit tests for label stores and the frozen LabelIndex."""
+"""Unit tests for the dict label model (``paper.labels``) and v1 reads."""
 
 import pytest
 
 from paper.coverage import coverage_curve, top_fraction_for_coverage
-from repro.core.labels import (
-    BYTES_PER_ENTRY,
-    INF,
+from paper.labels import (
     DirectedLabelState,
     LabelIndex,
     UndirectedLabelState,
     merge_join_distance,
 )
+from repro.core.flatstore import load_store
 from repro.core.hybrid import HybridBuilder
+from repro.core.labels import BYTES_PER_ENTRY, INF
 from repro.graphs.generators import glp_graph
+from tests.reference.label_lists import as_label_index, label_lists
 from tests.reference.v1_writer import write_v1
 
 
@@ -109,12 +110,12 @@ class TestLabelIndexQuery:
 
     def test_query_identity(self):
         g = glp_graph(50, seed=1)
-        idx = HybridBuilder(g).build().index.to_index()
+        idx = as_label_index(HybridBuilder(g).build().index)
         assert idx.query(7, 7) == 0.0
 
     def test_query_out_of_range(self):
         g = glp_graph(20, seed=1)
-        idx = HybridBuilder(g).build().index.to_index()
+        idx = as_label_index(HybridBuilder(g).build().index)
         with pytest.raises(IndexError):
             idx.query(0, 99)
 
@@ -122,7 +123,7 @@ class TestLabelIndexQuery:
 class TestLabelIndexStats:
     def test_stats_and_bytes(self):
         g = glp_graph(80, seed=3)
-        idx = HybridBuilder(g).build().index.to_index()
+        idx = as_label_index(HybridBuilder(g).build().index)
         stats = idx.stats()
         assert stats.total_entries == idx.total_entries()
         assert stats.avg_label_size == pytest.approx(
@@ -135,7 +136,7 @@ class TestLabelIndexStats:
 
     def test_coverage_curve_monotone(self):
         g = glp_graph(200, seed=4)
-        idx = HybridBuilder(g).build().index.to_index()
+        idx = as_label_index(HybridBuilder(g).build().index)
         curve = coverage_curve(idx, [0.01, 0.1, 0.5, 1.0])
         values = [c for _, c in curve]
         assert values == sorted(values)
@@ -143,7 +144,7 @@ class TestLabelIndexStats:
 
     def test_top_fraction_for_coverage(self):
         g = glp_graph(200, seed=4)
-        idx = HybridBuilder(g).build().index.to_index()
+        idx = as_label_index(HybridBuilder(g).build().index)
         f70 = top_fraction_for_coverage(idx, 0.7)
         f90 = top_fraction_for_coverage(idx, 0.9)
         assert 0 < f70 <= f90 <= 1.0
@@ -156,46 +157,48 @@ class TestLabelIndexStats:
 
 
 class TestSerialization:
+    """v1 files (written only by ``tests/reference/v1_writer.py``) are
+    read by :func:`load_store` into CSR columns."""
+
     @pytest.mark.parametrize("directed", [True, False])
     def test_save_load_round_trip(self, tmp_path, directed):
         g = glp_graph(60, seed=5, directed=directed)
-        idx = HybridBuilder(g).build().index.to_index()
+        store = HybridBuilder(g).build().index
         path = tmp_path / "x.idx"
-        write_v1(idx, path)
-        loaded = LabelIndex.load(path)
-        assert loaded.n == idx.n
-        assert loaded.directed == idx.directed
-        assert loaded.out_labels == idx.out_labels
-        assert loaded.in_labels == idx.in_labels
-        assert loaded.rank == idx.rank
+        write_v1(store, path)
+        loaded = load_store(path)
+        assert loaded.n == store.n
+        assert loaded.directed == store.directed
+        assert loaded.encoding == "v2"
+        assert label_lists(loaded) == label_lists(store)
+        assert loaded.rank == store.rank
 
     def test_undirected_load_aliases_labels(self, tmp_path):
         g = glp_graph(30, seed=6)
-        idx = HybridBuilder(g).build().index.to_index()
         path = tmp_path / "x.idx"
-        write_v1(idx, path)
-        loaded = LabelIndex.load(path)
-        assert loaded.out_labels is loaded.in_labels
+        write_v1(HybridBuilder(g).build().index, path)
+        loaded = load_store(path)
+        assert loaded.in_pivots is loaded.out_pivots
+        assert loaded.in_offsets is loaded.out_offsets
 
     def test_bad_file_rejected(self, tmp_path):
         path = tmp_path / "bad.idx"
         path.write_bytes(b"garbage!")
         with pytest.raises(ValueError):
-            LabelIndex.load(path)
+            load_store(path)
 
     def test_truncated_file_rejected(self, tmp_path):
         g = glp_graph(40, seed=7)
-        idx = HybridBuilder(g).build().index.to_index()
         path = tmp_path / "full.idx"
-        write_v1(idx, path)
+        write_v1(HybridBuilder(g).build().index, path)
         data = path.read_bytes()
         truncated = tmp_path / "trunc.idx"
         truncated.write_bytes(data[: len(data) // 2])
         with pytest.raises(ValueError, match="truncated"):
-            LabelIndex.load(truncated)
+            load_store(truncated)
 
     def test_truncated_header_rejected(self, tmp_path):
         path = tmp_path / "hdr.idx"
         path.write_bytes(b"RPLI\x01")  # magic + partial header
         with pytest.raises(ValueError, match="truncated"):
-            LabelIndex.load(path)
+            load_store(path)

@@ -1,11 +1,11 @@
-"""Build-engine determinism: dict vs array vs multiprocess builds.
+"""Build-engine determinism: array vs dict reference vs multiprocess.
 
-The whole point of the pluggable construction engines is that
-``engine=`` and ``jobs=`` are *pure* performance knobs: for any graph,
-builder, and rule set, every engine must produce bit-identical label
-entries (pairs, distances, hops) **and** bit-identical per-iteration
-counters — the same guarantee the serving layer's sharding gives
-queries.  These tests enforce it across directed/undirected x
+The array engine must match the per-entry reference engine
+(``tests/reference/dict_build.py``, run on each builder's own schedule
+by ``dict_engine``) and ``jobs=`` must be a *pure* performance knob:
+for any graph, builder, and rule set, the label entries (pairs,
+distances) **and** the per-iteration counters are bit-identical.
+These tests enforce it across directed/undirected x
 weighted/unweighted fixtures, for all three builders, both rule sets,
 and ``jobs=1`` vs ``jobs=4``.
 """
@@ -21,6 +21,8 @@ from repro.core.hop_stepping import HopStepping
 from repro.core.hybrid import HybridBuilder
 from repro.graphs.digraph import Graph
 from repro.graphs.generators import ba_graph, glp_graph
+from tests.reference.dict_build import dict_engine
+from tests.reference.label_lists import label_lists
 
 BUILDERS = [HopDoubling, HopStepping, HybridBuilder]
 
@@ -70,13 +72,7 @@ def _fingerprint(result):
         )
         for it in result.iterations
     ]
-    lists = result.index.to_index()
-    return (
-        lists.out_labels,
-        lists.in_labels,
-        result.index.rank,
-        counters,
-    )
+    return (*label_lists(result.index), result.index.rank, counters)
 
 
 class TestEngineEquivalence:
@@ -84,7 +80,8 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize("builder_cls", BUILDERS)
     def test_array_engine_bit_identical(self, kind, builder_cls):
         g = _fixture_graph(kind)
-        ref = _fingerprint(builder_cls(g, engine="dict").build())
+        with dict_engine():
+            ref = _fingerprint(builder_cls(g).build())
         arr = _fingerprint(builder_cls(g, engine="array").build())
         assert arr == ref
 
@@ -99,9 +96,8 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize("rule_set", ["minimized", "full"])
     def test_full_rule_set_bit_identical(self, rule_set):
         g = ba_graph(70, m=2, seed=9, directed=True)
-        ref = _fingerprint(
-            HybridBuilder(g, rule_set=rule_set, engine="dict").build()
-        )
+        with dict_engine():
+            ref = _fingerprint(HybridBuilder(g, rule_set=rule_set).build())
         arr = _fingerprint(
             HybridBuilder(g, rule_set=rule_set, engine="array", jobs=2).build()
         )
@@ -109,15 +105,15 @@ class TestEngineEquivalence:
 
     def test_prune_disabled_bit_identical(self):
         g = glp_graph(70, seed=21)
-        ref = _fingerprint(HopStepping(g, prune=False, engine="dict").build())
+        with dict_engine():
+            ref = _fingerprint(HopStepping(g, prune=False).build())
         arr = _fingerprint(HopStepping(g, prune=False, engine="array").build())
         assert arr == ref
 
     def test_final_exhaustive_prune_bit_identical(self):
         g = glp_graph(80, seed=12)
-        ref = _fingerprint(
-            HopDoubling(g, final_exhaustive_prune=True, engine="dict").build()
-        )
+        with dict_engine():
+            ref = _fingerprint(HopDoubling(g, final_exhaustive_prune=True).build())
         arr = _fingerprint(
             HopDoubling(g, final_exhaustive_prune=True, engine="array").build()
         )
@@ -126,7 +122,8 @@ class TestEngineEquivalence:
     def test_parallel_indexes_answer_queries(self):
         """End to end: the jobs=4 index answers like the reference."""
         g = glp_graph(100, seed=4)
-        ref = HybridBuilder(g, engine="dict").build().index
+        with dict_engine():
+            ref = HybridBuilder(g).build().index
         par = HybridBuilder(g, engine="array", jobs=4).build().index
         for s in range(0, 100, 7):
             for t in range(0, 100, 13):
@@ -139,10 +136,10 @@ class TestEngineOptions:
         with pytest.raises(ValueError, match="unknown engine"):
             HybridBuilder(g, engine="turbo")
 
-    def test_jobs_require_array_engine(self):
+    def test_dict_engine_left_the_package(self):
         g = glp_graph(20, seed=1)
-        with pytest.raises(ValueError, match="requires engine='array'"):
-            HybridBuilder(g, engine="dict", jobs=2)
+        with pytest.raises(ValueError, match="tests/reference"):
+            HybridBuilder(g, engine="dict")
 
     def test_invalid_jobs_rejected(self):
         g = glp_graph(20, seed=1)
@@ -169,8 +166,9 @@ class TestEngineOptions:
 class TestArrayStateInternals:
     def test_freeze_matches_dict_freeze(self):
         """ArrayLabelState.freeze == the dict engine's packed freeze."""
-        from repro.core.engine import ArrayBuildEngine, DictBuildEngine
+        from repro.core.engine import ArrayBuildEngine
         from repro.core.ranking import make_ranking
+        from tests.reference.dict_build import DictBuildEngine
 
         g = ba_graph(60, m=2, seed=2, directed=True)
         ranking = make_ranking(g, "auto")
@@ -178,19 +176,6 @@ class TestArrayStateInternals:
         a = ArrayBuildEngine(g, ranking, "minimized")
         d.initialize()
         a.initialize()
-        di = d.freeze().to_index()
-        ai = a.freeze().to_index()
-        assert di.out_labels == ai.out_labels
-        assert di.in_labels == ai.in_labels
+        di, ai = d.freeze(), a.freeze()
+        assert label_lists(di) == label_lists(ai)
         assert di.rank == ai.rank
-
-    def test_to_dict_state_round_trip(self):
-        from repro.core.engine import ArrayBuildEngine
-        from repro.core.ranking import make_ranking
-
-        g = glp_graph(60, seed=8)
-        ranking = make_ranking(g, "auto")
-        eng = ArrayBuildEngine(g, ranking, "minimized")
-        eng.initialize()
-        dict_state = eng.state.to_dict_state()
-        assert sorted(dict_state.iter_entries()) == sorted(eng.state.iter_entries())

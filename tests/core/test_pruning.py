@@ -2,13 +2,21 @@
 
 from hypothesis import given, settings
 
+import numpy as np
+
 from paper.baselines.apsp import APSPOracle
+from paper.labels import (
+    CandidateSet,
+    DirectedLabelState,
+    UndirectedLabelState,
+    admit_and_prune,
+)
+from repro.core.arraystate import ArrayLabelState, PrevBlock
 from repro.core.hybrid import make_builder
-from repro.core.labels import DirectedLabelState
-from repro.core.pruning import admit_and_prune, exhaustive_prune
-from repro.core.rules import CandidateSet
+from repro.core.pruning import exhaustive_prune
 from repro.graphs.digraph import Graph
 from tests.conftest import graph_strategy
+from tests.reference import dict_build
 
 
 class TestAdmission:
@@ -122,7 +130,53 @@ class TestCanonicalSafety:
         assert pruned.total_entries() <= unpruned.total_entries()
 
 
+def _unpruned_entries(g):
+    """``(rank, entries)`` of an unpruned stepping build: every stored
+    non-trivial entry as an ``(a, b, dist)`` pair of the graph."""
+    result = make_builder(g, "stepping", prune=False).build()
+    entries = []
+    for v in range(g.num_vertices):
+        for p, d in result.index.out_label(v):
+            if p != v:
+                entries.append((v, p, d))
+        if g.directed:
+            for p, d in result.index.in_label(v):
+                if p != v:
+                    entries.append((p, v, d))
+    return result.ranking.rank_of, entries
+
+
+def _array_state(rank, directed, entries):
+    a, b, d = (np.asarray(col) for col in zip(*entries))
+    block = PrevBlock(a, b, d.astype(np.float64), np.ones(a.size, np.int64))
+    return ArrayLabelState.from_block(rank, directed, block)
+
+
+def _dict_state(rank, directed, entries):
+    st = (DirectedLabelState if directed else UndirectedLabelState)(rank)
+    for a, b, d in entries:
+        st.set_pair(a, b, d, 1)
+    return st
+
+
+def _array_entries(state):
+    """The state's entries as sorted ``(owner, pivot, dist, is_out)``."""
+    sides = [(state.out, True)]
+    if state.directed:
+        sides.append((state.inn, False))
+    return sorted(
+        (o, p, d, is_out)
+        for side, is_out in sides
+        for o, p, d in zip(
+            side.owner.tolist(), side.piv.tolist(), side.dist.tolist()
+        )
+    )
+
+
 class TestExhaustivePrune:
+    """The package's sweep runs on the array state; every check also
+    holds it to the per-entry reference sweep over a dict state."""
+
     def test_unpruned_build_plus_exhaustive_matches_pruned(self):
         """Section 5.2: exhaustive pruning equalizes the label sets."""
         g = Graph.from_edges(
@@ -130,52 +184,23 @@ class TestExhaustivePrune:
             [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)],
             directed=False,
         )
-        builder = make_builder(g, "stepping", prune=False)
-        result = builder.build()
-        # Rebuild the mutable state from the frozen index to sweep it.
-        from repro.core.labels import UndirectedLabelState
-
-        st = UndirectedLabelState(result.ranking.rank_of)
-        for v in range(g.num_vertices):
-            for p, d in result.index.out_label(v):
-                if p != v:
-                    st.set_pair(v, p, d, 0)
+        rank, entries = _unpruned_entries(g)
+        st = _array_state(rank, False, entries)
         removed = exhaustive_prune(st)
         assert removed > 0
         pruned = make_builder(g, "stepping", prune=True).build().index
         assert st.total_entries() == pruned.total_entries()
+        assert dict_build.exhaustive_prune(_dict_state(rank, False, entries)) == removed
 
     def test_exhaustive_prune_noop_on_pruned_state(self):
         g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)], directed=True)
-        builder = make_builder(g, "stepping")
-        result = builder.build()
-        st = DirectedLabelState(result.ranking.rank_of)
+        result = make_builder(g, "stepping").build()
+        entries = []
         for v in range(g.num_vertices):
-            for p, d in result.index.out_label(v):
-                if p != v:
-                    st.set_pair(v, p, d, 0)
-            for p, d in result.index.in_label(v):
-                if p != v:
-                    st.set_pair(p, v, d, 0)
+            entries += [(v, p, d) for p, d in result.index.out_label(v) if p != v]
+            entries += [(p, v, d) for p, d in result.index.in_label(v) if p != v]
+        st = _array_state(result.ranking.rank_of, True, entries)
         assert exhaustive_prune(st) == 0
-
-    @staticmethod
-    def _unpruned_state(g, directed):
-        """A mutable state holding an unpruned stepping build's entries."""
-        from repro.core.labels import UndirectedLabelState
-
-        result = make_builder(g, "stepping", prune=False).build()
-        cls = DirectedLabelState if directed else UndirectedLabelState
-        st = cls(result.ranking.rank_of)
-        for v in range(g.num_vertices):
-            for p, d in result.index.out_label(v):
-                if p != v:
-                    st.set_pair(v, p, d, 0)
-            if directed:
-                for p, d in result.index.in_label(v):
-                    if p != v:
-                        st.set_pair(p, v, d, 0)
-        return st
 
     def test_dirty_sweeps_reach_fixpoint(self):
         """A second call after the dirty-set sweeps must find nothing."""
@@ -183,26 +208,35 @@ class TestExhaustivePrune:
 
         for directed in (False, True):
             g = glp_graph(80, seed=17, directed=directed)
-            st = self._unpruned_state(g, directed)
+            rank, entries = _unpruned_entries(g)
+            st = _array_state(rank, directed, entries)
             assert exhaustive_prune(st) > 0
             assert exhaustive_prune(st) == 0
 
     def test_dirty_sweeps_deterministic(self):
-        """Same entry set in, same surviving entries out — always."""
+        """Same entry set in, same surviving entries out — always, and
+        the entries the per-entry reference sweep keeps."""
         from repro.graphs.generators import glp_graph
 
         g = glp_graph(70, seed=23, directed=True)
-        st1 = self._unpruned_state(g, True)
-        st2 = self._unpruned_state(g, True)
-        assert exhaustive_prune(st1) == exhaustive_prune(st2)
-        assert sorted(st1.iter_entries()) == sorted(st2.iter_entries())
+        rank, entries = _unpruned_entries(g)
+        st1 = _array_state(rank, True, entries)
+        st2 = _array_state(rank, True, entries[::-1])
+        ref = _dict_state(rank, True, entries)
+        removed = exhaustive_prune(st1)
+        assert removed == exhaustive_prune(st2) == dict_build.exhaustive_prune(ref)
+        assert _array_entries(st1) == _array_entries(st2)
+        assert _array_entries(st1) == sorted(
+            (o, p, d, is_out) for o, p, d, _, is_out in ref.iter_entries()
+        )
 
     def test_directed_exhaustive_matches_pruned_build(self):
         """The directed twin of the Section 5.2 equalization check."""
         from repro.graphs.generators import ba_graph
 
         g = ba_graph(60, m=2, seed=3, directed=True)
-        st = self._unpruned_state(g, True)
+        rank, entries = _unpruned_entries(g)
+        st = _array_state(rank, True, entries)
         exhaustive_prune(st)
         pruned = make_builder(g, "stepping", prune=True).build().index
         assert st.total_entries() == pruned.total_entries()

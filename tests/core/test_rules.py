@@ -3,16 +3,16 @@
 import pytest
 from hypothesis import given, settings
 
+from paper.labels import CandidateSet, DirectedLabelState, UndirectedLabelState
 from repro.core.hybrid import make_builder
-from repro.core.labels import DirectedLabelState, UndirectedLabelState
-from repro.core.rules import (
-    CandidateSet,
+from repro.graphs.digraph import Graph
+from tests.conftest import graph_strategy
+from tests.reference.dict_build import (
     DirectedRuleEngine,
     UndirectedRuleEngine,
     make_engine,
 )
-from repro.graphs.digraph import Graph
-from tests.conftest import graph_strategy
+from tests.reference.label_lists import label_lists
 
 
 class TestCandidateSet:
@@ -85,9 +85,7 @@ class TestDirectedGeneration:
         )
         res_step = make_builder(g, "stepping").build()
         res_double = make_builder(g, "doubling").build()
-        step, double = res_step.index.to_index(), res_double.index.to_index()
-        assert step.out_labels == double.out_labels
-        assert step.in_labels == double.in_labels
+        assert label_lists(res_step.index) == label_lists(res_double.index)
 
 
 class TestMinimizedEqualsFull:
@@ -99,9 +97,7 @@ class TestMinimizedEqualsFull:
         for strategy in ("stepping", "doubling"):
             a = make_builder(g, strategy, rule_set="minimized").build().index
             b = make_builder(g, strategy, rule_set="full").build().index
-            a, b = a.to_index(), b.to_index()
-            assert a.out_labels == b.out_labels
-            assert a.in_labels == b.in_labels
+            assert label_lists(a) == label_lists(b)
 
     @settings(max_examples=30, deadline=None)
     @given(graph_strategy(weighted=True))

@@ -2,12 +2,13 @@
 
 import pytest
 
+from paper.labels import LabelIndex
 from repro.core.hybrid import make_builder
-from repro.core.labels import LabelIndex
 from repro.core.verify import verify_index
 from repro.graphs.digraph import Graph
 from repro.graphs.generators import glp_graph
 from tests.conftest import random_graph
+from tests.reference.label_lists import label_lists
 
 
 @pytest.fixture(scope="module")
@@ -40,11 +41,10 @@ class TestHappyPath:
 
 class TestFailureInjection:
     def _mutated(self, idx, mutate) -> LabelIndex:
-        lists = idx.to_index()
-        out = [list(lab) for lab in lists.out_labels]
+        out, inn = label_lists(idx)
         mutate(out)
         if idx.directed:
-            return LabelIndex(idx.n, True, out, lists.in_labels, idx.rank)
+            return LabelIndex(idx.n, True, out, inn, idx.rank)
         return LabelIndex(idx.n, False, out, out, idx.rank)
 
     def test_vertex_count_mismatch(self, built):
@@ -107,9 +107,6 @@ class TestFailureInjection:
         g, idx = built
         # Attach a ranking that contradicts the pivot order.
         flipped = list(reversed(idx.rank))
-        lists = idx.to_index()
-        bad = LabelIndex(
-            idx.n, idx.directed, lists.out_labels, lists.in_labels, flipped
-        )
+        bad = LabelIndex(idx.n, idx.directed, *label_lists(idx), flipped)
         report = verify_index(g, bad)
         assert any("outrank" in m for m in report.violations)

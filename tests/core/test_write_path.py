@@ -1,11 +1,11 @@
 """The write path, graph to file: array engine vs the dict reference.
 
 The array engine freezes into CSR arrays that the v2/v3 packers take
-as they are; the dict engine freezes into tuple lists that are packed
-entry by entry.  Both return a ``FlatLabelStore``, and both must write
-the same bytes, count the same candidates, and — when someone expands
-them — show the same tuple lists.  The prune test's inert-side rule and
-the v3 encoder's widths are pinned here too.
+as they are; the dict reference (``tests/reference/dict_build.py``)
+freezes into tuple lists that are packed entry by entry.  Both return
+a ``FlatLabelStore``, and both must write the same bytes, count the
+same candidates, and read back the same labels.  The prune test's
+inert-side rule and the v3 encoder's widths are pinned here too.
 """
 
 from __future__ import annotations
@@ -18,24 +18,31 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from paper.labels import (
+    CandidateSet,
+    DirectedLabelState,
+    UndirectedLabelState,
+    admit_and_prune,
+)
 from repro import HopDoublingIndex
 from repro.core.flatstore import FlatLabelStore
 from repro.core.hybrid import make_builder
-from repro.core.labels import DirectedLabelState, UndirectedLabelState
-from repro.core.pruning import admit_and_prune, admit_and_prune_arrays
+from repro.core.pruning import admit_and_prune_arrays
 from repro.core.quantized import (
     QuantizedLabelStore,
     _encode,
     absolute_pivots,
     pivot_deltas,
 )
-from repro.core.rules import CandidateBatch, CandidateSet
+from repro.core.rules import CandidateBatch
 from repro.graphs.digraph import Graph
 from repro.graphs.generators import glp_graph
 from tests.conftest import graph_strategy
+from tests.reference.dict_build import dict_engine
+from tests.reference.label_lists import label_lists
 
 from repro.core import arraystate
-from repro.core.arraystate import ArrayLabelState
+from repro.core.arraystate import ArrayLabelState, PrevBlock
 
 write_path_graphs = graph_strategy(
     max_n=18, max_m=40, min_n=1, fractional=True, self_loops=True
@@ -67,27 +74,24 @@ def _file_bytes(index: HopDoublingIndex, fmt: str, workdir: str) -> bytes:
         return fh.read()
 
 
-def _build(graph: Graph, engine: str, options: dict):
+def _builder(graph: Graph, options: dict):
     options = dict(options)
     strategy = options.pop("strategy", "hybrid")
-    if engine == "dict":
-        options.pop("jobs", None)
-    return make_builder(graph, strategy, engine=engine, **options).build()
+    return make_builder(graph, strategy, **options)
 
 
 def _check_write_path(graph: Graph, options: dict) -> None:
     """Same bytes in v2 and v3, same counters, same lists afterwards."""
-    reference = _build(graph, "dict", options)
-    result = _build(graph, "array", options)
+    with dict_engine():
+        reference = _builder(graph, options).build()
+    result = _builder(graph, options).build()
     assert _counters(result) == _counters(reference)
     with tempfile.TemporaryDirectory() as workdir:
         for fmt in ("v2", "v3"):
             assert _file_bytes(
                 HopDoublingIndex(result.index), fmt, workdir
             ) == _file_bytes(HopDoublingIndex(reference.index), fmt, workdir)
-    lists, reference_lists = result.index.to_index(), reference.index.to_index()
-    assert lists.out_labels == reference_lists.out_labels
-    assert lists.in_labels == reference_lists.in_labels
+    assert label_lists(result.index) == label_lists(reference.index)
     assert result.index.rank == reference.index.rank
     assert result.index.stats() == reference.index.stats()
 
@@ -117,7 +121,7 @@ def test_array_engine_freezes_into_arrays_not_tuples():
         for fmt in ("v2", "v3"):
             _file_bytes(index, fmt, workdir)
     assert index.query(0, 299) == index.oracle().query(0, 299)
-    assert index.labels.out_label(7) == index.labels.to_index().out_labels[7]
+    assert index.labels.out_label(7) == label_lists(index.labels)[0][7]
     # Undirected: the in-side aliases the out-side.
     assert index.labels.in_pivots is index.labels.out_pivots
 
@@ -129,7 +133,9 @@ def test_array_engine_freezes_into_arrays_not_tuples():
 
 def _prune_both_ways(rank, directed, base, candidates):
     """One admit-and-prune round on twin states; returns both outcomes."""
-    array_state = ArrayLabelState.from_initial_entries(rank, directed, base)
+    array_state = ArrayLabelState.from_block(
+        rank, directed, PrevBlock.from_lists(base)
+    )
     dict_state = (DirectedLabelState if directed else UndirectedLabelState)(rank)
     for a, b, dist, hops in base:
         dict_state.set_pair(a, b, dist, hops)
@@ -150,7 +156,16 @@ def _prune_both_ways(rank, directed, base, candidates):
     got = list(zip(*(column.tolist() for column in columns)))
     assert sorted(got) == sorted(want)
     assert got_outcome == want_outcome
-    assert sorted(array_state.iter_entries()) == sorted(dict_state.iter_entries())
+    sides = [(array_state.out, True)]
+    if directed:
+        sides.append((array_state.inn, False))
+    assert sorted(
+        (o, p, d, h, is_out)
+        for side, is_out in sides
+        for o, p, d, h in zip(
+            *(col.tolist() for col in (side.owner, side.piv, side.dist, side.hops))
+        )
+    ) == sorted(dict_state.iter_entries())
     return sorted(got)
 
 

@@ -34,6 +34,7 @@ from repro.oracle import (
 from repro.oracle import kernel
 from repro.oracle.batch import MIN_KERNEL_PAIRS
 from tests.conftest import random_graph
+from tests.reference.label_lists import as_label_index
 
 
 #: The smallest batch the kernel groups (sorts, dedupes, joins by
@@ -109,7 +110,7 @@ class TestSupports:
         assert kernel.supports(ShardedLabelStore.split(flat, 3))
 
     def test_tuple_list_not_supported(self, flat):
-        assert not kernel.supports(flat.to_index())
+        assert not kernel.supports(as_label_index(flat))
 
 
 class TestBitIdentity:
@@ -407,7 +408,7 @@ def every_store():
     edges += [(v, v + 1) for v in range(120, 129)]  # a second component
     g = Graph.from_edges(130, edges, directed=False)
     flat = FlatLabelStore.from_index(HybridBuilder(g).build().index)
-    staged = FlatLabelStore.from_index(flat.to_index())
+    staged = FlatLabelStore.from_index(flat)
     dyn = DynamicHopDoublingIndex.from_store(staged, graph=g)
     dyn.insert_edges([(0, 77), (5, 119), (40, 41)])
     staged.apply_updates(dyn.pop_label_delta())
@@ -718,7 +719,7 @@ class TestRowCache:
         ]
 
     def test_full_arena_empties_the_cache(self, flat):
-        store = FlatLabelStore.from_index(flat.to_index())
+        store = FlatLabelStore.from_index(flat)
         pairs = all_pairs(store.n)
         want = kernel.batch_eval(store, pairs)
         restated = LabelDelta(
@@ -758,7 +759,7 @@ class TestRowCache:
         assert did["rows_filled"] <= sides * len(new)
 
     def test_view_info_before_the_first_batch(self, flat):
-        store = FlatLabelStore.from_index(flat.to_index())
+        store = FlatLabelStore.from_index(flat)
         assert kernel.view_info(store) is None
         kernel.ensure_sides(store)
         info = kernel.view_info(store)
@@ -768,7 +769,7 @@ class TestRowCache:
 
 class TestConcurrency:
     def test_two_threads_share_one_store(self, flat):
-        store = FlatLabelStore.from_index(flat.to_index())
+        store = FlatLabelStore.from_index(flat)
         batches = [batch(store.n, 400, seed=60 + k) for k in range(6)]
         want = [[store.query(s, t) for s, t in b] for b in batches]
         got = {}
@@ -813,7 +814,7 @@ class TestConcurrency:
                 release.wait(60)
 
         def child():
-            fresh = FlatLabelStore.from_index(flat.to_index())
+            fresh = FlatLabelStore.from_index(flat)
             same = kernel.batch_eval(flat, pairs) == want
             sys.exit(0 if same and kernel.batch_eval(fresh, pairs) == want
                      else 1)
@@ -850,7 +851,7 @@ class TestEvaluateBatchIntegration:
         pairs = [(0, 1), (2, 3), (4, 5), (6, 7)]
         assert len(pairs) == MIN_KERNEL_PAIRS
         want = [flat.query(s, t) for s, t in pairs]
-        index = flat.to_index()
+        index = as_label_index(flat)
         _, few = work(lambda: evaluate_batch(flat, pairs[:3]))
         _, lists = work(lambda: evaluate_batch(index, pairs * 50))
         got, enough = work(lambda: evaluate_batch(flat, pairs))
@@ -863,7 +864,7 @@ class TestEvaluateBatchIntegration:
             evaluate_batch(flat, [(0, 1)], kernel="fast")
 
     def test_auto_falls_back_for_lists(self, flat):
-        index = flat.to_index()
+        index = as_label_index(flat)
         pairs = batch(flat.n, 200, seed=22)
         assert evaluate_batch(index, pairs) == [
             flat.query(s, t) for s, t in pairs

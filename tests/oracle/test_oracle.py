@@ -11,6 +11,7 @@ from repro.graphs.generators import ba_graph, glp_graph
 from repro.oracle import DistanceOracle, ShardedLabelStore, read_pair_file
 from repro.oracle.batch import evaluate_batch
 from tests.conftest import random_graph
+from tests.reference.label_lists import as_label_index
 from tests.reference.v1_writer import write_v1
 
 
@@ -31,7 +32,7 @@ class TestQueryBatch:
         g, idx = built
         store = FlatLabelStore.from_index(idx)
         if backend == "list":
-            store = idx.to_index()
+            store = as_label_index(idx)
         oracle = DistanceOracle(store)
         pairs = all_pairs(g.num_vertices)
         assert oracle.query_batch(pairs) == [idx.query(s, t) for s, t in pairs]
@@ -163,7 +164,7 @@ class TestOpen:
         oracle = DistanceOracle.open(path)
         assert isinstance(oracle.store, FlatLabelStore)
         if backend == "list":
-            oracle = DistanceOracle(oracle.store.to_index())
+            oracle = DistanceOracle(as_label_index(oracle.store))
         for s, t in [(0, 1), (5, 40), (7, 7)]:
             assert oracle.query(s, t) == idx.query(s, t)
 
@@ -267,7 +268,7 @@ _OPENERS = {
     "v2": lambda store, root: FlatLabelStore.load(root / "g.v2"),
     "v3": lambda store, root: FlatLabelStore.load(root / "g.v3"),
     "3 shards": lambda store, root: ShardedLabelStore.load(root / "shards"),
-    "to_index": lambda store, root: store.to_index(),
+    "tuple lists": lambda store, root: as_label_index(store),
 }
 
 

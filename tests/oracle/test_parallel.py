@@ -5,8 +5,8 @@ import os
 import pytest
 
 from paper.baselines.pll import build_pll
+from paper.labels import to_store
 from paper.bench.workloads import random_pairs
-from repro.core.flatstore import FlatLabelStore
 from repro.core.labels import LabelDelta
 from repro.graphs.generators import ba_graph
 from repro.oracle import DistanceOracle, ParallelOracle, ShardedLabelStore
@@ -16,7 +16,7 @@ from repro.oracle import DistanceOracle, ParallelOracle, ShardedLabelStore
 def flat():
     graph = ba_graph(400, m=2, seed=19)
     index, _ = build_pll(graph)
-    return FlatLabelStore.from_index(index)
+    return to_store(index)
 
 
 @pytest.fixture(scope="module")

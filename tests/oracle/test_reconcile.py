@@ -16,6 +16,7 @@ from repro.core.labels import LabelDelta
 from repro.graphs.generators import glp_graph
 from repro.oracle import DistanceOracle, ParallelOracle, ShardedLabelStore
 from repro.oracle.sharding import ShardError
+from tests.reference.label_lists import as_label_index
 
 NUM_SHARDS = 4
 
@@ -138,7 +139,7 @@ class TestOracleInvalidation:
 
     def test_unsupported_backend_raises(self, setting):
         graph, _, _, delta = setting
-        lists = make_builder(graph, "hybrid").build().index.to_index()
+        lists = as_label_index(make_builder(graph, "hybrid").build().index)
         oracle = DistanceOracle(lists)
         with pytest.raises(TypeError, match="does not support"):
             oracle.apply_updates(delta)

@@ -6,8 +6,8 @@ import json
 import pytest
 
 from paper.baselines.pll import build_pll
+from paper.labels import to_store
 from paper.bench.workloads import random_pairs
-from repro.core.flatstore import FlatLabelStore
 from repro.core.labels import LabelStore
 from repro.core.verify import verify_index
 from repro.graphs.generators import ba_graph, glp_graph
@@ -26,14 +26,14 @@ from tests.conftest import patch_offset
 def undirected():
     graph = ba_graph(300, m=2, seed=7)
     index, _ = build_pll(graph)
-    return graph, FlatLabelStore.from_index(index)
+    return graph, to_store(index)
 
 
 @pytest.fixture(scope="module")
 def directed_flat():
     graph = glp_graph(250, seed=11, directed=True)
     index, _ = build_pll(graph)
-    return FlatLabelStore.from_index(index)
+    return to_store(index)
 
 
 @pytest.fixture
@@ -127,7 +127,7 @@ class TestShardedStore:
     def test_split_from_tuple_list_index(self, undirected):
         graph, flat = undirected
         index, _ = build_pll(graph)
-        sharded = ShardedLabelStore.split(index, 2)
+        sharded = ShardedLabelStore.split(to_store(index), 2)
         pairs = random_pairs(flat.n, 100, seed=2)
         assert [sharded.query(s, t) for s, t in pairs] == [
             flat.query(s, t) for s, t in pairs

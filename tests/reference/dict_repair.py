@@ -18,15 +18,17 @@ from __future__ import annotations
 from itertools import repeat
 from typing import Iterable, Sequence
 
-from repro.core.dynamic import DynamicHopDoublingIndex
-from repro.core.flatstore import FlatLabelStore
-from repro.core.labels import (
+from paper.labels import (
     DirectedLabelState,
     LabelIndex,
     UndirectedLabelState,
+    admit_and_prune,
+    to_store,
 )
-from repro.core.pruning import admit_and_prune, exhaustive_prune
-from repro.core.rules import PrevEntry, make_engine
+from repro.core.dynamic import DynamicHopDoublingIndex
+from repro.core.flatstore import FlatLabelStore
+from repro.core.rules import PrevEntry
+from tests.reference.dict_build import exhaustive_prune, make_engine
 
 
 def admit_entries(
@@ -35,7 +37,7 @@ def admit_entries(
 ) -> list[PrevEntry]:
     """Admit pre-staged ``(a, b, dist, hops)`` entries; return the admitted.
 
-    The admission half of :func:`~repro.core.pruning.admit_and_prune`
+    The admission half of :func:`~paper.labels.admit_and_prune`
     for entries that are *facts* rather than rule candidates — the
     unit-hop entries of inserted edges.  Each entry is staged when the
     pair is absent or its distance strictly improves, and is never
@@ -113,7 +115,7 @@ class DictRepairEngine:
         return self.state.two_hop_bound(s, t)
 
     def snapshot(self) -> FlatLabelStore:
-        return FlatLabelStore.from_index(LabelIndex.from_state(self.state))
+        return to_store(LabelIndex.from_state(self.state))
 
     def compact(self) -> int:
         return exhaustive_prune(self.state)

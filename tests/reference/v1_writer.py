@@ -1,9 +1,9 @@
 """Writer of the legacy v1 index format, kept so the v1 reader stays tested.
 
-The package reads v1 files (:meth:`repro.core.labels.LabelIndex.load`,
-and :func:`repro.core.flatstore.load_store` for every version) but
-writes only v2 and v3.  This is the per-entry struct writer that used
-to be ``LabelIndex.save``, byte for byte::
+The package reads v1 files (:func:`repro.core.flatstore.load_store`
+reads them straight into CSR columns) but writes only v2 and v3.  This
+is the per-entry struct writer that used to be ``LabelIndex.save``,
+byte for byte::
 
     RPLI | u8 version=1 | u8 flags | u8 has_rank | u32 n
     [rank: n * u32]                                  if has_rank

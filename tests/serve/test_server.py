@@ -7,8 +7,8 @@ import math
 import pytest
 
 from paper.baselines.pll import build_pll
+from paper.labels import to_store
 from paper.bench.workloads import random_pairs
-from repro.core.flatstore import FlatLabelStore
 from repro.graphs.generators import ba_graph
 from repro.oracle import DistanceOracle
 from repro.serve import DistanceClient, DistanceServer, ServerError
@@ -18,7 +18,7 @@ from repro.serve import DistanceClient, DistanceServer, ServerError
 def flat():
     graph = ba_graph(300, m=2, seed=37)
     index, _ = build_pll(graph)
-    return FlatLabelStore.from_index(index)
+    return to_store(index)
 
 
 def _serve(flat, coro, open_backend=None, **server_kwargs):
@@ -199,7 +199,7 @@ def test_stats_op_reports_kernel_counters(flat):
             await client.aclose()
 
     # A store no batch has touched: its row cache starts empty.
-    fresh = type(flat).from_index(flat.to_index())
+    fresh = type(flat).from_index(flat)
     before, after = _serve(fresh, scenario)
     assert after["pairs"] - before["pairs"] == copies
     assert after["distinct_pairs"] - before["distinct_pairs"] == 1

@@ -7,8 +7,8 @@ import time
 import pytest
 
 from paper.baselines.pll import build_pll
+from paper.labels import to_store
 from paper.bench.workloads import random_pairs
-from repro.core.flatstore import FlatLabelStore
 from repro.graphs.generators import ba_graph
 from repro.oracle import ShardedLabelStore
 from repro.serve import shm
@@ -26,7 +26,7 @@ pytestmark = pytest.mark.skipif(
 def flat():
     graph = ba_graph(500, m=2, seed=29)
     index, _ = build_pll(graph)
-    return FlatLabelStore.from_index(index)
+    return to_store(index)
 
 
 @pytest.fixture(scope="module")

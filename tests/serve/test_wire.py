@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paper.baselines.pll import build_pll
-from repro.core.flatstore import FlatLabelStore
+from paper.labels import to_store
 from repro.graphs.digraph import Graph
 from repro.graphs.generators import ba_graph
 from repro.oracle import DistanceOracle, PairColumns
@@ -36,7 +36,7 @@ def flat():
     edges = [(u, v) for u, v, _ in ba_graph(120, m=2, seed=5).edges()]
     edges += [(v, v + 1) for v in range(120, N - 1)]
     index, _ = build_pll(Graph.from_edges(N, edges, directed=False))
-    return FlatLabelStore.from_index(index)
+    return to_store(index)
 
 
 def _serve(flat, scenario, **server_kwargs):

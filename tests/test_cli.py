@@ -1,10 +1,13 @@
 """End-to-end CLI tests (in-process via repro.cli.main)."""
 
+from contextlib import nullcontext
+
 import pytest
 
 from repro.cli import build_parser, main
 from repro.core.flatstore import load_store
 from repro.graphs import Graph, bfs_distances
+from tests.reference.dict_build import dict_engine
 from tests.reference.v1_writer import write_v1
 
 
@@ -91,19 +94,21 @@ class TestBuildAndQuery:
         assert rc == 0
 
     def test_build_engines_agree(self, graph_file, tmp_path, capsys):
-        """--engine dict/array (and --jobs) write identical index files."""
+        """The build, the build with --jobs, and the build on the dict
+        reference engine write identical index files."""
         outputs = {}
-        for name, flags in {
-            "dict": ["--engine", "dict"],
-            "array": ["--engine", "array"],
-            "jobs": ["--engine", "array", "--jobs", "2"],
-        }.items():
+        for name, flags, engine in (
+            ("array", [], nullcontext()),
+            ("jobs", ["--jobs", "2"], nullcontext()),
+            ("dict", [], dict_engine()),
+        ):
             idx = tmp_path / f"{name}.idx"
-            rc = main(["build", str(graph_file), "-o", str(idx)] + flags)
+            with engine:
+                rc = main(["build", str(graph_file), "-o", str(idx)] + flags)
             assert rc == 0
             outputs[name] = idx.read_bytes()
         assert outputs["dict"] == outputs["array"] == outputs["jobs"]
-        assert "engine" in capsys.readouterr().out
+        assert "2 jobs" in capsys.readouterr().out
 
     def test_build_streams_rounds_to_stderr(self, graph_file, tmp_path, capsys):
         """One stderr line per round as it finishes; stdout as before."""
@@ -122,18 +127,6 @@ class TestBuildAndQuery:
         assert loaded.startswith("loaded ")
         assert f"({len(rounds)} iterations" in built
         assert written.startswith("index written to ")
-
-    def test_build_jobs_require_array_engine(
-        self, graph_file, tmp_path, capsys
-    ):
-        idx = tmp_path / "g.idx"
-        rc = main([
-            "build", str(graph_file), "-o", str(idx),
-            "--engine", "dict", "--jobs", "2",
-        ])
-        assert rc == 2
-        assert "engine='array'" in capsys.readouterr().err
-        assert not idx.exists()
 
 
 class TestConvertAndBatch:
@@ -538,16 +531,17 @@ class TestParser:
             ["serve", "g.idx", "--kernel", "on"],
             ["update", "g.idx", "--edges", "new.txt", "--engine", "dict"],
             ["query", "g.idx", "--mmap", "0"],
+            ["build", "g.txt", "-o", "g.idx", "--engine", "dict"],
         ],
         ids=[
             "query --kernel", "serve --kernel", "update --engine",
-            "query --mmap",
+            "query --mmap", "build --engine",
         ],
     )
     def test_removed_flags_are_gone(self, argv, capsys):
-        """The kernel, the repair engine and how an index is opened are
-        not chosen on a command line: argparse refuses the flags before
-        any file is read."""
+        """The kernel, the build and repair engines and how an index is
+        opened are not chosen on a command line: argparse refuses the
+        flags before any file is read."""
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

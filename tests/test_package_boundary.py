@@ -111,10 +111,43 @@ def test_deleted_functions_are_gone():
             assert not hasattr(module, name), f"{module.__name__}.{name}"
 
 
+#: The dict label model: per-entry states, rule engines, candidate sets,
+#: the tuple-list index and the build engine over them.  It lives in
+#: ``paper/labels.py`` and ``tests/reference/dict_build.py``.
+_DICT_MODEL = (
+    "LabelIndex",
+    "DirectedLabelState",
+    "UndirectedLabelState",
+    "CandidateSet",
+    "DirectedRuleEngine",
+    "UndirectedRuleEngine",
+    "make_engine",
+    "DictBuildEngine",
+    "seed_dict_state",
+    "resolve_engine",
+    "merge_join_distance",
+    "admit_and_prune",
+)
+
+
+def test_one_label_model():
+    """No ``repro`` module offers the dict label model, and the
+    bridges into it are gone from the CSR store and the array state."""
+    from repro.core.arraystate import ArrayLabelState
+    from repro.core.flatstore import FlatLabelStore
+
+    for module in _repro_modules():
+        for name in _DICT_MODEL:
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+    assert not hasattr(FlatLabelStore, "to_index")
+    assert not hasattr(ArrayLabelState, "to_dict_state")
+
+
 def test_deleted_methods_are_gone():
+    from paper.labels import LabelIndex
     from repro.core.flatstore import FlatLabelStore
     from repro.core.knn import InvertedLabelIndex
-    from repro.core.labels import LabelIndex, LabelStore
+    from repro.core.labels import LabelStore
     from repro.oracle import DistanceOracle, ShardedLabelStore
 
     deleted = {
