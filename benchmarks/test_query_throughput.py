@@ -15,7 +15,11 @@ graph and enforces:
 * the **>= 3x kernel throughput floor** over the per-pair scalar loop;
 * the **<= 50% v3 file-size ceiling** relative to the v2 file
   (measured ~25% on this index: 2-byte delta pivots + 1-byte
-  quantized distances vs 4-byte pivots + 8-byte floats).
+  quantized distances vs 4-byte pivots + 8-byte floats);
+* the **>= 0.7x v3 scalar floor**: a v3 store's ``query`` reads the
+  kernel's decoded rows, so once they are filled it keeps up with the
+  v2 store's in-place probe; a fall back to decoding both label
+  slices per query (about 0.55x) fails it.
 
 A second batch draws its endpoints from a Zipf popularity ranking —
 the traffic a scale-free graph gets — so about half its pairs repeat
@@ -25,7 +29,9 @@ distinct pairs only (checked on its own counters, not on a timing).
 The kernel fills its row cache the first time a batch names a vertex,
 so the first pass over a freshly opened store is timed next to the
 steady passes (``first_touch_pairs_per_s``): the cost moved from open
-to first use stays on record.
+to first use stays on record.  So is the first scalar pass over a
+fresh v3 store, which fills its rows one by one
+(``scalar_v3_first_touch_pairs_per_s``).
 
 Every run records its measurements in ``BENCH_query_throughput.json``
 (uploaded as a CI artifact), so the throughput trajectory is visible
@@ -55,6 +61,10 @@ NUM_PAIRS = 20_000
 MIN_KERNEL_SPEEDUP = 3.0
 #: Acceptance ceiling for the v3 file size relative to v2.
 MAX_V3_SIZE_RATIO = 0.5
+#: Acceptance floor for warm v3 scalar reads vs v2 scalar reads:
+#: ~0.93x measured on the row cache, ~0.55x when each query decoded
+#: its two label slices.
+MIN_V3_SCALAR_RATIO = 0.7
 
 
 @pytest.fixture(scope="module")
@@ -173,19 +183,23 @@ def test_v3_size_ceiling(assets):
 
 
 def test_kernel_throughput_floor_and_export(assets, pairs, zipf_pairs):
-    """The acceptance criterion: kernel >= 3x the per-pair scalar loop.
+    """The acceptance criteria: kernel >= 3x the per-pair scalar loop,
+    and warm v3 scalar reads >= 0.7x the v2 ones.
 
-    Measures all three serving configurations interleaved, asserts the
-    floor on the v2 kernel, and exports every rate (plus the v3
-    kernel's rate on the Zipf batch and on the first pass over a
-    freshly opened store, the share of the Zipf batch that is
-    distinct work, and the on-disk size comparison) to
+    Measures the four serving configurations interleaved (scalar and
+    kernel, v2 and v3), asserts the floors on the v2 kernel and on v3
+    scalar reads, and exports every rate (plus the v3 kernel's rate
+    on the Zipf batch and on the first pass over a freshly opened
+    store, the same for v3 scalar reads, the share of the Zipf batch
+    that is distinct work, and the on-disk size comparison) to
     ``BENCH_query_throughput.json``.
     """
     flat, quantized, v2_path, v3_path = assets
     kernel_v3 = kernel_batches(quantized)
-    scalar_rate, v2_rate, v3_rate = interleaved_rates(
-        [scalar_loop(flat), kernel_batches(flat), kernel_v3],
+    # Best of seven: every v3 row is warm by the slowest pass's end.
+    scalar_rate, v2_rate, v3_rate, scalar_v3_rate = interleaved_rates(
+        [scalar_loop(flat), kernel_batches(flat), kernel_v3,
+         scalar_loop(quantized)],
         pairs,
         repeats=7,
     )
@@ -200,7 +214,16 @@ def test_kernel_throughput_floor_and_export(assets, pairs, zipf_pairs):
         assert first == kernel_v3(pairs)
     finally:
         fresh.close()
+    fresh = FlatLabelStore.load(v3_path, use_mmap=True)
+    try:
+        start = time.perf_counter()
+        first = scalar_loop(fresh)(pairs)
+        scalar_first_rate = NUM_PAIRS / (time.perf_counter() - start)
+        assert first == kernel_v3(pairs)
+    finally:
+        fresh.close()
     speedup = v2_rate / scalar_rate
+    scalar_v3_ratio = scalar_v3_rate / scalar_rate
     v2_size = v2_path.stat().st_size
     v3_size = v3_path.stat().st_size
     write_bench_json(
@@ -210,6 +233,10 @@ def test_kernel_throughput_floor_and_export(assets, pairs, zipf_pairs):
             "num_pairs": NUM_PAIRS,
             "kernel": "numpy",
             "scalar_pairs_per_sec": round(scalar_rate),
+            "scalar_v3_pairs_per_sec": round(scalar_v3_rate),
+            "scalar_v3_first_touch_pairs_per_s": round(scalar_first_rate),
+            "scalar_v3_ratio": round(scalar_v3_ratio, 3),
+            "scalar_v3_floor": MIN_V3_SCALAR_RATIO,
             "kernel_v2_pairs_per_sec": round(v2_rate),
             "kernel_v3_pairs_per_sec": round(v3_rate),
             "kernel_speedup": round(speedup, 3),
@@ -230,4 +257,9 @@ def test_kernel_throughput_floor_and_export(assets, pairs, zipf_pairs):
     assert speedup >= MIN_KERNEL_SPEEDUP, (
         f"kernel {v2_rate:,.0f} pairs/s vs scalar {scalar_rate:,.0f} "
         f"pairs/s — {speedup:.2f}x is below the {MIN_KERNEL_SPEEDUP}x floor"
+    )
+    assert scalar_v3_ratio >= MIN_V3_SCALAR_RATIO, (
+        f"v3 scalar {scalar_v3_rate:,.0f} pairs/s vs v2 scalar "
+        f"{scalar_rate:,.0f} pairs/s — {scalar_v3_ratio:.2f}x is below "
+        f"the {MIN_V3_SCALAR_RATIO}x floor"
     )

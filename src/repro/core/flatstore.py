@@ -21,12 +21,14 @@ and one writer (:meth:`FlatLabelStore.save`) serve both, and
 :meth:`FlatLabelStore.encoded` re-encodes a whole store — staged
 updates folded in — with array operations over whole columns.
 
-Queries exploit the layout: the smaller label is zipped into a dict at
-C speed and the larger one is probed through it, which is 2-3x faster
-than a tuple-list merge join in pure Python while returning the
-bit-identical minimum (``benchmarks/test_store_throughput.py`` exports
-the rates).  A v2 query joins the arrays in
-place; a v3 query decodes the two slices it touches first.
+Queries exploit the layout.  A v2 query joins the arrays in place:
+the smaller label is zipped into a dict at C speed and the larger one
+is probed through it, which is 2-3x faster than a tuple-list merge
+join in pure Python while returning the bit-identical minimum
+(``benchmarks/test_store_throughput.py`` exports the rates).  A v3
+label must be decoded before any join, so a v3 query reads the batch
+kernel's row cache, where labels are held decoded
+(:meth:`FlatLabelStore.query`).
 
 **Binary format v2** serialises the arrays as raw little-endian blobs
 after an 27-byte header, so a load is a handful of bulk ``frombytes``
@@ -516,15 +518,26 @@ class FlatLabelStore:
     def query(self, s: int, t: int) -> float:
         """Exact ``dist(s, t)``; ``inf`` when unreachable.
 
-        The smaller of the two labels is turned into a ``pivot ->
-        dist`` dict at C speed and the larger side is probed through
-        it; the minimum over common pivots is the same sum the merge
-        join would return.  Pendant ends are resolved to their parents
-        first.
+        A v2 store joins its arrays in place: the smaller of the two
+        labels is turned into a ``pivot -> dist`` dict at C speed and
+        the larger side is probed through it, the minimum over common
+        pivots being the same sum a merge join would return.  A v3
+        label must be decoded before any join, and the batch kernel's
+        row cache (:mod:`repro.oracle.kernel`) holds it decoded: a v3
+        store answers from its hub rows and tails, filling the one or
+        two rows the pair misses.  Pendant ends are resolved to their
+        parents first.
         """
         self._check(s, t)
         if s == t:
             return 0.0
+        if self.encoding == "v3":
+            view = self._view
+            if view is None:  # the kernel imports this module
+                from repro.oracle.kernel import row_cache
+
+                view = row_cache(self)
+            return view.query(s, t)
         hang = self.hang
         if hang is None or not (hang[s] or hang[t]):
             return self._join(s, t)
@@ -535,10 +548,11 @@ class FlatLabelStore:
         return hs + self._join(s, t) + ht
 
     def _join(self, s: int, t: int) -> float:
-        """:func:`probe_min_distance` over the stored slices of core
-        vertices ``s != t``: a v2 store's arrays in place, else the two
-        slices as :meth:`out_slice` / :meth:`in_slice` hand them out."""
-        if self.encoding == "v3" or self._delta_out or self._delta_in:
+        """:func:`probe_min_distance` over the v2 slices of core
+        vertices ``s != t``: the arrays in place, or the two slices as
+        :meth:`out_slice` / :meth:`in_slice` hand them out while
+        updates are staged."""
+        if self._delta_out or self._delta_in:
             return probe_min_distance(*self.out_slice(s), *self.in_slice(t))
         return probe_min_distance(
             self.out_pivots,

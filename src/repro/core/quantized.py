@@ -34,9 +34,13 @@ The pendant section is v2's, with ``hang`` held at the distance width
 This module is the codec only: :class:`~repro.core.flatstore.FlatLabelStore`
 holds either encoding, reads and writes both, and re-encodes a whole
 store through :func:`pivot_deltas`, :func:`absolute_pivots` and
-:func:`_encode`.  The scalar read path decodes the one or two label
-slices a query touches (:func:`decode_slice`); the batch kernel decodes
-the labels it gathers with :func:`absolute_pivots`.
+:func:`_encode`.  A query decodes a label once, when the batch
+kernel's row cache (:mod:`repro.oracle.kernel`) first fills its row —
+a batch with :func:`absolute_pivots`, a single pair's ``query`` with
+one running sum over the label — and reads the decoded row from then
+on.  The label reads (``out_label`` / ``out_slice``: k-NN, paths,
+``verify``, a sharded store's scalar join) decode their slice with
+:func:`decode_slice`.
 """
 
 from __future__ import annotations

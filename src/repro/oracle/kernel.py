@@ -20,7 +20,10 @@ computation and only the remainder needs a search.
    join-ready rows on the store.  The first batch to name a vertex
    gathers its label once (v2 pivots as mapped, v3 deltas decoded with
    one cumulative sum over the gathered entries, a vertex with a
-   staged update read from the overlay arrays) and splits it: entries
+   staged update read from the overlay arrays) and splits it — a v3
+   scalar read fills the one or two rows it misses the same way, a row
+   at a time without the batch gather's setup
+   (:meth:`_View._fill_row`): entries
    of a column pivot go into the vertex's table row (``127`` = no
    entry, so the uint8 sum of two cells is below 127 exactly when both
    are entries), every other entry is appended to a compact **tail**
@@ -47,6 +50,15 @@ computation and only the remainder needs a search.
    direct-address table of entry positions, or by ``np.searchsorted``
    when the batch is too small or too spread out to pay for walking
    the table.  The answer is the smaller of the two parts.
+
+**Scalar reads of a v3 store.**  A v3 label must be decoded before any
+join, and the cache holds it decoded, so ``FlatLabelStore.query`` on a
+v3 store answers from its rows (:meth:`_View.query`): the pendant
+mapping below, the hub part ``min(H_out[s] + H_in[t])`` over two table
+rows, and the two tails joined by a v2 query's own dict probe
+(:func:`~repro.core.flatstore.probe_min_distance`).  A v2 store keeps
+its in-place probe: numpy's per-call cost on the hub reduce is more
+than a v2 label's whole dict probe.
 
 Stages 3-5 are the *grouped* shape.  A batch below
 :data:`_PAIRWISE_BELOW` pairs, where sorting and deduping cost more
@@ -79,8 +91,9 @@ shard that owns it, so every store takes the same path.  Staged
 updates (``apply_updates``) mark the touched rows unfilled and the
 next batch refills only those; their old tails stay in the arena as
 garbage, and when the arena is full the cache is emptied and refilled
-on demand.  One lock per view is held for a whole evaluation and by
-invalidation — the serve tier evaluates one batch at a time per
+on demand.  One lock per view is held for a whole evaluation, a whole
+scalar read and by invalidation — the serve tier evaluates one batch
+at a time per
 process and scales out by forked workers, which inherit the rows
 filled before the fork copy-on-write and fill their own after.  Every
 kernel lock is re-created in a forked child.
@@ -91,12 +104,15 @@ which join ran — and :func:`view_info` describes one store's cache, so
 the sharing a workload contains can be read off a running server
 (``{"op": "stats"}``) rather than guessed.
 
-Answers are **bit-identical** to the scalar helpers in
-:mod:`repro.core.flatstore`: a table cell is an exact small integer,
-the tail sums are the same float64 sums, and the minimum of a set of
-floats does not depend on evaluation order
-(``benchmarks/test_query_throughput.py`` enforces both the equality
-and a >= 3x throughput floor).
+Answers are **bit-identical** to the v2 store's in-place probe in
+:mod:`repro.core.flatstore`, for a batch and for a v3 scalar read
+alike: a table cell is an exact small integer, the tail sums are the
+same float64 sums, and the minimum of a set of floats does not depend
+on evaluation order (``benchmarks/test_query_throughput.py`` enforces
+the equality, a >= 3x batch throughput floor and a >= 0.7x floor for
+warm v3 scalar reads against v2 ones;
+``tests/oracle/test_scalar_rows.py`` holds v3 scalar reads to v2 and
+to Dijkstra).
 """
 
 from __future__ import annotations
@@ -105,11 +121,13 @@ import os
 import threading
 import weakref
 from array import array
+from bisect import bisect_right
 from typing import Sequence
 
 import numpy as np
 
-from repro.core.flatstore import FlatLabelStore, _as_np
+from repro.core.flatstore import FlatLabelStore, _as_np, probe_min_distance
+from repro.core.labels import INF
 from repro.core.quantized import absolute_pivots
 
 #: Labels sampled to choose the hub columns, and the share of them a
@@ -222,6 +240,14 @@ def supports(store) -> bool:
     return False
 
 
+def _misfit(cell):
+    """Mask of the distances a table cell cannot hold: fractional,
+    negative or above :data:`_MAX_CELL`."""
+    if cell.dtype.kind == "u":  # v3's quantized distances are whole
+        return cell > _MAX_CELL
+    return ~((cell >= 0) & (cell <= _MAX_CELL) & (cell == np.floor(cell)))
+
+
 def _expand(starts, lens):
     """Positions of the slices ``starts[k] : starts[k] + lens[k]``.
 
@@ -291,6 +317,7 @@ class _View:
         self.n = store.n
         self.directed = store.directed
         self.los = np.asarray(getattr(store, "_los", [0]), dtype=np.int64)
+        self.lo_list = self.los.tolist()
         self.parts = []
         for shard in shards:
             sides = [(shard.out_offsets, shard.out_pivots, shard.out_dists)]
@@ -456,25 +483,15 @@ class _View:
         # Integer positions: a boolean mask costs a pass per use.
         hub, tail = np.flatnonzero(col >= 0), np.flatnonzero(col < 0)
         cell = dist[hub]
-        misfit = ~(
-            (cell >= 0) & (cell <= _MAX_CELL) & (cell == np.floor(cell))
-        )
-        if misfit.any():
-            # A column pivot's entry must be in the table on both ends
-            # of a pair or on neither: retire the columns that cannot
-            # hold what this label needs of them.
-            keep = np.ones(self.hubs.size, dtype=bool)
-            keep[col[hub[misfit]]] = False
-            self._set_hubs(self.hubs[keep])
+        misfit = _misfit(cell)
+        if np.count_nonzero(misfit):
+            self._retire(col[hub[misfit]])
             return False
         owner = np.repeat(np.arange(verts.size), lens)
         tail_len = np.bincount(owner[tail], minlength=verts.size)
         need = tail.size
         if rows.used + need > rows.tail_piv.size:
-            self._reset(rows)
-            self.arena_resets += 1
-            if need > rows.tail_piv.size:
-                rows.reserve(2 * need)
+            self._overflow(rows, need)
             return False
         rows.table[verts] = _NO_ENTRY
         cells = rows.table.reshape(-1)
@@ -488,6 +505,125 @@ class _View:
         rows.filled[verts] = True
         _tally(filled=verts.size)
         return True
+
+    def _fill_row(self, side: int, v: int) -> bool:
+        """:meth:`_fill` for the one global vertex ``v``.
+
+        The scalar read's fill: the label is sliced straight out of
+        its shard's columns (or the overlay) — no ``los`` search,
+        dedupe or slice expansion — and split by the same column and
+        arena rules.  The two rows of one pair share an undirected
+        store's arena, so a full arena also grows when ``v``'s tail
+        alone would take more than half of it: after a reset the
+        pair's two rows always fit together.
+        """
+        rows = self.inn if side else self.out
+        k = bisect_right(self.lo_list, v) - 1
+        shard, delta, sides = self.parts[k]
+        local = v - self.lo_list[k]
+        if rows.staged[v]:
+            p, d = (shard._delta_in if side else shard._delta_out)[local]
+            piv, dist = np.frombuffer(p, dtype=np.int32), np.frombuffer(d)
+        else:
+            offsets, pivots, dists = sides[side]
+            o, e = offsets[local : local + 2].tolist()
+            piv, dist = pivots[o:e], dists[o:e]
+            if delta:  # a v3 label: its first pivot whole, then steps
+                piv = np.add.accumulate(piv, dtype=np.int64)
+        col = self.col_of.take(piv)
+        hub = col >= 0
+        cols, cell = col[hub], dist[hub]
+        # Quantized distances are whole: their maximum settles them.
+        if cell.dtype.kind != "u" or max(cell.tolist(), default=0) > _MAX_CELL:
+            misfit = _misfit(cell)
+            if np.count_nonzero(misfit):
+                self._retire(cols[misfit])
+                return False
+        need = piv.size - cell.size
+        start = rows.used
+        if start + need > rows.tail_piv.size:
+            self._overflow(rows, 2 * need)
+            return False
+        row = rows.table[v]
+        row.fill(_NO_ENTRY)
+        row.put(cols, cell)
+        if need:
+            tail = ~hub
+            rows.used += need
+            rows.tail_piv[start : rows.used] = piv[tail]
+            rows.tail_dist[start : rows.used] = dist[tail]
+        rows.tail_start[v] = start
+        rows.tail_len[v] = need
+        rows.filled[v] = True
+        _tally(filled=1)
+        return True
+
+    def _retire(self, columns) -> None:
+        """Retire the hub ``columns``; empties the cache.
+
+        A column pivot's entry must be in the table on both ends of a
+        pair or on neither, so a column that cannot hold what a label
+        needs of it goes for every row.
+        """
+        keep = np.ones(self.hubs.size, dtype=bool)
+        keep[columns] = False
+        self._set_hubs(self.hubs[keep])
+
+    def _overflow(self, rows: _Rows, need: int) -> None:
+        """Empty the cache of a full arena, and grow the arena when
+        ``need`` entries would not fit even an empty one."""
+        self._reset(rows)
+        self.arena_resets += 1
+        if need > rows.tail_piv.size:
+            rows.reserve(2 * need)
+
+    def query(self, s: int, t: int) -> float:
+        """``dist(s, t)`` for one pair of global ids in range, ``s != t``.
+
+        The scalar read: pendant ends are mapped through ``parent`` /
+        ``hang``, the one or two rows the pair misses are filled one
+        by one, the hub part is ``min(H_out[s] + H_in[t])`` and the
+        two tails are joined by the dict probe of
+        :func:`~repro.core.flatstore.probe_min_distance` (the shorter
+        one zipped into the dict), all under the view's lock.
+        Bit-identical to the batch, for the same reasons.
+        """
+        with self.lock:
+            hs = ht = 0.0
+            if self.hang is not None:
+                hs, ht = self.hang[s], self.hang[t]
+                if hs or ht:
+                    s, t = int(self.parent[s]), int(self.parent[t])
+                    if s == t:
+                        return float(hs + ht)
+            out, inn = self.out, self.inn
+            side = int(self.directed)  # t's side: out aliases inn
+            # A fill that had to empty the cache starts the pair over.
+            while not (
+                (out.filled[s] or self._fill_row(0, s))
+                and (inn.filled[t] or self._fill_row(side, t))
+            ):
+                pass
+            best = INF
+            if self.hubs.size:
+                both = out.table[s] + inn.table[t]
+                cell = both.item(both.argmin())
+                if cell < _NO_ENTRY:
+                    best = float(cell)
+            a, b = out.tail_start[s], inn.tail_start[t]
+            la, lb = out.tail_len[s], inn.tail_len[t]
+            if la and lb:
+                tail = probe_min_distance(
+                    out.tail_piv[a : a + la].tolist(),
+                    out.tail_dist[a : a + la].tolist(), 0, la,
+                    inn.tail_piv[b : b + lb].tolist(),
+                    inn.tail_dist[b : b + lb].tolist(), 0, lb,
+                )
+                if tail < best:
+                    best = tail
+        if hs or ht:
+            return float(hs + best + ht)
+        return best
 
     def ensure_rows(self, S, T) -> None:
         """Fill whatever rows the pairs ``(S[k], T[k])`` still miss."""
@@ -567,7 +703,7 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_relock_after_fork)
 
 
-def _view(store) -> _View:
+def row_cache(store) -> _View:
     """The row cache of ``store``, created on first use."""
     view = store._view
     if view is None:
@@ -588,7 +724,7 @@ def ensure_sides(store) -> None:
     read beyond the sample.  No-op when :func:`supports` is false.
     """
     if supports(store):
-        _view(store)
+        row_cache(store)
 
 
 def view_info(store) -> dict | None:
@@ -617,7 +753,7 @@ def label_entries(store):
     are left out.  How an index is adopted for updates without a
     Python object per entry.  ``store`` must satisfy :func:`supports`.
     """
-    view = _view(store)
+    view = row_cache(store)
     everyone = np.arange(view.n, dtype=np.int64)
     columns = []
     with view.lock:
@@ -887,7 +1023,7 @@ def batch_eval_arrays(store, S, T):
         raise IndexError(
             f"query ({int(S[k])}, {int(T[k])}) out of range [0, {n})"
         )
-    view = _view(store)
+    view = row_cache(store)
     if view.hang is None:
         return _eval_distinct_ends(view, S, T)
     # dist(s, t) = hang[s] + dist(parent[s], parent[t]) + hang[t]: two

@@ -84,7 +84,7 @@ class DistanceOracle:
         """Exact ``dist(s, t)``; ``inf`` when unreachable."""
         if self.cache.capacity == 0:
             # Caching disabled: skip key building and LRU bookkeeping
-            # so timed paths pay only the real merge-join cost.
+            # so timed paths pay only the store's own join.
             return self.store.query(s, t)
         # Undirected stores answer (s, t) and (t, s) alike: one key.
         key = (t, s) if not self.store.directed and s > t else (s, t)

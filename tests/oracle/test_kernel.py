@@ -3,7 +3,9 @@
 The contract under test is simple and strict: for any store the kernel
 supports, any batch, whatever its row cache holds and either join
 strategy, the answers are bit-identical to the scalar reference path
-(the shared probe helpers in :mod:`repro.core.flatstore`).
+(the shared probe helpers in :mod:`repro.core.flatstore`).  A v3
+store's own ``query`` reads the kernel's rows, so it is never the
+reference here: the v2 store of the same labels is.
 """
 
 import multiprocessing
@@ -342,26 +344,26 @@ class TestDistinctWork:
     @given(pairs=duplicate_heavy_batches(), directed=st.booleans(),
            kind=st.sampled_from(KINDS))
     def test_differential_with_duplicates(self, served, pairs, directed, kind):
-        store = served[directed][kind]
+        store, scalar = served[directed][kind], served[directed]["v2"]
         pairs = grouped(pairs)
         got, did = work(lambda: kernel.batch_eval(store, pairs))
-        assert got == [store.query(s, t) for s, t in pairs]
+        assert got == [scalar.query(s, t) for s, t in pairs]
         assert did["pairs"] == len([p for p in pairs if p[0] != p[1]])
         assert did["distinct_pairs"] == len(oriented(store, pairs))
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("directed", [False, True], ids=["undir", "dir"])
     def test_one_pair_repeated_and_mirrored(self, served, directed, kind):
-        store = served[directed][kind]
+        store, scalar = served[directed][kind], served[directed]["v2"]
         s, t = 3, 71
         same = [(s, t)] * GROUPED
         got, did = work(lambda: kernel.batch_eval(store, same))
-        assert got == [store.query(s, t)] * GROUPED
+        assert got == [scalar.query(s, t)] * GROUPED
         assert (did["pairs"], did["distinct_pairs"]) == (GROUPED, 1)
 
         mirrored = [(s, t), (t, s)] * (GROUPED // 2)
         got, did = work(lambda: kernel.batch_eval(store, mirrored))
-        assert got == [store.query(s, t), store.query(t, s)] * (GROUPED // 2)
+        assert got == [scalar.query(s, t), scalar.query(t, s)] * (GROUPED // 2)
         assert did["distinct_pairs"] == (2 if directed else 1)
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -370,13 +372,13 @@ class TestDistinctWork:
         # Half the batch repeats eleven popular pairs: the counters
         # show the kernel gathered for the distinct ones only, and
         # only what the hub table does not hold.
-        store = served[directed][kind]
+        store, scalar = served[directed][kind], served[directed]["v2"]
         hot = [(k, 80 - k) for k in range(11)]
         pairs = batch(store.n, 600, seed=31, include_special=False)
         pairs += [hot[k % 11] for k in range(600)]
         random.Random(1).shuffle(pairs)
         got, did = work(lambda: kernel.batch_eval(store, pairs))
-        assert got == [store.query(s, t) for s, t in pairs]
+        assert got == [scalar.query(s, t) for s, t in pairs]
         assert did["pairs"] >= GROUPED
         assert did["distinct_pairs"] <= did["pairs"] - 589
         distinct = oriented(store, pairs)
@@ -449,7 +451,13 @@ def every_store():
     forget_view(retiring)  # the tests retire the columns again
     kernel.ensure_sides(stores["no_hubs"])
     assert kernel.view_info(stores["no_hubs"])["hub_columns"] == 0
-    return {kind: (store, unreachable_pair(store)) for kind, store in stores.items()}
+    # A v3 store's own query reads the rows under test: its v2 twin
+    # answers for it.
+    scalars = {kind: flat if kind == "v3" else store for kind, store in stores.items()}
+    return {
+        kind: (store, scalars[kind], unreachable_pair(scalars[kind]))
+        for kind, store in stores.items()
+    }
 
 
 def evaluated_batch(store, size, seed, far):
@@ -489,11 +497,11 @@ class TestPairwise:
          "retiring", "no_hubs"],
     )
     def test_matches_query_around_the_crossover(self, every_store, kind, size):
-        store, far = every_store[kind]
+        store, scalar, far = every_store[kind]
         assert far is not None
         pairs = evaluated_batch(store, size, seed=size, far=far)
         got, did = work(lambda: kernel.batch_eval(store, pairs))
-        assert got == [store.query(s, t) for s, t in pairs]
+        assert got == [scalar.query(s, t) for s, t in pairs]
         assert did["pairs"] == size
         if size < GROUPED:
             assert did["joins"] == {"pairwise": 1}
@@ -504,9 +512,9 @@ class TestPairwise:
 
     @pytest.mark.parametrize("kind", ["v3", "directed", "pendants", "no_hubs"])
     def test_keys_past_int32_answer_alike(self, every_store, kind, monkeypatch):
-        store, far = every_store[kind]
+        store, scalar, far = every_store[kind]
         pairs = evaluated_batch(store, 300, seed=5, far=far)
-        want = [store.query(s, t) for s, t in pairs]
+        want = [scalar.query(s, t) for s, t in pairs]
         # Keys of 300 pairs x 130 vertices no longer fit: int64 ones.
         monkeypatch.setattr(kernel, "_INT32_MAX", 1000)
         got, did = work(lambda: kernel.batch_eval(store, pairs))
@@ -540,11 +548,11 @@ class TestRowChunks:
     def test_chunked_join_matches_scalar(
         self, served, directed, kind, rows_per_chunk, table
     ):
-        store = served[directed][kind]
+        store, scalar = served[directed][kind], served[directed]["v2"]
         pairs = batch(90, 1400, seed=41)
         with self.chunked(rows_per_chunk, table) as join:
             got, did = work(lambda: kernel.batch_eval(store, pairs))
-        assert got == [store.query(s, t) for s, t in pairs]
+        assert got == [scalar.query(s, t) for s, t in pairs]
         assert set(did["joins"]) == {join}
         assert did["distinct_pairs"] < did["pairs"]
         assert did["source_rows"] == len(
@@ -558,11 +566,11 @@ class TestRowChunks:
     def test_differential_chunked(
         self, served, pairs, table, rows_per_chunk, kind
     ):
-        store = served[False][kind]
+        store, scalar = served[False][kind], served[False]["v2"]
         pairs = grouped(pairs)
         with self.chunked(rows_per_chunk, table):
             got = kernel.batch_eval(store, pairs)
-        assert got == [store.query(s, t) for s, t in pairs]
+        assert got == [scalar.query(s, t) for s, t in pairs]
 
     def test_rows_chunked_at_the_real_int32_range(self):
         # 92,682-wide keys: 23,170 rows fill int32, so 60,000 distinct
@@ -794,6 +802,55 @@ class TestConcurrency:
         assert kernel.view_info(store)["rows_resident"] <= (
             store.n * (2 if store.directed else 1)
         )
+
+    def test_scalar_v3_reads_beside_batches_and_updates(self, flat):
+        # The serve tier answers requests of 1-3 pairs through
+        # store.query, and they can run while a larger batch is being
+        # evaluated: on a v3 store both read and fill the same rows,
+        # while staged updates invalidate some of them.
+        store = flat.encoded("v3")
+        pairs = batch(store.n, 300, seed=80)
+        want = [flat.query(s, t) for s, t in pairs]
+        restated = LabelDelta(
+            store.n, store.directed,
+            {v: store.out_label(v) for v in range(0, store.n, 3)},
+            {v: store.in_label(v) for v in range(0, store.n, 3)},
+        )
+        if not store.directed:
+            restated.inn = restated.out
+        wrong = []
+
+        def scalar_reads():
+            for _ in range(6):
+                if [store.query(s, t) for s, t in pairs] != want:
+                    wrong.append("scalar")
+
+        def batches_and_updates():
+            for _ in range(6):
+                if kernel.batch_eval(store, pairs) != want:
+                    wrong.append("batch")
+                store.apply_updates(restated)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=scalar_reads),
+                threading.Thread(target=batches_and_updates),
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        view = store._view
+        sides = (view.out, view.inn) if store.directed else (view.out,)
+        for rows in sides:
+            assert np.count_nonzero(rows.filled) <= store.n
+        assert kernel.view_info(store)["rows_resident"] <= store.n * len(sides)
 
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(),
