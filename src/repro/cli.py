@@ -203,7 +203,8 @@ def _cmd_convert(args: argparse.Namespace) -> int:
         print(f"  entries         {format_count(entries)}")
         print(f"  avg |label|     {stats.avg_label_size:.1f}")
         if out_store.encoding == "v3":
-            print(f"  pivot width     {out_store.pivot_width} B (delta)")
+            space = "rank positions" if out_store.ranked else "vertex ids"
+            print(f"  pivot width     {out_store.pivot_width} B (delta; {space})")
             dist_kind = "raw f64" if out_store.dist_width == 8 else "quantized"
             print(
                 f"  dist width      {out_store.dist_width} B ({dist_kind})"

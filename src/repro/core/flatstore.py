@@ -14,12 +14,23 @@ A store carries an **encoding**, which is also its file format:
 
 * ``"v2"`` — absolute int32 pivots and float64 distances;
 * ``"v3"`` — per-label pivot deltas and distances at widths chosen
-  from the data (the codec is :mod:`repro.core.quantized`).
+  from the data (the codec is :mod:`repro.core.quantized`).  A store
+  with a ``rank`` column holds its v3 pivots as rank positions
+  (``ranked``): every label sorted by position, its self entry last.
 
 One reader (:meth:`FlatLabelStore.load`, behind :func:`load_store`)
 and one writer (:meth:`FlatLabelStore.save`) serve both, and
 :meth:`FlatLabelStore.encoded` re-encodes a whole store — staged
 updates folded in — with array operations over whole columns.
+
+Pivot ids leave a store as vertex ids whatever its pivot space:
+``out_slice`` / ``in_slice`` (and through them ``out_label``, k-NN,
+paths and ``verify``) map a rank-space label back through the
+inverse permutation and re-sort it by id, and so does the kernel's
+``label_entries``.  Distances never need the map: the kernel's rows
+stay in the file's space.  Staged updates hold vertex ids, and the
+one converter (:class:`~repro.core.quantized.RankSpace`) moves them
+into rank space when they are filled or folded in.
 
 Queries exploit the layout.  A v2 query joins the arrays in place:
 the smaller label is zipped into a dict at C speed and the larger one
@@ -44,10 +55,11 @@ instead of per-entry ``struct`` unpacking::
     [in_offsets / in_pivots / in_dists]    if directed
     [parent: n * i32 | hang: n * f64]      if flags bit 1 (pendants)
 
-v3 adds four width bytes to the header and narrows the columns
-(:mod:`repro.core.quantized`).  The reader checks every offsets column
-once at open (starts at 0, never decreases, ends at the entry count),
-so no query ever indexes past a column.
+v3 adds four width bytes to the header, narrows the columns and
+knows flag bit 2, rank-space pivots (:mod:`repro.core.quantized`).
+The reader checks every offsets column once at open (starts at 0,
+never decreases, ends at the entry count), so no query ever indexes
+past a column.
 
 **Pendant vertices** (degree 1, neighbour of degree >= 2; undirected
 stores only) are not labelled: the row of pendant ``v`` is empty and
@@ -87,6 +99,7 @@ from repro.core.quantized import (
     DIST_CODES,
     OFFSET_CODES,
     PIVOT_CODES,
+    RankSpace,
     _encode,
     absolute_pivots,
     decode_slice,
@@ -168,7 +181,8 @@ class FlatLabelStore:
 
     ``out_offsets[v] : out_offsets[v + 1]`` delimits vertex ``v``'s
     out-label inside the parallel ``out_pivots`` / ``out_dists``
-    arrays, sorted by pivot id; likewise for the in-side.  For
+    arrays, sorted by pivot (by rank position when ``ranked``);
+    likewise for the in-side.  For
     undirected stores the in-side members *alias* the out-side arrays
     (Section 7's single store), so the aliasing survives conversion
     and serialisation round trips.
@@ -200,6 +214,8 @@ class FlatLabelStore:
         "hang",
         "lo",
         "encoding",
+        "ranked",
+        "_ranks",
         "_mmap",
         "_view",
         "_delta_out",
@@ -232,6 +248,11 @@ class FlatLabelStore:
         # "v2" or "v3" (module docstring); set by whoever packs the
         # columns, as parent / hang are.
         self.encoding = "v2"
+        # Whether the pivots are positions in ``rank`` (v3 only; flag
+        # bit 2 of the file), and the map between the two spaces,
+        # built by the first read that needs it.
+        self.ranked = False
+        self._ranks = None
         self._mmap = None
         # The batch kernel's row cache (repro.oracle.kernel), created
         # by the first batch; dropped on close().
@@ -254,6 +275,15 @@ class FlatLabelStore:
     def dist_width(self) -> int:
         """Bytes per stored distance (8 = raw f64; 1 or 2 = quantized)."""
         return self.out_dists.itemsize
+
+    def rank_space(self) -> RankSpace:
+        """The map between vertex ids and ``rank`` positions, built on
+        first use; ``ValueError`` when ``rank`` is not a permutation."""
+        if self._ranks is None:
+            if self.rank is None:
+                raise ValueError("the store carries no rank column")
+            self._ranks = RankSpace(self.rank)
+        return self._ranks
 
     @property
     def is_mmapped(self) -> bool:
@@ -287,10 +317,10 @@ class FlatLabelStore:
 
         No entry is packed: the result has its own update overlay and
         its own kernel row cache over the same immutable arrays, in the
-        same encoding; staged updates, if any, are folded in first
-        (:meth:`encoded`).
+        same encoding and pivot space; staged updates, if any, are
+        folded in first (:meth:`encoded`).
         """
-        held = index.encoded(index.encoding)
+        held = index.encoded(index.encoding, index.ranked)
         store = cls(
             held.n, held.directed,
             held.out_offsets, held.out_pivots, held.out_dists,
@@ -299,6 +329,7 @@ class FlatLabelStore:
         )
         store.parent, store.hang = held.parent, held.hang
         store.encoding, store.lo = held.encoding, held.lo
+        store.ranked = held.ranked
         return store
 
     # -- pendant vertices ----------------------------------------------------
@@ -381,45 +412,69 @@ class FlatLabelStore:
             self._view.invalidate(delta)
         return staged
 
-    def encoded(self, encoding: str) -> "FlatLabelStore":
+    def encoded(
+        self, encoding: str, ranked: bool | None = None
+    ) -> "FlatLabelStore":
         """This store's labels in ``encoding`` (``"v2"`` or ``"v3"``),
         staged updates folded in.
 
-        ``self`` when the store already is ``encoding`` with nothing
-        staged.  Otherwise a new store, made from whole columns: v3
-        deltas decoded by one cumulative sum (or v2 pivots turned into
-        deltas), the base columns cut at the staged rows' offsets with
-        the overlay rows laid in between (one concatenate per column),
-        then the target's column types — v3 widths chosen afresh,
-        since updates can move the maxima they came from.
+        ``ranked`` is the target's pivot space: rank positions (True)
+        or vertex ids (False).  By default a v3 target with a ``rank``
+        column is in rank space and every other target in vertex ids;
+        a sharded store asks for ids, because a shard's ``rank`` is a
+        slice.  ``self`` when the store already is ``encoding`` in
+        that space with nothing staged.  Otherwise a new store, made
+        from whole columns: v3 deltas decoded by one cumulative sum
+        (or v2 pivots turned into deltas), pivots mapped to the other
+        space and each label re-sorted when the space changes, the
+        base columns cut at the staged rows' offsets with the overlay
+        rows laid in between (one concatenate per column), then the
+        target's column types — v3 widths chosen afresh, since updates
+        can move the maxima they came from.
         """
         if encoding not in _VERSIONS:
             raise ValueError(
                 f"unknown label encoding {encoding!r}; expected 'v2' or 'v3'"
             )
-        if encoding == self.encoding and not self.has_pending_updates:
+        if ranked is None:
+            ranked = encoding == "v3" and self.rank is not None
+        elif ranked and (encoding != "v3" or self.rank is None):
+            raise ValueError("rank-space pivots need v3 and a rank column")
+        if (
+            encoding == self.encoding and ranked == self.ranked
+            and not self.has_pending_updates
+        ):
             return self
         parent, hang = self._pendant_columns()
         sides = [self._columns(
-            encoding, self._delta_out,
+            encoding, ranked, self._delta_out,
             self.out_offsets, self.out_pivots, self.out_dists,
         )]
         if self.directed:
             sides.append(self._columns(
-                encoding, self._delta_in,
+                encoding, ranked, self._delta_in,
                 self.in_offsets, self.in_pivots, self.in_dists,
             ))
         return packed(
             self.n, self.directed, encoding, sides, parent, hang, self.rank,
-            self.lo,
+            self.lo, ranked,
         )
 
-    def _columns(self, encoding, overlay, offsets, pivots, dists):
+    def _columns(self, encoding, ranked, overlay, offsets, pivots, dists):
         """One side as numpy ``(offsets, pivots, dists)``, its pivots in
-        ``encoding``'s form (absolute, or v3 deltas), overlay spliced in."""
+        ``encoding``'s form (absolute, or v3 deltas) and in the space
+        ``ranked`` names, overlay spliced in."""
         off = _as_np(offsets).astype(np.int64)
         piv, dst = _as_np(pivots), _as_np(dists)
-        if encoding != self.encoding:
+        if ranked != self.ranked:
+            lens = np.diff(off)
+            if self.encoding == "v3":
+                piv = absolute_pivots(piv, lens)
+            space = self.rank_space()
+            piv, dst = (space.positions if ranked else space.ids)(piv, dst, lens)
+            if encoding == "v3":
+                piv = pivot_deltas(off, piv)
+        elif encoding != self.encoding:
             piv = (
                 pivot_deltas(off, piv) if encoding == "v3"
                 else absolute_pivots(piv, np.diff(off))
@@ -434,6 +489,11 @@ class FlatLabelStore:
             staged_dst.extend(d)
             row_off.append(len(staged_piv))
         row_piv = np.frombuffer(staged_piv, dtype=np.int32)
+        row_dst = np.frombuffer(staged_dst)
+        if ranked:  # staged rows hold vertex ids
+            row_piv, row_dst = self.rank_space().positions(
+                row_piv, row_dst, np.diff(row_off)
+            )
         if encoding == "v3":
             row_piv = pivot_deltas(row_off, row_piv)
         # The base columns cut at the staged vertices' offsets, each
@@ -453,7 +513,7 @@ class FlatLabelStore:
         return (
             np.concatenate(([0], np.cumsum(lens))),
             splice(piv, row_piv),
-            splice(dst, np.frombuffer(staged_dst)),
+            splice(dst, row_dst),
         )
 
     # -- LabelStore accessors ------------------------------------------------
@@ -478,9 +538,10 @@ class FlatLabelStore:
         The uniform slice accessor the cross-store query paths (the
         sharded store joining labels from two different shards) use:
         a v2 store returns the raw arrays with bounds, a v3 store
-        decoded per-slice lists, and vertices with a staged update
-        return their overlay arrays and pendants their derived label —
-        any shape feeds the shared scalar helpers directly.
+        decoded per-slice lists (a rank-space label mapped back to
+        vertex ids and re-sorted by id), and vertices with a staged
+        update return their overlay arrays and pendants their derived
+        label — any shape feeds the shared scalar helpers directly.
         """
         if self._delta_out:
             staged = self._delta_out.get(v)
@@ -491,8 +552,7 @@ class FlatLabelStore:
             return derived_slice(v, h, *self.out_slice(p))
         o, e = self.out_offsets[v], self.out_offsets[v + 1]
         if self.encoding == "v3":
-            piv, dst = decode_slice(self.out_pivots, self.out_dists, o, e)
-            return piv, dst, 0, len(piv)
+            return self._decoded(self.out_pivots, self.out_dists, o, e)
         return self.out_pivots, self.out_dists, o, e
 
     def in_slice(self, v: int):
@@ -506,9 +566,18 @@ class FlatLabelStore:
             return derived_slice(v, h, *self.in_slice(p))
         o, e = self.in_offsets[v], self.in_offsets[v + 1]
         if self.encoding == "v3":
-            piv, dst = decode_slice(self.in_pivots, self.in_dists, o, e)
-            return piv, dst, 0, len(piv)
+            return self._decoded(self.in_pivots, self.in_dists, o, e)
         return self.in_pivots, self.in_dists, o, e
+
+    def _decoded(self, pivots, dists, o, e):
+        """The v3 label ``pivots/dists[o:e]`` decoded, in vertex ids."""
+        if not self.ranked:
+            piv, dst = decode_slice(pivots, dists, o, e)
+            return piv, dst, 0, len(piv)
+        # Rank positions: one running sum, mapped and re-sorted by id.
+        positions = np.add.accumulate(_as_np(pivots)[o:e], dtype=np.int64)
+        ids, dst = self.rank_space().ids(positions, _as_np(dists)[o:e])
+        return ids.tolist(), dst.astype(np.float64).tolist(), 0, len(ids)
 
     # -- querying ------------------------------------------------------------
     def _check(self, s: int, t: int) -> None:
@@ -647,7 +716,7 @@ class FlatLabelStore:
         Staged updates are folded in first (:meth:`encoded`), so the
         file always holds the merged labels."""
         if self.has_pending_updates:
-            self.encoded(self.encoding).save(path)
+            self.encoded(self.encoding, self.ranked).save(path)
             return
         blobs = [self.out_offsets, self.out_pivots, self.out_dists]
         if self.directed:
@@ -674,9 +743,7 @@ class FlatLabelStore:
         offsets column that does not delimit its side's entries.
         """
         with open(path, "rb") as fh:
-            encoding, directed, peeled, has_rank, n, counts, codes = (
-                _read_header(path, fh)
-            )
+            encoding, flags, has_rank, n, counts, codes = _read_header(path, fh)
             if use_mmap and not _BIG_ENDIAN:
                 mapping = _mmap.mmap(fh.fileno(), 0, access=_mmap.ACCESS_READ)
                 body = memoryview(mapping)[fh.tell() :]
@@ -699,7 +766,7 @@ class FlatLabelStore:
                     cursor.take(dist_code, count),
                 ))
             parent = hang = None
-            if peeled:
+            if flags & 2:
                 parent, hang = cursor.take("i", n), cursor.take(dist_code, n)
             cursor.finish()
         except ValueError:
@@ -707,8 +774,8 @@ class FlatLabelStore:
             # exported view, then close the mmap before re-raising.
             cursor.abandon()
             raise
-        store = cls(n, directed, *sides[0], *sides[-1], rank)
-        store.encoding = encoding
+        store = cls(n, bool(flags & 1), *sides[0], *sides[-1], rank)
+        store.encoding, store.ranked = encoding, bool(flags & 4)
         store.parent, store.hang = parent, hang
         if cursor.zero_copy:
             store._mmap = body.obj
@@ -771,8 +838,12 @@ class _Cursor:
 def _header(store) -> bytes:
     """The header of ``store``'s file — the one writer of v2 and v3
     headers.  Flags: bit 0 directed, bit 1 a pendant section follows
-    the label blobs; v3 appends the column widths."""
-    flags = (1 if store.directed else 0) | (2 if store.hang is not None else 0)
+    the label blobs, bit 2 (v3 only) the pivots are rank positions; v3
+    appends the column widths."""
+    flags = (
+        (1 if store.directed else 0) | (2 if store.hang is not None else 0)
+        | (4 if store.ranked else 0)
+    )
     head = _MAGIC + _HEADER.pack(
         _VERSIONS[store.encoding], flags, 0 if store.rank is None else 1,
         store.n, len(store.out_pivots),
@@ -788,10 +859,11 @@ def _header(store) -> bytes:
 def _read_header(path, fh):
     """Parse the header of a v2 or v3 file — the one reader of both.
 
-    Returns ``(encoding, directed, peeled, has_rank, n, counts,
-    codes)``: ``counts`` the entry count of each side in the file, and
-    ``codes`` the typecodes of its (offsets, pivots, dists) columns.
-    A flag bit this reader does not know is an error, never ignored.
+    Returns ``(encoding, flags, has_rank, n, counts, codes)``:
+    ``counts`` the entry count of each side in the file, and ``codes``
+    the typecodes of its (offsets, pivots, dists) columns.  A flag bit
+    this reader does not know is an error, never ignored: v2 knows
+    bits 0-1, v3 bits 0-2.
     """
     head = fh.read(4 + _HEADER.size)
     if head[:4] != _MAGIC:
@@ -821,14 +893,17 @@ def _read_header(path, fh):
             f"{path}: not a v2/v3 index (version {version}); "
             "use load_store() to read any version"
         )
-    _check_flags(path, flags, known=3)
-    directed, peeled = bool(flags & 1), bool(flags & 2)
-    if directed and peeled:
+    _check_flags(path, flags, known=7 if version == 3 else 3)
+    if flags & 1 and flags & 2:
         raise ValueError(
             f"{path}: corrupt header (pendant section on a directed index)"
         )
-    counts = (out_count, in_count) if directed else (out_count,)
-    return encoding, directed, peeled, has_rank, n, counts, codes
+    if flags & 4 and not has_rank:
+        raise ValueError(
+            f"{path}: corrupt header (rank-space pivots without a rank column)"
+        )
+    counts = (out_count, in_count) if flags & 1 else (out_count,)
+    return encoding, flags, has_rank, n, counts, codes
 
 
 def _check_flags(path, flags: int, known: int) -> None:
@@ -873,16 +948,18 @@ def frozen_views(*arrays) -> tuple:
 
 
 def packed(
-    n, directed, encoding, sides, parent=None, hang=None, rank=None, lo=0
+    n, directed, encoding, sides, parent=None, hang=None, rank=None, lo=0,
+    ranked=False,
 ) -> FlatLabelStore:
     """A store of ``encoding`` over numpy label columns.
 
     ``sides`` holds ``(offsets, pivots, dists)`` per label side — one
     when undirected — with absolute pivots for v2 and per-label deltas
-    (:func:`~repro.core.quantized.pivot_deltas`) for v3; ``parent`` /
-    ``hang`` are the pendant columns or None.  v2 casts the columns to
-    its fixed types; v3 narrows them to the widths
-    :func:`~repro.core.quantized._encode` chooses.
+    (:func:`~repro.core.quantized.pivot_deltas`) for v3, as rank
+    positions when ``ranked`` (:meth:`FlatLabelStore.encoded` does the
+    mapping); ``parent`` / ``hang`` are the pendant columns or None.
+    v2 casts the columns to its fixed types; v3 narrows them to the
+    widths :func:`~repro.core.quantized._encode` chooses.
     """
     if encoding == "v3":
         sides, hang = _encode(sides, hang)
@@ -898,7 +975,7 @@ def packed(
         None if rank is None else list(rank),
     )
     store.encoding = encoding
-    store.lo = lo
+    store.lo, store.ranked = lo, ranked
     if hang is not None:
         store.parent, store.hang = frozen_views(parent.astype(np.int32), hang)
     return store

@@ -1,4 +1,4 @@
-"""The v3 codec: delta-encoded pivot ids and quantized distances.
+"""The v3 codec: delta-encoded pivots and quantized distances.
 
 Encoding v2 (:mod:`repro.core.flatstore`) stores every label entry as a
 32-bit pivot id plus a 64-bit float distance — 12 bytes per entry
@@ -6,12 +6,21 @@ before offsets.  The paper's serving story (Section 6) leans on a ~5
 bytes/entry encoding to keep the index cache-resident; encoding v3
 gets below that by exploiting two facts about 2-hop labels:
 
-* **pivot ids are sorted** inside each label, so storing successive
+* **pivots are sorted** inside each label, so storing successive
   differences (the first pivot whole, then deltas) makes the values
   small — one or two bytes each on scale-free graphs, where most
   labels point at the few globally top-ranked hubs;
 * **distances are tiny** on small-diameter networks: unweighted (and
   integer-weighted) indexes fit every distance in one or two bytes.
+
+A store that carries its ``rank`` column writes its pivots as **rank
+positions** (``rank[p]``, 0 = the top hub; header flag bit 2), the way
+PLL relabels vertices by rank: the hubs most labels point at become
+the smallest numbers, so the deltas shrink (GLP-70k: largest delta
+24,492 as positions against more than 65,535 as ids, so 2-byte pivots
+instead of 4).  Each label is then sorted by position, and its self
+entry comes last, because every pivot outranks its owner.
+:class:`RankSpace` is the one converter between the two spaces.
 
 Widths are chosen **per index** from the observed data and recorded in
 the header, so decoding needs no guessing and pathological inputs
@@ -28,19 +37,23 @@ degrade gracefully (fractional or huge distances fall back to raw
     [in_offsets / in_pivots / in_dists]     if directed
     [parent: n * i32 | hang: n * dist_width]  if flags bit 1 (pendants)
 
-The pendant section is v2's, with ``hang`` held at the distance width
-(the largest hang and its integrality take part in choosing it).
+Flag bit 2 needs ``has_rank``; a v3 reader refuses bits 3-7.  The
+pendant section is v2's, with ``hang`` held at the distance width (the
+largest hang and its integrality take part in choosing it); ``parent``
+holds vertex ids in either pivot space.
 
 This module is the codec only: :class:`~repro.core.flatstore.FlatLabelStore`
 holds either encoding, reads and writes both, and re-encodes a whole
-store through :func:`pivot_deltas`, :func:`absolute_pivots` and
-:func:`_encode`.  A query decodes a label once, when the batch
-kernel's row cache (:mod:`repro.oracle.kernel`) first fills its row —
-a batch with :func:`absolute_pivots`, a single pair's ``query`` with
-one running sum over the label — and reads the decoded row from then
-on.  The label reads (``out_label`` / ``out_slice``: k-NN, paths,
-``verify``, a sharded store's scalar join) decode their slice with
-:func:`decode_slice`.
+store through :func:`pivot_deltas`, :func:`absolute_pivots`,
+:class:`RankSpace` and :func:`_encode`.  A query decodes a label once,
+when the batch kernel's row cache (:mod:`repro.oracle.kernel`) first
+fills its row — a batch with :func:`absolute_pivots`, a single pair's
+``query`` with one running sum over the label — and reads the decoded
+row from then on; distances never need the rank map.  The label reads
+(``out_label`` / ``out_slice``: k-NN, paths, ``verify``, a sharded
+store's scalar join) decode their slice — with :func:`decode_slice`,
+or on a rank-space store with one running sum mapped back through
+:class:`RankSpace` — and hand out vertex ids sorted by id.
 """
 
 from __future__ import annotations
@@ -59,7 +72,8 @@ def decode_slice(pivots, dists, o: int, e: int) -> tuple[list, list]:
     Returns parallel lists in the exact shape the shared scalar
     helpers (:func:`~repro.core.flatstore.probe_min_distance` and
     friends) expect, so a v3 store reuses the single bit-identical
-    evaluation implementation.
+    evaluation implementation.  The pivots are in the file's space:
+    rank positions on a rank-space store.
     """
     piv: list[int] = []
     dst: list[float] = []
@@ -100,6 +114,56 @@ def absolute_pivots(deltas, lens):
     full = lens > 0
     first = (np.cumsum(lens) - lens)[full]
     return run - np.repeat(run[first] - deltas[first], lens[full])
+
+
+def _relabel(table, pivots, dists, lens=None):
+    """Labels laid end to end (``lens`` long each; one label when None)
+    with every pivot mapped through ``table`` and each label re-sorted
+    by its new pivots.  Returns int64 pivots and the dists reordered."""
+    new = table[pivots]
+    if lens is None or lens.size < 2:
+        order = new.argsort()
+    else:
+        # One sort by (label, new pivot): labels stay where they were.
+        owner = np.repeat(np.arange(lens.size, dtype=np.int64), lens)
+        order = (owner * table.size + new).argsort()
+    return new[order], dists[order]
+
+
+class RankSpace:
+    """Vertex ids and rank positions of one store's ``rank`` column.
+
+    ``position[v]`` is ``rank[v]`` and ``vertex[r]`` the vertex at rank
+    ``r``.  The one place pivots cross between the two spaces: a
+    rank-space v3 store converts its columns to positions when it is
+    encoded, its staged rows (which hold vertex ids) when the kernel
+    fills them, and every pivot it hands out back to a vertex id.
+    Built on first use and refused with ``ValueError`` unless ``rank``
+    is a permutation of ``range(n)``.
+    """
+
+    __slots__ = ("position", "vertex")
+
+    def __init__(self, rank) -> None:
+        position = np.asarray(rank, dtype=np.int64)
+        n = position.size
+        vertex = np.full(n, -1, dtype=np.int64)
+        inside = bool(((position >= 0) & (position < n)).all())
+        if inside:
+            vertex[position] = np.arange(n, dtype=np.int64)
+        if not inside or (vertex < 0).any():
+            raise ValueError(
+                "corrupt rank column: not a permutation of the vertices"
+            )
+        self.position, self.vertex = position, vertex
+
+    def positions(self, pivots, dists, lens=None):
+        """Labels of vertex-id pivots as rank positions, each re-sorted."""
+        return _relabel(self.position, pivots, dists, lens)
+
+    def ids(self, pivots, dists, lens=None):
+        """Labels of rank-position pivots as vertex ids, each re-sorted."""
+        return _relabel(self.vertex, pivots, dists, lens)
 
 
 def _choose_widths(max_delta, max_dist, integral: bool) -> tuple[int, int]:

@@ -4,11 +4,13 @@ A production deployment of a distance oracle wants a cheap way to
 certify that a (possibly deserialized, possibly hand-edited) index is
 still trustworthy against a graph.  ``verify_index`` checks:
 
-0. **pendants** — for an index that answers pendant vertices through
-   their neighbour: every ``parent`` in range, never itself a pendant
-   and ranked above its pendant, every pendant edge positive, every
-   core vertex its own parent, every pendant's stored row empty.
-   O(n) range checks, done first: nothing else is looked at while one
+0. **rank and pendants** — the attached ranking is a permutation of
+   the vertices (a rank-space v3 store reads its pivots back through
+   it); for an index that answers pendant vertices through their
+   neighbour: every ``parent`` in range, never itself a pendant and
+   ranked above its pendant, every pendant edge positive, every core
+   vertex its own parent, every pendant's stored row empty.  O(n)
+   range checks, done first: nothing else is looked at while one
    fails, because every label read and query goes through them;
 1. **structure** — label arrays sorted by pivot, self entries present
    with distance 0, pivots outrank owners under the attached ranking;
@@ -97,6 +99,14 @@ def _check_pendants(index: LabelStore, report: VerificationReport) -> None:
                 report.add(f"pendant {v} has a non-empty stored row")
 
 
+def _check_rank(index: LabelStore, report: VerificationReport) -> None:
+    """The attached ranking, if any, orders every vertex exactly once:
+    a rank-space store reads its pivots back through it."""
+    rank = getattr(index, "rank", None)
+    if rank is not None and sorted(rank) != list(range(index.n)):
+        report.add("rank column is not a permutation of the vertices")
+
+
 def _check_structure(index: LabelStore, report: VerificationReport) -> None:
     rank = getattr(index, "rank", None)
     sides = [("out", index.out_label)]
@@ -144,6 +154,7 @@ def verify_index(
         )
         return report
 
+    _check_rank(index, report)
     _check_pendants(index, report)
     if not report.ok:
         return report

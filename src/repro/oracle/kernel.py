@@ -70,6 +70,16 @@ matched with ``np.searchsorted`` and reduced into their pairs.
 Everything else — the range check, the pendant mapping below, the
 ``s == t`` mask, the row cache and its lock — is shared.
 
+**Pivot space.**  Rows, tails and hub columns hold pivots as the
+file stores them: vertex ids, or rank positions on a rank-space v3
+store (:mod:`repro.core.quantized`).  A join only asks whether two
+labels share a pivot, so distances never need the map back.  Staged
+overlay rows hold vertex ids: :meth:`_View._gather` and
+:meth:`_View._fill_row` move them to positions and re-sort them
+(every tail stays sorted, which the pairwise join's source keys rely
+on), and :func:`label_entries`, the one kernel read that hands
+pivots out, maps them back to ids.
+
 **Pendants.**  A store built with its pendant vertices peeled
 (:mod:`repro.core.flatstore`) keeps an empty row for each and answers
 it through its neighbour: :func:`batch_eval_arrays` maps both columns
@@ -421,9 +431,10 @@ class _View:
 
         Returns ``(verts, pivots, dists, lens)``: the vertices in the
         order their labels were gathered, every entry's absolute pivot
-        id (int64) and distance (float64) laid end to end, and the
-        label lengths.  Base arrays are gathered vectorized per shard;
-        labels with a staged update come from the overlay.
+        (int64, in the file's pivot space) and distance (float64) laid
+        end to end, and the label lengths.  Base arrays are gathered
+        vectorized per shard; labels with a staged update come from
+        the overlay.
         """
         rows = self.inn if side else self.out
         verts, pivots, dists, lens = [], [], [], []
@@ -443,12 +454,15 @@ class _View:
                     piv.extend(p)
                     dst.extend(d)
                     size.append(len(p))
+                piv = np.frombuffer(piv, dtype=np.int32).astype(np.int64)
+                dst = np.frombuffer(dst, dtype=np.float64)
+                size = np.asarray(size, dtype=np.int64)
+                if shard.ranked:  # staged rows hold vertex ids
+                    piv, dst = shard.rank_space().positions(piv, dst, size)
                 verts.append(local[staged])
-                pivots.append(
-                    np.frombuffer(piv, dtype=np.int32).astype(np.int64)
-                )
-                dists.append(np.frombuffer(dst, dtype=np.float64))
-                lens.append(np.asarray(size, dtype=np.int64))
+                pivots.append(piv)
+                dists.append(dst)
+                lens.append(size)
                 local = local[~staged]
                 if not local.size:
                     continue
@@ -524,6 +538,8 @@ class _View:
         if rows.staged[v]:
             p, d = (shard._delta_in if side else shard._delta_out)[local]
             piv, dist = np.frombuffer(p, dtype=np.int32), np.frombuffer(d)
+            if shard.ranked:  # staged rows hold vertex ids
+                piv, dist = shard.rank_space().positions(piv, dist)
         else:
             offsets, pivots, dists = sides[side]
             o, e = offsets[local : local + 2].tolist()
@@ -747,11 +763,12 @@ def label_entries(store):
 
     ``(a, b, dist)``: entry ``k`` says a path ``a[k] -> b[k]`` of that
     length exists — ``(owner, pivot)`` for an out-label entry,
-    ``(pivot, owner)`` for an in-label one.  Staged updates are read
-    from the overlay and a pendant's entries are its parent's moved
-    out by ``hang`` (one more gather); the trivial ``(v, 0)`` entries
-    are left out.  How an index is adopted for updates without a
-    Python object per entry.  ``store`` must satisfy :func:`supports`.
+    ``(pivot, owner)`` for an in-label one, pivots as vertex ids in
+    either pivot space.  Staged updates are read from the overlay and
+    a pendant's entries are its parent's moved out by ``hang`` (one
+    more gather); the trivial ``(v, 0)`` entries are left out.  How an
+    index is adopted for updates without a Python object per entry.
+    ``store`` must satisfy :func:`supports`.
     """
     view = row_cache(store)
     everyone = np.arange(view.n, dtype=np.int64)
@@ -759,6 +776,8 @@ def label_entries(store):
     with view.lock:
         for side in range(2 if view.directed else 1):
             verts, piv, dist, lens = view._gather(side, everyone)
+            if store.ranked:  # no order to keep: map, don't re-sort
+                piv = store.rank_space().vertex[piv]
             owner = np.repeat(verts, lens)
             if view.hang is not None:
                 start = np.empty(view.n, dtype=np.int64)

@@ -133,11 +133,18 @@ class ShardedLabelStore:
     range (parent ids global, too): a pendant's parent may live in
     another shard, so resolving pendants — and deriving their labels —
     is done here, never by a shard.
+
+    Shards hold **vertex ids**, never v3 rank positions: a shard's
+    ``rank`` is its slice of the ranking, which cannot map pivots
+    back, so every shard write asks :meth:`FlatLabelStore.encoded` for
+    ids and a rank-space shard is refused.
     """
 
     __slots__ = (
         "n", "directed", "shards", "ranges", "rank", "_los", "_dirty", "_view",
     )
+    #: The pivot space, as on a flat store: always vertex ids here.
+    ranked = False
 
     def __init__(
         self,
@@ -161,6 +168,11 @@ class ShardedLabelStore:
                 )
             if shard.directed != self.directed:
                 raise ShardError("shards disagree on directedness")
+            if shard.ranked:
+                raise ShardError(
+                    f"shard for range [{lo}, {hi}) holds rank-space pivots; "
+                    "shards hold vertex ids"
+                )
             shard.lo = lo
         self._los = [lo for lo, _ in self.ranges]
         self._dirty: set[int] = set()
@@ -189,15 +201,16 @@ class ShardedLabelStore:
         (:func:`split_ranges`).
 
         A sharded store being re-split to a new count has its shards'
-        columns concatenated, and staged updates are folded in.  The
-        columns are then cut per range (offsets re-based to each shard's start) in the
-        store's own encoding — a v3 label stores its first pivot whole,
-        so the cut needs no decode — which preserves entry order and
-        therefore answers.
+        columns concatenated, and staged updates are folded in; a
+        rank-space v3 store is re-encoded in vertex ids.  The columns
+        are then cut per range (offsets re-based to each shard's
+        start) in the store's own encoding — a v3 label stores its
+        first pivot whole, so the cut needs no decode — which
+        preserves entry order and therefore answers.
         """
         if isinstance(store, ShardedLabelStore):
             store = store._joined()
-        store = store.encoded(store.encoding)
+        store = store.encoded(store.encoding, ranked=False)
         ranges = split_ranges(store.n, num_shards)
         shards = [_slice_store(store, lo, hi) for lo, hi in ranges]
         return cls(shards, ranges)
@@ -206,7 +219,7 @@ class ShardedLabelStore:
         """One store over every shard's columns, staged updates folded
         in, in the first shard's encoding."""
         encoding = self.shards[0].encoding
-        shards = [shard.encoded(encoding) for shard in self.shards]
+        shards = [shard.encoded(encoding, ranked=False) for shard in self.shards]
         sides = []
         for side in range(2 if self.directed else 1):
             columns = [
@@ -335,7 +348,7 @@ class ShardedLabelStore:
             entry = manifest["shards"][i]
             # Match the on-disk per-shard format recorded by save().
             merged = self.shards[i].encoded(
-                "v3" if entry["file"].endswith(".idx3") else "v2"
+                "v3" if entry["file"].endswith(".idx3") else "v2", ranked=False
             )
             new_name = _next_shard_file(entry["file"])
             merged.save(root / new_name)
@@ -496,7 +509,7 @@ class ShardedLabelStore:
         entries = []
         for i, ((lo, hi), shard) in enumerate(zip(self.ranges, self.shards)):
             name = SHARD_FILE_FORMATS[format].format(i)
-            shard.encoded(format).save(root / name)
+            shard.encoded(format, ranked=False).save(root / name)
             entries.append(
                 {
                     "id": i,

@@ -89,6 +89,14 @@ def _digests(name: str, root) -> dict[str, str]:
         store.close()
         got[f"{fmt}+delta"] = _sha(merged)
 
+    # A v3 file re-encoded as v2 is the v2 file, merged or not: rank
+    # positions map back to the same vertex ids in the same order.
+    for case in ("", "+delta"):
+        name = "merged.v3" if case else "index.v3"
+        back = root / f"back{case}.v2"
+        load_store(root / name).encoded("v2").save(back)
+        assert _sha(back) == got[f"v2{case}"]
+
     for fmt in FORMATS:
         manifests = []
         for source in FORMATS:  # a split reads either encoding alike
@@ -129,13 +137,15 @@ CASES = (
     "shards-v3+delta",
 )
 
-# Recorded from the writers as they stood when these pins were added.
+# Recorded from the writers as they stood when these pins were added;
+# the v3 and v3+delta digests again when v3 files began to store their
+# pivots as rank positions (flag bit 2).
 PINNED: dict[str, tuple[str, ...]] = {
     "ba": (
         "c56ab451777f2cb72e47c7d92ec15705afc0a69c90713f0847e093477f60bb98",
         "fe8d6386bb5c8f2fe5dfb20a6ec20147933e81c8941a177a93a0f3a5d87f2ff1",
-        "90da4f73719841cdb11e01442dc510e4dbfb0396260e53fb68462bbf7599d1dd",
-        "54209286237c12bc7280216593f97e42704ae83b4f1f37ce4a98f0e2e5efc487",
+        "fcf9a15b386ace544feed21ca1a4eb00553f0e8641c39d62304bc0f27f025858",
+        "0b4aa07214e64298643587fb20c8f4668cb57c06cc1dcdcc71de713afa2d8cfd",
         "bc037cfe0c5900329e658acc268dd5369fde3e8cfe1b7582b799102c5640e6e9",
         "e892da3b96b8b49f7919fd8d0a53fdcfc74ceaf7709ab87e23142f573ac252b6",
         "db2cf2cd1c872182afd455ab3fd955ee84ce22ad6c956851d6c3a3ad50bcd4ec",
@@ -144,8 +154,8 @@ PINNED: dict[str, tuple[str, ...]] = {
     "glp": (
         "199523e323a46b3815b379e2f264688f291431e51f517db4909277f53cd6b91f",
         "5cfdc8e6d239a92b28c07d6c0965c17856d0fa77f93749de9f11dfbc5ff192b9",
-        "c2213bf8911a1eac3983e5d094a1fb2d1cc5bce3cc5a127e23f4d1dbbd7341a3",
-        "d1a94d4a0b5bc7f455b4bc24ae0bece6e80d5145029018bece13f3af07a98d3e",
+        "aadcd003a9139fdbbb5ff800ecb923bb1966a2e486479b1802d000dc890ce48d",
+        "a6477cad319dd34d4689b707258a37a3e3cca2bfdb635431cbae214acc57a1fd",
         "b833d8a55de3a91325da994e755866303dfaebc40f48913be8c81c26018b6a09",
         "b01653464f033016a810483c648bd39bc01a3c2c81aae9899bf589aa9dba0d16",
         "1fc8e62505ee7cd60a214584802abcc9207591bb0add06ce0e141b6828fa32c7",
@@ -154,8 +164,8 @@ PINNED: dict[str, tuple[str, ...]] = {
     "glp-directed": (
         "bae2e073a168dae7822a6214340599cc6dc3fb13930aa8e711bc4c46099ba5fe",
         "f1997bcca0ca3ec22017f165b6ceff3ef214ee31035ce686523064006f36e962",
-        "689fed070bd743a2d7e88de5198965e72a78465bb9338512cda92ed7b57a297b",
-        "425315d527aa9d746b0e90bc25d287ec544a36e5e8127020583886861eeb7095",
+        "db023a65573b8ef94d1982f7da79f56bceeaf90fe5df5e2d3257fdf864012ef5",
+        "2576ae81ba3e5aebfd63fa0229eedc8afc828d2660868556a1d02647d910150c",
         "1eedb9303e563a52c50bd51f9f03ce9598b8a14a1bd1070045c441c5c2dd04ef",
         "bf230537c6c6f15235def4c0fce9bd318b7034e3d54bb24ce6b93400f92aa928",
         "e3186bef7ae80ce5c59cd78adbf6c921ce78bfe6a98b497ad6c938994b01c789",
@@ -164,8 +174,8 @@ PINNED: dict[str, tuple[str, ...]] = {
     "glp-w9": (
         "4fcc92f5c3f9b35fc78c33865aa25f0f6a2f35c330e66cd2fcd327ffd422d1dd",
         "65b20dddc625f584df01f192b03002ae213ebf49a00d9c936cb41e08967024e0",
-        "d38d4c83099e26c3ac400ddcb617436177e640c1fefa9d29c9bc3599d5b0a551",
-        "e918ed6de56bb06e2f533b41070227f42ea9810b4bcb9e5bb8f99ef04e05b026",
+        "028359f51c6352d33f86790ffeea1f43cc98129370584c89d9d2a8ab84c52b52",
+        "df5e71536178813ed52e5e40efdac816542abb49446ffbcdbd643579bda36c90",
         "19ab359f4b919b87ea5e5bce0bb5f93c920a3ed91793cd5e1f60ded8a635d417",
         "ac818a4b20002d2c1bb558abd0c18ba20c6dfd58688c260518b3faf516455d6e",
         "eec8e076f1390565c08cb4028e346302207b7ac16d2837c1a15cc31c46c47b78",
@@ -174,8 +184,8 @@ PINNED: dict[str, tuple[str, ...]] = {
     "glp-frac": (
         "54c88547ecd31487b27b483e7a290bd36356864614cb089a5505a892acde4584",
         "aa5a657ce98e3798b1e181f106f4dd77d8f51a513729ac2a0e453aee7a0f7969",
-        "a5d8edb92bac38602989c884057a1b9ac6fea8c8bbbd1e1ad2e7532d7ccdcd1e",
-        "1aa510f928858983b211eb3b5a7d525606003b7a4eb39a49ea2340516bc45178",
+        "82b06532fe08f110aae94a5b575a9413a26c93590536ac999e48cbed5cfb91c8",
+        "c77780bda88c0042bbeac01cf6956cb6f40eb1935e9ad72e3eb8e26788bdc225",
         "5d36e1fb3140360d1c318146272e4574bc8e2a2b0f85019c112b928d7c4bc366",
         "74f726e51234c742b7e50bbb6212e603a966dbff8b4cfad47431504f03850360",
         "9f90bd9d5071b12b873d32b2b72e6f39d4a85abff1601353a685d7959d3a5286",

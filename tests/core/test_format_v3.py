@@ -5,10 +5,14 @@ from array import array
 
 import pytest
 
+from repro import HopDoublingIndex
 from repro.core.flatstore import FlatLabelStore, load_store
 from repro.core.hybrid import HybridBuilder
 from repro.core.quantized import QuantizedLabelStore
+from repro.core.ranking import degree_ranking
+from repro.core.verify import verify_index
 from repro.graphs.generators import glp_graph
+from repro.graphs.transform import permute_vertices
 from tests.conftest import random_graph
 from tests.reference.label_lists import as_label_index, label_lists
 
@@ -271,3 +275,139 @@ class TestCorruption:
         # live right after the counts, as documented.
         header = struct.Struct("<BBBIQQBBBB")
         assert 4 + header.size == 31
+
+
+def _flags(path) -> int:
+    return path.read_bytes()[5]
+
+
+class TestRankSpace:
+    """Header flag bit 2: a store with a rank column writes its v3
+    pivots as rank positions, every label sorted by position."""
+
+    def test_v2_v3_v2_round_trip_equals_source(self, stores, tmp_path):
+        _, flat, q = stores
+        assert q.ranked and not flat.ranked
+        flat.save(tmp_path / "a.v2")
+        q.save(tmp_path / "a.v3")
+        assert _flags(tmp_path / "a.v3") & 4
+        loaded = load_store(tmp_path / "a.v3")
+        assert loaded.ranked
+        loaded.encoded("v2").save(tmp_path / "b.v2")
+        assert (tmp_path / "b.v2").read_bytes() == (
+            tmp_path / "a.v2"
+        ).read_bytes()
+
+    def test_labels_sorted_by_position_self_last(self, stores):
+        _, flat, q = stores
+        vertex = q.rank_space().vertex
+        sides = [(q.out_offsets, q.out_pivots, flat.out_label)]
+        if q.directed:
+            sides.append((q.in_offsets, q.in_pivots, flat.in_label))
+        for offsets, pivots, label in sides:
+            for v in range(q.n):
+                positions, acc = [], 0
+                for delta in pivots[offsets[v] : offsets[v + 1]]:
+                    acc += delta
+                    positions.append(acc)
+                assert positions == sorted(set(positions))
+                assert positions[-1] == q.rank[v]  # the self entry
+                ids = sorted(int(vertex[p]) for p in positions)
+                assert ids == [p for p, _ in label(v)]
+
+    def test_store_without_rank_stays_in_ids(self, stores, tmp_path):
+        _, flat, _ = stores
+        bare = FlatLabelStore(
+            flat.n, flat.directed,
+            flat.out_offsets, flat.out_pivots, flat.out_dists,
+            flat.in_offsets, flat.in_pivots, flat.in_dists,
+        )
+        q = bare.encoded("v3")
+        assert not q.ranked
+        q.save(tmp_path / "bare.v3")
+        assert not _flags(tmp_path / "bare.v3") & 4
+        loaded = load_store(tmp_path / "bare.v3")
+        assert not loaded.ranked and loaded.rank is None
+        assert loaded.encoded("v3") is loaded
+        assert label_lists(loaded) == label_lists(bare)
+        loaded.save(tmp_path / "again.v3")
+        assert (tmp_path / "again.v3").read_bytes() == (
+            tmp_path / "bare.v3"
+        ).read_bytes()
+        with pytest.raises(ValueError, match="rank"):
+            bare.encoded("v3", ranked=True)
+
+    def test_id_space_file_converts_to_rank_space(self, stores, tmp_path):
+        """What ``repro convert old.v3 -o new.v3`` does to a v3 file
+        that carries ranks but stores vertex ids."""
+        _, flat, q = stores
+        old = flat.encoded("v3", ranked=False)
+        assert not old.ranked and old.rank is not None
+        old.save(tmp_path / "old.v3")
+        loaded = load_store(tmp_path / "old.v3")
+        assert not loaded.ranked
+        new = loaded.encoded("v3")
+        assert new is not loaded and new.ranked
+        new.save(tmp_path / "new.v3")
+        q.save(tmp_path / "q.v3")
+        assert (tmp_path / "new.v3").read_bytes() == (
+            tmp_path / "q.v3"
+        ).read_bytes()
+
+    def test_width_follows_rank_space_deltas(self):
+        """Hubs relabelled to the highest ids: as ids, every label's
+        first pivot needs two bytes; as rank positions every stored
+        value (the pendants' rows are empty) fits in one."""
+        graph = glp_graph(400, seed=1)
+        rank_of = degree_ranking(graph).rank_of
+        hubs_last = permute_vertices(graph, [399 - r for r in rank_of])
+        labels = HopDoublingIndex.build(hubs_last).labels
+        by_rank, by_id = labels.encoded("v3"), labels.encoded("v3", ranked=False)
+        assert max(by_id.out_pivots) > 0xFF >= max(by_rank.out_pivots)
+        assert (by_rank.pivot_width, by_id.pivot_width) == (1, 2)
+
+    @pytest.mark.parametrize(
+        "fmt, flip, has_rank, match",
+        [
+            ("v2", 4, 1, "unknown header flag bits"),
+            ("v3", 0, 0, "rank-space pivots without a rank column"),
+            ("v3", 8, 1, "unknown header flag bits"),
+        ],
+        ids=["bit2-on-v2", "bit2-without-rank", "bit3"],
+    )
+    def test_reader_refuses_at_open(
+        self, stores, tmp_path, fmt, flip, has_rank, match
+    ):
+        _, flat, q = stores
+        path = tmp_path / f"bad.{fmt}"
+        (flat if fmt == "v2" else q).save(path)
+        data = bytearray(path.read_bytes())
+        data[5] |= flip
+        data[6] = has_rank
+        path.write_bytes(bytes(data))
+        for use_mmap in (False, True):
+            with pytest.raises(ValueError, match=match):
+                load_store(path, use_mmap=use_mmap)
+
+    def test_rank_not_a_permutation(self, tmp_path):
+        graph = glp_graph(80, seed=5)
+        index = HopDoublingIndex.build(graph)
+        index.save(tmp_path / "g.v2", format="v2")
+        index.save(tmp_path / "g.v3", format="v3")
+        data = bytearray((tmp_path / "g.v3").read_bytes())
+        rank = struct.unpack_from("<80I", data, 31)  # after the header
+        struct.pack_into("<I", data, 31 + 4, rank[0])  # two vertices, one rank
+        (tmp_path / "g.v3").write_bytes(bytes(data))
+        store = load_store(tmp_path / "g.v3")  # opening maps nothing
+        with pytest.raises(ValueError, match="not a permutation"):
+            store.out_label(0)
+        report = verify_index(graph, store)
+        assert "rank column is not a permutation of the vertices" in (
+            report.violations
+        )
+        # Distances never need the map: the file's own space answers.
+        v2 = load_store(tmp_path / "g.v2")
+        pairs = [(s, t) for s in range(0, 80, 3) for t in range(80)]
+        assert [store.query(s, t) for s, t in pairs] == [
+            v2.query(s, t) for s, t in pairs
+        ]

@@ -290,9 +290,16 @@ def served():
 
 
 def tail_sizes(store):
-    """Per-vertex tail length (``[out, in]``): entries without a column."""
+    """Per-vertex tail length (``[out, in]``): entries without a column.
+
+    The columns are pivots in the file's space; a rank-space store's
+    labels read back as vertex ids, so its columns are mapped too.
+    """
     kernel.ensure_sides(store)
-    hubs = set(store._view.hubs.tolist())
+    hubs = store._view.hubs
+    if store.ranked:
+        hubs = store.rank_space().vertex[hubs]
+    hubs = set(hubs.tolist())
     return [
         [sum(p not in hubs for p, _ in label(v)) for v in range(store.n)]
         for label in (store.out_label, store.in_label)

@@ -328,15 +328,17 @@ def test_no_pendants_no_flag_and_round_trips(tmp_path):
     index survives convert v2 <-> v3, sharding and a v1 expansion."""
     plain = HopDoublingIndex.build(ba_graph(200, m=2, seed=4))
     assert plain.labels.hang is None and plain.stats().pendants == 0
-    for fmt in FORMATS:
+    # Flags byte: bit 1 a pendant section, bit 2 (v3) rank-space pivots.
+    for fmt, flags in zip(FORMATS, (0, 4)):
         plain.save(tmp_path / f"plain.{fmt}", format=fmt)
-        assert _bytes(tmp_path / f"plain.{fmt}")[5] == 0  # flags byte
+        assert _bytes(tmp_path / f"plain.{fmt}")[5] == flags
 
     graph = glp_graph(400, seed=2)
     index = HopDoublingIndex.build(graph)
     index.save(tmp_path / "a.v2", format="v2")
     index.save(tmp_path / "a.v3", format="v3")
-    assert _bytes(tmp_path / "a.v2")[5] == _bytes(tmp_path / "a.v3")[5] == 2
+    assert _bytes(tmp_path / "a.v2")[5] == 2
+    assert _bytes(tmp_path / "a.v3")[5] == 2 | 4
     v2, v3 = load_store(tmp_path / "a.v2"), load_store(tmp_path / "a.v3")
     v2.encoded("v3").save(tmp_path / "b.v3")
     v3.encoded("v2").save(tmp_path / "b.v2")
@@ -347,9 +349,11 @@ def test_no_pendants_no_flag_and_round_trips(tmp_path):
     sharded.save(tmp_path / "shards", format="v3")
     again = ShardedLabelStore.load(tmp_path / "shards")
     assert again.stats().pendants == v2.pendants == index.stats().pendants
-    # A split keeps the source's encoding: the one shard is v3 again.
+    # A split keeps the source's encoding: the one shard is v3 again,
+    # in vertex ids until it is encoded on its own (its rank is whole).
     (whole,) = ShardedLabelStore.split(again, 1).shards
-    whole.save(tmp_path / "c.v3")
+    assert not whole.ranked
+    whole.encoded("v3").save(tmp_path / "c.v3")
     assert _bytes(tmp_path / "c.v3") == _bytes(tmp_path / "a.v3")
     whole.encoded("v2").save(tmp_path / "c.v2")
     assert _bytes(tmp_path / "c.v2") == _bytes(tmp_path / "a.v2")
@@ -388,7 +392,8 @@ def test_hostile_sections_are_load_errors(fmt, tmp_path):
     unflagged = bytearray(data)
     unflagged[5] &= ~2  # ... and a section no flag announces
     _refused(tmp_path, unflagged, "bytes after the last section")
-    for bit in (4, 128):
+    # v3 knows bit 2 (rank-space pivots); v2 knows bits 0-1 only.
+    for bit in (4 if fmt == "v2" else 8, 128):
         unknown = bytearray(data)
         unknown[5] |= bit
         _refused(tmp_path, unknown, "unknown header flag bits")

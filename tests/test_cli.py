@@ -213,8 +213,27 @@ class TestConvertAndBatch:
         assert rc == 0
         out = capsys.readouterr().out
         assert "pivot width" in out
+        assert "(delta; rank positions)" in out
         assert "dist width" in out
         assert "bytes/entry" in out
+
+    def test_convert_moves_an_id_space_v3_file_to_rank_space(
+        self, graph_file, tmp_path, capsys
+    ):
+        """A v3 file that carries ranks but stores vertex ids (flag bit
+        2 clear) converts to the file a v3 build writes."""
+        built = tmp_path / "g.idx3"
+        main(["build", str(graph_file), "-o", str(built)])
+        old = tmp_path / "old.idx3"
+        load_store(built).encoded("v3", ranked=False).save(old)
+        assert not old.read_bytes()[5] & 4 and built.read_bytes()[5] & 4
+        new = tmp_path / "new.idx3"
+        capsys.readouterr()
+        rc = main(["convert", str(old), "-o", str(new), "--format", "v3",
+                   "--stats"])
+        assert rc == 0
+        assert "(delta; rank positions)" in capsys.readouterr().out
+        assert new.read_bytes() == built.read_bytes()
 
     def test_convert_v3_half_the_v2_size(self, v1_index, tmp_path, capsys):
         v2 = tmp_path / "g.idx2"
