@@ -1,21 +1,17 @@
-"""Sharded serving: split an index by vertex range, serve it in parallel.
+"""Sharded serving: split an index by vertex range and serve the directory.
 
 Run with::
 
     python examples/sharded_serving.py
 
-The single-process serving story (see ``batch_serving.py``) tops out
-at one core.  This example takes the next step the way a deployment
-would: persist the index, split it into range shards with a manifest
-(`repro shard` does the same on the command line), then serve batched
-queries through a ParallelOracle.  It answers inline while the index
-is cache-resident (as this 5k-vertex one is) and hands large batches
-to forked workers sharing the label arrays once it is not.  Prints
+Persists the index, splits it into range shards with a manifest
+(`repro shard` does the same on the command line), then serves batched
+queries from the memory-mapped directory through a DistanceOracle —
+what `repro query` and `repro serve` do with a shard directory.  Prints
 single-store vs sharded throughput on the same workload and shows the
 shard directory layout.
 """
 
-import os
 import random
 import tempfile
 import time
@@ -23,7 +19,7 @@ from pathlib import Path
 
 from repro import DistanceOracle, HopDoublingIndex
 from repro.graphs import glp_graph
-from repro.oracle import ParallelOracle, ShardedLabelStore, load_manifest
+from repro.oracle import ShardedLabelStore, load_manifest
 
 NUM_SHARDS = 4
 
@@ -64,17 +60,13 @@ def main() -> None:
         dt = time.perf_counter() - t0
         print(f"single store       : {len(stream) / dt:>9,.0f} pairs/s")
 
-        # 3. Sharded: the same batch through the one router.  warmup()
-        #    forks the pool only if some batch could use it, keeping
-        #    the fork cost out of the timed region.
-        workers = min(NUM_SHARDS, os.cpu_count() or 1)
-        served = ParallelOracle(shard_dir, workers=workers, cache_size=0)
-        pooled = served.warmup()
+        # 3. Sharded: the same batch over the memory-mapped directory.
+        sharded = ShardedLabelStore.load(shard_dir, use_mmap=True)
+        served = DistanceOracle(sharded, cache_size=0)
         t0 = time.perf_counter()
         distances = served.query_batch(stream)
         dt = time.perf_counter() - t0
-        mode = f"{workers} workers" if pooled else "inline"
-        print(f"sharded, {mode:<10}: {len(stream) / dt:>9,.0f} pairs/s")
+        print(f"sharded store      : {len(stream) / dt:>9,.0f} pairs/s")
 
         # 4. Same answers, bit for bit, in input order.
         assert distances == expected

@@ -32,7 +32,7 @@ from repro.core.flatstore import FlatLabelStore
 from repro.core.index import HopDoublingIndex
 from repro.core.labels import INF, LabelStore
 from repro.graphs.digraph import Graph
-from repro.oracle import DistanceOracle, ParallelOracle, ShardedLabelStore
+from repro.oracle import DistanceOracle, ShardedLabelStore
 
 __version__ = "1.2.0"
 
@@ -41,7 +41,6 @@ __all__ = [
     "LabelStore",
     "FlatLabelStore",
     "DistanceOracle",
-    "ParallelOracle",
     "ShardedLabelStore",
     "Graph",
     "INF",

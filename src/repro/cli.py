@@ -4,12 +4,11 @@ Subcommands::
 
     repro build GRAPH -o INDEX [--directed] [--weighted] [--strategy S]
                                [--format {v2,v3}] [--jobs N] [--force]
-    repro query INDEX|DIR [S T ...] [--batch FILE] [--workers N]
+    repro query INDEX|DIR [S T ...] [--batch FILE]
     repro convert INDEX -o OUTPUT [--format {v2,v3}] [--stats] [--force]
     repro shard INDEX -o DIR [--shards N] [--format {v2,v3}] [--force]
-    repro serve INDEX|DIR [--host H] [--port P] [--workers N]
-                               [--max-batch PAIRS] [--max-wait-ms MS]
-                               [--max-pending PAIRS]
+    repro serve INDEX|DIR [--host H] [--port P] [--max-batch PAIRS]
+                               [--max-wait-ms MS] [--max-pending PAIRS]
     repro update INDEX|DIR --edges FILE [-o OUT] [--shards DIR]
     repro stats GRAPH [--directed] [--weighted]
     repro generate MODEL -n N -o GRAPH [--density D] [--seed K]
@@ -35,14 +34,13 @@ has only its changed shards rewritten and their manifest checksums
 refreshed.  ``build``, ``convert`` and ``update -o`` refuse to replace
 an existing file (``--force`` for the first two; ``update`` writes in
 place without ``-o``).  ``repro query`` and ``repro serve`` open their
-index the same way, through a :class:`~repro.oracle.ParallelOracle`
-(memory-mapped, with ``--workers`` sizing its fork pool); ``--batch
-FILE`` evaluates its pairs with the vectorized numpy kernel (per-pair
-queries below four pairs).  ``repro serve`` runs the asyncio distance
-server of :mod:`repro.serve`: concurrent clients' requests coalesce
-into kernel batches under an admission window, and the oracle decides
-per batch between the inline kernel and forked workers sharing the
-label arrays (see ``docs/ARCHITECTURE.md``).  A missing or corrupt
+index the same way, memory-mapped, behind one
+:class:`~repro.oracle.DistanceOracle` that answers every batch in the
+calling process; ``--batch FILE`` evaluates its pairs with the
+vectorized numpy kernel (per-pair queries below four pairs).  ``repro
+serve`` runs the asyncio distance server of :mod:`repro.serve`:
+concurrent clients' requests coalesce into kernel batches under an
+admission window (see ``docs/ARCHITECTURE.md``).  A missing or corrupt
 input, an invalid option value or an out-of-range vertex id is one
 ``error:`` line on stderr and exit status 2; ``verify`` exits 1 on
 violations.
@@ -89,23 +87,22 @@ def _check_output(path, overwrite: bool, hint: str) -> None:
         raise FileNotFoundError(f"{path}: no directory {parent}")
 
 
-def _open_oracle(args: argparse.Namespace):
-    """The oracle ``query`` and ``serve`` answer from: an index file or
-    a shard directory, memory-mapped, with ``--workers`` forked workers
-    for the batches that pay for them."""
-    from repro.oracle import ParallelOracle
-
-    return ParallelOracle(args.index, workers=args.workers, cache_size=0)
-
-
-def _open_store(path):
+def _open_store(path, use_mmap: bool = False):
     """The label store of an index file (any version) or shard directory."""
     from repro.core.flatstore import load_store
     from repro.oracle import ShardedLabelStore
 
-    if os.path.isdir(path):
-        return ShardedLabelStore.load(path)
-    return load_store(path)
+    if os.path.isfile(path):
+        return load_store(path, use_mmap=use_mmap)
+    return ShardedLabelStore.load(path, use_mmap=use_mmap)
+
+
+def _open_oracle(args: argparse.Namespace):
+    """The oracle ``query`` and ``serve`` answer from: the index file or
+    shard directory memory-mapped, result cache off."""
+    from repro.oracle import DistanceOracle
+
+    return DistanceOracle(_open_store(args.index, use_mmap=True), cache_size=0)
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
@@ -314,9 +311,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import DistanceServer
 
     oracle = _open_oracle(args)
-    # Fork the workers (if any batch could use them) before the event
-    # loop and its thread pool exist — the quiescent-parent moment.
-    pooled = oracle.warmup()
     server = DistanceServer(
         oracle,
         host=args.host,
@@ -328,12 +322,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     async def run() -> None:
         host, port = await server.start()
-        mode = (
-            f"{oracle.workers} shm workers" if pooled
-            else "inline evaluation"
-        )
         print(
-            f"serving {args.index} on {host}:{port} ({mode}, "
+            f"serving {args.index} on {host}:{port} ("
             f"batch <= {args.max_batch} pairs, "
             f"wait <= {args.max_wait_ms:g} ms)",
             flush=True,
@@ -423,18 +413,6 @@ def _add_index(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_workers(p: argparse.ArgumentParser) -> None:
-    """The ``--workers`` option of the commands that open an oracle."""
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="shared-memory fan-out workers (default: all cores; 1, or "
-        "a cache-resident index, answers inline with no fork)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser."""
     parser = argparse.ArgumentParser(
@@ -484,7 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="evaluate one 's t' pair per line of FILE (batched path)",
     )
-    _add_workers(p)
     p.set_defaults(func=_cmd_query)
 
     p = sub.add_parser(
@@ -551,7 +528,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="listen port (default: 0 = pick a free port and print it)",
     )
-    _add_workers(p)
+    # Every batch is answered in this process.  Hidden, and 1 is its
+    # only value: bench/surface.py::serve_command still passes
+    # `--workers 1`, and the option goes when that argument does.
+    p.add_argument(
+        "--workers", type=int, choices=[1], default=1, help=argparse.SUPPRESS
+    )
     p.add_argument(
         "--max-batch",
         type=int,
@@ -645,7 +627,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     # `query` takes both a variadic int positional and options; argparse
     # cannot backtrack into a zero-width positional once it has seen an
-    # option (`query IDX --workers 1 0 5` leaves `0 5` unparsed), and
+    # option (`query IDX --batch F 0 5` leaves `0 5` unparsed), and
     # parse_intermixed_args does not support subparsers.  Recover the
     # stranded vertex ids by hand so either argument order works.
     args, extra = parser.parse_known_args(argv)

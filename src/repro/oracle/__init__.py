@@ -8,33 +8,29 @@ serves single-pair distances through an LRU result cache and batches
 through the vectorized kernel, and exposes reachability, path
 reconstruction, one-to-all, and k-NN on top.
 
-For indexes too big (or traffic too heavy) for one core,
-:class:`ParallelOracle` (:mod:`repro.oracle.parallel`) serves a shard
-directory (:mod:`repro.oracle.sharding`) or an index file with N
-workers.  It is the only inline-vs-pool router: a batch is answered
-inline when it is small, when ``workers == 1``, while updates are
-staged, when the index is cache-resident, or when ``fork`` or the
-kernel is unavailable, and otherwise goes to the one pool — the forked
-shared-memory fan-out of :mod:`repro.serve.shm`.  The asyncio request
-frontend lives one layer up in :mod:`repro.serve`.
+Every batch is answered in the calling process: merging two short
+labels is bound by memory traffic, not compute, so handing batches to
+worker processes costs more than it saves.  A shard directory
+(:mod:`repro.oracle.sharding`) is served like an index file, through
+a :class:`DistanceOracle` over its :class:`ShardedLabelStore`.  The
+asyncio request frontend lives one layer up in :mod:`repro.serve`.
 
 Quick start::
 
-    from repro.oracle import DistanceOracle, ParallelOracle
+    from repro.oracle import DistanceOracle, ShardedLabelStore
 
     oracle = DistanceOracle.open("g.index")        # any format version
     oracle.query(3, 4021)                          # exact distance
     oracle.query_batch([(0, 9), (3, 4021), ...])   # grouped evaluation
     oracle.nearest(3, k=10)                        # k-NN
 
-    served = ParallelOracle("g.shards", workers=4)  # `repro shard` output
-    served.query_batch(pairs)                       # inline or fanned out
+    sharded = ShardedLabelStore.load("g.shards", use_mmap=True)
+    DistanceOracle(sharded).query_batch(pairs)     # `repro shard` output
 """
 
 from repro.oracle.batch import PairColumns, evaluate_batch, read_pair_file
 from repro.oracle.cache import CacheInfo, LRUCache
 from repro.oracle.oracle import DEFAULT_CACHE_SIZE, DistanceOracle
-from repro.oracle.parallel import ParallelOracle
 from repro.oracle.sharding import (
     ShardedLabelStore,
     ShardError,
@@ -44,7 +40,6 @@ from repro.oracle.sharding import (
 
 __all__ = [
     "DistanceOracle",
-    "ParallelOracle",
     "ShardedLabelStore",
     "ShardError",
     "DEFAULT_CACHE_SIZE",

@@ -70,9 +70,9 @@ class PairColumns:
     def from_pairs(cls, pairs) -> "PairColumns":
         """Columns of an iterable of ``(source, target)`` integer pairs.
 
-        The one pairs-to-columns converter: the kernel's list path,
-        the fork pool and the serve tier's client and JSON codec all
-        go through it.  Raises ``ValueError`` on wrong arity and on
+        The one pairs-to-columns converter: the kernel's list path
+        and the serve tier's client and JSON codec all go through
+        it.  Raises ``ValueError`` on wrong arity and on
         values that do not convert to int64 (``None``, other objects,
         anything past int64).
         """

@@ -103,10 +103,7 @@ next batch refills only those; their old tails stay in the arena as
 garbage, and when the arena is full the cache is emptied and refilled
 on demand.  One lock per view is held for a whole evaluation, a whole
 scalar read and by invalidation — the serve tier evaluates one batch
-at a time per
-process and scales out by forked workers, which inherit the rows
-filled before the fork copy-on-write and fill their own after.  Every
-kernel lock is re-created in a forked child.
+at a time, in its own process.
 
 :func:`stats` counts what each call did — pairs in, distinct pairs
 evaluated, rows filled, tail entries gathered, source rows keyed and
@@ -127,9 +124,7 @@ to Dijkstra).
 
 from __future__ import annotations
 
-import os
 import threading
-import weakref
 from array import array
 from bisect import bisect_right
 from typing import Sequence
@@ -194,9 +189,7 @@ _STATS = {
     "joins": {"local_table": 0, "local_sorted": 0, "pairwise": 0},
 }
 
-#: Every live view, so a forked child can re-create their locks; the
-#: lock also serialises view creation.
-_VIEWS: "weakref.WeakSet[_View]" = weakref.WeakSet()
+#: Serialises view creation.
 _VIEWS_LOCK = threading.Lock()
 
 
@@ -319,9 +312,6 @@ class _View:
 
     def __init__(self, store) -> None:
         self.lock = threading.Lock()
-        self._build(store)
-
-    def _build(self, store) -> None:
         shards = getattr(store, "shards", [store])
         self.store = store
         self.n = store.n
@@ -698,27 +688,6 @@ class _View:
         }
 
 
-def _relock_after_fork() -> None:
-    """Give a forked child locks of its own.
-
-    The child has one thread; a lock some other thread of the parent
-    held at the fork would never be released in it.  A view forked in
-    the middle of an evaluation may be half-written, so it starts over.
-    """
-    global _STATS_LOCK, _VIEWS_LOCK
-    _STATS_LOCK = threading.Lock()
-    _VIEWS_LOCK = threading.Lock()
-    for view in list(_VIEWS):
-        torn = view.lock.locked()
-        view.lock = threading.Lock()
-        if torn:
-            view._build(view.store)
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_relock_after_fork)
-
-
 def row_cache(store) -> _View:
     """The row cache of ``store``, created on first use."""
     view = store._view
@@ -727,17 +696,15 @@ def row_cache(store) -> _View:
             view = store._view
             if view is None:
                 view = store._view = _View(store)
-                _VIEWS.add(view)
     return view
 
 
 def ensure_sides(store) -> None:
     """Create the row cache of ``store`` now: choose its hub columns.
 
-    Serving frontends call this before forking worker processes, so
-    the choice (and every row filled before the fork) is inherited
-    copy-on-write instead of being repeated per worker.  No label is
-    read beyond the sample.  No-op when :func:`supports` is false.
+    Lets a caller pay for the choice before its first batch (a timed
+    region, a request).  No label is read beyond the sample.  No-op
+    when :func:`supports` is false.
     """
     if supports(store):
         row_cache(store)
@@ -1019,15 +986,13 @@ def first_outside(S, T, n: int) -> int | None:
 
 
 def batch_eval_arrays(store, S, T):
-    """Array-in/array-out evaluation (the parallel workers' entry).
+    """Array-in/array-out evaluation (the batch path's entry).
 
-    The pair columns arrive as int64 numpy arrays and the distances
-    return as one float64 array — the
-    :class:`~repro.oracle.parallel.ParallelOracle` ships chunks across
-    the process boundary in this form because numpy buffers pickle in
-    one memcpy, where a list of tuples costs a per-element walk.
-    Columns of any other integer type are widened first (the packed
-    keys below need 64 bits); they must be 1-D and of equal length.
+    The pair columns arrive as int64 numpy arrays — a
+    :class:`~repro.oracle.batch.PairColumns` block's — and the
+    distances return as one float64 array.  Columns of any other
+    integer type are widened first (the packed keys below need 64
+    bits); they must be 1-D and of equal length.
     """
     S = np.asarray(S, dtype=np.int64)
     T = np.asarray(T, dtype=np.int64)

@@ -25,9 +25,8 @@ This module partitions a flat store by **contiguous vertex range** into
 
 Sharding is a *storage* layout: each shard is an ordinary index file
 that updates rewrite on its own (:meth:`ShardedLabelStore.reconcile`).
-Serving a directory with several workers is
-:class:`~repro.oracle.parallel.ParallelOracle`'s job; its forked
-workers share the whole shard set and group work by source shard.
+A directory is served like an index file, by a
+:class:`~repro.oracle.DistanceOracle` over the loaded store.
 """
 
 from __future__ import annotations
@@ -552,9 +551,8 @@ class ShardedLabelStore:
 
         Validates the manifest before opening anything: schema, a
         complete gap/overlap-free range cover, every shard file
-        present, and (unless ``verify_checksums=False`` — e.g. worker
-        processes re-opening a directory the parent already verified)
-        SHA-256 checksums.  With ``use_mmap=True`` every shard is
+        present, and (unless ``verify_checksums=False`` trusts a
+        directory verified before) SHA-256 checksums.  With ``use_mmap=True`` every shard is
         mapped zero-copy.  Raises :class:`ShardError` on anything
         inconsistent.
         """

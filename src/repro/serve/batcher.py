@@ -94,8 +94,7 @@ class AdmissionBatcher:
     ``evaluate`` maps a batch of ``(source, target)`` pairs — a list,
     or a :class:`~repro.oracle.batch.PairColumns` block when that is
     what was submitted — to a sliceable sequence of distances, in
-    order — e.g. ``oracle.query_batch`` or
-    :meth:`repro.serve.shm.SharedMemoryFanout.query_batch`.  A plain
+    order — e.g. ``oracle.query_batch``.  A plain
     callable runs on a worker thread past ``inline_below`` pairs; an
     ``async def`` evaluator is awaited as-is.
     """

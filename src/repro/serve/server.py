@@ -1,9 +1,8 @@
 """The asyncio distance server: binary frames and JSON lines over TCP.
 
-One :class:`DistanceServer` wraps any batch-capable backend — a
-:class:`~repro.oracle.DistanceOracle` or the
-:class:`~repro.oracle.parallel.ParallelOracle` that ``repro serve``
-opens — behind an
+One :class:`DistanceServer` wraps any batch-capable backend — the
+:class:`~repro.oracle.DistanceOracle` that ``repro serve`` opens —
+behind an
 :class:`~repro.serve.batcher.AdmissionBatcher`, so concurrent clients
 are answered from coalesced kernel batches instead of one evaluator
 call per request.
@@ -27,7 +26,7 @@ docs/FORMATS.md has the byte-level tables.
     an optional client token echoed back verbatim);
   * ``{"op": "ping"}`` → ``{"ok": true}``;
   * ``{"op": "stats"}`` → ``{"ok": true, "stats": {...}}`` with wire,
-    batcher and backend counters;
+    batcher and kernel counters;
   * errors: ``{"ok": false, "code": 400 | 429 | 500 | 503,
     "error": "..."}``.
 
@@ -474,14 +473,14 @@ class DistanceServer:
             self._server = None
 
     def stats(self) -> dict:
-        """Wire, batcher, kernel and (when it has any) backend counters.
+        """Wire, batcher and kernel counters.
 
-        ``kernel`` is :func:`repro.oracle.kernel.stats` of this process
-        (batches a fork pool evaluated are counted in its workers) and,
-        under ``view``, :func:`repro.oracle.kernel.view_info` of the
-        served store's row cache.
+        ``kernel`` is :func:`repro.oracle.kernel.stats` of this process,
+        which evaluates every batch, and, under ``view``,
+        :func:`repro.oracle.kernel.view_info` of the served store's row
+        cache.
         """
-        stats = {
+        return {
             "n": self.n,
             "wire": dict(self.wire),
             "batcher": self.batcher.stats(),
@@ -492,15 +491,6 @@ class DistanceServer:
                 ),
             },
         }
-        backend_stats = getattr(self.backend, "stats", None)
-        if callable(backend_stats):
-            try:
-                backend = backend_stats()
-            except TypeError:
-                backend = None
-            if isinstance(backend, dict):
-                stats["backend"] = backend
-        return stats
 
 
 class DistanceClient:
@@ -570,7 +560,7 @@ class DistanceClient:
         return _raise_for_error(response)["distances"]
 
     async def stats(self) -> dict:
-        """The server's counters (wire, batcher and backend)."""
+        """The server's counters (wire, batcher and kernel)."""
         return _raise_for_error(await self.request({"op": "stats"}))["stats"]
 
     async def aclose(self) -> None:

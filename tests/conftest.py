@@ -20,30 +20,6 @@ from hypothesis import strategies as st
 from repro.graphs.digraph import Graph
 
 # ---------------------------------------------------------------------------
-# Serving
-# ---------------------------------------------------------------------------
-
-
-@pytest.fixture
-def fan_out_everything(monkeypatch):
-    """Lower ``ParallelOracle``'s two routing constants.
-
-    Test indexes are cache-resident and test batches small, so at the
-    shipped values every batch is (rightly) answered inline; with the
-    floors down, any batch of two or more pairs reaches the fork pool.
-    Skips where that pool cannot exist (no ``fork``).
-    """
-    from repro.oracle import parallel
-    from repro.serve import fanout_available
-
-    if not fanout_available():
-        pytest.skip("needs the fork start method")
-
-    monkeypatch.setattr(parallel, "MIN_PARALLEL_BATCH", 2)
-    monkeypatch.setattr(parallel, "INLINE_ENTRIES", 0)
-
-
-# ---------------------------------------------------------------------------
 # Paper graphs
 # ---------------------------------------------------------------------------
 

@@ -8,7 +8,6 @@ store's own ``query`` reads the kernel's rows, so it is never the
 reference here: the v2 store of the same labels is.
 """
 
-import multiprocessing
 import random
 import sys
 import threading
@@ -29,7 +28,6 @@ from repro.graphs.digraph import Graph
 from repro.graphs.generators import glp_graph
 from repro.oracle import (
     DistanceOracle,
-    ParallelOracle,
     ShardedLabelStore,
     evaluate_batch,
 )
@@ -859,48 +857,6 @@ class TestConcurrency:
             assert np.count_nonzero(rows.filled) <= store.n
         assert kernel.view_info(store)["rows_resident"] <= store.n * len(sides)
 
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(),
-        reason="needs the fork start method",
-    )
-    def test_fork_while_another_thread_holds_the_locks(self, flat):
-        # Regression: a child forked while some thread of the parent is
-        # inside an evaluation inherits the kernel's locks locked, with
-        # nobody to release them; its first batch hung.
-        pairs = batch(flat.n, 300, seed=70)
-        want = kernel.batch_eval(flat, pairs)
-        view = flat._view
-        held, release = threading.Event(), threading.Event()
-
-        def hold():
-            with view.lock, kernel._STATS_LOCK, kernel._VIEWS_LOCK:
-                held.set()
-                release.wait(60)
-
-        def child():
-            fresh = FlatLabelStore.from_index(flat)
-            same = kernel.batch_eval(flat, pairs) == want
-            sys.exit(0 if same and kernel.batch_eval(fresh, pairs) == want
-                     else 1)
-
-        holder = threading.Thread(target=hold)
-        holder.start()
-        try:
-            assert held.wait(10)
-            proc = multiprocessing.get_context("fork").Process(target=child)
-            proc.start()
-            proc.join(30)
-            hung = proc.is_alive()
-            if hung:
-                proc.kill()
-                proc.join(10)
-        finally:
-            release.set()
-            holder.join(10)
-        assert not hung
-        assert proc.exitcode == 0
-        assert kernel.batch_eval(flat, pairs) == want
-
 
 class TestEvaluateBatchIntegration:
     def test_kernel_on_off_agree(self, flat):
@@ -935,7 +891,7 @@ class TestEvaluateBatchIntegration:
         ]
 
     def test_oracle_kernel_knob(self, flat, tmp_path):
-        """The oracles take no ``kernel=``; a bad call fails at once,
+        """The oracle takes no ``kernel=``; a bad call fails at once,
         not at its first batch."""
         path = tmp_path / "i.idx3"
         flat.encoded("v3").save(path)
@@ -943,12 +899,6 @@ class TestEvaluateBatchIntegration:
             DistanceOracle(flat, kernel="off")
         with pytest.raises(TypeError, match="kernel"):
             DistanceOracle.open(path, kernel="on")
-
-    def test_parallel_oracle_rejects_bad_kernel_mode(self, flat, tmp_path):
-        shard_dir = tmp_path / "shards"
-        ShardedLabelStore.split(flat, 2).save(shard_dir)
-        with pytest.raises(TypeError, match="kernel"):
-            ParallelOracle(shard_dir, kernel="off")
 
     def test_mmapped_v3_through_kernel(self, flat, tmp_path):
         q = flat.encoded("v3")

@@ -12,12 +12,13 @@ from __future__ import annotations
 import asyncio
 import random
 import struct
+from contextlib import closing
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
-from repro import DistanceOracle, HopDoublingIndex, ParallelOracle, ShardedLabelStore
+from repro import DistanceOracle, HopDoublingIndex, ShardedLabelStore
 from repro.core.dynamic import DynamicHopDoublingIndex
 from repro.core.flatstore import FlatLabelStore, load_store
 from repro.core.hybrid import make_builder
@@ -30,7 +31,7 @@ from repro.graphs.transform import peel_pendants
 from repro.graphs.traversal import dijkstra_distances
 from repro.oracle import kernel
 from repro.oracle.sharding import ShardError
-from repro.serve import DistanceClient, DistanceServer, fanout_available
+from repro.serve import DistanceClient, DistanceServer
 from tests.conftest import graph_strategy
 from tests.reference.dict_build import dict_engine
 from tests.reference.label_lists import label_lists
@@ -88,7 +89,8 @@ def check_stores(index, graph, pairs, tmp_path, shards=True):
                 FlatLabelStore.from_index(index.labels).encoded(fmt),
                 min(3, graph.num_vertices),
             ).save(shard_dir, format=fmt, overwrite=True)
-            with ParallelOracle(shard_dir, workers=2, cache_size=0) as oracle:
+            sharded = ShardedLabelStore.load(shard_dir, use_mmap=True)
+            with closing(DistanceOracle(sharded, cache_size=0)) as oracle:
                 assert oracle.query_batch(pairs) == want, (fmt, "sharded")
                 for name, answer in store_surfaces(oracle.store):
                     assert answer(pairs) == want, (fmt, "sharded", name)
@@ -180,21 +182,19 @@ def test_glp_every_serving_surface(tmp_path):
     want = truth_of(graph, pairs)
     check_stores(index, graph, pairs, tmp_path)
     shard_dir = tmp_path / "shards.v3"
-    for route in ("auto", "fanout") if fanout_available() else ("auto",):
-        with ParallelOracle(
-            shard_dir, workers=2, cache_size=0, route=route
-        ) as oracle:
-            assert oracle.query_batch(pairs) == want
-            assert (oracle.shard_hits is not None) == (route == "fanout")
-            info = kernel.view_info(oracle.store)
-            assert info["pendants"] == stats.pendants
-            assert info["core_vertices"] == stats.core_vertices
-            # The hub columns come from a sample of core rows: an
-            # evenly spaced sample by id would find most labels empty.
-            assert info["hub_columns"] >= 40
+    sharded = ShardedLabelStore.load(shard_dir, use_mmap=True)
+    with closing(DistanceOracle(sharded, cache_size=0)) as oracle:
+        assert oracle.query_batch(pairs) == want
+        info = kernel.view_info(oracle.store)
+        assert info["pendants"] == stats.pendants
+        assert info["core_vertices"] == stats.core_vertices
+        # The hub columns come from a sample of core rows: an evenly
+        # spaced sample by id would find most labels empty.
+        assert info["hub_columns"] >= 40
 
     async def over_the_wire():
-        with ParallelOracle(tmp_path / "index.v3", cache_size=0) as backend:
+        store = load_store(tmp_path / "index.v3", use_mmap=True)
+        with closing(DistanceOracle(store, cache_size=0)) as backend:
             server = DistanceServer(backend, port=0)
             host, port = await server.start()
             client = await DistanceClient.connect(host, port)

@@ -1,5 +1,5 @@
-"""Tests for sharded update routing, per-shard reconcile, and the
-parallel oracle's update-aware routing."""
+"""Tests for sharded update routing, per-shard reconcile, and serving
+a directory across both."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from repro.core.flatstore import FlatLabelStore
 from repro.core.hybrid import make_builder
 from repro.core.labels import LabelDelta
 from repro.graphs.generators import glp_graph
-from repro.oracle import DistanceOracle, ParallelOracle, ShardedLabelStore
+from repro.oracle import DistanceOracle, ShardedLabelStore
 from repro.oracle.sharding import ShardError
 from tests.reference.label_lists import as_label_index
 
@@ -145,46 +145,27 @@ class TestOracleInvalidation:
             oracle.apply_updates(delta)
 
 
-class TestParallelRouting:
-    def _pairs(self, n, count=2000, seed=4):
-        rng = random.Random(seed)
-        return [(rng.randrange(n), rng.randrange(n)) for _ in range(count)]
-
-    def test_route_knob_validation(self, setting, tmp_path):
-        root = make_dir(setting, tmp_path)
-        with pytest.raises(ValueError, match="route"):
-            ParallelOracle(root, route="sideways")
-
-    def test_routes_agree_bit_identically(
-        self, setting, tmp_path, fan_out_everything
+class TestServedUpdates:
+    def test_staged_updates_answer_exactly_across_reconcile(
+        self, setting, tmp_path
     ):
-        graph, store, _, _ = setting
-        root = make_dir(setting, tmp_path)
-        pairs = self._pairs(graph.num_vertices)
-        want = [store.query(s, t) for s, t in pairs]
-        for route in ("auto", "inline", "fanout"):
-            with ParallelOracle(
-                root, workers=2, route=route, cache_size=0
-            ) as oracle:
-                assert oracle.query_batch(pairs) == want, route
-
-    def test_updates_force_inline_until_reconcile(
-        self, setting, tmp_path, fan_out_everything
-    ):
+        """A served directory answers staged updates through the
+        overlay, and the rewritten shards alike after ``reconcile``."""
         graph, _, dyn, delta = setting
         root = make_dir(setting, tmp_path)
-        pairs = self._pairs(graph.num_vertices)
-        with ParallelOracle(
-            root, workers=2, route="fanout", cache_size=0
-        ) as oracle:
-            assert oracle._can_fan_out()
+        rng = random.Random(4)
+        n = graph.num_vertices
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(2000)]
+        want = [dyn.query(s, t) for s, t in pairs]
+        store = ShardedLabelStore.load(root, use_mmap=True)
+        oracle = DistanceOracle(store, cache_size=0)
+        try:
             oracle.apply_updates(delta)
-            assert not oracle._can_fan_out()
-            want = [dyn.query(s, t) for s, t in pairs]
             assert oracle.query_batch(pairs) == want
-            assert oracle.shard_hits is None
-            rewritten = oracle.reconcile()
-            assert rewritten and not oracle.store.has_pending_updates
-            assert oracle._can_fan_out()
+            rewritten = store.reconcile(root)
+            assert rewritten and not store.has_pending_updates
             assert oracle.query_batch(pairs) == want
-            assert sum(oracle.shard_hits) == len(pairs)
+        finally:
+            oracle.close()
+        reloaded = ShardedLabelStore.load(root)
+        assert DistanceOracle(reloaded, cache_size=0).query_batch(pairs) == want

@@ -2,7 +2,7 @@
 
 The acceptance bar for the compact format: the oracle facade (single
 pair, batch, via-pivot), k-NN and one-to-all, path reconstruction,
-the verifier, and sharded + parallel serving must all be unable to
+the verifier, and serving a shard directory must all be unable to
 tell a v3-backed store from a v2-backed one.
 """
 
@@ -14,7 +14,7 @@ from repro.core.flatstore import FlatLabelStore
 from repro.core.hybrid import HybridBuilder
 from repro.core.verify import verify_index
 from repro.graphs.generators import glp_graph
-from repro.oracle import DistanceOracle, ParallelOracle, ShardedLabelStore
+from repro.oracle import DistanceOracle, ShardedLabelStore
 
 N = 120
 
@@ -101,19 +101,21 @@ class TestShardedServing:
         finally:
             sharded.close()
 
-    def test_parallel_oracle_on_v3_shards(
-        self, setup, tmp_path, fan_out_everything
-    ):
+    def test_oracle_on_v3_shards(self, setup, tmp_path):
         g, flat, _, p3 = setup
         shard_dir = tmp_path / "shards"
         q = FlatLabelStore.load(p3)
         ShardedLabelStore.split(q, 3).save(shard_dir, format="v3")
         p = pairs(37, 600)
         expected = [flat.query(s, t) for s, t in p]
-        with ParallelOracle(shard_dir, workers=2, cache_size=0) as oracle:
+        sharded = ShardedLabelStore.load(shard_dir, use_mmap=True)
+        oracle = DistanceOracle(sharded, cache_size=0)
+        try:
             assert oracle.query_batch(p) == expected
             # And pair by pair, through the sharded store's scalar path.
             assert [oracle.query(s, t) for s, t in p] == expected
+        finally:
+            oracle.close()
 
     def test_resplit_v3_shards(self, setup, tmp_path):
         _, flat, _, p3 = setup

@@ -26,7 +26,7 @@ def test_parser_defaults():
     args = build_parser().parse_args(["serve", "g.idx"])
     assert args.host == "127.0.0.1"
     assert args.port == 0
-    assert args.workers is None
+    assert args.workers == 1
     assert args.max_batch == 8192
     assert args.max_wait_ms == 2.0
     assert args.max_pending == 262144
@@ -40,19 +40,22 @@ def test_serve_missing_index(tmp_path, capsys):
 
 
 def test_serve_rejects_bad_workers(index_file, capsys):
-    rc = main(["serve", str(index_file), "--workers", "0"])
-    assert rc == 2
-    assert "workers must be >= 1" in capsys.readouterr().err
+    # One process answers every batch; 1 is the only value accepted.
+    for workers in ("0", "2"):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", str(index_file), "--workers", workers])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
 
-def _serve_and_ask(index_file, workers, requests):
+def _serve_and_ask(index_file, requests, *argv):
     """Start ``repro serve``; returns its banner and one reply per request."""
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
     env["PYTHONPATH"] = os.path.abspath(src)
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", str(index_file),
-         "--workers", str(workers), "--max-wait-ms", "1"],
+         "--max-wait-ms", "1", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
@@ -84,21 +87,23 @@ def _serve_and_ask(index_file, workers, requests):
 
 
 def test_serve_round_trip(index_file):
+    # `--workers 1` is what the benchmark's server command passes.
     _, (reply,) = _serve_and_ask(
-        index_file, 1, [{"pairs": [[3, 3], [0, 1]], "id": 9}]
+        index_file, [{"pairs": [[3, 3], [0, 1]], "id": 9}], "--workers", "1"
     )
     assert reply["ok"] is True
     assert reply["id"] == 9
     assert reply["distances"][0] == 0.0
 
 
-def test_serve_two_workers_answer_a_small_index_without_the_pool(index_file):
-    # The router, not --workers, decides: this index is cache-resident
-    # and the request 16 pairs, so nothing is forked and nothing fans out.
+def test_serve_answers_in_its_own_process(index_file):
+    # The server's own kernel counters saw the batch: no other process
+    # evaluated it, and there is no pool to report on.
     pairs = [[i, i + 1] for i in range(16)]
     ready, (reply, stats) = _serve_and_ask(
-        index_file, 2, [{"pairs": pairs}, {"op": "stats"}]
+        index_file, [{"pairs": pairs}, {"op": "stats"}]
     )
-    assert "(inline evaluation, batch <= 8192 pairs" in ready
+    assert "on 127.0.0.1:" in ready and "(batch <= 8192 pairs" in ready
     assert reply["ok"] is True and len(reply["distances"]) == 16
-    assert stats["stats"]["backend"] == {"workers": 2}
+    assert stats["stats"]["kernel"]["pairs"] == 16
+    assert "backend" not in stats["stats"]

@@ -236,29 +236,31 @@ def test_stats_op_reports_the_path_a_small_request_took(flat):
     assert after["batcher"]["pending_pairs"] == 0
 
 
-def test_stats_op_reports_shard_hits_of_a_live_pool(
-    flat, tmp_path, fan_out_everything
-):
-    from repro.oracle import ParallelOracle, ShardedLabelStore
+def test_stats_op_reports_a_served_shard_directory(flat, tmp_path):
+    from repro.oracle import ShardedLabelStore
 
     ShardedLabelStore.split(flat, 2).save(tmp_path / "shards")
     pairs = random_pairs(flat.n, 40, seed=43)
 
     def open_backend():
-        oracle = ParallelOracle(tmp_path / "shards", workers=2, cache_size=0)
-        oracle.warmup()
-        return oracle
+        sharded = ShardedLabelStore.load(tmp_path / "shards", use_mmap=True)
+        return DistanceOracle(sharded, cache_size=0)
 
     async def scenario(server, host, port):
         client = await DistanceClient.connect(host, port)
         try:
-            return await client.query(pairs), await client.stats()
+            before = await client.stats()
+            return before, await client.query(pairs), await client.stats()
         finally:
             await client.aclose()
 
-    distances, stats = _serve(flat, scenario, open_backend)
+    before, distances, after = _serve(flat, scenario, open_backend)
     assert distances == [flat.query(s, t) for s, t in pairs]
-    assert sum(stats["backend"]["shard_hits"]) == len(pairs)
+    # The server's own kernel answered the batch over the shards.
+    moved = after["kernel"]["pairs"] - before["kernel"]["pairs"]
+    assert moved == sum(s != t for s, t in pairs)
+    assert after["kernel"]["view"]["rows_resident"] > 0
+    assert "backend" not in after
 
 
 def test_server_requires_start_before_serve(flat):

@@ -1,12 +1,15 @@
 """End-to-end CLI tests (in-process via repro.cli.main)."""
 
+from argparse import Namespace
 from contextlib import nullcontext
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _open_oracle, build_parser, main
 from repro.core.flatstore import load_store
 from repro.graphs import Graph, bfs_distances
+from repro.graphs.io import read_edge_list
+from repro.oracle import DistanceOracle
 from tests.reference.dict_build import dict_engine
 from tests.reference.v1_writer import write_v1
 
@@ -373,10 +376,14 @@ class TestConvertAndBatch:
         assert rc == 2
         assert "out of range" in capsys.readouterr().err
 
-    def test_query_flags_before_pairs(self, v1_index, capsys):
-        rc = main(["query", str(v1_index), "--workers", "1", "0", "10"])
+    def test_query_flags_before_pairs(self, v1_index, tmp_path, capsys):
+        batch = tmp_path / "pairs.txt"
+        batch.write_text("3 3\n")
+        rc = main(["query", str(v1_index), "--batch", str(batch), "0", "10"])
         assert rc == 0
-        assert "dist(0, 10)" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "dist(0, 10)" in out
+        assert "3\t3\t0" in out
 
     def test_non_query_extra_args_still_rejected(self, graph_file):
         with pytest.raises(SystemExit):
@@ -479,13 +486,12 @@ class TestShardAndParallelQuery:
         assert capsys.readouterr().out == single
 
     def test_query_shards_batch_file(self, v2_index, shard_dir, tmp_path,
-                                     capsys, fan_out_everything):
+                                     capsys):
         batch = tmp_path / "pairs.txt"
         batch.write_text("0 10\n3 3\n10 0\n")
         main(["query", str(v2_index), "--batch", str(batch)])
         single = capsys.readouterr().out
-        rc = main(["query", str(shard_dir), "--workers", "2",
-                   "--batch", str(batch)])
+        rc = main(["query", str(shard_dir), "--batch", str(batch)])
         assert rc == 0
         assert capsys.readouterr().out == single
 
@@ -538,6 +544,30 @@ class TestShardAndParallelQuery:
         assert rc == 0
 
 
+@pytest.mark.parametrize("served", ["v3 file", "shard directory"])
+def test_single_pair_facilities_work(served, graph_file, tmp_path):
+    """What `query` and `serve` open answers the single-pair surfaces
+    like the store it was written from, for a file and a directory."""
+    path = tmp_path / "g.idx3"
+    main(["build", str(graph_file), "-o", str(path)])
+    if served == "shard directory":
+        main(["shard", str(path), "-o", str(tmp_path / "s"), "--shards", "3"])
+        path = tmp_path / "s"
+    flat = load_store(tmp_path / "g.idx3")
+    oracle = _open_oracle(Namespace(index=str(path)))
+    try:
+        assert oracle.n == flat.n
+        assert oracle.query(3, 150) == flat.query(3, 150)
+        reference = DistanceOracle(flat)
+        assert oracle.nearest(9, k=4) == reference.nearest(9, k=4)
+        oracle.graph = read_edge_list(graph_file)
+        path_3_150 = oracle.reconstruct_path(3, 150)
+        assert path_3_150[0] == 3 and path_3_150[-1] == 150
+        assert len(path_3_150) - 1 == flat.query(3, 150)
+    finally:
+        oracle.close()
+
+
 class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
@@ -551,16 +581,17 @@ class TestParser:
             ["update", "g.idx", "--edges", "new.txt", "--engine", "dict"],
             ["query", "g.idx", "--mmap", "0"],
             ["build", "g.txt", "-o", "g.idx", "--engine", "dict"],
+            ["query", "g.idx", "--workers", "1"],
         ],
         ids=[
             "query --kernel", "serve --kernel", "update --engine",
-            "query --mmap", "build --engine",
+            "query --mmap", "build --engine", "query --workers",
         ],
     )
     def test_removed_flags_are_gone(self, argv, capsys):
-        """The kernel, the build and repair engines and how an index is
-        opened are not chosen on a command line: argparse refuses the
-        flags before any file is read."""
+        """The kernel, the build and repair engines, how an index is
+        opened and how many processes answer are not chosen on a command
+        line: argparse refuses the flags before any file is read."""
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -664,7 +695,7 @@ class TestUpdate:
         assert rc == 0
         out = capsys.readouterr().out
         assert "reconciled" in out
-        main(["query", str(shards), "--workers", "1", "0", "199"])
+        main(["query", str(shards), "0", "199"])
         assert "dist(0, 199) = 1" in capsys.readouterr().out
 
     def test_update_index_plus_shards(self, built, tmp_path, capsys):
