@@ -13,7 +13,10 @@ engine (``tests/reference/dict_build.py``), and the file enforces:
   on single-core runners too;
 * **build -> file**: ``HopDoublingIndex.build`` plus
   ``save(format="v3")`` timed end to end (what a user waits for), the
-  file byte-identical to the one the dict engine's index packs into.
+  file byte-identical to the one the dict engine's index packs into;
+* the **build's memory ceiling**: the ``tracemalloc`` peak of the
+  array build (numpy allocations included), which repeats to within a
+  few KB from run to run, unlike wall-clock or RSS.
 
 Every run records its measurements in ``BENCH_build_throughput.json``
 (uploaded as a CI artifact), so the construction-speed trajectory is
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import os
 import time
+import tracemalloc
 
 import pytest
 
@@ -41,6 +45,10 @@ NUM_VERTICES = 10_000
 MIN_SPEEDUP = 2.0
 #: Worker processes for the determinism-at-scale build.
 PARALLEL_JOBS = 2
+#: Ceiling on the array build's tracemalloc peak, in MiB: 1.2x the
+#: 44.6 MiB measured once a round stopped holding its raw candidates
+#: and the previous round's arrays (the build peaked at 139 MiB before).
+MAX_TRACED_PEAK_MB = 53.5
 
 _CORES = os.cpu_count() or 1
 
@@ -75,6 +83,18 @@ def to_file(graph, tmp_path_factory):
     index.save(path, format="v3")
     t2 = time.perf_counter()
     return path, t2 - t0, t2 - t1
+
+
+@pytest.fixture(scope="module")
+def traced_peak(graph):
+    """The array build under tracemalloc: peak MiB and stored entries."""
+    tracemalloc.start()
+    try:
+        result = make_builder(graph, "hybrid").build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / 2**20, result.index.total_entries()
 
 
 def _counters(result):
@@ -119,10 +139,21 @@ def test_build_to_file_matches_dict_engine(builds, to_file, tmp_path):
     assert to_file[0].read_bytes() == reference.read_bytes()
 
 
-def test_build_speedup_floor_and_export(graph, builds, to_file):
+def test_build_traced_peak_ceiling(traced_peak):
+    """A build round holds one block of raw candidates, not its whole
+    raw set: the build's traced peak stays under the ceiling."""
+    peak_mb, _ = traced_peak
+    assert peak_mb <= MAX_TRACED_PEAK_MB, (
+        f"array build traced peak {peak_mb:.1f} MiB is above the "
+        f"{MAX_TRACED_PEAK_MB} MiB ceiling"
+    )
+
+
+def test_build_speedup_floor_and_export(graph, builds, to_file, traced_peak):
     """The acceptance criterion: array engine >= 2x dict wall-clock."""
     dict_result, dict_seconds, array_result, array_seconds = builds
     _, build_to_file_seconds, pack_seconds = to_file
+    peak_mb, entries = traced_peak
     speedup = dict_seconds / array_seconds
     write_bench_json(
         "build_throughput",
@@ -138,6 +169,9 @@ def test_build_speedup_floor_and_export(graph, builds, to_file):
             "pack_seconds": round(pack_seconds, 4),
             "speedup": round(speedup, 3),
             "floor": MIN_SPEEDUP,
+            "build_traced_peak_mb": round(peak_mb, 2),
+            "build_traced_peak_bytes_per_entry": round(peak_mb * 2**20 / entries, 1),
+            "build_traced_peak_ceiling_mb": MAX_TRACED_PEAK_MB,
             "cores": _CORES,
         },
     )

@@ -7,11 +7,12 @@ clock inside those per-entry loops.  This module keeps the label state
 as struct-of-arrays instead:
 
 * every store side (``Lout`` / ``Lin``, or the single undirected
-  ``L``) is a :class:`SideArrays` — contiguous ``owner`` / ``pivot`` /
-  ``dist`` / ``hops`` arrays sorted by ``(owner, pivot)`` with CSR
-  offsets per owner, so a vertex's label is a slice and an entry
-  lookup is one ``searchsorted`` on the combined ``owner * n + pivot``
-  key;
+  ``L``) is a :class:`SideArrays` — contiguous ``key`` / ``pivot`` /
+  ``dist`` / ``hops`` arrays sorted by the int64 key
+  ``owner * n + pivot`` with CSR offsets per owner, so a vertex's label
+  is a slice and an entry lookup is one ``searchsorted``.  Ids and hop
+  counts are int32 whenever ``n`` allows (:func:`id_dtype`) and the
+  owner is not stored (it is ``key // n``): 24 bytes per entry;
 * **trivial self entries are not stored**.  They only ever matter to
   the pruning test through an entry's own pivot — exactly the route
   a pruning test must exclude — so leaving them out makes the
@@ -38,7 +39,22 @@ as struct-of-arrays instead:
   pivot *rank* so the minimized rules' "ranked between" filters become
   one ``searchsorted`` plus a slice.  The snapshots are plain
   picklable dataclasses: the multiprocess build engine ships them to
-  workers once per iteration.
+  workers once per iteration;
+* **a round holds nothing whole but the state, its candidates'
+  running minimum and the survivors.**  Alive at each step beside the
+  label state: while the rules run (:mod:`repro.core.rules`), the
+  previous round's survivors (:class:`PrevBlock`, 20 bytes each), the
+  snapshot, the running minimum (20 bytes per distinct pair) and one
+  block of raw candidates (``GENERATE_BLOCK_CANDIDATES``); while
+  staging (:meth:`ArrayLabelState.stage`), the candidates as they turn
+  into the staged overlays (24 bytes per admitted entry); while
+  pruning (:meth:`ArrayLabelState.prunable`), the overlays, ~20 bytes
+  of scratch per staged pair and one block of expanded rows
+  (``PRUNE_BLOCK_ROWS`` / ``PRUNE_BLOCK_PAIRS``); while committing
+  (:meth:`ArrayLabelState.commit_staged`), each overlay until its
+  survivors are copied out, then the growing base arrays.  Every
+  column moves through index arrays or one compress, never a
+  full-size mask per column per side.
 
 All reductions (candidate dedupe, admission, pruning) use the same
 min-``(dist, hops)`` logic as the per-entry reference engine in
@@ -59,9 +75,12 @@ import numpy as np
 from repro.core.flatstore import FlatLabelStore, frozen_views
 from repro.graphs.digraph import Graph
 
-#: Pruning expands each staged pair's source label; blocks of this many
-#: pairs bound the temporary row count (and peak memory) per batch.
+#: Pruning expands each staged pair's smaller label into rows (about 50
+#: bytes each while they are filtered and joined); a block of pairs
+#: holds at most this many pairs and about this many rows, which bound
+#: the prune test's scratch memory.
 PRUNE_BLOCK_PAIRS = 65_536
+PRUNE_BLOCK_ROWS = 1 << 19
 
 #: Elements in the pruning test's dense probe table (~6 MB of f64+i32,
 #: the same cache-residency reasoning as the query kernel's scatter
@@ -71,6 +90,89 @@ PRUNE_TABLE_ELEMS = 1 << 19
 #: Below this many expanded-and-filtered rows the dense probe table is
 #: not worth scattering; the global ``searchsorted`` probe runs instead.
 PRUNE_DENSE_MIN_ROWS = 8_192
+
+
+def id_dtype(n: int):
+    """Column type of vertex ids and hop counts over ``n`` vertices.
+
+    int32 whenever twice the vertex count fits (a candidate's hop count
+    is the sum of two entries' counts), else int64.  Pair keys are
+    always int64 (:func:`pair_keys`).
+    """
+    return np.int32 if 2 * n <= np.iinfo(np.int32).max else np.int64
+
+
+def pair_keys(owner: np.ndarray, other: np.ndarray, n: int) -> np.ndarray:
+    """``owner * n + other`` as int64, whatever the width of the ids.
+
+    Every pair key goes through here: an int32 id column times ``n``
+    would wrap at ~46k vertices.
+    """
+    key = np.multiply(owner, n, dtype=np.int64)
+    key += other
+    return key
+
+
+def split_keys(key: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(key // n, key % n)`` as :func:`id_dtype` columns, written
+    straight into the narrow columns (no int64 temporaries)."""
+    ids = id_dtype(n)
+    owner = np.empty(key.size, dtype=ids)
+    other = np.empty(key.size, dtype=ids)
+    np.floor_divide(key, n, out=owner, casting="unsafe")
+    np.remainder(key, n, out=other, casting="unsafe")
+    return owner, other
+
+
+def find_sorted(keys: np.ndarray, qkey: np.ndarray):
+    """``(pos, found)``: where each of ``qkey`` sorts into the sorted
+    ``keys``, and whether it is there."""
+    pos = np.searchsorted(keys, qkey)
+    if not keys.size:
+        return pos, np.zeros(qkey.size, dtype=bool)
+    return pos, keys[np.minimum(pos, keys.size - 1)] == qkey
+
+
+def insertion_plan(size: int, pos: np.ndarray):
+    """Where new items land when merged before the positions ``pos``
+    of ``size`` old ones; ``pos`` is nondecreasing (a ``searchsorted``
+    of sorted keys).  One plan serves every column (:func:`insert_into`).
+    """
+    at = pos + np.arange(pos.size)
+    old = np.ones(size + pos.size, dtype=bool)
+    old[at] = False
+    return at, old
+
+
+def insert_into(column: np.ndarray, plan, values: np.ndarray) -> np.ndarray:
+    """``column`` with ``values`` merged in by an :func:`insertion_plan`
+    (what ``np.insert`` returns).  Called a column at a time, so the
+    caller can drop each old column as soon as its successor exists."""
+    at, old = plan
+    out = np.empty(old.size, dtype=column.dtype)
+    out[at] = values
+    out[old] = column
+    return out
+
+
+def block_bounds(counts: np.ndarray, budget: int, most: int | None = None) -> list:
+    """Cut points of consecutive blocks over items of sizes ``counts``.
+
+    A block's sizes add up to at most ``budget`` plus its first item's
+    (an item larger than ``budget`` is a block of its own), and it holds
+    at most ``most`` items.  Returns ``[0, ..., counts.size]``.
+    """
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
+    cuts = [np.searchsorted(ends, np.arange(budget, total, budget), "right")]
+    if most is not None:
+        cuts.append(np.arange(most, counts.size, most))
+    return np.unique(np.concatenate(([0], *cuts, [counts.size]))).tolist()
+
+
+def _pick(sel, *columns) -> tuple:
+    """``columns`` restricted to the rows ``sel`` (``None``: all, no copy)."""
+    return columns if sel is None else tuple(column[sel] for column in columns)
 
 
 def expand_segments(
@@ -114,11 +216,12 @@ def arc_columns(graph: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     these columns, so the graph is walked in Python once per build.
     """
     n = graph.num_vertices
+    ids = id_dtype(n)
     degree = np.fromiter(map(graph.out_degree, range(n)), np.int64, n)
     arcs = int(degree.sum())
-    src = np.repeat(np.arange(n, dtype=np.int64), degree)
+    src = np.repeat(np.arange(n, dtype=ids), degree)
     tgt = np.fromiter(
-        chain.from_iterable(map(graph.out_neighbors, range(n))), np.int64, arcs
+        chain.from_iterable(map(graph.out_neighbors, range(n))), ids, arcs
     )
     if graph.weighted:
         wt = np.fromiter(
@@ -137,7 +240,9 @@ class PrevBlock:
 
     The array twin of the rule engines' ``list[PrevEntry]``: ``(a, b)``
     is the directed pair (or normalized ``(owner, pivot)`` for
-    undirected states).
+    undirected states).  The order of the entries carries no meaning:
+    a round's candidates are reduced per pair whatever order the rules
+    meet them in.
     """
 
     a: np.ndarray
@@ -147,6 +252,11 @@ class PrevBlock:
 
     def __len__(self) -> int:
         return int(self.a.size)
+
+    @classmethod
+    def from_keys(cls, n: int, key, dist, hops) -> "PrevBlock":
+        """The pairs of int64 keys ``a * n + b``, ids narrowed."""
+        return cls(*split_keys(key, n), dist, hops)
 
     @classmethod
     def from_lists(cls, entries: Sequence[tuple[int, int, float, int]]):
@@ -170,59 +280,83 @@ class PrevBlock:
 class SideArrays:
     """One store side as sorted parallel arrays with CSR offsets.
 
-    Entries are kept sorted by the combined key ``owner * n + pivot``;
-    ``off[v] : off[v + 1]`` is vertex ``v``'s slice.  Mutations
-    (``update_values`` / ``insert`` / ``delete``) preserve the order,
-    so lookups stay a single ``searchsorted``.
+    Entries are kept sorted by the combined key ``owner * n + pivot``
+    (int64); ``off[v] : off[v + 1]`` is vertex ``v``'s slice.  The
+    stored columns are ``key``, ``piv`` and ``hops`` (the last two
+    :func:`id_dtype`) and ``dist`` (float64), 24 bytes an entry when
+    ids are int32; ``owner`` is ``key // n`` and is derived on demand
+    from the offsets.  Mutations
+    (``update_values`` / ``insert`` / ``delete_at``) preserve the
+    order, so lookups stay a single ``searchsorted``.
     """
 
-    __slots__ = ("n", "owner", "piv", "dist", "hops", "key", "off")
+    __slots__ = ("n", "key", "piv", "dist", "hops", "off")
 
     def __init__(
         self,
         n: int,
-        owner: np.ndarray,
+        key: np.ndarray,
         piv: np.ndarray,
         dist: np.ndarray,
         hops: np.ndarray,
     ) -> None:
+        """Adopt columns already sorted by ``key`` (no copy)."""
         self.n = n
-        key = owner * n + piv
-        order = np.argsort(key)
-        self.owner = owner[order]
-        self.piv = piv[order]
-        self.dist = dist[order]
-        self.hops = hops[order]
-        self.key = key[order]
+        self.key = key
+        self.piv = piv
+        self.dist = dist
+        self.hops = hops
         self._refresh_offsets()
+
+    @classmethod
+    def from_pairs(cls, n, owner, piv, dist, hops) -> "SideArrays":
+        """Sort the entries ``owner -> piv`` into a side, ids narrowed."""
+        key = pair_keys(owner, piv, n)
+        order = np.argsort(key)
+        ids = id_dtype(n)
+        return cls(
+            n,
+            key[order],
+            piv[order].astype(ids, copy=False),
+            dist[order],
+            hops[order].astype(ids, copy=False),
+        )
 
     @classmethod
     def empty(cls, n: int) -> "SideArrays":
         """A side with no entries over an ``n``-vertex id space."""
+        ids = id_dtype(n)
         return cls(
             n,
             np.zeros(0, np.int64),
-            np.zeros(0, np.int64),
+            np.zeros(0, ids),
             np.zeros(0, np.float64),
-            np.zeros(0, np.int64),
+            np.zeros(0, ids),
         )
 
     def _refresh_offsets(self) -> None:
-        self.off = np.searchsorted(self.owner, np.arange(self.n + 1))
+        self.off = np.searchsorted(
+            self.key, np.arange(self.n + 1, dtype=np.int64) * self.n
+        )
 
     def __len__(self) -> int:
         return int(self.key.size)
 
+    @property
+    def owner(self) -> np.ndarray:
+        """Each entry's owner (a new array, from the offsets)."""
+        return np.repeat(
+            np.arange(self.n, dtype=id_dtype(self.n)), np.diff(self.off)
+        )
+
     # -- queries -------------------------------------------------------
+    def find(self, qkey: np.ndarray):
+        """Positions and hit mask for the pair keys ``qkey``."""
+        return find_sorted(self.key, qkey)
+
     def lookup(self, owner: np.ndarray, piv: np.ndarray):
         """Positions and hit mask for the pairs ``owner -> piv``."""
-        qkey = owner * self.n + piv
-        pos = np.searchsorted(self.key, qkey)
-        found = np.zeros(qkey.size, dtype=bool)
-        if self.key.size:
-            inb = pos < self.key.size
-            found[inb] = self.key[pos[inb]] == qkey[inb]
-        return pos, found
+        return self.find(pair_keys(owner, piv, self.n))
 
     # -- mutations -----------------------------------------------------
     def update_values(
@@ -232,45 +366,27 @@ class SideArrays:
         self.dist[pos] = dist
         self.hops[pos] = hops
 
-    def insert(
-        self,
-        owner: np.ndarray,
-        piv: np.ndarray,
-        dist: np.ndarray,
-        hops: np.ndarray,
-    ) -> None:
-        """Merge new (absent) entries, keeping the key order."""
-        if owner.size == 0:
+    def insert(self, key, piv, dist, hops) -> None:
+        """Merge new (absent) entries given sorted by ``key``."""
+        if key.size == 0:
             return
-        key = owner * self.n + piv
-        order = np.argsort(key)
-        owner, piv, dist, hops, key = (
-            owner[order],
-            piv[order],
-            dist[order],
-            hops[order],
-            key[order],
-        )
-        pos = np.searchsorted(self.key, key)
-        self.owner = np.insert(self.owner, pos, owner)
-        self.piv = np.insert(self.piv, pos, piv)
-        self.dist = np.insert(self.dist, pos, dist)
-        self.hops = np.insert(self.hops, pos, hops)
-        self.key = np.insert(self.key, pos, key)
+        plan = insertion_plan(self.key.size, np.searchsorted(self.key, key))
+        self.key = insert_into(self.key, plan, key)
+        self.piv = insert_into(self.piv, plan, piv)
+        self.dist = insert_into(self.dist, plan, dist)
+        self.hops = insert_into(self.hops, plan, hops)
         self._refresh_offsets()
 
-    def delete(self, owner: np.ndarray, piv: np.ndarray) -> None:
-        """Remove the (present) entries ``owner -> piv``."""
-        if owner.size == 0:
+    def delete_at(self, pos: np.ndarray) -> None:
+        """Remove the entries at the positions ``pos``."""
+        if pos.size == 0:
             return
-        pos, found = self.lookup(owner, piv)
         keep = np.ones(self.key.size, dtype=bool)
-        keep[pos[found]] = False
-        self.owner = self.owner[keep]
+        keep[pos] = False
+        self.key = self.key[keep]
         self.piv = self.piv[keep]
         self.dist = self.dist[keep]
         self.hops = self.hops[keep]
-        self.key = self.key[keep]
         self._refresh_offsets()
 
 
@@ -324,8 +440,7 @@ class EdgeSnapshot:
             order = np.lexsort((rank[nbr], owner))
             owner, nbr, weight = owner[order], nbr[order], weight[order]
             off = np.searchsorted(owner, np.arange(n + 1))
-            key = owner * n + rank[nbr]
-            return off, nbr, weight, key
+            return off, nbr, weight, pair_keys(owner, rank[nbr], n)
 
         out_off, out_tgt, out_wt, out_key = csr(src, tgt, wt)
         if directed:
@@ -389,11 +504,10 @@ class LabelSnapshot:
 
 def _rank_sorted_view(side: SideArrays, rank: np.ndarray):
     """A side re-sorted by ``(owner, rank[pivot])`` with search keys."""
-    n = side.n
-    order = np.lexsort((rank[side.piv], side.owner))
+    owner = side.owner
+    order = np.lexsort((rank[side.piv], owner))
     piv = side.piv[order]
-    owner = side.owner[order]
-    key = owner * n + rank[piv]
+    key = pair_keys(owner, rank[piv], side.n)  # owner is already sorted
     # Same grouping as the pivot-sorted side, so offsets are shared.
     return side.off, piv, side.dist[order], side.hops[order], key
 
@@ -401,10 +515,36 @@ def _rank_sorted_view(side: SideArrays, rank: np.ndarray):
 def _pivot_grouped_view(side: SideArrays):
     """A side re-grouped by pivot (the reverse index of the rules)."""
     n = side.n
-    order = np.lexsort((side.owner, side.piv))
+    owner = side.owner
+    order = np.lexsort((owner, side.piv))
     piv = side.piv[order]
     off = np.searchsorted(piv, np.arange(n + 1))
-    return off, side.owner[order], side.dist[order], side.hops[order]
+    return off, owner[order], side.dist[order], side.hops[order]
+
+
+class _ProbeTable:
+    """The dense prune join's scatter table: ``rows`` vertices' rows of
+    ``n`` slots, a distance and an epoch stamp per slot, and the last
+    epoch handed out.  One per :meth:`ArrayLabelState.prunable` call,
+    shared by its pair blocks, and allocated on first use."""
+
+    __slots__ = ("n", "rows", "_arrays", "epoch")
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.rows = PRUNE_TABLE_ELEMS // n
+        self._arrays = None
+        self.epoch = 0
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(dist, epoch_of)``, each ``rows * n`` slots."""
+        if self._arrays is None:
+            size = self.rows * self.n
+            self._arrays = (
+                np.empty(size, dtype=np.float64),
+                np.zeros(size, dtype=np.int32),
+            )
+        return self._arrays
 
 
 # ---------------------------------------------------------------------------
@@ -430,9 +570,9 @@ class ArrayLabelState:
         self.out = SideArrays.empty(self.n)
         self.inn = SideArrays.empty(self.n) if directed else self.out
         self._touched: tuple[set, set] | None = None
-        # Per-side staged-candidate overlays between stage() and
-        # commit_staged() — None outside an admission round.
-        self._staged: tuple[SideArrays, SideArrays] | None = None
+        # Per-side staged-candidate overlays (Lout's first) between
+        # stage() and commit_staged() — None outside an admission round.
+        self._staged: list[SideArrays] | None = None
 
     def track_touched(
         self, sets: tuple[set, set] | None = None
@@ -462,24 +602,36 @@ class ArrayLabelState:
         """
         state = cls(rank, directed)
         sides = [
-            SideArrays(
-                state.n, owners[mask], pivs[mask], block.dist[mask], block.hops[mask]
+            SideArrays.from_pairs(
+                state.n, owner, piv, *_pick(sel, block.dist, block.hops)
             )
-            for _, mask, owners, pivs in state._side_groups(block.a, block.b)
+            for _, _, sel, owner, piv in state._route(block.a, block.b)
         ]
         state.out = sides[0]
         state.inn = sides[-1]
         return state
 
-    def _side_groups(self, a: np.ndarray, b: np.ndarray):
-        """Route pairs to their store side: (side, mask, owners, pivots)."""
-        if self.directed:
-            out_mask = self.rank[b] < self.rank[a]
-            return (
-                (self.out, out_mask, a, b),
-                (self.inn, ~out_mask, b, a),
-            )
-        return ((self.out, np.ones(a.size, dtype=bool), a, b),)
+    def _route(self, a: np.ndarray, b: np.ndarray):
+        """Route the pairs ``a -> b`` to their store sides.
+
+        Yields ``(i, side, sel, owner, piv)`` per side: ``sel`` indexes
+        the pairs that side stores (``None``: all of them, in order —
+        the one undirected side), and ``owner`` / ``piv`` are those
+        pairs' ends as the side keys them.  No full-size column is
+        copied through a mask.
+        """
+        if not self.directed:
+            yield 0, self.out, None, a, b
+            return
+        is_out = self.rank[b] < self.rank[a]
+        sel = np.flatnonzero(is_out)
+        yield 0, self.out, sel, a[sel], b[sel]
+        sel = np.flatnonzero(~is_out)
+        yield 1, self.inn, sel, b[sel], a[sel]
+
+    def _sides(self) -> tuple:
+        """The store sides, ``Lout`` first (one when undirected)."""
+        return (self.out, self.inn) if self.directed else (self.out,)
 
     # -- snapshots -----------------------------------------------------
     def label_snapshot_for(
@@ -515,15 +667,17 @@ class ArrayLabelState:
         def owner_view(side: SideArrays):
             if flag is None:
                 return _rank_sorted_view(side, rank)
-            idx = np.flatnonzero(flag[side.owner])
-            owner = side.owner[idx]
+            owner = side.owner
+            idx = np.flatnonzero(flag[owner])
+            owner = owner[idx]
             piv = side.piv[idx]
             order = np.lexsort((rank[piv], owner))
             owner = owner[order]
             piv = piv[order]
             off = np.searchsorted(owner, np.arange(n + 1))
             sel = idx[order]
-            return off, piv, side.dist[sel], side.hops[sel], owner * n + rank[piv]
+            key = pair_keys(owner, rank[piv], n)
+            return off, piv, side.dist[sel], side.hops[sel], key
 
         def pivot_view(side: SideArrays, pivots):
             if pivots is None and flag is None:
@@ -535,7 +689,7 @@ class ArrayLabelState:
                 pflag[pivots] = True
             idx = np.flatnonzero(pflag[side.piv])
             piv = side.piv[idx]
-            owner = side.owner[idx]
+            owner = split_keys(side.key[idx], n)[0]
             order = np.lexsort((owner, piv))
             sel = idx[order]
             off = np.searchsorted(piv[order], np.arange(n + 1))
@@ -631,7 +785,7 @@ class ArrayLabelState:
         else:
             side = self.out
             owner, piv = self.owner_pivot(a, b)
-        key = owner * self.n + piv
+        key = int(owner) * self.n + int(piv)
         pos = int(np.searchsorted(side.key, key))
         if pos < side.key.size and side.key[pos] == key:
             return float(side.dist[pos])
@@ -672,7 +826,7 @@ class ArrayLabelState:
         dist: np.ndarray,
         hops: np.ndarray,
     ) -> np.ndarray:
-        """Stage deduplicated candidates; return the admitted mask.
+        """Admit deduplicated candidates at once; return the admitted mask.
 
         The admission rule of
         :func:`repro.core.pruning.admit_and_prune_arrays`: a candidate
@@ -680,105 +834,150 @@ class ArrayLabelState:
         the distance; admitted values overwrite in place.
         """
         admitted = np.zeros(a.size, dtype=bool)
-        for i, (side, mask, owners, pivs) in enumerate(self._side_groups(a, b)):
-            o = owners[mask]
-            if o.size == 0:
-                continue
-            p = pivs[mask]
-            d = dist[mask]
-            h = hops[mask]
-            pos, found = side.lookup(o, p)
-            better = np.zeros(o.size, dtype=bool)
-            if found.any():
-                better[found] = d[found] < side.dist[pos[found]]
-                upd = found & better
-                side.update_values(pos[upd], d[upd], h[upd])
-            new = ~found
-            side.insert(o[new], p[new], d[new], h[new])
-            admitted[mask] = new | better
+        for i, side, sel, owner, piv in self._route(a, b):
+            d, h = _pick(sel, dist, hops)
+            key = pair_keys(owner, piv, self.n)
+            pos, found = side.find(key)
+            better = np.zeros(key.size, dtype=bool)
+            better[found] = d[found] < side.dist[pos[found]]
+            side.update_values(pos[better], d[better], h[better])
+            new = np.flatnonzero(~found)
+            new = new[np.argsort(key[new])]
+            side.insert(key[new], piv[new], d[new], h[new])
+            keep = better
+            keep[new] = True
+            if sel is None:
+                admitted = keep
+            else:
+                admitted[sel] = keep
             if self._touched is not None:
-                self._touched[i].update(o[new | better].tolist())
+                self._touched[i].update(owner[keep].tolist())
         return admitted
 
-    def stage(
-        self,
-        a: np.ndarray,
-        b: np.ndarray,
-        dist: np.ndarray,
-        hops: np.ndarray,
-    ) -> np.ndarray:
-        """Like :meth:`admit`, but into a deferred per-side overlay.
+    def stage(self, batch) -> int:
+        """Admit a round's candidates into a deferred per-side overlay.
 
-        The admitted candidates land in small staged side arrays
-        instead of the base arrays; :meth:`prunable` joins over base
-        *and* staged entries (the Section 3.3 snapshot semantics), and
-        :meth:`commit_staged` then merges only the survivors — so a
-        round that prunes most of what it admits (the common case)
-        never pays the O(index) insert-then-delete of the base arrays
-        for the doomed majority.  The admitted mask and the eventual
-        state are bit-identical to the immediate :meth:`admit` path.
+        ``batch`` is the round's :class:`~repro.core.rules.CandidateBatch`
+        (the best ``(dist, hops)`` per pair key), which this empties.
+        The admission rule of :meth:`admit` picks the candidates, which
+        land in staged side arrays instead of the base arrays:
+        :meth:`prunable` joins over base *and* staged entries (the
+        Section 3.3 snapshot semantics), and :meth:`commit_staged` then
+        merges only the survivors — so a round that prunes most of what
+        it admits (the common case) never pays the O(index)
+        insert-then-delete of the base arrays for the doomed majority.
+        Returns the number admitted; the eventual state is
+        bit-identical to the immediate :meth:`admit` path.
+
+        Alive here: the candidate columns (20 bytes each with int32
+        hops) and a position per candidate, then the overlays (24
+        bytes per admitted entry) built a column at a time as the
+        candidate columns go.
         """
-        staged = []
-        admitted = np.zeros(a.size, dtype=bool)
-        for i, (side, mask, owners, pivs) in enumerate(self._side_groups(a, b)):
-            o = owners[mask]
-            p = pivs[mask]
-            d = dist[mask]
-            h = hops[mask]
-            pos, found = side.lookup(o, p)
-            better = np.zeros(o.size, dtype=bool)
-            if found.any():
-                better[found] = d[found] < side.dist[pos[found]]
-            keep = ~found | better
-            staged.append(SideArrays(self.n, o[keep], p[keep], d[keep], h[keep]))
-            admitted[mask] = keep
-            if self._touched is not None:
-                self._touched[i].update(o[keep].tolist())
-        self._staged = (staged[0], staged[-1])
-        return admitted
+        key, dist, hops = batch.take()
+        if not self.directed:
+            self._staged = [self._stage_side(0, self.out, key, dist, hops)]
+            return len(self._staged[0])
+        a, b = split_keys(key, self.n)
+        is_out = self.rank[b] < self.rank[a]
+        del a, b
+        out_sel = np.flatnonzero(is_out)
+        in_sel = np.flatnonzero(~is_out)
+        del is_out
+        staged = [
+            self._stage_side(0, self.out, key[out_sel], dist[out_sel], hops[out_sel])
+        ]
+        del out_sel
+        # Lin is keyed (b, a): re-key and sort its share.
+        a, b = split_keys(key[in_sel], self.n)
+        in_key = pair_keys(b, a, self.n)
+        del a, b
+        order = np.argsort(in_key)
+        in_dist, in_hops = dist[in_sel][order], hops[in_sel][order]
+        del key, dist, hops, in_sel
+        staged.append(self._stage_side(1, self.inn, in_key[order], in_dist, in_hops))
+        self._staged = staged
+        return len(staged[0]) + len(staged[1])
 
-    def commit_staged(
-        self,
-        a: np.ndarray,
-        b: np.ndarray,
-        dist: np.ndarray,
-        hops: np.ndarray,
-        doomed: np.ndarray,
-    ) -> None:
-        """Merge the staged round into the base arrays.
+    def _stage_side(self, i, side, key, dist, hops) -> SideArrays:
+        """The overlay of one side's candidates (``key`` sorted, in the
+        side's own keying).  A column the caller keeps no reference to
+        (the directed split's shares) goes as soon as its admitted copy
+        is made."""
+        pos, found = side.find(key)
+        keep = ~found
+        keep[found] = dist[found] < side.dist[pos[found]]
+        del pos, found
+        key = key[keep]
+        dist = dist[keep]
+        hops = hops[keep].astype(id_dtype(self.n), copy=False)
+        del keep
+        owner, piv = split_keys(key, self.n)
+        if self._touched is not None:
+            self._touched[i].update(owner.tolist())
+        del owner
+        return SideArrays(self.n, key, piv, dist, hops)
 
-        ``(a, b, dist, hops)`` are the staged (admitted) candidates
-        and ``doomed`` the pruning verdicts, all in candidate order.
-        Surviving new pairs are inserted, surviving improvements
-        overwrite in place, and doomed improvements delete the (now
-        stale) base entry — the exact end state the
+    def staged_pairs(self):
+        """``(a, b, dist)`` of every staged entry, ``Lout``'s first: the
+        order :meth:`commit_staged` reads its verdicts in."""
+        parts = [
+            (overlay.owner, overlay.piv) if i == 0 else (overlay.piv, overlay.owner)
+            for i, overlay in enumerate(self._staged)
+        ]
+        dists = [overlay.dist for overlay in self._staged]
+        if len(parts) == 1:
+            return (*parts[0], dists[0])
+        a, b = (np.concatenate(col) for col in zip(*parts))
+        return a, b, np.concatenate(dists)
+
+    def commit_staged(self, doomed: np.ndarray) -> PrevBlock:
+        """Merge the staged round into the base arrays; return the survivors.
+
+        ``doomed`` holds the pruning verdicts in :meth:`staged_pairs`
+        order.  Surviving new pairs are inserted, surviving
+        improvements overwrite in place, and doomed improvements
+        delete the (now stale) base entry — the exact end state the
         admit-then-prune-then-remove path reaches, with base mutations
-        proportional to the survivors instead of the admitted.
+        proportional to the survivors instead of the admitted.  Each
+        overlay is dropped once its survivors are copied out, before
+        the base arrays grow.  The survivors (the next round's
+        ``prev``) come side by side.
         """
-        keep = ~doomed
-        for side, mask, owners, pivs in self._side_groups(a, b):
-            o = owners[mask]
-            if o.size == 0:
-                continue
-            p = pivs[mask]
-            d = dist[mask]
-            h = hops[mask]
-            k = keep[mask]
-            pos, found = side.lookup(o, p)
-            upd = found & k
-            side.update_values(pos[upd], d[upd], h[upd])
-            new = ~found & k
-            side.insert(o[new], p[new], d[new], h[new])
-            gone = found & ~k
-            side.delete(o[gone], p[gone])
-        self._staged = None
+        overlays, self._staged = self._staged, None
+        parts = []
+        at = 0
+        for i, side in enumerate(self._sides()):
+            overlay = overlays.pop(0)
+            live = ~doomed[at : at + len(overlay)]
+            at += len(overlay)
+            pos, found = side.find(overlay.key)
+            upd = found & live
+            side.update_values(pos[upd], overlay.dist[upd], overlay.hops[upd])
+            side.delete_at(pos[found & ~live])
+            fresh = ~found[live]  # surviving pairs new to the side
+            del pos, found, upd
+            key, piv, dist, hops = _pick(
+                live, overlay.key, overlay.piv, overlay.dist, overlay.hops
+            )
+            del overlay, live
+            side.insert(key[fresh], piv[fresh], dist[fresh], hops[fresh])
+            del fresh
+            owner = split_keys(key, self.n)[0]
+            del key
+            parts.append(((owner, piv) if i == 0 else (piv, owner)) + (dist, hops))
+            del owner, piv, dist, hops
+        if len(parts) == 1:
+            return PrevBlock(*parts[0])
+        return PrevBlock(*(np.concatenate(col) for col in zip(*parts)))
 
     def remove(self, a: np.ndarray, b: np.ndarray) -> None:
         """Delete the (present) entries of the pairs ``a -> b``."""
-        for i, (side, mask, owners, pivs) in enumerate(self._side_groups(a, b)):
-            side.delete(owners[mask], pivs[mask])
+        for i, side, _, owner, piv in self._route(a, b):
+            pos, found = side.lookup(owner, piv)
+            side.delete_at(pos[found])
             if self._touched is not None:
-                self._touched[i].update(owners[mask].tolist())
+                self._touched[i].update(owner.tolist())
 
     # -- pruning -------------------------------------------------------
     def prunable(self, a: np.ndarray, b: np.ndarray, dist: np.ndarray):
@@ -821,10 +1020,12 @@ class ArrayLabelState:
         outcome — and the bit-identity with the reference engine —
         does not depend on the join strategy.
         """
-        best = np.full(a.size, np.inf)
+        doomed = np.zeros(a.size, dtype=bool)
         if a.size == 0:
-            return best <= dist
-        staged_out, staged_inn = self._staged or (None, None)
+            return doomed
+        staged_out, staged_inn = (
+            (self._staged[0], self._staged[-1]) if self._staged else (None, None)
+        )
 
         def with_floor(sides):
             return [(s, s.dist.min()) for s in sides if s is not None and len(s)]
@@ -835,27 +1036,32 @@ class ArrayLabelState:
         top = dist.max()
 
         def live_size(sides, owner):
-            size = np.zeros(owner.size, dtype=np.int64)
+            size = np.zeros(owner.size, dtype=np.int32)
             for side, floor in sides:
                 if floor < top:
-                    size += side.off[owner + 1] - side.off[owner]
+                    size += np.diff(side.off).astype(np.int32)[owner]
             return size
 
-        expand_out = live_size(outs, a) <= live_size(inns, b)
-        block_rows = PRUNE_TABLE_ELEMS // self.n
+        rows = live_size(outs, a)
+        in_rows = live_size(inns, b)
+        expand_out = rows <= in_rows
+        np.minimum(rows, in_rows, out=rows)  # rows each pair expands
+        del in_rows
+        table = _ProbeTable(self.n)
         for sel, exps, exp_owner, probes, probe_owner in (
             (expand_out, outs, a, inns, b),
             (~expand_out, inns, b, outs, a),
         ):
-            idx = np.flatnonzero(sel)
+            idx = np.flatnonzero(sel).astype(np.int32)
             if idx.size == 0:
                 continue
             # Sorting the pairs by probe owner makes each vertex
             # block's rows one contiguous run (the dense path's walk);
             # the searchsorted path is order-insensitive.
             idx = idx[np.argsort(probe_owner[idx], kind="stable")]
-            for lo in range(0, idx.size, PRUNE_BLOCK_PAIRS):
-                blk = idx[lo : lo + PRUNE_BLOCK_PAIRS]
+            cuts = block_bounds(rows[idx], PRUNE_BLOCK_ROWS, PRUNE_BLOCK_PAIRS)
+            for lo, hi in zip(cuts[:-1], cuts[1:]):
+                blk = idx[lo:hi]
                 eo = exp_owner[blk]
                 db = dist[blk]
                 po = probe_owner[blk]
@@ -863,6 +1069,7 @@ class ArrayLabelState:
                 live = [side for side, floor in probes if floor < ceiling]
                 if not live:
                     continue
+                best = np.full(blk.size, np.inf)
                 for exp, floor in exps:
                     if floor >= ceiling:
                         continue
@@ -875,11 +1082,9 @@ class ArrayLabelState:
                     if pos.size == 0:
                         continue
                     piv = exp.piv[pos]
-                    if pos.size >= PRUNE_DENSE_MIN_ROWS and block_rows >= 1:
+                    if pos.size >= PRUNE_DENSE_MIN_ROWS and table.rows >= 1:
                         joins = [
-                            self._prune_join_dense(
-                                live, po, reps, piv, d1, block_rows
-                            )
+                            self._prune_join_dense(live, po, reps, piv, d1, table)
                         ]
                     else:
                         joins = [
@@ -888,9 +1093,9 @@ class ArrayLabelState:
                         ]
                     for bounds, pair in joins:
                         if pair.size:
-                            at = blk[pair]
-                            best[at] = np.minimum(best[at], bounds)
-        return best <= dist
+                            best[pair] = np.minimum(best[pair], bounds)
+                doomed[blk] = best <= db
+        return doomed
 
     @staticmethod
     def _prune_join_sorted(probe, po, reps, piv, d1):
@@ -905,20 +1110,23 @@ class ArrayLabelState:
         )
         return np.minimum.reduceat(sums, seg), rh[seg]
 
-    def _prune_join_dense(self, probes, po, reps, piv, d1, block_rows):
+    def _prune_join_dense(self, probes, po, reps, piv, d1, table):
         """Probe via an epoch-stamped scatter table over vertex blocks.
 
         ``po`` must be nondecreasing (pairs sorted by probe owner), so
-        each block of probe-owner ids owns one contiguous row run.
-        Every side in ``probes`` (base, staged overlay) is scattered
-        into the same table with a min-merge, so one gather per row
-        probes them all.
+        each block of probe-owner ids owns one contiguous row run, and
+        only the vertex blocks between the first and the last probe
+        owner are visited.  Every side in ``probes`` (base, staged
+        overlay) is scattered into the same table with a min-merge, so
+        one gather per row probes them all.  ``table`` is the call's
+        :class:`_ProbeTable`, shared by its pair blocks.
         """
         n = self.n
-        table_d = np.empty(block_rows * n, dtype=np.float64)
-        table_e = np.zeros(block_rows * n, dtype=np.int32)
-        qkey = po[reps] * n + piv
-        vedges = np.arange(0, n + block_rows, block_rows, dtype=np.int64)
+        block_rows = table.rows
+        table_d, table_e = table.arrays()
+        qkey = pair_keys(po[reps], piv, n)
+        first, last = int(po[0]) // block_rows, int(po[-1]) // block_rows
+        vedges = np.arange(first, last + 2, dtype=np.int64) * block_rows
         # Rows per block: pair runs via po, then row runs via reps.
         pair_cuts = np.searchsorted(po, vedges)
         row_cuts = np.searchsorted(reps, pair_cuts)
@@ -931,7 +1139,8 @@ class ArrayLabelState:
             b0 = int(vedges[k])
             hi = min(b0 + block_rows, n)
             shift = b0 * n
-            epoch = k + 1
+            table.epoch += 1
+            epoch = table.epoch
             for probe in probes:
                 so, se = int(probe.off[b0]), int(probe.off[hi])
                 if se == so:
@@ -993,7 +1202,7 @@ class ArrayLabelState:
         at = np.searchsorted(side.key, verts * (n + 1))
         return frozen_views(
             side.off + np.arange(n + 1, dtype=np.int64),
-            np.insert(side.piv, at, verts).astype(np.int32),
+            np.insert(side.piv, at, verts).astype(np.int32, copy=False),
             np.insert(side.dist, at, 0.0),
         )
 

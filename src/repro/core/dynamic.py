@@ -136,10 +136,12 @@ class _ArrayRepairEngine:
         index size — the full rule set is preserved (class docstring).
         """
         while len(prev):
-            candidates = array_doubling(
-                self.state.doubling_snapshot(prev), prev, full=True
+            # No name holds the round's candidates: admission empties
+            # them, and the next round starts with the survivors alone.
+            prev, _ = admit_and_prune_arrays(
+                self.state,
+                array_doubling(self.state.doubling_snapshot(prev), prev, full=True),
             )
-            prev, _ = admit_and_prune_arrays(self.state, candidates)
 
     # -- queries / maintenance -----------------------------------------
     def query(self, s: int, t: int) -> float:

@@ -11,6 +11,15 @@ multiprocess candidate generation on top for ``jobs > 1``.  It reads
 the graph once into arc columns and freezes straight into the CSR
 arrays of a :class:`~repro.core.flatstore.FlatLabelStore`.
 
+A round's memory beyond the label state (24 bytes per stored entry)
+is bounded step by step: generation holds the previous round's
+survivors, the candidates' running minimum per pair and one block of
+raw candidates (:mod:`repro.core.rules`); admission and pruning hold
+the staged overlays and a block of expanded rows
+(:mod:`repro.core.pruning`, :mod:`repro.core.arraystate`); and the
+builder drops each round's ``prev`` and candidates as soon as the next
+step stands for them (:meth:`~repro.core.hop_doubling.LabelingBuilder.build`).
+
 The per-entry reference engine over dict label states lives in
 ``tests/reference/dict_build.py``; the bit-identity suites
 (``tests/core/test_parallel_build.py``,
@@ -62,9 +71,10 @@ def seed_array_state(graph: Graph, rank_of: Sequence[int], arcs):
     """
     import numpy as np
 
-    from repro.core.arraystate import ArrayLabelState, PrevBlock
+    from repro.core.arraystate import ArrayLabelState, PrevBlock, id_dtype
     from repro.core.rules import CandidateBatch
 
+    n = graph.num_vertices
     src, tgt, wt = arcs
     once = src != tgt if graph.directed else src < tgt
     a, b, wt = src[once], tgt[once], wt[once]
@@ -72,8 +82,8 @@ def seed_array_state(graph: Graph, rank_of: Sequence[int], arcs):
         rank = np.asarray(rank_of, dtype=np.int64)
         swap = rank[a] < rank[b]
         a, b = np.where(swap, b, a), np.where(swap, a, b)
-    ones = np.ones(a.size, dtype=np.int64)
-    prev = PrevBlock(*CandidateBatch(graph.num_vertices, a, b, wt, ones).dedupe())
+    ones = np.ones(a.size, dtype=id_dtype(n))
+    prev = PrevBlock.from_keys(n, *CandidateBatch(n, a, b, wt, ones).take())
     return ArrayLabelState.from_block(rank_of, graph.directed, prev), prev
 
 

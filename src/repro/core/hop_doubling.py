@@ -188,10 +188,14 @@ class LabelingBuilder:
                 if mode not in ("step", "double"):  # pragma: no cover
                     raise ValueError(f"unknown mode {mode!r}")
                 round_timer = Timer().start()
+                prev_size = len(prev)
                 candidates = engine.generate(mode, prev)
-                survivors, outcome = engine.admit_round(
-                    candidates, prune=self.prune
-                )
+                # The round's candidates stand for prev from here on,
+                # and admission empties them: nothing of this round
+                # outlives it but the survivors.
+                del prev
+                prev, outcome = engine.admit_round(candidates, prune=self.prune)
+                del candidates
                 elapsed = round_timer.stop()
                 iterations.append(
                     IterationStats(
@@ -203,13 +207,12 @@ class LabelingBuilder:
                         pruned=outcome.pruned,
                         survived=outcome.survived,
                         total_entries=engine.total_entries(),
-                        prev_size=len(prev),
+                        prev_size=prev_size,
                         elapsed=elapsed,
                     )
                 )
                 if self.on_round is not None:
                     self.on_round(iterations[-1])
-                prev = survivors
 
             if self.final_exhaustive_prune and self.prune:
                 engine.exhaustive_prune()

@@ -18,8 +18,8 @@ contiguous chunks and fans them out over a process pool:
   slices.  Where only ``spawn`` is available, the snapshot falls back
   to riding along with each chunk task (it is read-only either way,
   so workers never see a stale or half-updated state);
-* results are concatenated **in chunk order** and deduplicated by the
-  same canonical ``lexsort`` pass the serial engine uses, so
+* results are folded **in chunk order** into one running minimum per
+  pair, the reduction the serial engine runs over its blocks, so
   ``jobs=N`` produces bit-identical candidates — and therefore
   bit-identical label sets and ``IterationStats`` counters — to
   ``jobs=1`` (the guarantee ``tests/core/test_parallel_build.py``
@@ -79,7 +79,17 @@ def _generate_chunk(mode: str, label_snapshot, a, b, dist, hops):
             label_snapshot = _WORKER_SNAPSHOT
         assert label_snapshot is not None, "no label snapshot available"
         batch = array_doubling(label_snapshot, prev, full)
-    return batch.a, batch.b, batch.dist, batch.hops
+    return batch
+
+
+def _merged(n: int, futures):
+    """The chunks' candidate batches folded into one, in chunk order."""
+    from repro.core.rules import CandidateBatch
+
+    batch = CandidateBatch(n)
+    for future in futures:
+        batch.merge(future.result())
+    return batch
 
 
 class ParallelBuildEngine(ArrayBuildEngine):
@@ -153,8 +163,6 @@ class ParallelBuildEngine(ArrayBuildEngine):
 
     # -- generation ----------------------------------------------------
     def generate(self, mode: str, prev):
-        from repro.core.rules import CandidateBatch
-
         size = len(prev)
         if self.jobs == 1 or size < self.jobs:
             return super().generate(mode, prev)
@@ -163,8 +171,7 @@ class ParallelBuildEngine(ArrayBuildEngine):
             futures = self._submit_chunks(
                 self._ensure_pool(need_edges=True), "step", None, prev
             )
-            batches = [CandidateBatch(n, *f.result()) for f in futures]
-            return CandidateBatch.concatenate(batches)
+            return _merged(n, futures)
 
         snapshot = self.state.doubling_snapshot(prev)
         if self._fork_ctx is None:
@@ -172,8 +179,7 @@ class ParallelBuildEngine(ArrayBuildEngine):
             # would re-import the module and lose any global).
             pool = self._ensure_pool(need_edges=False)
             futures = self._submit_chunks(pool, "double", snapshot, prev)
-            batches = [CandidateBatch(n, *f.result()) for f in futures]
-            return CandidateBatch.concatenate(batches)
+            return _merged(n, futures)
 
         # Fork path: publish the snapshot, fork a per-round pool that
         # inherits it as shared copy-on-write pages, and send only the
@@ -195,10 +201,9 @@ class ParallelBuildEngine(ArrayBuildEngine):
                 initargs=(None, self.full),
             ) as pool:
                 futures = self._submit_chunks(pool, "double", None, prev)
-                batches = [CandidateBatch(n, *f.result()) for f in futures]
+                return _merged(n, futures)
         finally:
             _PARENT_SNAPSHOT = None
-        return CandidateBatch.concatenate(batches)
 
     # -- lifecycle -----------------------------------------------------
     def close(self) -> None:

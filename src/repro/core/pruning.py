@@ -17,6 +17,12 @@ engine and then prunes them:
 Theorem 3 guarantees that *canonical* entries — those whose pivot is
 the highest-ranked vertex on some shortest path — can never be pruned,
 which keeps querying exact.
+
+Memory: :func:`admit_and_prune_arrays` takes the round's candidates
+out of their batch, so from admission on they are referenced once and
+go as soon as the staged overlays hold what was admitted; the overlays
+go, side by side, once their survivors are copied out.  What bounds
+each step is listed on the function.
 """
 
 from __future__ import annotations
@@ -53,8 +59,9 @@ def admit_and_prune_arrays(state, batch, prune: bool = True):
     """Stage one round's candidates, prune, return the survivors.
 
     ``state`` is a :class:`repro.core.arraystate.ArrayLabelState` and
-    ``batch`` a :class:`repro.core.rules.CandidateBatch`; returns the
-    surviving entries (the next round's ``prevLabel``) as a
+    ``batch`` a :class:`repro.core.rules.CandidateBatch`, which this
+    empties (:meth:`~repro.core.rules.CandidateBatch.take`); returns
+    the surviving entries (the next round's ``prevLabel``) as a
     :class:`~repro.core.arraystate.PrevBlock` plus the round's
     :class:`PruneOutcome` counters.  With ``prune=False`` only
     admission (duplicate suppression) is applied — the configuration
@@ -65,24 +72,32 @@ def admit_and_prune_arrays(state, batch, prune: bool = True):
     Pruning an entry through a route that is itself pruned stays sound
     — every entry's distance is the length of a real path — and the
     snapshot makes the outcome independent of evaluation order.
+
+    What is alive, step by step, beside the base state: the distinct
+    candidates (20 bytes each with int32 hops) until they are staged;
+    then the staged overlays (24 bytes per admitted entry) through the
+    prune test, whose scratch is a few narrow per-pair columns plus one
+    block of expanded rows (``PRUNE_BLOCK_ROWS``, at most
+    ``PRUNE_BLOCK_PAIRS`` pairs); the overlays go before the base
+    arrays grow, leaving the survivors.
     """
     from repro.core.arraystate import PrevBlock
 
     raw = batch.raw
-    a, b, dist, hops = batch.dedupe()
-    distinct = int(a.size)
+    distinct = len(batch)
     if not prune:
-        admitted_mask = state.admit(a, b, dist, hops)
-        a, b, dist, hops = (
-            a[admitted_mask],
-            b[admitted_mask],
-            dist[admitted_mask],
-            hops[admitted_mask],
+        entries = PrevBlock.from_keys(state.n, *batch.take())
+        admitted = state.admit(entries.a, entries.b, entries.dist, entries.hops)
+        survivors = PrevBlock(
+            entries.a[admitted],
+            entries.b[admitted],
+            entries.dist[admitted],
+            entries.hops[admitted],
         )
-        return PrevBlock(a, b, dist, hops), PruneOutcome(
+        return survivors, PruneOutcome(
             raw_generated=raw,
             distinct_generated=distinct,
-            admitted=int(a.size),
+            admitted=len(survivors),
             pruned=0,
         )
 
@@ -90,18 +105,11 @@ def admit_and_prune_arrays(state, batch, prune: bool = True):
     # overlays that prunable joins alongside the base arrays, and only
     # the survivors are merged in (state.commit_staged), so the doomed
     # majority of a round never touches the O(index) base arrays.
-    admitted_mask = state.stage(a, b, dist, hops)
-    a, b, dist, hops = (
-        a[admitted_mask],
-        b[admitted_mask],
-        dist[admitted_mask],
-        hops[admitted_mask],
-    )
-    admitted = int(a.size)
+    admitted = state.stage(batch)
+    a, b, dist = state.staged_pairs()
     doomed = state.prunable(a, b, dist)
-    state.commit_staged(a, b, dist, hops, doomed)
-    keep = ~doomed
-    survivors = PrevBlock(a[keep], b[keep], dist[keep], hops[keep])
+    del a, b, dist
+    survivors = state.commit_staged(doomed)
     return survivors, PruneOutcome(
         raw_generated=raw,
         distinct_generated=distinct,

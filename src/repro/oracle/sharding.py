@@ -545,16 +545,14 @@ class ShardedLabelStore:
         cls,
         path,
         use_mmap: bool = False,
-        verify_checksums: bool = True,
     ) -> "ShardedLabelStore":
         """Open a shard directory written by :meth:`save`.
 
         Validates the manifest before opening anything: schema, a
         complete gap/overlap-free range cover, every shard file
-        present, and (unless ``verify_checksums=False`` trusts a
-        directory verified before) SHA-256 checksums.  With ``use_mmap=True`` every shard is
-        mapped zero-copy.  Raises :class:`ShardError` on anything
-        inconsistent.
+        present, and every file's SHA-256 checksum.  With
+        ``use_mmap=True`` every shard is mapped zero-copy.  Raises
+        :class:`ShardError` on anything inconsistent.
         """
         root = Path(path)
         manifest = load_manifest(root)
@@ -562,15 +560,14 @@ class ShardedLabelStore:
         try:
             for entry in manifest["shards"]:
                 file_path = root / entry["file"]
-                if verify_checksums:
-                    digest = _sha256_file(file_path)
-                    if digest != entry["sha256"]:
-                        raise ShardError(
-                            f"{file_path}: checksum mismatch (manifest "
-                            f"{entry['sha256'][:12]}..., file "
-                            f"{digest[:12]}...) — shard file corrupt or "
-                            "replaced; re-run `repro shard`"
-                        )
+                digest = _sha256_file(file_path)
+                if digest != entry["sha256"]:
+                    raise ShardError(
+                        f"{file_path}: checksum mismatch (manifest "
+                        f"{entry['sha256'][:12]}..., file "
+                        f"{digest[:12]}...) — shard file corrupt or "
+                        "replaced; re-run `repro shard`"
+                    )
                 try:
                     # Sniffs the per-file version byte, so v2 and v3
                     # shard files (and mixed directories) all load.

@@ -251,17 +251,17 @@ class TestManifestFailureModes:
         with pytest.raises(ShardError, match="checksum mismatch"):
             ShardedLabelStore.load(shard_dir)
 
-    def test_checksum_verification_can_be_skipped(self, shard_dir):
-        # Only the recorded digest is stale; the file itself is a valid
-        # shard, so trusting the caller still yields a working store.
+    def test_stale_manifest_digest_is_refused(self, shard_dir):
+        # Only the recorded digest is stale and the file itself is a
+        # valid shard: every load still checks it, and refuses.
         _edit_manifest(
             shard_dir,
             lambda m: m["shards"][0].update(sha256="0" * 64),
         )
         with pytest.raises(ShardError, match="checksum mismatch"):
             ShardedLabelStore.load(shard_dir)
-        loaded = ShardedLabelStore.load(shard_dir, verify_checksums=False)
-        assert loaded.num_shards == 3
+        with pytest.raises(ShardError, match="checksum mismatch"):
+            ShardedLabelStore.load(shard_dir, use_mmap=True)
 
     def test_overlapping_ranges(self, shard_dir):
         def overlap(m):
