@@ -16,7 +16,13 @@ engine (``tests/reference/dict_build.py``), and the file enforces:
   file byte-identical to the one the dict engine's index packs into;
 * the **build's memory ceiling**: the ``tracemalloc`` peak of the
   array build (numpy allocations included), which repeats to within a
-  few KB from run to run, unlike wall-clock or RSS.
+  few KB from run to run, unlike wall-clock or RSS;
+* the **>= 1.3x hub-table floor of the pruning test**: every prune
+  call of the build runs twice on the same inputs, with the dense hub
+  table (``arraystate.PRUNE_HUB_COLUMNS`` columns) and with zero hub
+  columns, interleaved, and the second must take at least 1.3x the
+  time of the first, summed over the calls (measured 1.6-1.7x).  The two
+  verdicts must be equal.
 
 Every run records its measurements in ``BENCH_build_throughput.json``
 (uploaded as a CI artifact), so the construction-speed trajectory is
@@ -29,9 +35,12 @@ import os
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from paper.bench.export import write_bench_json
+from repro.core import arraystate
+from repro.core.arraystate import ArrayLabelState
 from repro.core.hybrid import make_builder
 from repro.core.index import HopDoublingIndex
 from repro.graphs.generators import ba_graph
@@ -49,6 +58,11 @@ PARALLEL_JOBS = 2
 #: 44.6 MiB measured once a round stopped holding its raw candidates
 #: and the previous round's arrays (the build peaked at 139 MiB before).
 MAX_TRACED_PEAK_MB = 53.5
+#: Floor on the pruning test's speedup from its hub table: zero-column
+#: time over hub-table time, summed over the build's prune calls.
+MIN_PRUNE_HUB_SPEEDUP = 1.3
+#: Timed runs of each prune call per variant; the fastest one counts.
+PRUNE_REPEATS = 3
 
 _CORES = os.cpu_count() or 1
 
@@ -95,6 +109,36 @@ def traced_peak(graph):
     finally:
         tracemalloc.stop()
     return peak / 2**20, result.index.total_entries()
+
+
+@pytest.fixture(scope="module")
+def prune_hub_timing(graph):
+    """The build with each prune call timed with the hub table and with
+    zero hub columns, interleaved on the same inputs: ``(hub seconds,
+    zero-column seconds)``, each call's fastest run summed."""
+    prunable = ArrayLabelState.prunable
+    hub_columns = arraystate.PRUNE_HUB_COLUMNS
+    spent = {hub_columns: 0.0, 0: 0.0}
+    with pytest.MonkeyPatch.context() as patch:
+
+        def both(state, a, b, dist):
+            verdicts, fastest = {}, {}
+            for k in range(PRUNE_REPEATS):
+                order = (hub_columns, 0) if k % 2 == 0 else (0, hub_columns)
+                for columns in order:
+                    patch.setattr(arraystate, "PRUNE_HUB_COLUMNS", columns)
+                    t0 = time.perf_counter()
+                    verdicts[columns] = prunable(state, a, b, dist)
+                    took = time.perf_counter() - t0
+                    fastest[columns] = min(fastest.get(columns, took), took)
+            assert np.array_equal(verdicts[hub_columns], verdicts[0])
+            for columns, took in fastest.items():
+                spent[columns] += took
+            return verdicts[hub_columns]
+
+        patch.setattr(ArrayLabelState, "prunable", both)
+        make_builder(graph, "hybrid").build()
+    return spent[hub_columns], spent[0]
 
 
 def _counters(result):
@@ -149,11 +193,26 @@ def test_build_traced_peak_ceiling(traced_peak):
     )
 
 
-def test_build_speedup_floor_and_export(graph, builds, to_file, traced_peak):
+def test_prune_hub_speedup_floor(prune_hub_timing):
+    """The pruning test's hub table pays: zero hub columns take at
+    least 1.3x as long on the same calls."""
+    hub_seconds, zero_seconds = prune_hub_timing
+    speedup = zero_seconds / hub_seconds
+    assert speedup >= MIN_PRUNE_HUB_SPEEDUP, (
+        f"prune test {hub_seconds:.3f}s with the hub table vs "
+        f"{zero_seconds:.3f}s with zero hub columns — {speedup:.2f}x is "
+        f"below the {MIN_PRUNE_HUB_SPEEDUP}x floor"
+    )
+
+
+def test_build_speedup_floor_and_export(
+    graph, builds, to_file, traced_peak, prune_hub_timing
+):
     """The acceptance criterion: array engine >= 2x dict wall-clock."""
     dict_result, dict_seconds, array_result, array_seconds = builds
     _, build_to_file_seconds, pack_seconds = to_file
     peak_mb, entries = traced_peak
+    hub_seconds, zero_seconds = prune_hub_timing
     speedup = dict_seconds / array_seconds
     write_bench_json(
         "build_throughput",
@@ -172,6 +231,10 @@ def test_build_speedup_floor_and_export(graph, builds, to_file, traced_peak):
             "build_traced_peak_mb": round(peak_mb, 2),
             "build_traced_peak_bytes_per_entry": round(peak_mb * 2**20 / entries, 1),
             "build_traced_peak_ceiling_mb": MAX_TRACED_PEAK_MB,
+            "prune_hub_seconds": round(hub_seconds, 3),
+            "prune_zero_column_seconds": round(zero_seconds, 3),
+            "prune_hub_speedup": round(zero_seconds / hub_seconds, 3),
+            "prune_hub_floor": MIN_PRUNE_HUB_SPEEDUP,
             "cores": _CORES,
         },
     )

@@ -34,6 +34,16 @@ as struct-of-arrays instead:
   probed (:meth:`ArrayLabelState.prunable` has the argument) — in a
   Hop-Stepping round on an unweighted graph that is the whole staged
   overlay;
+* **the pruning test splits hubs from tails**, as the query kernel
+  does (:mod:`repro.core.hubs`).  On a scale-free graph a few
+  top-ranked pivots hold most entries, so a call builds a dense uint8
+  table of every vertex's shortest entry to each of the top
+  ``PRUNE_HUB_COLUMNS`` ranks, dooms the pairs whose hub part
+  ``min_j H_out[a, j] + H_in[b, j]`` is within the candidate's
+  distance with no join at all, and joins the rest over their other
+  pivots only.  A call too small to pay for scanning the labels, or
+  one with an entry to a hub that a cell cannot hold, runs the same
+  code with zero hub columns;
 * each iteration publishes a read-only :class:`LabelSnapshot` /
   :class:`EdgeSnapshot` — per-vertex partner arrays re-sorted by
   pivot *rank* so the minimized rules' "ranked between" filters become
@@ -49,7 +59,8 @@ as struct-of-arrays instead:
   staging (:meth:`ArrayLabelState.stage`), the candidates as they turn
   into the staged overlays (24 bytes per admitted entry); while
   pruning (:meth:`ArrayLabelState.prunable`), the overlays, ~20 bytes
-  of scratch per staged pair and one block of expanded rows
+  of scratch per staged pair, the hub tables (``n`` times
+  ``PRUNE_HUB_COLUMNS`` bytes per side) and one block of expanded rows
   (``PRUNE_BLOCK_ROWS`` / ``PRUNE_BLOCK_PAIRS``); while committing
   (:meth:`ArrayLabelState.commit_staged`), each overlay until its
   survivors are copied out, then the growing base arrays.  Every
@@ -73,6 +84,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.flatstore import FlatLabelStore, frozen_views
+from repro.core.hubs import NO_ENTRY, hub_min, misfit
 from repro.graphs.digraph import Graph
 
 #: Pruning expands each staged pair's smaller label into rows (about 50
@@ -90,6 +102,22 @@ PRUNE_TABLE_ELEMS = 1 << 19
 #: Below this many expanded-and-filtered rows the dense probe table is
 #: not worth scattering; the global ``searchsorted`` probe runs instead.
 PRUNE_DENSE_MIN_ROWS = 8_192
+
+#: Hub columns of the pruning test: pivots ranked above this (``rank <
+#: PRUNE_HUB_COLUMNS``) get a column of the call's dense hub table.
+#: Prune time of whole builds at 32 / 64 / 128 / 256 columns (one
+#: pinned core, same calls): GLP-20k 0.127 / 0.129 / 0.135 / 0.141 s,
+#: BA-10k 0.46 / 0.44 / 0.42 / 0.44 s, GLP-70k 0.68 / 0.67 / 0.72 /
+#: 0.77 s; zero columns 0.34, 0.82 and 2.07 s.
+PRUNE_HUB_COLUMNS = 64
+
+#: The hub table is built for a call only when the call expands at
+#: least this many rows per entry the table would scan; a smaller call
+#: (the repair of a few edges) joins every pivot as rows.  Measured per
+#: call in repairs on BA-10k and GLP-70k: the table lost at 0.1 rows
+#: per entry and below (e.g. 6.2 against 4.6 ms) and won from 0.4 on
+#: (13.9 against 16.7 ms).
+PRUNE_HUB_ROWS_PER_ENTRY = 0.25
 
 
 def id_dtype(n: int):
@@ -1010,6 +1038,28 @@ class ArrayLabelState:
         has distance exactly ``i``: the overlay is inert for the whole
         round.  Each side's minimum is taken once per call.
 
+        **Hubs first.**  Pivots ranked in the top ``k`` (``rank <
+        k``, ``k`` = :data:`PRUNE_HUB_COLUMNS`) are hubs, and each side
+        of the call gets an ``n x k`` uint8 table (:meth:`_hub_tables`)
+        whose cell ``[v, j]`` is the shortest entry of ``v``'s label to
+        the rank-``j`` vertex over the base and staged sides, min-merged
+        the way the dense join merges them; ``NO_ENTRY`` (127) means no
+        entry.  A cell holds only a whole distance in ``[0, 63]``
+        (:func:`~repro.core.hubs.misfit`), so two cells sum below 127
+        only when both are entries, and that sum is the exact float
+        sum.  A pair is doomed when ``min_j H_out[a, j] + H_in[b, j] <=
+        dist`` (:func:`~repro.core.hubs.hub_min`); only the pairs that
+        leaves go on to the join, whose rows drop their hub pivots in
+        the same compress as the ``d1 < dist`` filter.  Every witness
+        pivot is a hub or not, so the verdicts are those of the join
+        alone.  The tables cost a scan of the live sides' entries and
+        ``n * k`` bytes, so they are built only when the call expands at
+        least :data:`PRUNE_HUB_ROWS_PER_ENTRY` rows per entry scanned (a
+        build round does, the repair of a few edges does not); below
+        that, or when an entry to a hub misfits a cell (weighted or
+        fractional graphs), ``k`` is 0 and the same code joins every
+        pivot.
+
         Large blocks probe through a cache-resident epoch-stamped
         scatter table (pairs sorted by probe owner, the probed side's
         entries scattered one vertex block at a time — the query
@@ -1047,12 +1097,19 @@ class ArrayLabelState:
         expand_out = rows <= in_rows
         np.minimum(rows, in_rows, out=rows)  # rows each pair expands
         del in_rows
+        k, h_out, h_in = self._hub_tables(outs, inns, top, int(rows.sum()))
+        if k:
+            best = hub_min(h_out, h_in, a, b)
+            doomed = (best < NO_ENTRY) & (best <= dist)
+            del best
+        del h_out, h_in
+        tail_pivot = self.rank >= k  # the pivots the join still probes
         table = _ProbeTable(self.n)
         for sel, exps, exp_owner, probes, probe_owner in (
             (expand_out, outs, a, inns, b),
             (~expand_out, inns, b, outs, a),
         ):
-            idx = np.flatnonzero(sel).astype(np.int32)
+            idx = np.flatnonzero(sel & ~doomed).astype(np.int32)
             if idx.size == 0:
                 continue
             # Sorting the pairs by probe owner makes each vertex
@@ -1077,12 +1134,15 @@ class ArrayLabelState:
                     if pos.size == 0:
                         continue
                     d1 = exp.dist[pos]
-                    keep = d1 < db[reps]
-                    reps, pos, d1 = reps[keep], pos[keep], d1[keep]
-                    if pos.size == 0:
-                        continue
                     piv = exp.piv[pos]
-                    if pos.size >= PRUNE_DENSE_MIN_ROWS and table.rows >= 1:
+                    del pos
+                    keep = d1 < db[reps]
+                    if k:
+                        keep &= tail_pivot[piv]
+                    reps, piv, d1 = reps[keep], piv[keep], d1[keep]
+                    if piv.size == 0:
+                        continue
+                    if piv.size >= PRUNE_DENSE_MIN_ROWS and table.rows >= 1:
                         joins = [
                             self._prune_join_dense(live, po, reps, piv, d1, table)
                         ]
@@ -1096,6 +1156,57 @@ class ArrayLabelState:
                             best[pair] = np.minimum(best[pair], bounds)
                 doomed[blk] = best <= db
         return doomed
+
+    def _hub_tables(self, outs, inns, top, rows: int):
+        """``(k, H_out, H_in)``: the pruning test's hub tables.
+
+        ``H_out[v, j]`` is the shortest entry of ``Lout(v)`` to the
+        vertex of rank ``j`` over the base and staged sides of ``outs``
+        (min-merged, as the dense join merges them), ``NO_ENTRY`` where
+        there is none; ``H_in`` likewise over ``inns`` (the same table
+        when undirected).  Sides inert for the whole call (no entry
+        below ``top``) are left out: no witness runs through them.
+        ``k`` is :data:`PRUNE_HUB_COLUMNS` (at most ``n``), or 0 — and
+        the tables ``n x 0`` — when the call's ``rows`` are fewer than
+        :data:`PRUNE_HUB_ROWS_PER_ENTRY` per entry scanned or an entry
+        to a hub does not fit a cell (:func:`~repro.core.hubs.misfit`).
+        The entries are scanned in blocks of ``PRUNE_BLOCK_ROWS``.
+        """
+        n = self.n
+        k = min(PRUNE_HUB_COLUMNS, n)
+        groups = [[side for side, floor in outs if floor < top]]
+        if self.directed:
+            groups.append([side for side, floor in inns if floor < top])
+        scanned = sum(len(side) for sides in groups for side in sides)
+        if rows < PRUNE_HUB_ROWS_PER_ENTRY * scanned:
+            k = 0
+        tables = []
+        for sides in groups if k else ():
+            table = self._hub_table(sides, k)
+            if table is None:
+                k = 0
+                break
+            tables.append(table)
+        if not k:
+            tables = [np.zeros((n, 0), dtype=np.uint8)]
+        return k, tables[0], tables[-1]
+
+    def _hub_table(self, sides, k: int):
+        """The ``n x k`` hub table of ``sides``, or None when an entry
+        to a hub does not fit a cell."""
+        n = self.n
+        cells = np.full(n * k, NO_ENTRY, dtype=np.uint8)
+        for side in sides:
+            for lo in range(0, len(side), PRUNE_BLOCK_ROWS):
+                hi = lo + PRUNE_BLOCK_ROWS
+                col = self.rank[side.piv[lo:hi]]
+                at = np.flatnonzero(col < k)
+                cell = side.dist[lo:hi][at]
+                if misfit(cell).any():
+                    return None
+                addr = side.key[lo:hi][at] // n * k + col[at]
+                cells[addr] = np.minimum(cells[addr], cell.astype(np.uint8))
+        return cells.reshape(n, k)
 
     @staticmethod
     def _prune_join_sorted(probe, po, reps, piv, d1):

@@ -42,7 +42,8 @@ computation and only the remainder needs a search.
    answer at the end;
 4. **hub part** — ``min_j H_out[s, j] + H_in[t, j]`` over the
    distinct pairs, a few thousand pairs at a time through reused
-   buffers: no keys, no sort, no probe;
+   buffers (:func:`repro.core.hubs.hub_min`, which the build's pruning
+   test shares): no keys, no sort, no probe;
 5. **tail part** — one batch-local join: the tails of the batch's
    *distinct sources* are gathered once and packed as int32 keys
    ``row * n + pivot`` (``row`` numbering the sources), the target
@@ -132,6 +133,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.flatstore import FlatLabelStore, _as_np, probe_min_distance
+from repro.core.hubs import MAX_CELL, NO_ENTRY, hub_min, misfit
 from repro.core.labels import INF
 from repro.core.quantized import absolute_pivots
 
@@ -141,17 +143,6 @@ from repro.core.quantized import absolute_pivots
 _SAMPLE_LABELS = 256
 _HUB_SHARE = 32
 _MAX_HUB_COLUMNS = 1024
-
-#: Table cells are uint8: ``_NO_ENTRY`` where the row has no entry for
-#: the column, else a distance of at most ``_MAX_CELL`` — so the sum
-#: of two cells stays below ``_NO_ENTRY`` exactly when both are
-#: entries, and never wraps.
-_NO_ENTRY = 127
-_MAX_CELL = 63
-
-#: Pairs per pass of the hub part: two ``pairs x k`` uint8 buffers of
-#: this many rows stay inside the L2 cache.
-_HUB_PASS_PAIRS = 2048
 
 #: Batches of fewer pairs than this are joined pair by pair
 #: (:func:`_pairwise`); larger ones are grouped.  Warm kernel calls,
@@ -241,14 +232,6 @@ def supports(store) -> bool:
     if isinstance(store, ShardedLabelStore):
         return all(isinstance(s, FlatLabelStore) for s in store.shards)
     return False
-
-
-def _misfit(cell):
-    """Mask of the distances a table cell cannot hold: fractional,
-    negative or above :data:`_MAX_CELL`."""
-    if cell.dtype.kind == "u":  # v3's quantized distances are whole
-        return cell > _MAX_CELL
-    return ~((cell >= 0) & (cell <= _MAX_CELL) & (cell == np.floor(cell)))
 
 
 def _expand(starts, lens):
@@ -487,9 +470,9 @@ class _View:
         # Integer positions: a boolean mask costs a pass per use.
         hub, tail = np.flatnonzero(col >= 0), np.flatnonzero(col < 0)
         cell = dist[hub]
-        misfit = _misfit(cell)
-        if np.count_nonzero(misfit):
-            self._retire(col[hub[misfit]])
+        bad = misfit(cell)
+        if np.count_nonzero(bad):
+            self._retire(col[hub[bad]])
             return False
         owner = np.repeat(np.arange(verts.size), lens)
         tail_len = np.bincount(owner[tail], minlength=verts.size)
@@ -497,7 +480,7 @@ class _View:
         if rows.used + need > rows.tail_piv.size:
             self._overflow(rows, need)
             return False
-        rows.table[verts] = _NO_ENTRY
+        rows.table[verts] = NO_ENTRY
         cells = rows.table.reshape(-1)
         cells[verts[owner[hub]] * self.hubs.size + col[hub]] = cell
         end = rows.used + need
@@ -540,10 +523,10 @@ class _View:
         hub = col >= 0
         cols, cell = col[hub], dist[hub]
         # Quantized distances are whole: their maximum settles them.
-        if cell.dtype.kind != "u" or max(cell.tolist(), default=0) > _MAX_CELL:
-            misfit = _misfit(cell)
-            if np.count_nonzero(misfit):
-                self._retire(cols[misfit])
+        if cell.dtype.kind != "u" or max(cell.tolist(), default=0) > MAX_CELL:
+            bad = misfit(cell)
+            if np.count_nonzero(bad):
+                self._retire(cols[bad])
                 return False
         need = piv.size - cell.size
         start = rows.used
@@ -551,7 +534,7 @@ class _View:
             self._overflow(rows, 2 * need)
             return False
         row = rows.table[v]
-        row.fill(_NO_ENTRY)
+        row.fill(NO_ENTRY)
         row.put(cols, cell)
         if need:
             tail = ~hub
@@ -614,7 +597,7 @@ class _View:
             if self.hubs.size:
                 both = out.table[s] + inn.table[t]
                 cell = both.item(both.argmin())
-                if cell < _NO_ENTRY:
+                if cell < NO_ENTRY:
                     best = float(cell)
             a, b = out.tail_start[s], inn.tail_start[t]
             la, lb = out.tail_len[s], inn.tail_len[t]
@@ -765,25 +748,6 @@ def label_entries(store):
     return tuple(map(np.concatenate, zip(*columns)))
 
 
-def _hub_min(out_table, in_table, S, T):
-    """``min_j out_table[S[k], j] + in_table[T[k], j]`` as uint8.
-
-    Below ``_NO_ENTRY`` exactly where the pair shares a column pivot.
-    """
-    best = np.empty(len(S), dtype=np.uint8)
-    shape = (min(len(S), _HUB_PASS_PAIRS), out_table.shape[1])
-    a = np.empty(shape, dtype=np.uint8)
-    b = np.empty(shape, dtype=np.uint8)
-    for lo in range(0, len(S), _HUB_PASS_PAIRS):
-        hi = min(lo + _HUB_PASS_PAIRS, len(S))
-        m = hi - lo
-        np.take(out_table, S[lo:hi], axis=0, out=a[:m], mode="clip")
-        np.take(in_table, T[lo:hi], axis=0, out=b[:m], mode="clip")
-        np.add(a[:m], b[:m], out=a[:m])
-        np.min(a[:m], axis=1, out=best[lo:hi])
-    return best
-
-
 def _match_sorted(s_keys, t_keys):
     """Positions of ``t_keys`` found in sorted ``s_keys``: (where, at)."""
     pos = s_keys.searchsorted(t_keys)
@@ -901,7 +865,7 @@ def _pairwise(view: _View, S, T):
     out, inn, base = view.out, view.inn, view.n
     if view.hubs.size:
         best = (out.table.take(S, axis=0) + inn.table.take(T, axis=0)).min(axis=1)
-        res = np.where(best < _NO_ENTRY, best, np.inf)
+        res = np.where(best < NO_ENTRY, best, np.inf)
     else:
         res = np.full(len(S), np.inf)
     # Both ends' tails in one expansion, the sources' slices first.
@@ -965,8 +929,8 @@ def _eval(view: _View, S, T):
 
         res = np.full(len(S), np.inf)
         if view.hubs.size:
-            best = _hub_min(out.table, inn.table, S, T)
-            shared = best < _NO_ENTRY
+            best = hub_min(out.table, inn.table, S, T)
+            shared = best < NO_ENTRY
             res[shared] = best[shared]
         kind, rows, gathered = _join_tails(out, inn, n, S, T, res)
     _tally(len(order), len(S), 0, rows, gathered, kind)

@@ -656,6 +656,31 @@ class TestRowCache:
         forget_view(store)
         assert kernel.batch_eval(store, pairs) == got
 
+    @pytest.mark.parametrize("size", [8, GROUPED], ids=["pairwise", "grouped"])
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("directed", [False, True], ids=["undir", "dir"])
+    def test_repeated_missing_vertices_fill_once(self, directed, kind, size):
+        # Every end is named many times, out of order and in both
+        # columns: each missing row is filled once per side.
+        flat = build_flat(n=120, seed=9, directed=directed)
+        store = {
+            "v2": lambda: flat,
+            "v3": lambda: flat.encoded("v3"),
+            "sharded": lambda: ShardedLabelStore.split(flat, 3),
+        }[kind]()
+        ends = [97, 5, 41, 5, 97, 63, 41, 5, 119]
+        pairs = [
+            (ends[k % 9], ends[(4 * k + 1) % 9]) for k in range(3 * size)
+        ]
+        pairs = [(s, t) for s, t in pairs if s != t][:size]
+        sources, targets = {s for s, _ in pairs}, {t for _, t in pairs}
+        got, did = work(lambda: kernel.batch_eval(store, pairs))
+        assert got == [flat.query(s, t) for s, t in pairs]
+        if directed:
+            assert did["rows_filled"] == len(sources) + len(targets)
+        else:
+            assert did["rows_filled"] == len(sources | targets)
+
     def test_fractional_distances_stay_in_the_tails(self):
         edges = [(0, v, 0.5) for v in range(1, 60)]
         edges += [(v, v + 1, 1.25) for v in range(1, 59)]
@@ -669,7 +694,7 @@ class TestRowCache:
                 flat.query(s, t) for s, t in pairs
             ]
             assert 0 not in store._view.hubs
-            assert (table_cells(store) == kernel._NO_ENTRY).all()
+            assert (table_cells(store) == kernel.NO_ENTRY).all()
 
     def test_a_distance_too_large_for_a_cell_retires_its_column(self):
         for far in (63.0, 64.0, 300.0):
@@ -683,13 +708,13 @@ class TestRowCache:
             got, did = work(lambda: kernel.batch_eval(store, pairs))
             assert got == [store.query(s, t) for s, t in pairs]
             assert got[pairs.index((1, 100))] == far + 1
-            fits = far <= kernel._MAX_CELL
+            fits = far <= kernel.MAX_CELL
             assert (0 in store._view.hubs) == fits
             # Retiring the column empties the cache: the rows filled
             # with it are filled again without it.
             assert did["rows_filled"] == (51 if fits else 101)
             cells = table_cells(store)
-            assert cells[cells != kernel._NO_ENTRY].max(initial=0) == (
+            assert cells[cells != kernel.NO_ENTRY].max(initial=0) == (
                 far if fits else 0
             )
 

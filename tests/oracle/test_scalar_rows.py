@@ -156,7 +156,7 @@ def test_scalar_fills_retire_columns(far):
     pairs = [(1, 100), (100, 7), (2, 3), (100, 0)] + near
     got = scalar(v3, pairs)
     assert got == scalar(v2, pairs) == truth(graph, pairs)
-    fits = far <= kernel._MAX_CELL and far == int(far)
+    fits = far <= kernel.MAX_CELL and far == int(far)
     assert (0 in v3._view.hubs) == fits
     assert (kernel.view_info(v3)["hub_columns"] < columns) == (not fits)
 
