@@ -5,8 +5,7 @@ strategy by the array engine and by the per-entry dict reference
 engine (``tests/reference/dict_build.py``), and the file enforces:
 
 * **bit-identical indexes and iteration counters** between the dict
-  and array engines, and between ``jobs=1`` and multiprocess builds
-  (always);
+  and array engines (always);
 * the **>= 2x wall-clock floor** for the vectorized array engine over
   the reference dict engine.  The speedup is single-process
   vectorization (measured ~4-5x on CPython 3.11), so the floor holds
@@ -52,8 +51,6 @@ NUM_VERTICES = 10_000
 #: vectorized joins measure ~4-5x on CPython 3.10-3.12; 2.0 is the
 #: criterion with headroom for machine noise.
 MIN_SPEEDUP = 2.0
-#: Worker processes for the determinism-at-scale build.
-PARALLEL_JOBS = 2
 #: Ceiling on the array build's tracemalloc peak, in MiB: 1.2x the
 #: 44.6 MiB measured once a round stopped holding its raw candidates
 #: and the previous round's arrays (the build peaked at 139 MiB before).
@@ -72,9 +69,9 @@ def graph():
     return ba_graph(NUM_VERTICES, m=2, seed=1)
 
 
-def _timed_build(graph, **kwargs):
+def _timed_build(graph):
     t0 = time.perf_counter()
-    result = make_builder(graph, "hybrid", **kwargs).build()
+    result = make_builder(graph, "hybrid").build()
     return result, time.perf_counter() - t0
 
 
@@ -164,15 +161,6 @@ def test_engines_bit_identical(builds):
     assert label_lists(array_result.index) == label_lists(dict_result.index)
     assert array_result.index.rank == dict_result.index.rank
     assert _counters(array_result) == _counters(dict_result)
-
-
-def test_parallel_build_bit_identical(graph, builds):
-    """jobs=N at benchmark scale matches the single-process build."""
-    _, _, array_result, _ = builds
-    jobs = min(PARALLEL_JOBS, max(_CORES, 2))
-    parallel_result, _ = _timed_build(graph, jobs=jobs)
-    assert label_lists(parallel_result.index) == label_lists(array_result.index)
-    assert _counters(parallel_result) == _counters(array_result)
 
 
 def test_build_to_file_matches_dict_engine(builds, to_file, tmp_path):

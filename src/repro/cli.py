@@ -3,7 +3,7 @@
 Subcommands::
 
     repro build GRAPH -o INDEX [--directed] [--weighted] [--strategy S]
-                               [--format {v2,v3}] [--jobs N] [--force]
+                               [--format {v2,v3}] [--force]
     repro query INDEX|DIR [S T ...] [--batch FILE]
     repro convert INDEX -o OUTPUT [--format {v2,v3}] [--stats] [--force]
     repro shard INDEX -o DIR [--shards N] [--format {v2,v3}] [--force]
@@ -106,11 +106,7 @@ def _open_oracle(args: argparse.Namespace):
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
-    from repro.core.engine import check_engine_options
-
     _check_output(args.output, args.force, _FORCE)
-    jobs = args.jobs
-    check_engine_options("auto", jobs)  # before the graph is read
     graph = read_edge_list(
         args.graph, directed=args.directed, weighted=args.weighted
     )
@@ -119,14 +115,12 @@ def _cmd_build(args: argparse.Namespace) -> int:
         graph,
         strategy=args.strategy,
         ranking=args.ranking,
-        jobs=jobs,
         on_round=_print_round,
     )
     stats = index.stats()
-    workers = f", {jobs} jobs" if jobs > 1 else ""
     print(
         f"built in {format_duration(index.build_result.build_seconds)} "
-        f"({index.num_iterations} iterations{workers}): "
+        f"({index.num_iterations} iterations): "
         f"{format_count(stats.total_entries)} entries, "
         f"avg |label| {stats.avg_label_size:.1f}, "
         f"{format_bytes(index.size_in_bytes())}, "
@@ -440,13 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="vertex importance order used for pruning (default: auto)",
     )
     _add_format(p, "index file")
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for candidate generation (default: 1)",
-    )
     p.add_argument(
         "--force",
         action="store_true",

@@ -36,11 +36,7 @@ from repro.core.pruning import (
     admit_and_prune_arrays,
     exhaustive_prune,
 )
-from repro.core.engine import (
-    BUILD_ENGINES,
-    ArrayBuildEngine,
-    make_build_engine,
-)
+from repro.core.engine import ArrayBuildEngine
 from repro.core.hop_doubling import (
     BuildResult,
     HopDoubling,
@@ -78,9 +74,7 @@ __all__ = [
     "PruneOutcome",
     "admit_and_prune_arrays",
     "exhaustive_prune",
-    "BUILD_ENGINES",
     "ArrayBuildEngine",
-    "make_build_engine",
     "BuildResult",
     "IterationStats",
     "LabelingBuilder",

@@ -47,9 +47,7 @@ as struct-of-arrays instead:
 * each iteration publishes a read-only :class:`LabelSnapshot` /
   :class:`EdgeSnapshot` — per-vertex partner arrays re-sorted by
   pivot *rank* so the minimized rules' "ranked between" filters become
-  one ``searchsorted`` plus a slice.  The snapshots are plain
-  picklable dataclasses: the multiprocess build engine ships them to
-  workers once per iteration;
+  one ``searchsorted`` plus a slice;
 * **a round holds nothing whole but the state, its candidates'
   running minimum and the survivors.**  Alive at each step beside the
   label state: while the rules run (:mod:`repro.core.rules`), the
@@ -69,10 +67,9 @@ as struct-of-arrays instead:
 
 All reductions (candidate dedupe, admission, pruning) use the same
 min-``(dist, hops)`` logic as the per-entry reference engine in
-``tests/reference/dict_build.py``, so the two — and any worker
-partition of the candidate generation — produce **bit-identical**
-label sets and iteration counters (``tests/core/test_parallel_build.py``
-enforces this).
+``tests/reference/dict_build.py``, so the two produce
+**bit-identical** label sets and iteration counters
+(``tests/core/test_parallel_build.py`` enforces this).
 """
 
 from __future__ import annotations
@@ -419,7 +416,7 @@ class SideArrays:
 
 
 # ---------------------------------------------------------------------------
-# Read-only generation snapshots (picklable, shipped to worker processes)
+# Read-only generation snapshots
 # ---------------------------------------------------------------------------
 
 

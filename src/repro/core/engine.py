@@ -5,10 +5,8 @@
 owns the iteration *mechanics* — seeding the label state from the
 edges, applying the generation rules, admitting and pruning candidates,
 and freezing the final index.  :class:`ArrayBuildEngine` runs them
-vectorized over :mod:`repro.core.arraystate`, with
-:class:`repro.core.parallel_build.ParallelBuildEngine` layering
-multiprocess candidate generation on top for ``jobs > 1``.  It reads
-the graph once into arc columns and freezes straight into the CSR
+vectorized over :mod:`repro.core.arraystate`, in one process.  It
+reads the graph once into arc columns and freezes straight into the CSR
 arrays of a :class:`~repro.core.flatstore.FlatLabelStore`.
 
 A round's memory beyond the label state (24 bytes per stored entry)
@@ -24,8 +22,7 @@ The per-entry reference engine over dict label states lives in
 ``tests/reference/dict_build.py``; the bit-identity suites
 (``tests/core/test_parallel_build.py``,
 ``tests/core/test_write_path.py``) hold this engine to its entries,
-distances, hops, per-iteration counters and file bytes, and ``jobs=N``
-to ``jobs=1``.
+distances, hops, per-iteration counters and file bytes.
 """
 
 from __future__ import annotations
@@ -37,27 +34,6 @@ from repro.core.pruning import admit_and_prune_arrays, exhaustive_prune
 from repro.core.ranking import Ranking
 from repro.core.rules import RULE_SETS
 from repro.graphs.digraph import Graph
-
-#: Values of the builders' ``engine`` knob: both name the array engine.
-BUILD_ENGINES = ("auto", "array")
-
-
-def check_engine_options(engine: str, jobs: int) -> None:
-    """Validate an engine/jobs combination (one shared implementation).
-
-    Called by the builders' constructors, so a bad configuration fails
-    before any build work.
-    """
-    if engine == "dict":
-        raise ValueError(
-            "engine='dict' is gone from the package: the dict reference "
-            "engine lives in tests/reference/dict_build.py"
-        )
-    if engine not in BUILD_ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {BUILD_ENGINES}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-
 
 def seed_array_state(graph: Graph, rank_of: Sequence[int], arcs):
     """Seed an array state from :func:`~repro.core.arraystate.arc_columns`.
@@ -112,10 +88,6 @@ class BuildEngine(Protocol):
 
     def freeze(self) -> FlatLabelStore:
         """Freeze the state into the queryable store."""
-        ...
-
-    def close(self) -> None:
-        """Release any engine resources (worker pools)."""
         ...
 
 
@@ -180,21 +152,3 @@ class ArrayBuildEngine:
 
     def freeze(self) -> FlatLabelStore:
         return self.state.freeze()
-
-    def close(self) -> None:
-        pass
-
-
-def make_build_engine(
-    graph: Graph,
-    ranking: Ranking,
-    rule_set: str = "minimized",
-    jobs: int = 1,
-) -> BuildEngine:
-    """The array engine, or for ``jobs > 1`` the multiprocess
-    :class:`~repro.core.parallel_build.ParallelBuildEngine`."""
-    if jobs > 1:
-        from repro.core.parallel_build import ParallelBuildEngine
-
-        return ParallelBuildEngine(graph, ranking, rule_set, jobs=jobs)
-    return ArrayBuildEngine(graph, ranking, rule_set)

@@ -291,12 +291,15 @@ class FlatLabelStore:
         return self._mmap is not None
 
     def close(self) -> None:
-        """Release the file mapping of an mmap-loaded store.
+        """Drop the staged updates and release the file mapping of an
+        mmap-loaded store.
 
         After closing, the store must not be queried.  Required on
         platforms (Windows) where a mapped file cannot be deleted;
-        a no-op for stores that own their arrays.
+        stores that own their arrays keep them.
         """
+        self._delta_out = {}
+        self._delta_in = {} if self.directed else self._delta_out
         if self._mmap is None:
             return
         # Drop the exported buffer views (including the kernel's row

@@ -23,11 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.core.engine import (
-    BuildEngine,
-    check_engine_options,
-    make_build_engine,
-)
+from repro.core.engine import ArrayBuildEngine, BuildEngine
 from repro.core.flatstore import FlatLabelStore
 from repro.core.ranking import Ranking, make_ranking
 from repro.graphs.digraph import Graph
@@ -105,13 +101,6 @@ class LabelingBuilder:
     max_iterations:
         Optional hard stop (generation rounds), a safety valve for
         adversarial weighted inputs.
-    engine:
-        ``"auto"`` (default) or ``"array"``: both name the one,
-        vectorized struct-of-arrays engine
-        (:class:`~repro.core.engine.ArrayBuildEngine`).
-    jobs:
-        Worker processes for candidate generation.  ``jobs=N`` builds
-        are bit-identical to ``jobs=1``.
     on_round:
         Optional callback given each round's :class:`IterationStats`
         as soon as the round finishes (``repro build`` prints them).
@@ -128,8 +117,6 @@ class LabelingBuilder:
         prune: bool = True,
         final_exhaustive_prune: bool = False,
         max_iterations: int | None = None,
-        engine: str = "auto",
-        jobs: int = 1,
         on_round: Callable[[IterationStats], None] | None = None,
     ) -> None:
         self.graph = graph
@@ -140,13 +127,11 @@ class LabelingBuilder:
                 f"ranking covers {len(ranking)} vertices, graph has "
                 f"{graph.num_vertices}"
             )
-        check_engine_options(engine, jobs)
         self.ranking = ranking
         self.rule_set = rule_set
         self.prune = prune
         self.final_exhaustive_prune = final_exhaustive_prune
         self.max_iterations = max_iterations
-        self.jobs = jobs
         self.on_round = on_round
 
     # -- subclass hook ---------------------------------------------------
@@ -165,63 +150,56 @@ class LabelingBuilder:
         A test seam, not an option: the bit-identity tests override it
         to run the same schedule on the per-entry reference engine.
         """
-        return make_build_engine(
-            self.graph, self.ranking, rule_set=self.rule_set, jobs=self.jobs
-        )
+        return ArrayBuildEngine(self.graph, self.ranking, self.rule_set)
 
     def build(self) -> BuildResult:
         """Run the iterative construction and freeze the index."""
         total_timer = Timer().start()
         engine = self._engine()
         iterations: list[IterationStats] = []
-        try:
-            prev = engine.initialize()
-            iteration = 1  # initialization, per the paper's counting
-            while len(prev):
-                if (
-                    self.max_iterations is not None
-                    and iteration - 1 >= self.max_iterations
-                ):
-                    break
-                iteration += 1
-                mode = self.mode_for(iteration)
-                if mode not in ("step", "double"):  # pragma: no cover
-                    raise ValueError(f"unknown mode {mode!r}")
-                round_timer = Timer().start()
-                prev_size = len(prev)
-                candidates = engine.generate(mode, prev)
-                # The round's candidates stand for prev from here on,
-                # and admission empties them: nothing of this round
-                # outlives it but the survivors.
-                del prev
-                prev, outcome = engine.admit_round(candidates, prune=self.prune)
-                del candidates
-                elapsed = round_timer.stop()
-                iterations.append(
-                    IterationStats(
-                        iteration=iteration,
-                        mode=mode,
-                        raw_generated=outcome.raw_generated,
-                        distinct_generated=outcome.distinct_generated,
-                        admitted=outcome.admitted,
-                        pruned=outcome.pruned,
-                        survived=outcome.survived,
-                        total_entries=engine.total_entries(),
-                        prev_size=prev_size,
-                        elapsed=elapsed,
-                    )
+        prev = engine.initialize()
+        iteration = 1  # initialization, per the paper's counting
+        while len(prev):
+            if (
+                self.max_iterations is not None
+                and iteration - 1 >= self.max_iterations
+            ):
+                break
+            iteration += 1
+            mode = self.mode_for(iteration)
+            if mode not in ("step", "double"):  # pragma: no cover
+                raise ValueError(f"unknown mode {mode!r}")
+            round_timer = Timer().start()
+            prev_size = len(prev)
+            candidates = engine.generate(mode, prev)
+            # The round's candidates stand for prev from here on,
+            # and admission empties them: nothing of this round
+            # outlives it but the survivors.
+            del prev
+            prev, outcome = engine.admit_round(candidates, prune=self.prune)
+            del candidates
+            elapsed = round_timer.stop()
+            iterations.append(
+                IterationStats(
+                    iteration=iteration,
+                    mode=mode,
+                    raw_generated=outcome.raw_generated,
+                    distinct_generated=outcome.distinct_generated,
+                    admitted=outcome.admitted,
+                    pruned=outcome.pruned,
+                    survived=outcome.survived,
+                    total_entries=engine.total_entries(),
+                    prev_size=prev_size,
+                    elapsed=elapsed,
                 )
-                if self.on_round is not None:
-                    self.on_round(iterations[-1])
+            )
+            if self.on_round is not None:
+                self.on_round(iterations[-1])
 
-            if self.final_exhaustive_prune and self.prune:
-                engine.exhaustive_prune()
-
-            index = engine.freeze()
-        finally:
-            engine.close()
+        if self.final_exhaustive_prune and self.prune:
+            engine.exhaustive_prune()
         return BuildResult(
-            index=index,
+            index=engine.freeze(),
             ranking=self.ranking,
             iterations=iterations,
             build_seconds=total_timer.stop(),

@@ -35,8 +35,6 @@ class HybridBuilder(LabelingBuilder):
         final_exhaustive_prune: bool = False,
         max_iterations: int | None = None,
         switch_iteration: int = DEFAULT_SWITCH_ITERATION,
-        engine: str = "auto",
-        jobs: int = 1,
         on_round=None,
     ) -> None:
         super().__init__(
@@ -46,8 +44,6 @@ class HybridBuilder(LabelingBuilder):
             prune=prune,
             final_exhaustive_prune=final_exhaustive_prune,
             max_iterations=max_iterations,
-            engine=engine,
-            jobs=jobs,
             on_round=on_round,
         )
         if switch_iteration < 1:

@@ -19,6 +19,7 @@ Construction dispatches to the three builders of Sections 3 and 5
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Callable
 
 from repro.core.flatstore import FlatLabelStore, drop_pendant_rows, load_store
 from repro.core.hop_doubling import BuildResult, IterationStats
@@ -52,20 +53,16 @@ class HopDoublingIndex:
         ranking: Ranking | str = "auto",
         rule_set: str = "minimized",
         prune: bool = True,
-        **builder_kwargs,
+        on_round: Callable[[IterationStats], None] | None = None,
     ) -> "HopDoublingIndex":
         """Build an index for ``graph``.
 
         Parameters mirror the paper's knobs: ``strategy`` selects
         Hop-Stepping / Hop-Doubling / hybrid (default, switch at
         iteration 10); ``ranking`` the vertex order (degree-based by
-        default); ``rule_set`` the four minimized or six full rules.
-
-        ``builder_kwargs`` pass through to the builder: ``jobs=N`` to
-        fan candidate generation over N worker processes, ``on_round``
-        to be called with each round's :class:`IterationStats` as it
-        finishes, and ``engine`` (``"auto"`` or ``"array"``, the one
-        vectorized engine) — see :mod:`repro.core.engine`.
+        default); ``rule_set`` the four minimized or six full rules;
+        ``prune`` the Section 3.3 pruning step.  ``on_round`` is called
+        with each round's :class:`IterationStats` as it finishes.
 
         Pendant vertices of an undirected graph (degree 1, under a
         higher-ranked neighbour of degree >= 2) are not labelled: the
@@ -85,7 +82,7 @@ class HopDoublingIndex:
             ranking=ranking,
             rule_set=rule_set,
             prune=prune,
-            **builder_kwargs,
+            on_round=on_round,
         )
         result = builder.build()
         if hang is not None:

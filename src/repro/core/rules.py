@@ -87,10 +87,9 @@ class CandidateBatch:
     running minimum kept in pair-key order (``key = a * n + b``, int64;
     ``dist`` float64; ``hops`` as given).  The minimum does not depend
     on how the applications are split into blocks or ordered, so any
-    blocking — and any partition over worker processes (:meth:`merge`)
-    — yields identical output.  ``raw`` counts every rule application
-    (Figure 10's series).  ``CandidateBatch(n, a, b, dist, hops)``
-    starts from one block.
+    blocking yields identical output.  ``raw`` counts every rule
+    application (Figure 10's series).  ``CandidateBatch(n, a, b, dist,
+    hops)`` starts from one block.
     """
 
     __slots__ = ("n", "key", "dist", "hops", "raw")
@@ -143,12 +142,6 @@ class CandidateBatch:
             del order, keep
             dist, hops = dist[sel], hops[sel]
         self._fold(key, dist, hops)
-
-    def merge(self, other: "CandidateBatch") -> None:
-        """Fold another batch of the same round into this one."""
-        self.raw += other.raw
-        if len(other):
-            self._fold(other.key, other.dist, other.hops)
 
     def _fold(self, key, dist, hops) -> None:
         """Merge reduced, key-sorted columns into the running minimum."""

@@ -1,13 +1,13 @@
-"""Build-engine determinism: array vs dict reference vs multiprocess.
+"""Build-engine determinism: the array engine vs the dict reference.
 
 The array engine must match the per-entry reference engine
 (``tests/reference/dict_build.py``, run on each builder's own schedule
-by ``dict_engine``) and ``jobs=`` must be a *pure* performance knob:
-for any graph, builder, and rule set, the label entries (pairs,
-distances) **and** the per-iteration counters are bit-identical.
-These tests enforce it across directed/undirected x
-weighted/unweighted fixtures, for all three builders, both rule sets,
-and ``jobs=1`` vs ``jobs=4``.
+by ``dict_engine``): for any graph, builder, and rule set, the label
+entries (pairs, distances) **and** the per-iteration counters are
+bit-identical.  These tests enforce it across directed/undirected x
+weighted/unweighted fixtures, for all three builders and both rule
+sets.  Every build runs in one process on the one engine; the builders
+take no option that picks another.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import pytest
 from repro.core.hop_doubling import HopDoubling, LabelingBuilder
 from repro.core.hop_stepping import HopStepping
 from repro.core.hybrid import HybridBuilder
+from repro.core.index import HopDoublingIndex
 from repro.graphs.digraph import Graph
 from repro.graphs.generators import ba_graph, glp_graph
 from tests.reference.dict_build import dict_engine
@@ -82,85 +83,75 @@ class TestEngineEquivalence:
         g = _fixture_graph(kind)
         with dict_engine():
             ref = _fingerprint(builder_cls(g).build())
-        arr = _fingerprint(builder_cls(g, engine="array").build())
+        arr = _fingerprint(builder_cls(g).build())
         assert arr == ref
-
-    @pytest.mark.parametrize("kind", GRAPH_KINDS)
-    @pytest.mark.parametrize("builder_cls", BUILDERS)
-    def test_parallel_jobs_bit_identical(self, kind, builder_cls):
-        g = _fixture_graph(kind)
-        serial = _fingerprint(builder_cls(g, engine="array", jobs=1).build())
-        parallel = _fingerprint(builder_cls(g, engine="array", jobs=4).build())
-        assert parallel == serial
 
     @pytest.mark.parametrize("rule_set", ["minimized", "full"])
     def test_full_rule_set_bit_identical(self, rule_set):
         g = ba_graph(70, m=2, seed=9, directed=True)
         with dict_engine():
             ref = _fingerprint(HybridBuilder(g, rule_set=rule_set).build())
-        arr = _fingerprint(
-            HybridBuilder(g, rule_set=rule_set, engine="array", jobs=2).build()
-        )
+        arr = _fingerprint(HybridBuilder(g, rule_set=rule_set).build())
         assert arr == ref
 
     def test_prune_disabled_bit_identical(self):
         g = glp_graph(70, seed=21)
         with dict_engine():
             ref = _fingerprint(HopStepping(g, prune=False).build())
-        arr = _fingerprint(HopStepping(g, prune=False, engine="array").build())
+        arr = _fingerprint(HopStepping(g, prune=False).build())
         assert arr == ref
 
     def test_final_exhaustive_prune_bit_identical(self):
         g = glp_graph(80, seed=12)
         with dict_engine():
             ref = _fingerprint(HopDoubling(g, final_exhaustive_prune=True).build())
-        arr = _fingerprint(
-            HopDoubling(g, final_exhaustive_prune=True, engine="array").build()
-        )
+        arr = _fingerprint(HopDoubling(g, final_exhaustive_prune=True).build())
         assert arr == ref
-
-    def test_parallel_indexes_answer_queries(self):
-        """End to end: the jobs=4 index answers like the reference."""
-        g = glp_graph(100, seed=4)
-        with dict_engine():
-            ref = HybridBuilder(g).build().index
-        par = HybridBuilder(g, engine="array", jobs=4).build().index
-        for s in range(0, 100, 7):
-            for t in range(0, 100, 13):
-                assert par.query(s, t) == ref.query(s, t)
 
 
 class TestEngineOptions:
-    def test_unknown_engine_rejected(self):
-        g = glp_graph(20, seed=1)
-        with pytest.raises(ValueError, match="unknown engine"):
-            HybridBuilder(g, engine="turbo")
+    @pytest.mark.parametrize(
+        "option", [{"engine": "array"}, {"jobs": 2}], ids=["engine", "jobs"]
+    )
+    def test_build_refuses_engine_options(self, option, monkeypatch):
+        """``engine=`` and ``jobs=`` fail at the call, before the graph
+        is ranked or peeled."""
+        from repro.core import index as index_module
 
-    def test_dict_engine_left_the_package(self):
-        g = glp_graph(20, seed=1)
-        with pytest.raises(ValueError, match="tests/reference"):
-            HybridBuilder(g, engine="dict")
+        ranked = []
 
-    def test_invalid_jobs_rejected(self):
+        def make_ranking(*args, **kwargs):
+            ranked.append(args)
+            raise AssertionError("the graph was ranked")
+
+        monkeypatch.setattr(index_module, "make_ranking", make_ranking)
+        with pytest.raises(TypeError, match=next(iter(option))):
+            HopDoublingIndex.build(glp_graph(20, seed=1), **option)
+        assert ranked == []
+
+    @pytest.mark.parametrize(
+        "option", [{"engine": "dict"}, {"jobs": 2}], ids=["dict", "jobs"]
+    )
+    def test_builders_take_no_engine_options(self, option):
         g = glp_graph(20, seed=1)
-        with pytest.raises(ValueError, match="jobs must be >= 1"):
-            HybridBuilder(g, engine="array", jobs=0)
+        with pytest.raises(TypeError, match=next(iter(option))):
+            HybridBuilder(g, **option)
 
     def test_empty_graph_array_engine(self):
         g = Graph.from_edges(0, [])
-        result = HybridBuilder(g, engine="array").build()
+        result = HybridBuilder(g).build()
         assert result.index.n == 0
 
     def test_no_edges_array_engine(self):
         g = Graph.from_edges(5, [])
-        result = HybridBuilder(g, engine="array", jobs=2).build()
+        result = HybridBuilder(g).build()
         assert result.index.query(0, 4) == float("inf")
         assert result.num_iterations == 1
 
     def test_base_class_still_abstract(self):
         g = glp_graph(20, seed=1)
         with pytest.raises(NotImplementedError):
-            LabelingBuilder(g, engine="array").build()
+            LabelingBuilder(g).build()
 
 
 class TestArrayStateInternals:

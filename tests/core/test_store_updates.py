@@ -94,6 +94,27 @@ class TestFlatOverlay:
         finally:
             store.close()
 
+    @pytest.mark.parametrize("directed", [False, True], ids=["undir", "dir"])
+    @pytest.mark.parametrize("use_mmap", [False, True], ids=["owned", "mmap"])
+    def test_closed_store_holds_no_staged_labels(
+        self, directed, use_mmap, tmp_path
+    ):
+        """close() drops the overlay whether or not the store is mapped;
+        an undirected store's in-side still aliases its out-side."""
+        graph = glp_graph(80, seed=21, directed=directed)
+        index = make_builder(graph, "hybrid").build().index
+        FlatLabelStore.from_index(index).save(tmp_path / "base.idx2")
+        store = FlatLabelStore.load(tmp_path / "base.idx2", use_mmap=use_mmap)
+        dyn = DynamicHopDoublingIndex.from_store(
+            FlatLabelStore.from_index(index), graph=graph
+        )
+        dyn.insert_edges([(0, 79), (5, 60), (17, 44)])
+        assert store.apply_updates(dyn.pop_label_delta()) > 0
+        store.close()
+        assert not store.has_pending_updates
+        assert store._delta_out == {} and store._delta_in == {}
+        assert (store._delta_in is store._delta_out) is not directed
+
     def test_shape_mismatch_rejected(self, setting):
         store = fresh_flat(setting)
         with pytest.raises(ValueError, match="does not match store"):

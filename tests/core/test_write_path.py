@@ -103,18 +103,11 @@ def test_array_write_path_matches_dict_reference(variant, graph):
     _check_write_path(graph, VARIANTS[variant])
 
 
-@settings(max_examples=6, deadline=None)
-@given(graph=write_path_graphs)
-def test_parallel_write_path_matches_dict_reference(graph):
-    """``jobs=2`` forks a pool per build: fewer examples, same check."""
-    _check_write_path(graph, {"jobs": 2})
-
-
 def test_array_engine_freezes_into_arrays_not_tuples():
     """build -> save(v2|v3) never materialises a per-entry object: the
     build returns the CSR store its engine froze."""
     graph = glp_graph(300, seed=5)
-    index = HopDoublingIndex.build(graph, engine="array")
+    index = HopDoublingIndex.build(graph)
     assert isinstance(index.labels, FlatLabelStore)
     assert index.labels.encoding == "v2"
     with tempfile.TemporaryDirectory() as workdir:
@@ -278,7 +271,7 @@ def test_oracles_of_one_index_do_not_share_state():
     from repro.oracle import kernel
 
     graph = glp_graph(120, seed=9)
-    index = HopDoublingIndex.build(graph, engine="array")
+    index = HopDoublingIndex.build(graph)
     s, t = _far_pair(index)
     before = index.query(s, t)
     assert before > 1.0
@@ -310,7 +303,7 @@ def test_from_index_returns_independent_stores(store_cls):
     from repro.oracle import kernel
 
     graph = glp_graph(120, seed=9)
-    index = HopDoublingIndex.build(graph, engine="array")
+    index = HopDoublingIndex.build(graph)
     s, t = _far_pair(index)
     before = index.query(s, t)
     first = store_cls.from_index(index.labels)

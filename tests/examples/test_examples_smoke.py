@@ -22,7 +22,6 @@ EXAMPLES = [
     "quickstart.py",
     "batch_serving.py",
     "sharded_serving.py",
-    "parallel_build.py",
     "async_serving.py",
     "external_memory.py",
     "social_network.py",

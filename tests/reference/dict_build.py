@@ -433,18 +433,14 @@ class DictBuildEngine:
     def freeze(self) -> FlatLabelStore:
         return to_store(LabelIndex.from_state(self.state))
 
-    def close(self) -> None:
-        pass
-
 
 @contextmanager
 def dict_engine():
     """Run every build inside the block on :class:`DictBuildEngine`.
 
     Each builder keeps its own schedule, ranking, rule set and pruning
-    options (``jobs`` is ignored: the reference is single-process); only
-    the builders' one engine factory, ``LabelingBuilder._engine``, is
-    swapped — so ``HopDoublingIndex.build`` (pendant peel included)
+    options; only the builders' one engine factory,
+    ``LabelingBuilder._engine``, is swapped — so ``HopDoublingIndex.build`` (pendant peel included)
     runs on the reference too.
     """
     factory = LabelingBuilder._engine
