@@ -75,14 +75,13 @@ min-``(dist, hops)`` logic as the per-entry reference engine in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
 from repro.core.flatstore import FlatLabelStore, frozen_views
 from repro.core.hubs import NO_ENTRY, hub_min, misfit
-from repro.graphs.digraph import Graph
+from repro.graphs.digraph import Graph, id_dtype
 
 #: Pruning expands each staged pair's smaller label into rows (about 50
 #: bytes each while they are filtered and joined); a block of pairs
@@ -115,16 +114,6 @@ PRUNE_HUB_COLUMNS = 64
 #: per entry and below (e.g. 6.2 against 4.6 ms) and won from 0.4 on
 #: (13.9 against 16.7 ms).
 PRUNE_HUB_ROWS_PER_ENTRY = 0.25
-
-
-def id_dtype(n: int):
-    """Column type of vertex ids and hop counts over ``n`` vertices.
-
-    int32 whenever twice the vertex count fits (a candidate's hop count
-    is the sum of two entries' counts), else int64.  Pair keys are
-    always int64 (:func:`pair_keys`).
-    """
-    return np.int32 if 2 * n <= np.iinfo(np.int32).max else np.int64
 
 
 def pair_keys(owner: np.ndarray, other: np.ndarray, n: int) -> np.ndarray:
@@ -233,30 +222,15 @@ def expand_segments(
 
 
 def arc_columns(graph: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every stored arc as ``(source, target, weight)`` columns.
-
-    One bulk read of the adjacency lists, in vertex then list order
-    (both directions of an undirected edge, like the lists).  The
-    iteration-1 seed and the stepping partners are both derived from
-    these columns, so the graph is walked in Python once per build.
+    """Every stored arc as ``(source, target, weight)`` columns: views of
+    the graph's out CSR (both directions of an undirected edge), the
+    source expanded from the offsets, unit weights if unweighted.  The
+    iteration-1 seed and the stepping partners both derive from them.
     """
+    offsets, targets, weights = graph.csr()
     n = graph.num_vertices
-    ids = id_dtype(n)
-    degree = np.fromiter(map(graph.out_degree, range(n)), np.int64, n)
-    arcs = int(degree.sum())
-    src = np.repeat(np.arange(n, dtype=ids), degree)
-    tgt = np.fromiter(
-        chain.from_iterable(map(graph.out_neighbors, range(n))), ids, arcs
-    )
-    if graph.weighted:
-        wt = np.fromiter(
-            chain.from_iterable(map(graph.out_weights, range(n))),
-            np.float64,
-            arcs,
-        )
-    else:
-        wt = np.ones(arcs)
-    return src, tgt, wt
+    src = np.repeat(np.arange(n, dtype=id_dtype(n)), np.diff(offsets))
+    return src, targets, np.ones(targets.size) if weights is None else weights
 
 
 @dataclass
@@ -462,10 +436,13 @@ class EdgeSnapshot:
         """
 
         def csr(owner, nbr, weight):
-            order = np.lexsort((rank[nbr], owner))
-            owner, nbr, weight = owner[order], nbr[order], weight[order]
-            off = np.searchsorted(owner, np.arange(n + 1))
-            return off, nbr, weight, pair_keys(owner, rank[nbr], n)
+            # The keys are distinct (a graph has no parallel arcs), so
+            # one plain argsort orders the rows by owner, then rank.
+            key = pair_keys(owner, rank[nbr], n)
+            order = np.argsort(key)
+            key = key[order]
+            off = np.searchsorted(key, np.arange(n + 1) * n)
+            return off, nbr[order], weight[order], key
 
         out_off, out_tgt, out_wt, out_key = csr(src, tgt, wt)
         if directed:

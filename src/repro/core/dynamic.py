@@ -77,17 +77,13 @@ from repro.core.labels import LabelDelta, LabelStore
 from repro.core.pruning import admit_and_prune_arrays, exhaustive_prune
 from repro.core.ranking import Ranking, make_ranking
 from repro.core.rules import PrevEntry, array_doubling
-from repro.graphs.builder import GraphBuilder
 from repro.graphs.digraph import Graph
 
 
 def _edge_keys(graph: Graph) -> set[tuple[int, int]]:
-    """``DynamicHopDoublingIndex._edge_key`` of every edge of ``graph``,
-    read off the adjacency rows (an undirected edge once, ``u <= v``)."""
-    out, n = graph.out_neighbors, graph.num_vertices
-    if graph.directed:
-        return {(u, v) for u in range(n) for v in out(u)}
-    return {(u, v) for u in range(n) for v in out(u) if u <= v}
+    """``DynamicHopDoublingIndex._edge_key`` of every edge of ``graph``
+    (an undirected edge once, ``u <= v``, as :meth:`Graph.edges` gives it)."""
+    return {(u, v) for u, v, _ in graph.edges()}
 
 
 class _ArrayRepairEngine:
@@ -314,22 +310,12 @@ class DynamicHopDoublingIndex:
                 "graph= to from_store() to track the growing graph"
             )
         if self._new_edges:
-            builder = GraphBuilder(
-                num_vertices=self.n,
+            self._graph = Graph.from_edges(
+                self.n,
+                [*self._graph.edges(), *self._new_edges],
                 directed=self.directed,
                 weighted=self.weighted,
             )
-            for u, v, w in self._graph.edges():
-                if self.weighted:
-                    builder.add_edge(u, v, w)
-                else:
-                    builder.add_edge(u, v)
-            for u, v, w in self._new_edges:
-                if self.weighted:
-                    builder.add_edge(u, v, w)
-                else:
-                    builder.add_edge(u, v)
-            self._graph = builder.build()
             self._new_edges.clear()
         return self._graph
 

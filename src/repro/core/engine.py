@@ -32,7 +32,6 @@ from typing import Protocol, Sequence
 from repro.core.flatstore import FlatLabelStore
 from repro.core.pruning import admit_and_prune_arrays, exhaustive_prune
 from repro.core.ranking import Ranking
-from repro.core.rules import RULE_SETS
 from repro.graphs.digraph import Graph
 
 def seed_array_state(graph: Graph, rank_of: Sequence[int], arcs):
@@ -97,10 +96,6 @@ class ArrayBuildEngine:
     name = "array"
 
     def __init__(self, graph: Graph, ranking: Ranking, rule_set: str) -> None:
-        if rule_set not in RULE_SETS:
-            raise ValueError(
-                f"unknown rule_set {rule_set!r}; expected one of {RULE_SETS}"
-            )
         self.graph = graph
         self.ranking = ranking
         self.full = rule_set == "full"

@@ -26,6 +26,7 @@ from typing import Callable
 from repro.core.engine import ArrayBuildEngine, BuildEngine
 from repro.core.flatstore import FlatLabelStore
 from repro.core.ranking import Ranking, make_ranking
+from repro.core.rules import check_rule_set
 from repro.graphs.digraph import Graph
 from repro.utils.timer import Timer
 
@@ -119,6 +120,7 @@ class LabelingBuilder:
         max_iterations: int | None = None,
         on_round: Callable[[IterationStats], None] | None = None,
     ) -> None:
+        check_rule_set(rule_set)
         self.graph = graph
         if isinstance(ranking, str):
             ranking = make_ranking(graph, ranking)

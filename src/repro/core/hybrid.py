@@ -14,7 +14,8 @@ to 10 (in the paper's counting where initialization is iteration 1).
 
 from __future__ import annotations
 
-from repro.core.hop_doubling import LabelingBuilder
+from repro.core.hop_doubling import HopDoubling, LabelingBuilder
+from repro.core.hop_stepping import HopStepping
 from repro.core.ranking import Ranking
 from repro.graphs.digraph import Graph
 
@@ -56,24 +57,17 @@ class HybridBuilder(LabelingBuilder):
         return "step" if iteration <= self.switch_iteration else "double"
 
 
+#: The builders by strategy name; ``"hybrid"`` is the paper's default.
+BUILDERS = {"doubling": HopDoubling, "stepping": HopStepping, "hybrid": HybridBuilder}
+
+
+def check_strategy(strategy: str) -> None:
+    """Refuse a ``strategy`` that is not a key of :data:`BUILDERS`."""
+    if strategy not in BUILDERS:
+        raise ValueError(f"unknown strategy {strategy!r}; one of {sorted(BUILDERS)}")
+
+
 def make_builder(graph: Graph, strategy: str = "hybrid", **kwargs):
-    """Instantiate a builder by strategy name.
-
-    ``strategy`` is one of ``"doubling"``, ``"stepping"`` or
-    ``"hybrid"`` (the default, as in the paper's experiments).
-    """
-    from repro.core.hop_doubling import HopDoubling
-    from repro.core.hop_stepping import HopStepping
-
-    classes = {
-        "doubling": HopDoubling,
-        "stepping": HopStepping,
-        "hybrid": HybridBuilder,
-    }
-    try:
-        cls = classes[strategy]
-    except KeyError:
-        raise ValueError(
-            f"unknown strategy {strategy!r}; one of {sorted(classes)}"
-        )
-    return cls(graph, **kwargs)
+    """Instantiate a builder by strategy name (:data:`BUILDERS`)."""
+    check_strategy(strategy)
+    return BUILDERS[strategy](graph, **kwargs)

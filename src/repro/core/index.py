@@ -23,10 +23,11 @@ from typing import Callable
 
 from repro.core.flatstore import FlatLabelStore, drop_pendant_rows, load_store
 from repro.core.hop_doubling import BuildResult, IterationStats
-from repro.core.hybrid import make_builder
+from repro.core.hybrid import check_strategy, make_builder
 from repro.core.labels import INF, LabelStats
 from repro.core.query import reconstruct_path
 from repro.core.ranking import Ranking, make_ranking
+from repro.core.rules import check_rule_set
 from repro.graphs.digraph import Graph
 from repro.graphs.transform import peel_pendants
 
@@ -73,6 +74,8 @@ class HopDoublingIndex:
         (:func:`~repro.graphs.transform.peel_pendants`).  Round
         counters and ``total_entries`` therefore describe the core.
         """
+        check_strategy(strategy)
+        check_rule_set(rule_set)
         if isinstance(ranking, str):
             ranking = make_ranking(graph, ranking)
         core, parent, hang = peel_pendants(graph, ranking.rank_of)

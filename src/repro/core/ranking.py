@@ -23,6 +23,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from repro.graphs.digraph import Graph
 from repro.graphs.traversal import INF, bfs_distances, dijkstra_distances
 
@@ -37,22 +39,22 @@ class Ranking:
     @classmethod
     def from_scores(cls, scores: Sequence[float]) -> "Ranking":
         """Rank vertices by non-increasing score, ties by vertex id."""
-        order = sorted(range(len(scores)), key=lambda v: (-scores[v], v))
-        rank_of = [0] * len(scores)
-        for r, v in enumerate(order):
-            rank_of[v] = r
-        return cls(rank_of=rank_of, vertex_at=order)
+        # A stable sort of the negated scores keeps tied ids ascending.
+        return cls._of(np.argsort(-np.asarray(scores, np.float64), kind="stable"))
 
     @classmethod
     def from_order(cls, order: Sequence[int]) -> "Ranking":
         """Build from an explicit priority order (first = highest)."""
-        n = len(order)
-        if sorted(order) != list(range(n)):
+        order = np.asarray(order, dtype=np.int64)
+        if not np.array_equal(np.sort(order), np.arange(order.size)):
             raise ValueError("order must be a permutation of range(n)")
-        rank_of = [0] * n
-        for r, v in enumerate(order):
-            rank_of[v] = r
-        return cls(rank_of=rank_of, vertex_at=list(order))
+        return cls._of(order)
+
+    @classmethod
+    def _of(cls, order: np.ndarray) -> "Ranking":
+        rank_of = np.empty(order.size, np.int64)
+        rank_of[order] = np.arange(order.size)
+        return cls(rank_of=rank_of.tolist(), vertex_at=order.tolist())
 
     def __len__(self) -> int:
         return len(self.rank_of)
@@ -68,8 +70,7 @@ class Ranking:
 
 def degree_ranking(graph: Graph) -> Ranking:
     """Rank by non-increasing total degree — the paper's base strategy."""
-    scores = [float(graph.degree(v)) for v in graph.vertices()]
-    return Ranking.from_scores(scores)
+    return Ranking.from_scores(graph.degrees())
 
 
 def inout_product_ranking(graph: Graph) -> Ranking:
@@ -80,14 +81,10 @@ def inout_product_ranking(graph: Graph) -> Ranking:
     out-degree are still usefully ordered.
     """
     n = graph.num_vertices
-    scores = []
-    for v in range(n):
-        din = graph.in_degree(v)
-        dout = graph.out_degree(v)
-        # Fractional tie-break by total degree keeps the order stable
-        # and meaningful for product-zero vertices.
-        scores.append(din * dout + (din + dout) / (4.0 * (n + 1)))
-    return Ranking.from_scores(scores)
+    din, dout = (np.diff(graph.csr(reverse)[0]) for reverse in (True, False))
+    # Fractional tie-break by total degree keeps the order stable
+    # and meaningful for product-zero vertices.
+    return Ranking.from_scores(din * dout + (din + dout) / (4.0 * (n + 1)))
 
 
 def random_ranking(graph: Graph, seed: int = 0) -> Ranking:

@@ -47,6 +47,14 @@ PrevEntry = tuple[int, int, float, int]
 RULE_SETS = ("minimized", "full")
 
 
+def check_rule_set(rule_set: str) -> None:
+    """Refuse a ``rule_set`` that is not one of :data:`RULE_SETS`."""
+    if rule_set not in RULE_SETS:
+        raise ValueError(
+            f"unknown rule_set {rule_set!r}; expected one of {RULE_SETS}"
+        )
+
+
 #: Rule applications generated per block.  A round lays its joins out
 #: for runs of at most this many ``prev`` entries, runs the rules over
 #: consecutive entries whose partner segments add up to about this

@@ -114,10 +114,6 @@ class GraphBuilder:
         self._check_not_built()
         self._built = True
         n = self._fixed_n if self._fixed_n is not None else len(self._labels)
-        if self._weighted:
-            edges = self._edges
-        else:
-            edges = [(u, v) for u, v, _ in self._edges]
         return Graph.from_edges(
-            n, edges, directed=self._directed, weighted=self._weighted
+            n, self._edges, directed=self._directed, weighted=self._weighted
         )

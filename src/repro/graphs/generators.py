@@ -19,6 +19,9 @@ road-network discussion in Section 7.
 from __future__ import annotations
 
 import random
+from array import array
+
+import numpy as np
 
 from repro.graphs.digraph import Graph
 from repro.utils.validation import check_nonnegative, check_positive, check_probability
@@ -34,26 +37,29 @@ __all__ = [
 ]
 
 
-def _sample_preferential(
-    rng: random.Random,
-    endpoint_pool: list[int],
-    degrees: list[int],
-    beta: float,
-) -> int:
-    """Sample a vertex with probability proportional to ``degree - beta``.
+def _draw_below(getrandbits, size: int) -> int:
+    """``rng.randrange(size)``'s own draw, without its wrapper: the same
+    ``getrandbits`` rejection loop, so the stream stays the same."""
+    k = size.bit_length()
+    r = getrandbits(k)
+    while r >= size:
+        r = getrandbits(k)
+    return r
 
-    Uses rejection sampling on top of the classic endpoint-pool trick:
-    a uniform draw from the pool is proportional to degree; accepting
-    with probability ``1 - beta/d`` corrects it to ``d - beta``.  The
-    acceptance rate is at least ``1 - beta`` because degrees are >= 1.
-    """
-    while True:
-        v = endpoint_pool[rng.randrange(len(endpoint_pool))]
-        d = degrees[v]
-        if d <= 0:  # pragma: no cover - pool only contains touched vertices
-            continue
-        if rng.random() < 1.0 - beta / d:
-            return v
+
+def _finish(n: int, keys: np.ndarray, rng: random.Random, directed: bool) -> Graph:
+    """The graph of the distinct undirected edges ``keys`` (``u * n + v``,
+    ``u < v``).  ``directed`` orients each edge, in key order, by one
+    draw and adds its reverse arc by a second, 30% of the time."""
+    keys = np.sort(keys)
+    if not directed:
+        return Graph._from_keys(n, keys, None, directed=False)
+    draws = np.array([rng.random() for _ in range(2 * keys.size)])
+    u, v = keys // n, keys % n
+    swap, back = draws[0::2] < 0.5, draws[1::2] < 0.3
+    a, b = np.where(swap, v, u), np.where(swap, u, v)
+    arcs = np.sort(np.concatenate((a * n + b, b[back] * n + a[back])))
+    return Graph._from_keys(n, arcs, None, directed=True)
 
 
 def glp_graph(
@@ -80,6 +86,12 @@ def glp_graph(
     extra with probability ``frac(m)`` (minimum one edge per new vertex
     so the graph stays connected).
 
+    A preferential draw uses rejection sampling on top of the classic
+    endpoint-pool trick: a uniform draw from the pool is proportional
+    to degree; accepting with probability ``1 - beta/d`` corrects it to
+    ``d - beta``.  The acceptance rate is at least ``1 - beta`` because
+    degrees are >= 1.
+
     With ``directed=True`` each generated edge is oriented uniformly at
     random and 30% of edges gain a reciprocal arc — a cheap but
     effective imitation of the in/out power laws of web/social graphs,
@@ -94,71 +106,62 @@ def glp_graph(
     if num_vertices < m0:
         m0 = max(2, num_vertices)
 
+    n = num_vertices
     rng = random.Random(seed)
-    degrees = [0] * num_vertices
-    endpoint_pool: list[int] = []
-    edges: set[tuple[int, int]] = set()
+    rand, getrandbits = rng.random, rng.getrandbits
+    degrees = [0] * n
+    pool: list[int] = []  # the endpoint pool: each edge adds both ends
+    edges: set[int] = set()  # u * n + v, u < v
+
+    def preferential() -> int:
+        # The pool does not change during a draw, so randrange's
+        # rejection loop and the acceptance test share one loop.
+        size = len(pool)
+        k = size.bit_length()
+        while True:
+            r = getrandbits(k)
+            if r < size:
+                v = pool[r]
+                if rand() < 1.0 - beta / degrees[v]:
+                    return v
 
     def add_edge(u: int, v: int) -> bool:
-        if u == v:
-            return False
-        key = (u, v) if u < v else (v, u)
-        if key in edges:
+        key = u * n + v if u < v else v * n + u
+        if u == v or key in edges:
             return False
         edges.add(key)
         degrees[u] += 1
         degrees[v] += 1
-        endpoint_pool.append(u)
-        endpoint_pool.append(v)
+        pool.append(u)
+        pool.append(v)
         return True
 
     # Seed ring over the first m0 vertices.
     for i in range(m0):
         add_edge(i, (i + 1) % m0)
 
-    def edges_this_event() -> int:
-        base = int(m)
-        extra = 1 if rng.random() < (m - base) else 0
-        return max(1, base + extra)
-
+    base, frac = int(m), m - int(m)
     next_vertex = m0
-    while next_vertex < num_vertices:
-        if rng.random() < p and len(edges) >= 2:
-            # Add edges between existing vertices.
-            for _ in range(edges_this_event()):
-                for _attempt in range(32):
-                    u = _sample_preferential(rng, endpoint_pool, degrees, beta)
-                    v = _sample_preferential(rng, endpoint_pool, degrees, beta)
-                    if add_edge(u, v):
-                        break
-        else:
-            # Add a new vertex with preferential links.
+    while next_vertex < n:
+        # With probability p, edges between existing vertices; else a
+        # new vertex with preferential links.
+        grow = not (rand() < p and len(edges) >= 2)
+        if grow:
             v = next_vertex
             next_vertex += 1
-            wanted = edges_this_event()
-            added = 0
-            for _ in range(wanted):
-                for _attempt in range(32):
-                    u = _sample_preferential(rng, endpoint_pool, degrees, beta)
-                    if add_edge(v, u):
-                        added += 1
-                        break
-            if added == 0:
-                # Guarantee connectivity: attach to a random pool vertex.
-                u = endpoint_pool[rng.randrange(len(endpoint_pool))]
-                add_edge(v, u)
+        added = False
+        for _ in range(max(1, base + (rand() < frac))):
+            for _attempt in range(32):
+                if add_edge(v if grow else preferential(), preferential()):
+                    added = True
+                    break
+        if grow and not added:
+            # Guarantee connectivity: attach to a random pool vertex.
+            add_edge(v, pool[_draw_below(getrandbits, len(pool))])
 
-    if not directed:
-        return Graph.from_edges(num_vertices, sorted(edges), directed=False)
-
-    arcs: list[tuple[int, int]] = []
-    for u, v in sorted(edges):
-        if rng.random() < 0.5:
-            u, v = v, u
-        arcs.append((u, v))
-        if rng.random() < 0.3:
-            arcs.append((v, u))
-    return Graph.from_edges(num_vertices, arcs, directed=True)
+    keys = np.fromiter(edges, np.int64, len(edges))
+    del pool, degrees, edges  # free the sampler's state before the CSR
+    return _finish(n, keys, rng, directed)
 
 
 def ba_graph(
@@ -176,40 +179,33 @@ def ba_graph(
     check_positive("num_vertices", num_vertices)
     check_positive("m", m)
     rng = random.Random(seed)
+    getrandbits = rng.getrandbits
     m = min(m, max(1, num_vertices - 1))
+    n = num_vertices
 
-    edges: set[tuple[int, int]] = set()
+    # Every edge is new (a clique, then a new vertex to distinct
+    # targets), so the keys need no set.
+    edges = array("q")
     endpoint_pool: list[int] = []
 
     def add_edge(u: int, v: int) -> None:
-        key = (u, v) if u < v else (v, u)
-        edges.add(key)
+        edges.append(u * n + v if u < v else v * n + u)
         endpoint_pool.append(u)
         endpoint_pool.append(v)
 
-    seed_size = min(m + 1, num_vertices)
+    seed_size = min(m + 1, n)
     for i in range(seed_size):
         for j in range(i + 1, seed_size):
             add_edge(i, j)
 
-    for v in range(seed_size, num_vertices):
+    for v in range(seed_size, n):
         targets: set[int] = set()
         while len(targets) < m:
-            u = endpoint_pool[rng.randrange(len(endpoint_pool))]
-            targets.add(u)
+            targets.add(endpoint_pool[_draw_below(getrandbits, len(endpoint_pool))])
         for u in targets:
             add_edge(v, u)
 
-    if not directed:
-        return Graph.from_edges(num_vertices, sorted(edges), directed=False)
-    arcs = []
-    for u, v in sorted(edges):
-        if rng.random() < 0.5:
-            u, v = v, u
-        arcs.append((u, v))
-        if rng.random() < 0.3:
-            arcs.append((v, u))
-    return Graph.from_edges(num_vertices, arcs, directed=True)
+    return _finish(n, np.frombuffer(edges, np.int64), rng, directed)
 
 
 def er_graph(

@@ -27,7 +27,7 @@ from repro.graphs.traversal import INF, bfs_distances
 
 def degree_sequence(graph: Graph) -> list[int]:
     """All vertex degrees, sorted non-increasing (rank order)."""
-    return sorted((graph.degree(v) for v in graph.vertices()), reverse=True)
+    return sorted(graph.degrees().tolist(), reverse=True)
 
 
 def rank_exponent(graph: Graph) -> float:
@@ -166,7 +166,7 @@ class GraphSummary:
 
 def summarize(graph: Graph, seed: int = 0) -> GraphSummary:
     """Compute the :class:`GraphSummary` of ``graph``."""
-    max_degree = max((graph.degree(v) for v in graph.vertices()), default=0)
+    max_degree = max(graph.degrees().tolist(), default=0)
     return GraphSummary(
         num_vertices=graph.num_vertices,
         num_edges=graph.num_edges,

@@ -12,7 +12,9 @@ import random
 from collections import deque
 from typing import Sequence
 
-from repro.graphs.digraph import Graph
+import numpy as np
+
+from repro.graphs.digraph import Graph, _csr
 
 
 def permute_vertices(graph: Graph, permutation: Sequence[int]) -> Graph:
@@ -84,44 +86,30 @@ def peel_pendants(graph: Graph, rank_of: Sequence[int]):
     Returns ``(core, parent, hang)``: the graph without pendant edges
     (same vertex ids, pendants isolated), ``parent[v]`` the pendant's
     neighbour (``v`` itself for core vertices) and ``hang[v]`` the
-    weight of its edge (``0.0`` for core vertices).  A graph without
-    pendants — and every directed graph — comes back as
-    ``(graph, None, None)``.
+    weight of its edge (``0.0`` for core vertices), as int64 and f64
+    columns.  A graph without pendants — and every directed graph —
+    comes back as ``(graph, None, None)``.
     """
     if graph.directed:
         return graph, None, None
     n = graph.num_vertices
-    adj = list(map(graph.out_neighbors, range(n)))
-    pendants = [
-        v for v, row in enumerate(adj)
-        if len(row) == 1
-        and len(adj[row[0]]) >= 2
-        and rank_of[row[0]] < rank_of[v]
-    ]
-    if not pendants:
+    offsets, targets, weights = graph.csr()
+    degree = np.diff(offsets)
+    rank = np.asarray(rank_of, dtype=np.int64)
+    single = np.flatnonzero(degree == 1)
+    nbr = targets[offsets[single]]
+    pendants = single[(degree[nbr] >= 2) & (rank[nbr] < rank[single])]
+    if not pendants.size:
         return graph, None, None
-    weighted = graph.weighted
-    weights = list(map(graph.out_weights, range(n))) if weighted else None
-    parent = list(range(n))
-    hang = [0.0] * n
-    for v in pendants:
-        parent[v] = adj[v][0]
-        hang[v] = weights[v][0] if weighted else 1.0
-        adj[v] = []
-    # Rows no pendant hangs from are shared with the input graph
-    # (graphs are immutable); only the parents' rows are filtered.
-    for u in {parent[v] for v in pendants}:
-        if weighted:
-            kept = [(x, w) for x, w in zip(adj[u], weights[u]) if not hang[x]]
-            adj[u] = [x for x, _ in kept]
-            weights[u] = [w for _, w in kept]
-        else:
-            adj[u] = [x for x in adj[u] if not hang[x]]
-    if weighted:
-        for v in pendants:
-            weights[v] = []
-    core = Graph(
-        n, adj, adj, weights, weights, False, weighted,
-        graph.num_edges - len(pendants),
-    )
+    first = offsets[pendants]
+    parent = np.arange(n)
+    parent[pendants] = targets[first]
+    hang = np.zeros(n)
+    hang[pendants] = 1.0 if weights is None else weights[first]
+    # A pendant's one arc and its mirror in the parent's row go.
+    src = np.repeat(np.arange(n), degree)
+    keep = (hang[src] == 0) & (hang[targets] == 0)
+    wt = None if weights is None else weights[keep]
+    side = _csr(n, src[keep], targets[keep], wt)
+    core = Graph(n, side, side, False, graph.weighted, graph.num_edges - pendants.size)
     return core, parent, hang

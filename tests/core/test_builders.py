@@ -127,3 +127,32 @@ class TestEmptyAndTinyGraphs:
         idx = HybridBuilder(g).build().index
         assert idx.query(0, 1) == 1.0
         assert idx.query(2, 3) == float("inf")
+
+
+class TestOptionRefusals:
+    """A bad ``rule_set`` or ``strategy`` is refused before any work."""
+
+    def test_builder_refuses_rule_set_at_construction(self, monkeypatch):
+        from repro.core import hop_doubling
+
+        def never(*args, **kwargs):
+            raise AssertionError("ranked before the rule_set was checked")
+
+        monkeypatch.setattr(hop_doubling, "make_ranking", never)
+        with pytest.raises(ValueError, match="unknown rule_set"):
+            HybridBuilder(star_graph(3), rule_set="bogus")
+
+    @pytest.mark.parametrize(
+        "option, match",
+        [({"rule_set": "bogus"}, "unknown rule_set"),
+         ({"strategy": "bogus"}, "unknown strategy")],
+    )
+    def test_index_build_refuses_before_ranking(self, monkeypatch, option, match):
+        from repro.core import index
+
+        def never(*args, **kwargs):
+            raise AssertionError("ranked before the options were checked")
+
+        monkeypatch.setattr(index, "make_ranking", never)
+        with pytest.raises(ValueError, match=match):
+            index.HopDoublingIndex.build(glp_graph(200, seed=1), **option)

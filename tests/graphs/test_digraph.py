@@ -162,3 +162,76 @@ class TestEquality:
         g = Graph.from_edges(2, [(0, 1)])
         assert "|V|=2" in repr(g)
         assert "|E|=1" in repr(g)
+
+
+class TestRowSearch:
+    """``has_edge`` / ``edge_weight`` binary-search the sorted CSR row."""
+
+    def test_hub_row_matches_set_membership(self):
+        from repro.graphs.generators import glp_graph
+
+        g = glp_graph(20000, seed=7)
+        hub = max(g.vertices(), key=g.degree)
+        row = set(g.out_neighbors(hub))
+        assert len(row) > 100
+        for v in range(g.num_vertices):
+            assert g.has_edge(hub, v) == (v in row)
+            assert g.has_edge(v, hub) == (v in row)
+            if v in row:
+                assert g.edge_weight(hub, v) == 1.0
+            else:
+                with pytest.raises(KeyError):
+                    g.edge_weight(hub, v)
+
+    def test_weighted_row(self):
+        edges = [(0, v, float(v)) for v in range(1, 40, 3)] + [(5, 0, 2.5)]
+        g = Graph.from_edges(40, edges, weighted=True)
+        for v in range(40):
+            assert g.has_edge(0, v) == (v % 3 == 1)
+            if v % 3 == 1:
+                assert g.edge_weight(0, v) == float(v)
+        assert g.edge_weight(5, 0) == 2.5 and not g.has_edge(0, 5)
+        assert not g.has_edge(39, 0) and not g.has_edge(0, 40)
+
+
+def _reference_rows(n, edges, directed, weighted, loops):
+    """The adjacency ``from_edges`` must produce, by a dict and a loop."""
+    best = {}
+    for edge in edges:
+        u, v = edge[0], edge[1]
+        if u == v and not loops:
+            continue
+        key = (u, v) if directed or u <= v else (v, u)
+        w = edge[2] if weighted else 1.0
+        best[key] = min(w, best.get(key, w))
+    out = [[] for _ in range(n)]
+    inn = [[] for _ in range(n)] if directed else out
+    for (u, v), w in sorted(best.items()):
+        out[u].append((v, w))
+        if directed:
+            inn[v].append((u, w))
+        elif u != v:
+            out[v].append((u, w))
+    return len(best), [sorted(r) for r in out], [sorted(r) for r in inn]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_from_edges_matches_loop_reference(seed):
+    import random
+
+    rng = random.Random(seed)
+    n = rng.randrange(1, 30)
+    directed, weighted, loops = seed % 2 == 0, seed % 3 == 0, seed % 4 == 0
+    edges = [
+        (rng.randrange(n), rng.randrange(n), rng.choice([0.5, 1.0, 2.0, 7.25]))
+        for _ in range(rng.randrange(0, 90))
+    ]
+    g = Graph.from_edges(
+        n, edges, directed=directed, weighted=weighted, allow_self_loops=loops
+    )
+    m, out, inn = _reference_rows(n, edges, directed, weighted, loops)
+    assert g.num_edges == m
+    for v in range(n):
+        assert list(g.out_edges(v)) == out[v]
+        assert list(g.in_edges(v)) == inn[v]
+        assert g.degree(v) == len(out[v]) + (len(inn[v]) if directed else 0)

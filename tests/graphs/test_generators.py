@@ -1,5 +1,8 @@
 """Tests for the synthetic graph generators."""
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from repro.graphs.generators import (
@@ -116,3 +119,34 @@ class TestDeterministicFamilies:
         g = grid_graph(3, 4)
         assert g.num_vertices == 12
         assert g.num_edges == 3 * 3 + 2 * 4  # horizontal + vertical
+
+
+# A seed defines its graph: these are the sha256 prefixes of the int64
+# ``(u, v)`` edge columns (``edges()`` order) the generators produce.
+# The benchmark's graphs and every byte-identity pin depend on them.
+DIGESTS = [
+    (glp_graph, 20000, dict(seed=7), "87d629194a0b9bc9"),
+    (glp_graph, 70000, dict(seed=7), "78bec3281785150f"),
+    (ba_graph, 10000, dict(m=2, seed=7), "8239abc98e9ba3ce"),
+    (ba_graph, 10000, dict(m=2, seed=1), "190c0db690b888b1"),
+    (glp_graph, 8000, dict(seed=7, directed=True), "37f7f16479e78428"),
+    (ba_graph, 300, dict(m=2, seed=3), "eb8c7d8bacaedbf2"),
+    (glp_graph, 300, dict(seed=3), "1b362610f6c57d72"),
+    (glp_graph, 300, dict(seed=3, directed=True), "7d4abed6368f19ea"),
+]
+
+
+@pytest.mark.parametrize(
+    "make, n, kwargs, digest",
+    DIGESTS,
+    ids=[
+        "-".join([m.__name__, str(n), *(f"{k}={v}" for k, v in kw.items())])
+        for m, n, kw, _ in DIGESTS
+    ],
+)
+def test_generator_digests(make, n, kwargs, digest):
+    edges = np.array(
+        [(u, v) for u, v, _ in make(n, **kwargs).edges()], dtype="<i8"
+    ).reshape(-1, 2)
+    cols = np.ascontiguousarray(edges.T)
+    assert hashlib.sha256(cols.tobytes()).hexdigest()[:16] == digest
