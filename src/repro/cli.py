@@ -196,6 +196,11 @@ def _cmd_convert(args: argparse.Namespace) -> int:
         if out_store.encoding == "v3":
             space = "rank positions" if out_store.ranked else "vertex ids"
             print(f"  pivot width     {out_store.pivot_width} B (delta; {space})")
+            patches, high = out_store.patch_count, out_store.high_width
+            shown = f"{format_count(patches)} (high part {high} B)"
+            print(f"  pivot patches   {shown if patches else 'none'}")
+            kept = "implied" if out_store.implied else "stored"
+            print(f"  self entries    {kept}")
             dist_kind = "raw f64" if out_store.dist_width == 8 else "quantized"
             print(
                 f"  dist width      {out_store.dist_width} B ({dist_kind})"

@@ -1272,9 +1272,8 @@ class ArrayLabelState:
         """
         out = self._csr_side(self.out)
         inn = self._csr_side(self.inn) if self.directed else out
-        return FlatLabelStore(
-            self.n, self.directed, *out, *inn, rank=self.rank.tolist()
-        )
+        (rank,) = frozen_views(self.rank.astype(np.uint32))
+        return FlatLabelStore(self.n, self.directed, *out, *inn, rank=rank)
 
     def _csr_side(self, side: SideArrays) -> tuple:
         """``(offsets, pivots, dists)`` of one side, self entries merged in.

@@ -14,9 +14,10 @@ A store carries an **encoding**, which is also its file format:
 
 * ``"v2"`` — absolute int32 pivots and float64 distances;
 * ``"v3"`` — per-label pivot deltas and distances at widths chosen
-  from the data (the codec is :mod:`repro.core.quantized`).  A store
-  with a ``rank`` column holds its v3 pivots as rank positions
-  (``ranked``): every label sorted by position, its self entry last.
+  from the data, wide deltas patched in (the codec is
+  :mod:`repro.core.quantized`).  A store with a ``rank`` column holds
+  its v3 pivots as rank positions (``ranked``), each label sorted by
+  position and its self entry, the last, implied (``implied``).
 
 One reader (:meth:`FlatLabelStore.load`, behind :func:`load_store`)
 and one writer (:meth:`FlatLabelStore.save`) serve both, and
@@ -56,10 +57,9 @@ instead of per-entry ``struct`` unpacking::
     [parent: n * i32 | hang: n * f64]      if flags bit 1 (pendants)
 
 v3 adds four width bytes to the header, narrows the columns and
-knows flag bit 2, rank-space pivots (:mod:`repro.core.quantized`).
-The reader checks every offsets column once at open (starts at 0,
-never decreases, ends at the entry count), so no query ever indexes
-past a column.
+knows flag bits 2-4 (:mod:`repro.core.quantized`).  The reader checks
+every offsets column and patch section once at open, so no query
+ever indexes past a column.
 
 **Pendant vertices** (degree 1, neighbour of degree >= 2; undirected
 stores only) are not labelled: the row of pendant ``v`` is empty and
@@ -99,17 +99,15 @@ from repro.core.quantized import (
     DIST_CODES,
     OFFSET_CODES,
     PIVOT_CODES,
+    LabelColumns,
     RankSpace,
     _encode,
-    absolute_pivots,
-    decode_slice,
-    pivot_deltas,
 )
 from repro.utils.atomicio import atomic_binary_writer
 
 _MAGIC = b"RPLI"
 _HEADER = struct.Struct("<BBBIQQ")  # version, flags, has_rank, n, counts
-_WIDTHS = struct.Struct("<BBBB")  # v3 only: off, pivot, dist width, 0
+_WIDTHS = struct.Struct("<BBBB")  # v3 only: off, pivot, dist, high width
 
 #: The version byte of each encoding, and v2's column typecodes
 #: (offsets, pivots, dists).
@@ -203,7 +201,8 @@ class FlatLabelStore:
     __slots__ = (
         "n",
         "directed",
-        "rank",
+        "_rank",
+        "_rank_list",
         "out_offsets",
         "out_pivots",
         "out_dists",
@@ -215,7 +214,10 @@ class FlatLabelStore:
         "lo",
         "encoding",
         "ranked",
+        "implied",
+        "patches",
         "_ranks",
+        "_sides",
         "_mmap",
         "_view",
         "_delta_out",
@@ -232,7 +234,7 @@ class FlatLabelStore:
         in_offsets,
         in_pivots,
         in_dists,
-        rank: list[int] | None = None,
+        rank=None,
     ) -> None:
         self.n = n
         self.directed = directed
@@ -252,7 +254,11 @@ class FlatLabelStore:
         # bit 2 of the file), and the map between the two spaces,
         # built by the first read that needs it.
         self.ranked = False
+        # Flag bits 3-4: implied self entries, per side (at, high) patches.
+        self.implied = False
+        self.patches = None
         self._ranks = None
+        self._sides = None
         self._mmap = None
         # The batch kernel's row cache (repro.oracle.kernel), created
         # by the first batch; dropped on close().
@@ -267,9 +273,38 @@ class FlatLabelStore:
         )
 
     @property
+    def rank(self) -> list[int] | None:
+        """The ranking (``rank[v]``, 0 = the top hub) as a list, made
+        from the stored column (:meth:`rank_column`) on first read."""
+        if self._rank_list is None and self._rank is not None:
+            self._rank_list = self.rank_column().tolist()
+        return self._rank_list
+
+    @rank.setter
+    def rank(self, rank) -> None:  # a list, a typed column or None
+        self._rank, self._rank_list = rank, None
+
+    def rank_column(self):
+        """The ranking as numpy, or None; makes no list."""
+        col = self._rank
+        if isinstance(col, list):
+            return np.asarray(col)
+        return col if col is None else _as_np(col)
+
+    @property
     def pivot_width(self) -> int:
         """Bytes per stored pivot (4 in v2; v3's chosen width)."""
         return self.out_pivots.itemsize
+
+    @property
+    def patch_count(self) -> int:
+        """Pivot patches the store holds over both sides."""
+        return sum(len(at) for at, _ in self.patches or ())
+
+    @property
+    def high_width(self) -> int:
+        """Bytes per patch high part (0 without patches)."""
+        return self.patches[0][1].itemsize if self.patches else 0
 
     @property
     def dist_width(self) -> int:
@@ -280,10 +315,29 @@ class FlatLabelStore:
         """The map between vertex ids and ``rank`` positions, built on
         first use; ``ValueError`` when ``rank`` is not a permutation."""
         if self._ranks is None:
-            if self.rank is None:
+            if self._rank is None:
                 raise ValueError("the store carries no rank column")
-            self._ranks = RankSpace(self.rank)
+            self._ranks = RankSpace(self.rank_column())
         return self._ranks
+
+    def _label_columns(self) -> list[LabelColumns]:
+        """Per side (one when undirected) the columns and their decoder,
+        made on first use; implied self entries need :meth:`rank_space`."""
+        if self._sides is None:
+            selves = self.rank_space().position if self.implied else None
+            if selves is not None and self.hang is not None:
+                selves = np.where(_as_np(self.hang) != 0, -1, selves)
+            sides = [(self.out_offsets, self.out_pivots, self.out_dists)]
+            if self.directed:
+                sides.append((self.in_offsets, self.in_pivots, self.in_dists))
+            self._sides = [
+                LabelColumns(
+                    *map(_as_np, side), self.encoding == "v3",
+                    self.patches and tuple(map(_as_np, self.patches[k])), selves,
+                )
+                for k, side in enumerate(sides)
+            ]
+        return self._sides
 
     @property
     def is_mmapped(self) -> bool:
@@ -306,10 +360,12 @@ class FlatLabelStore:
         # cache, which holds numpy views of them) before closing the
         # mapping (mmap.close() raises BufferError while views are
         # alive).
-        self._view = None
+        self._view = self._sides = None
         self.out_offsets = self.out_pivots = self.out_dists = None
         self.in_offsets = self.in_pivots = self.in_dists = None
-        self.parent = self.hang = None
+        self.parent = self.hang = self.patches = None
+        if isinstance(self._rank, memoryview):  # keep the ranking
+            self._rank = array("I", self._rank.tobytes())
         self._mmap.close()
         self._mmap = None
 
@@ -327,12 +383,12 @@ class FlatLabelStore:
         store = cls(
             held.n, held.directed,
             held.out_offsets, held.out_pivots, held.out_dists,
-            held.in_offsets, held.in_pivots, held.in_dists,
-            list(held.rank) if held.rank is not None else None,
+            held.in_offsets, held.in_pivots, held.in_dists, held._rank,
         )
         store.parent, store.hang = held.parent, held.hang
         store.encoding, store.lo = held.encoding, held.lo
-        store.ranked = held.ranked
+        store.ranked, store.implied = held.ranked, held.implied
+        store.patches = held.patches
         return store
 
     # -- pendant vertices ----------------------------------------------------
@@ -426,61 +482,56 @@ class FlatLabelStore:
         column is in rank space and every other target in vertex ids;
         a sharded store asks for ids, because a shard's ``rank`` is a
         slice.  ``self`` when the store already is ``encoding`` in
-        that space with nothing staged.  Otherwise a new store, made
-        from whole columns: v3 deltas decoded by one cumulative sum
-        (or v2 pivots turned into deltas), pivots mapped to the other
-        space and each label re-sorted when the space changes, the
-        base columns cut at the staged rows' offsets with the overlay
-        rows laid in between (one concatenate per column), then the
-        target's column types — v3 widths chosen afresh, since updates
-        can move the maxima they came from.
+        that space and layout with nothing staged.  Otherwise a new
+        store, made from whole columns: decoded
+        (:meth:`logical_columns`), mapped to the other space with each
+        label re-sorted, the overlay rows laid in where their base rows
+        were, then packed afresh (:func:`packed`).
         """
         if encoding not in _VERSIONS:
             raise ValueError(
                 f"unknown label encoding {encoding!r}; expected 'v2' or 'v3'"
             )
         if ranked is None:
-            ranked = encoding == "v3" and self.rank is not None
-        elif ranked and (encoding != "v3" or self.rank is None):
+            ranked = encoding == "v3" and self._rank is not None
+        elif ranked and (encoding != "v3" or self._rank is None):
             raise ValueError("rank-space pivots need v3 and a rank column")
         if (
             encoding == self.encoding and ranked == self.ranked
-            and not self.has_pending_updates
+            and ranked == self.implied and not self.has_pending_updates
         ):
             return self
-        parent, hang = self._pendant_columns()
-        sides = [self._columns(
-            encoding, ranked, self._delta_out,
-            self.out_offsets, self.out_pivots, self.out_dists,
-        )]
-        if self.directed:
-            sides.append(self._columns(
-                encoding, ranked, self._delta_in,
-                self.in_offsets, self.in_pivots, self.in_dists,
-            ))
         return packed(
-            self.n, self.directed, encoding, sides, parent, hang, self.rank,
-            self.lo, ranked,
+            self.n, self.directed, encoding, *self.unpacked(ranked),
+            self.rank_column(), self.lo, ranked,
         )
 
-    def _columns(self, encoding, ranked, overlay, offsets, pivots, dists):
-        """One side as numpy ``(offsets, pivots, dists)``, its pivots in
-        ``encoding``'s form (absolute, or v3 deltas) and in the space
-        ``ranked`` names, overlay spliced in."""
-        off = _as_np(offsets).astype(np.int64)
-        piv, dst = _as_np(pivots), _as_np(dists)
+    def unpacked(self, ranked: bool):
+        """``(sides, parent, hang)`` as :func:`packed` takes them: every
+        side's :meth:`logical_columns` in the space ``ranked`` names
+        and the pendant columns, staged updates folded in."""
+        sides = [self._columns(ranked, self._delta_out, 0)]
+        if self.directed:
+            sides.append(self._columns(ranked, self._delta_in, 1))
+        return (sides, *self._pendant_columns())
+
+    def logical_columns(self, side: int):
+        """One side as numpy ``(offsets, pivots, dists)``: absolute
+        pivots in the store's space, self entries in, nothing staged."""
+        cols = self._label_columns()[side]
+        if not cols.delta:
+            return cols.offsets.astype(np.int64), cols.pivots, cols.dists
+        piv, dst, lens = cols.gather(np.arange(self.n, dtype=np.int64))
+        return np.concatenate(([0], np.cumsum(lens))), piv, dst
+
+    def _columns(self, ranked, overlay, side):
+        """:meth:`logical_columns` in the space ``ranked`` names, the
+        overlay spliced in."""
+        off, piv, dst = self.logical_columns(side)
         if ranked != self.ranked:
-            lens = np.diff(off)
-            if self.encoding == "v3":
-                piv = absolute_pivots(piv, lens)
             space = self.rank_space()
-            piv, dst = (space.positions if ranked else space.ids)(piv, dst, lens)
-            if encoding == "v3":
-                piv = pivot_deltas(off, piv)
-        elif encoding != self.encoding:
-            piv = (
-                pivot_deltas(off, piv) if encoding == "v3"
-                else absolute_pivots(piv, np.diff(off))
+            piv, dst = (space.positions if ranked else space.ids)(
+                piv, dst, np.diff(off)
             )
         if not overlay:
             return off, piv, dst
@@ -497,8 +548,6 @@ class FlatLabelStore:
             row_piv, row_dst = self.rank_space().positions(
                 row_piv, row_dst, np.diff(row_off)
             )
-        if encoding == "v3":
-            row_piv = pivot_deltas(row_off, row_piv)
         # The base columns cut at the staged vertices' offsets, each
         # staged row laid in where its base row was.
         at = np.asarray(verts, dtype=np.int64)
@@ -553,9 +602,9 @@ class FlatLabelStore:
         if self.hang is not None and self.hang[v]:
             p, h = self._resolve(v)
             return derived_slice(v, h, *self.out_slice(p))
-        o, e = self.out_offsets[v], self.out_offsets[v + 1]
         if self.encoding == "v3":
-            return self._decoded(self.out_pivots, self.out_dists, o, e)
+            return self._decoded(0, v)
+        o, e = self.out_offsets[v], self.out_offsets[v + 1]
         return self.out_pivots, self.out_dists, o, e
 
     def in_slice(self, v: int):
@@ -567,20 +616,20 @@ class FlatLabelStore:
         if self.hang is not None and self.hang[v]:
             p, h = self._resolve(v)
             return derived_slice(v, h, *self.in_slice(p))
-        o, e = self.in_offsets[v], self.in_offsets[v + 1]
         if self.encoding == "v3":
-            return self._decoded(self.in_pivots, self.in_dists, o, e)
+            return self._decoded(int(self.directed), v)
+        o, e = self.in_offsets[v], self.in_offsets[v + 1]
         return self.in_pivots, self.in_dists, o, e
 
-    def _decoded(self, pivots, dists, o, e):
-        """The v3 label ``pivots/dists[o:e]`` decoded, in vertex ids."""
-        if not self.ranked:
-            piv, dst = decode_slice(pivots, dists, o, e)
-            return piv, dst, 0, len(piv)
-        # Rank positions: one running sum, mapped and re-sorted by id.
-        positions = np.add.accumulate(_as_np(pivots)[o:e], dtype=np.int64)
-        ids, dst = self.rank_space().ids(positions, _as_np(dists)[o:e])
-        return ids.tolist(), dst.astype(np.float64).tolist(), 0, len(ids)
+    def _decoded(self, side: int, v: int):
+        """``v``'s v3 label on ``side`` decoded, in vertex ids: a
+        rank-space label mapped back and re-sorted by id."""
+        piv, dst, own = self._label_columns()[side].row(v)
+        if own >= 0:  # the implied self entry, last
+            piv, dst = np.append(piv, own), np.append(dst, 0)
+        if self.ranked:
+            piv, dst = self.rank_space().ids(piv, dst)
+        return piv.tolist(), dst.astype(np.float64).tolist(), 0, piv.size
 
     # -- querying ------------------------------------------------------------
     def _check(self, s: int, t: int) -> None:
@@ -644,28 +693,36 @@ class FlatLabelStore:
             staged = overlay.get(v)
             if staged is not None:
                 return len(staged[0])
+        return self._base_len(v, out)
+
+    def _base_len(self, v: int, out: bool) -> int:
+        """Length of ``v``'s label in the columns, self entry counted."""
         offsets = self.out_offsets if out else self.in_offsets
-        return offsets[v + 1] - offsets[v]
+        size = offsets[v + 1] - offsets[v]
+        if self.implied and not (self.hang is not None and self.hang[v]):
+            size += 1
+        return size
 
     # -- statistics ----------------------------------------------------------
     def total_entries(self, include_trivial: bool = False) -> int:
-        """Stored label entries (self entries excluded unless asked).
+        """Label entries (self entries excluded unless asked; an
+        implied one counts as stored).
 
         A pendant's empty row counts nothing: not its derived entries,
         not a self entry.
         """
-        total = len(self.out_pivots)
-        if self.directed:
-            total += len(self.in_pivots)
-        sides = [(self._delta_out, self.out_offsets)]
-        if self.directed:
-            sides.append((self._delta_in, self.in_offsets))
-        for overlay, offsets in sides:
+        sides = 2 if self.directed else 1
+        total = len(self.out_pivots) + (len(self.in_pivots) if self.directed else 0)
+        if self.implied:  # every core row's self entry
+            peeled = 0 if self.hang is None else np.count_nonzero(_as_np(self.hang))
+            total += sides * (self.n - int(peeled))
+        overlays = [(self._delta_out, True), (self._delta_in, False)][:sides]
+        for overlay, out in overlays:
             for v, (pivots, _) in overlay.items():
-                total += len(pivots) - (offsets[v + 1] - offsets[v])
+                total += len(pivots) - self._base_len(v, out)
         if include_trivial:
             return total
-        return total - self.n * (2 if self.directed else 1) + self.pendants
+        return total - self.n * sides + self.pendants
 
     def size_in_bytes(self) -> int:
         """Index size under the paper's 5-bytes-per-entry convention."""
@@ -678,6 +735,7 @@ class FlatLabelStore:
             sides.append((self.in_offsets, self.in_pivots, self.in_dists))
         if self.hang is not None:
             sides.append((self.parent, self.hang))
+        sides += self.patches or []
         total = 0
         for side in sides:
             for arr in side:
@@ -721,20 +779,28 @@ class FlatLabelStore:
         if self.has_pending_updates:
             self.encoded(self.encoding, self.ranked).save(path)
             return
-        blobs = [self.out_offsets, self.out_pivots, self.out_dists]
+        sides = [(self.out_offsets, self.out_pivots, self.out_dists)]
         if self.directed:
-            blobs += [self.in_offsets, self.in_pivots, self.in_dists]
+            sides.append((self.in_offsets, self.in_pivots, self.in_dists))
+        blobs = []
+        for k, side in enumerate(sides):
+            blobs += side
+            if self.patches:  # count (at the offsets width), at, high
+                at, high = self.patches[k]
+                count = np.array([len(at)], _as_np(side[0]).dtype)
+                blobs += [memoryview(count), at, high]
         if self.hang is not None:
             blobs += [self.parent, self.hang]
         with atomic_binary_writer(path) as fh:
             fh.write(_header(self))
-            if self.rank is not None:
-                fh.write(_as_le_bytes(array("I", self.rank)))
+            if self._rank is not None:
+                rank = self.rank_column().astype(np.uint32)
+                fh.write(_as_le_bytes(memoryview(rank)))
             for blob in blobs:
                 fh.write(_as_le_bytes(blob))
 
     @classmethod
-    def load(cls, path, use_mmap: bool = False) -> "FlatLabelStore":
+    def load(cls, path, use_mmap: bool = False, lo: int = 0) -> "FlatLabelStore":
         """Read a v2 or v3 file: one bulk read (or an ``mmap``) plus casts.
 
         There is no decode pass: the columns are served in the file's
@@ -742,8 +808,10 @@ class FlatLabelStore:
         memoryviews over a shared read-only mapping, so a multi-GB
         index "loads" in microseconds and pages in on demand.  Raises
         ``ValueError`` on a wrong magic or version, invalid header
-        widths, truncation, bytes after the last section, or an
-        offsets column that does not delimit its side's entries.
+        widths, truncation, bytes after the last section, an offsets
+        column or patch section out of its side's bounds, or a core
+        vertex whose parent is not itself (``lo + v``: ``lo`` is a
+        shard's first global id).
         """
         with open(path, "rb") as fh:
             encoding, flags, has_rank, n, counts, codes = _read_header(path, fh)
@@ -755,11 +823,11 @@ class FlatLabelStore:
                 # zero-copy views are impossible; fall back to copying.
                 body = memoryview(fh.read())
 
-        off_code, pivot_code, dist_code = codes
+        off_code, pivot_code, dist_code, high_code = codes
         cursor = _Cursor(path, body)
         try:
-            rank = list(cursor.take("I", n)) if has_rank else None
-            sides = []
+            rank = cursor.take("I", n) if has_rank else None
+            sides, patches = [], []
             for count in counts:
                 offsets = cursor.take(off_code, n + 1)
                 _check_offsets(path, offsets, count)
@@ -768,9 +836,20 @@ class FlatLabelStore:
                     cursor.take(pivot_code, count),
                     cursor.take(dist_code, count),
                 ))
+                if flags & 16:
+                    patches.append(_take_patches(
+                        path, cursor, off_code, high_code, count
+                    ))
             parent = hang = None
             if flags & 2:
                 parent, hang = cursor.take("i", n), cursor.take(dist_code, n)
+                # hang 0 means "answers for itself", to every reader.
+                core = np.flatnonzero(_as_np(hang) == 0)
+                if (_as_np(parent)[core] != core + lo).any():
+                    raise ValueError(
+                        f"{path}: corrupt pendant section (a core vertex "
+                        "names a parent other than itself)"
+                    )
             cursor.finish()
         except ValueError:
             # Don't leak the mapping of a corrupt file: release every
@@ -779,6 +858,8 @@ class FlatLabelStore:
             raise
         store = cls(n, bool(flags & 1), *sides[0], *sides[-1], rank)
         store.encoding, store.ranked = encoding, bool(flags & 4)
+        store.implied, store.lo = bool(flags & 8), lo
+        store.patches = patches or None
         store.parent, store.hang = parent, hang
         if cursor.zero_copy:
             store._mmap = body.obj
@@ -841,20 +922,24 @@ class _Cursor:
 def _header(store) -> bytes:
     """The header of ``store``'s file — the one writer of v2 and v3
     headers.  Flags: bit 0 directed, bit 1 a pendant section follows
-    the label blobs, bit 2 (v3 only) the pivots are rank positions; v3
-    appends the column widths."""
+    the label blobs; v3 only: bit 2 the pivots are rank positions,
+    bit 3 core rows leave out their self entry, bit 4 each side has a
+    patch section.  v3 appends the column widths, the last one the
+    patches' high part (0 without)."""
     flags = (
         (1 if store.directed else 0) | (2 if store.hang is not None else 0)
-        | (4 if store.ranked else 0)
+        | (4 if store.ranked else 0) | (8 if store.implied else 0)
+        | (16 if store.patches else 0)
     )
     head = _MAGIC + _HEADER.pack(
-        _VERSIONS[store.encoding], flags, 0 if store.rank is None else 1,
+        _VERSIONS[store.encoding], flags, 0 if store._rank is None else 1,
         store.n, len(store.out_pivots),
         len(store.in_pivots) if store.directed else 0,
     )
     if store.encoding == "v3":
         head += _WIDTHS.pack(
-            store.out_offsets.itemsize, store.pivot_width, store.dist_width, 0
+            store.out_offsets.itemsize, store.pivot_width, store.dist_width,
+            store.high_width,
         )
     return head
 
@@ -864,9 +949,10 @@ def _read_header(path, fh):
 
     Returns ``(encoding, flags, has_rank, n, counts, codes)``:
     ``counts`` the entry count of each side in the file, and ``codes``
-    the typecodes of its (offsets, pivots, dists) columns.  A flag bit
-    this reader does not know is an error, never ignored: v2 knows
-    bits 0-1, v3 bits 0-2.
+    the typecodes of its (offsets, pivots, dists) columns and of the
+    patches' high parts (None without patches).  A flag bit this
+    reader does not know is an error, never ignored: v2 knows bits
+    0-1, v3 bits 0-4.
     """
     head = fh.read(4 + _HEADER.size)
     if head[:4] != _MAGIC:
@@ -875,15 +961,17 @@ def _read_header(path, fh):
         raise ValueError(f"{path}: truncated or corrupt index file")
     version, flags, has_rank, n, out_count, in_count = _HEADER.unpack(head[4:])
     if version == 2:
-        encoding, codes = "v2", _V2_CODES
+        encoding, codes = "v2", (*_V2_CODES, None)
     elif version == 3:
         widths = fh.read(_WIDTHS.size)
         if len(widths) < _WIDTHS.size:
             raise ValueError(f"{path}: truncated or corrupt index file")
         encoding, codes = "v3", []
+        # The high-part width is 0 exactly when no patch section follows.
+        high = {0: None} if not flags & 16 else PIVOT_CODES
         for name, table, width in zip(
-            ("offset", "pivot", "distance"),
-            (OFFSET_CODES, PIVOT_CODES, DIST_CODES),
+            ("offset", "pivot", "distance", "high-part"),
+            (OFFSET_CODES, PIVOT_CODES, DIST_CODES, high),
             _WIDTHS.unpack(widths),
         ):
             if width not in table:
@@ -896,7 +984,7 @@ def _read_header(path, fh):
             f"{path}: not a v2/v3 index (version {version}); "
             "use load_store() to read any version"
         )
-    _check_flags(path, flags, known=7 if version == 3 else 3)
+    _check_flags(path, flags, known=31 if version == 3 else 3)
     if flags & 1 and flags & 2:
         raise ValueError(
             f"{path}: corrupt header (pendant section on a directed index)"
@@ -904,6 +992,11 @@ def _read_header(path, fh):
     if flags & 4 and not has_rank:
         raise ValueError(
             f"{path}: corrupt header (rank-space pivots without a rank column)"
+        )
+    if flags & 8 and not flags & 4:
+        raise ValueError(
+            f"{path}: corrupt header (implied self entries without "
+            "rank-space pivots)"
         )
     counts = (out_count, in_count) if flags & 1 else (out_count,)
     return encoding, flags, has_rank, n, counts, codes
@@ -923,6 +1016,26 @@ def _trailing_bytes(path, extra: int) -> str:
         f"{path}: {extra} bytes after the last section (corrupt index "
         "file, or a section its header flags do not announce)"
     )
+
+
+def _take_patches(path, cursor, off_code, high_code, entries: int):
+    """One side's patch section: a count at the offsets width, then as
+    many positions (rising strictly, below ``entries``) and high parts.
+    Returns ``(at, high)``."""
+    (count,) = cursor.take(off_code, 1)
+    if count > entries or not _rises_below(
+        _as_np(at := cursor.take(off_code, count)), entries
+    ):
+        raise ValueError(
+            f"{path}: corrupt patch section ({count} patches for {entries} "
+            "entries; positions must rise strictly and stay below the "
+            "entry count)"
+        )
+    return at, cursor.take(high_code, count)
+
+
+def _rises_below(col, end: int) -> bool:
+    return not col.size or bool(col[-1] < end and (col[1:] > col[:-1]).all())
 
 
 def _check_offsets(path, offsets, count: int) -> None:
@@ -957,15 +1070,18 @@ def packed(
     """A store of ``encoding`` over numpy label columns.
 
     ``sides`` holds ``(offsets, pivots, dists)`` per label side — one
-    when undirected — with absolute pivots for v2 and per-label deltas
-    (:func:`~repro.core.quantized.pivot_deltas`) for v3, as rank
-    positions when ``ranked`` (:meth:`FlatLabelStore.encoded` does the
-    mapping); ``parent`` / ``hang`` are the pendant columns or None.
-    v2 casts the columns to its fixed types; v3 narrows them to the
-    widths :func:`~repro.core.quantized._encode` chooses.
+    when undirected — as :meth:`FlatLabelStore.logical_columns` hands
+    them out, as rank positions when ``ranked``; ``parent`` / ``hang``
+    are the pendant columns or None.  v2 casts the columns to its
+    fixed types; v3 stores what :func:`~repro.core.quantized._encode`
+    makes of them, a rank-space store's self entries implied.
     """
+    patches = None
     if encoding == "v3":
-        sides, hang = _encode(sides, hang)
+        selves = np.array(rank, dtype=np.int64) if ranked else None
+        if ranked and hang is not None:
+            selves[hang != 0] = -1
+        sides, hang, patches = _encode(sides, hang, selves)
     else:
         sides = [
             (off.astype(np.int64), piv.astype(np.int32), dst.astype(np.float64))
@@ -973,12 +1089,13 @@ def packed(
         ]
         hang = None if hang is None else hang.astype(np.float64)
     columns = [frozen_views(*side) for side in sides]
-    store = FlatLabelStore(
-        n, directed, *columns[0], *columns[-1],
-        None if rank is None else list(rank),
-    )
+    if rank is not None:
+        (rank,) = frozen_views(np.array(rank, dtype=np.uint32))
+    store = FlatLabelStore(n, directed, *columns[0], *columns[-1], rank)
     store.encoding = encoding
-    store.lo, store.ranked = lo, ranked
+    store.lo, store.ranked, store.implied = lo, ranked, ranked
+    if patches is not None:
+        store.patches = [frozen_views(*side) for side in patches]
     if hang is not None:
         store.parent, store.hang = frozen_views(parent.astype(np.int32), hang)
     return store
@@ -1002,7 +1119,7 @@ def drop_pendant_rows(store: "FlatLabelStore", parent, hang) -> "FlatLabelStore"
     side = frozen_views(
         offsets - before, np.delete(pivots, cut), np.delete(dists, cut)
     )
-    peeled = FlatLabelStore(store.n, False, *side, *side, store.rank)
+    peeled = FlatLabelStore(store.n, False, *side, *side, store._rank)
     peeled.parent, peeled.hang = frozen_views(
         np.asarray(parent, dtype=np.int32), hang
     )
@@ -1016,16 +1133,16 @@ def _as_le_bytes(blob) -> bytes:
     return _as_np(blob).byteswap().tobytes()
 
 
-def load_store(path, prefer_flat: bool = True, use_mmap: bool = False):
+def load_store(path, prefer_flat: bool = True, use_mmap: bool = False, lo=0):
     """Open an index file of **any** format version as a
     :class:`FlatLabelStore`.
 
     Sniffs the version byte: v2 and v3 load in that encoding (the
-    columns are served as stored — no decode pass); v1 is read into v2
-    columns (see the module docstring), refused on the same grounds as
-    v2/v3 (unknown flag bits, truncation, bytes after the last
-    section).  ``prefer_flat`` must be True: every file opens as a CSR
-    store.
+    columns are served as stored — no decode pass; ``lo`` as in
+    :meth:`FlatLabelStore.load`); v1 is read into v2 columns (see the
+    module docstring), refused on the same grounds as v2/v3 (unknown
+    flag bits, truncation, bytes after the last section).  ``prefer_flat``
+    must be True: every file opens as a CSR store.
     """
     if not prefer_flat:
         raise ValueError(
@@ -1036,7 +1153,7 @@ def load_store(path, prefer_flat: bool = True, use_mmap: bool = False):
     if len(head) < 5 or head[:4] != _MAGIC:
         raise ValueError(f"{path}: not a label index file")
     if head[4] in _VERSIONS.values():
-        return FlatLabelStore.load(path, use_mmap=use_mmap)
+        return FlatLabelStore.load(path, use_mmap=use_mmap, lo=lo)
     with open(path, "rb") as fh:
         data = fh.read()
     return _load_v1(path, data)

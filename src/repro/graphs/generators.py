@@ -103,8 +103,7 @@ def glp_graph(
     check_probability("beta", beta)
     if m0 < 2:
         raise ValueError(f"m0 must be >= 2, got {m0}")
-    if num_vertices < m0:
-        m0 = max(2, num_vertices)
+    m0 = min(m0, num_vertices)  # a ring of one is a loop: no edge
 
     n = num_vertices
     rng = random.Random(seed)

@@ -18,8 +18,8 @@ computation and only the remainder needs a search.
    Nothing else is computed when a store is opened;
 2. **rows, filled on first touch** — the kernel keeps a cache of
    join-ready rows on the store.  The first batch to name a vertex
-   gathers its label once (v2 pivots as mapped, v3 deltas decoded with
-   one cumulative sum over the gathered entries, a vertex with a
+   gathers its label once (v2 pivots as mapped, v3 labels decoded by
+   :class:`~repro.core.quantized.LabelColumns`, a vertex with a
    staged update read from the overlay arrays) and splits it — a v3
    scalar read fills the one or two rows it misses the same way, a row
    at a time without the batch gather's setup
@@ -135,7 +135,7 @@ import numpy as np
 from repro.core.flatstore import FlatLabelStore, _as_np, probe_min_distance
 from repro.core.hubs import MAX_CELL, NO_ENTRY, hub_min, misfit
 from repro.core.labels import INF
-from repro.core.quantized import absolute_pivots
+from repro.core.quantized import _expand
 
 #: Labels sampled to choose the hub columns, and the share of them a
 #: pivot must appear in (more than 1 in _HUB_SHARE) to get one: a
@@ -234,18 +234,6 @@ def supports(store) -> bool:
     return False
 
 
-def _expand(starts, lens):
-    """Positions of the slices ``starts[k] : starts[k] + lens[k]``.
-
-    Returns ``(idx, seg0)``: every slice's positions laid end to end,
-    and each slice's start in that order.
-    """
-    total = int(lens.sum())
-    seg0 = lens.cumsum() - lens
-    idx = np.arange(total, dtype=np.int64) + (starts - seg0).repeat(lens)
-    return idx, seg0
-
-
 def _run_starts(changes):
     """Mask of run starts, from ``changes = x[1:] != x[:-1]`` of sorted x."""
     return np.concatenate((np.ones(1, dtype=bool), changes))
@@ -286,11 +274,11 @@ class _View:
 
     ``parts`` lists, for the store itself or for each shard of a
     sharded one (``los`` holding their first global vertices), the
-    flat store, whether its pivots are v3 deltas, and numpy views of
-    its ``(offsets, pivots, dists)`` per side.  ``out`` / ``inn`` are
-    the two sides' :class:`_Rows` (one object on an undirected store,
-    whose sides alias); ``hubs`` are the column pivots in column order
-    and ``col_of[p]`` is pivot ``p``'s column, or -1.
+    flat store and its :class:`~repro.core.quantized.LabelColumns`
+    per side.  ``out`` / ``inn`` are the two sides' :class:`_Rows`
+    (one object on an undirected store, whose sides alias); ``hubs``
+    are the column pivots in column order and ``col_of[p]`` is pivot
+    ``p``'s column, or -1.
     """
 
     def __init__(self, store) -> None:
@@ -301,18 +289,7 @@ class _View:
         self.directed = store.directed
         self.los = np.asarray(getattr(store, "_los", [0]), dtype=np.int64)
         self.lo_list = self.los.tolist()
-        self.parts = []
-        for shard in shards:
-            sides = [(shard.out_offsets, shard.out_pivots, shard.out_dists)]
-            if self.directed:
-                sides.append(
-                    (shard.in_offsets, shard.in_pivots, shard.in_dists)
-                )
-            self.parts.append((
-                shard,
-                shard.encoding == "v3",
-                [tuple(map(_as_np, side)) for side in sides],
-            ))
+        self.parts = [(shard, shard._label_columns()) for shard in shards]
         self.arena_resets = 0
         self.out = self._new_rows(0)
         self.inn = self._new_rows(1) if self.directed else self.out
@@ -350,9 +327,13 @@ class _View:
 
     def _new_rows(self, side: int) -> _Rows:
         """An empty cache for one side, its arena as large as the side."""
-        entries = sum(sides[side][1].size for _, _, sides in self.parts)
+        # Stored entries, and room for an implied self entry per row.
+        entries = sum(
+            sides[side].pivots.size + sides[side].offsets.size
+            for _, sides in self.parts
+        )
         rows = _Rows(self.n, max(entries, 1))
-        for lo, (shard, _, _) in zip(self.los.tolist(), self.parts):
+        for lo, (shard, _) in zip(self.los.tolist(), self.parts):
             overlay = shard._delta_in if side else shard._delta_out
             if overlay:
                 local = np.fromiter(overlay, np.int64, len(overlay))
@@ -412,7 +393,7 @@ class _View:
         rows = self.inn if side else self.out
         verts, pivots, dists, lens = [], [], [], []
         cuts = np.searchsorted(V, self.los).tolist() + [V.size]
-        for k, (shard, delta, sides) in enumerate(self.parts):
+        for k, (shard, sides) in enumerate(self.parts):
             local = V[cuts[k] : cuts[k + 1]]
             if not local.size:
                 continue
@@ -439,16 +420,10 @@ class _View:
                 local = local[~staged]
                 if not local.size:
                     continue
-            offsets, base_piv, base_dist = sides[side]
-            starts = offsets[local - lo].astype(np.int64)
-            size = offsets[local - lo + 1].astype(np.int64) - starts
-            idx, _ = _expand(starts, size)
-            piv = base_piv[idx]
-            # v3 stores per-label pivot deltas, decoded in one pass.
-            piv = absolute_pivots(piv, size) if delta else piv.astype(np.int64)
+            piv, dst, size = sides[side].gather(local - lo)
             verts.append(local)
             pivots.append(piv)
-            dists.append(base_dist[idx].astype(np.float64, copy=False))
+            dists.append(dst)
             lens.append(size)
         if len(verts) == 1:
             return verts[0], pivots[0], dists[0], lens[0]
@@ -506,19 +481,16 @@ class _View:
         """
         rows = self.inn if side else self.out
         k = bisect_right(self.lo_list, v) - 1
-        shard, delta, sides = self.parts[k]
+        shard, sides = self.parts[k]
         local = v - self.lo_list[k]
+        own = -1
         if rows.staged[v]:
             p, d = (shard._delta_in if side else shard._delta_out)[local]
             piv, dist = np.frombuffer(p, dtype=np.int32), np.frombuffer(d)
             if shard.ranked:  # staged rows hold vertex ids
                 piv, dist = shard.rank_space().positions(piv, dist)
         else:
-            offsets, pivots, dists = sides[side]
-            o, e = offsets[local : local + 2].tolist()
-            piv, dist = pivots[o:e], dists[o:e]
-            if delta:  # a v3 label: its first pivot whole, then steps
-                piv = np.add.accumulate(piv, dtype=np.int64)
+            piv, dist, own = sides[side].row(local)
         col = self.col_of.take(piv)
         hub = col >= 0
         cols, cell = col[hub], dist[hub]
@@ -528,7 +500,10 @@ class _View:
             if np.count_nonzero(bad):
                 self._retire(cols[bad])
                 return False
-        need = piv.size - cell.size
+        # An implied self entry (0 fits any column) goes in last.
+        own_col = -1 if own < 0 else self.col_of.item(own)
+        stored = piv.size - cell.size
+        need = stored + (own >= 0 and own_col < 0)
         start = rows.used
         if start + need > rows.tail_piv.size:
             self._overflow(rows, 2 * need)
@@ -536,15 +511,21 @@ class _View:
         row = rows.table[v]
         row.fill(NO_ENTRY)
         row.put(cols, cell)
+        if own_col >= 0:
+            row[own_col] = 0
         if need:
             tail = ~hub
             rows.used += need
-            rows.tail_piv[start : rows.used] = piv[tail]
-            rows.tail_dist[start : rows.used] = dist[tail]
+            rows.tail_piv[start : start + stored] = piv[tail]
+            rows.tail_dist[start : start + stored] = dist[tail]
+            if need > stored:
+                rows.tail_piv[start + stored] = own
+                rows.tail_dist[start + stored] = 0.0
         rows.tail_start[v] = start
         rows.tail_len[v] = need
         rows.filled[v] = True
-        _tally(filled=1)
+        with _STATS_LOCK:  # _tally(filled=1) without its keywords
+            _STATS["rows_filled"] += 1
         return True
 
     def _retire(self, columns) -> None:

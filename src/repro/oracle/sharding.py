@@ -44,6 +44,7 @@ from repro.core.flatstore import (
     FlatLabelStore,
     _as_np,
     derived_slice,
+    frozen_views,
     load_store,
     packed,
     probe_min_distance,
@@ -140,7 +141,8 @@ class ShardedLabelStore:
     """
 
     __slots__ = (
-        "n", "directed", "shards", "ranges", "rank", "_los", "_dirty", "_view",
+        "n", "directed", "shards", "ranges", "_rank", "_rank_list", "_los",
+        "_dirty", "_view",
     )
     #: The pivot space, as on a flat store: always vertex ids here.
     ranked = False
@@ -178,14 +180,15 @@ class ShardedLabelStore:
         # The batch kernel's row cache over all shards
         # (repro.oracle.kernel), created by the first batch.
         self._view = None
-        # Reassemble the global ranking when every shard carries its slice.
-        if all(s.rank is not None for s in self.shards):
-            rank: list[int] | None = []
-            for shard in self.shards:
-                rank.extend(shard.rank)
-        else:
-            rank = None
-        self.rank = rank
+        # Reassemble the global ranking when every shard carries its
+        # slice: one column, listed only when read (``rank``).
+        columns = [shard.rank_column() for shard in self.shards]
+        self.rank = None
+        if all(col is not None for col in columns):
+            (self.rank,) = frozen_views(np.concatenate(columns).astype(np.uint32))
+
+    rank = FlatLabelStore.rank
+    rank_column = FlatLabelStore.rank_column
 
     # -- construction --------------------------------------------------------
     @classmethod
@@ -200,18 +203,17 @@ class ShardedLabelStore:
         (:func:`split_ranges`).
 
         A sharded store being re-split to a new count has its shards'
-        columns concatenated, and staged updates are folded in; a
-        rank-space v3 store is re-encoded in vertex ids.  The columns
-        are then cut per range (offsets re-based to each shard's
-        start) in the store's own encoding — a v3 label stores its
-        first pivot whole, so the cut needs no decode — which
-        preserves entry order and therefore answers.
+        columns concatenated.  The store's labels are decoded once, in
+        vertex ids and with staged updates folded in
+        (:meth:`FlatLabelStore.unpacked`), and cut per range (offsets
+        re-based to each shard's start) into the store's own encoding,
+        which preserves entry order and therefore answers.
         """
         if isinstance(store, ShardedLabelStore):
             store = store._joined()
-        store = store.encoded(store.encoding, ranked=False)
+        columns = store.unpacked(ranked=False)
         ranges = split_ranges(store.n, num_shards)
-        shards = [_slice_store(store, lo, hi) for lo, hi in ranges]
+        shards = [_slice_store(store, *columns, lo, hi) for lo, hi in ranges]
         return cls(shards, ranges)
 
     def _joined(self) -> FlatLabelStore:
@@ -221,9 +223,7 @@ class ShardedLabelStore:
         shards = [shard.encoded(encoding, ranked=False) for shard in self.shards]
         sides = []
         for side in range(2 if self.directed else 1):
-            columns = [
-                _side_columns(shard, side, 0, shard.n) for shard in shards
-            ]
+            columns = [shard.logical_columns(side) for shard in shards]
             bases = np.cumsum([0] + [off[-1] for off, _, _ in columns])
             sides.append((
                 np.concatenate([[0]] + [
@@ -245,7 +245,7 @@ class ShardedLabelStore:
                 for shard in shards
             ])
         return packed(
-            self.n, self.directed, encoding, sides, parent, hang, self.rank
+            self.n, self.directed, encoding, sides, parent, hang, self._rank
         )
 
     # -- incremental updates -------------------------------------------------
@@ -572,7 +572,7 @@ class ShardedLabelStore:
                     # Sniffs the per-file version byte, so v2 and v3
                     # shard files (and mixed directories) all load.
                     shard = load_store(
-                        file_path, prefer_flat=True, use_mmap=use_mmap
+                        file_path, use_mmap=use_mmap, lo=entry["lo"]
                     )
                 except ValueError as exc:
                     raise ShardError(f"shard {entry['id']}: {exc}") from exc
@@ -688,31 +688,21 @@ def _validate_ranges(ranges: Sequence[tuple[int, int]]) -> None:
             raise ShardError(f"empty shard range [{lo}, {hi})")
 
 
-def _side_columns(store: FlatLabelStore, side: int, lo: int, hi: int):
-    """Vertices ``[lo, hi)`` of one side of ``store`` as numpy
-    ``(offsets, pivots, dists)``, offsets re-based to start at 0."""
-    columns = (
-        (store.in_offsets, store.in_pivots, store.in_dists) if side
-        else (store.out_offsets, store.out_pivots, store.out_dists)
-    )
-    offsets, pivots, dists = map(_as_np, columns)
-    off = offsets[lo : hi + 1].astype(np.int64)
-    return off - off[0], pivots[off[0] : off[-1]], dists[off[0] : off[-1]]
-
-
-def _slice_store(store: FlatLabelStore, lo: int, hi: int) -> FlatLabelStore:
-    """Vertices ``[lo, hi)`` of a flat store (nothing staged) as a
-    local-id store of the same encoding; v3 widths are chosen for the
-    slice."""
-    sides = [
-        _side_columns(store, side, lo, hi)
-        for side in range(2 if store.directed else 1)
-    ]
-    parent = hang = None
-    if store.hang is not None and _as_np(store.hang)[lo:hi].any():
-        parent = _as_np(store.parent)[lo:hi]
-        hang = _as_np(store.hang)[lo:hi]
-    rank = store.rank[lo:hi] if store.rank is not None else None
+def _slice_store(store: FlatLabelStore, sides, parent, hang, lo: int, hi: int):
+    """Vertices ``[lo, hi)`` of a flat store as a local-id store of the
+    same encoding, cut from its vertex-id
+    :meth:`~FlatLabelStore.unpacked` columns; v3 widths are chosen for
+    the slice."""
+    cut = []
+    for offsets, pivots, dists in sides:
+        off = offsets[lo : hi + 1]
+        cut.append((off - off[0], pivots[off[0] : off[-1]], dists[off[0] : off[-1]]))
+    if hang is not None and hang[lo:hi].any():
+        parent, hang = parent[lo:hi], hang[lo:hi]
+    else:
+        parent = hang = None
+    rank = store.rank_column()
     return packed(
-        hi - lo, store.directed, store.encoding, sides, parent, hang, rank
+        hi - lo, store.directed, store.encoding, cut, parent, hang,
+        None if rank is None else rank[lo:hi],
     )

@@ -139,57 +139,59 @@ CASES = (
 
 # Recorded from the writers as they stood when these pins were added;
 # the v3 and v3+delta digests again when v3 files began to store their
-# pivots as rank positions (flag bit 2).
+# pivots as rank positions (flag bit 2), and every v3 digest, shards
+# included, when rank-space rows began to leave out their self entry
+# (bit 3) and wide deltas moved to patch sections (bit 4).
 PINNED: dict[str, tuple[str, ...]] = {
     "ba": (
         "c56ab451777f2cb72e47c7d92ec15705afc0a69c90713f0847e093477f60bb98",
         "fe8d6386bb5c8f2fe5dfb20a6ec20147933e81c8941a177a93a0f3a5d87f2ff1",
-        "fcf9a15b386ace544feed21ca1a4eb00553f0e8641c39d62304bc0f27f025858",
-        "0b4aa07214e64298643587fb20c8f4668cb57c06cc1dcdcc71de713afa2d8cfd",
+        "d2ed67e49a00073e5d6174a7ee1a6cb7ec7174f9504bcbe9cd7d5c7880e10a13",
+        "5bfd677a0fd53e460a847d4bd67ebb271f13b51e168cc3c6afd43dbfd62652d5",
         "bc037cfe0c5900329e658acc268dd5369fde3e8cfe1b7582b799102c5640e6e9",
         "e892da3b96b8b49f7919fd8d0a53fdcfc74ceaf7709ab87e23142f573ac252b6",
-        "db2cf2cd1c872182afd455ab3fd955ee84ce22ad6c956851d6c3a3ad50bcd4ec",
-        "48eb17fc431e939f43b781d36616974d00f224760e91cee0ab36ccdfa18137ac",
+        "1287367689899a84a5e1cdde3a1930b48c3c8009e274ce456894741978960bcb",
+        "fb5956bbd8a5c6aa28a05621c1dae1df05456735d888ccc30f6b08e4fde80241",
     ),
     "glp": (
         "199523e323a46b3815b379e2f264688f291431e51f517db4909277f53cd6b91f",
         "5cfdc8e6d239a92b28c07d6c0965c17856d0fa77f93749de9f11dfbc5ff192b9",
-        "aadcd003a9139fdbbb5ff800ecb923bb1966a2e486479b1802d000dc890ce48d",
-        "a6477cad319dd34d4689b707258a37a3e3cca2bfdb635431cbae214acc57a1fd",
+        "297c0e00149b0fe2aee344dcbbfa6b333fc678177144095e4b27888c0b50cc0a",
+        "60ede488d0650600c6abba6ce332eb2f526c9b49df5706216473700198c7c0d2",
         "b833d8a55de3a91325da994e755866303dfaebc40f48913be8c81c26018b6a09",
         "b01653464f033016a810483c648bd39bc01a3c2c81aae9899bf589aa9dba0d16",
-        "1fc8e62505ee7cd60a214584802abcc9207591bb0add06ce0e141b6828fa32c7",
-        "d30a971d20f23c7aac0b9a92a85364fd9f8df9bd9e1002a96415eb0f54817e42",
+        "24661cca5a315ce4e15e2e9b482bde9143077b6002773d606520dabb2091f37e",
+        "bb3964af7b58be3ddfa66d33877c258173f13ae732b17dee2936635e207218ba",
     ),
     "glp-directed": (
         "bae2e073a168dae7822a6214340599cc6dc3fb13930aa8e711bc4c46099ba5fe",
         "f1997bcca0ca3ec22017f165b6ceff3ef214ee31035ce686523064006f36e962",
-        "db023a65573b8ef94d1982f7da79f56bceeaf90fe5df5e2d3257fdf864012ef5",
-        "2576ae81ba3e5aebfd63fa0229eedc8afc828d2660868556a1d02647d910150c",
+        "d8cbe2446bf7d2332d1e475761c2ec109b7206163f348d32ecda95052bdaa0e8",
+        "5f371ca8dca2cce3731475a83b00628c34b8f98b0032e5dba70fe6efc3d8eed5",
         "1eedb9303e563a52c50bd51f9f03ce9598b8a14a1bd1070045c441c5c2dd04ef",
         "bf230537c6c6f15235def4c0fce9bd318b7034e3d54bb24ce6b93400f92aa928",
-        "e3186bef7ae80ce5c59cd78adbf6c921ce78bfe6a98b497ad6c938994b01c789",
-        "fcaa156513a91fc80b2c4694d1260bbe9d67e742e1c13394b7d1e8387195da6c",
+        "6d377dbbd3e21f0b5474488c0ddd2da6cbfbb0a6243c9882d68fc8ee0f0f1b39",
+        "913e523b5bfde0a6cb77d17ed651e41c04c0ffd6ddc8cda350cb0d8b4bbaf355",
     ),
     "glp-w9": (
         "4fcc92f5c3f9b35fc78c33865aa25f0f6a2f35c330e66cd2fcd327ffd422d1dd",
         "65b20dddc625f584df01f192b03002ae213ebf49a00d9c936cb41e08967024e0",
-        "028359f51c6352d33f86790ffeea1f43cc98129370584c89d9d2a8ab84c52b52",
-        "df5e71536178813ed52e5e40efdac816542abb49446ffbcdbd643579bda36c90",
+        "2ff723694a8885a874615e37cecd83e92a399021e6d686d606ba9a73e0d59981",
+        "63fce96c0a3a8d1c08081f5a3c63120f38e6aabfc1d0652f648033906d2a9ad5",
         "19ab359f4b919b87ea5e5bce0bb5f93c920a3ed91793cd5e1f60ded8a635d417",
         "ac818a4b20002d2c1bb558abd0c18ba20c6dfd58688c260518b3faf516455d6e",
-        "eec8e076f1390565c08cb4028e346302207b7ac16d2837c1a15cc31c46c47b78",
-        "bacb85890e7c0b2d3c90a2120b7a36a48dc79aa75ea3bb4073aeda9ce28c95f8",
+        "33116f03504ec589e34f05ae61b90391c470fcaed01727a948686e2c851f357e",
+        "497a25cf8fcd054a8a9c65e0005becaa3154c226c1a865d07e06fb0a7fb2c2ce",
     ),
     "glp-frac": (
         "54c88547ecd31487b27b483e7a290bd36356864614cb089a5505a892acde4584",
         "aa5a657ce98e3798b1e181f106f4dd77d8f51a513729ac2a0e453aee7a0f7969",
-        "82b06532fe08f110aae94a5b575a9413a26c93590536ac999e48cbed5cfb91c8",
-        "c77780bda88c0042bbeac01cf6956cb6f40eb1935e9ad72e3eb8e26788bdc225",
+        "53ecb03c034c6550caa812ea56feb0b4074eb28c4aab6b9d6a9a7381d66ff9fd",
+        "bcddb1af8480569b4b0d06b5e9025a166142ddc5a97cb24a40e585bc40c73c51",
         "5d36e1fb3140360d1c318146272e4574bc8e2a2b0f85019c112b928d7c4bc366",
         "74f726e51234c742b7e50bbb6212e603a966dbff8b4cfad47431504f03850360",
-        "9f90bd9d5071b12b873d32b2b72e6f39d4a85abff1601353a685d7959d3a5286",
-        "d09bc8e60c6680530f359f59392d25df2df5e9986d03c73edfd374b486396430",
+        "f34da327521675375473ad2f1c8f5ba88533b2e4b02c41a9f50eb82bf1d7e846",
+        "c10554348fda0c1919494aed7a50e698630da21658e298a4faeb25944affe240",
     ),
 }
 

@@ -3,6 +3,7 @@
 import struct
 from array import array
 
+import numpy as np
 import pytest
 
 from repro import HopDoublingIndex
@@ -281,9 +282,16 @@ def _flags(path) -> int:
     return path.read_bytes()[5]
 
 
+def _flags_of(store) -> int:
+    from repro.core.flatstore import _header
+
+    return _header(store)[5]
+
+
 class TestRankSpace:
     """Header flag bit 2: a store with a rank column writes its v3
-    pivots as rank positions, every label sorted by position."""
+    pivots as rank positions, every label sorted by position; bit 3:
+    its core rows leave out their self entry, which would be last."""
 
     def test_v2_v3_v2_round_trip_equals_source(self, stores, tmp_path):
         _, flat, q = stores
@@ -299,19 +307,22 @@ class TestRankSpace:
         ).read_bytes()
 
     def test_labels_sorted_by_position_self_last(self, stores):
+        """Stored rows hold every entry but the self entry, sorted by
+        position; the decoder puts ``(rank[v], 0)`` back last."""
         _, flat, q = stores
+        assert q.implied and _flags_of(q) & 8
         vertex = q.rank_space().vertex
-        sides = [(q.out_offsets, q.out_pivots, flat.out_label)]
-        if q.directed:
-            sides.append((q.in_offsets, q.in_pivots, flat.in_label))
-        for offsets, pivots, label in sides:
+        labels = [flat.out_label] + ([flat.in_label] if q.directed else [])
+        for side, label in enumerate(labels):
+            columns = q._label_columns()[side]
             for v in range(q.n):
-                positions, acc = [], 0
-                for delta in pivots[offsets[v] : offsets[v + 1]]:
-                    acc += delta
-                    positions.append(acc)
+                o, e = columns.offsets[v : v + 2].tolist()
+                stored = np.add.accumulate(columns.pivots[o:e], dtype=np.int64)
+                positions, _, own = columns.row(v)
+                assert positions.tolist() == stored.tolist()  # no patch here
+                assert own == q.rank[v]
+                positions = positions.tolist() + [own]
                 assert positions == sorted(set(positions))
-                assert positions[-1] == q.rank[v]  # the self entry
                 ids = sorted(int(vertex[p]) for p in positions)
                 assert ids == [p for p, _ in label(v)]
 
@@ -356,33 +367,39 @@ class TestRankSpace:
 
     def test_width_follows_rank_space_deltas(self):
         """Hubs relabelled to the highest ids: as ids, every label's
-        first pivot needs two bytes; as rank positions every stored
-        value (the pendants' rows are empty) fits in one."""
+        first pivot needs two bytes, one of them patched in; as rank
+        positions every stored value (the pendants' rows are empty,
+        the self entries implied) fits in one."""
         graph = glp_graph(400, seed=1)
         rank_of = degree_ranking(graph).rank_of
         hubs_last = permute_vertices(graph, [399 - r for r in rank_of])
         labels = HopDoublingIndex.build(hubs_last).labels
         by_rank, by_id = labels.encoded("v3"), labels.encoded("v3", ranked=False)
-        assert max(by_id.out_pivots) > 0xFF >= max(by_rank.out_pivots)
-        assert (by_rank.pivot_width, by_id.pivot_width) == (1, 2)
+        assert (by_rank.pivot_width, by_id.pivot_width) == (1, 1)
+        assert by_rank.patch_count == 0 < by_id.patch_count
+        assert by_rank.patches is None and by_id.patches is not None
+        assert label_lists(by_id) == label_lists(by_rank) == label_lists(labels)
 
     @pytest.mark.parametrize(
-        "fmt, flip, has_rank, match",
+        "fmt, flip, clear, has_rank, match",
         [
-            ("v2", 4, 1, "unknown header flag bits"),
-            ("v3", 0, 0, "rank-space pivots without a rank column"),
-            ("v3", 8, 1, "unknown header flag bits"),
+            ("v2", 4, 0, 1, "unknown header flag bits"),
+            ("v3", 0, 0, 0, "rank-space pivots without a rank column"),
+            ("v3", 0, 4, 1, "implied self entries without rank-space"),
+            ("v3", 32, 0, 1, "unknown header flag bits"),
+            ("v3", 64, 0, 1, "unknown header flag bits"),
+            ("v3", 128, 0, 1, "unknown header flag bits"),
         ],
-        ids=["bit2-on-v2", "bit2-without-rank", "bit3"],
+        ids=["bit2-on-v2", "bit2-without-rank", "bit3", "bit5", "bit6", "bit7"],
     )
     def test_reader_refuses_at_open(
-        self, stores, tmp_path, fmt, flip, has_rank, match
+        self, stores, tmp_path, fmt, flip, clear, has_rank, match
     ):
         _, flat, q = stores
         path = tmp_path / f"bad.{fmt}"
         (flat if fmt == "v2" else q).save(path)
         data = bytearray(path.read_bytes())
-        data[5] |= flip
+        data[5] = (data[5] & ~clear) | flip
         data[6] = has_rank
         path.write_bytes(bytes(data))
         for use_mmap in (False, True):
@@ -391,9 +408,7 @@ class TestRankSpace:
 
     def test_rank_not_a_permutation(self, tmp_path):
         graph = glp_graph(80, seed=5)
-        index = HopDoublingIndex.build(graph)
-        index.save(tmp_path / "g.v2", format="v2")
-        index.save(tmp_path / "g.v3", format="v3")
+        HopDoublingIndex.build(graph).save(tmp_path / "g.v3", format="v3")
         data = bytearray((tmp_path / "g.v3").read_bytes())
         rank = struct.unpack_from("<80I", data, 31)  # after the header
         struct.pack_into("<I", data, 31 + 4, rank[0])  # two vertices, one rank
@@ -405,9 +420,9 @@ class TestRankSpace:
         assert "rank column is not a permutation of the vertices" in (
             report.violations
         )
-        # Distances never need the map: the file's own space answers.
-        v2 = load_store(tmp_path / "g.v2")
-        pairs = [(s, t) for s in range(0, 80, 3) for t in range(80)]
-        assert [store.query(s, t) for s, t in pairs] == [
-            v2.query(s, t) for s, t in pairs
-        ]
+        # The rank column holds the implied self entries, so distances
+        # need it too: no read answers from it.
+        with pytest.raises(ValueError, match="not a permutation"):
+            store.query(0, 1)
+        with pytest.raises(ValueError, match="not a permutation"):
+            store.encoded("v2")

@@ -28,12 +28,7 @@ from repro import HopDoublingIndex
 from repro.core.flatstore import FlatLabelStore
 from repro.core.hybrid import make_builder
 from repro.core.pruning import admit_and_prune_arrays
-from repro.core.quantized import (
-    QuantizedLabelStore,
-    _encode,
-    absolute_pivots,
-    pivot_deltas,
-)
+from repro.core.quantized import QuantizedLabelStore, _encode, absolute_pivots
 from repro.core.rules import CandidateBatch
 from repro.graphs.digraph import Graph
 from repro.graphs.generators import glp_graph
@@ -343,10 +338,10 @@ def test_encoders_agree_past_one_byte_widths():
     deltas, distances past 255, an empty middle label."""
     offsets = np.array([0, 2, 2, 5])
     pivots = np.array([3, 70_000, 0, 300, 301])
-    deltas = pivot_deltas(offsets, pivots)
     dists = np.array([0.0, 300.0, 1.0, 2.0, 65_535.0])
-    [packed], hang = _encode([(offsets, deltas, dists)])
-    assert hang is None
+    [packed], hang, patches = _encode([(offsets, pivots, dists)])
+    # Two of five deltas are wide: patching them costs more than it saves.
+    assert hang is None and patches is None
     want = (
         array("I", [0, 2, 2, 5]),
         array("I", [3, 69_997, 0, 300, 1]),  # a label's first pivot whole
@@ -358,5 +353,5 @@ def test_encoders_agree_past_one_byte_widths():
     lens = np.diff(packed[0]).astype(np.int64)
     assert absolute_pivots(packed[1], lens).tolist() == pivots.tolist()
     fractional = np.array([0.0, 0.5, 1.0, 2.0, 3.0])
-    [(_, _, wide)], _ = _encode([(offsets, deltas, fractional)])
+    [(_, _, wide)], _, _ = _encode([(offsets, pivots, fractional)])
     assert wide.dtype == np.float64

@@ -65,6 +65,22 @@ class TestGLP:
             glp_graph(10, p=1.5)
 
 
+@pytest.mark.parametrize("directed", [False, True], ids=["undir", "dir"])
+@pytest.mark.parametrize("make", [glp_graph, ba_graph])
+@pytest.mark.parametrize("n, edges", [(1, 0), (2, 1), (3, 3)])
+def test_smallest_graphs(make, n, edges, directed):
+    """One vertex has no edge (its seed ring of one would be a loop);
+    two are joined; three make a triangle — before any orientation,
+    which on a directed draw only adds reciprocal arcs."""
+    g = make(n, seed=0, directed=directed)
+    assert g.num_vertices == n
+    if directed:
+        assert g.num_edges >= edges
+    else:
+        assert g.num_edges == edges
+    assert len(weakly_connected_components(g)) == 1
+
+
 class TestBA:
     def test_deterministic(self):
         assert ba_graph(150, seed=2) == ba_graph(150, seed=2)

@@ -328,8 +328,9 @@ def test_no_pendants_no_flag_and_round_trips(tmp_path):
     index survives convert v2 <-> v3, sharding and a v1 expansion."""
     plain = HopDoublingIndex.build(ba_graph(200, m=2, seed=4))
     assert plain.labels.hang is None and plain.stats().pendants == 0
-    # Flags byte: bit 1 a pendant section, bit 2 (v3) rank-space pivots.
-    for fmt, flags in zip(FORMATS, (0, 4)):
+    # Flags byte: bit 1 a pendant section, bits 2-3 (v3) rank-space
+    # pivots and implied self entries.
+    for fmt, flags in zip(FORMATS, (0, 4 | 8)):
         plain.save(tmp_path / f"plain.{fmt}", format=fmt)
         assert _bytes(tmp_path / f"plain.{fmt}")[5] == flags
 
@@ -338,7 +339,7 @@ def test_no_pendants_no_flag_and_round_trips(tmp_path):
     index.save(tmp_path / "a.v2", format="v2")
     index.save(tmp_path / "a.v3", format="v3")
     assert _bytes(tmp_path / "a.v2")[5] == 2
-    assert _bytes(tmp_path / "a.v3")[5] == 2 | 4
+    assert _bytes(tmp_path / "a.v3")[5] == 2 | 4 | 8
     v2, v3 = load_store(tmp_path / "a.v2"), load_store(tmp_path / "a.v3")
     v2.encoded("v3").save(tmp_path / "b.v3")
     v3.encoded("v2").save(tmp_path / "b.v2")
@@ -386,20 +387,31 @@ def _refused(tmp_path, data, match):
 
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_hostile_sections_are_load_errors(fmt, tmp_path):
-    data, parent_at, hang_at, _ = _hostile(tmp_path, fmt)
+    data, parent_at, hang_at, hang_width = _hostile(tmp_path, fmt)
     _refused(tmp_path, data[:-1], "truncated")
     _refused(tmp_path, data[:parent_at], "truncated")  # flagged, no section
     unflagged = bytearray(data)
     unflagged[5] &= ~2  # ... and a section no flag announces
     _refused(tmp_path, unflagged, "bytes after the last section")
-    # v3 knows bit 2 (rank-space pivots); v2 knows bits 0-1 only.
-    for bit in (4 if fmt == "v2" else 8, 128):
+    # v3 knows bits 2-4 (rank-space pivots, implied self entries,
+    # patches); v2 knows bits 0-1 only.
+    for bit in (4 if fmt == "v2" else 32, 128):
         unknown = bytearray(data)
         unknown[5] |= bit
         _refused(tmp_path, unknown, "unknown header flag bits")
     directed = bytearray(data)
     directed[5] |= 1
     _refused(tmp_path, directed, "pendant section on a directed index")
+    # A core vertex (hang 0) answers for itself: naming another parent,
+    # or a pendant that lost its edge, is refused at open.
+    zero = bytes(hang_width)
+    for at, patch in (
+        (parent_at + 4 * 2, struct.pack("<i", 0)),  # core with a parent
+        (hang_at + hang_width * 3, zero),  # no edge
+    ):
+        bad = bytearray(data)
+        bad[at : at + len(patch)] = patch
+        _refused(tmp_path, bad, "a core vertex names a parent other than itself")
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -407,13 +419,10 @@ def test_hostile_sections_never_answer(fmt, tmp_path):
     """What a load cannot see without an O(n) pass, ``verify`` reports
     and every query path refuses."""
     data, parent_at, hang_at, hang_width = _hostile(tmp_path, fmt)
-    zero = {1: b"\0", 8: struct.pack("<d", 0.0)}[hang_width]
     corruptions = {
         "out of range": (parent_at + 4 * 3, struct.pack("<i", 99)),
         "negative": (parent_at + 4 * 3, struct.pack("<i", -2)),
         "itself a pendant": (parent_at + 4 * 3, struct.pack("<i", 4)),
-        "core with a parent": (parent_at + 4 * 2, struct.pack("<i", 0)),
-        "no edge": (hang_at + hang_width * 3, zero),
     }
     if hang_width == 8:
         corruptions["negative edge"] = (
@@ -427,16 +436,15 @@ def test_hostile_sections_never_answer(fmt, tmp_path):
         store = load_store(path, use_mmap=True)
         report = verify_index(NAMED, store)
         assert not report.ok and report.checked_queries == 0, what
-        if what not in ("core with a parent", "no edge"):
-            with pytest.raises(ValueError, match="corrupt pendant section"):
-                store.query(3, 1)
-            with pytest.raises(ValueError, match="corrupt pendant section"):
-                store.out_label(3)
-            with pytest.raises(ValueError, match="corrupt pendant section"):
-                kernel.batch_eval(store, [(3, 1), (0, 2)])
-            sharded = ShardedLabelStore.split(load_store(path), 2)
-            with pytest.raises(ShardError, match="corrupt pendant section"):
-                sharded.query(3, 1)
+        with pytest.raises(ValueError, match="corrupt pendant section"):
+            store.query(3, 1)
+        with pytest.raises(ValueError, match="corrupt pendant section"):
+            store.out_label(3)
+        with pytest.raises(ValueError, match="corrupt pendant section"):
+            kernel.batch_eval(store, [(3, 1), (0, 2)])
+        sharded = ShardedLabelStore.split(load_store(path), 2)
+        with pytest.raises(ShardError, match="corrupt pendant section"):
+            sharded.query(3, 1)
         store.close()
     # A non-empty row under a pendant: patch a store read into owned
     # (writable) arrays.

@@ -6,10 +6,11 @@ from contextlib import nullcontext
 import pytest
 
 from repro.cli import _open_oracle, build_parser, main
-from repro.core.flatstore import load_store
+from repro.core.flatstore import FlatLabelStore, load_store
 from repro.graphs import Graph, bfs_distances
 from repro.graphs.io import read_edge_list
 from repro.oracle import DistanceOracle
+from repro.utils.prettyprint import format_count
 from tests.reference.dict_build import dict_engine
 from tests.reference.v1_writer import write_v1
 
@@ -232,6 +233,43 @@ class TestConvertAndBatch:
         assert rc == 0
         assert "(delta; rank positions)" in capsys.readouterr().out
         assert new.read_bytes() == built.read_bytes()
+
+    def test_convert_stats_report_patches_and_self_entries(
+        self, tmp_path, capsys
+    ):
+        """``--stats`` says how many wide deltas were patched and
+        whether the rows keep their self entries: a rank-space file
+        implies them, an id-space one (no rank column) stores them."""
+        from repro import HopDoublingIndex
+        from repro.graphs.generators import glp_graph
+
+        labels = HopDoublingIndex.build(glp_graph(600, seed=3)).labels
+        source = tmp_path / "g.idx2"
+        labels.save(source)
+        capsys.readouterr()
+        ranked = tmp_path / "g.idx3"
+        assert main(["convert", str(source), "-o", str(ranked), "--stats"]) == 0
+        out = capsys.readouterr().out
+        assert "self entries    implied" in out
+        assert "pivot patches   none" in out
+        bare = FlatLabelStore(
+            labels.n, False, labels.out_offsets, labels.out_pivots,
+            labels.out_dists, labels.out_offsets, labels.out_pivots,
+            labels.out_dists,
+        )
+        bare.parent, bare.hang = labels.parent, labels.hang
+        bare.save(tmp_path / "bare.idx2")
+        by_id = tmp_path / "bare.idx3"
+        assert main(["convert", str(tmp_path / "bare.idx2"), "-o", str(by_id),
+                     "--stats"]) == 0
+        out = capsys.readouterr().out
+        stored = load_store(by_id)
+        assert "self entries    stored" in out and not stored.implied
+        assert stored.pivot_width == 1 and stored.patch_count > 0
+        assert (
+            f"pivot patches   {format_count(stored.patch_count)} (high part 1 B)"
+            in out
+        )
 
     def test_convert_v3_half_the_v2_size(self, v1_index, tmp_path, capsys):
         v2 = tmp_path / "g.idx2"
