@@ -11,7 +11,9 @@ dict reference of ``tests/reference/dict_repair.py``:
   against bidirectional Dijkstra on the grown graph;
 * the array repair's throughput, timed with ``time.process_time``
   (min over ``REPS`` replays; the path is single-process and
-  CPU-bound) and exported;
+  CPU-bound) and exported, with the write path's later stages for one
+  batch — ``pop_label_delta``, ``apply_updates`` on a store whose rows
+  are resident, and the first kernel read after it — beside it;
 * **per-shard reconcile** rewrites exactly the shards whose vertex
   ranges contain updated vertices: the graph carries disconnected pad
   components in the top vertex range whose shards provably cannot be
@@ -39,6 +41,7 @@ from repro.core.flatstore import FlatLabelStore
 from repro.core.hybrid import make_builder
 from repro.graphs.digraph import Graph
 from repro.graphs.generators import ba_graph
+from repro.oracle import kernel
 from tests.reference.dict_repair import DictRepairIndex
 from tests.reference.label_lists import label_lists
 
@@ -111,11 +114,39 @@ def test_engines_bit_identical_and_exact(replays):
         assert dict_dyn.query(s, t) == want
 
 
+def _write_stages(setting):
+    """Seconds of one batch's pop, apply and first kernel read.
+
+    The serving store's rows for the read's pairs are resident before
+    the apply, as on a server that has been answering."""
+    base, store, stream = setting
+    served = FlatLabelStore.from_index(store)
+    dyn = DynamicHopDoublingIndex.from_store(store, graph=base)
+    rng = random.Random(17)
+    pairs = [
+        (rng.randrange(NUM_VERTICES), rng.randrange(NUM_VERTICES))
+        for _ in range(20_000)
+    ]
+    kernel.batch_eval(served, pairs)
+    dyn.insert_edges(stream[:BATCH])
+    t0 = time.perf_counter()
+    delta = dyn.pop_label_delta()
+    t1 = time.perf_counter()
+    served.apply_updates(delta)
+    t2 = time.perf_counter()
+    got = kernel.batch_eval(served, pairs)
+    t3 = time.perf_counter()
+    assert got[:300] == [dyn.query(s, t) for s, t in pairs[:300]]
+    return t1 - t0, t2 - t1, t3 - t2
+
+
 def test_update_throughput_export(setting, replays):
-    """Every stream edge is new; the repair rate goes to the JSON."""
+    """Every stream edge is new; the repair rate and the later write
+    stages go to the JSON."""
     base, store, stream = setting
     array_seconds, array_dyn, _ = replays
     assert array_dyn.insertions == len(stream)
+    pop_s, apply_s, first_read_s = _write_stages(setting)
     write_bench_json(
         "update_throughput",
         {
@@ -128,6 +159,9 @@ def test_update_throughput_export(setting, replays):
             "total_entries": array_dyn._impl.total_entries(),
             "array_repair_seconds": round(array_seconds, 3),
             "edges_per_second": round(len(stream) / array_seconds, 1),
+            "pop_s": round(pop_s, 4),
+            "apply_s": round(apply_s, 4),
+            "first_read_s": round(first_read_s, 4),
         },
     )
 

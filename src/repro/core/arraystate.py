@@ -81,6 +81,7 @@ import numpy as np
 
 from repro.core.flatstore import FlatLabelStore, frozen_views
 from repro.core.hubs import NO_ENTRY, hub_min, misfit
+from repro.core.labels import LabelRows
 from repro.graphs.digraph import Graph, id_dtype
 
 #: Pruning expands each staged pair's smaller label into rows (about 50
@@ -571,25 +572,24 @@ class ArrayLabelState:
         self.rank = np.asarray(rank, dtype=np.int64)
         self.out = SideArrays.empty(self.n)
         self.inn = SideArrays.empty(self.n) if directed else self.out
-        self._touched: tuple[set, set] | None = None
+        self._touched: tuple[np.ndarray, np.ndarray] | None = None
         # Per-side staged-candidate overlays (Lout's first) between
         # stage() and commit_staged() — None outside an admission round.
         self._staged: list[SideArrays] | None = None
 
-    def track_touched(
-        self, sets: tuple[set, set] | None = None
-    ) -> tuple[set, set]:
+    def track_touched(self) -> tuple[np.ndarray, np.ndarray]:
         """Start recording which vertices' labels change.
 
-        Returns ``(out_owners, in_owners)`` sets that every admission
-        and removal adds its store-side owner to (undirected states
-        fill only the first).  ``sets`` re-attaches existing sets, which
-        the dynamic index uses when it swaps the state underneath.
+        Returns ``(out_owners, in_owners)``: per side a boolean mask
+        over the vertices that every admission and removal marks its
+        store-side owner in (one mask, twice, when undirected).
         """
-        if sets is not None:
-            self._touched = sets
-        elif self._touched is None:
-            self._touched = (set(), set())
+        if self._touched is None:
+            mask = np.zeros(self.n, dtype=bool)
+            self._touched = (
+                (mask, np.zeros(self.n, dtype=bool)) if self.directed
+                else (mask, mask)
+            )
         return self._touched
 
     # -- construction --------------------------------------------------
@@ -853,7 +853,7 @@ class ArrayLabelState:
             else:
                 admitted[sel] = keep
             if self._touched is not None:
-                self._touched[i].update(owner[keep].tolist())
+                self._touched[i][owner[keep]] = True
         return admitted
 
     def stage(self, batch) -> int:
@@ -916,7 +916,7 @@ class ArrayLabelState:
         del keep
         owner, piv = split_keys(key, self.n)
         if self._touched is not None:
-            self._touched[i].update(owner.tolist())
+            self._touched[i][owner] = True
         del owner
         return SideArrays(self.n, key, piv, dist, hops)
 
@@ -979,7 +979,7 @@ class ArrayLabelState:
             pos, found = side.lookup(owner, piv)
             side.delete_at(pos[found])
             if self._touched is not None:
-                self._touched[i].update(owner.tolist())
+                self._touched[i][owner] = True
 
     # -- pruning -------------------------------------------------------
     def prunable(self, a: np.ndarray, b: np.ndarray, dist: np.ndarray):
@@ -1288,6 +1288,26 @@ class ArrayLabelState:
             side.off + np.arange(n + 1, dtype=np.int64),
             np.insert(side.piv, at, verts).astype(np.int32, copy=False),
             np.insert(side.dist, at, 0.0),
+        )
+
+    def label_rows(self, side: int, verts: np.ndarray) -> LabelRows:
+        """The labels of the sorted vertices ``verts`` on store side
+        ``side`` (0 = ``Lout``), self entries merged in the way
+        :meth:`_csr_side` merges them: an incremental update's delta."""
+        side = (self.out, self.inn)[side]
+        starts = side.off[verts]
+        lens = side.off[verts + 1] - starts
+        _, pos = expand_segments(starts, starts + lens)
+        # Where v's (v, 0.0) goes inside the gathered rows.
+        at = (
+            np.cumsum(lens) - lens - starts
+            + np.searchsorted(side.key, verts * (self.n + 1))
+        )
+        return LabelRows(
+            verts,
+            np.concatenate(([0], np.cumsum(lens + 1))),
+            np.insert(side.piv[pos], at, verts).astype(np.int32, copy=False),
+            np.insert(side.dist[pos], at, 0.0),
         )
 
     def __repr__(self) -> str:

@@ -32,11 +32,12 @@ adopts its labels exactly as :meth:`DynamicHopDoublingIndex.from_store`
 adopts a store loaded from disk.
 
 Updates reach the serving layer as :class:`~repro.core.labels.LabelDelta`
-objects: every admission/removal records the owner whose label changed
-and :meth:`DynamicHopDoublingIndex.pop_label_delta` drains those
-vertices as complete replacement label slices, which
-``FlatLabelStore.apply_updates`` / ``ShardedLabelStore.apply_updates``
-stage as a query-time overlay (and reconcile to disk per shard).
+objects: every admission/removal marks the owner whose label changed
+in a per-side mask, and :meth:`DynamicHopDoublingIndex.pop_label_delta`
+cuts those vertices' complete replacement labels out of the state as
+CSR columns in one pass, which ``FlatLabelStore.apply_updates`` /
+``ShardedLabelStore.apply_updates`` stage as a columnar query-time
+overlay (and reconcile to disk per shard).
 
 **Pendants.**  A serving store built by ``HopDoublingIndex.build``
 does not label pendant vertices (degree 1; see
@@ -73,17 +74,11 @@ import numpy as np
 
 from repro.core.arraystate import ArrayLabelState, PrevBlock
 from repro.core.flatstore import FlatLabelStore
-from repro.core.labels import LabelDelta, LabelStore
+from repro.core.labels import LabelDelta, LabelRows, LabelStore
 from repro.core.pruning import admit_and_prune_arrays, exhaustive_prune
 from repro.core.ranking import Ranking, make_ranking
 from repro.core.rules import PrevEntry, array_doubling
 from repro.graphs.digraph import Graph
-
-
-def _edge_keys(graph: Graph) -> set[tuple[int, int]]:
-    """``DynamicHopDoublingIndex._edge_key`` of every edge of ``graph``
-    (an undirected edge once, ``u <= v``, as :meth:`Graph.edges` gives it)."""
-    return {(u, v) for u, v, _ in graph.edges()}
 
 
 class _ArrayRepairEngine:
@@ -160,22 +155,8 @@ class _ArrayRepairEngine:
     def owner_pivot(self, a: int, b: int) -> tuple[int, int]:
         return self.state.owner_pivot(a, b)
 
-    # -- serving labels ------------------------------------------------
-    # The array state excludes trivial self entries; re-insert (v, 0.0)
-    # at its sorted position to match the frozen stores' label shape.
-    def _serving_label(self, side, v: int) -> list[tuple[int, float]]:
-        o, e = side.off[v], side.off[v + 1]
-        label = list(
-            zip(side.piv[o:e].tolist(), side.dist[o:e].tolist())
-        )
-        label.insert(int(np.searchsorted(side.piv[o:e], v)), (v, 0.0))
-        return label
-
-    def serving_out_label(self, v: int) -> list[tuple[int, float]]:
-        return self._serving_label(self.state.out, v)
-
-    def serving_in_label(self, v: int) -> list[tuple[int, float]]:
-        return self._serving_label(self.state.inn, v)
+    def label_rows(self, side: int, verts) -> LabelRows:
+        return self.state.label_rows(side, verts)
 
 
 class DynamicHopDoublingIndex:
@@ -274,10 +255,11 @@ class DynamicHopDoublingIndex:
         # Tracking starts *after* adoption: the first delta covers
         # insertions only, not the base index.
         self._touched = self._impl.track_touched()
-        # No graph: pre-existing edges cannot be detected (their
-        # re-insertion is a harmless no-better seed), but edges
+        # An edge is present when the graph has it or this index
+        # inserted it.  No graph: pre-existing edges cannot be detected
+        # (their re-insertion is a harmless no-better seed), but edges
         # inserted through this index still dedupe.
-        self._edge_keys = _edge_keys(graph) if graph is not None else set()
+        self._inserted: set[tuple[int, int]] = set()
         self._new_edges: list[tuple[int, int, float]] = []
         self._graph = graph
         self.insertions = 0
@@ -365,12 +347,15 @@ class DynamicHopDoublingIndex:
             validated.append((u, v, weight))
 
         seeds: list[PrevEntry] = []
+        ends: list[int] = []
         added = 0
         for u, v, weight in validated:
             key = self._edge_key(u, v)
-            if key in self._edge_keys:
+            if key in self._inserted or (
+                self._graph is not None and self._graph.has_edge(u, v)
+            ):
                 continue
-            self._edge_keys.add(key)
+            self._inserted.add(key)
             if self._graph is not None:
                 self._new_edges.append((u, v, weight))
             added += 1
@@ -378,12 +363,13 @@ class DynamicHopDoublingIndex:
                 a, b = u, v
             else:
                 a, b = self._impl.owner_pivot(u, v)
-                # Both ends are in the next delta whether or not their
-                # labels change (module docstring, "pendants").
-                self._touched[0].update((u, v))
+                ends += (u, v)
             seeds.append((a, b, weight, 1))
         if not added:
             return 0
+        # Both ends of an undirected edge are in the next delta whether
+        # or not their labels change (module docstring, "pendants").
+        self._touched[0][ends] = True
         self.insertions += added
         self._impl.admit_and_repair(seeds)
         return added
@@ -405,20 +391,19 @@ class DynamicHopDoublingIndex:
         Returns a :class:`~repro.core.labels.LabelDelta` holding the
         complete replacement label of every vertex whose ``Lout`` /
         ``Lin`` changed (trivial self entries included, sorted by
-        pivot) — ready for ``apply_updates`` on any serving store.
-        Idempotent between mutations: a second call returns an empty
-        delta.
+        pivot) as CSR columns cut from the repair state in one pass —
+        ready for ``apply_updates`` on any serving store.  Idempotent
+        between mutations: a second call returns an empty delta.
         """
         out_touched, in_touched = self._touched
-        delta = LabelDelta.empty(self.n, self.directed)
-        for v in sorted(out_touched):
-            delta.out[v] = self._impl.serving_out_label(v)
-        if self.directed:
-            for v in sorted(in_touched):
-                delta.inn[v] = self._impl.serving_in_label(v)
-        out_touched.clear()
-        in_touched.clear()
-        return delta
+        out = self._impl.label_rows(0, np.flatnonzero(out_touched))
+        inn = (
+            self._impl.label_rows(1, np.flatnonzero(in_touched))
+            if self.directed else out
+        )
+        out_touched[:] = False
+        in_touched[:] = False
+        return LabelDelta(self.n, self.directed, out, inn)
 
     # -- internals ---------------------------------------------------------------
     def _edge_key(self, u: int, v: int) -> tuple[int, int]:

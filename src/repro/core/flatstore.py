@@ -89,12 +89,13 @@ from __future__ import annotations
 import mmap as _mmap
 import struct
 import sys
+import threading
 from array import array
 from bisect import bisect_left
 
 import numpy as np
 
-from repro.core.labels import BYTES_PER_ENTRY, INF, LabelStats
+from repro.core.labels import BYTES_PER_ENTRY, INF, LabelRows, LabelStats
 from repro.core.quantized import (
     DIST_CODES,
     OFFSET_CODES,
@@ -102,6 +103,7 @@ from repro.core.quantized import (
     LabelColumns,
     RankSpace,
     _encode,
+    _expand,
 )
 from repro.utils.atomicio import atomic_binary_writer
 
@@ -169,6 +171,62 @@ def derived_slice(v, hang, pivots, dists, o, e):
     return piv, dst, 0, len(piv)
 
 
+def _buffer(typecode: str, column) -> array:
+    """An ``array`` copy of the numpy ``column`` in ``typecode``."""
+    col = np.ascontiguousarray(column, dtype=_DTYPES[typecode])
+    buf = array(typecode)
+    buf.frombytes(memoryview(col).cast("B"))
+    return buf
+
+
+class StagedRows:
+    """One side's staged labels, served over the base columns.
+
+    ``rows`` is a :class:`~repro.core.labels.LabelRows` whose columns
+    are numpy views of the ``array`` buffers ``offsets`` / ``pivots`` /
+    ``dists``: the scalar probe slices the buffers (its fastest input)
+    and the kernel and the re-encoder read the views.  ``row[v]``
+    (its numpy view ``row_of``) is vertex ``v``'s row, or -1.  The
+    columns never change once made: staging more rows makes a new
+    object (:meth:`merged`).
+    """
+
+    __slots__ = ("rows", "offsets", "pivots", "dists", "row", "row_of")
+
+    def __init__(self, n: int, rows: LabelRows) -> None:
+        self.offsets = _buffer("q", rows.offsets)
+        self.pivots = _buffer("i", rows.pivots)
+        self.dists = _buffer("d", rows.dists)
+        self.rows = LabelRows(
+            rows.verts, *map(_as_np, (self.offsets, self.pivots, self.dists))
+        )
+        row = np.full(n, -1, dtype=np.int32)
+        row[rows.verts] = np.arange(rows.verts.size, dtype=np.int32)
+        self.row = _buffer("i", row)
+        self.row_of = _as_np(self.row)
+
+    def merged(self, n: int, newer: LabelRows) -> "StagedRows":
+        """These rows with ``newer``'s staged over them: a vertex in
+        both reads ``newer``'s label."""
+        old = self.rows
+        keep = np.ones(old.verts.size, dtype=bool)
+        replaced = self.row_of[newer.verts]
+        keep[replaced[replaced >= 0]] = False
+        verts = np.concatenate((old.verts[keep], newer.verts))
+        order = verts.argsort(kind="stable")
+        starts = np.concatenate(
+            (old.offsets[:-1][keep], newer.offsets[:-1] + old.pivots.size)
+        )[order]
+        lens = np.concatenate((old.lens()[keep], newer.lens()))[order]
+        idx, _ = _expand(starts, lens)
+        return StagedRows(n, LabelRows(
+            verts[order],
+            np.concatenate(([0], np.cumsum(lens))),
+            np.concatenate((old.pivots, newer.pivots))[idx],
+            np.concatenate((old.dists, newer.dists))[idx],
+        ))
+
+
 # The on-disk blobs are little-endian; big-endian hosts byteswap on
 # save/load (and fall back to copying instead of zero-copy mmap views).
 _BIG_ENDIAN = sys.byteorder == "big"
@@ -220,8 +278,8 @@ class FlatLabelStore:
         "_sides",
         "_mmap",
         "_view",
-        "_delta_out",
-        "_delta_in",
+        "_overlays",
+        "_staging",
     )
 
     def __init__(
@@ -263,14 +321,13 @@ class FlatLabelStore:
         # The batch kernel's row cache (repro.oracle.kernel), created
         # by the first batch; dropped on close().
         self._view = None
-        # Staged per-vertex label updates (apply_updates): vertex ->
-        # (pivots, dists) side arrays overlaying the base CSR arrays.
-        # For undirected stores the in-side overlay aliases the
-        # out-side one, exactly like the base arrays.
-        self._delta_out: dict[int, tuple] = {}
-        self._delta_in: dict[int, tuple] = (
-            {} if directed else self._delta_out
-        )
+        # Staged label updates (apply_updates): ``(out, in)``
+        # StagedRows overlaying the base columns, None while nothing
+        # is staged.  For undirected stores the in-side overlay aliases
+        # the out-side one, exactly like the base arrays.
+        self._overlays: tuple[StagedRows, StagedRows] | None = None
+        # Staging reads the overlay and replaces it: one writer at a time.
+        self._staging = threading.Lock()
 
     @property
     def rank(self) -> list[int] | None:
@@ -352,8 +409,7 @@ class FlatLabelStore:
         platforms (Windows) where a mapped file cannot be deleted;
         stores that own their arrays keep them.
         """
-        self._delta_out = {}
-        self._delta_in = {} if self.directed else self._delta_out
+        self._overlays = None
         if self._mmap is None:
             return
         # Drop the exported buffer views (including the kernel's row
@@ -396,7 +452,7 @@ class FlatLabelStore:
         """``(p, h)``: the core vertex answering for ``v`` and the edge
         between them — ``(v, 0)`` unless ``v`` is a pendant."""
         h = self.hang[v] if self.hang is not None else 0
-        if not h or (self._delta_out and v in self._delta_out):
+        if not h or self.is_staged(v):
             return v, 0
         p = self.parent[v]
         if not (h > 0 and 0 <= p < self.n and not self.hang[p]):
@@ -412,7 +468,7 @@ class FlatLabelStore:
         if self.hang is None:
             return None, None
         parent, hang = _as_np(self.parent).copy(), _as_np(self.hang).copy()
-        staged = np.fromiter(self._delta_out, np.int64, len(self._delta_out))
+        staged = self.staged_vertices()
         parent[staged] = staged + self.lo
         hang[staged] = 0
         if not hang.any():
@@ -424,25 +480,40 @@ class FlatLabelStore:
         """Vertices answered through their neighbour (empty stored row)."""
         if self.hang is None:
             return 0
-        staged = self._delta_out
-        return sum(1 for v, h in enumerate(self.hang) if h and v not in staged)
+        peeled = _as_np(self.hang) != 0
+        peeled[self.staged_vertices()] = False
+        return int(np.count_nonzero(peeled))
 
     # -- incremental updates -------------------------------------------------
     @property
     def has_pending_updates(self) -> bool:
         """Whether staged label updates currently overlay the arrays."""
-        return bool(self._delta_out) or bool(self._delta_in)
+        return self._overlays is not None
+
+    def is_staged(self, v: int) -> bool:
+        """Whether ``v``'s label is staged: then it is core, whatever
+        the pendant section says."""
+        overlays = self._overlays
+        return overlays is not None and overlays[0].row[v] >= 0
+
+    def staged_vertices(self) -> np.ndarray:
+        """The vertices with a staged label (sorted int64; the out side
+        of a directed store)."""
+        if self._overlays is None:
+            return np.empty(0, dtype=np.int64)
+        return self._overlays[0].rows.verts
 
     def apply_updates(self, delta) -> int:
         """Stage a :class:`~repro.core.labels.LabelDelta` as an overlay.
 
-        Each carried vertex's replacement label is kept in side arrays
-        next to the base CSR arrays; every query path consults the
-        overlay before the base slice, so updated answers are served
+        The delta's rows are merged into one :class:`StagedRows` per
+        side, a CSR next to the base columns that every read consults
+        before the base slice, so updated answers are served
         immediately with **zero rewrite** of the (possibly
         memory-mapped) base arrays.  The batch kernel's row cache
-        forgets the carried vertices' rows only; the next batch that
-        names one refills it from the overlay.  Call :meth:`save` (or
+        refills the carried vertices' rows that are resident now from
+        the staged columns; the others stay unfilled until a read
+        names them.  Call :meth:`save` (or
         ``ShardedLabelStore.reconcile``) to fold the overlay to disk.
         Returns the number of label slices staged.
         """
@@ -452,24 +523,25 @@ class FlatLabelStore:
                 f"does not match store (|V|={self.n}, "
                 f"directed={self.directed})"
             )
-        staged = 0
-        sides = [(self._delta_out, delta.out)]
-        if self.directed:
-            sides.append((self._delta_in, delta.inn))
-        for target, source in sides:
-            for v, label in source.items():
-                if not 0 <= v < self.n:
-                    raise IndexError(
-                        f"delta vertex {v} out of range [0, {self.n})"
-                    )
-                target[v] = (
-                    array("i", (p for p, _ in label)),
-                    array("d", (d for _, d in label)),
-                )
-                staged += 1
-        if self._view is not None:
-            self._view.invalidate(delta)
-        return staged
+        sides = [delta.out, delta.inn] if self.directed else [delta.out]
+        for rows in sides:
+            outside = (rows.verts < 0) | (rows.verts >= self.n)
+            if outside.any():
+                v = int(rows.verts[outside.argmax()])
+                raise IndexError(f"delta vertex {v} out of range [0, {self.n})")
+        if not delta:
+            return 0
+        with self._staging:
+            held = self._overlays
+            staged = [
+                StagedRows(self.n, rows) if held is None
+                else held[k].merged(self.n, rows) if len(rows) else held[k]
+                for k, rows in enumerate(sides)
+            ]
+            self._overlays = (staged[0], staged[-1])
+            if self._view is not None:
+                self._view.refresh(delta)
+        return len(delta)
 
     def encoded(
         self, encoding: str, ranked: bool | None = None
@@ -510,9 +582,9 @@ class FlatLabelStore:
         """``(sides, parent, hang)`` as :func:`packed` takes them: every
         side's :meth:`logical_columns` in the space ``ranked`` names
         and the pendant columns, staged updates folded in."""
-        sides = [self._columns(ranked, self._delta_out, 0)]
+        sides = [self._columns(ranked, 0)]
         if self.directed:
-            sides.append(self._columns(ranked, self._delta_in, 1))
+            sides.append(self._columns(ranked, 1))
         return (sides, *self._pendant_columns())
 
     def logical_columns(self, side: int):
@@ -524,7 +596,7 @@ class FlatLabelStore:
         piv, dst, lens = cols.gather(np.arange(self.n, dtype=np.int64))
         return np.concatenate(([0], np.cumsum(lens))), piv, dst
 
-    def _columns(self, ranked, overlay, side):
+    def _columns(self, ranked, side):
         """:meth:`logical_columns` in the space ``ranked`` names, the
         overlay spliced in."""
         off, piv, dst = self.logical_columns(side)
@@ -533,39 +605,24 @@ class FlatLabelStore:
             piv, dst = (space.positions if ranked else space.ids)(
                 piv, dst, np.diff(off)
             )
-        if not overlay:
+        if self._overlays is None:
             return off, piv, dst
-        verts = sorted(overlay)
-        staged_piv, staged_dst, row_off = array("i"), array("d"), [0]
-        for v in verts:
-            p, d = overlay[v]
-            staged_piv.extend(p)
-            staged_dst.extend(d)
-            row_off.append(len(staged_piv))
-        row_piv = np.frombuffer(staged_piv, dtype=np.int32)
-        row_dst = np.frombuffer(staged_dst)
+        rows = self._overlays[side].rows
+        row_piv, row_dst = rows.pivots, rows.dists
         if ranked:  # staged rows hold vertex ids
             row_piv, row_dst = self.rank_space().positions(
-                row_piv, row_dst, np.diff(row_off)
+                row_piv, row_dst, rows.lens()
             )
-        # The base columns cut at the staged vertices' offsets, each
-        # staged row laid in where its base row was.
-        at = np.asarray(verts, dtype=np.int64)
-        stretches = list(zip([0] + off[at + 1].tolist(), off[at].tolist() + [None]))
-        rows = list(zip(row_off, row_off[1:]))
-
-        def splice(base, staged):
-            parts = [base[slice(*stretches[0])]]
-            for (lo, hi), stretch in zip(rows, stretches[1:]):
-                parts += [staged[lo:hi], base[slice(*stretch)]]
-            return np.concatenate(parts)
-
-        lens = np.diff(off)
-        lens[verts] = np.diff(row_off)
+        # Every row read where it lives: a staged row from the staged
+        # columns laid after the base ones, any other from the base.
+        lens, starts = np.diff(off), off[:-1].astype(np.int64)
+        lens[rows.verts] = rows.lens()
+        starts[rows.verts] = rows.offsets[:-1] + piv.size
+        idx, _ = _expand(starts, lens)
         return (
             np.concatenate(([0], np.cumsum(lens))),
-            splice(piv, row_piv),
-            splice(dst, row_dst),
+            np.concatenate((piv, row_piv))[idx],
+            np.concatenate((dst, row_dst))[idx],
         )
 
     # -- LabelStore accessors ------------------------------------------------
@@ -595,10 +652,13 @@ class FlatLabelStore:
         update return their overlay arrays and pendants their derived
         label — any shape feeds the shared scalar helpers directly.
         """
-        if self._delta_out:
-            staged = self._delta_out.get(v)
-            if staged is not None:
-                return staged[0], staged[1], 0, len(staged[0])
+        overlays = self._overlays
+        if overlays is not None:
+            staged = overlays[0]
+            row = staged.row[v]
+            if row >= 0:
+                off = staged.offsets
+                return staged.pivots, staged.dists, off[row], off[row + 1]
         if self.hang is not None and self.hang[v]:
             p, h = self._resolve(v)
             return derived_slice(v, h, *self.out_slice(p))
@@ -609,10 +669,13 @@ class FlatLabelStore:
 
     def in_slice(self, v: int):
         """``(pivots, dists, lo, hi)`` bounds of ``Lin(v)`` in the arrays."""
-        if self._delta_in:
-            staged = self._delta_in.get(v)
-            if staged is not None:
-                return staged[0], staged[1], 0, len(staged[0])
+        overlays = self._overlays
+        if overlays is not None:
+            staged = overlays[1]
+            row = staged.row[v]
+            if row >= 0:
+                off = staged.offsets
+                return staged.pivots, staged.dists, off[row], off[row + 1]
         if self.hang is not None and self.hang[v]:
             p, h = self._resolve(v)
             return derived_slice(v, h, *self.in_slice(p))
@@ -673,7 +736,7 @@ class FlatLabelStore:
         vertices ``s != t``: the arrays in place, or the two slices as
         :meth:`out_slice` / :meth:`in_slice` hand them out while
         updates are staged."""
-        if self._delta_out or self._delta_in:
+        if self._overlays is not None:
             return probe_min_distance(*self.out_slice(s), *self.in_slice(t))
         return probe_min_distance(
             self.out_pivots,
@@ -688,11 +751,11 @@ class FlatLabelStore:
 
     def _label_len(self, v: int, out: bool) -> int:
         """Current label length of ``v`` (overlay-aware)."""
-        overlay = self._delta_out if out else self._delta_in
-        if overlay:
-            staged = overlay.get(v)
-            if staged is not None:
-                return len(staged[0])
+        if self._overlays is not None:
+            staged = self._overlays[0 if out else 1]
+            row = staged.row[v]
+            if row >= 0:
+                return staged.offsets[row + 1] - staged.offsets[row]
         return self._base_len(v, out)
 
     def _base_len(self, v: int, out: bool) -> int:
@@ -716,10 +779,17 @@ class FlatLabelStore:
         if self.implied:  # every core row's self entry
             peeled = 0 if self.hang is None else np.count_nonzero(_as_np(self.hang))
             total += sides * (self.n - int(peeled))
-        overlays = [(self._delta_out, True), (self._delta_in, False)][:sides]
-        for overlay, out in overlays:
-            for v, (pivots, _) in overlay.items():
-                total += len(pivots) - self._base_len(v, out)
+        for k, staged in enumerate((self._overlays or ())[:sides]):
+            verts = staged.rows.verts
+            offsets = _as_np((self.out_offsets, self.in_offsets)[k])
+            total += len(staged.pivots) - int(
+                (offsets[verts + 1] - offsets[verts]).sum()
+            )
+            if self.implied:  # the staged rows' implied self entries
+                peeled = 0 if self.hang is None else np.count_nonzero(
+                    _as_np(self.hang)[verts]
+                )
+                total -= verts.size - int(peeled)
         if include_trivial:
             return total
         return total - self.n * sides + self.pendants
@@ -740,13 +810,9 @@ class FlatLabelStore:
         for side in sides:
             for arr in side:
                 total += len(arr) * arr.itemsize
-        overlays = [self._delta_out]
-        if self.directed:
-            overlays.append(self._delta_in)
-        for overlay in overlays:
-            for pivots, dists in overlay.values():
-                total += len(pivots) * pivots.itemsize
-                total += len(dists) * dists.itemsize
+        for staged in (self._overlays or ())[: 2 if self.directed else 1]:
+            total += len(staged.pivots) * staged.pivots.itemsize
+            total += len(staged.dists) * staged.dists.itemsize
         return total
 
     def stats(self) -> LabelStats:

@@ -16,7 +16,8 @@ Terminology (Sections 2-3 of the paper, adapted to zero-based ranks):
 
 This module holds the read-side :class:`LabelStore` protocol every
 query-side consumer is written against, the :class:`LabelDelta` an
-incremental update hands to the serving stores, and the
+incremental update hands to the serving stores (its labels as
+:class:`LabelRows` columns), and the
 :class:`LabelStats` size figures.  Labels are built in the
 struct-of-arrays state of :mod:`repro.core.arraystate` and frozen into
 the CSR store of :mod:`repro.core.flatstore`, the one representation
@@ -25,8 +26,11 @@ the CSR store of :mod:`repro.core.flatstore`, the one representation
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Protocol, Sequence, runtime_checkable
+
+import numpy as np
 
 INF = float("inf")
 
@@ -74,34 +78,113 @@ class LabelStore(Protocol):
         ...
 
 
+class LabelRows(Mapping):
+    """Complete labels of some vertices, held as CSR columns.
+
+    ``verts`` lists the vertices (sorted, distinct, int64); row ``k``
+    is ``pivots[offsets[k] : offsets[k + 1]]`` (int32) with the
+    matching ``dists`` (float64) — vertex ``verts[k]``'s label sorted
+    by pivot id, its trivial ``(v, 0.0)`` self entry included, the
+    shape :meth:`LabelStore.out_label` serves.  ``offsets`` is int64
+    and starts at 0.
+
+    It reads as a mapping from vertex to its label as a
+    ``(pivot, dist)`` list, so two sets of rows compare as the labels
+    they hold; the columns are what the stores consume.
+    """
+
+    __slots__ = ("verts", "offsets", "pivots", "dists")
+
+    def __init__(self, verts, offsets, pivots, dists) -> None:
+        self.verts, self.offsets = verts, offsets
+        self.pivots, self.dists = pivots, dists
+
+    @classmethod
+    def from_labels(
+        cls, labels: Mapping[int, Sequence[tuple[int, float]]]
+    ) -> "LabelRows":
+        """Rows of ``{vertex: [(pivot, dist), ...]}``, each label as given."""
+        verts = sorted(labels)
+        lens = [len(labels[v]) for v in verts]
+        entries = [entry for v in verts for entry in labels[v]]
+        return cls(
+            np.asarray(verts, dtype=np.int64),
+            np.concatenate(([0], np.cumsum(lens, dtype=np.int64))),
+            np.asarray([p for p, _ in entries], dtype=np.int32),
+            np.asarray([d for _, d in entries], dtype=np.float64),
+        )
+
+    def lens(self) -> np.ndarray:
+        """Each row's length (int64)."""
+        return np.diff(self.offsets)
+
+    def rows(self, a: int, b: int, shift: int = 0) -> "LabelRows":
+        """Rows ``a:b`` as rows of their own, every vertex id lowered
+        by ``shift`` (a shard's first vertex); pivots pass as they are."""
+        o, e = int(self.offsets[a]), int(self.offsets[b])
+        return LabelRows(
+            self.verts[a:b] - shift, self.offsets[a : b + 1] - o,
+            self.pivots[o:e], self.dists[o:e],
+        )
+
+    def __getitem__(self, v: int) -> list[tuple[int, float]]:
+        k = int(np.searchsorted(self.verts, v))
+        if k == self.verts.size or self.verts[k] != v:
+            raise KeyError(v)
+        o, e = int(self.offsets[k]), int(self.offsets[k + 1])
+        return list(zip(self.pivots[o:e].tolist(), self.dists[o:e].tolist()))
+
+    def __iter__(self):
+        return iter(self.verts.tolist())
+
+    def __len__(self) -> int:
+        return int(self.verts.size)
+
+
 @dataclass
 class LabelDelta:
     """Per-vertex label replacements produced by an incremental update.
 
     The unit of change flowing from a mutated label set to the serving
-    stores: ``out[v]`` (and ``inn[v]`` on directed indexes) is the
-    *complete* replacement label of vertex ``v`` — ``(pivot, dist)``
-    pairs sorted by pivot id with the trivial ``(v, 0.0)`` self entry
-    included, exactly the shape :meth:`LabelStore.out_label` serves.
-    For undirected deltas ``inn`` **aliases** ``out`` (the Section 7
-    single-store aliasing), mirroring the stores themselves.
+    stores: ``out`` (and ``inn`` on directed indexes) holds the
+    *complete* replacement label of every vertex it names, as
+    :class:`LabelRows` columns — sorted by pivot id with the trivial
+    ``(v, 0.0)`` self entry included.  For undirected deltas ``inn``
+    **aliases** ``out`` (the Section 7 single-store aliasing),
+    mirroring the stores themselves.
 
     Produced by
     :meth:`repro.core.dynamic.DynamicHopDoublingIndex.pop_label_delta`
-    and consumed by ``apply_updates`` on the flat, quantized, and
-    sharded stores (which stage the slices as a query-time overlay)
-    and on the oracle facades (which also invalidate derived caches).
+    straight from the repair state's columns, and consumed by
+    ``apply_updates`` on the flat and sharded stores, which stage the
+    columns as a query-time overlay (and refresh the kernel rows they
+    replace), and on the oracle facades (which also invalidate derived
+    caches).  :meth:`from_labels` makes one from label lists.
     """
 
     n: int
     directed: bool
-    out: dict[int, list[tuple[int, float]]]
-    inn: dict[int, list[tuple[int, float]]]
+    out: LabelRows
+    inn: LabelRows
+
+    @classmethod
+    def from_labels(
+        cls,
+        n: int,
+        directed: bool,
+        out: Mapping[int, Sequence[tuple[int, float]]],
+        inn: Mapping[int, Sequence[tuple[int, float]]] | None = None,
+    ) -> "LabelDelta":
+        """A delta of ``{vertex: label}`` lists; ``inn`` is ignored
+        (it aliases ``out``) when undirected."""
+        rows = LabelRows.from_labels(out)
+        if not directed:
+            return cls(n, directed, rows, rows)
+        return cls(n, directed, rows, LabelRows.from_labels(inn or {}))
 
     @classmethod
     def empty(cls, n: int, directed: bool) -> "LabelDelta":
-        out: dict[int, list[tuple[int, float]]] = {}
-        return cls(n, directed, out, {} if directed else out)
+        return cls.from_labels(n, directed, {}, {})
 
     def __bool__(self) -> bool:
         return bool(self.out) or bool(self.inn)
@@ -115,7 +198,7 @@ class LabelDelta:
 
     def vertices(self) -> set[int]:
         """Every vertex whose label this delta replaces."""
-        return set(self.out) | set(self.inn)
+        return set(np.union1d(self.out.verts, self.inn.verts).tolist())
 
 
 @dataclass(frozen=True)

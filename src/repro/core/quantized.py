@@ -60,6 +60,8 @@ map a rank-space label back through :class:`RankSpace`.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import numpy as np
 
 #: Typecode for each legal field width (validated on load).
@@ -169,7 +171,9 @@ class LabelColumns:
         """:meth:`gather` for the one local vertex ``v``: ``(pivots,
         dists, own)``, ``own`` the implied self entry's pivot or -1, for
         the caller to put last.  One row of a table made on first use
-        holds the label's start, its first patch and ``own``."""
+        holds the label's start and ``own``; one bisection of the sorted
+        patch positions finds the label's patches, so making the table
+        searches nothing."""
         if not self.delta:
             o, e = self.offsets[v : v + 2].tolist()
             return self.pivots[o:e], self.dists[o:e], -1
@@ -180,17 +184,19 @@ class LabelColumns:
                 own[:-1] = self.selves
             wide = self.high.astype(np.int64) << 8 * self.pivots.itemsize
             self._table = (
-                np.stack((off, self.at.searchsorted(off), own), 1),
+                np.stack((off, own), 1),
                 # Typed memoryviews index to Python ints faster than numpy.
                 *(memoryview(a).cast("B").cast(a.dtype.char) for a in (self.at, wide)),
             )
         table, at, wide = self._table
-        (o, a, own), (e, b, _) = table[v : v + 2].tolist()
+        (o, own), (e, _) = table[v : v + 2].tolist()
         piv, dist = self.pivots[o:e], self.dists[o:e]
-        if a < b:
+        k = bisect_left(at, o)
+        if k < len(at) and at[k] < e:
             piv = piv.astype(np.int64)
-            for k in range(a, b):
+            while k < len(at) and at[k] < e:
                 piv[at[k] - o] += wide[k]
+                k += 1
         return np.add.accumulate(piv, dtype=np.int64), dist, own
 
 

@@ -67,7 +67,7 @@ def _check_pendants(index: LabelStore, report: VerificationReport) -> None:
     los = getattr(index, "_los", [0])
     # A vertex with a staged label is core whatever the arrays say.
     parts = [
-        (lo, shard, getattr(shard, "_delta_out", ()))
+        (lo, shard, set(shard.staged_vertices().tolist()))
         for lo, shard in zip(los, shards)
         if getattr(shard, "hang", None) is not None
     ]

@@ -20,7 +20,7 @@ computation and only the remainder needs a search.
    join-ready rows on the store.  The first batch to name a vertex
    gathers its label once (v2 pivots as mapped, v3 labels decoded by
    :class:`~repro.core.quantized.LabelColumns`, a vertex with a
-   staged update read from the overlay arrays) and splits it — a v3
+   staged update read from the store's staged columns) and splits it — a v3
    scalar read fills the one or two rows it misses the same way, a row
    at a time without the batch gather's setup
    (:meth:`_View._fill_row`): entries
@@ -91,7 +91,7 @@ two hangs and restores ``0.0`` where ``s == t`` — one place, so every
 caller inherits it, and the table rows and tails of pendants are never
 touched.  The view owns a mutable copy of the two columns (a sharded
 store's slices concatenated) because updates un-peel: a vertex with a
-staged label is core, and :meth:`_View.invalidate` writes ``parent[v]
+staged label is core, and :meth:`_View.refresh` writes ``parent[v]
 = v, hang[v] = 0`` for every vertex of the delta.  That is only sound
 because ``DynamicHopDoublingIndex.insert_edges`` puts both endpoints of
 every new edge in the delta — see :mod:`repro.core.dynamic`.
@@ -99,12 +99,14 @@ every new edge in the delta — see :mod:`repro.core.dynamic`.
 A :class:`~repro.oracle.sharding.ShardedLabelStore` has one view over
 its global vertex ids whose fill routes each missing vertex to the
 shard that owns it, so every store takes the same path.  Staged
-updates (``apply_updates``) mark the touched rows unfilled and the
-next batch refills only those; their old tails stay in the arena as
+updates (``apply_updates``) refill the delta's rows that are resident,
+in one :meth:`_View._fill` from the staged columns, so the first batch
+after a write reads warm rows; the delta's other rows stay unfilled
+until a read names them.  The replaced tails stay in the arena as
 garbage, and when the arena is full the cache is emptied and refilled
 on demand.  One lock per view is held for a whole evaluation, a whole
-scalar read and by invalidation — the serve tier evaluates one batch
-at a time, in its own process.
+scalar read and a refresh — the serve tier evaluates one batch at a
+time, in its own process.
 
 :func:`stats` counts what each call did — pairs in, distinct pairs
 evaluated, rows filled, tail entries gathered, source rows keyed and
@@ -126,7 +128,6 @@ to Dijkstra).
 from __future__ import annotations
 
 import threading
-from array import array
 from bisect import bisect_right
 from typing import Sequence
 
@@ -244,19 +245,16 @@ class _Rows:
 
     ``filled[v]`` says whether ``table[v]`` and the tail
     ``tail_piv/tail_dist[tail_start[v] : tail_start[v] + tail_len[v]]``
-    hold vertex ``v``'s label; ``staged[v]`` whether that label lives
-    in the store's overlay instead of its base arrays.  ``used`` is
-    the arena's fill mark.
+    hold vertex ``v``'s label.  ``used`` is the arena's fill mark.
     """
 
     __slots__ = (
-        "filled", "staged", "table", "tail_start", "tail_len",
+        "filled", "table", "tail_start", "tail_len",
         "tail_piv", "tail_dist", "used",
     )
 
     def __init__(self, n: int, capacity: int) -> None:
         self.filled = np.zeros(n, dtype=bool)
-        self.staged = np.zeros(n, dtype=bool)
         self.table = None  # allocated once the hub columns are chosen
         self.tail_start = np.empty(n, dtype=np.int64)
         self.tail_len = np.empty(n, dtype=np.int64)
@@ -299,7 +297,7 @@ class _View:
     def _map_pendants(self, shards) -> None:
         """The view's own ``parent`` / ``hang`` columns over global ids
         (None on a store without pendants): copies, because an update
-        un-peels the vertices it stages (:meth:`invalidate`)."""
+        un-peels the vertices it stages (:meth:`refresh`)."""
         self.parent = self.hang = None
         if all(shard.hang is None for shard in shards):
             return
@@ -312,7 +310,10 @@ class _View:
                 parent.append(_as_np(shard.parent).astype(np.int64))
                 hang.append(_as_np(shard.hang).astype(np.float64))
         parent, hang = np.concatenate(parent), np.concatenate(hang)
-        staged = np.flatnonzero(self.out.staged)
+        staged = np.concatenate([
+            shard.staged_vertices() + lo
+            for lo, shard in zip(self.los.tolist(), shards)
+        ])
         parent[staged] = staged
         hang[staged] = 0.0
         if not (
@@ -332,13 +333,7 @@ class _View:
             sides[side].pivots.size + sides[side].offsets.size
             for _, sides in self.parts
         )
-        rows = _Rows(self.n, max(entries, 1))
-        for lo, (shard, _) in zip(self.los.tolist(), self.parts):
-            overlay = shard._delta_in if side else shard._delta_out
-            if overlay:
-                local = np.fromiter(overlay, np.int64, len(overlay))
-                rows.staged[local + lo] = True
-        return rows
+        return _Rows(self.n, max(entries, 1))
 
     # -- hub columns ---------------------------------------------------------
     def _choose_hubs(self) -> None:
@@ -388,9 +383,8 @@ class _View:
         (int64, in the file's pivot space) and distance (float64) laid
         end to end, and the label lengths.  Base arrays are gathered
         vectorized per shard; labels with a staged update come from
-        the overlay.
+        the staged columns.
         """
-        rows = self.inn if side else self.out
         verts, pivots, dists, lens = [], [], [], []
         cuts = np.searchsorted(V, self.los).tolist() + [V.size]
         for k, (shard, sides) in enumerate(self.parts):
@@ -398,19 +392,17 @@ class _View:
             if not local.size:
                 continue
             lo = int(self.los[k])
-            staged = rows.staged[local]
-            if staged.any():
-                overlay = shard._delta_in if side else shard._delta_out
-                piv, dst = array("i"), array("d")
-                size = []
-                for v in (local[staged] - lo).tolist():
-                    p, d = overlay[v]
-                    piv.extend(p)
-                    dst.extend(d)
-                    size.append(len(p))
-                piv = np.frombuffer(piv, dtype=np.int32).astype(np.int64)
-                dst = np.frombuffer(dst, dtype=np.float64)
-                size = np.asarray(size, dtype=np.int64)
+            overlays = shard._overlays
+            row = None if overlays is None else overlays[side].row_of[local - lo]
+            if row is not None and (row >= 0).any():
+                staged = row >= 0
+                rows = overlays[side].rows
+                row = row[staged]
+                start = rows.offsets[row]
+                size = rows.offsets[row + 1] - start
+                idx, _ = _expand(start, size)
+                piv = rows.pivots[idx].astype(np.int64)
+                dst = rows.dists[idx]
                 if shard.ranked:  # staged rows hold vertex ids
                     piv, dst = shard.rank_space().positions(piv, dst, size)
                 verts.append(local[staged])
@@ -437,7 +429,8 @@ class _View:
 
         Returns False — with the cache emptied, for the caller to
         start over — when a column had to be retired or the arena was
-        full.
+        full.  The lazy fill of a read and the refresh of an update
+        (:meth:`refresh`) alike.
         """
         rows = self.inn if side else self.out
         verts, piv, dist, lens = self._gather(side, missing)
@@ -472,7 +465,7 @@ class _View:
         """:meth:`_fill` for the one global vertex ``v``.
 
         The scalar read's fill: the label is sliced straight out of
-        its shard's columns (or the overlay) — no ``los`` search,
+        its shard's columns (or its staged ones) — no ``los`` search,
         dedupe or slice expansion — and split by the same column and
         arena rules.  The two rows of one pair share an undirected
         store's arena, so a full arena also grows when ``v``'s tail
@@ -483,10 +476,14 @@ class _View:
         k = bisect_right(self.lo_list, v) - 1
         shard, sides = self.parts[k]
         local = v - self.lo_list[k]
-        own = -1
-        if rows.staged[v]:
-            p, d = (shard._delta_in if side else shard._delta_out)[local]
-            piv, dist = np.frombuffer(p, dtype=np.int32), np.frombuffer(d)
+        own = row = -1
+        overlays = shard._overlays
+        if overlays is not None:
+            staged = overlays[side]
+            row = staged.row[local]
+        if row >= 0:
+            o, e = staged.offsets[row], staged.offsets[row + 1]
+            piv, dist = staged.rows.pivots[o:e], staged.rows.dists[o:e]
             if shard.ranked:  # staged rows hold vertex ids
                 piv, dist = shard.rank_space().positions(piv, dist)
         else:
@@ -613,25 +610,31 @@ class _View:
         missing = V[~rows.filled[V]]
         return not missing.size or self._fill(side, np.unique(missing))
 
-    def invalidate(self, delta) -> None:
-        """Forget the rows a just-staged ``LabelDelta`` replaces.
+    def refresh(self, delta) -> None:
+        """Bring the rows a just-staged ``LabelDelta`` replaces up to
+        date: the resident ones are refilled from the staged columns
+        in one :meth:`_fill`, the others stay unfilled until a read
+        names them.
 
         The delta's vertex ids are the view's own: global ones on a
         sharded store.  A vertex with a staged label is core from now
-        on, whatever it hung from.
+        on, whatever it hung from.  A refill that empties the cache (a
+        full arena, a retired column) leaves every row to be refilled
+        on demand.
         """
-        sides = [(self.out, delta.out)]
+        sides = [(0, self.out, delta.out)]
         if self.directed:
-            sides.append((self.inn, delta.inn))
+            sides.append((1, self.inn, delta.inn))
         with self.lock:
-            for rows, labels in sides:
-                if labels:
-                    vertices = np.fromiter(labels, np.int64, len(labels))
-                    rows.filled[vertices] = False
-                    rows.staged[vertices] = True
-                    if self.hang is not None:
-                        self.parent[vertices] = vertices
-                        self.hang[vertices] = 0.0
+            for side, rows, labels in sides:
+                verts = labels.verts
+                if self.hang is not None:
+                    self.parent[verts] = verts
+                    self.hang[verts] = 0.0
+                resident = verts[rows.filled[verts]]
+                rows.filled[verts] = False
+                if resident.size:
+                    self._fill(side, resident)
 
     def info(self) -> dict:
         """The cache's size figures, read without the lock: a monitor

@@ -278,30 +278,25 @@ class ShardedLabelStore:
                 f"does not match store (|V|={self.n}, "
                 f"directed={self.directed})"
             )
-        per_shard: dict[int, LabelDelta] = {}
-
-        def local_delta(v: int) -> tuple[LabelDelta, int]:
-            i = self.shard_of(v)
-            lo, hi = self.ranges[i]
-            d = per_shard.get(i)
-            if d is None:
-                d = LabelDelta.empty(hi - lo, self.directed)
-                per_shard[i] = d
-            return d, v - lo
-
-        for v, label in delta.out.items():
-            d, local = local_delta(v)
-            d.out[local] = label
-        if self.directed:
-            for v, label in delta.inn.items():
-                d, local = local_delta(v)
-                d.inn[local] = label
-        for i, d in per_shard.items():
-            self.shards[i].apply_updates(d)
-        self._dirty.update(per_shard)
+        sides = [delta.out, delta.inn] if self.directed else [delta.out]
+        for rows in sides:
+            if rows.verts.size:  # shard_of refuses an id out of range
+                self.shard_of(int(rows.verts.min()))
+                self.shard_of(int(rows.verts.max()))
+        # Each side's rows cut at the shard bounds: one slice a shard.
+        cuts = [np.searchsorted(rows.verts, [*self._los, self.n]) for rows in sides]
+        affected = []
+        for i, (lo, _) in enumerate(self.ranges):
+            local = [rows.rows(c[i], c[i + 1], lo) for rows, c in zip(sides, cuts)]
+            if any(local):
+                self.shards[i].apply_updates(LabelDelta(
+                    self.shards[i].n, self.directed, local[0], local[-1]
+                ))
+                affected.append(i)
+        self._dirty.update(affected)
         if self._view is not None:
-            self._view.invalidate(delta)
-        return sorted(per_shard)
+            self._view.refresh(delta)
+        return affected
 
     def reconcile(self, path) -> list[int]:
         """Flush staged updates to the shard directory at ``path``.
@@ -393,7 +388,7 @@ class ShardedLabelStore:
         if shard.hang is None:
             return v, 0
         h = shard.hang[local]
-        if not h or (shard._delta_out and local in shard._delta_out):
+        if not h or shard.is_staged(local):
             return v, 0
         p = shard.parent[local]
         if not (h > 0 and 0 <= p < self.n and not self._resolve(p)[1]):

@@ -110,17 +110,18 @@ class TestFlatOverlay:
         )
         dyn.insert_edges([(0, 79), (5, 60), (17, 44)])
         assert store.apply_updates(dyn.pop_label_delta()) > 0
+        assert (store._overlays[1] is store._overlays[0]) is not directed
         store.close()
         assert not store.has_pending_updates
-        assert store._delta_out == {} and store._delta_in == {}
-        assert (store._delta_in is store._delta_out) is not directed
+        assert store._overlays is None
 
     def test_shape_mismatch_rejected(self, setting):
         store = fresh_flat(setting)
         with pytest.raises(ValueError, match="does not match store"):
             store.apply_updates(LabelDelta.empty(3, store.directed))
-        bad = LabelDelta.empty(store.n, store.directed)
-        bad.out[store.n + 5] = [(0, 1.0)]
+        bad = LabelDelta.from_labels(
+            store.n, store.directed, {store.n + 5: [(0, 1.0)]}, {}
+        )
         with pytest.raises(IndexError):
             store.apply_updates(bad)
 

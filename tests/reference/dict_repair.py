@@ -18,6 +18,8 @@ from __future__ import annotations
 from itertools import repeat
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from paper.labels import (
     DirectedLabelState,
     LabelIndex,
@@ -27,6 +29,7 @@ from paper.labels import (
 )
 from repro.core.dynamic import DynamicHopDoublingIndex
 from repro.core.flatstore import FlatLabelStore
+from repro.core.labels import LabelRows
 from repro.core.rules import PrevEntry
 from tests.reference.dict_build import exhaustive_prune, make_engine
 
@@ -124,7 +127,13 @@ class DictRepairEngine:
         return self.state.total_entries()
 
     def track_touched(self):
-        return self.state.track_touched()
+        """The package's per-side masks, marked by the dict state's
+        touched records."""
+        n = self.state.n
+        mask = np.zeros(n, dtype=bool)
+        masks = (mask, np.zeros(n, dtype=bool) if self.directed else mask)
+        self.state.track_touched(tuple(map(_Marks, masks)))
+        return masks
 
     def owner_pivot(self, a: int, b: int) -> tuple[int, int]:
         return self.state.owner_pivot(a, b)
@@ -132,14 +141,33 @@ class DictRepairEngine:
     # -- serving labels ------------------------------------------------
     # The dict stores keep the trivial (v, 0) self entries inline, so a
     # serving label is one sorted() away.
-    def serving_out_label(self, v: int) -> list[tuple[int, float]]:
+    def label_rows(self, side: int, verts) -> LabelRows:
         state = self.state
-        if isinstance(state, DirectedLabelState):
-            return sorted((p, d) for p, (d, _) in state.out[v].items())
-        return sorted((p, d) for p, (d, _) in state.lab[v].items())
+        if not self.directed:
+            labels = state.lab
+        else:
+            labels = state.inn if side else state.out
+        return LabelRows.from_labels({
+            v: sorted((p, d) for p, (d, _) in labels[v].items())
+            for v in verts.tolist()
+        })
 
-    def serving_in_label(self, v: int) -> list[tuple[int, float]]:
-        return sorted((p, d) for p, (d, _) in self.state.inn[v].items())
+    @property
+    def directed(self) -> bool:
+        return isinstance(self.state, DirectedLabelState)
+
+
+class _Marks:
+    """A set's ``add`` over a boolean mask (the dict states record
+    touched owners with ``add`` alone)."""
+
+    __slots__ = ("mask",)
+
+    def __init__(self, mask) -> None:
+        self.mask = mask
+
+    def add(self, v: int) -> None:
+        self.mask[v] = True
 
 
 class DictRepairIndex(DynamicHopDoublingIndex):
